@@ -9,8 +9,9 @@
 namespace spider {
 
 /// \brief Mutable per-run counters. Algorithms increment these; harnesses
-/// read them after a run. Plain (non-atomic) because algorithms are
-/// single-threaded, as in the paper.
+/// read them after a run. Plain (non-atomic): each instance belongs to one
+/// task, and parallel runs Merge() per-task counters once the tasks are
+/// done.
 struct RunCounters {
   /// Attribute values read from sorted value sets ("items read", Fig. 5).
   int64_t tuples_read = 0;

@@ -29,7 +29,7 @@ struct ExternalSorterOptions {
   /// directory (e.g. concurrent per-attribute extractions) must use
   /// distinct prefixes so their run files cannot collide.
   std::string run_prefix = "run";
-  /// Format knobs for the final sorted-set file (block size, legacy mode).
+  /// Format knobs for the final sorted-set file (block size).
   SortedSetWriterOptions set_writer;
 };
 

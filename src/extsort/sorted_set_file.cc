@@ -56,16 +56,13 @@ Result<std::unique_ptr<SortedSetWriter>> SortedSetWriter::Create(
   if (!out) return Status::IOError("cannot create " + path.string());
   auto writer = std::unique_ptr<SortedSetWriter>(
       new SortedSetWriter(std::move(out), options));
-  if (!options.legacy_flat) {
-    writer->out_.write(kSortedSetMagic.data(),
-                       static_cast<std::streamsize>(kSortedSetMagic.size()));
-    writer->out_.put(static_cast<char>(kSortedSetFormatVersion));
-    if (writer->out_.fail()) {
-      return Status::IOError("cannot write set-file header to " +
-                             path.string());
-    }
-    writer->offset_ = kSortedSetHeaderBytes;
+  writer->out_.write(kSortedSetMagic.data(),
+                     static_cast<std::streamsize>(kSortedSetMagic.size()));
+  writer->out_.put(static_cast<char>(kSortedSetFormatVersion));
+  if (writer->out_.fail()) {
+    return Status::IOError("cannot write set-file header to " + path.string());
   }
+  writer->offset_ = kSortedSetHeaderBytes;
   return writer;
 }
 
@@ -76,7 +73,7 @@ Status SortedSetWriter::Append(std::string_view value) {
         "sorted-set ordering violated: '" + *last_ + "' then '" +
         std::string(value) + "'");
   }
-  if (!options_.legacy_flat && block_records_ == 0) {
+  if (block_records_ == 0) {
     block_offset_ = offset_;
     block_first_.assign(value.data(), value.size());
   }
@@ -84,10 +81,8 @@ Status SortedSetWriter::Append(std::string_view value) {
   offset_ += RecordBytes(value);
   last_ = std::string(value);
   ++count_;
-  if (!options_.legacy_flat) {
-    ++block_records_;
-    if (offset_ - block_offset_ >= options_.target_block_bytes) SealBlock();
-  }
+  ++block_records_;
+  if (offset_ - block_offset_ >= options_.target_block_bytes) SealBlock();
   return Status::OK();
 }
 
@@ -104,21 +99,19 @@ void SortedSetWriter::SealBlock() {
 Status SortedSetWriter::Finish() {
   if (finished_) return Status::OK();
   finished_ = true;
-  if (!options_.legacy_flat) {
-    if (block_records_ > 0) SealBlock();
-    const uint64_t footer_offset = offset_;
-    std::string footer;
-    EncodeVarint(&footer, blocks_.size());
-    for (const BlockMeta& block : blocks_) {
-      EncodeVarint(&footer, block.offset);
-      EncodeVarint(&footer, block.records);
-      AppendLengthPrefixed(&footer, block.first_key);
-      AppendLengthPrefixed(&footer, block.last_key);
-    }
-    AppendFixed64(&footer, footer_offset);
-    footer.append(kSortedSetMagic);
-    out_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
+  if (block_records_ > 0) SealBlock();
+  const uint64_t footer_offset = offset_;
+  std::string footer;
+  EncodeVarint(&footer, blocks_.size());
+  for (const BlockMeta& block : blocks_) {
+    EncodeVarint(&footer, block.offset);
+    EncodeVarint(&footer, block.records);
+    AppendLengthPrefixed(&footer, block.first_key);
+    AppendLengthPrefixed(&footer, block.last_key);
   }
+  AppendFixed64(&footer, footer_offset);
+  footer.append(kSortedSetMagic);
+  out_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
   out_.flush();
   out_.close();
   if (out_.fail()) return Status::IOError("failed closing sorted set file");
@@ -135,14 +128,6 @@ SortedSetReader::~SortedSetReader() {
   // An in-flight prefetch preads through fd_; it must land before close.
   if (prefetch_.valid()) prefetch_.wait();
   if (fd_ >= 0) ::close(fd_);
-}
-
-Result<std::unique_ptr<SortedSetReader>> SortedSetReader::Open(
-    const std::filesystem::path& path, RunCounters* counters,
-    size_t buffer_bytes) {
-  SortedSetReaderOptions options;
-  options.buffer_bytes = buffer_bytes;
-  return Open(path, counters, options);
 }
 
 Result<std::unique_ptr<SortedSetReader>> SortedSetReader::Open(
@@ -172,28 +157,19 @@ Result<std::unique_ptr<SortedSetReader>> SortedSetReader::Open(
 Status SortedSetReader::Init(const std::filesystem::path& path,
                              uint64_t file_size) {
   char header[kSortedSetHeaderBytes];
-  if (file_size >= kSortedSetHeaderBytes &&
-      PreadExact(fd_, 0, header, kSortedSetHeaderBytes) &&
-      std::string_view(header, kSortedSetMagic.size()) == kSortedSetMagic) {
-    const auto version =
-        static_cast<unsigned char>(header[kSortedSetMagic.size()]);
-    if (version != kSortedSetFormatVersion) {
-      return Status::IOError("unsupported set-file format version " +
-                             std::to_string(version) + " in " + path.string());
-    }
-    blocked_ = true;
-    return ParseFooter(path, file_size);
+  if (file_size < kSortedSetHeaderBytes ||
+      !PreadExact(fd_, 0, header, kSortedSetHeaderBytes) ||
+      std::string_view(header, kSortedSetMagic.size()) != kSortedSetMagic) {
+    return Status::IOError("not a block-indexed set file (missing magic): " +
+                           path.string());
   }
-  // Legacy flat stream: one unskippable region, read front to back.
-  data_end_ = file_size;
-  // Small sets get small buffers: the spider merge holds one reader per
-  // attribute, and sizing each buffer to its file keeps the merge's
-  // resident footprint proportional to the data instead of
-  // attributes × buffer_bytes. (Values larger than the buffer still grow
-  // it on demand.)
-  buffer_.resize(std::max<uint64_t>(
-      std::min<uint64_t>(options_.buffer_bytes, file_size), 16));
-  return Status::OK();
+  const auto version =
+      static_cast<unsigned char>(header[kSortedSetMagic.size()]);
+  if (version != kSortedSetFormatVersion) {
+    return Status::IOError("unsupported set-file format version " +
+                           std::to_string(version) + " in " + path.string());
+  }
+  return ParseFooter(path, file_size);
 }
 
 Status SortedSetReader::ParseFooter(const std::filesystem::path& path,
@@ -331,14 +307,6 @@ void SortedSetReader::StartPrefetch() {
 
 void SortedSetReader::FillRecord() {
   if (have_value_ || eof_ || !status_.ok()) return;
-  if (blocked_) {
-    FillRecordBlocked();
-  } else {
-    FillRecordLegacy();
-  }
-}
-
-void SortedSetReader::FillRecordBlocked() {
   if (pos_ == end_) {
     if (window_last_ + 1 >= index_.size()) {
       eof_ = true;
@@ -390,83 +358,6 @@ void SortedSetReader::FillRecordBlocked() {
   }
 }
 
-size_t SortedSetReader::Refill() {
-  // Move unconsumed bytes (the partially parsed record) to the front so the
-  // record ends up contiguous in the buffer. Only the legacy path refills,
-  // and only while no decoded value is exposed (have_value_ is false), so
-  // compaction never moves bytes a Peek() view still points at.
-  if (pos_ > 0) {
-    const size_t remaining = end_ - pos_;
-    if (remaining > 0) {
-      std::memmove(buffer_.data(), buffer_.data() + pos_, remaining);
-    }
-    end_ = remaining;
-    pos_ = 0;
-  }
-  if (!eof_ && end_ < buffer_.size() && read_offset_ < data_end_) {
-    const size_t want = static_cast<size_t>(std::min<uint64_t>(
-        buffer_.size() - end_, data_end_ - read_offset_));
-    if (!PreadExact(fd_, read_offset_, buffer_.data() + end_, want)) {
-      status_ = Status::IOError("failed reading sorted set file");
-      return end_ - pos_;
-    }
-    end_ += want;
-    read_offset_ += want;
-  }
-  return end_ - pos_;
-}
-
-int SortedSetReader::ReadHeaderByte() {
-  if (pos_ == end_ && Refill() == 0) return -1;
-  if (!status_.ok()) return -1;
-  return static_cast<unsigned char>(buffer_[pos_++]);
-}
-
-void SortedSetReader::FillRecordLegacy() {
-  // Decode the LEB128 length. EOF before the first byte is a clean end of
-  // stream; EOF mid-varint is corruption.
-  uint64_t len = 0;
-  switch (DecodeVarint([this]() { return ReadHeaderByte(); }, &len)) {
-    case VarintDecode::kOk:
-      break;
-    case VarintDecode::kCleanEof:
-      if (status_.ok()) eof_ = true;
-      return;
-    case VarintDecode::kCorrupt:
-      status_ = Status::IOError("corrupt varint in value record");
-      return;
-    case VarintDecode::kTruncated:
-      if (status_.ok()) {
-        status_ = Status::IOError("truncated varint in value record");
-      }
-      return;
-  }
-  // Make the value bytes contiguous in the buffer, growing it for records
-  // larger than one read.
-  if (len > buffer_.size()) {
-    const size_t remaining = end_ - pos_;
-    if (pos_ > 0 && remaining > 0) {
-      std::memmove(buffer_.data(), buffer_.data() + pos_, remaining);
-    }
-    end_ = remaining;
-    pos_ = 0;
-    buffer_.resize(static_cast<size_t>(len));
-  }
-  while (end_ - pos_ < len) {
-    const size_t before = end_ - pos_;
-    if (Refill() == before || !status_.ok()) {
-      if (status_.ok()) {
-        status_ = Status::IOError("truncated value record");
-      }
-      return;
-    }
-  }
-  value_pos_ = pos_;
-  value_len_ = static_cast<size_t>(len);
-  pos_ += value_len_;
-  have_value_ = true;
-}
-
 void SortedSetReader::JumpToCandidateBlock(std::string_view key) {
   // First block past the current one whose last key reaches `key`; every
   // block in between cannot contain a qualifying value.
@@ -515,7 +406,7 @@ void SortedSetReader::SkipToAtLeast(std::string_view key) {
     // read exactly like the Skip() it replaces.
     have_value_ = false;
     if (counters_ != nullptr) ++counters_->tuples_read;
-    if (blocked_ && options_.allow_block_skip &&
+    if (options_.allow_block_skip &&
         index_[cur_block_].last_key < key) {
       // Every remaining record of the current block is below `key` too
       // (its zonemap tops out before it) — jump via the footer index.

@@ -17,9 +17,9 @@
 // size, so a record never spans blocks. Because records are sorted, each
 // footer entry's (first, last) pair is an exact zonemap: a merge that needs
 // values >= k can binary-search the footer and bypass every block whose
-// last key is below k without decoding it (SkipToAtLeast below). Files
-// written before this format — a bare flat record stream — are detected by
-// the absence of the magic and stream exactly as before.
+// last key is below k without decoding it (SkipToAtLeast below). A file
+// without the magic fails Open() with IOError: set files are a cache, and
+// the profile store treats a failed reuse as a miss.
 //
 // The magic/footer constants live here and nowhere else; hand-rolled
 // parsers elsewhere are rejected by the `set-format-magic` lint rule.
@@ -61,10 +61,6 @@ struct SortedSetWriterOptions {
   /// boundary at or past this size, so the zonemap granularity (and the
   /// reader's minimum seek unit) is roughly this many bytes.
   size_t target_block_bytes = 16 * 1024;
-  /// Write the pre-block flat record stream (no header, no footer).
-  /// Readers treat such files as one unskippable region; kept for format
-  /// round-trip tests and for producing compatibility fixtures.
-  bool legacy_flat = false;
 };
 
 /// \brief Writes a sorted-distinct value file. Enforces strict ordering:
@@ -87,7 +83,6 @@ class SortedSetWriter {
   int64_t count() const { return count_; }
 
   /// Blocks written (sealed) so far; the final total after Finish().
-  /// Always 0 for legacy_flat files.
   int64_t block_count() const { return static_cast<int64_t>(blocks_.size()); }
 
  private:
@@ -110,7 +105,7 @@ class SortedSetWriter {
   std::optional<std::string> last_;
   bool finished_ = false;
   uint64_t offset_ = 0;  // bytes written so far (header included)
-  // Open-block state (blocked mode only).
+  // Open-block state.
   uint64_t block_offset_ = 0;
   uint64_t block_records_ = 0;
   std::string block_first_;
@@ -119,11 +114,10 @@ class SortedSetWriter {
 
 /// Options for SortedSetReader.
 struct SortedSetReaderOptions {
-  /// Read-window budget. Block-indexed files load whole blocks — as many
+  /// Read-window budget. The reader loads whole blocks — as many
   /// consecutive blocks as fit the budget per read, never a partial one —
-  /// so no record is ever split across reads and the legacy format's
-  /// compaction memmove disappears. Oversized blocks (or legacy records)
-  /// still grow the buffer on demand.
+  /// so no record is ever split across reads. An oversized block still
+  /// grows the buffer on demand.
   size_t buffer_bytes = 64 * 1024;
   /// Honor the footer zonemap in SkipToAtLeast(). With false the call
   /// degrades to the linear scan it replaces — same values, same
@@ -153,16 +147,12 @@ class SortedSetReader {
   /// Default read-window size; values larger than the window grow it.
   static constexpr size_t kDefaultBufferBytes = 64 * 1024;
 
+  /// Opens a block-indexed set file; a missing magic, an unsupported
+  /// version or a corrupt footer fail with IOError.
   [[nodiscard]]
   static Result<std::unique_ptr<SortedSetReader>> Open(
       const std::filesystem::path& path, RunCounters* counters = nullptr,
       SortedSetReaderOptions options = {});
-
-  /// Compatibility overload taking just a window size.
-  [[nodiscard]]
-  static Result<std::unique_ptr<SortedSetReader>> Open(
-      const std::filesystem::path& path, RunCounters* counters,
-      size_t buffer_bytes);
 
   ~SortedSetReader();
 
@@ -212,15 +202,12 @@ class SortedSetReader {
   /// Advances the cursor to the first value >= `key`; a no-op when the
   /// current value already qualifies or the stream is exhausted. Records
   /// it decodes on the way count as tuples_read exactly like Skip(); whole
-  /// blocks bypassed via the footer zonemap count only blocks_skipped. On
-  /// legacy files (or with allow_block_skip=false) this is the equivalent
-  /// linear scan. Errors surface through status(), as everywhere else.
+  /// blocks bypassed via the footer zonemap count only blocks_skipped.
+  /// With allow_block_skip=false this is the equivalent linear scan.
+  /// Errors surface through status(), as everywhere else.
   void SkipToAtLeast(std::string_view key);
 
-  /// True when the file carries the block-indexed footer (version sniff).
-  bool block_indexed() const { return blocked_; }
-
-  /// Blocks in the footer index (0 for legacy files).
+  /// Blocks in the footer index.
   int64_t block_count() const { return static_cast<int64_t>(index_.size()); }
 
   /// Blocks this reader bypassed via SkipToAtLeast (also counted into the
@@ -252,7 +239,7 @@ class SortedSetReader {
   SortedSetReader(int fd, RunCounters* counters,
                   SortedSetReaderOptions options);
 
-  /// Sniffs the format and, for block-indexed files, parses the footer.
+  /// Checks the header magic and version, then parses the footer.
   [[nodiscard]]
   Status Init(const std::filesystem::path& path, uint64_t file_size);
   [[nodiscard]]
@@ -261,13 +248,6 @@ class SortedSetReader {
   /// Decodes the next record so value_pos_/value_len_ frame it
   /// contiguously in buffer_.
   void FillRecord();
-  void FillRecordBlocked();
-  void FillRecordLegacy();
-  /// Reads one byte of a varint header (legacy mode), refilling; -1 at EOF.
-  int ReadHeaderByte();
-  /// Legacy mode: compacts unconsumed bytes to the buffer front and reads
-  /// more. Returns the number of bytes now available past pos_.
-  size_t Refill();
 
   /// Last block index of the read window starting at block `first`: as
   /// many whole consecutive blocks as fit buffer_bytes (at least one).
@@ -294,12 +274,6 @@ class SortedSetReader {
   Status status_;
   int64_t blocks_skipped_ = 0;
 
-  // Legacy streaming state.
-  uint64_t read_offset_ = 0;  // next file offset Refill() reads
-  uint64_t data_end_ = 0;     // file size (legacy reads stop here)
-
-  // Block-indexed state.
-  bool blocked_ = false;
   std::vector<BlockEntry> index_;
   uint64_t window_begin_ = 0;       // file offset of buffer_[0]
   size_t window_last_ = SIZE_MAX;   // last block in the window (+1 wraps to
@@ -313,7 +287,7 @@ struct SortedSetInfo {
   std::filesystem::path path;
   /// Number of distinct non-NULL values.
   int64_t distinct_count = 0;
-  /// Blocks in the file's footer index (0 for legacy flat files).
+  /// Blocks in the file's footer index.
   int64_t block_count = 0;
   /// Smallest / largest value (canonical form); empty optionals for an
   /// empty set.

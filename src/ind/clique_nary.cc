@@ -346,14 +346,13 @@ class CliqueNaryAlgorithm final : public NaryAlgorithm {
 
 void RegisterCliqueNaryAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
-  capabilities.nary = true;
   capabilities.needs_extractor = true;
   capabilities.parallel_safe = true;
   capabilities.supports_out_of_core = true;
   capabilities.summary =
       "FIND2-style maximal n-ary INDs: maximal cliques over the satisfied "
       "binary graph, refined top-down, streamed composite-set validation";
-  Status status = registry.RegisterNary(
+  Status status = registry.Register(
       "clique-nary", capabilities,
       [](const AlgorithmConfig& config)
           -> Result<std::unique_ptr<NaryAlgorithm>> {

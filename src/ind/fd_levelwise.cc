@@ -188,7 +188,7 @@ void RegisterFdLevelwiseAlgorithms(AlgorithmRegistry& registry) {
   capabilities.summary =
       "levelwise minimal exact FDs via distinct-tuple counts over sorted "
       "composite sets";
-  Status status = registry.RegisterDependency(
+  Status status = registry.Register(
       "fd-levelwise", capabilities,
       [](const AlgorithmConfig& config)
           -> Result<std::unique_ptr<DependencyAlgorithm>> {
@@ -208,7 +208,7 @@ void RegisterFdLevelwiseAlgorithms(AlgorithmRegistry& registry) {
   capabilities.summary =
       "approximate FDs: g3-style distinct-tuple error up to the configured "
       "threshold";
-  status = registry.RegisterDependency(
+  status = registry.Register(
       "afd-levelwise", capabilities,
       [](const AlgorithmConfig& config)
           -> Result<std::unique_ptr<DependencyAlgorithm>> {

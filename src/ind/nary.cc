@@ -220,7 +220,6 @@ class LevelwiseNaryAlgorithm final : public NaryAlgorithm {
 
 void RegisterNaryAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
-  capabilities.nary = true;
   capabilities.needs_extractor = true;
   capabilities.parallel_safe = true;
   capabilities.supports_out_of_core = true;
@@ -231,7 +230,7 @@ void RegisterNaryAlgorithm(AlgorithmRegistry& registry) {
   capabilities.summary =
       "levelwise (MIND-style) n-ary expansion: Apriori-join level k-1, "
       "verify by sorted composite-set merges (exact or g3'-partial)";
-  Status status = registry.RegisterNary(
+  Status status = registry.Register(
       "nary", capabilities,
       [](const AlgorithmConfig& config)
           -> Result<std::unique_ptr<NaryAlgorithm>> {

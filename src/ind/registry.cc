@@ -45,87 +45,35 @@ AlgorithmRegistry& AlgorithmRegistry::Global() {
 
 Status AlgorithmRegistry::Register(std::string name,
                                    AlgorithmCapabilities capabilities,
-                                   Factory factory) {
+                                   AnyFactory factory) {
   if (name.empty()) {
     return Status::InvalidArgument("algorithm name must be non-empty");
   }
-  if (Contains(name)) {
-    return Status::AlreadyExists("algorithm already registered: " + name);
-  }
-  SPIDER_CHECK(factory != nullptr) << "null factory for " << name;
-  capabilities.nary = false;
-  capabilities.kind = DependencyKind::kInd;
-  entries_.push_back(
-      Entry{std::move(name), capabilities, std::move(factory)});
-  return Status::OK();
-}
-
-Status AlgorithmRegistry::RegisterNary(std::string name,
-                                       AlgorithmCapabilities capabilities,
-                                       NaryFactory factory) {
-  if (name.empty()) {
-    return Status::InvalidArgument("algorithm name must be non-empty");
-  }
-  if (Contains(name)) {
-    return Status::AlreadyExists("algorithm already registered: " + name);
-  }
-  SPIDER_CHECK(factory != nullptr) << "null factory for " << name;
-  capabilities.nary = true;
-  capabilities.kind = DependencyKind::kInd;
-  nary_entries_.push_back(
-      NaryEntry{std::move(name), capabilities, std::move(factory)});
-  return Status::OK();
-}
-
-Status AlgorithmRegistry::RegisterDependency(std::string name,
-                                             AlgorithmCapabilities capabilities,
-                                             DependencyFactory factory) {
-  if (name.empty()) {
-    return Status::InvalidArgument("algorithm name must be non-empty");
-  }
-  if (capabilities.kind == DependencyKind::kInd) {
+  const bool dependency = std::holds_alternative<DependencyFactory>(factory);
+  if (dependency && capabilities.kind == DependencyKind::kInd) {
     return Status::InvalidArgument(
-        "IND approaches register through Register/RegisterNary, not "
-        "RegisterDependency: " +
+        "IND approaches register a Factory or NaryFactory, not a "
+        "DependencyFactory: " +
         name);
   }
-  if (Contains(name)) {
+  if (Find(name).ok()) {
     return Status::AlreadyExists("algorithm already registered: " + name);
   }
-  SPIDER_CHECK(factory != nullptr) << "null factory for " << name;
-  capabilities.nary = false;
-  dependency_entries_.push_back(
-      DependencyEntry{std::move(name), capabilities, std::move(factory)});
+  SPIDER_CHECK(std::visit([](const auto& f) { return f != nullptr; }, factory))
+      << "null factory for " << name;
+  capabilities.nary = std::holds_alternative<NaryFactory>(factory);
+  if (!dependency) capabilities.kind = DependencyKind::kInd;
+  entries_.push_back(
+      Entry{std::move(name), std::move(capabilities), std::move(factory)});
   return Status::OK();
 }
 
-const AlgorithmRegistry::Entry* AlgorithmRegistry::Find(
+Result<const AlgorithmRegistry::Entry*> AlgorithmRegistry::Find(
     std::string_view name) const {
   for (const Entry& entry : entries_) {
     if (entry.name == name) return &entry;
   }
-  return nullptr;
-}
-
-const AlgorithmRegistry::NaryEntry* AlgorithmRegistry::FindNary(
-    std::string_view name) const {
-  for (const NaryEntry& entry : nary_entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-const AlgorithmRegistry::DependencyEntry* AlgorithmRegistry::FindDependency(
-    std::string_view name) const {
-  for (const DependencyEntry& entry : dependency_entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-bool AlgorithmRegistry::Contains(std::string_view name) const {
-  return Find(name) != nullptr || FindNary(name) != nullptr ||
-         FindDependency(name) != nullptr;
+  return UnknownNameError(name);
 }
 
 Status AlgorithmRegistry::UnknownNameError(std::string_view name) const {
@@ -135,17 +83,12 @@ Status AlgorithmRegistry::UnknownNameError(std::string_view name) const {
   // roughly a third of the name so unrelated strings suggest nothing).
   std::string best;
   size_t best_distance = std::max<size_t>(2, name.size() / 3) + 1;
-  auto consider = [&](const std::string& candidate) {
-    const size_t distance = EditDistance(name, candidate);
+  for (const Entry& entry : entries_) {
+    const size_t distance = EditDistance(name, entry.name);
     if (distance < best_distance) {
       best_distance = distance;
-      best = candidate;
+      best = entry.name;
     }
-  };
-  for (const Entry& entry : entries_) consider(entry.name);
-  for (const NaryEntry& entry : nary_entries_) consider(entry.name);
-  for (const DependencyEntry& entry : dependency_entries_) {
-    consider(entry.name);
   }
   if (!best.empty()) {
     message += " — did you mean '" + best + "'?";
@@ -164,95 +107,44 @@ Status AlgorithmRegistry::UnknownNameError(std::string_view name) const {
   return Status::NotFound(message);
 }
 
-Status AlgorithmRegistry::ValidateConfig(
-    const std::string& name, const AlgorithmCapabilities& capabilities,
-    const AlgorithmConfig& config) const {
+Status AlgorithmRegistry::FamilyMismatchError(const Entry& entry,
+                                              size_t wanted) {
+  // Indexed by AnyFactory alternative.
+  static constexpr std::string_view kFamilies[] = {
+      "a unary IND verifier", "an n-ary IND expansion",
+      "a UCC/FD/AFD discoverer"};
+  const std::string family =
+      std::holds_alternative<DependencyFactory>(entry.factory)
+          ? "a " + std::string(KindName(entry.capabilities.kind)) +
+                " discoverer"
+          : std::string(kFamilies[entry.factory.index()]);
+  return Status::InvalidArgument(entry.name + " is " + family + ", not " +
+                                 std::string(kFamilies[wanted]) +
+                                 " (run it through SpiderSession)");
+}
+
+Status AlgorithmRegistry::ValidateConfig(const Entry& entry,
+                                         const AlgorithmConfig& config) {
+  const AlgorithmCapabilities& capabilities = entry.capabilities;
   if (capabilities.needs_extractor && config.extractor == nullptr) {
-    return Status::InvalidArgument(name + " requires a value-set extractor");
+    return Status::InvalidArgument(entry.name +
+                                   " requires a value-set extractor");
   }
   if (config.min_coverage <= 0 || config.min_coverage > 1.0) {
     return Status::InvalidArgument("min_coverage must be in (0, 1]");
   }
   if (config.min_coverage < 1.0 && !capabilities.supports_partial) {
     return Status::InvalidArgument(
-        name + " does not support partial (sigma < 1) coverage");
+        entry.name + " does not support partial (sigma < 1) coverage");
   }
   if (config.error_threshold < 0 || config.error_threshold >= 1.0) {
     return Status::InvalidArgument("error_threshold must be in [0, 1)");
   }
   if (config.error_threshold > 0 && !capabilities.supports_partial) {
     return Status::InvalidArgument(
-        name + " does not support an error threshold (error > 0)");
+        entry.name + " does not support an error threshold (error > 0)");
   }
   return Status::OK();
-}
-
-Result<AlgorithmCapabilities> AlgorithmRegistry::GetCapabilities(
-    std::string_view name) const {
-  if (const Entry* entry = Find(name)) return entry->capabilities;
-  if (const NaryEntry* entry = FindNary(name)) return entry->capabilities;
-  if (const DependencyEntry* entry = FindDependency(name)) {
-    return entry->capabilities;
-  }
-  return UnknownNameError(name);
-}
-
-Result<std::unique_ptr<IndAlgorithm>> AlgorithmRegistry::Create(
-    std::string_view name, const AlgorithmConfig& config) const {
-  const Entry* entry = Find(name);
-  if (entry == nullptr) {
-    if (FindNary(name) != nullptr) {
-      return Status::InvalidArgument(
-          std::string(name) +
-          " is an n-ary expansion, not a unary verifier (use CreateNary, or "
-          "run it through SpiderSession)");
-    }
-    if (const DependencyEntry* dep = FindDependency(name)) {
-      return Status::InvalidArgument(
-          std::string(name) + " discovers " +
-          std::string(KindName(dep->capabilities.kind)) +
-          "s, not INDs (use CreateDependency, or run it through "
-          "SpiderSession)");
-    }
-    return UnknownNameError(name);
-  }
-  SPIDER_RETURN_NOT_OK(
-      ValidateConfig(entry->name, entry->capabilities, config));
-  return entry->factory(config);
-}
-
-Result<std::unique_ptr<NaryAlgorithm>> AlgorithmRegistry::CreateNary(
-    std::string_view name, const AlgorithmConfig& config) const {
-  const NaryEntry* entry = FindNary(name);
-  if (entry == nullptr) {
-    if (Find(name) != nullptr || FindDependency(name) != nullptr) {
-      return Status::InvalidArgument(std::string(name) +
-                                     " is not an n-ary expansion (use Create "
-                                     "or CreateDependency)");
-    }
-    return UnknownNameError(name);
-  }
-  SPIDER_RETURN_NOT_OK(
-      ValidateConfig(entry->name, entry->capabilities, config));
-  return entry->factory(config);
-}
-
-Result<std::unique_ptr<DependencyAlgorithm>>
-AlgorithmRegistry::CreateDependency(std::string_view name,
-                                    const AlgorithmConfig& config) const {
-  const DependencyEntry* entry = FindDependency(name);
-  if (entry == nullptr) {
-    if (Find(name) != nullptr || FindNary(name) != nullptr) {
-      return Status::InvalidArgument(
-          std::string(name) +
-          " is an IND approach, not a dependency discoverer (use Create / "
-          "CreateNary, or run it through SpiderSession)");
-    }
-    return UnknownNameError(name);
-  }
-  SPIDER_RETURN_NOT_OK(
-      ValidateConfig(entry->name, entry->capabilities, config));
-  return entry->factory(config);
 }
 
 std::vector<std::string> AlgorithmRegistry::Names() const {
@@ -262,31 +154,10 @@ std::vector<std::string> AlgorithmRegistry::Names() const {
   return names;
 }
 
-std::vector<std::string> AlgorithmRegistry::NaryNames() const {
-  std::vector<std::string> names;
-  names.reserve(nary_entries_.size());
-  for (const NaryEntry& entry : nary_entries_) names.push_back(entry.name);
-  return names;
-}
-
-std::vector<std::string> AlgorithmRegistry::DependencyNames() const {
-  std::vector<std::string> names;
-  names.reserve(dependency_entries_.size());
-  for (const DependencyEntry& entry : dependency_entries_) {
-    names.push_back(entry.name);
-  }
-  return names;
-}
-
 std::vector<std::string> AlgorithmRegistry::NamesForKind(
     DependencyKind kind) const {
   std::vector<std::string> names;
-  if (kind == DependencyKind::kInd) {
-    for (const Entry& entry : entries_) names.push_back(entry.name);
-    for (const NaryEntry& entry : nary_entries_) names.push_back(entry.name);
-    return names;
-  }
-  for (const DependencyEntry& entry : dependency_entries_) {
+  for (const Entry& entry : entries_) {
     if (entry.capabilities.kind == kind) names.push_back(entry.name);
   }
   return names;

@@ -6,9 +6,10 @@
 // approaches by string, so adding an algorithm means one registration call
 // instead of touching an enum, a name table and every switch over it.
 // Capabilities carry a DependencyKind (IND / UCC / FD / AFD), turning the
-// registry into a multi-dependency platform: IND verification keeps its
-// two interfaces (unary IndAlgorithm, n-ary NaryAlgorithm), the other
-// kinds implement DependencyAlgorithm.
+// registry into a multi-dependency platform. One table holds every
+// approach in registration order; an entry's factory type says which
+// interface it builds: unary IndAlgorithm, n-ary NaryAlgorithm, or
+// DependencyAlgorithm for the other kinds.
 
 #pragma once
 
@@ -16,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/common/result.h"
@@ -33,7 +35,7 @@ namespace spider {
 struct AlgorithmCapabilities {
   /// The dependency class the approach discovers. IND approaches (unary
   /// verifiers and n-ary expansions) are kInd; UCC/FD/AFD discoverers
-  /// register through RegisterDependency with their kind.
+  /// register a DependencyFactory with their kind.
   DependencyKind kind = DependencyKind::kInd;
   /// Reads sorted value sets materialized by a ValueSetExtractor; creating
   /// the algorithm without one fails.
@@ -64,7 +66,8 @@ struct AlgorithmCapabilities {
   bool supports_out_of_core = false;
   /// An n-ary expansion (NaryAlgorithm) rather than a unary verifier: it
   /// derives higher-arity INDs from a satisfied unary base. The session
-  /// runs RunOptions::nary_base first and feeds its result in.
+  /// runs RunOptions::nary_base first and feeds its result in. Set by
+  /// Register from the factory type.
   bool nary = false;
   /// One-line description for usage strings and listings. Owned, so
   /// registrants may build it dynamically.
@@ -109,9 +112,9 @@ struct AlgorithmConfig {
   ThreadPool* io_pool = nullptr;
 };
 
-/// \brief String-keyed algorithm registry. Thread-compatible: all built-in
-/// registrations happen inside Global()'s first use; later lookups are
-/// read-only.
+/// \brief String-keyed algorithm registry: one table of approaches in
+/// registration order. Thread-compatible: all built-in registrations
+/// happen inside Global()'s first use; later lookups are read-only.
 class AlgorithmRegistry {
  public:
   using Factory = std::function<Result<std::unique_ptr<IndAlgorithm>>(
@@ -121,70 +124,65 @@ class AlgorithmRegistry {
   using DependencyFactory =
       std::function<Result<std::unique_ptr<DependencyAlgorithm>>(
           const AlgorithmConfig&)>;
+  /// The factory's alternative is the approach's family: unary verifier,
+  /// n-ary expansion or non-IND discoverer.
+  using AnyFactory = std::variant<Factory, NaryFactory, DependencyFactory>;
+
+  struct Entry {
+    std::string name;
+    AlgorithmCapabilities capabilities;
+    AnyFactory factory;
+  };
 
   /// The process-wide registry, with all built-in approaches registered.
   static AlgorithmRegistry& Global();
 
-  /// Registers a unary approach. Fails with AlreadyExists on a duplicate
-  /// name (across both kinds).
+  /// Registers an approach. The factory type fixes the family:
+  /// `capabilities.nary` is set exactly for a NaryFactory, the IND
+  /// families are forced to kInd, and a DependencyFactory must carry kUcc,
+  /// kFd or kAfd. Fails with AlreadyExists on a duplicate name.
   [[nodiscard]]
   Status Register(std::string name, AlgorithmCapabilities capabilities,
-                  Factory factory);
+                  AnyFactory factory);
 
-  /// Registers an n-ary expansion; `capabilities.nary` is forced true.
-  /// Fails with AlreadyExists on a duplicate name (across both kinds).
+  /// The entry for any registered name, or NotFound with the valid names
+  /// per kind (and a nearest-match suggestion).
   [[nodiscard]]
-  Status RegisterNary(std::string name, AlgorithmCapabilities capabilities,
-                      NaryFactory factory);
+  Result<const Entry*> Find(std::string_view name) const;
 
-  /// Registers a non-IND dependency discoverer; `capabilities.kind` must
-  /// be kUcc, kFd or kAfd. Fails with AlreadyExists on a duplicate name
-  /// (across all registration families).
+  /// Builds an instance of the named approach after validating `config`
+  /// against its capabilities (extractor present, σ / error threshold
+  /// supported). T picks the family — IndAlgorithm, NaryAlgorithm or
+  /// DependencyAlgorithm — and a name from another family fails with
+  /// InvalidArgument.
+  template <typename T = IndAlgorithm>
   [[nodiscard]]
-  Status RegisterDependency(std::string name,
-                            AlgorithmCapabilities capabilities,
-                            DependencyFactory factory);
+  Result<std::unique_ptr<T>> Create(std::string_view name,
+                                    const AlgorithmConfig& config = {}) const {
+    using TypedFactory =
+        std::function<Result<std::unique_ptr<T>>(const AlgorithmConfig&)>;
+    SPIDER_ASSIGN_OR_RETURN(const Entry* entry, Find(name));
+    const auto* factory = std::get_if<TypedFactory>(&entry->factory);
+    if (factory == nullptr) {
+      return FamilyMismatchError(
+          *entry, AnyFactory(std::in_place_type<TypedFactory>).index());
+    }
+    SPIDER_RETURN_NOT_OK(ValidateConfig(*entry, config));
+    return (*factory)(config);
+  }
 
-  /// True for any registered name, unary, n-ary or dependency.
-  bool Contains(std::string_view name) const;
-
-  /// Capabilities for any registered name, or NotFound with the valid
-  /// names per kind (and a nearest-match suggestion). `capabilities.kind`
-  /// and `capabilities.nary` tell the families apart.
+  /// Rejects `config` knobs the entry's capabilities rule out: a missing
+  /// extractor, σ < 1 or an error threshold the approach cannot honor, and
+  /// out-of-range values. Create runs it; the session runs it up front.
   [[nodiscard]]
-  Result<AlgorithmCapabilities> GetCapabilities(std::string_view name) const;
+  static Status ValidateConfig(const Entry& entry,
+                               const AlgorithmConfig& config);
 
-  /// Builds a unary algorithm instance after validating `config` against
-  /// the approach's capabilities (extractor present, σ supported). An
-  /// n-ary name fails with InvalidArgument (use CreateNary).
-  [[nodiscard]]
-  Result<std::unique_ptr<IndAlgorithm>> Create(
-      std::string_view name, const AlgorithmConfig& config = {}) const;
-
-  /// Builds an n-ary expansion instance (extractor validated). A unary
-  /// name fails with InvalidArgument (use Create).
-  [[nodiscard]]
-  Result<std::unique_ptr<NaryAlgorithm>> CreateNary(
-      std::string_view name, const AlgorithmConfig& config = {}) const;
-
-  /// Builds a dependency discoverer (extractor / error threshold
-  /// validated). An IND name fails with InvalidArgument (use Create or
-  /// CreateNary).
-  [[nodiscard]]
-  Result<std::unique_ptr<DependencyAlgorithm>> CreateDependency(
-      std::string_view name, const AlgorithmConfig& config = {}) const;
-
-  /// All registered unary names, in registration order (deterministic).
+  /// Every registered name, in registration order (deterministic).
   std::vector<std::string> Names() const;
 
-  /// All registered n-ary expansion names, in registration order.
-  std::vector<std::string> NaryNames() const;
-
-  /// All registered dependency-discoverer names, in registration order.
-  std::vector<std::string> DependencyNames() const;
-
-  /// Every name registered under `kind`, in registration order (unary
-  /// before n-ary for kInd). Empty when nothing handles the kind.
+  /// Every name registered under `kind`, in registration order. Empty
+  /// when nothing handles the kind.
   std::vector<std::string> NamesForKind(DependencyKind kind) const;
 
   /// The default approach for a kind: its first registered name, or
@@ -193,42 +191,18 @@ class AlgorithmRegistry {
   Result<std::string> DefaultNameForKind(DependencyKind kind) const;
 
  private:
-  struct Entry {
-    std::string name;
-    AlgorithmCapabilities capabilities;
-    Factory factory;
-  };
-  struct NaryEntry {
-    std::string name;
-    AlgorithmCapabilities capabilities;
-    NaryFactory factory;
-  };
-  struct DependencyEntry {
-    std::string name;
-    AlgorithmCapabilities capabilities;
-    DependencyFactory factory;
-  };
-
-  const Entry* Find(std::string_view name) const;
-  const NaryEntry* FindNary(std::string_view name) const;
-  const DependencyEntry* FindDependency(std::string_view name) const;
-
   /// NotFound carrying the valid names grouped by kind plus a
-  /// nearest-match "did you mean" suggestion (satellite of the platform
-  /// refactor: lookup failures teach the namespace instead of restating
-  /// the bad input).
+  /// nearest-match "did you mean" suggestion: lookup failures teach the
+  /// namespace instead of restating the bad input.
   [[nodiscard]]
   Status UnknownNameError(std::string_view name) const;
 
-  /// Shared knob validation against an entry's capabilities.
+  /// InvalidArgument for creating `entry` as family `wanted` (an
+  /// AnyFactory alternative index).
   [[nodiscard]]
-  Status ValidateConfig(const std::string& name,
-                        const AlgorithmCapabilities& capabilities,
-                        const AlgorithmConfig& config) const;
+  static Status FamilyMismatchError(const Entry& entry, size_t wanted);
 
   std::vector<Entry> entries_;
-  std::vector<NaryEntry> nary_entries_;
-  std::vector<DependencyEntry> dependency_entries_;
 };
 
 }  // namespace spider

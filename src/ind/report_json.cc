@@ -1,7 +1,5 @@
 #include "src/ind/report_json.h"
 
-#include <vector>
-
 #include "src/common/json_writer.h"
 #include "src/ind/registry.h"
 
@@ -120,36 +118,35 @@ std::string SessionReportToJson(const SessionReport& report,
   } else {
     WriteIndReport(report, context, json);
   }
+  if (!report.profile_save_error.empty()) {
+    json.KV("profile_save_error", report.profile_save_error);
+  }
   json.EndObject();
   return json.str();
 }
 
 std::string ApproachesToJson() {
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
-  std::vector<std::string> names = registry.Names();
-  for (const std::string& name : registry.NaryNames()) names.push_back(name);
-  for (const std::string& name : registry.DependencyNames()) {
-    names.push_back(name);
-  }
   JsonWriter json;
   json.BeginObject();
   json.Key("approaches");
   json.BeginArray();
-  for (const std::string& name : names) {
+  for (const std::string& name : registry.Names()) {
     // Every listed name is registered, so the lookup cannot fail.
-    auto capabilities = registry.GetCapabilities(name);
-    if (!capabilities.ok()) continue;
+    auto entry = registry.Find(name);
+    if (!entry.ok()) continue;
+    const AlgorithmCapabilities& capabilities = (*entry)->capabilities;
     json.BeginObject();
     json.KV("name", name);
-    json.KV("kind", std::string(KindName(capabilities->kind)));
-    json.KV("summary", capabilities->summary);
-    json.KV("nary", capabilities->nary);
-    json.KV("database_internal", capabilities->database_internal);
-    json.KV("needs_extractor", capabilities->needs_extractor);
-    json.KV("supports_partial", capabilities->supports_partial);
-    json.KV("supports_time_budget", capabilities->supports_time_budget);
-    json.KV("parallel_safe", capabilities->parallel_safe);
-    json.KV("supports_out_of_core", capabilities->supports_out_of_core);
+    json.KV("kind", std::string(KindName(capabilities.kind)));
+    json.KV("summary", capabilities.summary);
+    json.KV("nary", capabilities.nary);
+    json.KV("database_internal", capabilities.database_internal);
+    json.KV("needs_extractor", capabilities.needs_extractor);
+    json.KV("supports_partial", capabilities.supports_partial);
+    json.KV("supports_time_budget", capabilities.supports_time_budget);
+    json.KV("parallel_safe", capabilities.parallel_safe);
+    json.KV("supports_out_of_core", capabilities.supports_out_of_core);
     json.EndObject();
   }
   json.EndArray();

@@ -89,8 +89,7 @@ Status Apply(const RunOptionKv& kv, RunOptions& options) {
   if (key == "approach") {
     // The registry's lookup error carries the valid names per kind plus a
     // nearest-match suggestion — surface it verbatim.
-    SPIDER_RETURN_NOT_OK(
-        AlgorithmRegistry::Global().GetCapabilities(value).status());
+    SPIDER_RETURN_NOT_OK(AlgorithmRegistry::Global().Find(value).status());
     options.approach = value;
     return Status::OK();
   }
@@ -99,10 +98,9 @@ Status Apply(const RunOptionKv& kv, RunOptions& options) {
     return Status::OK();
   }
   if (key == "nary-base") {
-    SPIDER_ASSIGN_OR_RETURN(
-        const AlgorithmCapabilities capabilities,
-        AlgorithmRegistry::Global().GetCapabilities(value));
-    if (capabilities.nary) {
+    SPIDER_ASSIGN_OR_RETURN(const AlgorithmRegistry::Entry* entry,
+                            AlgorithmRegistry::Global().Find(value));
+    if (entry->capabilities.nary) {
       return Status::InvalidArgument(
           "--nary-base must name a unary approach, got n-ary expansion '" +
           value + "'");

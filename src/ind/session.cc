@@ -10,7 +10,6 @@
 #include "src/common/mutex.h"
 #include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
-#include "src/ind/nary_algorithm.h"
 
 namespace spider {
 
@@ -46,6 +45,87 @@ class UnionFind {
  private:
   std::vector<size_t> parent_;
 };
+
+// Hands an algorithm the run controls. The budget is wall clock since
+// Run() entry (RunOptions::time_budget_seconds): a phase or partition that
+// starts late gets only what remains.
+void BindRunControls(const RunOptions& options, const Stopwatch& run_watch,
+                     RunContext& context) {
+  context.cancel = options.cancel;
+  if (options.time_budget_seconds > 0) {
+    context.time_budget_seconds = std::max(
+        options.time_budget_seconds - run_watch.ElapsedSeconds(), 1e-12);
+  }
+}
+
+// Every option rule the resolved approaches impose, checked before any
+// candidate is generated. `verifier` is the unary IND approach (the
+// approach itself, or nary_base under an expansion), null for the other
+// kinds; `config` / `verify_config` are what the approach / verifier will
+// be created with.
+Status ValidateRun(const RunOptions& options,
+                   const AlgorithmRegistry::Entry& approach,
+                   const AlgorithmRegistry::Entry* verifier,
+                   const AlgorithmConfig& config,
+                   const AlgorithmConfig& verify_config, bool out_of_core) {
+  const AlgorithmCapabilities& capabilities = approach.capabilities;
+  if (options.kind.has_value() && *options.kind != capabilities.kind) {
+    const std::vector<std::string> names =
+        AlgorithmRegistry::Global().NamesForKind(*options.kind);
+    return Status::InvalidArgument(
+        "approach '" + approach.name + "' discovers " +
+        std::string(KindName(capabilities.kind)) + "s, not " +
+        std::string(KindName(*options.kind)) +
+        "s (approaches for that kind: " +
+        (names.empty() ? std::string("none") : JoinStrings(names, ", ")) +
+        ")");
+  }
+  for (const AlgorithmRegistry::Entry* entry : {&approach, verifier}) {
+    if (entry != nullptr && out_of_core &&
+        !entry->capabilities.supports_out_of_core) {
+      return Status::InvalidArgument(
+          "approach '" + entry->name +
+          "' random-accesses materialized columns and cannot profile an "
+          "out-of-core (disk-backend) catalog");
+    }
+  }
+  if (verifier == nullptr) {
+    // σ-coverage is an IND notion; the approximate kinds use the error
+    // threshold instead, so reject the knob instead of ignoring it.
+    if (options.min_coverage != 1.0) {
+      return Status::InvalidArgument(
+          "min_coverage (σ) applies to IND verification; use "
+          "error_threshold for approximate " +
+          std::string(KindName(capabilities.kind)) + " discovery");
+    }
+    return AlgorithmRegistry::ValidateConfig(approach, config);
+  }
+  if (capabilities.nary) {
+    // The expansions verify exact tuple containment only: a σ-partial
+    // unary base would feed non-exact INDs into an exact expansion.
+    if (options.min_coverage < 1.0) {
+      return Status::InvalidArgument(
+          approach.name + " does not support partial (sigma < 1) coverage");
+    }
+    const AlgorithmCapabilities& base = verifier->capabilities;
+    if (base.kind != DependencyKind::kInd || base.nary) {
+      return Status::InvalidArgument(
+          "nary_base must name a unary approach, got " +
+          (base.nary ? std::string("n-ary expansion")
+                     : std::string(KindName(base.kind)) + " discoverer") +
+          " '" + verifier->name + "'");
+    }
+    SPIDER_RETURN_NOT_OK(AlgorithmRegistry::ValidateConfig(approach, config));
+  } else if (options.error_threshold != 0) {
+    // Unary IND verification knows σ-partial coverage, not the g3' error
+    // threshold (that knob drives the n-ary expansion and AFD discovery).
+    return Status::InvalidArgument(
+        "approach '" + approach.name +
+        "' verifies unary INDs; use min_coverage (σ) for partial coverage "
+        "instead of an error threshold");
+  }
+  return AlgorithmRegistry::ValidateConfig(*verifier, verify_config);
+}
 
 }  // namespace
 
@@ -131,31 +211,29 @@ Result<ValueSetExtractor*> SpiderSession::extractor() {
 }
 
 Result<IndRunResult> SpiderSession::RunParallel(
-    const RunOptions& options, const AlgorithmConfig& config,
-    const std::vector<IndCandidate>& candidates, int threads,
-    SessionReport* report) {
+    const RunOptions& options, const std::string& approach,
+    const AlgorithmConfig& config, const std::vector<IndCandidate>& candidates,
+    ThreadPool& pool, const Stopwatch& run_watch, SessionReport* report) {
   std::vector<std::vector<IndCandidate>> partitions =
       PartitionCandidatesByComponent(candidates);
   // A collapsed candidate graph (few components) would idle most workers;
   // oversubscribing the pool slightly lets it balance uneven partitions.
-  if (partitions.size() < static_cast<size_t>(threads)) {
-    partitions = SplitPartitionsForParallelism(
-        std::move(partitions), static_cast<size_t>(threads));
+  const size_t threads = static_cast<size_t>(pool.size());
+  if (partitions.size() < threads) {
+    partitions = SplitPartitionsForParallelism(std::move(partitions), threads);
   }
   report->partitions = static_cast<int>(partitions.size());
-
-  Stopwatch verify_watch;
-  verify_watch.Start();
-
-  // The pool carries both parallel stages. Extraction wants every worker
-  // even when the candidate graph collapsed to few partitions — the
-  // per-attribute sorts dominate and parallelize regardless of how the
-  // verification phase partitions.
-  ThreadPool pool(threads);
+  const double verify_start = run_watch.ElapsedSeconds();
+  auto verify_seconds = [&run_watch, verify_start] {
+    return run_watch.ElapsedSeconds() - verify_start;
+  };
 
   // Concurrent partitions extract through the thread-safe cache; priming
   // it up front on the pool parallelizes the sort work itself instead of
-  // serializing it behind whichever partition asks first.
+  // serializing it behind whichever partition asks first. Extraction wants
+  // every worker even when the candidate graph collapsed to few
+  // partitions — the per-attribute sorts dominate and parallelize
+  // regardless of how the verification phase partitions.
   if (config.extractor != nullptr) {
     std::set<AttributeRef> seen;
     std::vector<AttributeRef> attributes;
@@ -198,26 +276,20 @@ Result<IndRunResult> SpiderSession::RunParallel(
   std::vector<std::future<Result<IndRunResult>>> futures;
   futures.reserve(partitions.size());
   for (const std::vector<IndCandidate>& partition : partitions) {
-    futures.push_back(pool.Submit([this, &options, &config, &partition,
-                                   &verify_watch,
+    futures.push_back(pool.Submit([this, &options, &approach, &config,
+                                   &partition, &run_watch, &verify_seconds,
                                    aggregator]() -> Result<IndRunResult> {
       SPIDER_ASSIGN_OR_RETURN(
           std::unique_ptr<IndAlgorithm> algorithm,
-          AlgorithmRegistry::Global().Create(options.approach, config));
+          AlgorithmRegistry::Global().Create(approach, config));
+      // A partition picked up late only gets what remains of the budget.
       RunContext context;
-      context.cancel = options.cancel;
-      if (options.time_budget_seconds > 0) {
-        // The budget is wall-clock over the whole verification phase; a
-        // partition picked up late only gets what remains.
-        const double remaining =
-            options.time_budget_seconds - verify_watch.ElapsedSeconds();
-        context.time_budget_seconds = std::max(remaining, 1e-12);
-      }
+      BindRunControls(options, run_watch, context);
       if (options.progress) {
         // last_done/last_total are per-lambda (per-partition) state, only
         // touched by the partition's own thread. last_total starts at the
         // candidate-count seed folded into the aggregate above.
-        context.progress = [aggregator, &options, &verify_watch,
+        context.progress = [aggregator, &options, &verify_seconds,
                             last_done = int64_t{0},
                             last_total = static_cast<int64_t>(partition.size())](
                                const RunProgress& partition_progress) mutable {
@@ -227,7 +299,7 @@ Result<IndRunResult> SpiderSession::RunParallel(
           last_done = partition_progress.done;
           last_total = partition_progress.total;
           options.progress(RunProgress{aggregator->done, aggregator->total,
-                                       verify_watch.ElapsedSeconds()});
+                                       verify_seconds()});
         };
       }
       return algorithm->Run(*catalog_, partition, context);
@@ -259,82 +331,20 @@ Result<IndRunResult> SpiderSession::RunParallel(
   // all partitions (ApplyConcurrentPeakBound) nor the max Merge() keeps.
   ApplyConcurrentPeakBound(&pool, std::move(partition_peaks),
                            merged.counters);
-  merged.seconds = verify_watch.ElapsedSeconds();
+  merged.seconds = verify_seconds();
   return merged;
 }
 
-Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
-  SessionReport report;
-  report.approach = options.approach;
-  Stopwatch total_watch;
-  total_watch.Start();
-
-  // Resolve the approach first so a bad name fails before any work. The
-  // extractor is only materialized for approaches that need it.
-  AlgorithmConfig config;
-  config.max_open_files = options.max_open_files;
-  config.min_coverage = options.min_coverage;
-  config.block_skip = options.block_skip;
-  SPIDER_ASSIGN_OR_RETURN(
-      AlgorithmCapabilities capabilities,
-      AlgorithmRegistry::Global().GetCapabilities(options.approach));
-  if (options.kind.has_value() && *options.kind != capabilities.kind) {
-    const std::vector<std::string> names =
-        AlgorithmRegistry::Global().NamesForKind(*options.kind);
-    return Status::InvalidArgument(
-        "approach '" + options.approach + "' discovers " +
-        std::string(KindName(capabilities.kind)) + "s, not " +
-        std::string(KindName(*options.kind)) +
-        "s (approaches for that kind: " +
-        (names.empty() ? std::string("none") : JoinStrings(names, ", ")) +
-        ")");
-  }
-  if (catalog_->out_of_core() && !capabilities.supports_out_of_core) {
-    return Status::InvalidArgument(
-        "approach '" + options.approach +
-        "' random-accesses materialized columns and cannot profile an "
-        "out-of-core (disk-backend) catalog");
-  }
-  if (capabilities.kind != DependencyKind::kInd) {
-    return RunDependency(options, capabilities);
-  }
-  if (capabilities.nary) {
-    // Fail a bad threshold before the (possibly long) unary base run.
-    if (options.error_threshold < 0 || options.error_threshold >= 1.0) {
-      return Status::InvalidArgument("error_threshold must be in [0, 1)");
-    }
-    if (options.error_threshold > 0 && !capabilities.supports_partial) {
-      return Status::InvalidArgument(
-          options.approach +
-          " does not support an error threshold (error > 0)");
-    }
-    return RunNary(options);
-  }
-  // Unary IND verification knows σ-partial coverage, not the g3' error
-  // threshold (that knob drives the n-ary expansion and AFD discovery).
-  if (options.error_threshold != 0) {
-    return Status::InvalidArgument(
-        "approach '" + options.approach +
-        "' verifies unary INDs; use min_coverage (σ) for partial coverage "
-        "instead of an error threshold");
-  }
-  if (capabilities.needs_extractor) {
-    SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
-  }
-  // The prefetch pool is session-owned and distinct from the worker pool
-  // RunParallel builds: readers block on their prefetch futures, which a
-  // shared pool's workers would end up servicing for each other.
-  std::unique_ptr<ThreadPool> io_pool;
-  if (options.io_threads > 0 && capabilities.needs_extractor) {
-    io_pool = std::make_unique<ThreadPool>(options.io_threads);
-    config.io_pool = io_pool.get();
-  }
-
-  Stopwatch generation_watch;
-  generation_watch.Start();
+Status SpiderSession::VerifyUnary(const RunOptions& options,
+                                  const AlgorithmRegistry::Entry& verifier,
+                                  const AlgorithmConfig& config,
+                                  ThreadPool* pool, const Stopwatch& run_watch,
+                                  SessionReport* report,
+                                  bool* verdicts_recorded) {
+  const double generation_start = run_watch.ElapsedSeconds();
   CandidateGenerator generator(options.generator);
-  SPIDER_ASSIGN_OR_RETURN(report.candidates, generator.Generate(*catalog_));
-  report.generation_seconds = generation_watch.ElapsedSeconds();
+  SPIDER_ASSIGN_OR_RETURN(report->candidates, generator.Generate(*catalog_));
+  report->generation_seconds = run_watch.ElapsedSeconds() - generation_start;
 
   // Delta revalidation against the persisted profile: a verdict remembered
   // under the exact statistics both attributes still carry holds for any
@@ -349,8 +359,8 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
   auto fingerprint_of = [&](const AttributeRef& attr) -> const uint64_t* {
     const auto cached = attr_fps.find(attr);
     if (cached != attr_fps.end()) return &cached->second;
-    const auto stats = report.candidates.stats.find(attr);
-    if (stats == report.candidates.stats.end()) return nullptr;
+    const auto stats = report->candidates.stats.find(attr);
+    if (stats == report->candidates.stats.end()) return nullptr;
     return &attr_fps
                 .emplace(attr, ProfileStore::StatsFingerprint(stats->second))
                 .first->second;
@@ -358,7 +368,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
   std::vector<IndCandidate> to_verify;
   std::vector<Ind> reused_inds;
   if (delta_eligible) {
-    for (const IndCandidate& candidate : report.candidates.candidates) {
+    for (const IndCandidate& candidate : report->candidates.candidates) {
       const uint64_t* dep_fp = fingerprint_of(candidate.dependent);
       const uint64_t* ref_fp = fingerprint_of(candidate.referenced);
       std::optional<ProfileVerdict> verdict;
@@ -368,7 +378,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
       }
       if (verdict.has_value() && verdict->dependent_fingerprint == *dep_fp &&
           verdict->referenced_fingerprint == *ref_fp) {
-        ++report.verdicts_reused;
+        ++report->verdicts_reused;
         if (verdict->satisfied) {
           reused_inds.push_back(Ind{candidate.dependent, candidate.referenced});
         }
@@ -377,55 +387,38 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
       }
     }
   } else {
-    to_verify = report.candidates.candidates;
+    to_verify = report->candidates.candidates;
   }
-  report.candidates_revalidated = static_cast<int64_t>(to_verify.size());
+  report->candidates_revalidated = static_cast<int64_t>(to_verify.size());
 
-  const int64_t sets_extracted_before =
-      config.extractor != nullptr ? config.extractor->sets_extracted() : 0;
-  const int64_t sets_reused_before =
-      config.extractor != nullptr ? config.extractor->sets_reused() : 0;
-
-  int threads = ThreadPool::ResolveThreadCount(options.threads);
-  if (!capabilities.parallel_safe) threads = 1;
-  if (to_verify.size() < 2) threads = 1;
-  report.threads_used = threads;
-
+  const bool parallel = pool != nullptr &&
+                        verifier.capabilities.parallel_safe &&
+                        to_verify.size() >= 2;
+  report->threads_used = parallel ? pool->size() : 1;
   if (to_verify.empty()) {
     // Everything was answered from the profile (or there were no
-    // candidates): report.run stays at its finished, zero-work default.
-  } else if (threads <= 1) {
-    SPIDER_ASSIGN_OR_RETURN(
-        std::unique_ptr<IndAlgorithm> algorithm,
-        AlgorithmRegistry::Global().Create(options.approach, config));
-    RunContext context;
-    context.time_budget_seconds = options.time_budget_seconds;
-    context.cancel = options.cancel;
-    context.progress = options.progress;
-    SPIDER_ASSIGN_OR_RETURN(report.run,
-                            algorithm->Run(*catalog_, to_verify, context));
+    // candidates): report->run stays at its finished, zero-work default.
+  } else if (parallel) {
+    SPIDER_ASSIGN_OR_RETURN(report->run,
+                            RunParallel(options, verifier.name, config,
+                                        to_verify, *pool, run_watch, report));
   } else {
     SPIDER_ASSIGN_OR_RETURN(
-        report.run,
-        RunParallel(options, config, to_verify, threads, &report));
+        std::unique_ptr<IndAlgorithm> algorithm,
+        AlgorithmRegistry::Global().Create(verifier.name, config));
+    RunContext context;
+    BindRunControls(options, run_watch, context);
+    context.progress = options.progress;
+    SPIDER_ASSIGN_OR_RETURN(report->run,
+                            algorithm->Run(*catalog_, to_verify, context));
   }
 
-  if (config.extractor != nullptr) {
-    report.run.counters.sets_extracted +=
-        config.extractor->sets_extracted() - sets_extracted_before;
-    report.run.counters.sets_reused +=
-        config.extractor->sets_reused() - sets_reused_before;
-  }
-  report.profile_reused = report.verdicts_reused > 0 ||
-                          report.run.counters.sets_reused > 0;
-
-  bool verdicts_recorded = false;
-  if (delta_eligible && report.run.finished && !to_verify.empty()) {
+  if (delta_eligible && report->run.finished && !to_verify.empty()) {
     // Only finished runs decide every submitted candidate; a budget- or
     // cancellation-truncated satisfied set must not be remembered as
     // "unsatisfied".
-    const std::set<Ind> satisfied(report.run.satisfied.begin(),
-                                  report.run.satisfied.end());
+    const std::set<Ind> satisfied(report->run.satisfied.begin(),
+                                  report->run.satisfied.end());
     for (const IndCandidate& candidate : to_verify) {
       const uint64_t* dep_fp = fingerprint_of(candidate.dependent);
       const uint64_t* ref_fp = fingerprint_of(candidate.referenced);
@@ -436,163 +429,157 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
       verdict.dependent_fingerprint = *dep_fp;
       verdict.referenced_fingerprint = *ref_fp;
       profile->PutVerdict(candidate.dependent, candidate.referenced, verdict);
-      verdicts_recorded = true;
+      *verdicts_recorded = true;
     }
   }
-  if (profile != nullptr &&
-      (verdicts_recorded || report.run.counters.sets_extracted > 0)) {
-    // The profile is a cache: failing to persist it (read-only workspace,
-    // disk full) degrades the next session to recomputation, it does not
-    // invalidate this run's results.
-    const Status saved = config.extractor->SaveProfile();
-    (void)saved;
-  }
 
-  report.run.satisfied.insert(report.run.satisfied.end(),
-                              std::make_move_iterator(reused_inds.begin()),
-                              std::make_move_iterator(reused_inds.end()));
+  report->run.satisfied.insert(report->run.satisfied.end(),
+                               std::make_move_iterator(reused_inds.begin()),
+                               std::make_move_iterator(reused_inds.end()));
   // One canonical order regardless of approach, partitioning, thread count
   // or verdict reuse: every configuration returns byte-identical reports.
-  report.run.satisfied = SortedInds(std::move(report.run.satisfied));
-  report.total_seconds = total_watch.ElapsedSeconds();
-  return report;
+  report->run.satisfied = SortedInds(std::move(report->run.satisfied));
+  return Status::OK();
 }
 
-Result<SessionReport> SpiderSession::RunNary(const RunOptions& options) {
-  Stopwatch total_watch;
-  total_watch.Start();
+Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
+  // The run's one clock: it times the report and bounds the budget.
+  Stopwatch run_watch;
+  run_watch.Start();
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
 
-  // The expansions verify exact tuple containment only: a σ-partial unary
-  // base would feed non-exact INDs into an exact expansion, so reject the
-  // combination like the registry does for non-partial unary approaches.
-  if (options.min_coverage < 1.0) {
-    return Status::InvalidArgument(
-        options.approach + " does not support partial (sigma < 1) coverage");
+  // Resolve — a bad name fails before any work. IND runs verify unary
+  // candidates with `verifier`: the approach itself, or nary_base under an
+  // n-ary expansion. The other kinds enumerate their own lattices.
+  SPIDER_ASSIGN_OR_RETURN(const AlgorithmRegistry::Entry* approach,
+                          registry.Find(options.approach));
+  const AlgorithmCapabilities& capabilities = approach->capabilities;
+  const AlgorithmRegistry::Entry* verifier = nullptr;
+  if (capabilities.nary) {
+    SPIDER_ASSIGN_OR_RETURN(verifier, registry.Find(options.nary_base));
+  } else if (capabilities.kind == DependencyKind::kInd) {
+    verifier = approach;
   }
+  const bool verifier_reads_sets =
+      verifier != nullptr && verifier->capabilities.needs_extractor;
 
-  // Phase 1: the unary base profile. It inherits every run control —
-  // threads, budget, cancellation, pretests — and its own capability
-  // checks (so a non-streaming base is still rejected on disk catalogs).
-  SPIDER_ASSIGN_OR_RETURN(
-      AlgorithmCapabilities base_capabilities,
-      AlgorithmRegistry::Global().GetCapabilities(options.nary_base));
-  if (base_capabilities.nary) {
-    return Status::InvalidArgument(
-        "nary_base must name a unary approach, got n-ary expansion '" +
-        options.nary_base + "'");
-  }
-  RunOptions base_options = options;
-  base_options.approach = options.nary_base;
-  base_options.kind.reset();  // the base is validated as unary below
-  // The error threshold parameterizes the expansion's g3' validation; the
-  // unary base stays exact.
-  base_options.error_threshold = 0;
-  SPIDER_ASSIGN_OR_RETURN(SessionReport report, Run(base_options));
-  report.approach = options.approach;
-  report.nary = true;
-  report.nary_base = options.nary_base;
-
-  // A base run that already blew the budget (or was cancelled) leaves the
-  // expansion untried: its input would be an incomplete unary set.
-  if (!report.run.finished) {
-    report.nary_run.finished = false;
-    report.total_seconds = total_watch.ElapsedSeconds();
-    return report;
-  }
-
-  // Phase 2: the expansion, on the remaining budget. Per-level candidate
-  // batches (levelwise) / independent table pairs (clique, zigzag)
-  // dispatch onto a worker pool; results are identical at any count.
   AlgorithmConfig config;
-  SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
-  const int64_t sets_extracted_before = config.extractor->sets_extracted();
-  const int64_t sets_reused_before = config.extractor->sets_reused();
+  config.max_open_files = options.max_open_files;
+  config.min_coverage = options.min_coverage;
   config.max_nary_arity = options.nary_max_arity;
   config.error_threshold = options.error_threshold;
+  config.max_lhs_arity = options.max_lhs_arity;
   config.block_skip = options.block_skip;
+  // The extractor is only materialized for approaches that need it.
+  if (capabilities.needs_extractor || verifier_reads_sets) {
+    SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
+  }
+  // The unary phase stays exact — the g3' threshold parameterizes only an
+  // expansion — and reads sets only when its own approach does.
+  AlgorithmConfig verify_config = config;
+  verify_config.error_threshold = 0;
+  if (!verifier_reads_sets) verify_config.extractor = nullptr;
+
+  SPIDER_RETURN_NOT_OK(ValidateRun(options, *approach, verifier, config,
+                                   verify_config, catalog_->out_of_core()));
+
+  // The prefetch pool is distinct from the worker pool: readers block on
+  // their prefetch futures, which a shared pool's workers would end up
+  // servicing for each other.
+  std::unique_ptr<ThreadPool> io_pool;
+  if (options.io_threads > 0 && verifier_reads_sets) {
+    io_pool = std::make_unique<ThreadPool>(options.io_threads);
+    verify_config.io_pool = io_pool.get();
+  }
   const int threads = ThreadPool::ResolveThreadCount(options.threads);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(threads);
-    config.pool = pool.get();
+    if (capabilities.parallel_safe) config.pool = pool.get();
   }
-  SPIDER_ASSIGN_OR_RETURN(
-      std::unique_ptr<NaryAlgorithm> algorithm,
-      AlgorithmRegistry::Global().CreateNary(options.approach, config));
-  RunContext context;
-  context.cancel = options.cancel;
-  context.progress = options.progress;
-  if (options.time_budget_seconds > 0) {
-    const double remaining =
-        options.time_budget_seconds - total_watch.ElapsedSeconds();
-    context.time_budget_seconds = std::max(remaining, 1e-12);
-  }
-  SPIDER_ASSIGN_OR_RETURN(
-      report.nary_run,
-      algorithm->Run(*catalog_, report.run.satisfied, context));
-  report.nary_run.counters.sets_extracted +=
-      config.extractor->sets_extracted() - sets_extracted_before;
-  report.nary_run.counters.sets_reused +=
-      config.extractor->sets_reused() - sets_reused_before;
-  if (report.nary_run.counters.sets_reused > 0) report.profile_reused = true;
-  if (config.extractor->profile() != nullptr &&
-      report.nary_run.counters.sets_extracted > 0) {
-    // Commit freshly recorded composite sets; persistence failures degrade
-    // the next session to recomputation only.
-    const Status saved = config.extractor->SaveProfile();
-    (void)saved;
-  }
-  report.total_seconds = total_watch.ElapsedSeconds();
-  return report;
-}
 
-Result<SessionReport> SpiderSession::RunDependency(
-    const RunOptions& options, const AlgorithmCapabilities& capabilities) {
+  // Extraction happens inside the session's cache, outside every
+  // algorithm's counters: each phase's share folds into its own result.
+  ValueSetExtractor* const sets = config.extractor;
+  const int64_t extracted_at_start = sets ? sets->sets_extracted() : 0;
+  int64_t extracted_mark = extracted_at_start;
+  int64_t reused_mark = sets ? sets->sets_reused() : 0;
+  auto fold_extraction = [&](RunCounters& counters) {
+    if (sets == nullptr) return;
+    const int64_t extracted = sets->sets_extracted();
+    const int64_t reused = sets->sets_reused();
+    counters.sets_extracted += extracted - extracted_mark;
+    counters.sets_reused += reused - reused_mark;
+    extracted_mark = extracted;
+    reused_mark = reused;
+  };
+
   SessionReport report;
   report.approach = options.approach;
   report.kind = capabilities.kind;
-  Stopwatch total_watch;
-  total_watch.Start();
+  bool verdicts_recorded = false;
+  if (verifier != nullptr) {
+    SPIDER_RETURN_NOT_OK(VerifyUnary(options, *verifier, verify_config,
+                                     pool.get(), run_watch, &report,
+                                     &verdicts_recorded));
+    fold_extraction(report.run.counters);
+  }
+  if (capabilities.nary) {
+    report.nary = true;
+    report.nary_base = options.nary_base;
+    // A unary phase cut short by the budget or a cancellation leaves the
+    // expansion untried: its input would be an incomplete unary set.
+    // Otherwise per-level batches (levelwise) / independent table pairs
+    // (clique, zigzag) dispatch onto the pool.
+    report.nary_run.finished = false;
+    if (report.run.finished) {
+      SPIDER_ASSIGN_OR_RETURN(
+          std::unique_ptr<NaryAlgorithm> algorithm,
+          registry.Create<NaryAlgorithm>(approach->name, config));
+      RunContext context;
+      BindRunControls(options, run_watch, context);
+      context.progress = options.progress;
+      SPIDER_ASSIGN_OR_RETURN(
+          report.nary_run,
+          algorithm->Run(*catalog_, report.run.satisfied, context));
+      fold_extraction(report.nary_run.counters);
+    }
+  } else if (verifier == nullptr) {
+    // UCC/FD/AFD: no candidate generation — the discoverer enumerates its
+    // own lattice per table, on the pool when it is parallel-safe.
+    report.threads_used = config.pool != nullptr ? threads : 1;
+    SPIDER_ASSIGN_OR_RETURN(
+        std::unique_ptr<DependencyAlgorithm> algorithm,
+        registry.Create<DependencyAlgorithm>(approach->name, config));
+    RunContext context;
+    BindRunControls(options, run_watch, context);
+    context.progress = options.progress;
+    SPIDER_ASSIGN_OR_RETURN(report.dependency,
+                            algorithm->Run(*catalog_, context));
+    fold_extraction(report.dependency.counters);
+  }
+  report.profile_reused = report.verdicts_reused > 0 ||
+                          report.run.counters.sets_reused > 0 ||
+                          report.nary_run.counters.sets_reused > 0 ||
+                          report.dependency.counters.sets_reused > 0;
 
-  // σ-coverage is an IND notion; the approximate kinds use the error
-  // threshold instead, so reject the knob instead of ignoring it.
-  if (options.min_coverage != 1.0) {
-    return Status::InvalidArgument(
-        "min_coverage (σ) applies to IND verification; use error_threshold "
-        "for approximate " +
-        std::string(KindName(capabilities.kind)) + " discovery");
+  // Seal: commit fresh verdicts and freshly recorded set files. The
+  // profile is a cache, so a failed save (read-only workspace, disk full)
+  // is reported, not fatal — the next session recomputes instead.
+  if (sets != nullptr && sets->profile() != nullptr &&
+      (verdicts_recorded || sets->sets_extracted() != extracted_at_start)) {
+    const Status saved = sets->SaveProfile();
+    if (!saved.ok()) report.profile_save_error = saved.ToString();
   }
-
-  AlgorithmConfig config;
-  config.error_threshold = options.error_threshold;
-  config.max_lhs_arity = options.max_lhs_arity;
-  config.max_nary_arity = options.nary_max_arity;
-  config.block_skip = options.block_skip;
-  if (capabilities.needs_extractor) {
-    SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
-  }
-  int threads = ThreadPool::ResolveThreadCount(options.threads);
-  if (!capabilities.parallel_safe) threads = 1;
-  report.threads_used = threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    config.pool = pool.get();
-  }
-  SPIDER_ASSIGN_OR_RETURN(
-      std::unique_ptr<DependencyAlgorithm> algorithm,
-      AlgorithmRegistry::Global().CreateDependency(options.approach, config));
-  RunContext context;
-  context.time_budget_seconds = options.time_budget_seconds;
-  context.cancel = options.cancel;
-  context.progress = options.progress;
-  SPIDER_ASSIGN_OR_RETURN(report.dependency,
-                          algorithm->Run(*catalog_, context));
-  report.total_seconds = total_watch.ElapsedSeconds();
+  report.total_seconds = run_watch.ElapsedSeconds();
   return report;
 }
 
 std::string SessionReport::ToString() const {
+  const std::string save_error =
+      profile_save_error.empty()
+          ? ""
+          : "profile save:    FAILED (" + profile_save_error + ")\n";
   std::string out;
   out += "approach:        " + approach + "\n";
   out += "kind:            " + std::string(KindName(kind)) + "\n";
@@ -613,6 +600,7 @@ std::string SessionReport::ToString() const {
     out += "total time:      " + Stopwatch::FormatDuration(total_seconds) +
            "\n";
     out += "counters:        " + dependency.counters.ToString() + "\n";
+    out += save_error;
     for (const Ucc& ucc : dependency.uccs) {
       out += "  " + ucc.ToString() + "\n";
     }
@@ -648,6 +636,7 @@ std::string SessionReport::ToString() const {
   out += "test time:       " + Stopwatch::FormatDuration(run.seconds) + "\n";
   out += "total time:      " + Stopwatch::FormatDuration(total_seconds) + "\n";
   out += "counters:        " + run.counters.ToString() + "\n";
+  out += save_error;
   if (nary) {
     out += "n-ary INDs (" +
            FormatWithCommas(static_cast<int64_t>(nary_run.satisfied.size())) +

@@ -1,12 +1,16 @@
 // SpiderSession: the registry-driven profiling entry point.
 //
 // A session binds one catalog to a sorted-value-set workspace. Each Run()
-// resolves an approach by registry name, generates candidates and executes
-// the algorithm under one unified set of controls (time budget,
-// cancellation, progress, σ-partial coverage, memory/file budgets). The
-// extractor cache lives in the session, so sweeping several approaches
-// over the same catalog extracts and sorts each attribute only once —
-// exactly the reuse the paper's database-external approaches are built on.
+// drives every approach through the same steps: resolve the approach by
+// registry name, validate the options against its capabilities, generate
+// unary IND candidates (IND approaches only), dispatch the algorithm under
+// one unified set of controls (time budget, cancellation, progress,
+// σ-partial coverage, memory/file budgets), fold the extractor's work into
+// the result and seal the persisted profile. An n-ary expansion runs after
+// the unary phase, on its satisfied set. The extractor cache lives in the
+// session, so sweeping several approaches over the same catalog extracts
+// and sorts each attribute only once — exactly the reuse the paper's
+// database-external approaches are built on.
 //
 // With RunOptions::threads != 1 the verification phase runs on a worker
 // pool: the candidate set is partitioned into connected components of the
@@ -31,6 +35,7 @@
 
 #include "src/common/mutex.h"
 #include "src/common/result.h"
+#include "src/common/stopwatch.h"
 #include "src/common/temp_dir.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
@@ -64,8 +69,12 @@ struct RunOptions {
   std::optional<DependencyKind> kind;
   /// Candidate generation and pretests.
   CandidateGeneratorOptions generator;
-  /// Wall-clock budget for the verification phase; 0 = unlimited. On
-  /// expiry the run returns finished=false with a partial satisfied set.
+  /// Wall-clock budget for the whole run, measured from Run() entry: it
+  /// covers candidate generation, verification and n-ary expansion (or
+  /// UCC/FD discovery). Generation does not poll it; each algorithm gets
+  /// whatever remains when it starts. 0 = unlimited. On expiry the run
+  /// returns finished=false with a partial result of confirmed
+  /// dependencies only.
   double time_budget_seconds = 0;
   /// Optional cancellation flag, polled cooperatively mid-run. Not owned.
   const CancellationToken* cancel = nullptr;
@@ -159,6 +168,10 @@ struct SessionReport {
   int64_t candidates_revalidated = 0;
   /// Candidates answered from remembered verdicts without re-verification.
   int64_t verdicts_reused = 0;
+  /// Why sealing the persisted profile failed; empty when it succeeded or
+  /// was not needed. The profile is a cache: this run's results stand, the
+  /// next session recomputes what could not be saved.
+  std::string profile_save_error;
 
   /// Human-readable multi-line summary.
   std::string ToString() const;
@@ -201,7 +214,7 @@ class SpiderSession {
 
   const Catalog& catalog() const { return *catalog_; }
 
-  /// Generates candidates and runs the named approach. Value-set
+  /// Runs the named approach (any kind) under `options`. Value-set
   /// extraction is cached across calls.
   [[nodiscard]]
   Result<SessionReport> Run(const RunOptions& options = {});
@@ -214,26 +227,25 @@ class SpiderSession {
   Result<ValueSetExtractor*> extractor() SPIDER_EXCLUDES(mutex_);
 
  private:
-  /// Dispatches partitions onto `threads` workers and merges the results.
+  /// The unary IND phase: generate candidates, answer what the persisted
+  /// profile still vouches for, verify the rest with `verifier` — serially
+  /// or partitioned onto `pool` — and record the fresh verdicts. Sets
+  /// `*verdicts_recorded` when the profile changed.
+  [[nodiscard]]
+  Status VerifyUnary(const RunOptions& options,
+                     const AlgorithmRegistry::Entry& verifier,
+                     const AlgorithmConfig& config, ThreadPool* pool,
+                     const Stopwatch& run_watch, SessionReport* report,
+                     bool* verdicts_recorded);
+
+  /// Dispatches candidate partitions onto `pool` and merges the results.
   [[nodiscard]]
   Result<IndRunResult> RunParallel(const RunOptions& options,
+                                   const std::string& approach,
                                    const AlgorithmConfig& config,
                                    const std::vector<IndCandidate>& candidates,
-                                   int threads, SessionReport* report);
-
-  /// The two-phase n-ary path: profile unary INDs with options.nary_base,
-  /// then expand them with the named n-ary approach (per-level batches on
-  /// a worker pool when options.threads != 1), under one overall budget.
-  [[nodiscard]]
-  Result<SessionReport> RunNary(const RunOptions& options);
-
-  /// The non-IND path (UCC/FD/AFD): no candidate generation — the
-  /// discoverer enumerates its own lattice per table, on a worker pool
-  /// when options.threads != 1, under the same budget/cancel/progress
-  /// controls.
-  [[nodiscard]]
-  Result<SessionReport> RunDependency(
-      const RunOptions& options, const AlgorithmCapabilities& capabilities);
+                                   ThreadPool& pool, const Stopwatch& run_watch,
+                                   SessionReport* report);
 
   const Catalog* catalog_;
   std::unique_ptr<Catalog> owned_catalog_;

@@ -237,7 +237,7 @@ void RegisterUccLevelwiseAlgorithm(AlgorithmRegistry& registry) {
   capabilities.summary =
       "levelwise minimal unique column combinations (composite key "
       "candidates) over sorted composite sets";
-  const Status status = registry.RegisterDependency(
+  const Status status = registry.Register(
       "ucc-levelwise", capabilities,
       [](const AlgorithmConfig& config)
           -> Result<std::unique_ptr<DependencyAlgorithm>> {

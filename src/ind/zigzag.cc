@@ -268,14 +268,13 @@ class ZigzagAlgorithm final : public NaryAlgorithm {
 
 void RegisterZigzagAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
-  capabilities.nary = true;
   capabilities.needs_extractor = true;
   capabilities.parallel_safe = true;
   capabilities.supports_out_of_core = true;
   capabilities.summary =
       "optimistic/top-down (zigzag) maximal n-ary INDs with g3' error "
       "refinement over streamed composite sets";
-  Status status = registry.RegisterNary(
+  Status status = registry.Register(
       "zigzag", capabilities,
       [](const AlgorithmConfig& config)
           -> Result<std::unique_ptr<NaryAlgorithm>> {

@@ -93,7 +93,7 @@ TEST_P(CrossAlgorithmPropertyTest, AllEightAlgorithmsMatchTheOracle) {
   // Every approach, single-threaded and under the parallel dispatcher:
   // both must equal the oracle.
   SpiderSession session(**catalog);
-  for (const std::string& approach : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& approach : testing::UnaryApproachNames()) {
     for (int threads : {1, 4}) {
       RunOptions options;
       options.approach = approach;

@@ -142,11 +142,10 @@ class NaryOutOfCoreParityTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(NaryOutOfCoreParityTest, DiskAndThreadCountsAreByteIdentical) {
   const std::string approach = GetParam();
 
-  auto capabilities =
-      AlgorithmRegistry::Global().GetCapabilities(approach);
-  ASSERT_TRUE(capabilities.ok());
-  EXPECT_TRUE(capabilities->nary);
-  EXPECT_TRUE(capabilities->supports_out_of_core);
+  auto entry = AlgorithmRegistry::Global().Find(approach);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_TRUE((*entry)->capabilities.nary);
+  EXPECT_TRUE((*entry)->capabilities.supports_out_of_core);
 
   ParityCatalogs catalogs = BuildCatalogs();
   const SessionReport reference = RunConfig(*catalogs.memory, approach, 1);

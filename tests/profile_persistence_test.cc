@@ -15,6 +15,7 @@
 
 #include "src/common/temp_dir.h"
 #include "src/extsort/profile_store.h"
+#include "src/ind/report_json.h"
 #include "src/ind/session.h"
 #include "src/storage/csv.h"
 #include "src/storage/disk_store.h"
@@ -176,6 +177,51 @@ TEST(ProfilePersistenceTest, AppendRevalidatesOnlyCandidatesTouchingTheTable) {
   EXPECT_EQ(warm->run.satisfied, scratch_report->run.satisfied);
   EXPECT_TRUE(testing::ToSet(warm->run.satisfied)
                   .contains(Ind{{"orders", "customer"}, {"customers", "id"}}));
+}
+
+TEST(ProfilePersistenceTest, FailedSaveIsReportedAndTheNextRunSeals) {
+  auto dir = TempDir::Make("spider-profile-persist");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  WriteDump(root / "csv");
+  auto imported = ImportWorkspace(root / "csv", root / "wsp");
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  const std::filesystem::path manifest = root / "wsp" / kProfileManifestName;
+
+  // A directory squatting on the manifest's temp path makes
+  // ProfileStore::Save fail.
+  const std::filesystem::path blocker =
+      root / "wsp" / (std::string(kProfileManifestName) + ".tmp");
+  ASSERT_TRUE(std::filesystem::create_directories(blocker));
+  auto unsaved = PersistedRun(root / "wsp");
+  ASSERT_TRUE(unsaved.ok()) << unsaved.status().ToString();
+  // The run's results stand; the failure is reported, not swallowed.
+  EXPECT_TRUE(unsaved->run.finished);
+  EXPECT_TRUE(testing::ToSet(unsaved->run.satisfied)
+                  .contains(Ind{{"orders", "customer"}, {"customers", "id"}}));
+  ASSERT_FALSE(unsaved->profile_save_error.empty());
+  EXPECT_NE(unsaved->ToString().find(unsaved->profile_save_error),
+            std::string::npos);
+  EXPECT_NE(SessionReportToJson(*unsaved, ReportJsonContext{})
+                .find("\"profile_save_error\":"),
+            std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(manifest));
+
+  // With the obstacle gone the next run seals, and reports no error.
+  std::filesystem::remove_all(blocker);
+  auto sealed = PersistedRun(root / "wsp");
+  ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+  EXPECT_TRUE(sealed->profile_save_error.empty());
+  EXPECT_EQ(sealed->run.satisfied, unsaved->run.satisfied);
+  EXPECT_EQ(SessionReportToJson(*sealed, ReportJsonContext{})
+                .find("profile_save_error"),
+            std::string::npos);
+  EXPECT_TRUE(std::filesystem::exists(manifest));
+  auto warm = PersistedRun(root / "wsp");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->verdicts_reused,
+            static_cast<int64_t>(warm->candidates.candidates.size()));
+  EXPECT_EQ(warm->run.satisfied, unsaved->run.satisfied);
 }
 
 // ---------------------------------------------------------------------------

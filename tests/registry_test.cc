@@ -9,36 +9,71 @@
 namespace spider {
 namespace {
 
-TEST(RegistryTest, AllBuiltinApproachesAreRegistered) {
-  const std::vector<std::string> names = AlgorithmRegistry::Global().Names();
-  EXPECT_EQ(names.size(), 8u);
-  for (const char* expected :
-       {"brute-force", "single-pass", "sql-join", "sql-minus", "sql-not-in",
-        "spider-merge", "de-marchi", "bell-brockhausen"}) {
-    EXPECT_TRUE(AlgorithmRegistry::Global().Contains(expected)) << expected;
-  }
-  const std::vector<std::string> nary_names =
-      AlgorithmRegistry::Global().NaryNames();
-  EXPECT_EQ(nary_names,
-            (std::vector<std::string>{"nary", "clique-nary", "zigzag"}));
-  for (const std::string& name : nary_names) {
-    EXPECT_TRUE(AlgorithmRegistry::Global().Contains(name)) << name;
-  }
-  const std::vector<std::string> dependency_names =
-      AlgorithmRegistry::Global().DependencyNames();
-  EXPECT_EQ(dependency_names,
-            (std::vector<std::string>{"ucc-levelwise", "fd-levelwise",
-                                      "afd-levelwise"}));
-  for (const std::string& name : dependency_names) {
-    EXPECT_TRUE(AlgorithmRegistry::Global().Contains(name)) << name;
+using Entry = AlgorithmRegistry::Entry;
+
+const Entry& MustFind(std::string_view name) {
+  auto entry = AlgorithmRegistry::Global().Find(name);
+  EXPECT_TRUE(entry.ok()) << name;
+  return **entry;
+}
+
+// The family of a registered approach, as the alternative its factory
+// holds.
+bool IsUnary(const Entry& entry) {
+  return std::holds_alternative<AlgorithmRegistry::Factory>(entry.factory);
+}
+bool IsNary(const Entry& entry) {
+  return std::holds_alternative<AlgorithmRegistry::NaryFactory>(entry.factory);
+}
+
+// Creates `name` through the family given by `family` (an AnyFactory
+// alternative index) and returns the status.
+Status CreateAs(size_t family, std::string_view name,
+                const AlgorithmConfig& config) {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  switch (family) {
+    case 0:
+      return registry.Create(name, config).status();
+    case 1:
+      return registry.Create<NaryAlgorithm>(name, config).status();
+    default:
+      return registry.Create<DependencyAlgorithm>(name, config).status();
   }
 }
 
-TEST(RegistryTest, NamesForKindPartitionTheNamespace) {
+class RegistryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto dir = TempDir::Make("spider-registry-test");
+    ASSERT_TRUE(dir.ok());
+    dir_ = std::move(dir).value();
+    extractor_ = std::make_unique<ValueSetExtractor>(dir_->path());
+    config_.extractor = extractor_.get();
+  }
+
+  std::unique_ptr<TempDir> dir_;
+  std::unique_ptr<ValueSetExtractor> extractor_;
+  AlgorithmConfig config_;
+};
+
+TEST(RegistryTableTest, OneTableInRegistrationOrder) {
+  const std::vector<std::string> names = AlgorithmRegistry::Global().Names();
+  EXPECT_EQ(names,
+            (std::vector<std::string>{
+                "brute-force", "single-pass", "sql-join", "sql-minus",
+                "sql-not-in", "spider-merge", "de-marchi", "bell-brockhausen",
+                "nary", "clique-nary", "zigzag", "ucc-levelwise",
+                "fd-levelwise", "afd-levelwise"}));
+  for (const std::string& name : names) EXPECT_EQ(MustFind(name).name, name);
+  EXPECT_EQ(testing::UnaryApproachNames(),
+            (std::vector<std::string>(names.begin(), names.begin() + 8)));
+}
+
+TEST(RegistryTableTest, NamesForKindPartitionTheNamespace) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
   // kInd spans both IND families: unary verifiers then n-ary expansions.
-  std::vector<std::string> ind_names = registry.Names();
-  for (const std::string& name : registry.NaryNames()) {
+  std::vector<std::string> ind_names = testing::UnaryApproachNames();
+  for (const char* name : {"nary", "clique-nary", "zigzag"}) {
     ind_names.push_back(name);
   }
   EXPECT_EQ(registry.NamesForKind(DependencyKind::kInd), ind_names);
@@ -58,83 +93,85 @@ TEST(RegistryTest, NamesForKindPartitionTheNamespace) {
   EXPECT_EQ(*default_ucc, "ucc-levelwise");
 }
 
-TEST(RegistryTest, DependencyCapabilitiesCarryTheirKind) {
-  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
-  for (const std::string& name : registry.Names()) {
-    auto capabilities = registry.GetCapabilities(name);
-    ASSERT_TRUE(capabilities.ok()) << name;
-    EXPECT_EQ(capabilities->kind, DependencyKind::kInd) << name;
-  }
-  for (const std::string& name : registry.NaryNames()) {
-    auto capabilities = registry.GetCapabilities(name);
-    ASSERT_TRUE(capabilities.ok()) << name;
-    EXPECT_EQ(capabilities->kind, DependencyKind::kInd) << name;
-  }
-  for (const std::string& name : registry.DependencyNames()) {
-    auto capabilities = registry.GetCapabilities(name);
-    ASSERT_TRUE(capabilities.ok()) << name;
-    EXPECT_NE(capabilities->kind, DependencyKind::kInd) << name;
-    EXPECT_FALSE(capabilities->nary) << name;
-    // The discoverers ride the sorted-set seam: they stream, so they can
-    // profile disk workspaces, and they dispatch per-table on the pool.
-    EXPECT_TRUE(capabilities->needs_extractor) << name;
-    EXPECT_TRUE(capabilities->supports_out_of_core) << name;
-    EXPECT_TRUE(capabilities->parallel_safe) << name;
-    EXPECT_TRUE(capabilities->supports_time_budget) << name;
+TEST(RegistryTableTest, CapabilitiesMatchTheFactoryFamily) {
+  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+    const Entry& entry = MustFind(name);
+    const AlgorithmCapabilities& capabilities = entry.capabilities;
+    // The session's partitioned and pooled dispatchers rely on every
+    // built-in being runnable as independent concurrent instances.
+    EXPECT_TRUE(capabilities.parallel_safe) << name;
+    EXPECT_TRUE(capabilities.supports_time_budget) << name;
+    EXPECT_EQ(capabilities.nary, IsNary(entry)) << name;
+    if (IsUnary(entry) || IsNary(entry)) {
+      EXPECT_EQ(capabilities.kind, DependencyKind::kInd) << name;
+    } else {
+      EXPECT_NE(capabilities.kind, DependencyKind::kInd) << name;
+    }
+    if (!IsUnary(entry)) {
+      // Expansions and discoverers ride the sorted-set seam: they stream,
+      // so they can profile disk workspaces.
+      EXPECT_TRUE(capabilities.needs_extractor) << name;
+      EXPECT_TRUE(capabilities.supports_out_of_core) << name;
+    }
   }
 }
 
-TEST(RegistryTest, CreateDependencyValidatesFamilyAndConfig) {
-  auto dir = TempDir::Make("spider-registry-dependency");
-  ASSERT_TRUE(dir.ok());
-  ValueSetExtractor extractor((*dir)->path());
-  AlgorithmConfig config;
-  config.extractor = &extractor;
-  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
-
-  for (const std::string& name : registry.DependencyNames()) {
-    auto algorithm = registry.CreateDependency(name, config);
-    ASSERT_TRUE(algorithm.ok())
-        << name << ": " << algorithm.status().ToString();
-    EXPECT_EQ((*algorithm)->name(), name);
-    // Cross-family misuse is a usage error, not NotFound.
-    EXPECT_TRUE(registry.Create(name, config).status().IsInvalidArgument())
-        << name;
-    EXPECT_TRUE(
-        registry.CreateNary(name, config).status().IsInvalidArgument())
-        << name;
+TEST_F(RegistryTest, CreateResolvesEveryNameInItsFamilyOnly) {
+  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+    const size_t family = MustFind(name).factory.index();
+    for (size_t as = 0; as < 3; ++as) {
+      const Status status = CreateAs(as, name, config_);
+      if (as == family) {
+        EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
+      } else {
+        // Cross-family misuse is a usage error, not NotFound: the name
+        // exists, the family is wrong.
+        EXPECT_TRUE(status.IsInvalidArgument())
+            << name << " as " << as << ": " << status.ToString();
+      }
+    }
   }
-  EXPECT_TRUE(registry.CreateDependency("spider-merge", config)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(registry.CreateDependency("no-such-approach", config)
+  // The registered name is the algorithm's display name, in every family.
+  auto unary = AlgorithmRegistry::Global().Create("spider-merge", config_);
+  ASSERT_TRUE(unary.ok());
+  EXPECT_EQ((*unary)->name(), "spider-merge");
+  auto nary =
+      AlgorithmRegistry::Global().Create<NaryAlgorithm>("zigzag", config_);
+  ASSERT_TRUE(nary.ok());
+  EXPECT_EQ((*nary)->name(), "zigzag");
+  auto fd = AlgorithmRegistry::Global().Create<DependencyAlgorithm>(
+      "afd-levelwise", config_);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ((*fd)->name(), "afd-levelwise");
+}
+
+TEST_F(RegistryTest, FamilyMismatchNamesBothFamilies) {
+  const Status status =
+      AlgorithmRegistry::Global().Create("zigzag", config_).status();
+  ASSERT_TRUE(status.IsInvalidArgument());
+  EXPECT_EQ(status.message(),
+            "zigzag is an n-ary IND expansion, not a unary IND verifier (run "
+            "it through SpiderSession)");
+  const Status dependency = AlgorithmRegistry::Global()
+                                .Create<NaryAlgorithm>("ucc-levelwise", config_)
+                                .status();
+  EXPECT_EQ(dependency.message(),
+            "ucc-levelwise is a ucc discoverer, not an n-ary IND expansion "
+            "(run it through SpiderSession)");
+}
+
+TEST(RegistryTableTest, UnknownNameIsNotFoundInEveryFamily) {
+  for (size_t family = 0; family < 3; ++family) {
+    const Status status = CreateAs(family, "no-such-approach", {});
+    EXPECT_TRUE(status.IsNotFound()) << status.ToString();
+  }
+  EXPECT_TRUE(AlgorithmRegistry::Global()
+                  .Find("no-such-approach")
                   .status()
                   .IsNotFound());
-
-  // The extractor requirement holds for the dependency family too.
-  EXPECT_TRUE(registry.CreateDependency("ucc-levelwise", {})
-                  .status()
-                  .IsInvalidArgument());
-
-  // An error threshold needs an approach that understands approximate
-  // discovery: the AFD discoverer does, the exact ones don't.
-  AlgorithmConfig approximate = config;
-  approximate.error_threshold = 0.25;
-  EXPECT_TRUE(registry.CreateDependency("afd-levelwise", approximate).ok());
-  EXPECT_TRUE(registry.CreateDependency("fd-levelwise", approximate)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(registry.CreateDependency("ucc-levelwise", approximate)
-                  .status()
-                  .IsInvalidArgument());
-  // And it must be a valid g3' error: [0, 1).
-  approximate.error_threshold = 1.0;
-  EXPECT_TRUE(registry.CreateDependency("afd-levelwise", approximate)
-                  .status()
-                  .IsInvalidArgument());
 }
 
-TEST(RegistryTest, UnknownNameSuggestsTheNearestApproach) {
+TEST(RegistryTableTest, UnknownNameSuggestsTheNearestApproach) {
   // Lookup failures teach the namespace: valid names grouped per kind
   // plus a nearest-match suggestion for plausible typos.
   Status status =
@@ -154,138 +191,56 @@ TEST(RegistryTest, UnknownNameSuggestsTheNearestApproach) {
       << garbage.ToString();
 }
 
-TEST(RegistryTest, NaryCapabilitiesStreamOutOfCore) {
-  for (const std::string& name : AlgorithmRegistry::Global().NaryNames()) {
-    auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
-    ASSERT_TRUE(capabilities.ok()) << name;
-    EXPECT_TRUE(capabilities->nary) << name;
-    EXPECT_TRUE(capabilities->supports_out_of_core) << name;
-    EXPECT_TRUE(capabilities->needs_extractor) << name;
-    EXPECT_TRUE(capabilities->parallel_safe) << name;
-  }
-  // Unary capabilities never carry the nary flag.
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
-    auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
-    ASSERT_TRUE(capabilities.ok()) << name;
-    EXPECT_FALSE(capabilities->nary) << name;
-  }
-}
-
-TEST(RegistryTest, CreateAndCreateNaryRejectTheWrongKind) {
-  auto dir = TempDir::Make("spider-registry-nary");
-  ASSERT_TRUE(dir.ok());
-  ValueSetExtractor extractor((*dir)->path());
-  AlgorithmConfig config;
-  config.extractor = &extractor;
-
-  // A unary name through CreateNary (and vice versa) is a usage error,
-  // not NotFound — the name exists, the kind is wrong.
-  EXPECT_TRUE(AlgorithmRegistry::Global()
-                  .Create("zigzag", config)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(AlgorithmRegistry::Global()
-                  .CreateNary("spider-merge", config)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(AlgorithmRegistry::Global()
-                  .CreateNary("no-such-approach", config)
-                  .status()
-                  .IsNotFound());
-
-  // The extractor requirement is enforced for n-ary expansions too.
-  EXPECT_TRUE(AlgorithmRegistry::Global()
-                  .CreateNary("nary", {})
-                  .status()
-                  .IsInvalidArgument());
-
-  // Approximate discovery is gated per approach: the levelwise expansion
-  // accepts a g3' error threshold, the maximal-IND searches verify exact
-  // containment only.
-  AlgorithmConfig partial = config;
-  partial.min_coverage = 0.9;
-  EXPECT_TRUE(AlgorithmRegistry::Global()
-                  .CreateNary("clique-nary", partial)
-                  .status()
-                  .IsInvalidArgument());
-  AlgorithmConfig approximate = config;
-  approximate.error_threshold = 0.1;
-  EXPECT_TRUE(AlgorithmRegistry::Global().CreateNary("nary", approximate).ok());
-  EXPECT_TRUE(AlgorithmRegistry::Global()
-                  .CreateNary("clique-nary", approximate)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(AlgorithmRegistry::Global()
-                  .CreateNary("zigzag", approximate)
-                  .status()
-                  .IsInvalidArgument());
-  for (const std::string& name : AlgorithmRegistry::Global().NaryNames()) {
-    auto algorithm = AlgorithmRegistry::Global().CreateNary(name, config);
-    ASSERT_TRUE(algorithm.ok()) << name << ": "
-                                << algorithm.status().ToString();
-    EXPECT_EQ((*algorithm)->name(), name);
-  }
-}
-
-TEST(RegistryTest, BuiltinCapabilitiesAreParallelSafe) {
-  // The session's partitioned dispatcher relies on every built-in being
-  // runnable as independent instances over disjoint candidate partitions.
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
-    auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
-    ASSERT_TRUE(capabilities.ok()) << name;
-    EXPECT_TRUE(capabilities->parallel_safe) << name;
-  }
-}
-
-TEST(RegistryTest, CreateResolvesEveryNameAndNameMatches) {
-  auto dir = TempDir::Make("spider-registry-test");
-  ASSERT_TRUE(dir.ok());
-  ValueSetExtractor extractor((*dir)->path());
-  AlgorithmConfig config;
-  config.extractor = &extractor;
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
-    auto algorithm = AlgorithmRegistry::Global().Create(name, config);
-    ASSERT_TRUE(algorithm.ok()) << name << ": "
-                                << algorithm.status().ToString();
-    // The registered name is the algorithm's display name.
-    EXPECT_EQ((*algorithm)->name(), name);
-  }
-}
-
-TEST(RegistryTest, UnknownNameIsNotFound) {
-  auto result = AlgorithmRegistry::Global().Create("no-such-approach", {});
-  EXPECT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
-  EXPECT_FALSE(AlgorithmRegistry::Global().Contains("no-such-approach"));
-}
-
-TEST(RegistryTest, ExtractorRequirementMatchesCapabilities) {
+TEST(RegistryTableTest, ExtractorRequirementMatchesCapabilities) {
   // Creating without an extractor must fail exactly for the approaches
-  // whose capabilities say they need one.
+  // whose capabilities say they need one, in every family.
   for (const std::string& name : AlgorithmRegistry::Global().Names()) {
-    auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
-    ASSERT_TRUE(capabilities.ok()) << name;
-    auto without = AlgorithmRegistry::Global().Create(name, {});
-    EXPECT_EQ(without.ok(), !capabilities->needs_extractor) << name;
+    const Entry& entry = MustFind(name);
+    const Status without = CreateAs(entry.factory.index(), name, {});
+    EXPECT_EQ(without.ok(), !entry.capabilities.needs_extractor) << name;
+    if (!without.ok()) {
+      EXPECT_TRUE(without.IsInvalidArgument()) << name;
+    }
   }
 }
 
-TEST(RegistryTest, PartialCoverageRequiresCapability) {
-  auto dir = TempDir::Make("spider-registry-partial");
-  ASSERT_TRUE(dir.ok());
-  ValueSetExtractor extractor((*dir)->path());
-  AlgorithmConfig config;
-  config.extractor = &extractor;
-  config.min_coverage = 0.9;
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
-    auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
-    ASSERT_TRUE(capabilities.ok()) << name;
-    auto created = AlgorithmRegistry::Global().Create(name, config);
-    EXPECT_EQ(created.ok(), capabilities->supports_partial) << name;
+TEST_F(RegistryTest, PartialCoverageRequiresCapability) {
+  AlgorithmConfig partial = config_;
+  partial.min_coverage = 0.9;
+  for (const std::string& name : testing::UnaryApproachNames()) {
+    auto created = AlgorithmRegistry::Global().Create(name, partial);
+    EXPECT_EQ(created.ok(), MustFind(name).capabilities.supports_partial)
+        << name;
   }
+  // The maximal-IND searches verify exact containment only.
+  EXPECT_TRUE(AlgorithmRegistry::Global()
+                  .Create<NaryAlgorithm>("clique-nary", partial)
+                  .status()
+                  .IsInvalidArgument());
 }
 
-TEST(RegistryTest, DatabaseInternalCapabilityMatchesBehavior) {
+TEST_F(RegistryTest, ErrorThresholdRequiresCapability) {
+  // Approximate discovery is gated per approach: the levelwise expansion
+  // and the AFD discoverer accept a g3' error threshold, the exact ones
+  // don't.
+  AlgorithmConfig approximate = config_;
+  approximate.error_threshold = 0.25;
+  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+    const Entry& entry = MustFind(name);
+    if (IsUnary(entry)) continue;
+    const Status status = CreateAs(entry.factory.index(), name, approximate);
+    EXPECT_EQ(status.ok(), name == "nary" || name == "afd-levelwise")
+        << name << ": " << status.ToString();
+  }
+  // And it must be a valid g3' error: [0, 1).
+  approximate.error_threshold = 1.0;
+  EXPECT_TRUE(AlgorithmRegistry::Global()
+                  .Create<DependencyAlgorithm>("afd-levelwise", approximate)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(RegistryTableTest, DatabaseInternalCapabilityMatchesBehavior) {
   // Database-internal approaches must answer without any sorted value
   // sets; database-external ones read them (tuples_read > 0).
   Catalog catalog;
@@ -296,9 +251,8 @@ TEST(RegistryTest, DatabaseInternalCapabilityMatchesBehavior) {
 
   auto dir = TempDir::Make("spider-registry-behavior");
   ASSERT_TRUE(dir.ok());
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
-    auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
-    ASSERT_TRUE(capabilities.ok()) << name;
+  for (const std::string& name : testing::UnaryApproachNames()) {
+    const AlgorithmCapabilities& capabilities = MustFind(name).capabilities;
     ValueSetExtractor extractor((*dir)->path());
     AlgorithmConfig config;
     config.extractor = &extractor;
@@ -307,40 +261,94 @@ TEST(RegistryTest, DatabaseInternalCapabilityMatchesBehavior) {
     auto result = (*algorithm)->Run(catalog, candidates);
     ASSERT_TRUE(result.ok()) << name;
     EXPECT_EQ(result->satisfied.size(), 1u) << name;
-    if (capabilities->needs_extractor) {
+    if (capabilities.needs_extractor) {
       EXPECT_GT(result->counters.tuples_read, 0) << name;
     }
   }
 }
 
-TEST(RegistryTest, DuplicateRegistrationIsRejected) {
+TEST(RegistryTableTest, DuplicateNamesAreRejectedAcrossFamilies) {
   AlgorithmRegistry registry;
-  auto factory = [](const AlgorithmConfig&) {
+  AlgorithmRegistry::Factory unary = [](const AlgorithmConfig&) {
     return Result<std::unique_ptr<IndAlgorithm>>(
         Status::Internal("never called"));
   };
-  ASSERT_TRUE(registry.Register("custom", {}, factory).ok());
-  Status duplicate = registry.Register("custom", {}, factory);
-  EXPECT_TRUE(duplicate.IsAlreadyExists()) << duplicate.ToString();
-  EXPECT_FALSE(registry.Register("", {}, factory).ok());
+  AlgorithmRegistry::NaryFactory nary = [](const AlgorithmConfig&) {
+    return Result<std::unique_ptr<NaryAlgorithm>>(
+        Status::Internal("never called"));
+  };
+  AlgorithmRegistry::DependencyFactory dependency = [](const AlgorithmConfig&) {
+    return Result<std::unique_ptr<DependencyAlgorithm>>(
+        Status::Internal("never called"));
+  };
+  AlgorithmCapabilities ucc;
+  ucc.kind = DependencyKind::kUcc;
+  ASSERT_TRUE(registry.Register("custom", {}, unary).ok());
+  for (const Status& duplicate :
+       {registry.Register("custom", {}, unary),
+        registry.Register("custom", {}, nary),
+        registry.Register("custom", ucc, dependency)}) {
+    EXPECT_TRUE(duplicate.IsAlreadyExists()) << duplicate.ToString();
+  }
+  EXPECT_FALSE(registry.Register("", {}, unary).ok());
+  // A dependency discoverer must name the non-IND kind it discovers.
+  EXPECT_TRUE(registry.Register("ind-discoverer", {}, dependency)
+                  .IsInvalidArgument());
+  EXPECT_EQ(registry.Names(), std::vector<std::string>{"custom"});
 }
 
-TEST(RegistryTest, CustomRegistrationIsCreatable) {
-  // The extension path: a consumer registers its own approach and resolves
-  // it by name, no enum involved.
+TEST_F(RegistryTest, CustomRegistrationOfEveryFamilyIsCreatable) {
+  // The extension path: a consumer registers its own approaches and
+  // resolves them by name, no enum involved.
   AlgorithmRegistry registry;
-  AlgorithmCapabilities capabilities;
-  capabilities.summary = "delegates to de-marchi";
+  AlgorithmCapabilities unary;
+  unary.summary = "delegates to de-marchi";
+  unary.kind = DependencyKind::kUcc;  // IND factories are forced to kInd
   ASSERT_TRUE(registry
-                  .Register("my-approach", capabilities,
+                  .Register("my-unary", unary,
                             [](const AlgorithmConfig&) {
                               return Result<std::unique_ptr<IndAlgorithm>>(
                                   std::make_unique<DeMarchiAlgorithm>());
                             })
                   .ok());
-  auto algorithm = registry.Create("my-approach", {});
-  ASSERT_TRUE(algorithm.ok());
-  EXPECT_EQ(registry.Names(), std::vector<std::string>{"my-approach"});
+  AlgorithmCapabilities nary;
+  nary.needs_extractor = true;
+  ASSERT_TRUE(registry
+                  .Register("my-nary", nary,
+                            [](const AlgorithmConfig& config) {
+                              return AlgorithmRegistry::Global()
+                                  .Create<NaryAlgorithm>("nary", config);
+                            })
+                  .ok());
+  AlgorithmCapabilities fd;
+  fd.kind = DependencyKind::kFd;
+  fd.needs_extractor = true;
+  ASSERT_TRUE(registry
+                  .Register("my-fd", fd,
+                            [](const AlgorithmConfig& config) {
+                              return AlgorithmRegistry::Global()
+                                  .Create<DependencyAlgorithm>("fd-levelwise",
+                                                               config);
+                            })
+                  .ok());
+
+  EXPECT_EQ(registry.Names(),
+            (std::vector<std::string>{"my-unary", "my-nary", "my-fd"}));
+  EXPECT_TRUE(registry.Create("my-unary", {}).ok());
+  EXPECT_TRUE(registry.Create<NaryAlgorithm>("my-nary", config_).ok());
+  EXPECT_TRUE(registry.Create<DependencyAlgorithm>("my-fd", config_).ok());
+
+  auto unary_entry = registry.Find("my-unary");
+  ASSERT_TRUE(unary_entry.ok());
+  EXPECT_EQ((*unary_entry)->capabilities.kind, DependencyKind::kInd);
+  EXPECT_FALSE((*unary_entry)->capabilities.nary);
+  auto nary_entry = registry.Find("my-nary");
+  ASSERT_TRUE(nary_entry.ok());
+  EXPECT_TRUE((*nary_entry)->capabilities.nary);
+  EXPECT_EQ(registry.NamesForKind(DependencyKind::kInd),
+            (std::vector<std::string>{"my-unary", "my-nary"}));
+  EXPECT_EQ(registry.NamesForKind(DependencyKind::kFd),
+            std::vector<std::string>{"my-fd"});
 }
 
 }  // namespace

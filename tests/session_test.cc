@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "src/datagen/uniprot_like.h"
+#include "src/ind/report_json.h"
 #include "tests/test_util.h"
 
 namespace spider {
@@ -26,7 +27,7 @@ TEST(SessionTest, SweepOverAllApproachesFindsIdenticalInds) {
 
   std::set<Ind> reference;
   bool first = true;
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::UnaryApproachNames()) {
     RunOptions options;
     options.approach = name;
     auto report = session.Run(options);
@@ -348,7 +349,7 @@ TEST(SessionTest, ParallelRunMatchesSerialForEveryApproach) {
   FillClusteredCatalog(&catalog, 6);
   SpiderSession session(catalog);
 
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::UnaryApproachNames()) {
     RunOptions serial;
     serial.approach = name;
     serial.generator.max_value_pretest = true;
@@ -483,6 +484,138 @@ TEST(SessionTest, ParallelTimeBudgetReturnsPartialResult) {
   auto report = session.Run(options);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->run.finished);
+}
+
+// --- One driver, every family --------------------------------------------
+
+struct BudgetCase {
+  const char* approach;
+  int threads;
+};
+
+void PrintTo(const BudgetCase& c, std::ostream* os) {
+  *os << c.approach << "@" << c.threads;
+}
+
+class SessionBudgetTest : public ::testing::TestWithParam<BudgetCase> {};
+
+// The budget is wall clock from Run() entry, so a microscopic one expires
+// before the first algorithm starts: every family must still return a
+// report, marked unfinished, holding only confirmed dependencies.
+TEST_P(SessionBudgetTest, ExpiredBudgetReturnsOnlyConfirmedResults) {
+  datagen::UniprotLikeOptions data_options;
+  data_options.bioentries = 60;
+  auto catalog = datagen::MakeUniprotLike(data_options);
+  ASSERT_TRUE(catalog.ok());
+  SpiderSession session(**catalog);
+
+  RunOptions options;
+  options.approach = GetParam().approach;
+  options.threads = GetParam().threads;
+  auto full = session.Run(options);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  options.time_budget_seconds = 1e-9;
+  auto bounded = session.Run(options);
+  ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+
+  if (bounded->kind == DependencyKind::kInd) {
+    ASSERT_TRUE(full->run.finished);
+    EXPECT_FALSE(bounded->run.finished);
+    const std::set<Ind> confirmed = testing::ToSet(full->run.satisfied);
+    for (const Ind& ind : bounded->run.satisfied) {
+      EXPECT_TRUE(confirmed.contains(ind)) << ind.ToString();
+    }
+    if (bounded->nary) {
+      // The expansion never starts on an incomplete unary set.
+      ASSERT_TRUE(full->nary_run.finished);
+      EXPECT_FALSE(bounded->nary_run.finished);
+      EXPECT_TRUE(bounded->nary_run.satisfied.empty());
+    }
+  } else {
+    ASSERT_TRUE(full->dependency.finished);
+    EXPECT_FALSE(bounded->dependency.finished);
+    for (const Ucc& ucc : bounded->dependency.uccs) {
+      EXPECT_NE(std::find(full->dependency.uccs.begin(),
+                          full->dependency.uccs.end(), ucc),
+                full->dependency.uccs.end())
+          << ucc.ToString();
+    }
+    for (const Fd& fd : bounded->dependency.fds) {
+      EXPECT_NE(std::find(full->dependency.fds.begin(),
+                          full->dependency.fds.end(), fd),
+                full->dependency.fds.end())
+          << fd.ToString();
+    }
+  }
+  const std::string json = SessionReportToJson(*bounded, ReportJsonContext{});
+  EXPECT_NE(json.find("\"budget_expired\":true"), std::string::npos) << json;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OnePerFamily, SessionBudgetTest,
+    ::testing::Values(BudgetCase{"spider-merge", 1},
+                      BudgetCase{"spider-merge", 4}, BudgetCase{"nary", 1},
+                      BudgetCase{"ucc-levelwise", 1},
+                      BudgetCase{"fd-levelwise", 1}));
+
+TEST(SessionTest, ValidationRejectsBeforeAnyWork) {
+  Catalog catalog;
+  FillCatalog(&catalog);
+  SpiderSession session(catalog);
+  auto rejected = [&session](RunOptions options) {
+    auto report = session.Run(options);
+    EXPECT_FALSE(report.ok());
+    return report.status();
+  };
+
+  RunOptions kind_mismatch;
+  kind_mismatch.approach = "spider-merge";
+  kind_mismatch.kind = DependencyKind::kUcc;
+  EXPECT_EQ(rejected(kind_mismatch).message(),
+            "approach 'spider-merge' discovers inds, not uccs (approaches for "
+            "that kind: ucc-levelwise)");
+
+  RunOptions unary_error;
+  unary_error.approach = "spider-merge";
+  unary_error.error_threshold = 0.2;
+  EXPECT_TRUE(rejected(unary_error).IsInvalidArgument());
+
+  RunOptions sigma_for_ucc;
+  sigma_for_ucc.approach = "ucc-levelwise";
+  sigma_for_ucc.min_coverage = 0.5;
+  EXPECT_TRUE(rejected(sigma_for_ucc).IsInvalidArgument());
+
+  RunOptions sigma_for_nary;
+  sigma_for_nary.approach = "nary";
+  sigma_for_nary.min_coverage = 0.5;
+  EXPECT_EQ(rejected(sigma_for_nary).message(),
+            "nary does not support partial (sigma < 1) coverage");
+
+  RunOptions exact_expansion;
+  exact_expansion.approach = "zigzag";
+  exact_expansion.error_threshold = 0.2;
+  EXPECT_EQ(rejected(exact_expansion).message(),
+            "zigzag does not support an error threshold (error > 0)");
+
+  // nary_base must be a unary verifier — neither an expansion nor another
+  // kind's discoverer.
+  RunOptions nary_base;
+  nary_base.approach = "nary";
+  nary_base.nary_base = "zigzag";
+  EXPECT_EQ(rejected(nary_base).message(),
+            "nary_base must name a unary approach, got n-ary expansion "
+            "'zigzag'");
+  nary_base.nary_base = "ucc-levelwise";
+  EXPECT_EQ(rejected(nary_base).message(),
+            "nary_base must name a unary approach, got ucc discoverer "
+            "'ucc-levelwise'");
+  nary_base.nary_base = "no-such-base";
+  EXPECT_TRUE(rejected(nary_base).IsNotFound());
+
+  // None of the rejected runs materialized a sorted set.
+  auto extractor = session.extractor();
+  ASSERT_TRUE(extractor.ok());
+  EXPECT_EQ((*extractor)->sets_extracted(), 0);
 }
 
 }  // namespace

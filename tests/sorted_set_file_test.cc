@@ -149,15 +149,18 @@ TEST_F(SortedSetFileTest, PeekViewStaysValidUntilAdvance) {
 }
 
 TEST_F(SortedSetFileTest, TinyBufferStillDecodesEveryRecord) {
-  // Values larger than the read buffer force the grow-and-refill path, and
-  // record boundaries land on every possible buffer offset.
+  // Every block exceeds the 16-byte read window, so each read grows the
+  // window to one whole block; records of every length decode intact.
   std::vector<std::string> values;
   for (char c = 'a'; c <= 'z'; ++c) {
     values.push_back(std::string(static_cast<size_t>(7 * (c - 'a' + 1)), c));
   }
-  auto path = WriteSet(values);
-  auto reader =
-      SortedSetReader::Open(path, nullptr, /*buffer_bytes=*/16);
+  SortedSetWriterOptions write_options;
+  write_options.target_block_bytes = 24;
+  auto path = WriteSet(values, "tiny.set", write_options);
+  SortedSetReaderOptions read_options;
+  read_options.buffer_bytes = 16;
+  auto reader = SortedSetReader::Open(path, nullptr, read_options);
   ASSERT_TRUE(reader.ok());
   std::vector<std::string> got;
   while ((*reader)->HasNext()) got.push_back((*reader)->Next());
@@ -167,31 +170,27 @@ TEST_F(SortedSetFileTest, TinyBufferStillDecodesEveryRecord) {
 
 // --- Block-indexed format ------------------------------------------------
 
-// The default write path emits the block-indexed format and the reader
-// sniffs it from the magic; a legacy flat file (no header, no footer) is
-// the absence case and must stream exactly as before.
-TEST_F(SortedSetFileTest, FormatSniffingBlockedAndLegacy) {
-  const std::vector<std::string> values = {"apple", "banana", "cherry"};
-
-  auto blocked = SortedSetReader::Open(WriteSet(values, "blocked.set"));
+// Only the block-indexed format exists: a file without the magic — such
+// as a bare record stream — is rejected with IOError instead of being
+// guessed at. Callers treat set files as a cache and re-extract.
+TEST_F(SortedSetFileTest, FileWithoutMagicIsRejected) {
+  auto blocked = SortedSetReader::Open(WriteSet({"apple", "banana"}));
   ASSERT_TRUE(blocked.ok());
-  EXPECT_TRUE((*blocked)->block_indexed());
   EXPECT_EQ((*blocked)->block_count(), 1);
 
-  SortedSetWriterOptions legacy_options;
-  legacy_options.legacy_flat = true;
-  auto legacy = SortedSetReader::Open(
-      WriteSet(values, "legacy.set", legacy_options));
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_FALSE((*legacy)->block_indexed());
-  EXPECT_EQ((*legacy)->block_count(), 0);
-
-  for (auto* reader : {&*blocked, &*legacy}) {
-    std::vector<std::string> got;
-    while ((*reader)->HasNext()) got.push_back((*reader)->Next());
-    EXPECT_EQ(got, values);
-    EXPECT_TRUE((*reader)->status().ok());
+  const auto flat = dir_->FilePath("flat.set");
+  {
+    // Two length-prefixed records, no header, no footer.
+    std::ofstream out(flat, std::ios::binary);
+    out << '\x05' << "apple" << '\x06' << "banana";
   }
+  auto rejected = SortedSetReader::Open(flat);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsIOError()) << rejected.status().ToString();
+
+  const auto empty = dir_->FilePath("empty.set");
+  { std::ofstream out(empty, std::ios::binary); }
+  EXPECT_TRUE(SortedSetReader::Open(empty).status().IsIOError());
 }
 
 TEST_F(SortedSetFileTest, MultiBlockRoundTrip) {

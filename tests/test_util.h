@@ -10,6 +10,7 @@
 
 #include "src/storage/catalog.h"
 #include "src/ind/candidate.h"
+#include "src/ind/registry.h"
 
 namespace spider::testing {
 
@@ -60,6 +61,17 @@ inline std::set<Ind> NaiveSatisfiedSet(const Catalog& catalog,
     if (NaiveIncluded(**dep, **ref)) out.insert(Ind{c.dependent, c.referenced});
   }
   return out;
+}
+
+/// The registered unary IND verifiers, in registration order.
+inline std::vector<std::string> UnaryApproachNames() {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  std::vector<std::string> names;
+  for (const std::string& name : registry.NamesForKind(DependencyKind::kInd)) {
+    auto entry = registry.Find(name);
+    if (entry.ok() && !(*entry)->capabilities.nary) names.push_back(name);
+  }
+  return names;
 }
 
 /// Set-ifies a result vector for order-insensitive comparison.

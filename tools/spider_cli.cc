@@ -135,21 +135,7 @@ void PrintProgress(const RunProgress& progress) {
 // expansions are listed alongside the unary verifiers — the session runs
 // them on top of --nary-base.
 std::string ApproachList() {
-  std::string out;
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  for (const std::string& name : AlgorithmRegistry::Global().NaryNames()) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  for (const std::string& name :
-       AlgorithmRegistry::Global().DependencyNames()) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
+  return JoinStrings(AlgorithmRegistry::Global().Names(), ", ");
 }
 
 // Build identity injected at configure time (tools/CMakeLists.txt).
@@ -594,11 +580,6 @@ int RunLinks(const Flags& flags) {
 
 int RunApproaches(const Flags& flags) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
-  std::vector<std::string> names = registry.Names();
-  for (const std::string& name : registry.NaryNames()) names.push_back(name);
-  for (const std::string& name : registry.DependencyNames()) {
-    names.push_back(name);
-  }
   if (flags.json) {
     // Machine-readable capability listing: the source of truth for the
     // docs capability matrix (tools/gen_capability_docs.sh) and the body
@@ -606,9 +587,10 @@ int RunApproaches(const Flags& flags) {
     std::cout << ApproachesToJson() << "\n";
     return 0;
   }
-  for (const std::string& name : names) {
-    auto capabilities = registry.GetCapabilities(name);
-    if (!capabilities.ok()) return Fail(capabilities.status());
+  for (const std::string& name : registry.Names()) {
+    auto entry = registry.Find(name);
+    if (!entry.ok()) return Fail(entry.status());
+    const AlgorithmCapabilities* capabilities = &(*entry)->capabilities;
     std::cout << name << "\n    " << capabilities->summary << "\n    "
               << KindName(capabilities->kind) << ", "
               << (capabilities->nary ? "n-ary expansion, "
