@@ -9,19 +9,17 @@
 //     transitivity pruning, the paper's main predecessor;
 //   * sketch screening (Dasu et al. [5]) — approximate candidate
 //     reduction ahead of a sound verifier;
-//   * levelwise n-ary expansion seeded with the unary result.
+//   * the registered n-ary expansions seeded with the unary result.
 
+#include <algorithm>
 #include <cstring>
 
 #include "bench/bench_util.h"
 #include "src/common/random.h"
 #include "src/datagen/words.h"
 #include "src/ind/brute_force.h"
-#include "src/ind/clique_nary.h"
 #include "src/ind/de_marchi.h"
-#include "src/ind/nary.h"
 #include "src/ind/sketch.h"
-#include "src/ind/zigzag.h"
 
 namespace spider::bench {
 namespace {
@@ -164,35 +162,51 @@ Dataset& CompositeKeyDataset() {
   return dataset;
 }
 
-// Levelwise n-ary expansion seeded with an exhaustive unary result (the
-// unary seed ignores referenced-uniqueness: n-ary INDs pair non-unique
-// component columns).
-void BM_NaryLevelwise(benchmark::State& state, int max_arity) {
-  Dataset& dataset = CompositeKeyDataset();
-  // Exhaustive unary INDs child.* ⊆ parent.* via the De Marchi baseline
-  // (no uniqueness requirement).
-  std::vector<IndCandidate> unary_candidates;
-  for (const AttributeRef& dep :
-       dataset.catalog->AllAttributes()) {
-    for (const AttributeRef& ref : dataset.catalog->AllAttributes()) {
-      if (dep == ref) continue;
-      unary_candidates.push_back(IndCandidate{dep, ref});
+// Exhaustive unary INDs over every attribute pair via the De Marchi
+// baseline: n-ary INDs pair non-unique component columns, so the seed
+// ignores referenced-side uniqueness.
+std::vector<Ind> ExhaustiveUnary(const Catalog& catalog) {
+  std::vector<IndCandidate> candidates;
+  for (const AttributeRef& dep : catalog.AllAttributes()) {
+    for (const AttributeRef& ref : catalog.AllAttributes()) {
+      if (!(dep == ref)) candidates.push_back(IndCandidate{dep, ref});
     }
   }
   DeMarchiAlgorithm unary_algorithm;
-  auto unary = unary_algorithm.Run(*dataset.catalog, unary_candidates);
+  auto unary = unary_algorithm.Run(catalog, candidates);
   SPIDER_CHECK(unary.ok());
+  return std::move(unary).value().satisfied;
+}
+
+// Runs a registered n-ary expansion over the composite-key dataset;
+// max_arity < 2 selects the approach's default.
+NaryRunResult RunExpansion(const std::string& approach, int max_arity,
+                           const std::vector<Ind>& unary) {
+  auto dir = TempDir::Make("spider-bench-nary");
+  SPIDER_CHECK(dir.ok());
+  ValueSetExtractor extractor((*dir)->path());
+  AlgorithmConfig config;
+  config.extractor = &extractor;
+  config.max_nary_arity = max_arity;
+  auto algorithm =
+      AlgorithmRegistry::Global().Create<NaryAlgorithm>(approach, config);
+  SPIDER_CHECK(algorithm.ok()) << algorithm.status().ToString();
+  auto result = (*algorithm)->Run(*CompositeKeyDataset().catalog, unary);
+  SPIDER_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
+}
+
+// Levelwise n-ary expansion seeded with the exhaustive unary result.
+void BM_NaryLevelwise(benchmark::State& state, int max_arity) {
+  const std::vector<Ind> unary =
+      ExhaustiveUnary(*CompositeKeyDataset().catalog);
   for (auto _ : state) {
-    NaryDiscoveryOptions options;
-    options.max_arity = max_arity;
-    auto result =
-        NaryIndDiscovery(options).Run(*dataset.catalog, unary->satisfied);
-    SPIDER_CHECK(result.ok());
-    state.counters["unary"] = static_cast<double>(unary->satisfied.size());
+    const NaryRunResult result = RunExpansion("nary", max_arity, unary);
+    state.counters["unary"] = static_cast<double>(unary.size());
     state.counters["nary_found"] =
-        static_cast<double>(result->AllNary().size());
+        static_cast<double>(result.satisfied.size());
     state.counters["candidates_tested"] =
-        static_cast<double>(result->counters.candidates_tested);
+        static_cast<double>(result.counters.candidates_tested);
   }
 }
 BENCHMARK_CAPTURE(BM_NaryLevelwise, arity2, 2)
@@ -203,73 +217,30 @@ BENCHMARK_CAPTURE(BM_NaryLevelwise, arity4, 4)
     ->Iterations(1);
 
 // N-ary strategy comparison on the composite-key dataset: levelwise
-// expansion vs. the optimistic Zigzag [11] vs. the clique-based FIND2 [8].
-// The interesting number is `tests` — how many data validations each
-// strategy needs to reach the maximal IND.
-void BM_NaryStrategies(benchmark::State& state, int which) {
-  Dataset& dataset = CompositeKeyDataset();
-  std::vector<IndCandidate> unary_candidates;
-  for (const AttributeRef& dep : dataset.catalog->AllAttributes()) {
-    for (const AttributeRef& ref : dataset.catalog->AllAttributes()) {
-      if (!(dep == ref)) unary_candidates.push_back(IndCandidate{dep, ref});
-    }
-  }
-  DeMarchiAlgorithm unary_algorithm;
-  auto unary = unary_algorithm.Run(*dataset.catalog, unary_candidates);
-  SPIDER_CHECK(unary.ok());
-
+// expansion vs. the optimistic Zigzag [11] vs. the clique-based FIND2 [8],
+// each at its default arity bound. The interesting number is `tests` — how
+// many data validations each strategy needs to reach the maximal IND.
+void BM_NaryStrategies(benchmark::State& state, const char* approach) {
+  const std::vector<Ind> unary =
+      ExhaustiveUnary(*CompositeKeyDataset().catalog);
   for (auto _ : state) {
-    int64_t found = 0;
-    int64_t tests = 0;
+    const NaryRunResult result = RunExpansion(approach, 0, unary);
     int max_arity = 0;
-    switch (which) {
-      case 0: {
-        NaryDiscoveryOptions options;
-        options.max_arity = 4;
-        auto result =
-            NaryIndDiscovery(options).Run(*dataset.catalog, unary->satisfied);
-        SPIDER_CHECK(result.ok());
-        found = static_cast<int64_t>(result->AllNary().size());
-        tests = result->counters.candidates_tested;
-        for (const NaryInd& ind : result->AllNary()) {
-          max_arity = std::max(max_arity, ind.arity());
-        }
-        break;
-      }
-      case 1: {
-        auto result = ZigzagDiscovery().Run(*dataset.catalog, unary->satisfied);
-        SPIDER_CHECK(result.ok());
-        found = static_cast<int64_t>(result->maximal.size());
-        tests = result->tests;
-        for (const NaryInd& ind : result->maximal) {
-          max_arity = std::max(max_arity, ind.arity());
-        }
-        break;
-      }
-      default: {
-        auto result =
-            CliqueNaryDiscovery().Run(*dataset.catalog, unary->satisfied);
-        SPIDER_CHECK(result.ok());
-        found = static_cast<int64_t>(result->maximal.size());
-        tests = result->tests;
-        for (const NaryInd& ind : result->maximal) {
-          max_arity = std::max(max_arity, ind.arity());
-        }
-        break;
-      }
+    for (const NaryInd& ind : result.satisfied) {
+      max_arity = std::max(max_arity, ind.arity());
     }
-    state.counters["found"] = static_cast<double>(found);
-    state.counters["tests"] = static_cast<double>(tests);
+    state.counters["found"] = static_cast<double>(result.satisfied.size());
+    state.counters["tests"] = static_cast<double>(result.tests);
     state.counters["max_arity"] = max_arity;
   }
 }
-BENCHMARK_CAPTURE(BM_NaryStrategies, levelwise, 0)
+BENCHMARK_CAPTURE(BM_NaryStrategies, levelwise, "nary")
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-BENCHMARK_CAPTURE(BM_NaryStrategies, zigzag, 1)
+BENCHMARK_CAPTURE(BM_NaryStrategies, zigzag, "zigzag")
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-BENCHMARK_CAPTURE(BM_NaryStrategies, clique, 2)
+BENCHMARK_CAPTURE(BM_NaryStrategies, clique, "clique-nary")
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -23,22 +23,25 @@ Result<SchemaReport> BuildSchemaReport(const Catalog& catalog,
     }
   }
 
-  // Composite keys (minimal UCCs of arity >= 2).
+  // Aladin step 3: IND discovery through a registry-driven session.
+  SpiderSession session(catalog);
+  SPIDER_ASSIGN_OR_RETURN(report.profile, session.Run(options.ind));
+
+  // Composite keys (minimal UCCs of arity >= 2) from the same session,
+  // after the IND run: its profile counters stay the IND run's own, and
+  // the UCC search reuses the unary sets that run already extracted.
   if (options.max_key_arity >= 2) {
-    UccOptions ucc_options;
-    ucc_options.max_arity = options.max_key_arity;
-    UccDiscovery ucc(ucc_options);
-    SPIDER_ASSIGN_OR_RETURN(std::vector<Ucc> uccs, ucc.Find(catalog));
-    for (Ucc& candidate : uccs) {
+    RunOptions keys;
+    keys.approach = "ucc-levelwise";
+    keys.nary_max_arity = options.max_key_arity;
+    keys.threads = options.ind.threads;
+    SPIDER_ASSIGN_OR_RETURN(SessionReport uccs, session.Run(keys));
+    for (Ucc& candidate : uccs.dependency.uccs) {
       if (candidate.arity() >= 2) {
         report.composite_keys.push_back(std::move(candidate));
       }
     }
   }
-
-  // Aladin step 3: IND discovery through a registry-driven session.
-  SpiderSession session(catalog);
-  SPIDER_ASSIGN_OR_RETURN(report.profile, session.Run(options.ind));
 
   // Optional surrogate filtering before the downstream heuristics.
   std::vector<Ind> working_inds = report.profile.run.satisfied;

@@ -12,7 +12,7 @@
 #include "src/discovery/foreign_key.h"
 #include "src/discovery/primary_relation.h"
 #include "src/discovery/surrogate_filter.h"
-#include "src/discovery/ucc.h"
+#include "src/ind/dependency.h"
 #include "src/ind/session.h"
 
 namespace spider {

@@ -1,15 +1,13 @@
 #include "src/ind/clique_nary.h"
 
 #include <algorithm>
-#include <map>
+#include <memory>
 #include <set>
-#include <string>
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
-#include "src/ind/nary_algorithm.h"
 #include "src/ind/registry.h"
+#include "src/ind/run_batch.h"
 
 namespace spider {
 
@@ -76,25 +74,6 @@ void BronKerbosch(const std::vector<std::vector<bool>>& adjacency,
   }
 }
 
-// True when `sub` (canonical) is a subprojection of `super` (canonical).
-bool IsSubprojection(const NaryInd& sub, const NaryInd& super) {
-  if (sub.arity() > super.arity()) return false;
-  size_t j = 0;
-  for (int i = 0; i < sub.arity(); ++i) {
-    bool found = false;
-    for (; j < super.dependent.size(); ++j) {
-      if (super.dependent[j] == sub.dependent[static_cast<size_t>(i)] &&
-          super.referenced[j] == sub.referenced[static_cast<size_t>(i)]) {
-        found = true;
-        ++j;
-        break;
-      }
-    }
-    if (!found) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 std::vector<std::vector<int>> MaximalCliques(
@@ -110,78 +89,34 @@ std::vector<std::vector<int>> MaximalCliques(
   return out;
 }
 
-CliqueNaryDiscovery::CliqueNaryDiscovery(CliqueNaryOptions options)
+CliqueNaryAlgorithm::CliqueNaryAlgorithm(CliqueNaryOptions options)
     : options_(options), verifier_(options.extractor, options.block_skip) {
   SPIDER_CHECK_GE(options_.max_arity, 2);
 }
 
-/// Everything one table pair contributes to the run.
-struct CliqueNaryDiscovery::PairOutcome {
-  std::vector<NaryInd> maximal;
-  int64_t tests = 0;
-  RunCounters counters;
-  bool finished = true;
-};
-
-Result<CliqueNaryResult> CliqueNaryDiscovery::Run(
-    const Catalog& catalog, const std::vector<Ind>& unary) const {
-  RunContext context;
-  return Run(catalog, unary, context);
-}
-
-Result<CliqueNaryResult> CliqueNaryDiscovery::Run(
-    const Catalog& catalog, const std::vector<Ind>& unary,
-    RunContext& context) const {
-  CliqueNaryResult result;
+Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
+                                               const std::vector<Ind>& unary,
+                                               RunContext& context) {
   context.Begin(/*total_work=*/0);
 
-  // Group the unary base by table pair.
-  std::map<std::pair<std::string, std::string>,
-           std::vector<std::pair<AttributeRef, AttributeRef>>>
-      pairs;
-  for (const Ind& ind : unary) {
-    pairs[{ind.dependent.table, ind.referenced.table}].emplace_back(
-        ind.dependent, ind.referenced);
-  }
-
-  // One task per table pair with at least two unary INDs. Pairs share
-  // nothing but the thread-safe verifier, so they dispatch concurrently;
-  // outcomes merge in deterministic pair order.
-  std::vector<std::pair<std::pair<std::string, std::string>,
-                        std::vector<std::pair<AttributeRef, AttributeRef>>>>
-      work;
-  for (auto& [tables, base] : pairs) {
-    if (base.size() >= 2) work.emplace_back(tables, std::move(base));
-  }
-
-  auto run_pair = [&](size_t pair_index) -> Result<PairOutcome> {
-    const auto& [tables, base] = work[pair_index];
+  // One task per table pair. Pairs share nothing but the thread-safe
+  // verifier, so they dispatch concurrently.
+  const std::vector<UnaryPairs> pairs = GroupByTablePair(unary);
+  auto run_pair = [&](size_t pair_index) -> Result<BatchOutcome<NaryInd>> {
+    const UnaryPairs& base = pairs[pair_index];
     const int n = static_cast<int>(base.size());
-    PairOutcome outcome;
+    BatchOutcome<NaryInd> outcome;
 
     // Binary edges: node i–j is connected when the two unary INDs are
     // attribute-disjoint and their binary combination is satisfied.
-    auto binary_candidate = [&](int i, int j) {
-      NaryInd candidate;
-      candidate.dependent = {base[static_cast<size_t>(i)].first,
-                             base[static_cast<size_t>(j)].first};
-      candidate.referenced = {base[static_cast<size_t>(i)].second,
-                              base[static_cast<size_t>(j)].second};
-      if (!(candidate.dependent[0] < candidate.dependent[1])) {
-        std::swap(candidate.dependent[0], candidate.dependent[1]);
-        std::swap(candidate.referenced[0], candidate.referenced[1]);
-      }
-      return candidate;
-    };
     std::vector<std::vector<bool>> adjacency(
         static_cast<size_t>(n),
         std::vector<bool>(static_cast<size_t>(n), false));
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
-        if (base[static_cast<size_t>(i)].first ==
-                base[static_cast<size_t>(j)].first ||
-            base[static_cast<size_t>(i)].second ==
-                base[static_cast<size_t>(j)].second) {
+        const auto& first = base[static_cast<size_t>(i)];
+        const auto& second = base[static_cast<size_t>(j)];
+        if (first.first == second.first || first.second == second.second) {
           continue;  // shared attribute: cannot co-occur in one IND
         }
         if (context.ShouldStop()) {
@@ -190,9 +125,10 @@ Result<CliqueNaryResult> CliqueNaryDiscovery::Run(
         }
         ++outcome.tests;
         SPIDER_ASSIGN_OR_RETURN(
-            bool ok, verifier_.VerifyIncluded(catalog, binary_candidate(i, j),
-                                              &outcome.counters,
-                                              /*early_stop=*/true));
+            const bool ok,
+            verifier_.VerifyIncluded(catalog,
+                                     CanonicalNaryInd({first, second}),
+                                     &outcome.counters, /*early_stop=*/true));
         context.Step();
         adjacency[static_cast<size_t>(i)][static_cast<size_t>(j)] = ok;
         adjacency[static_cast<size_t>(j)][static_cast<size_t>(i)] = ok;
@@ -223,35 +159,17 @@ Result<CliqueNaryResult> CliqueNaryDiscovery::Run(
         break;
       }
 
-      // Build the candidate in canonical (dependent-sorted) order.
-      std::vector<std::pair<AttributeRef, AttributeRef>> members;
+      UnaryPairs members;
       for (int v : nodes) members.push_back(base[static_cast<size_t>(v)]);
-      std::sort(members.begin(), members.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      NaryInd candidate;
-      for (auto& [dep, ref] : members) {
-        candidate.dependent.push_back(dep);
-        candidate.referenced.push_back(ref);
-      }
+      NaryInd candidate = CanonicalNaryInd(std::move(members));
+      if (IsImplied(candidate, satisfied_here)) continue;
 
-      // Skip candidates implied by an already-validated IND.
-      bool implied = false;
-      for (const NaryInd& winner : satisfied_here) {
-        if (IsSubprojection(candidate, winner)) {
-          implied = true;
-          break;
-        }
-      }
-      if (implied) continue;
-
-      bool ok;
-      if (candidate.arity() == 2) {
-        ok = true;  // binary cliques are already-validated edges
-      } else {
+      bool ok = true;  // binary cliques are already-validated edges
+      if (candidate.arity() > 2) {
         if (++tests_here > options_.max_tests_per_pair) {
           return Status::ResourceExhausted(
               "clique discovery exceeded max_tests_per_pair for tables " +
-              tables.first + " / " + tables.second);
+              base[0].first.table + " / " + base[0].second.table);
         }
         ++outcome.tests;
         SPIDER_ASSIGN_OR_RETURN(
@@ -273,76 +191,25 @@ Result<CliqueNaryResult> CliqueNaryDiscovery::Run(
       }
     }
 
-    // Report only the maximal satisfied INDs of this pair.
-    for (size_t i = 0; i < satisfied_here.size(); ++i) {
-      bool maximal = true;
-      for (size_t j = 0; j < satisfied_here.size(); ++j) {
-        if (i != j && satisfied_here[i].arity() < satisfied_here[j].arity() &&
-            IsSubprojection(satisfied_here[i], satisfied_here[j])) {
-          maximal = false;
-          break;
-        }
-      }
-      if (maximal) outcome.maximal.push_back(satisfied_here[i]);
-    }
+    outcome.found = MaximalInds(satisfied_here);
     return outcome;
   };
+  SPIDER_ASSIGN_OR_RETURN(
+      BatchOutcome<NaryInd> batch,
+      RunBatch<NaryInd>(options_.pool, pairs.size(), context, run_pair));
 
-  std::vector<Result<PairOutcome>> outcomes =
-      RunNaryBatch<PairOutcome>(options_.pool, work.size(), run_pair);
-  std::vector<int64_t> pair_peaks;
-  pair_peaks.reserve(outcomes.size());
-  for (Result<PairOutcome>& pair_result : outcomes) {
-    SPIDER_RETURN_NOT_OK(pair_result.status());
-    PairOutcome& outcome = *pair_result;
-    result.maximal.insert(result.maximal.end(),
-                          std::make_move_iterator(outcome.maximal.begin()),
-                          std::make_move_iterator(outcome.maximal.end()));
-    result.tests += outcome.tests;
-    result.counters.Merge(outcome.counters);
-    pair_peaks.push_back(outcome.counters.peak_open_files);
-    result.finished = result.finished && outcome.finished;
-  }
-  ApplyConcurrentPeakBound(options_.pool, std::move(pair_peaks),
-                           result.counters);
-
-  std::sort(result.maximal.begin(), result.maximal.end());
-  result.maximal.erase(
-      std::unique(result.maximal.begin(), result.maximal.end()),
-      result.maximal.end());
+  NaryRunResult result;
+  result.satisfied = std::move(batch.found);
+  std::sort(result.satisfied.begin(), result.satisfied.end());
+  result.satisfied.erase(
+      std::unique(result.satisfied.begin(), result.satisfied.end()),
+      result.satisfied.end());
+  result.tests = batch.tests;
+  result.counters = batch.counters;
+  result.finished = batch.finished;
+  result.seconds = context.elapsed_seconds();
   return result;
 }
-
-namespace {
-
-class CliqueNaryAlgorithm final : public NaryAlgorithm {
- public:
-  explicit CliqueNaryAlgorithm(CliqueNaryOptions options)
-      : discovery_(options) {}
-
-  Result<NaryRunResult> Run(const Catalog& catalog,
-                            const std::vector<Ind>& unary,
-                            RunContext& context) override {
-    Stopwatch watch;
-    watch.Start();
-    SPIDER_ASSIGN_OR_RETURN(CliqueNaryResult result,
-                            discovery_.Run(catalog, unary, context));
-    NaryRunResult out;
-    out.satisfied = std::move(result.maximal);
-    out.tests = result.tests;
-    out.counters = result.counters;
-    out.finished = result.finished;
-    out.seconds = watch.ElapsedSeconds();
-    return out;
-  }
-
-  std::string_view name() const override { return "clique-nary"; }
-
- private:
-  CliqueNaryDiscovery discovery_;
-};
-
-}  // namespace
 
 void RegisterCliqueNaryAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
@@ -364,7 +231,7 @@ void RegisterCliqueNaryAlgorithm(AlgorithmRegistry& registry) {
           options.max_arity = config.max_nary_arity;
         }
         return std::unique_ptr<NaryAlgorithm>(
-            new CliqueNaryAlgorithm(options));
+            std::make_unique<CliqueNaryAlgorithm>(options));
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

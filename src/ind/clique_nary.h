@@ -18,31 +18,30 @@
 // it is exact (no epsilon heuristic) given the unary and binary base.
 // All validations stream through CompositeSetVerifier's sorted-set merges
 // (out-of-core safe); independent table pairs dispatch onto an optional
-// ThreadPool.
+// ThreadPool through RunBatch.
 
 #pragma once
 
+#include <string_view>
 #include <vector>
 
-#include "src/common/counters.h"
 #include "src/common/result.h"
 #include "src/common/thread_pool.h"
-#include "src/ind/candidate.h"
 #include "src/ind/composite_verify.h"
-#include "src/ind/run_context.h"
+#include "src/ind/nary_algorithm.h"
 
 namespace spider {
 
 class AlgorithmRegistry;
 
-/// Options for CliqueNaryDiscovery.
+/// Options for CliqueNaryAlgorithm.
 struct CliqueNaryOptions {
   /// Maximum arity reported (cliques are truncated to this size).
   int max_arity = 16;
   /// Safety bound on candidate validations per table pair.
   int64_t max_tests_per_pair = 10000;
   /// Sorted composite sets are materialized and cached here. Borrowed;
-  /// nullptr = a scoped temp-dir extractor owned by the discovery object.
+  /// nullptr = a scoped temp-dir extractor owned by the verifier.
   ValueSetExtractor* extractor = nullptr;
   /// When set, independent table pairs are processed concurrently on this
   /// pool. Results and counters are identical to the serial run. Borrowed.
@@ -52,38 +51,25 @@ struct CliqueNaryOptions {
   bool block_skip = true;
 };
 
-/// Result of a clique-based run.
-struct CliqueNaryResult {
-  /// Maximal satisfied INDs of arity >= 2.
-  std::vector<NaryInd> maximal;
-  /// Data validations performed (binary base + clique candidates).
-  int64_t tests = 0;
-  RunCounters counters;
-  /// False when the budget expired or the run was cancelled mid-way.
-  bool finished = true;
-};
-
-/// \brief FIND2-style maximal n-ary IND discovery.
-class CliqueNaryDiscovery {
+/// \brief FIND2-style maximal n-ary IND discovery, registered as
+/// "clique-nary". Reports the maximal satisfied INDs of arity >= 2;
+/// `tests` counts the binary-edge and clique validations.
+class CliqueNaryAlgorithm final : public NaryAlgorithm {
  public:
-  explicit CliqueNaryDiscovery(CliqueNaryOptions options = {});
+  explicit CliqueNaryAlgorithm(CliqueNaryOptions options = {});
 
   /// `unary` must be the complete satisfied unary IND set over the catalog.
+  using NaryAlgorithm::Run;
   [[nodiscard]]
-  Result<CliqueNaryResult> Run(const Catalog& catalog,
-                               const std::vector<Ind>& unary) const;
+  Result<NaryRunResult> Run(const Catalog& catalog,
+                            const std::vector<Ind>& unary,
+                            RunContext& context) override;
 
-  /// As above, honoring the context's budget/cancellation.
-  [[nodiscard]]
-  Result<CliqueNaryResult> Run(const Catalog& catalog,
-                               const std::vector<Ind>& unary,
-                               RunContext& context) const;
+  std::string_view name() const override { return "clique-nary"; }
 
  private:
-  struct PairOutcome;
-
   CliqueNaryOptions options_;
-  mutable CompositeSetVerifier verifier_;
+  CompositeSetVerifier verifier_;
 };
 
 /// Enumerates all maximal cliques of an undirected graph given as an

@@ -7,27 +7,20 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
-#include "src/ind/nary_algorithm.h"  // RunNaryBatch
 #include "src/ind/registry.h"
+#include "src/ind/run_batch.h"
 
 namespace spider {
 
 namespace {
 
-struct TableOutcome {
-  std::vector<Fd> fds;
-  RunCounters counters;
-  bool finished = true;
-};
-
 // One table's levelwise search. Serial within the table; the caller
 // parallelizes across tables.
-Result<TableOutcome> FindFdsInTable(const Catalog& catalog,
-                                    const Table& table,
-                                    const FdLevelwiseOptions& options,
-                                    RunContext& context) {
-  TableOutcome outcome;
+Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
+                                        const Table& table,
+                                        const FdLevelwiseOptions& options,
+                                        RunContext& context) {
+  BatchOutcome<Fd> outcome;
   if (table.row_count() == 0) return outcome;
   std::vector<int> eligible;
   for (int c = 0; c < table.column_count(); ++c) {
@@ -75,9 +68,9 @@ Result<TableOutcome> FindFdsInTable(const Catalog& catalog,
       for (const std::vector<int>& lhs : candidates) {
         if (context.ShouldStop()) {
           outcome.finished = false;
-          std::sort(outcome.fds.begin(), outcome.fds.end());
           return outcome;
         }
+        ++outcome.tests;
         ++outcome.counters.candidates_tested;
         SPIDER_ASSIGN_OR_RETURN(const int64_t lhs_distinct, distinct_of(lhs));
         std::vector<int> lhs_rhs = lhs;
@@ -102,7 +95,7 @@ Result<TableOutcome> FindFdsInTable(const Catalog& catalog,
           for (int c : lhs) fd.lhs.push_back(table.column(c).name());
           fd.rhs = table.column(a).name();
           fd.error = error;
-          outcome.fds.push_back(std::move(fd));
+          outcome.found.push_back(std::move(fd));
         } else {
           unsatisfied.push_back(lhs);
         }
@@ -131,7 +124,6 @@ Result<TableOutcome> FindFdsInTable(const Catalog& catalog,
       }
     }
   }
-  std::sort(outcome.fds.begin(), outcome.fds.end());
   return outcome;
 }
 
@@ -149,30 +141,24 @@ FdLevelwiseAlgorithm::FdLevelwiseAlgorithm(FdLevelwiseOptions options,
 
 Result<DependencyRunResult> FdLevelwiseAlgorithm::Run(const Catalog& catalog,
                                                       RunContext& context) {
-  Stopwatch watch;
-  watch.Start();
   context.Begin(/*total_work=*/0);  // candidate count unknown up front
+  // Per-table searches are independent; the batch folds them in table
+  // order, so output and counters are identical at any thread count.
+  auto search = [&](size_t t) {
+    return FindFdsInTable(catalog, catalog.table(static_cast<int>(t)),
+                          options_, context);
+  };
+  SPIDER_ASSIGN_OR_RETURN(
+      BatchOutcome<Fd> batch,
+      RunBatch<Fd>(options_.pool, static_cast<size_t>(catalog.table_count()),
+                   context, search));
   DependencyRunResult result;
-
-  // Per-table searches are independent; batch results fold in table order,
-  // so output and counters are identical at any thread count.
-  auto outcomes = RunNaryBatch<TableOutcome>(
-      options_.pool, static_cast<size_t>(catalog.table_count()),
-      [&](size_t t) -> Result<TableOutcome> {
-        return FindFdsInTable(catalog, catalog.table(static_cast<int>(t)),
-                              options_, context);
-      });
-  for (Result<TableOutcome>& outcome : outcomes) {
-    SPIDER_RETURN_NOT_OK(outcome.status());
-    result.fds.insert(result.fds.end(),
-                      std::make_move_iterator(outcome->fds.begin()),
-                      std::make_move_iterator(outcome->fds.end()));
-    result.counters.Merge(outcome->counters);
-    result.finished = result.finished && outcome->finished;
-  }
+  result.fds = std::move(batch.found);
   std::sort(result.fds.begin(), result.fds.end());
-  result.tests = result.counters.candidates_tested;
-  result.seconds = watch.ElapsedSeconds();
+  result.tests = batch.tests;
+  result.counters = batch.counters;
+  result.finished = batch.finished;
+  result.seconds = context.elapsed_seconds();
   return result;
 }
 

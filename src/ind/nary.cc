@@ -1,92 +1,38 @@
 #include "src/ind/nary.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
-#include "src/ind/nary_algorithm.h"
 #include "src/ind/registry.h"
+#include "src/ind/run_batch.h"
 
 namespace spider {
 
-std::vector<NaryInd> NaryDiscoveryResult::AllNary() const {
-  std::vector<NaryInd> out;
-  for (size_t level = 1; level < by_level.size(); ++level) {
-    out.insert(out.end(), by_level[level].begin(), by_level[level].end());
-  }
-  return out;
-}
-
-NaryIndDiscovery::NaryIndDiscovery(NaryDiscoveryOptions options)
+LevelwiseNaryAlgorithm::LevelwiseNaryAlgorithm(NaryDiscoveryOptions options)
     : options_(options), verifier_(options.extractor, options.block_skip) {
   SPIDER_CHECK_GE(options_.max_arity, 2);
   SPIDER_CHECK_GE(options_.error_threshold, 0);
   SPIDER_CHECK_LT(options_.error_threshold, 1.0);
 }
 
-Result<bool> NaryIndDiscovery::Verify(const Catalog& catalog,
-                                      const NaryInd& candidate,
-                                      RunCounters* counters) const {
-  if (options_.error_threshold > 0) {
-    SPIDER_ASSIGN_OR_RETURN(const double error,
-                            verifier_.Error(catalog, candidate, counters));
-    return error <= options_.error_threshold;
-  }
-  return verifier_.VerifyIncluded(catalog, candidate, counters,
-                                  options_.early_stop);
-}
-
-namespace {
-
-// Canonical (k-1)-subprojections of a candidate, for the Apriori check.
-std::vector<NaryInd> Subprojections(const NaryInd& candidate) {
-  std::vector<NaryInd> out;
-  const int arity = candidate.arity();
-  for (int skip = 0; skip < arity; ++skip) {
-    NaryInd sub;
-    for (int i = 0; i < arity; ++i) {
-      if (i == skip) continue;
-      sub.dependent.push_back(candidate.dependent[static_cast<size_t>(i)]);
-      sub.referenced.push_back(candidate.referenced[static_cast<size_t>(i)]);
-    }
-    out.push_back(std::move(sub));
-  }
-  return out;
-}
-
-// Per-candidate verification outcome for the level batch.
-struct VerifyOutcome {
-  bool tested = false;
-  bool satisfied = false;
-  RunCounters counters;
-};
-
-}  // namespace
-
-Result<NaryDiscoveryResult> NaryIndDiscovery::Run(
-    const Catalog& catalog, const std::vector<Ind>& unary) const {
-  RunContext context;
-  return Run(catalog, unary, context);
-}
-
-Result<NaryDiscoveryResult> NaryIndDiscovery::Run(
+Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
     const Catalog& catalog, const std::vector<Ind>& unary,
-    RunContext& context) const {
-  NaryDiscoveryResult result;
+    RunContext& context) {
   context.Begin(/*total_work=*/0);  // candidate count is not known up front
+  NaryRunResult result;
 
-  // Level 1: echo the unary INDs in NaryInd form (deduplicated, sorted).
-  std::set<NaryInd> level;
+  // Level 1: the unary INDs in NaryInd form (deduplicated, sorted).
+  std::set<NaryInd> level_one;
   for (const Ind& ind : unary) {
-    level.insert(NaryInd{{ind.dependent}, {ind.referenced}});
+    level_one.insert(NaryInd{{ind.dependent}, {ind.referenced}});
   }
-  result.by_level.emplace_back(level.begin(), level.end());
+  std::vector<NaryInd> previous(level_one.begin(), level_one.end());
 
-  for (int arity = 2; arity <= options_.max_arity; ++arity) {
-    const std::vector<NaryInd>& previous = result.by_level.back();
-    if (previous.empty()) break;
-    std::set<NaryInd> previous_set(previous.begin(), previous.end());
+  for (int arity = 2; arity <= options_.max_arity && !previous.empty();
+       ++arity) {
+    const std::set<NaryInd> previous_set(previous.begin(), previous.end());
 
     // Apriori join: combine INDs sharing tables and the first k-2 pairs,
     // with the last dependent attribute strictly increasing and no
@@ -130,7 +76,7 @@ Result<NaryDiscoveryResult> NaryIndDiscovery::Run(
         }
         // Downward closure: every subprojection must be satisfied.
         bool closed = true;
-        for (const NaryInd& sub : Subprojections(candidate)) {
+        for (const NaryInd& sub : Children(candidate)) {
           if (!previous_set.contains(sub)) {
             closed = false;
             break;
@@ -140,83 +86,46 @@ Result<NaryDiscoveryResult> NaryIndDiscovery::Run(
       }
     }
 
-    result.candidates_per_level.push_back(
-        static_cast<int64_t>(candidates.size()));
-
     // Verify the level's batch — concurrently when a pool is configured.
-    // Outcomes are folded in candidate order, so the satisfied set and the
-    // merged counters are identical at any thread count.
     const std::vector<NaryInd> batch(candidates.begin(), candidates.end());
-    std::vector<Result<VerifyOutcome>> outcomes =
-        RunNaryBatch<VerifyOutcome>(options_.pool, batch.size(),
-                                    [&](size_t i) -> Result<VerifyOutcome> {
-                                      VerifyOutcome outcome;
-                                      if (context.ShouldStop()) return outcome;
-                                      outcome.tested = true;
-                                      // Exact containment, or g3' error up
-                                      // to the partial threshold.
-                                      SPIDER_ASSIGN_OR_RETURN(
-                                          outcome.satisfied,
-                                          Verify(catalog, batch[i],
-                                                 &outcome.counters));
-                                      context.Step();
-                                      return outcome;
-                                    });
-    std::vector<NaryInd> satisfied;
-    std::vector<int64_t> level_peaks;
-    level_peaks.reserve(outcomes.size());
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      SPIDER_RETURN_NOT_OK(outcomes[i].status());
-      const VerifyOutcome& outcome = *outcomes[i];
-      if (!outcome.tested) {
-        result.finished = false;
-        continue;
+    auto verify = [&](size_t i) -> Result<BatchOutcome<NaryInd>> {
+      BatchOutcome<NaryInd> outcome;
+      outcome.tests = 1;
+      outcome.counters.candidates_tested = 1;
+      // Exact containment, or g3' error up to the partial threshold.
+      bool satisfied = false;
+      if (options_.error_threshold > 0) {
+        SPIDER_ASSIGN_OR_RETURN(
+            const double error,
+            verifier_.Error(catalog, batch[i], &outcome.counters));
+        satisfied = error <= options_.error_threshold;
+      } else {
+        SPIDER_ASSIGN_OR_RETURN(
+            satisfied, verifier_.VerifyIncluded(catalog, batch[i],
+                                                &outcome.counters,
+                                                /*early_stop=*/true));
       }
-      ++result.counters.candidates_tested;
-      result.counters.Merge(outcome.counters);
-      level_peaks.push_back(outcome.counters.peak_open_files);
-      if (outcome.satisfied) satisfied.push_back(batch[i]);
+      if (satisfied) outcome.found.push_back(batch[i]);
+      context.Step();
+      return outcome;
+    };
+    SPIDER_ASSIGN_OR_RETURN(
+        BatchOutcome<NaryInd> level,
+        RunBatch<NaryInd>(options_.pool, batch.size(), context, verify));
+    result.satisfied.insert(result.satisfied.end(), level.found.begin(),
+                            level.found.end());
+    result.tests += level.tests;
+    result.counters.Merge(level.counters);
+    if (!level.finished) {
+      result.finished = false;
+      break;
     }
-    ApplyConcurrentPeakBound(options_.pool, std::move(level_peaks),
-                             result.counters);
-    result.by_level.push_back(std::move(satisfied));
-    if (!result.finished) break;
+    previous = std::move(level.found);
   }
+  std::sort(result.satisfied.begin(), result.satisfied.end());
+  result.seconds = context.elapsed_seconds();
   return result;
 }
-
-namespace {
-
-/// Adapts NaryIndDiscovery to the registered NaryAlgorithm interface.
-class LevelwiseNaryAlgorithm final : public NaryAlgorithm {
- public:
-  explicit LevelwiseNaryAlgorithm(NaryDiscoveryOptions options)
-      : discovery_(options) {}
-
-  Result<NaryRunResult> Run(const Catalog& catalog,
-                            const std::vector<Ind>& unary,
-                            RunContext& context) override {
-    Stopwatch watch;
-    watch.Start();
-    SPIDER_ASSIGN_OR_RETURN(NaryDiscoveryResult result,
-                            discovery_.Run(catalog, unary, context));
-    NaryRunResult out;
-    out.satisfied = result.AllNary();
-    std::sort(out.satisfied.begin(), out.satisfied.end());
-    out.tests = result.counters.candidates_tested;
-    out.counters = result.counters;
-    out.finished = result.finished;
-    out.seconds = watch.ElapsedSeconds();
-    return out;
-  }
-
-  std::string_view name() const override { return "nary"; }
-
- private:
-  NaryIndDiscovery discovery_;
-};
-
-}  // namespace
 
 void RegisterNaryAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
@@ -243,7 +152,7 @@ void RegisterNaryAlgorithm(AlgorithmRegistry& registry) {
           options.max_arity = config.max_nary_arity;
         }
         return std::unique_ptr<NaryAlgorithm>(
-            new LevelwiseNaryAlgorithm(options));
+            std::make_unique<LevelwiseNaryAlgorithm>(options));
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

@@ -19,35 +19,28 @@
 // composite-tuple set (CompositeSetVerifier) and candidates are decided by
 // lockstep merges, so discovery works unchanged over out-of-core (disk
 // backend) catalogs. A level's candidate batch dispatches onto an optional
-// ThreadPool, parallelizing validation the way the session parallelizes
-// unary SPIDER.
+// ThreadPool through RunBatch, parallelizing validation the way the
+// session parallelizes unary SPIDER.
 
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <vector>
 
-#include "src/common/counters.h"
 #include "src/common/result.h"
 #include "src/common/thread_pool.h"
-#include "src/ind/candidate.h"
 #include "src/ind/composite_verify.h"
-#include "src/ind/run_context.h"
-#include "src/storage/catalog.h"
-#include "src/storage/composite_cursor.h"
+#include "src/ind/nary_algorithm.h"
 
 namespace spider {
 
 class AlgorithmRegistry;
 
-/// Options for NaryIndDiscovery.
+/// Options for LevelwiseNaryAlgorithm.
 struct NaryDiscoveryOptions {
   /// Highest arity to expand to (>= 2). Level k is only attempted when
   /// level k-1 produced at least one IND.
   int max_arity = 4;
-  /// Stop verifying a candidate at the first missing dependent tuple.
-  /// Ignored under a partial threshold (the g3' error needs a full scan).
-  bool early_stop = true;
   /// Partial n-ary validation in [0, 1): a candidate counts as satisfied
   /// when its g3' error (CompositeSetVerifier::Error — the fraction of
   /// distinct dependent tuples with no referenced match) is <= the
@@ -55,7 +48,7 @@ struct NaryDiscoveryOptions {
   double error_threshold = 0;
   /// Sorted composite sets are materialized and cached here. Borrowed, may
   /// be shared (it is thread-safe); nullptr = a scoped temp-dir extractor
-  /// owned by the discovery object.
+  /// owned by the verifier.
   ValueSetExtractor* extractor = nullptr;
   /// When set, each level's candidate batch is verified concurrently on
   /// this pool. Results and counters are identical to the serial run.
@@ -66,53 +59,28 @@ struct NaryDiscoveryOptions {
   bool block_skip = true;
 };
 
-/// Result of a levelwise run.
-struct NaryDiscoveryResult {
-  /// Satisfied INDs per level; `by_level[0]` is the unary input echoed in
-  /// NaryInd form, `by_level[k-1]` holds the arity-k INDs.
-  std::vector<std::vector<NaryInd>> by_level;
-  /// Candidates generated / verified per level (index 0 = arity 2).
-  std::vector<int64_t> candidates_per_level;
-  RunCounters counters;
-  /// False when the run stopped early (budget expired or cancelled); the
-  /// deepest level is then partial.
-  bool finished = true;
-
-  /// All satisfied INDs of arity >= 2, flattened.
-  std::vector<NaryInd> AllNary() const;
-};
-
-/// \brief Levelwise n-ary IND discovery seeded with satisfied unary INDs.
-class NaryIndDiscovery {
+/// \brief Levelwise n-ary IND discovery seeded with satisfied unary INDs,
+/// registered as "nary". Reports every satisfied IND of arity >= 2, not
+/// only the maximal ones; each verified candidate counts once in `tests`
+/// and in counters.candidates_tested.
+class LevelwiseNaryAlgorithm final : public NaryAlgorithm {
  public:
-  explicit NaryIndDiscovery(NaryDiscoveryOptions options = {});
+  explicit LevelwiseNaryAlgorithm(NaryDiscoveryOptions options = {});
 
   /// `unary` must be the complete set of satisfied unary INDs over the
   /// catalog (an incomplete seed only shrinks the discovered set — the
   /// levelwise property guarantees no false positives either way).
+  using NaryAlgorithm::Run;
   [[nodiscard]]
-  Result<NaryDiscoveryResult> Run(const Catalog& catalog,
-                                  const std::vector<Ind>& unary) const;
+  Result<NaryRunResult> Run(const Catalog& catalog,
+                            const std::vector<Ind>& unary,
+                            RunContext& context) override;
 
-  /// As above, honoring the context's budget/cancellation (partial result
-  /// with finished=false) and reporting per-candidate progress.
-  [[nodiscard]]
-  Result<NaryDiscoveryResult> Run(const Catalog& catalog,
-                                  const std::vector<Ind>& unary,
-                                  RunContext& context) const;
-
-  /// Verifies one n-ary candidate directly against the data. Exposed for
-  /// tests; `candidate.dependent`/`referenced` must be non-empty, equal
-  /// length, and single-table per side.
-  [[nodiscard]]
-  Result<bool> Verify(const Catalog& catalog, const NaryInd& candidate,
-                      RunCounters* counters) const;
+  std::string_view name() const override { return "nary"; }
 
  private:
   NaryDiscoveryOptions options_;
-  /// Shared streaming verifier; mutable because verification fills the
-  /// composite-set cache (thread-safe).
-  mutable CompositeSetVerifier verifier_;
+  CompositeSetVerifier verifier_;
 };
 
 /// Registers the "nary" expansion with the registry (called by

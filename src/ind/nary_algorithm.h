@@ -8,20 +8,17 @@
 // expansion ("nary"), clique-based FIND2-style search ("clique-nary") and
 // optimistic/top-down zigzag ("zigzag"). All of them validate candidates
 // through CompositeSetVerifier's sorted-set merges, so all of them stream
-// and can profile out-of-core catalogs.
+// and can profile out-of-core catalogs, and all of them dispatch their
+// independent work through RunBatch (src/ind/run_batch.h).
 
 #pragma once
 
-#include <algorithm>
-#include <functional>
-#include <future>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/common/counters.h"
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
 #include "src/ind/candidate.h"
 #include "src/ind/run_context.h"
 #include "src/storage/catalog.h"
@@ -54,62 +51,48 @@ class NaryAlgorithm {
   /// Expands the complete satisfied unary IND set `unary` into n-ary INDs.
   /// The context carries the unified run controls (time budget,
   /// cancellation, progress), which every implementation honors.
+  [[nodiscard]]
   virtual Result<NaryRunResult> Run(const Catalog& catalog,
                                     const std::vector<Ind>& unary,
                                     RunContext& context) = 0;
+
+  /// Convenience overload: unbounded run with no callbacks. Derived
+  /// classes re-expose it with `using NaryAlgorithm::Run;`.
+  [[nodiscard]]
+  Result<NaryRunResult> Run(const Catalog& catalog,
+                            const std::vector<Ind>& unary) {
+    RunContext context;
+    return Run(catalog, unary, context);
+  }
 
   /// Short display name, e.g. "clique-nary".
   virtual std::string_view name() const = 0;
 };
 
-/// The one place the n-ary peak-open-files policy lives: serial batches
-/// keep the per-task max that RunCounters::Merge produced, but concurrent
-/// tasks hold their sorted sets simultaneously. At most pool->size() tasks
-/// are ever live at once, so the tight scheduling-independent high-water
-/// bound is the sum of the batch's min(pool size, batch size) LARGEST
-/// per-task peaks — not the sum over the whole batch, which overstated the
-/// peak by the batch/pool ratio (a 100-pair batch on 4 workers reported
-/// 200 open files when no schedule can exceed 8). Deterministic for a
-/// given (peaks, pool size), so counter-parity tests and the bench
-/// regression gate stay exact.
-inline void ApplyConcurrentPeakBound(const ThreadPool* pool,
-                                     std::vector<int64_t> per_task_peaks,
-                                     RunCounters& counters) {
-  if (pool == nullptr || per_task_peaks.empty()) return;
-  const size_t live = std::min(per_task_peaks.size(),
-                               static_cast<size_t>(pool->size()));
-  std::partial_sort(per_task_peaks.begin(),
-                    per_task_peaks.begin() + static_cast<ptrdiff_t>(live),
-                    per_task_peaks.end(), std::greater<int64_t>());
-  int64_t high_water = 0;
-  for (size_t i = 0; i < live; ++i) high_water += per_task_peaks[i];
-  if (counters.peak_open_files < high_water) {
-    counters.peak_open_files = high_water;
-  }
-}
+// Lattice helpers shared by the strategies. N-ary INDs are canonical
+// NaryInds throughout (dependent attributes ascending).
 
-/// Runs `count` independent tasks (`task(i) -> Result<T>`) and returns the
-/// results in task order — serially when `pool` is null, concurrently on
-/// the pool otherwise. Tasks must be independent (the n-ary batch shapes:
-/// one level's candidates, one run's table pairs); since the output order
-/// is the task order and counters are merged per-task, a batch produces
-/// byte-identical results at any thread count.
-template <typename T, typename Task>
-std::vector<Result<T>> RunNaryBatch(ThreadPool* pool, size_t count,
-                                    Task&& task) {
-  std::vector<Result<T>> results;
-  results.reserve(count);
-  if (pool == nullptr || count < 2) {
-    for (size_t i = 0; i < count; ++i) results.push_back(task(i));
-    return results;
-  }
-  std::vector<std::future<Result<T>>> futures;
-  futures.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    futures.push_back(pool->Submit([&task, i] { return task(i); }));
-  }
-  for (auto& future : futures) results.push_back(future.get());
-  return results;
-}
+/// Satisfied unary (dependent, referenced) attribute pairs.
+using UnaryPairs = std::vector<std::pair<AttributeRef, AttributeRef>>;
+
+/// The unary base grouped by (dependent table, referenced table), in table
+/// pair order and input order within a pair. Pairs with fewer than two
+/// INDs are dropped: they cannot combine into an n-ary IND.
+std::vector<UnaryPairs> GroupByTablePair(const std::vector<Ind>& unary);
+
+/// The canonical n-ary IND pairing `pairs`: dependent attributes
+/// ascending, referenced attributes aligned.
+NaryInd CanonicalNaryInd(UnaryPairs pairs);
+
+/// The (k-1)-ary subprojections of a k-ary IND, one per dropped position.
+std::vector<NaryInd> Children(const NaryInd& ind);
+
+/// True when `candidate` is a subprojection of (or equal to) any IND in
+/// `satisfied`, so it holds without a test.
+bool IsImplied(const NaryInd& candidate, const std::vector<NaryInd>& satisfied);
+
+/// The members of `satisfied` that are no subprojection of a larger member,
+/// in input order.
+std::vector<NaryInd> MaximalInds(const std::vector<NaryInd>& satisfied);
 
 }  // namespace spider

@@ -10,6 +10,7 @@
 #include "src/common/mutex.h"
 #include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
+#include "src/ind/run_batch.h"
 
 namespace spider {
 

@@ -1,114 +1,71 @@
 #include "src/ind/ucc_levelwise.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
-#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
-#include "src/ind/nary_algorithm.h"  // RunNaryBatch
 #include "src/ind/registry.h"
-#include "src/storage/composite_cursor.h"  // EncodeCompositeKey
+#include "src/ind/run_batch.h"
 
 namespace spider {
 
-UniquenessTester MakeHashUniquenessTester(bool require_non_null,
-                                          RunCounters* counters) {
-  return [require_non_null, counters](
-             const Table& table,
-             const std::vector<int>& columns) -> Result<bool> {
-    if (table.row_count() == 0) return false;  // vacuous keys are useless
-    std::vector<std::unique_ptr<ValueCursor>> cursors;
-    cursors.reserve(columns.size());
+namespace {
+
+// True when the projection of `table` onto `columns` (ascending indices) is
+// a key. NULL-containing rows are dropped by the extractor and duplicate
+// rows collapse, so only a NULL-free duplicate-free projection keeps all
+// row_count tuples in its sorted-distinct set. One cached streaming
+// extraction per combination.
+Result<bool> IsUnique(const Catalog& catalog, ValueSetExtractor* extractor,
+                      const Table& table, const std::vector<int>& columns) {
+  SortedSetInfo info;
+  if (columns.size() == 1) {
+    // Reuses (and seeds) the unary cache shared with IND profiling.
+    SPIDER_ASSIGN_OR_RETURN(
+        info, extractor->Extract(
+                  catalog, AttributeRef{table.name(),
+                                        table.column(columns[0]).name()}));
+  } else {
+    std::vector<AttributeRef> attributes;
+    attributes.reserve(columns.size());
     for (int c : columns) {
-      SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<ValueCursor> cursor,
-                              table.column(c).OpenCursor());
-      cursors.push_back(std::move(cursor));
+      attributes.push_back(AttributeRef{table.name(), table.column(c).name()});
     }
-    std::unordered_set<std::string> seen;
-    seen.reserve(static_cast<size_t>(table.row_count()));
-    std::vector<std::string> components(columns.size());
-    int64_t usable_rows = 0;
-    for (int64_t row = 0; row < table.row_count(); ++row) {
-      if (counters != nullptr) ++counters->tuples_read;
-      bool has_null = false;
-      for (size_t i = 0; i < columns.size(); ++i) {
-        // Every cursor advances every row (lockstep), even past NULL rows.
-        std::string_view view;
-        const CursorStep step = cursors[i]->Next(&view);
-        if (step == CursorStep::kEnd) {
-          SPIDER_RETURN_NOT_OK(cursors[i]->status());
-          return Status::IOError("column ended before its table's row count");
-        }
-        if (step == CursorStep::kNull) {
-          has_null = true;
-          continue;
-        }
-        if (!has_null) components[i].assign(view.data(), view.size());
-      }
-      if (has_null) {
-        if (require_non_null) return false;  // a key column may not be NULL
-        continue;
-      }
-      ++usable_rows;
-      if (!seen.insert(EncodeCompositeKey(components)).second) return false;
-    }
-    return usable_rows > 0;
-  };
+    SPIDER_ASSIGN_OR_RETURN(info,
+                            extractor->ExtractComposite(catalog, attributes));
+  }
+  return info.distinct_count == table.row_count();
 }
 
-UniquenessTester MakeSortedSetUniquenessTester(const Catalog& catalog,
-                                               ValueSetExtractor* extractor) {
-  SPIDER_CHECK(extractor != nullptr);
-  return [&catalog, extractor](
-             const Table& table,
-             const std::vector<int>& columns) -> Result<bool> {
-    if (table.row_count() == 0) return false;
-    SortedSetInfo info;
-    if (columns.size() == 1) {
-      // Reuses (and seeds) the unary cache shared with IND profiling.
-      SPIDER_ASSIGN_OR_RETURN(
-          info, extractor->Extract(
-                    catalog, AttributeRef{table.name(),
-                                          table.column(columns[0]).name()}));
-    } else {
-      std::vector<AttributeRef> attributes;
-      attributes.reserve(columns.size());
-      for (int c : columns) {
-        attributes.push_back(AttributeRef{table.name(),
-                                          table.column(c).name()});
-      }
-      SPIDER_ASSIGN_OR_RETURN(info,
-                              extractor->ExtractComposite(catalog, attributes));
-    }
-    // NULL-containing rows are dropped by the extractor and duplicate rows
-    // collapse, so only a NULL-free duplicate-free projection reaches the
-    // full row count.
-    return info.distinct_count == table.row_count();
-  };
-}
-
-Result<std::vector<Ucc>> FindMinimalUccs(const Table& table, int max_arity,
-                                         const UniquenessTester& tester,
-                                         RunContext* context,
-                                         RunCounters* counters,
-                                         bool* finished) {
-  SPIDER_CHECK_GE(max_arity, 1);
-  if (finished != nullptr) *finished = true;
-  std::vector<Ucc> result;
+// One table's levelwise search, serial within the table (the caller
+// parallelizes across tables). Polls `context` between candidates and
+// steps its progress once per tested candidate.
+Result<BatchOutcome<Ucc>> FindMinimalUccs(const Catalog& catalog,
+                                          const Table& table,
+                                          const UccLevelwiseOptions& options,
+                                          RunContext& context) {
+  BatchOutcome<Ucc> outcome;
   const int n = table.column_count();
-  if (n == 0 || table.row_count() == 0) return result;
+  // An empty table's combinations are vacuously unique: useless as keys.
+  if (n == 0 || table.row_count() == 0) return outcome;
 
-  auto stop = [&]() {
-    if (context == nullptr || !context->ShouldStop()) return false;
-    if (finished != nullptr) *finished = false;
-    return true;
-  };
+  // Tests one combination, recording it when unique.
   auto test = [&](const std::vector<int>& combo) -> Result<bool> {
-    if (counters != nullptr) ++counters->candidates_tested;
-    SPIDER_ASSIGN_OR_RETURN(bool unique, tester(table, combo));
-    if (context != nullptr) context->Step();
+    ++outcome.tests;
+    ++outcome.counters.candidates_tested;
+    SPIDER_ASSIGN_OR_RETURN(
+        const bool unique,
+        IsUnique(catalog, options.extractor, table, combo));
+    context.Step();
+    if (unique) {
+      Ucc ucc;
+      ucc.table = table.name();
+      for (int c : combo) ucc.columns.push_back(table.column(c).name());
+      outcome.found.push_back(std::move(ucc));
+    }
     return unique;
   };
 
@@ -117,15 +74,14 @@ Result<std::vector<Ucc>> FindMinimalUccs(const Table& table, int max_arity,
   std::set<std::vector<int>> unique_sets;
   for (int c = 0; c < n; ++c) {
     if (!IsIndEligibleType(table.column(c).type())) continue;
-    if (stop()) {
-      std::sort(result.begin(), result.end());
-      return result;
+    if (context.ShouldStop()) {
+      outcome.finished = false;
+      return outcome;
     }
     std::vector<int> combo{c};
-    SPIDER_ASSIGN_OR_RETURN(bool unique, test(combo));
+    SPIDER_ASSIGN_OR_RETURN(const bool unique, test(combo));
     if (unique) {
-      unique_sets.insert(combo);
-      result.push_back(Ucc{table.name(), {table.column(c).name()}});
+      unique_sets.insert(std::move(combo));
     } else {
       non_unique.push_back(std::move(combo));
     }
@@ -133,7 +89,8 @@ Result<std::vector<Ucc>> FindMinimalUccs(const Table& table, int max_arity,
 
   // Levels 2..max: extend non-unique combinations (supersets of a UCC are
   // never minimal; supersets of a non-unique set may become unique).
-  for (int arity = 2; arity <= max_arity && !non_unique.empty(); ++arity) {
+  for (int arity = 2; arity <= options.max_arity && !non_unique.empty();
+       ++arity) {
     std::set<std::vector<int>> candidates;
     for (const std::vector<int>& base : non_unique) {
       for (int c = base.back() + 1; c < n; ++c) {
@@ -156,27 +113,23 @@ Result<std::vector<Ucc>> FindMinimalUccs(const Table& table, int max_arity,
     }
     std::vector<std::vector<int>> next_non_unique;
     for (const std::vector<int>& combo : candidates) {
-      if (stop()) {
-        std::sort(result.begin(), result.end());
-        return result;
+      if (context.ShouldStop()) {
+        outcome.finished = false;
+        return outcome;
       }
-      SPIDER_ASSIGN_OR_RETURN(bool unique, test(combo));
+      SPIDER_ASSIGN_OR_RETURN(const bool unique, test(combo));
       if (unique) {
         unique_sets.insert(combo);
-        Ucc ucc;
-        ucc.table = table.name();
-        for (int c : combo) ucc.columns.push_back(table.column(c).name());
-        result.push_back(std::move(ucc));
       } else {
         next_non_unique.push_back(combo);
       }
     }
     non_unique = std::move(next_non_unique);
   }
-
-  std::sort(result.begin(), result.end());
-  return result;
+  return outcome;
 }
+
+}  // namespace
 
 UccLevelwiseAlgorithm::UccLevelwiseAlgorithm(UccLevelwiseOptions options)
     : options_(options) {
@@ -187,42 +140,24 @@ UccLevelwiseAlgorithm::UccLevelwiseAlgorithm(UccLevelwiseOptions options)
 
 Result<DependencyRunResult> UccLevelwiseAlgorithm::Run(const Catalog& catalog,
                                                        RunContext& context) {
-  Stopwatch watch;
-  watch.Start();
   context.Begin(/*total_work=*/0);  // candidate count unknown up front
-  DependencyRunResult result;
-
-  struct TableOutcome {
-    std::vector<Ucc> uccs;
-    RunCounters counters;
-    bool finished = true;
+  // Per-table searches are independent; the batch folds them in table
+  // order, so output and counters are identical at any thread count.
+  auto search = [&](size_t t) {
+    return FindMinimalUccs(catalog, catalog.table(static_cast<int>(t)),
+                           options_, context);
   };
-  const UniquenessTester tester =
-      MakeSortedSetUniquenessTester(catalog, options_.extractor);
-  // Per-table searches are independent; batch results fold in table order,
-  // so output and counters are identical at any thread count.
-  auto outcomes = RunNaryBatch<TableOutcome>(
-      options_.pool, static_cast<size_t>(catalog.table_count()),
-      [&](size_t t) -> Result<TableOutcome> {
-        TableOutcome outcome;
-        SPIDER_ASSIGN_OR_RETURN(
-            outcome.uccs,
-            FindMinimalUccs(catalog.table(static_cast<int>(t)),
-                            options_.max_arity, tester, &context,
-                            &outcome.counters, &outcome.finished));
-        return outcome;
-      });
-  for (Result<TableOutcome>& outcome : outcomes) {
-    SPIDER_RETURN_NOT_OK(outcome.status());
-    result.uccs.insert(result.uccs.end(),
-                       std::make_move_iterator(outcome->uccs.begin()),
-                       std::make_move_iterator(outcome->uccs.end()));
-    result.counters.Merge(outcome->counters);
-    result.finished = result.finished && outcome->finished;
-  }
+  SPIDER_ASSIGN_OR_RETURN(
+      BatchOutcome<Ucc> batch,
+      RunBatch<Ucc>(options_.pool, static_cast<size_t>(catalog.table_count()),
+                    context, search));
+  DependencyRunResult result;
+  result.uccs = std::move(batch.found);
   std::sort(result.uccs.begin(), result.uccs.end());
-  result.tests = result.counters.candidates_tested;
-  result.seconds = watch.ElapsedSeconds();
+  result.tests = batch.tests;
+  result.counters = batch.counters;
+  result.finished = batch.finished;
+  result.seconds = context.elapsed_seconds();
   return result;
 }
 

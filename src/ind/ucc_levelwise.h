@@ -1,5 +1,4 @@
-// Levelwise minimal-UCC discovery, promoted to a first-class registered
-// algorithm ("ucc-levelwise").
+// Levelwise minimal-UCC discovery, registered as "ucc-levelwise".
 //
 // Aladin's step 2 (paper Sec. 1.1) computes "candidates for primary keys
 // ... using the uniqueness constraint for keys"; real schemas use
@@ -13,24 +12,17 @@
 //   * only combinations whose every (k-1)-subset is non-unique are
 //     candidates at level k.
 //
-// The lattice engine is generic over a UniquenessTester, so two data paths
-// share it: an in-memory hash scan (the original UccDiscovery behaviour,
-// still used by the schema report) and the registered algorithm's sorted-
-// set path — a combination is unique iff its sorted-distinct composite set
+// A combination is unique iff its sorted-distinct composite set
 // (ValueSetExtractor::ExtractComposite, NULL rows dropped per SQL MATCH
-// SIMPLE) has exactly row_count entries. The sorted path streams through
-// the ExternalSorter, so it profiles out-of-core catalogs in bounded
-// memory, and honors RunContext budget/cancellation between candidates.
+// SIMPLE) has exactly row_count entries. The test streams through the
+// ExternalSorter, so the search profiles out-of-core catalogs in bounded
+// memory; it honors RunContext budget/cancellation between candidates, and
+// per-table searches dispatch onto an optional ThreadPool through RunBatch.
 
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
-#include "src/common/counters.h"
 #include "src/common/result.h"
 #include "src/common/thread_pool.h"
 #include "src/extsort/value_set_extractor.h"
@@ -40,41 +32,6 @@
 namespace spider {
 
 class AlgorithmRegistry;
-
-/// Decides whether the projection of `table` onto `columns` (ascending
-/// column indices) contains no duplicate tuple. Testers define their own
-/// NULL handling; both built-ins treat any NULL row as disqualifying.
-using UniquenessTester =
-    std::function<Result<bool>(const Table& table,
-                               const std::vector<int>& columns)>;
-
-/// In-memory tester: lockstep column cursors feeding a hash set. With
-/// `require_non_null` any NULL row disqualifies the combination (SQL key
-/// semantics); without it NULL rows are skipped and uniqueness is decided
-/// over the remaining rows. `counters` (optional) gets tuples_read.
-UniquenessTester MakeHashUniquenessTester(bool require_non_null,
-                                          RunCounters* counters);
-
-/// Out-of-core tester: a combination is unique iff its sorted-distinct
-/// composite set has exactly table.row_count() entries — duplicate rows
-/// and NULL-containing rows (dropped by the extractor, MATCH SIMPLE) both
-/// shrink the set below that. One cached streaming extraction per
-/// combination; thread-safe like the extractor. `catalog` and `extractor`
-/// are borrowed and must outlive the tester.
-UniquenessTester MakeSortedSetUniquenessTester(const Catalog& catalog,
-                                               ValueSetExtractor* extractor);
-
-/// Levelwise minimal-UCC search over one table with a pluggable tester.
-/// Honors `context` (optional) between candidates: on budget expiry or
-/// cancellation `*finished` is set false and the UCCs found so far are
-/// returned. `counters` (optional) gets candidates_tested; progress steps
-/// once per tested candidate.
-[[nodiscard]]
-Result<std::vector<Ucc>> FindMinimalUccs(const Table& table, int max_arity,
-                                         const UniquenessTester& tester,
-                                         RunContext* context,
-                                         RunCounters* counters,
-                                         bool* finished);
 
 /// Options for the registered "ucc-levelwise" algorithm.
 struct UccLevelwiseOptions {

@@ -21,29 +21,29 @@
 // one simplification relative to the published algorithm: optimistic
 // candidates are derived from greedy bipartite matchings of the unary base
 // rather than from minimal-hypergraph-transversal computation of the exact
-// optimistic positive border; DESIGN.md discusses the trade-off.
+// optimistic positive border; the zigzag section of docs/ALGORITHMS.md
+// discusses the trade-off.
 //
 // Error measurement streams through CompositeSetVerifier — a full merge of
 // the two sorted composite sets, the σ-partial-style coverage check lifted
 // to tuples — so zigzag profiles out-of-core catalogs. Independent table
-// pairs dispatch onto an optional ThreadPool.
+// pairs dispatch onto an optional ThreadPool through RunBatch.
 
 #pragma once
 
+#include <string_view>
 #include <vector>
 
-#include "src/common/counters.h"
 #include "src/common/result.h"
 #include "src/common/thread_pool.h"
-#include "src/ind/candidate.h"
 #include "src/ind/composite_verify.h"
-#include "src/ind/run_context.h"
+#include "src/ind/nary_algorithm.h"
 
 namespace spider {
 
 class AlgorithmRegistry;
 
-/// Options for ZigzagDiscovery.
+/// Options for ZigzagAlgorithm.
 struct ZigzagOptions {
   /// Maximum arity considered.
   int max_arity = 8;
@@ -51,7 +51,7 @@ struct ZigzagOptions {
   /// top-down into its children; above the threshold it is abandoned.
   double epsilon = 0.3;
   /// Sorted composite sets are materialized and cached here. Borrowed;
-  /// nullptr = a scoped temp-dir extractor owned by the discovery object.
+  /// nullptr = a scoped temp-dir extractor owned by the verifier.
   ValueSetExtractor* extractor = nullptr;
   /// When set, independent table pairs are processed concurrently on this
   /// pool. Results and counters are identical to the serial run. Borrowed.
@@ -61,50 +61,27 @@ struct ZigzagOptions {
   bool block_skip = true;
 };
 
-/// Result of a zigzag run.
-struct ZigzagResult {
-  /// Maximal satisfied INDs of arity >= 2 (none is a subprojection of
-  /// another reported IND).
-  std::vector<NaryInd> maximal;
-  /// Direct data tests performed (the figure to compare against pure
-  /// levelwise expansion).
-  int64_t tests = 0;
-  /// Tests that immediately confirmed an optimistic candidate.
-  int64_t optimistic_hits = 0;
-  RunCounters counters;
-  /// False when the budget expired or the run was cancelled mid-way.
-  bool finished = true;
-};
-
-/// \brief Optimistic/top-down n-ary IND discovery.
-class ZigzagDiscovery {
+/// \brief Optimistic/top-down n-ary IND discovery, registered as "zigzag".
+/// Reports the maximal satisfied INDs of arity >= 2 (none is a
+/// subprojection of another reported IND); `tests` counts the direct data
+/// tests, the figure to compare against pure levelwise expansion.
+class ZigzagAlgorithm final : public NaryAlgorithm {
  public:
-  explicit ZigzagDiscovery(ZigzagOptions options = {});
+  explicit ZigzagAlgorithm(ZigzagOptions options = {});
 
-  /// `unary` must be the complete satisfied unary IND set (as for
-  /// NaryIndDiscovery).
+  /// `unary` must be the complete satisfied unary IND set (as for the
+  /// levelwise expansion).
+  using NaryAlgorithm::Run;
   [[nodiscard]]
-  Result<ZigzagResult> Run(const Catalog& catalog,
-                           const std::vector<Ind>& unary) const;
+  Result<NaryRunResult> Run(const Catalog& catalog,
+                            const std::vector<Ind>& unary,
+                            RunContext& context) override;
 
-  /// As above, honoring the context's budget/cancellation.
-  [[nodiscard]]
-  Result<ZigzagResult> Run(const Catalog& catalog,
-                           const std::vector<Ind>& unary,
-                           RunContext& context) const;
-
-  /// Measures the g3' error of a candidate: the fraction of distinct
-  /// dependent tuples with no referenced match (0 ⇔ satisfied). Exposed
-  /// for tests.
-  [[nodiscard]]
-  Result<double> Error(const Catalog& catalog, const NaryInd& candidate,
-                       RunCounters* counters) const;
+  std::string_view name() const override { return "zigzag"; }
 
  private:
-  struct PairOutcome;
-
   ZigzagOptions options_;
-  mutable CompositeSetVerifier verifier_;
+  CompositeSetVerifier verifier_;
 };
 
 /// Registers the "zigzag" expansion with the registry.

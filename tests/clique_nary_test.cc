@@ -2,6 +2,7 @@
 
 #include "src/common/random.h"
 #include "src/ind/clique_nary.h"
+#include "src/ind/composite_verify.h"
 #include "src/ind/nary.h"
 #include "tests/test_util.h"
 
@@ -94,7 +95,7 @@ TEST(MaximalCliquesTest, RandomGraphCliquesAreValidAndMaximal) {
   }
 }
 
-// --------------------------------------------------- CliqueNaryDiscovery
+// --------------------------------------------------- CliqueNaryAlgorithm
 
 // parent/child with a k-wide copied-row relationship (see zigzag_test).
 void BuildWide(Catalog* catalog, int cols, int broken_column) {
@@ -135,11 +136,11 @@ std::vector<Ind> WideUnarySeed(int cols) {
 TEST(CliqueNaryTest, FindsFullWidthIndWithOneCliqueTest) {
   Catalog catalog;
   BuildWide(&catalog, 4, -1);
-  CliqueNaryDiscovery discovery;
+  CliqueNaryAlgorithm discovery;
   auto result = discovery.Run(catalog, WideUnarySeed(4));
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->maximal.size(), 1u);
-  EXPECT_EQ(result->maximal[0].arity(), 4);
+  ASSERT_EQ(result->satisfied.size(), 1u);
+  EXPECT_EQ(result->satisfied[0].arity(), 4);
   // 6 binary edges + 1 clique validation.
   EXPECT_EQ(result->tests, 7);
 }
@@ -147,14 +148,14 @@ TEST(CliqueNaryTest, FindsFullWidthIndWithOneCliqueTest) {
 TEST(CliqueNaryTest, BrokenColumnSplitsTheClique) {
   Catalog catalog;
   BuildWide(&catalog, 4, /*broken_column=*/3);
-  CliqueNaryDiscovery discovery;
+  CliqueNaryAlgorithm discovery;
   auto result = discovery.Run(catalog, WideUnarySeed(4));
   ASSERT_TRUE(result.ok());
   // Binary INDs involving column 3 fail, so the clique is {0,1,2}: the
   // ternary IND over the intact columns is maximal.
-  ASSERT_EQ(result->maximal.size(), 1u);
-  EXPECT_EQ(result->maximal[0].arity(), 3);
-  for (const AttributeRef& dep : result->maximal[0].dependent) {
+  ASSERT_EQ(result->satisfied.size(), 1u);
+  EXPECT_EQ(result->satisfied[0].arity(), 3);
+  for (const AttributeRef& dep : result->satisfied[0].dependent) {
     EXPECT_NE(dep.column, "c3");
   }
 }
@@ -162,12 +163,13 @@ TEST(CliqueNaryTest, BrokenColumnSplitsTheClique) {
 TEST(CliqueNaryTest, ResultsAreSoundAndMutuallyMaximal) {
   Catalog catalog;
   BuildWide(&catalog, 5, 2);
-  CliqueNaryDiscovery discovery;
+  CliqueNaryAlgorithm discovery;
   auto result = discovery.Run(catalog, WideUnarySeed(5));
   ASSERT_TRUE(result.ok());
-  NaryIndDiscovery verifier;
-  for (const NaryInd& ind : result->maximal) {
-    auto verdict = verifier.Verify(catalog, ind, nullptr);
+  CompositeSetVerifier verifier;
+  for (const NaryInd& ind : result->satisfied) {
+    auto verdict = verifier.VerifyIncluded(catalog, ind, nullptr,
+                                           /*early_stop=*/true);
     ASSERT_TRUE(verdict.ok());
     EXPECT_TRUE(*verdict) << ind.ToString();
   }
@@ -177,10 +179,10 @@ TEST(CliqueNaryTest, SingleUnaryYieldsNothing) {
   Catalog catalog;
   testing::AddStringColumn(&catalog, "d", "c", {"v"});
   testing::AddStringColumn(&catalog, "r", "c", {"v"});
-  CliqueNaryDiscovery discovery;
+  CliqueNaryAlgorithm discovery;
   auto result = discovery.Run(catalog, {{{"d", "c"}, {"r", "c"}}});
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->maximal.empty());
+  EXPECT_TRUE(result->satisfied.empty());
   EXPECT_EQ(result->tests, 0);
 }
 
@@ -189,7 +191,7 @@ TEST(CliqueNaryTest, TestBudgetSurfacesError) {
   BuildWide(&catalog, 6, 1);
   CliqueNaryOptions options;
   options.max_tests_per_pair = 0;  // any clique validation exceeds
-  CliqueNaryDiscovery discovery(options);
+  CliqueNaryAlgorithm discovery(options);
   auto result = discovery.Run(catalog, WideUnarySeed(6));
   EXPECT_TRUE(result.status().IsResourceExhausted());
 }
@@ -241,17 +243,17 @@ TEST_P(CliqueNaryPropertyTest, MatchesLevelwiseMaximalInds) {
     }
   }
 
-  CliqueNaryDiscovery clique;
+  CliqueNaryAlgorithm clique;
   auto clique_result = clique.Run(catalog, unary);
   ASSERT_TRUE(clique_result.ok());
 
   NaryDiscoveryOptions lw_options;
   lw_options.max_arity = cols;
-  auto levelwise = NaryIndDiscovery(lw_options).Run(catalog, unary);
+  auto levelwise = LevelwiseNaryAlgorithm(lw_options).Run(catalog, unary);
   ASSERT_TRUE(levelwise.ok());
   // Maximal INDs from the levelwise result: those not strictly contained
   // in another satisfied IND.
-  std::vector<NaryInd> all = levelwise->AllNary();
+  const std::vector<NaryInd>& all = levelwise->satisfied;
   std::set<NaryInd> levelwise_maximal;
   for (const NaryInd& a : all) {
     bool maximal = true;
@@ -277,8 +279,8 @@ TEST_P(CliqueNaryPropertyTest, MatchesLevelwiseMaximalInds) {
     if (maximal) levelwise_maximal.insert(a);
   }
 
-  std::set<NaryInd> clique_maximal(clique_result->maximal.begin(),
-                                   clique_result->maximal.end());
+  std::set<NaryInd> clique_maximal(clique_result->satisfied.begin(),
+                                   clique_result->satisfied.end());
   EXPECT_EQ(clique_maximal, levelwise_maximal);
 }
 

@@ -108,9 +108,9 @@ TEST(CompositeVerifyTest, ErrorCountsDistinctTuplesNotRows) {
 }
 
 TEST(CompositeVerifyTest, ThresholdAcceptsErrorExactlyAtAndRejectsAbove) {
-  // The partial n-ary contract is error <= threshold: a candidate sitting
-  // exactly on the threshold is satisfied; nudge the threshold below the
-  // error and it is not.
+  // The partial n-ary contract is error <= threshold, end to end through
+  // the levelwise expansion: a candidate sitting exactly on the threshold
+  // is reported; nudge the threshold below the error and it is not.
   Catalog catalog;
   AddPairTable(&catalog, "dep",
                {{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "4"}});
@@ -118,47 +118,21 @@ TEST(CompositeVerifyTest, ThresholdAcceptsErrorExactlyAtAndRejectsAbove) {
   // composite tuple (d, 4) is missing, so the binary error is 1/4.
   AddPairTable(&catalog, "ref",
                {{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "9"}, {"e", "4"}});
-  const NaryInd candidate = PairCandidate("dep", "ref");
-
-  NaryDiscoveryOptions at;
-  at.error_threshold = 0.25;
-  auto satisfied = NaryIndDiscovery(at).Verify(catalog, candidate, nullptr);
-  ASSERT_TRUE(satisfied.ok());
-  EXPECT_TRUE(*satisfied);
-
-  NaryDiscoveryOptions below;
-  below.error_threshold = 0.24;
-  satisfied = NaryIndDiscovery(below).Verify(catalog, candidate, nullptr);
-  ASSERT_TRUE(satisfied.ok());
-  EXPECT_FALSE(*satisfied);
-
-  // Exact mode (threshold 0) rejects any miss at all.
-  satisfied = NaryIndDiscovery(NaryDiscoveryOptions{}).Verify(catalog, candidate, nullptr);
-  ASSERT_TRUE(satisfied.ok());
-  EXPECT_FALSE(*satisfied);
-}
-
-TEST(CompositeVerifyTest, ThresholdedDiscoveryKeepsPartialCandidates) {
-  // End-to-end through the levelwise expansion: with the threshold the
-  // 1/4-error binary IND is reported, without it the level is empty.
-  Catalog catalog;
-  AddPairTable(&catalog, "dep",
-               {{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "4"}});
-  AddPairTable(&catalog, "ref",
-               {{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "9"}, {"e", "4"}});
   const std::vector<Ind> unary = {{{"dep", "a"}, {"ref", "a"}},
                                   {{"dep", "b"}, {"ref", "b"}}};
+  auto satisfied_at = [&](double threshold) {
+    NaryDiscoveryOptions options;
+    options.error_threshold = threshold;
+    auto result = LevelwiseNaryAlgorithm(options).Run(catalog, unary);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->satisfied : std::vector<NaryInd>{};
+  };
 
-  NaryDiscoveryOptions partial;
-  partial.error_threshold = 0.25;
-  auto with = NaryIndDiscovery(partial).Run(catalog, unary);
-  ASSERT_TRUE(with.ok());
-  ASSERT_EQ(with->AllNary().size(), 1u);
-  EXPECT_EQ(with->AllNary()[0], PairCandidate("dep", "ref"));
-
-  auto without = NaryIndDiscovery(NaryDiscoveryOptions{}).Run(catalog, unary);
-  ASSERT_TRUE(without.ok());
-  EXPECT_TRUE(without->AllNary().empty());
+  EXPECT_EQ(satisfied_at(0.25),
+            (std::vector<NaryInd>{PairCandidate("dep", "ref")}));
+  EXPECT_TRUE(satisfied_at(0.24).empty());
+  // Exact mode (threshold 0) rejects any miss at all.
+  EXPECT_TRUE(satisfied_at(0).empty());
 }
 
 }  // namespace

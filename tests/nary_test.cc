@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "src/common/random.h"
+#include "src/ind/composite_verify.h"
 #include "src/ind/nary.h"
+#include "src/storage/composite_cursor.h"
 #include "tests/test_util.h"
 
 namespace spider {
@@ -38,6 +41,12 @@ void BuildPair(Catalog* catalog, bool satisfied) {
                   .ok());
 }
 
+int CountArity(const std::vector<NaryInd>& inds, int arity) {
+  return static_cast<int>(std::count_if(
+      inds.begin(), inds.end(),
+      [arity](const NaryInd& ind) { return ind.arity() == arity; }));
+}
+
 NaryInd BinaryCandidate() {
   return NaryInd{{{"child", "x"}, {"child", "y"}},
                  {{"parent", "a"}, {"parent", "b"}}};
@@ -53,8 +62,9 @@ TEST(EncodeCompositeKeyTest, UnambiguousConcatenation) {
 TEST(NaryVerifyTest, SatisfiedBinaryInd) {
   Catalog catalog;
   BuildPair(&catalog, /*satisfied=*/true);
-  NaryIndDiscovery discovery;
-  auto verdict = discovery.Verify(catalog, BinaryCandidate(), nullptr);
+  CompositeSetVerifier verifier;
+  auto verdict = verifier.VerifyIncluded(catalog, BinaryCandidate(), nullptr,
+                                         /*early_stop=*/true);
   ASSERT_TRUE(verdict.ok());
   EXPECT_TRUE(*verdict);
 }
@@ -62,8 +72,9 @@ TEST(NaryVerifyTest, SatisfiedBinaryInd) {
 TEST(NaryVerifyTest, RefutedByWrongPairing) {
   Catalog catalog;
   BuildPair(&catalog, /*satisfied=*/false);
-  NaryIndDiscovery discovery;
-  auto verdict = discovery.Verify(catalog, BinaryCandidate(), nullptr);
+  CompositeSetVerifier verifier;
+  auto verdict = verifier.VerifyIncluded(catalog, BinaryCandidate(), nullptr,
+                                         /*early_stop=*/true);
   ASSERT_TRUE(verdict.ok());
   EXPECT_FALSE(*verdict);
 }
@@ -82,12 +93,12 @@ TEST(NaryVerifyTest, NullComponentsSkipTuple) {
   // SIMPLE semantics.
   ASSERT_TRUE(child->AppendRow({Value::String("zz"), Value::Null()}).ok());
   ASSERT_TRUE(child->AppendRow({Value::String("k"), Value::String("v")}).ok());
-  NaryIndDiscovery discovery;
-  auto verdict = discovery.Verify(
+  CompositeSetVerifier verifier;
+  auto verdict = verifier.VerifyIncluded(
       catalog,
       NaryInd{{{"child", "x"}, {"child", "y"}},
               {{"parent", "a"}, {"parent", "b"}}},
-      nullptr);
+      nullptr, /*early_stop=*/true);
   ASSERT_TRUE(verdict.ok());
   EXPECT_TRUE(*verdict);
 }
@@ -95,15 +106,18 @@ TEST(NaryVerifyTest, NullComponentsSkipTuple) {
 TEST(NaryVerifyTest, MalformedCandidatesRejected) {
   Catalog catalog;
   BuildPair(&catalog, true);
-  NaryIndDiscovery discovery;
+  CompositeSetVerifier verifier;
   // Arity mismatch.
   NaryInd bad{{{"child", "x"}}, {{"parent", "a"}, {"parent", "b"}}};
-  EXPECT_TRUE(discovery.Verify(catalog, bad, nullptr).status().IsInvalidArgument());
+  EXPECT_TRUE(verifier.VerifyIncluded(catalog, bad, nullptr, true)
+                  .status()
+                  .IsInvalidArgument());
   // Mixed tables on one side.
   NaryInd mixed{{{"child", "x"}, {"parent", "a"}},
                 {{"parent", "a"}, {"parent", "b"}}};
-  EXPECT_TRUE(
-      discovery.Verify(catalog, mixed, nullptr).status().IsInvalidArgument());
+  EXPECT_TRUE(verifier.VerifyIncluded(catalog, mixed, nullptr, true)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(NaryDiscoveryTest, FindsBinaryIndFromUnarySeed) {
@@ -113,12 +127,10 @@ TEST(NaryDiscoveryTest, FindsBinaryIndFromUnarySeed) {
       {{"child", "x"}, {"parent", "a"}},
       {{"child", "y"}, {"parent", "b"}},
   };
-  NaryIndDiscovery discovery;
+  LevelwiseNaryAlgorithm discovery;
   auto result = discovery.Run(catalog, unary);
   ASSERT_TRUE(result.ok());
-  ASSERT_GE(result->by_level.size(), 2u);
-  ASSERT_EQ(result->by_level[1].size(), 1u);
-  EXPECT_EQ(result->by_level[1][0], BinaryCandidate());
+  EXPECT_EQ(result->satisfied, std::vector<NaryInd>{BinaryCandidate()});
 }
 
 TEST(NaryDiscoveryTest, RefutedPairingYieldsNoBinaryInd) {
@@ -128,11 +140,10 @@ TEST(NaryDiscoveryTest, RefutedPairingYieldsNoBinaryInd) {
       {{"child", "x"}, {"parent", "a"}},
       {{"child", "y"}, {"parent", "b"}},
   };
-  auto result = NaryIndDiscovery().Run(catalog, unary);
+  auto result = LevelwiseNaryAlgorithm().Run(catalog, unary);
   ASSERT_TRUE(result.ok());
-  ASSERT_GE(result->by_level.size(), 2u);
-  EXPECT_TRUE(result->by_level[1].empty());
-  EXPECT_EQ(result->candidates_per_level[0], 1);
+  EXPECT_TRUE(result->satisfied.empty());
+  EXPECT_EQ(result->tests, 1);  // the one binary candidate
 }
 
 TEST(NaryDiscoveryTest, CrossTableUnariesNeverCombine) {
@@ -143,10 +154,9 @@ TEST(NaryDiscoveryTest, CrossTableUnariesNeverCombine) {
       {{"child", "x"}, {"parent", "a"}},
       {{"other", "z"}, {"parent", "b"}},  // different dependent table
   };
-  auto result = NaryIndDiscovery().Run(catalog, unary);
+  auto result = LevelwiseNaryAlgorithm().Run(catalog, unary);
   ASSERT_TRUE(result.ok());
-  ASSERT_GE(result->by_level.size(), 2u);
-  EXPECT_TRUE(result->by_level[1].empty());
+  EXPECT_TRUE(result->satisfied.empty());
 }
 
 TEST(NaryDiscoveryTest, ThreeColumnChainReachesTernary) {
@@ -177,13 +187,11 @@ TEST(NaryDiscoveryTest, ThreeColumnChainReachesTernary) {
   };
   NaryDiscoveryOptions options;
   options.max_arity = 3;
-  auto result = NaryIndDiscovery(options).Run(catalog, unary);
+  auto result = LevelwiseNaryAlgorithm(options).Run(catalog, unary);
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->by_level.size(), 3u);
-  EXPECT_EQ(result->by_level[1].size(), 3u);  // all three binary pairings
-  ASSERT_EQ(result->by_level[2].size(), 1u);  // the full ternary IND
-  EXPECT_EQ(result->by_level[2][0].arity(), 3);
-  EXPECT_EQ(result->AllNary().size(), 4u);
+  EXPECT_EQ(CountArity(result->satisfied, 2), 3);  // all binary pairings
+  EXPECT_EQ(CountArity(result->satisfied, 3), 1);  // the full ternary IND
+  EXPECT_EQ(result->satisfied.size(), 4u);
 }
 
 TEST(NaryDiscoveryTest, DownwardClosurePrunesCandidates) {
@@ -218,18 +226,16 @@ TEST(NaryDiscoveryTest, DownwardClosurePrunesCandidates) {
   };
   NaryDiscoveryOptions options;
   options.max_arity = 3;
-  auto result = NaryIndDiscovery(options).Run(catalog, unary);
+  auto result = LevelwiseNaryAlgorithm(options).Run(catalog, unary);
   ASSERT_TRUE(result.ok());
   // Level 2: (x,y)⊆(a,b) and (x,z)⊆(a,c) fail; (y,z)⊆(b,c) holds (v2/w2
   // pair exists in parent).
-  ASSERT_GE(result->by_level.size(), 2u);
-  EXPECT_EQ(result->by_level[1].size(), 1u);
+  EXPECT_EQ(CountArity(result->satisfied, 2), 1);
   // Level 3 has no candidate at all: two of its three subprojections are
-  // unsatisfied, so Apriori generation must not emit it.
-  if (result->by_level.size() > 2) {
-    EXPECT_TRUE(result->by_level[2].empty());
-    EXPECT_EQ(result->candidates_per_level[1], 0);
-  }
+  // unsatisfied, so Apriori generation must not emit it — only the three
+  // binary candidates were tested.
+  EXPECT_EQ(CountArity(result->satisfied, 3), 0);
+  EXPECT_EQ(result->tests, 3);
 }
 
 // Property sweep: levelwise discovery equals brute-force verification of
@@ -270,22 +276,22 @@ TEST_P(NaryPropertyTest, BinaryLevelMatchesExhaustiveCheck) {
 
   NaryDiscoveryOptions options;
   options.max_arity = 2;
-  auto result = NaryIndDiscovery(options).Run(catalog, unary);
+  auto result = LevelwiseNaryAlgorithm(options).Run(catalog, unary);
   ASSERT_TRUE(result.ok());
-  std::set<NaryInd> found(result->by_level[1].begin(),
-                          result->by_level[1].end());
+  std::set<NaryInd> found(result->satisfied.begin(), result->satisfied.end());
 
   // Exhaustive reference: all canonical binary combinations verified by
   // direct tuple containment.
   std::set<NaryInd> expected;
-  NaryIndDiscovery verifier;
+  CompositeSetVerifier verifier;
   for (const Ind& first : unary) {
     for (const Ind& second : unary) {
       if (!(first.dependent < second.dependent)) continue;
       if (first.referenced == second.referenced) continue;
       NaryInd candidate{{first.dependent, second.dependent},
                         {first.referenced, second.referenced}};
-      auto verdict = verifier.Verify(catalog, candidate, nullptr);
+      auto verdict = verifier.VerifyIncluded(catalog, candidate, nullptr,
+                                             /*early_stop=*/true);
       ASSERT_TRUE(verdict.ok());
       if (*verdict) expected.insert(candidate);
     }

@@ -106,6 +106,42 @@ TEST(SchemaReportOptionsTest, SurrogateFilterCanBeDisabled) {
   EXPECT_FALSE(unfiltered->fk_guesses.empty());
 }
 
+TEST(SchemaReportOptionsTest, CompositeKeysAcrossTables) {
+  // "zeta" has a single-column key (id) plus the composite key (x, y);
+  // "alpha" has no single-column key at all, only (entry, ordinal).
+  Catalog catalog;
+  auto add_table = [&catalog](const std::string& name,
+                              const std::vector<std::string>& columns,
+                              const std::vector<std::vector<std::string>>&
+                                  rows) {
+    Table* table = *catalog.CreateTable(name);
+    for (const std::string& column : columns) {
+      ASSERT_TRUE(table->AddColumn(column, TypeId::kString).ok());
+    }
+    for (const std::vector<std::string>& row : rows) {
+      std::vector<Value> values;
+      for (const std::string& value : row) {
+        values.push_back(Value::String(value));
+      }
+      ASSERT_TRUE(table->AppendRow(std::move(values)).ok());
+    }
+  };
+  add_table("zeta", {"id", "x", "y"},
+            {{"k1", "a", "1"}, {"k2", "a", "2"}, {"k3", "b", "1"},
+             {"k4", "b", "2"}});
+  add_table("alpha", {"entry", "ordinal", "note"},
+            {{"e1", "1", "n"}, {"e1", "2", "n"}, {"e2", "1", "n"},
+             {"e2", "2", "n"}});
+
+  auto report = BuildSchemaReport(catalog);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::set<Ucc> keys(report->composite_keys.begin(),
+                           report->composite_keys.end());
+  EXPECT_EQ(keys, (std::set<Ucc>{Ucc{"alpha", {"entry", "ordinal"}},
+                                 Ucc{"zeta", {"x", "y"}}}));
+  EXPECT_EQ(report->composite_keys.size(), keys.size());
+}
+
 TEST(SchemaReportOptionsTest, EmptyCatalog) {
   Catalog catalog;
   auto report = BuildSchemaReport(catalog);

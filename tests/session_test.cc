@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <memory>
 
+#include "src/common/temp_dir.h"
 #include "src/datagen/uniprot_like.h"
 #include "src/ind/report_json.h"
 #include "tests/test_util.h"
@@ -557,6 +559,108 @@ INSTANTIATE_TEST_SUITE_P(
                       BudgetCase{"spider-merge", 4}, BudgetCase{"nary", 1},
                       BudgetCase{"ucc-levelwise", 1},
                       BudgetCase{"fd-levelwise", 1}));
+
+// parent(p0..p5) / child(c0..c5): child rows copy parent rows, except
+// that c1 takes another in-domain value in one row — every unary IND
+// c_i ⊆ p_i holds, the wide pairings through c1 do not. Every batched
+// discoverer has validations left after its first one here.
+void FillWideCatalog(Catalog* catalog, std::vector<Ind>* unary) {
+  Table* parent = *catalog->CreateTable("parent");
+  Table* child = *catalog->CreateTable("child");
+  const int cols = 6;
+  for (int c = 0; c < cols; ++c) {
+    ASSERT_TRUE(
+        parent->AddColumn("p" + std::to_string(c), TypeId::kString).ok());
+    ASSERT_TRUE(
+        child->AddColumn("c" + std::to_string(c), TypeId::kString).ok());
+    unary->push_back(Ind{{"child", "c" + std::to_string(c)},
+                         {"parent", "p" + std::to_string(c)}});
+  }
+  for (int i = 0; i < 10; ++i) {
+    std::vector<Value> row;
+    for (int c = 0; c < cols; ++c) {
+      row.push_back(Value::String("v" + std::to_string(c) + "_" +
+                                  std::to_string(i)));
+    }
+    ASSERT_TRUE(parent->AppendRow(row).ok());
+    if (i < 8) {
+      if (i == 2) row[1] = Value::String("v1_9");
+      ASSERT_TRUE(child->AppendRow(std::move(row)).ok());
+    }
+  }
+}
+
+class StopMidRunTest : public ::testing::TestWithParam<BudgetCase> {};
+
+// Cancelling from the first progress step stops each batched discoverer
+// inside its own run (the batch driver's poll or the strategy's inner
+// one): the run returns OK, unfinished, with confirmed dependencies only.
+TEST_P(StopMidRunTest, CancelAfterFirstStepKeepsOnlyConfirmedResults) {
+  Catalog catalog;
+  std::vector<Ind> unary;
+  FillWideCatalog(&catalog, &unary);
+  auto dir = TempDir::Make("spider-stop-mid-run");
+  ASSERT_TRUE(dir.ok());
+  ValueSetExtractor extractor((*dir)->path());
+  std::unique_ptr<ThreadPool> pool;
+  AlgorithmConfig config;
+  config.extractor = &extractor;
+  if (GetParam().threads > 1) {
+    pool = std::make_unique<ThreadPool>(GetParam().threads);
+    config.pool = pool.get();
+  }
+  CancellationToken token;
+  RunContext bounded;
+  bounded.cancel = &token;
+  bounded.progress = [&token](const RunProgress&) { token.Cancel(); };
+
+  const std::string approach = GetParam().approach;
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  auto entry = registry.Find(approach);
+  ASSERT_TRUE(entry.ok());
+  if ((*entry)->capabilities.nary) {
+    auto algorithm = registry.Create<NaryAlgorithm>(approach, config);
+    ASSERT_TRUE(algorithm.ok()) << algorithm.status().ToString();
+    auto full = (*algorithm)->Run(catalog, unary);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(full->finished);
+    auto partial = (*algorithm)->Run(catalog, unary, bounded);
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    EXPECT_FALSE(partial->finished);
+    const std::set<NaryInd> confirmed(full->satisfied.begin(),
+                                      full->satisfied.end());
+    for (const NaryInd& ind : partial->satisfied) {
+      EXPECT_TRUE(confirmed.contains(ind)) << ind.ToString();
+    }
+  } else {
+    auto algorithm = registry.Create<DependencyAlgorithm>(approach, config);
+    ASSERT_TRUE(algorithm.ok()) << algorithm.status().ToString();
+    auto full = (*algorithm)->Run(catalog);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(full->finished);
+    auto partial = (*algorithm)->Run(catalog, bounded);
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    EXPECT_FALSE(partial->finished);
+    const std::set<Ucc> uccs(full->uccs.begin(), full->uccs.end());
+    for (const Ucc& ucc : partial->uccs) {
+      EXPECT_TRUE(uccs.contains(ucc)) << ucc.ToString();
+    }
+    const std::set<Fd> fds(full->fds.begin(), full->fds.end());
+    for (const Fd& fd : partial->fds) {
+      EXPECT_TRUE(fds.contains(fd)) << fd.ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryBatchedDiscoverer, StopMidRunTest,
+    ::testing::Values(BudgetCase{"nary", 1}, BudgetCase{"nary", 4},
+                      BudgetCase{"clique-nary", 1},
+                      BudgetCase{"clique-nary", 4}, BudgetCase{"zigzag", 1},
+                      BudgetCase{"zigzag", 4}, BudgetCase{"ucc-levelwise", 1},
+                      BudgetCase{"ucc-levelwise", 4},
+                      BudgetCase{"fd-levelwise", 1},
+                      BudgetCase{"fd-levelwise", 4}));
 
 TEST(SessionTest, ValidationRejectsBeforeAnyWork) {
   Catalog catalog;

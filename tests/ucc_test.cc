@@ -1,17 +1,16 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
-#include "src/discovery/ucc.h"
+#include "src/ind/session.h"
 #include "tests/test_util.h"
 
 namespace spider {
 namespace {
 
-// Builds a table from rows of string literals (nullptr = NULL).
-std::unique_ptr<Table> MakeTable(
-    const std::vector<std::string>& columns,
-    const std::vector<std::vector<const char*>>& rows) {
-  auto table = std::make_unique<Table>("t");
+// Adds table "t" with string columns from rows of literals (nullptr = NULL).
+Table* AddTable(Catalog* catalog, const std::vector<std::string>& columns,
+                const std::vector<std::vector<const char*>>& rows) {
+  Table* table = *catalog->CreateTable("t");
   for (const std::string& c : columns) {
     EXPECT_TRUE(table->AddColumn(c, TypeId::kString).ok());
   }
@@ -25,125 +24,104 @@ std::unique_ptr<Table> MakeTable(
   return table;
 }
 
-std::vector<std::string> Render(const std::vector<Ucc>& uccs) {
+// Runs the registered "ucc-levelwise" discoverer; max_arity < 1 selects
+// its default.
+DependencyRunResult FindUccs(const Catalog& catalog, int max_arity = 0) {
+  SpiderSession session(catalog);
+  RunOptions options;
+  options.approach = "ucc-levelwise";
+  options.nary_max_arity = max_arity;
+  auto report = session.Run(options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (!report.ok()) return {};
+  EXPECT_TRUE(report->dependency.finished);
+  return std::move(report).value().dependency;
+}
+
+std::vector<std::string> Render(const DependencyRunResult& result) {
   std::vector<std::string> out;
-  for (const Ucc& ucc : uccs) out.push_back(ucc.ToString());
+  for (const Ucc& ucc : result.uccs) out.push_back(ucc.ToString());
   return out;
 }
 
 TEST(UccTest, SingleUniqueColumn) {
-  auto table = MakeTable({"id", "name"},
-                         {{"1", "a"}, {"2", "a"}, {"3", "b"}});
-  UccDiscovery discovery;
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_EQ(Render(*uccs), (std::vector<std::string>{"t(id)"}));
+  Catalog catalog;
+  AddTable(&catalog, {"id", "name"}, {{"1", "a"}, {"2", "a"}, {"3", "b"}});
+  EXPECT_EQ(Render(FindUccs(catalog)), (std::vector<std::string>{"t(id)"}));
 }
 
 TEST(UccTest, CompositeKeyWhenNoSingleColumnIsUnique) {
   // (a, b) unique together, neither alone.
-  auto table = MakeTable({"a", "b"},
-                         {{"x", "1"}, {"x", "2"}, {"y", "1"}, {"y", "2"}});
-  UccDiscovery discovery;
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_EQ(Render(*uccs), (std::vector<std::string>{"t(a, b)"}));
+  Catalog catalog;
+  AddTable(&catalog, {"a", "b"},
+           {{"x", "1"}, {"x", "2"}, {"y", "1"}, {"y", "2"}});
+  EXPECT_EQ(Render(FindUccs(catalog)),
+            (std::vector<std::string>{"t(a, b)"}));
 }
 
 TEST(UccTest, MinimalityExcludesSupersets) {
   // id unique alone: (id, x) must not be reported.
-  auto table = MakeTable({"id", "x"}, {{"1", "q"}, {"2", "q"}});
-  UccDiscovery discovery;
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_EQ(Render(*uccs), (std::vector<std::string>{"t(id)"}));
+  Catalog catalog;
+  AddTable(&catalog, {"id", "x"}, {{"1", "q"}, {"2", "q"}});
+  EXPECT_EQ(Render(FindUccs(catalog)), (std::vector<std::string>{"t(id)"}));
 }
 
 TEST(UccTest, MultipleMinimalUccs) {
   // Both id and code are unique individually.
-  auto table = MakeTable({"id", "code", "x"},
-                         {{"1", "aa", "q"}, {"2", "bb", "q"}});
-  UccDiscovery discovery;
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_EQ(Render(*uccs),
+  Catalog catalog;
+  AddTable(&catalog, {"id", "code", "x"},
+           {{"1", "aa", "q"}, {"2", "bb", "q"}});
+  EXPECT_EQ(Render(FindUccs(catalog)),
             (std::vector<std::string>{"t(code)", "t(id)"}));
 }
 
 TEST(UccTest, NullDisqualifiesKeyColumns) {
-  auto table = MakeTable({"id"}, {{"1"}, {nullptr}});
-  UccDiscovery discovery;
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_TRUE(uccs->empty());
-}
-
-TEST(UccTest, NullTolerantModeSkipsNullRows) {
-  auto table = MakeTable({"id"}, {{"1"}, {nullptr}, {"2"}});
-  UccOptions options;
-  options.require_non_null = false;
-  UccDiscovery discovery(options);
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_EQ(Render(*uccs), (std::vector<std::string>{"t(id)"}));
+  Catalog catalog;
+  AddTable(&catalog, {"id"}, {{"1"}, {nullptr}});
+  EXPECT_TRUE(FindUccs(catalog).uccs.empty());
 }
 
 TEST(UccTest, EmptyTableHasNoKeys) {
-  auto table = MakeTable({"id"}, {});
-  UccDiscovery discovery;
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_TRUE(uccs->empty());
+  Catalog catalog;
+  AddTable(&catalog, {"id"}, {});
+  EXPECT_TRUE(FindUccs(catalog).uccs.empty());
 }
 
 TEST(UccTest, NoUniqueCombinationAtAll) {
-  auto table = MakeTable({"a", "b"}, {{"x", "y"}, {"x", "y"}});
-  UccDiscovery discovery;
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_TRUE(uccs->empty());
+  Catalog catalog;
+  AddTable(&catalog, {"a", "b"}, {{"x", "y"}, {"x", "y"}});
+  EXPECT_TRUE(FindUccs(catalog).uccs.empty());
 }
 
 TEST(UccTest, MaxArityBoundsSearch) {
   // Only the full (a, b, c) combination is unique.
-  auto table = MakeTable({"a", "b", "c"}, {{"x", "1", "p"},
-                                           {"x", "1", "q"},
-                                           {"x", "2", "p"},
-                                           {"y", "1", "p"}});
-  UccOptions shallow;
-  shallow.max_arity = 2;
-  auto limited = UccDiscovery(shallow).FindInTable(*table);
-  ASSERT_TRUE(limited.ok());
-  EXPECT_TRUE(limited->empty());
-
-  UccOptions deep;
-  deep.max_arity = 3;
-  auto full = UccDiscovery(deep).FindInTable(*table);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(Render(*full), (std::vector<std::string>{"t(a, b, c)"}));
+  Catalog catalog;
+  AddTable(&catalog, {"a", "b", "c"},
+           {{"x", "1", "p"},
+            {"x", "1", "q"},
+            {"x", "2", "p"},
+            {"y", "1", "p"}});
+  EXPECT_TRUE(FindUccs(catalog, /*max_arity=*/2).uccs.empty());
+  EXPECT_EQ(Render(FindUccs(catalog, /*max_arity=*/3)),
+            (std::vector<std::string>{"t(a, b, c)"}));
 }
 
 TEST(UccTest, LobColumnsExcluded) {
-  auto table = std::make_unique<Table>("t");
+  Catalog catalog;
+  Table* table = *catalog.CreateTable("t");
   ASSERT_TRUE(table->AddColumn("seq", TypeId::kLob).ok());
   ASSERT_TRUE(table->AppendRow({Value::String("AAA")}).ok());
   ASSERT_TRUE(table->AppendRow({Value::String("BBB")}).ok());
-  UccDiscovery discovery;
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_TRUE(uccs->empty());
+  EXPECT_TRUE(FindUccs(catalog).uccs.empty());
 }
 
 TEST(UccTest, FindScansWholeCatalog) {
   Catalog catalog;
   testing::AddStringColumn(&catalog, "t1", "id", {"a", "b"});
   testing::AddStringColumn(&catalog, "t2", "x", {"q", "q"});
-  UccDiscovery discovery;
-  RunCounters counters;
-  auto uccs = discovery.Find(catalog, &counters);
-  ASSERT_TRUE(uccs.ok());
-  EXPECT_EQ(Render(*uccs), (std::vector<std::string>{"t1(id)"}));
-  EXPECT_GT(counters.candidates_tested, 0);
+  const DependencyRunResult result = FindUccs(catalog);
+  EXPECT_EQ(Render(result), (std::vector<std::string>{"t1(id)"}));
+  EXPECT_GT(result.counters.candidates_tested, 0);
 }
 
 // Property sweep: reported UCCs are unique projections, and every reported
@@ -152,7 +130,8 @@ class UccPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(UccPropertyTest, SoundAndMinimal) {
   Random rng(static_cast<uint64_t>(GetParam()));
-  auto table = std::make_unique<Table>("t");
+  Catalog catalog;
+  Table* table = *catalog.CreateTable("t");
   const int cols = 4;
   for (int c = 0; c < cols; ++c) {
     ASSERT_TRUE(
@@ -165,11 +144,7 @@ TEST_P(UccPropertyTest, SoundAndMinimal) {
     }
     ASSERT_TRUE(table->AppendRow(std::move(row)).ok());
   }
-  UccOptions options;
-  options.max_arity = cols;
-  UccDiscovery discovery(options);
-  auto uccs = discovery.FindInTable(*table);
-  ASSERT_TRUE(uccs.ok());
+  const DependencyRunResult result = FindUccs(catalog, cols);
 
   auto projection_unique = [&](const std::vector<std::string>& columns) {
     std::set<std::vector<std::string>> seen;
@@ -183,7 +158,7 @@ TEST_P(UccPropertyTest, SoundAndMinimal) {
     return true;
   };
 
-  for (const Ucc& ucc : *uccs) {
+  for (const Ucc& ucc : result.uccs) {
     EXPECT_TRUE(projection_unique(ucc.columns)) << ucc.ToString();
     // Minimality: dropping any column loses uniqueness.
     for (size_t drop = 0; drop < ucc.columns.size(); ++drop) {

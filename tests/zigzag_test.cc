@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/ind/composite_verify.h"
 #include "src/ind/nary.h"
 #include "src/ind/zigzag.h"
 #include "tests/test_util.h"
@@ -47,10 +48,10 @@ std::vector<Ind> TernaryUnarySeed() {
 TEST(ZigzagErrorTest, ZeroForSatisfiedCandidate) {
   Catalog catalog;
   BuildTernary(&catalog, false);
-  ZigzagDiscovery zigzag;
+  CompositeSetVerifier verifier;
   NaryInd candidate{{{"child", "x"}, {"child", "y"}, {"child", "z"}},
                     {{"parent", "a"}, {"parent", "b"}, {"parent", "c"}}};
-  auto error = zigzag.Error(catalog, candidate, nullptr);
+  auto error = verifier.Error(catalog, candidate, nullptr);
   ASSERT_TRUE(error.ok());
   EXPECT_DOUBLE_EQ(*error, 0.0);
 }
@@ -58,10 +59,10 @@ TEST(ZigzagErrorTest, ZeroForSatisfiedCandidate) {
 TEST(ZigzagErrorTest, FractionOfViolatingTuples) {
   Catalog catalog;
   BuildTernary(&catalog, true);
-  ZigzagDiscovery zigzag;
+  CompositeSetVerifier verifier;
   NaryInd candidate{{{"child", "x"}, {"child", "y"}, {"child", "z"}},
                     {{"parent", "a"}, {"parent", "b"}, {"parent", "c"}}};
-  auto error = zigzag.Error(catalog, candidate, nullptr);
+  auto error = verifier.Error(catalog, candidate, nullptr);
   ASSERT_TRUE(error.ok());
   // 1 of 8 distinct child tuples violates.
   EXPECT_DOUBLE_EQ(*error, 1.0 / 8.0);
@@ -70,12 +71,11 @@ TEST(ZigzagErrorTest, FractionOfViolatingTuples) {
 TEST(ZigzagTest, OptimisticJumpFindsMaximalIndInOneTest) {
   Catalog catalog;
   BuildTernary(&catalog, false);
-  ZigzagDiscovery zigzag;
+  ZigzagAlgorithm zigzag;
   auto result = zigzag.Run(catalog, TernaryUnarySeed());
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->maximal.size(), 1u);
-  EXPECT_EQ(result->maximal[0].arity(), 3);
-  EXPECT_GE(result->optimistic_hits, 1);
+  ASSERT_EQ(result->satisfied.size(), 1u);
+  EXPECT_EQ(result->satisfied[0].arity(), 3);
   // The optimistic jump needs exactly one data test for the whole lattice.
   EXPECT_EQ(result->tests, 1);
 }
@@ -85,15 +85,16 @@ TEST(ZigzagTest, TopDownRefinementAfterNearMiss) {
   BuildTernary(&catalog, true);
   ZigzagOptions options;
   options.epsilon = 0.5;  // 1/8 error refines top-down
-  ZigzagDiscovery zigzag(options);
+  ZigzagAlgorithm zigzag(options);
   auto result = zigzag.Run(catalog, TernaryUnarySeed());
   ASSERT_TRUE(result.ok());
   // (x,y) ⊆ (a,b) survives; reported maximal INDs must all be satisfied
   // and include it.
   bool found_xy = false;
-  NaryIndDiscovery verifier;
-  for (const NaryInd& ind : result->maximal) {
-    auto verdict = verifier.Verify(catalog, ind, nullptr);
+  CompositeSetVerifier verifier;
+  for (const NaryInd& ind : result->satisfied) {
+    auto verdict = verifier.VerifyIncluded(catalog, ind, nullptr,
+                                           /*early_stop=*/true);
     ASSERT_TRUE(verdict.ok());
     EXPECT_TRUE(*verdict) << ind.ToString();
     if (ind.arity() == 2 &&
@@ -110,10 +111,10 @@ TEST(ZigzagTest, LargeEpsilonZeroAbandonsBadBranches) {
   BuildTernary(&catalog, true);
   ZigzagOptions options;
   options.epsilon = 0.0;  // never refine: failed optimistic test is final
-  ZigzagDiscovery zigzag(options);
+  ZigzagAlgorithm zigzag(options);
   auto result = zigzag.Run(catalog, TernaryUnarySeed());
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->maximal.empty());
+  EXPECT_TRUE(result->satisfied.empty());
   EXPECT_EQ(result->tests, 1);
 }
 
@@ -121,26 +122,26 @@ TEST(ZigzagTest, SingleUnaryIndPerPairYieldsNothing) {
   Catalog catalog;
   testing::AddStringColumn(&catalog, "d", "c", {"v"});
   testing::AddStringColumn(&catalog, "r", "c", {"v", "w"});
-  ZigzagDiscovery zigzag;
+  ZigzagAlgorithm zigzag;
   auto result = zigzag.Run(catalog, {{{"d", "c"}, {"r", "c"}}});
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->maximal.empty());
+  EXPECT_TRUE(result->satisfied.empty());
   EXPECT_EQ(result->tests, 0);
 }
 
 TEST(ZigzagTest, MaximalSetContainsNoSubprojectionPairs) {
   Catalog catalog;
   BuildTernary(&catalog, false);
-  ZigzagDiscovery zigzag;
+  ZigzagAlgorithm zigzag;
   auto result = zigzag.Run(catalog, TernaryUnarySeed());
   ASSERT_TRUE(result.ok());
-  for (size_t i = 0; i < result->maximal.size(); ++i) {
-    for (size_t j = 0; j < result->maximal.size(); ++j) {
+  for (size_t i = 0; i < result->satisfied.size(); ++i) {
+    for (size_t j = 0; j < result->satisfied.size(); ++j) {
       if (i == j) continue;
-      EXPECT_FALSE(result->maximal[i].dependent.size() <
-                       result->maximal[j].dependent.size() &&
-                   result->maximal[i].ToString() ==
-                       result->maximal[j].ToString());
+      EXPECT_FALSE(result->satisfied[i].dependent.size() <
+                       result->satisfied[j].dependent.size() &&
+                   result->satisfied[i].ToString() ==
+                       result->satisfied[j].ToString());
     }
   }
 }
@@ -199,13 +200,14 @@ TEST_P(ZigzagPropertyTest, SoundAndCompetitiveWithLevelwise) {
 
   ZigzagOptions zz_options;
   zz_options.epsilon = 1.0;  // always refine: complete within the seeds
-  auto zigzag = ZigzagDiscovery(zz_options).Run(catalog, unary);
+  auto zigzag = ZigzagAlgorithm(zz_options).Run(catalog, unary);
   ASSERT_TRUE(zigzag.ok());
 
-  NaryIndDiscovery verifier;
+  CompositeSetVerifier verifier;
   int zigzag_max_arity = 0;
-  for (const NaryInd& ind : zigzag->maximal) {
-    auto verdict = verifier.Verify(catalog, ind, nullptr);
+  for (const NaryInd& ind : zigzag->satisfied) {
+    auto verdict = verifier.VerifyIncluded(catalog, ind, nullptr,
+                                           /*early_stop=*/true);
     ASSERT_TRUE(verdict.ok());
     EXPECT_TRUE(*verdict) << ind.ToString();  // soundness
     zigzag_max_arity = std::max(zigzag_max_arity, ind.arity());
@@ -213,10 +215,10 @@ TEST_P(ZigzagPropertyTest, SoundAndCompetitiveWithLevelwise) {
 
   NaryDiscoveryOptions lw_options;
   lw_options.max_arity = cols;
-  auto levelwise = NaryIndDiscovery(lw_options).Run(catalog, unary);
+  auto levelwise = LevelwiseNaryAlgorithm(lw_options).Run(catalog, unary);
   ASSERT_TRUE(levelwise.ok());
   int levelwise_max_arity = static_cast<int>(unary.size() >= 1 ? 1 : 0);
-  for (const NaryInd& ind : levelwise->AllNary()) {
+  for (const NaryInd& ind : levelwise->satisfied) {
     levelwise_max_arity = std::max(levelwise_max_arity, ind.arity());
   }
   if (levelwise_max_arity >= 2) {
