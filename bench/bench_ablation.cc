@@ -19,10 +19,11 @@ void BM_EarlyStop(benchmark::State& state, bool early_stop) {
     auto dir = TempDir::Make("spider-bench-ablation");
     SPIDER_CHECK(dir.ok());
     ValueSetExtractor extractor((*dir)->path());
+    AlgorithmConfig config;
+    config.extractor = &extractor;
     BruteForceOptions options;
-    options.extractor = &extractor;
     options.early_stop = early_stop;
-    auto result = BruteForceAlgorithm(options).Run(
+    auto result = BruteForceAlgorithm(config, options).Run(
         *dataset.catalog, dataset.candidates.candidates);
     SPIDER_CHECK(result.ok());
     ReportRun(state, dataset, *result);
@@ -46,19 +47,19 @@ void BM_SortReuse(benchmark::State& state, bool reuse) {
     IndRunResult total;
     if (reuse) {
       ValueSetExtractor extractor((*dir)->path());
-      BruteForceOptions options;
-      options.extractor = &extractor;
-      auto result = BruteForceAlgorithm(options).Run(
+      AlgorithmConfig config;
+      config.extractor = &extractor;
+      auto result = BruteForceAlgorithm(config).Run(
           *dataset.catalog, dataset.candidates.candidates);
       SPIDER_CHECK(result.ok());
       total = std::move(result).value();
     } else {
       for (const IndCandidate& candidate : dataset.candidates.candidates) {
         ValueSetExtractor extractor((*dir)->path());
-        BruteForceOptions options;
-        options.extractor = &extractor;
+        AlgorithmConfig config;
+        config.extractor = &extractor;
         auto result =
-            BruteForceAlgorithm(options).Run(*dataset.catalog, {candidate});
+            BruteForceAlgorithm(config).Run(*dataset.catalog, {candidate});
         SPIDER_CHECK(result.ok());
         total.counters.Merge(result->counters);
         for (const Ind& ind : result->satisfied) {
@@ -89,10 +90,10 @@ void BM_SamplingPretest(benchmark::State& state, bool sampling) {
     auto dir = TempDir::Make("spider-bench-sampling");
     SPIDER_CHECK(dir.ok());
     ValueSetExtractor extractor((*dir)->path());
-    BruteForceOptions options;
-    options.extractor = &extractor;
-    auto result = BruteForceAlgorithm(options).Run(*base.catalog,
-                                                   candidates->candidates);
+    AlgorithmConfig config;
+    config.extractor = &extractor;
+    auto result = BruteForceAlgorithm(config).Run(*base.catalog,
+                                                  candidates->candidates);
     SPIDER_CHECK(result.ok());
     state.counters["candidates"] =
         static_cast<double>(candidates->candidates.size());
@@ -117,10 +118,11 @@ void BM_Transitivity(benchmark::State& state, bool transitivity) {
     SPIDER_CHECK(dir.ok());
     ValueSetExtractor extractor((*dir)->path());
     TransitivityPruner pruner;
+    AlgorithmConfig config;
+    config.extractor = &extractor;
     BruteForceOptions options;
-    options.extractor = &extractor;
     if (transitivity) options.transitivity = &pruner;
-    auto result = BruteForceAlgorithm(options).Run(
+    auto result = BruteForceAlgorithm(config, options).Run(
         *dataset.catalog, dataset.candidates.candidates);
     SPIDER_CHECK(result.ok());
     ReportRun(state, dataset, *result);

@@ -81,10 +81,9 @@ void BM_SketchScreen(benchmark::State& state, bool screen) {
     auto dir = TempDir::Make("spider-bench-sketch");
     SPIDER_CHECK(dir.ok());
     ValueSetExtractor extractor((*dir)->path());
-    BruteForceOptions options;
-    options.extractor = &extractor;
-    auto result =
-        BruteForceAlgorithm(options).Run(*dataset.catalog, candidates);
+    AlgorithmConfig config;
+    config.extractor = &extractor;
+    auto result = BruteForceAlgorithm(config).Run(*dataset.catalog, candidates);
     SPIDER_CHECK(result.ok());
     state.counters["candidates"] = static_cast<double>(candidates.size());
     state.counters["dropped_by_sketch"] = static_cast<double>(dropped);

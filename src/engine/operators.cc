@@ -29,39 +29,6 @@ Result<int64_t> HashJoinMatchCount(const Column& dependent,
   return matched;
 }
 
-Result<int64_t> SortMergeJoinMatchCount(const Column& dependent,
-                                        const Column& referenced,
-                                        RunCounters* counters) {
-  // Sort both inputs. The dependent side keeps duplicates (the statement
-  // counts joined ROWS); the referenced side is deduplicated (unique in
-  // candidate generation; deduplication keeps the count correct even when
-  // callers pass a non-unique column).
-  std::vector<std::string> dep;
-  dep.reserve(static_cast<size_t>(dependent.non_null_count()));
-  ColumnScan dep_scan(dependent, counters);
-  while (dep_scan.HasNext()) dep.push_back(dep_scan.Next());
-  SPIDER_RETURN_NOT_OK(dep_scan.status());
-  std::sort(dep.begin(), dep.end());
-  SPIDER_ASSIGN_OR_RETURN(std::vector<std::string> ref,
-                          SortDistinct(referenced, counters));
-
-  int64_t matched = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < dep.size() && j < ref.size()) {
-    if (counters != nullptr) ++counters->comparisons;
-    if (dep[i] == ref[j]) {
-      ++matched;
-      ++i;  // ref[j] may match further duplicate dep rows
-    } else if (dep[i] < ref[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return matched;
-}
-
 Result<std::vector<std::string>> SortDistinct(const Column& column,
                                               RunCounters* counters) {
   std::vector<std::string> values;

@@ -30,15 +30,6 @@ Result<int64_t> HashJoinMatchCount(const Column& dependent,
                                    const Column& referenced,
                                    RunCounters* counters);
 
-/// \brief Sort-merge join match counter: the alternative physical plan an
-/// optimizer may pick for the same statement. Sorts both inputs per query
-/// (RDBMSs cannot reuse sorts across statements — the paper's point) and
-/// counts dependent rows with a partner during the merge. Identical result
-/// to HashJoinMatchCount.
-Result<int64_t> SortMergeJoinMatchCount(const Column& dependent,
-                                        const Column& referenced,
-                                        RunCounters* counters);
-
 /// \brief Full sort producing the distinct values of a column in canonical
 /// order. Models the RDBMS sort node: runs per query, result discarded
 /// afterwards.

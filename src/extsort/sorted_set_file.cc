@@ -125,8 +125,6 @@ SortedSetReader::SortedSetReader(int fd, RunCounters* counters,
 }
 
 SortedSetReader::~SortedSetReader() {
-  // An in-flight prefetch preads through fd_; it must land before close.
-  if (prefetch_.valid()) prefetch_.wait();
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -265,44 +263,16 @@ void SortedSetReader::LoadWindow(size_t first) {
   const size_t last = WindowEnd(first);
   const uint64_t begin = index_[first].offset;
   const size_t bytes = static_cast<size_t>(index_[last].end - begin);
-  bool filled = false;
-  if (prefetch_.valid()) {
-    PrefetchResult pre = prefetch_.get();
-    if (pre.ok && pre.begin == begin && pre.data.size() == bytes) {
-      buffer_ = std::move(pre.data);
-      filled = true;
-    }
-  }
-  if (!filled) {
-    if (buffer_.size() < bytes) buffer_.resize(bytes);
-    if (!PreadExact(fd_, begin, buffer_.data(), bytes)) {
-      status_ = Status::IOError("failed reading set-file block window");
-      return;
-    }
+  if (buffer_.size() < bytes) buffer_.resize(bytes);
+  if (!PreadExact(fd_, begin, buffer_.data(), bytes)) {
+    status_ = Status::IOError("failed reading set-file block window");
+    return;
   }
   window_begin_ = begin;
   pos_ = 0;
   end_ = bytes;
   window_last_ = last;
   cur_block_ = first;
-  StartPrefetch();
-}
-
-void SortedSetReader::StartPrefetch() {
-  if (options_.prefetch_pool == nullptr) return;
-  if (window_last_ + 1 >= index_.size()) return;
-  const size_t first = window_last_ + 1;
-  const size_t last = WindowEnd(first);
-  const uint64_t begin = index_[first].offset;
-  const size_t bytes = static_cast<size_t>(index_[last].end - begin);
-  const int fd = fd_;
-  prefetch_ = options_.prefetch_pool->Submit([fd, begin, bytes]() {
-    PrefetchResult out;
-    out.begin = begin;
-    out.data.resize(bytes);
-    out.ok = PreadExact(fd, begin, out.data.data(), bytes);
-    return out;
-  });
 }
 
 void SortedSetReader::FillRecord() {

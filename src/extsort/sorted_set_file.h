@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,7 +39,6 @@
 #include "src/common/counters.h"
 #include "src/common/logging.h"
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
 
 namespace spider {
 
@@ -123,11 +121,6 @@ struct SortedSetReaderOptions {
   /// degrades to the linear scan it replaces — same values, same
   /// tuples_read — which is what the skip-parity tests toggle.
   bool allow_block_skip = true;
-  /// Optional pool for background prefetch of the next read window while
-  /// the current one is being decoded. Must be a pool dedicated to I/O:
-  /// tasks on the pool running the merges themselves would deadlock the
-  /// ThreadPool's no-nesting contract. nullptr = synchronous reads.
-  ThreadPool* prefetch_pool = nullptr;
 };
 
 /// \brief Block-buffered streaming cursor over a sorted-distinct value
@@ -227,15 +220,6 @@ class SortedSetReader {
     std::string last_key;
   };
 
-  /// The background-prefetch payload: the next window's bytes, read on the
-  /// prefetch pool through the shared descriptor (pread is positionless,
-  /// so concurrent reads cannot race the foreground ones).
-  struct PrefetchResult {
-    uint64_t begin = 0;
-    std::vector<char> data;
-    bool ok = false;
-  };
-
   SortedSetReader(int fd, RunCounters* counters,
                   SortedSetReaderOptions options);
 
@@ -252,10 +236,8 @@ class SortedSetReader {
   /// Last block index of the read window starting at block `first`: as
   /// many whole consecutive blocks as fit buffer_bytes (at least one).
   size_t WindowEnd(size_t first) const;
-  /// Loads the window starting at block `first` (consuming a matching
-  /// prefetch if one is in flight) and schedules the next prefetch.
+  /// Loads the window starting at block `first`.
   void LoadWindow(size_t first);
-  void StartPrefetch();
   /// Repositions after the zonemap ruled out everything below `key`:
   /// binary-searches the footer for the first candidate block past
   /// cur_block_ and jumps there, counting fully bypassed blocks.
@@ -279,7 +261,6 @@ class SortedSetReader {
   size_t window_last_ = SIZE_MAX;   // last block in the window (+1 wraps to
                                     // 0 before the first load)
   size_t cur_block_ = 0;            // block owning the record at value_pos_
-  std::future<PrefetchResult> prefetch_;
 };
 
 /// Metadata about a materialized sorted value set.

@@ -32,7 +32,7 @@ Result<IndRunResult> BellBrockhausenAlgorithm::Run(
 
   TransitivityPruner pruner;
   for (const IndCandidate& candidate : candidates) {
-    if (context.ShouldStop(options_.time_budget_seconds)) {
+    if (context.ShouldStop()) {
       result.finished = false;
       break;
     }
@@ -108,10 +108,8 @@ void RegisterBellBrockhausenAlgorithm(AlgorithmRegistry& registry) {
       "sequential SQL-join testing with range and transitivity pruning "
       "(Bell & Brockhausen [2])";
   Status status = registry.Register(
-      "bell-brockhausen", capabilities,
-      [](const AlgorithmConfig&) {
-        return Result<std::unique_ptr<IndAlgorithm>>(
-            std::make_unique<BellBrockhausenAlgorithm>());
+      "bell-brockhausen", capabilities, [](const AlgorithmConfig&) {
+        return std::make_unique<BellBrockhausenAlgorithm>();
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

@@ -7,10 +7,11 @@
 
 namespace spider {
 
-BruteForceAlgorithm::BruteForceAlgorithm(BruteForceOptions options)
-    : options_(options) {
-  SPIDER_CHECK(options_.extractor != nullptr)
-      << "BruteForceOptions::extractor is required";
+BruteForceAlgorithm::BruteForceAlgorithm(const AlgorithmConfig& config,
+                                         BruteForceOptions options)
+    : config_(config), options_(options) {
+  SPIDER_CHECK(config_.extractor != nullptr)
+      << "brute-force requires a value-set extractor";
 }
 
 Result<bool> TestCandidateBruteForce(const SortedSetInfo& dep,
@@ -87,10 +88,10 @@ Result<IndRunResult> BruteForceAlgorithm::Run(
 
     SPIDER_ASSIGN_OR_RETURN(
         SortedSetInfo dep_info,
-        options_.extractor->Extract(catalog, candidate.dependent));
+        config_.extractor->Extract(catalog, candidate.dependent));
     SPIDER_ASSIGN_OR_RETURN(
         SortedSetInfo ref_info,
-        options_.extractor->Extract(catalog, candidate.referenced));
+        config_.extractor->Extract(catalog, candidate.referenced));
 
     ++result.counters.candidates_tested;
     SPIDER_ASSIGN_OR_RETURN(
@@ -122,13 +123,8 @@ void RegisterBruteForceAlgorithm(AlgorithmRegistry& registry) {
   capabilities.summary =
       "one merge scan per candidate over sorted value sets (Sec. 3.1)";
   Status status = registry.Register(
-      "brute-force", capabilities,
-      [](const AlgorithmConfig& config)
-          -> Result<std::unique_ptr<IndAlgorithm>> {
-        BruteForceOptions options;
-        options.extractor = config.extractor;
-        return std::unique_ptr<IndAlgorithm>(
-            std::make_unique<BruteForceAlgorithm>(options));
+      "brute-force", capabilities, [](const AlgorithmConfig& config) {
+        return std::make_unique<BruteForceAlgorithm>(config);
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

@@ -14,17 +14,14 @@
 
 #include "src/extsort/value_set_extractor.h"
 #include "src/ind/algorithm.h"
+#include "src/ind/registry.h"
 #include "src/ind/transitivity.h"
 
 namespace spider {
 
-class AlgorithmRegistry;
-
-/// Options for BruteForceAlgorithm.
+/// Brute force's own knobs beyond AlgorithmConfig (the ablation benchmark
+/// varies both).
 struct BruteForceOptions {
-  /// Materializes and caches sorted value sets. Required.
-  ValueSetExtractor* extractor = nullptr;
-
   /// Stop a test at the first unmatched dependent value. Disabling this
   /// (full scans even after refutation) is the ablation for the paper's
   /// optimization #2.
@@ -39,7 +36,9 @@ struct BruteForceOptions {
 /// \brief Brute-force IND verification: one merge scan per candidate.
 class BruteForceAlgorithm final : public IndAlgorithm {
  public:
-  explicit BruteForceAlgorithm(BruteForceOptions options);
+  /// Reads `config.extractor`, which is required.
+  explicit BruteForceAlgorithm(const AlgorithmConfig& config,
+                               BruteForceOptions options = {});
 
   using IndAlgorithm::Run;
   [[nodiscard]]
@@ -50,6 +49,7 @@ class BruteForceAlgorithm final : public IndAlgorithm {
   std::string_view name() const override { return "brute-force"; }
 
  private:
+  AlgorithmConfig config_;
   BruteForceOptions options_;
 };
 

@@ -89,9 +89,12 @@ std::vector<std::vector<int>> MaximalCliques(
   return out;
 }
 
-CliqueNaryAlgorithm::CliqueNaryAlgorithm(CliqueNaryOptions options)
-    : options_(options), verifier_(options.extractor, options.block_skip) {
-  SPIDER_CHECK_GE(options_.max_arity, 2);
+CliqueNaryAlgorithm::CliqueNaryAlgorithm(const AlgorithmConfig& config,
+                                         int64_t max_tests_per_pair)
+    : config_(config),
+      max_tests_per_pair_(max_tests_per_pair),
+      verifier_(config.extractor, config.block_skip) {
+  if (config_.max_nary_arity < 2) config_.max_nary_arity = 16;
 }
 
 Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
@@ -145,8 +148,8 @@ Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
     int64_t tests_here = 0;
     std::vector<std::vector<int>> stack = MaximalCliques(adjacency);
     for (auto& clique : stack) {
-      if (static_cast<int>(clique.size()) > options_.max_arity) {
-        clique.resize(static_cast<size_t>(options_.max_arity));
+      if (static_cast<int>(clique.size()) > config_.max_nary_arity) {
+        clique.resize(static_cast<size_t>(config_.max_nary_arity));
       }
     }
     std::set<std::vector<int>> seen(stack.begin(), stack.end());
@@ -166,7 +169,7 @@ Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
 
       bool ok = true;  // binary cliques are already-validated edges
       if (candidate.arity() > 2) {
-        if (++tests_here > options_.max_tests_per_pair) {
+        if (++tests_here > max_tests_per_pair_) {
           return Status::ResourceExhausted(
               "clique discovery exceeded max_tests_per_pair for tables " +
               base[0].first.table + " / " + base[0].second.table);
@@ -196,7 +199,7 @@ Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
   };
   SPIDER_ASSIGN_OR_RETURN(
       BatchOutcome<NaryInd> batch,
-      RunBatch<NaryInd>(options_.pool, pairs.size(), context, run_pair));
+      RunBatch<NaryInd>(config_.pool, pairs.size(), context, run_pair));
 
   NaryRunResult result;
   result.satisfied = std::move(batch.found);
@@ -220,18 +223,8 @@ void RegisterCliqueNaryAlgorithm(AlgorithmRegistry& registry) {
       "FIND2-style maximal n-ary INDs: maximal cliques over the satisfied "
       "binary graph, refined top-down, streamed composite-set validation";
   Status status = registry.Register(
-      "clique-nary", capabilities,
-      [](const AlgorithmConfig& config)
-          -> Result<std::unique_ptr<NaryAlgorithm>> {
-        CliqueNaryOptions options;
-        options.extractor = config.extractor;
-        options.pool = config.pool;
-        options.block_skip = config.block_skip;
-        if (config.max_nary_arity >= 2) {
-          options.max_arity = config.max_nary_arity;
-        }
-        return std::unique_ptr<NaryAlgorithm>(
-            std::make_unique<CliqueNaryAlgorithm>(options));
+      "clique-nary", capabilities, [](const AlgorithmConfig& config) {
+        return std::make_unique<CliqueNaryAlgorithm>(config);
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

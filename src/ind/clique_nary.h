@@ -26,37 +26,25 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
 #include "src/ind/composite_verify.h"
 #include "src/ind/nary_algorithm.h"
+#include "src/ind/registry.h"
 
 namespace spider {
-
-class AlgorithmRegistry;
-
-/// Options for CliqueNaryAlgorithm.
-struct CliqueNaryOptions {
-  /// Maximum arity reported (cliques are truncated to this size).
-  int max_arity = 16;
-  /// Safety bound on candidate validations per table pair.
-  int64_t max_tests_per_pair = 10000;
-  /// Sorted composite sets are materialized and cached here. Borrowed;
-  /// nullptr = a scoped temp-dir extractor owned by the verifier.
-  ValueSetExtractor* extractor = nullptr;
-  /// When set, independent table pairs are processed concurrently on this
-  /// pool. Results and counters are identical to the serial run. Borrowed.
-  ThreadPool* pool = nullptr;
-  /// Zonemap block skipping on the verifier's referenced-side cursor
-  /// (AlgorithmConfig::block_skip). Identical results either way.
-  bool block_skip = true;
-};
 
 /// \brief FIND2-style maximal n-ary IND discovery, registered as
 /// "clique-nary". Reports the maximal satisfied INDs of arity >= 2;
 /// `tests` counts the binary-edge and clique validations.
 class CliqueNaryAlgorithm final : public NaryAlgorithm {
  public:
-  explicit CliqueNaryAlgorithm(CliqueNaryOptions options = {});
+  /// Reads from `config`: `max_nary_arity` (cliques are truncated to this
+  /// size; values < 2 select 16), `extractor` (nullptr = a scoped temp-dir
+  /// extractor owned by the verifier), `pool` (independent table pairs run
+  /// concurrently when set) and `block_skip`. Results and counters are
+  /// identical with or without pool and skipping. `max_tests_per_pair` is
+  /// a safety bound on clique validations per table pair.
+  explicit CliqueNaryAlgorithm(const AlgorithmConfig& config = {},
+                               int64_t max_tests_per_pair = 10000);
 
   /// `unary` must be the complete satisfied unary IND set over the catalog.
   using NaryAlgorithm::Run;
@@ -68,7 +56,8 @@ class CliqueNaryAlgorithm final : public NaryAlgorithm {
   std::string_view name() const override { return "clique-nary"; }
 
  private:
-  CliqueNaryOptions options_;
+  AlgorithmConfig config_;
+  int64_t max_tests_per_pair_;
   CompositeSetVerifier verifier_;
 };
 

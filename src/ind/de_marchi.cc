@@ -93,7 +93,7 @@ Result<IndRunResult> DeMarchiAlgorithm::Run(
     std::string_view view;
     for (CursorStep step = cursor->Next(&view); step != CursorStep::kEnd;
          step = cursor->Next(&view)) {
-      if (refs.empty() && options_.early_exit) break;
+      if (refs.empty()) break;  // every candidate of d refuted
       if (step == CursorStep::kNull) continue;
       const std::vector<int>& containing = index.at(std::string(view));
       ++result.counters.comparisons;
@@ -125,10 +125,8 @@ void RegisterDeMarchiAlgorithm(AlgorithmRegistry& registry) {
       "inverted-index discovery (De Marchi et al. [10]); large "
       "preprocessing footprint, no extractor needed";
   Status status = registry.Register(
-      "de-marchi", capabilities,
-      [](const AlgorithmConfig&) {
-        return Result<std::unique_ptr<IndAlgorithm>>(
-            std::make_unique<DeMarchiAlgorithm>());
+      "de-marchi", capabilities, [](const AlgorithmConfig&) {
+        return std::make_unique<DeMarchiAlgorithm>();
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

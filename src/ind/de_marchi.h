@@ -18,19 +18,9 @@ namespace spider {
 
 class AlgorithmRegistry;
 
-/// Options for DeMarchiAlgorithm.
-struct DeMarchiOptions {
-  /// Stop intersecting a dependent attribute's candidate set once it is
-  /// empty (all its candidates refuted).
-  bool early_exit = true;
-};
-
 /// \brief Inverted-index unary IND discovery (De Marchi et al.).
 class DeMarchiAlgorithm final : public IndAlgorithm {
  public:
-  explicit DeMarchiAlgorithm(DeMarchiOptions options = {})
-      : options_(options) {}
-
   using IndAlgorithm::Run;
   [[nodiscard]]
   Result<IndRunResult> Run(const Catalog& catalog,
@@ -44,7 +34,6 @@ class DeMarchiAlgorithm final : public IndAlgorithm {
   int64_t last_index_entries() const { return last_index_entries_; }
 
  private:
-  DeMarchiOptions options_;
   int64_t last_index_entries_ = 0;
 };
 

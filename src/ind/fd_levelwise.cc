@@ -18,7 +18,7 @@ namespace {
 // parallelizes across tables.
 Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
                                         const Table& table,
-                                        const FdLevelwiseOptions& options,
+                                        const AlgorithmConfig& config,
                                         RunContext& context) {
   BatchOutcome<Fd> outcome;
   if (table.row_count() == 0) return outcome;
@@ -38,7 +38,7 @@ Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
     SortedSetInfo info;
     if (combo.size() == 1) {
       SPIDER_ASSIGN_OR_RETURN(
-          info, options.extractor->Extract(
+          info, config.extractor->Extract(
                     catalog, AttributeRef{table.name(),
                                           table.column(combo[0]).name()}));
     } else {
@@ -49,7 +49,7 @@ Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
             AttributeRef{table.name(), table.column(c).name()});
       }
       SPIDER_ASSIGN_OR_RETURN(
-          info, options.extractor->ExtractComposite(catalog, attributes));
+          info, config.extractor->ExtractComposite(catalog, attributes));
     }
     distinct_cache.emplace(combo, info.distinct_count);
     return info.distinct_count;
@@ -63,7 +63,7 @@ Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
     }
     std::vector<std::vector<int>> satisfied_sets;
     for (int arity = 1;
-         arity <= options.max_lhs_arity && !candidates.empty(); ++arity) {
+         arity <= config.max_lhs_arity && !candidates.empty(); ++arity) {
       std::vector<std::vector<int>> unsatisfied;
       for (const std::vector<int>& lhs : candidates) {
         if (context.ShouldStop()) {
@@ -88,7 +88,7 @@ Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
                       static_cast<double>(pair_distinct)
                 : 0.0;
         context.Step();
-        if (error <= options.error_threshold) {
+        if (error <= config.error_threshold) {
           satisfied_sets.push_back(lhs);
           Fd fd;
           fd.table = table.name();
@@ -101,7 +101,7 @@ Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
         }
       }
       candidates.clear();
-      if (arity == options.max_lhs_arity) break;
+      if (arity == config.max_lhs_arity) break;
       // Next level: extend unsatisfied LHSs; a candidate containing a
       // satisfied subset can only yield a non-minimal FD, so it is pruned
       // (every minimal candidate survives — its max-column-removed prefix
@@ -129,14 +129,14 @@ Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
 
 }  // namespace
 
-FdLevelwiseAlgorithm::FdLevelwiseAlgorithm(FdLevelwiseOptions options,
+FdLevelwiseAlgorithm::FdLevelwiseAlgorithm(const AlgorithmConfig& config,
                                            std::string name)
-    : options_(options), name_(std::move(name)) {
-  SPIDER_CHECK(options_.extractor != nullptr)
+    : config_(config), name_(std::move(name)) {
+  SPIDER_CHECK(config_.extractor != nullptr)
       << name_ << " requires a value-set extractor";
-  SPIDER_CHECK_GE(options_.max_lhs_arity, 1);
-  SPIDER_CHECK_GE(options_.error_threshold, 0);
-  SPIDER_CHECK_LT(options_.error_threshold, 1.0);
+  if (config_.max_lhs_arity < 1) config_.max_lhs_arity = 2;
+  SPIDER_CHECK_GE(config_.error_threshold, 0);
+  SPIDER_CHECK_LT(config_.error_threshold, 1.0);
 }
 
 Result<DependencyRunResult> FdLevelwiseAlgorithm::Run(const Catalog& catalog,
@@ -146,11 +146,11 @@ Result<DependencyRunResult> FdLevelwiseAlgorithm::Run(const Catalog& catalog,
   // order, so output and counters are identical at any thread count.
   auto search = [&](size_t t) {
     return FindFdsInTable(catalog, catalog.table(static_cast<int>(t)),
-                          options_, context);
+                          config_, context);
   };
   SPIDER_ASSIGN_OR_RETURN(
       BatchOutcome<Fd> batch,
-      RunBatch<Fd>(options_.pool, static_cast<size_t>(catalog.table_count()),
+      RunBatch<Fd>(config_.pool, static_cast<size_t>(catalog.table_count()),
                    context, search));
   DependencyRunResult result;
   result.fds = std::move(batch.found);
@@ -175,17 +175,8 @@ void RegisterFdLevelwiseAlgorithms(AlgorithmRegistry& registry) {
       "levelwise minimal exact FDs via distinct-tuple counts over sorted "
       "composite sets";
   Status status = registry.Register(
-      "fd-levelwise", capabilities,
-      [](const AlgorithmConfig& config)
-          -> Result<std::unique_ptr<DependencyAlgorithm>> {
-        FdLevelwiseOptions options;
-        options.extractor = config.extractor;
-        options.pool = config.pool;
-        if (config.max_lhs_arity >= 1) {
-          options.max_lhs_arity = config.max_lhs_arity;
-        }
-        return std::unique_ptr<DependencyAlgorithm>(
-            std::make_unique<FdLevelwiseAlgorithm>(options, "fd-levelwise"));
+      "fd-levelwise", capabilities, [](const AlgorithmConfig& config) {
+        return std::make_unique<FdLevelwiseAlgorithm>(config, "fd-levelwise");
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 
@@ -195,18 +186,8 @@ void RegisterFdLevelwiseAlgorithms(AlgorithmRegistry& registry) {
       "approximate FDs: g3-style distinct-tuple error up to the configured "
       "threshold";
   status = registry.Register(
-      "afd-levelwise", capabilities,
-      [](const AlgorithmConfig& config)
-          -> Result<std::unique_ptr<DependencyAlgorithm>> {
-        FdLevelwiseOptions options;
-        options.extractor = config.extractor;
-        options.pool = config.pool;
-        options.error_threshold = config.error_threshold;
-        if (config.max_lhs_arity >= 1) {
-          options.max_lhs_arity = config.max_lhs_arity;
-        }
-        return std::unique_ptr<DependencyAlgorithm>(
-            std::make_unique<FdLevelwiseAlgorithm>(options, "afd-levelwise"));
+      "afd-levelwise", capabilities, [](const AlgorithmConfig& config) {
+        return std::make_unique<FdLevelwiseAlgorithm>(config, "afd-levelwise");
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

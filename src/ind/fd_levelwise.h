@@ -34,34 +34,23 @@
 
 #include "src/common/counters.h"
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
-#include "src/extsort/value_set_extractor.h"
 #include "src/ind/dependency.h"
+#include "src/ind/registry.h"
 #include "src/storage/catalog.h"
 
 namespace spider {
-
-class AlgorithmRegistry;
-
-/// Options for FdLevelwiseAlgorithm.
-struct FdLevelwiseOptions {
-  /// Highest determinant (LHS) size considered.
-  int max_lhs_arity = 2;
-  /// Accept X -> A when error <= threshold; 0 = exact FDs only.
-  double error_threshold = 0;
-  /// Sorted-set materializer (required). Borrowed, thread-safe.
-  ValueSetExtractor* extractor = nullptr;
-  /// When set, per-table searches run concurrently on this pool; results
-  /// and counters are identical to the serial run. Borrowed.
-  ThreadPool* pool = nullptr;
-};
 
 /// \brief Levelwise minimal (approximate) FD discovery. Registered twice:
 /// "fd-levelwise" (exact, kind kFd) and "afd-levelwise" (kind kAfd,
 /// honoring the error threshold).
 class FdLevelwiseAlgorithm : public DependencyAlgorithm {
  public:
-  FdLevelwiseAlgorithm(FdLevelwiseOptions options, std::string name);
+  /// Reads from `config`: `extractor` (required), `max_lhs_arity` (the
+  /// highest determinant size considered; values < 1 select 2),
+  /// `error_threshold` (accept X -> A when error <= threshold; 0 = exact
+  /// FDs only) and `pool` (per-table searches run concurrently when set;
+  /// results and counters are identical to the serial run).
+  FdLevelwiseAlgorithm(const AlgorithmConfig& config, std::string name);
 
   using DependencyAlgorithm::Run;
   [[nodiscard]]
@@ -71,7 +60,7 @@ class FdLevelwiseAlgorithm : public DependencyAlgorithm {
   std::string_view name() const override { return name_; }
 
  private:
-  FdLevelwiseOptions options_;
+  AlgorithmConfig config_;
   std::string name_;
 };
 

@@ -10,11 +10,11 @@
 
 namespace spider {
 
-LevelwiseNaryAlgorithm::LevelwiseNaryAlgorithm(NaryDiscoveryOptions options)
-    : options_(options), verifier_(options.extractor, options.block_skip) {
-  SPIDER_CHECK_GE(options_.max_arity, 2);
-  SPIDER_CHECK_GE(options_.error_threshold, 0);
-  SPIDER_CHECK_LT(options_.error_threshold, 1.0);
+LevelwiseNaryAlgorithm::LevelwiseNaryAlgorithm(const AlgorithmConfig& config)
+    : config_(config), verifier_(config.extractor, config.block_skip) {
+  if (config_.max_nary_arity < 2) config_.max_nary_arity = 4;
+  SPIDER_CHECK_GE(config_.error_threshold, 0);
+  SPIDER_CHECK_LT(config_.error_threshold, 1.0);
 }
 
 Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
@@ -30,7 +30,7 @@ Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
   }
   std::vector<NaryInd> previous(level_one.begin(), level_one.end());
 
-  for (int arity = 2; arity <= options_.max_arity && !previous.empty();
+  for (int arity = 2; arity <= config_.max_nary_arity && !previous.empty();
        ++arity) {
     const std::set<NaryInd> previous_set(previous.begin(), previous.end());
 
@@ -94,11 +94,11 @@ Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
       outcome.counters.candidates_tested = 1;
       // Exact containment, or g3' error up to the partial threshold.
       bool satisfied = false;
-      if (options_.error_threshold > 0) {
+      if (config_.error_threshold > 0) {
         SPIDER_ASSIGN_OR_RETURN(
             const double error,
             verifier_.Error(catalog, batch[i], &outcome.counters));
-        satisfied = error <= options_.error_threshold;
+        satisfied = error <= config_.error_threshold;
       } else {
         SPIDER_ASSIGN_OR_RETURN(
             satisfied, verifier_.VerifyIncluded(catalog, batch[i],
@@ -111,7 +111,7 @@ Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
     };
     SPIDER_ASSIGN_OR_RETURN(
         BatchOutcome<NaryInd> level,
-        RunBatch<NaryInd>(options_.pool, batch.size(), context, verify));
+        RunBatch<NaryInd>(config_.pool, batch.size(), context, verify));
     result.satisfied.insert(result.satisfied.end(), level.found.begin(),
                             level.found.end());
     result.tests += level.tests;
@@ -140,19 +140,8 @@ void RegisterNaryAlgorithm(AlgorithmRegistry& registry) {
       "levelwise (MIND-style) n-ary expansion: Apriori-join level k-1, "
       "verify by sorted composite-set merges (exact or g3'-partial)";
   Status status = registry.Register(
-      "nary", capabilities,
-      [](const AlgorithmConfig& config)
-          -> Result<std::unique_ptr<NaryAlgorithm>> {
-        NaryDiscoveryOptions options;
-        options.extractor = config.extractor;
-        options.pool = config.pool;
-        options.block_skip = config.block_skip;
-        options.error_threshold = config.error_threshold;
-        if (config.max_nary_arity >= 2) {
-          options.max_arity = config.max_nary_arity;
-        }
-        return std::unique_ptr<NaryAlgorithm>(
-            std::make_unique<LevelwiseNaryAlgorithm>(options));
+      "nary", capabilities, [](const AlgorithmConfig& config) {
+        return std::make_unique<LevelwiseNaryAlgorithm>(config);
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

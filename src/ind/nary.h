@@ -28,36 +28,11 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
 #include "src/ind/composite_verify.h"
 #include "src/ind/nary_algorithm.h"
+#include "src/ind/registry.h"
 
 namespace spider {
-
-class AlgorithmRegistry;
-
-/// Options for LevelwiseNaryAlgorithm.
-struct NaryDiscoveryOptions {
-  /// Highest arity to expand to (>= 2). Level k is only attempted when
-  /// level k-1 produced at least one IND.
-  int max_arity = 4;
-  /// Partial n-ary validation in [0, 1): a candidate counts as satisfied
-  /// when its g3' error (CompositeSetVerifier::Error — the fraction of
-  /// distinct dependent tuples with no referenced match) is <= the
-  /// threshold. 0 = exact containment only.
-  double error_threshold = 0;
-  /// Sorted composite sets are materialized and cached here. Borrowed, may
-  /// be shared (it is thread-safe); nullptr = a scoped temp-dir extractor
-  /// owned by the verifier.
-  ValueSetExtractor* extractor = nullptr;
-  /// When set, each level's candidate batch is verified concurrently on
-  /// this pool. Results and counters are identical to the serial run.
-  /// Borrowed, not owned.
-  ThreadPool* pool = nullptr;
-  /// Zonemap block skipping on the verifier's referenced-side cursor
-  /// (AlgorithmConfig::block_skip). Identical results either way.
-  bool block_skip = true;
-};
 
 /// \brief Levelwise n-ary IND discovery seeded with satisfied unary INDs,
 /// registered as "nary". Reports every satisfied IND of arity >= 2, not
@@ -65,7 +40,19 @@ struct NaryDiscoveryOptions {
 /// and in counters.candidates_tested.
 class LevelwiseNaryAlgorithm final : public NaryAlgorithm {
  public:
-  explicit LevelwiseNaryAlgorithm(NaryDiscoveryOptions options = {});
+  /// Reads from `config`:
+  ///  * `max_nary_arity`: highest arity to expand to; values < 2 select 4.
+  ///    Level k is only attempted when level k-1 produced an IND.
+  ///  * `error_threshold`: partial n-ary validation in [0, 1) — a
+  ///    candidate counts as satisfied when its g3' error
+  ///    (CompositeSetVerifier::Error, the fraction of distinct dependent
+  ///    tuples with no referenced match) is <= the threshold; 0 = exact.
+  ///  * `extractor`: where sorted composite sets are cached; nullptr = a
+  ///    scoped temp-dir extractor owned by the verifier.
+  ///  * `pool`: verifies each level's batch concurrently when set.
+  ///  * `block_skip`: zonemap skipping on the referenced-side cursor.
+  /// Results and counters are identical with or without pool and skipping.
+  explicit LevelwiseNaryAlgorithm(const AlgorithmConfig& config = {});
 
   /// `unary` must be the complete set of satisfied unary INDs over the
   /// catalog (an incomplete seed only shrinks the discovered set — the
@@ -79,7 +66,7 @@ class LevelwiseNaryAlgorithm final : public NaryAlgorithm {
   std::string_view name() const override { return "nary"; }
 
  private:
-  NaryDiscoveryOptions options_;
+  AlgorithmConfig config_;
   CompositeSetVerifier verifier_;
 };
 

@@ -74,9 +74,9 @@ struct AlgorithmCapabilities {
   std::string summary;
 };
 
-/// Unified construction-time knobs. Factories read only what applies to
-/// their algorithm; the registry rejects combinations the capabilities
-/// rule out.
+/// Unified construction-time knobs. Every registered algorithm is built
+/// from this config and reads the fields that apply to it; the registry
+/// rejects combinations the capabilities rule out.
 struct AlgorithmConfig {
   /// Sorted-set materializer, required by external approaches. Not owned;
   /// must outlive the created algorithm.
@@ -86,11 +86,13 @@ struct AlgorithmConfig {
   /// σ-partial coverage threshold in (0, 1]; 1 = exact INDs.
   double min_coverage = 1.0;
   /// Worker pool for n-ary expansions (per-level candidate batches /
-  /// per-table-pair dispatch). Not owned; must outlive the algorithm.
-  /// nullptr = serial (results are identical either way).
+  /// per-table-pair dispatch) and the per-table UCC/FD searches. Not
+  /// owned; must outlive the algorithm. nullptr = serial (results are
+  /// identical either way).
   ThreadPool* pool = nullptr;
-  /// Maximum arity for n-ary expansions; values < 2 select each
-  /// algorithm's default.
+  /// Maximum arity for n-ary expansions (values < 2 select each
+  /// expansion's default) and UCC combinations (values < 1 select the
+  /// default).
   int max_nary_arity = 0;
   /// g3-style error threshold in [0, 1): 0 = exact. An n-ary candidate or
   /// FD whose measured error is <= the threshold counts as satisfied.
@@ -104,12 +106,6 @@ struct AlgorithmConfig {
   /// forces the pre-block linear scans — same satisfied sets, more
   /// tuples_read — which is what the skip-parity tests compare against.
   bool block_skip = true;
-  /// Optional pool dedicated to background block prefetch on the merge
-  /// path. Must NOT be the pool the algorithms run on: ThreadPool tasks
-  /// must not block on other tasks' futures, and a reader waiting for its
-  /// prefetch from inside a worker would do exactly that. Not owned;
-  /// nullptr = synchronous reads.
-  ThreadPool* io_pool = nullptr;
 };
 
 /// \brief String-keyed algorithm registry: one table of approaches in
@@ -117,12 +113,14 @@ struct AlgorithmConfig {
 /// happen inside Global()'s first use; later lookups are read-only.
 class AlgorithmRegistry {
  public:
-  using Factory = std::function<Result<std::unique_ptr<IndAlgorithm>>(
-      const AlgorithmConfig&)>;
-  using NaryFactory = std::function<Result<std::unique_ptr<NaryAlgorithm>>(
-      const AlgorithmConfig&)>;
+  /// Factories build the algorithm from the validated config; they
+  /// cannot fail (Create validates first).
+  using Factory =
+      std::function<std::unique_ptr<IndAlgorithm>(const AlgorithmConfig&)>;
+  using NaryFactory =
+      std::function<std::unique_ptr<NaryAlgorithm>(const AlgorithmConfig&)>;
   using DependencyFactory =
-      std::function<Result<std::unique_ptr<DependencyAlgorithm>>(
+      std::function<std::unique_ptr<DependencyAlgorithm>(
           const AlgorithmConfig&)>;
   /// The factory's alternative is the approach's family: unary verifier,
   /// n-ary expansion or non-IND discoverer.
@@ -160,7 +158,7 @@ class AlgorithmRegistry {
   Result<std::unique_ptr<T>> Create(std::string_view name,
                                     const AlgorithmConfig& config = {}) const {
     using TypedFactory =
-        std::function<Result<std::unique_ptr<T>>(const AlgorithmConfig&)>;
+        std::function<std::unique_ptr<T>(const AlgorithmConfig&)>;
     SPIDER_ASSIGN_OR_RETURN(const Entry* entry, Find(name));
     const auto* factory = std::get_if<TypedFactory>(&entry->factory);
     if (factory == nullptr) {

@@ -69,16 +69,12 @@ class RunContext {
     done_.store(0, std::memory_order_relaxed);
   }
 
-  /// True when the run should end early: the caller cancelled, the
-  /// context's budget expired, or a (legacy, per-algorithm)
-  /// `extra_budget_seconds` expired. Either budget being 0 means that
-  /// bound is unlimited.
-  bool ShouldStop(double extra_budget_seconds = 0) const {
+  /// True when the run should end early: the caller cancelled or the
+  /// budget expired.
+  bool ShouldStop() const {
     if (cancel != nullptr && cancel->cancelled()) return true;
-    if (time_budget_seconds <= 0 && extra_budget_seconds <= 0) return false;
-    const double elapsed = watch_.ElapsedSeconds();
-    if (time_budget_seconds > 0 && elapsed > time_budget_seconds) return true;
-    return extra_budget_seconds > 0 && elapsed > extra_budget_seconds;
+    return time_budget_seconds > 0 &&
+           watch_.ElapsedSeconds() > time_budget_seconds;
   }
 
   /// Marks `units` of work done and fires the progress callback if set.

@@ -17,11 +17,10 @@ const char* const kKeys[] = {
     "nary-base",      "max-arity",
     "sigma",          "error",
     "max-lhs",        "time-budget",
-    "threads",        "io-threads",
-    "max-open-files", "block-skip",
-    "no-block-skip",  "max-value-pretest",
-    "sampling-pretest", "profile-cache",
-    "no-profile-cache",
+    "threads",        "max-open-files",
+    "block-skip",     "no-block-skip",
+    "max-value-pretest", "sampling-pretest",
+    "profile-cache",  "no-profile-cache",
 };
 
 Result<int> ParseIntInRange(const std::string& key, const std::string& value,
@@ -147,12 +146,6 @@ Status Apply(const RunOptionKv& kv, RunOptions& options) {
         ParseIntInRange(key, value, 0, 4096, " (0 = hardware concurrency)"));
     return Status::OK();
   }
-  if (key == "io-threads") {
-    SPIDER_ASSIGN_OR_RETURN(
-        options.io_threads,
-        ParseIntInRange(key, value, 0, 4096, " (0 = no prefetch)"));
-    return Status::OK();
-  }
   if (key == "max-open-files") {
     SPIDER_ASSIGN_OR_RETURN(
         options.max_open_files,
@@ -208,12 +201,24 @@ Result<RunOptions> ParseRunOptions(const std::vector<RunOptionKv>& pairs) {
     SPIDER_RETURN_NOT_OK(Apply(kv, options));
   }
   if (options.approach.empty()) {
-    // A bare "kind" selects the kind's default discoverer; with neither
-    // key the historical brute-force default stands.
+    // A bare "kind" selects the kind's default discoverer; σ < 1 selects
+    // the first unary IND verifier with partial coverage; otherwise the
+    // historical brute-force default stands.
     options.approach = "brute-force";
+    const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
     if (options.kind && *options.kind != DependencyKind::kInd) {
-      auto name = AlgorithmRegistry::Global().DefaultNameForKind(*options.kind);
+      auto name = registry.DefaultNameForKind(*options.kind);
       if (name.ok()) options.approach = *name;
+    } else if (options.min_coverage < 1.0) {
+      for (const std::string& name :
+           registry.NamesForKind(DependencyKind::kInd)) {
+        const AlgorithmCapabilities& capabilities =
+            (*registry.Find(name))->capabilities;
+        if (!capabilities.nary && capabilities.supports_partial) {
+          options.approach = name;
+          break;
+        }
+      }
     }
   }
   return options;

@@ -4,11 +4,11 @@
 // same thing — a RunOptions — so both reduce their input to ordered
 // key/value pairs and hand them to ParseRunOptions. Keys are the CLI flag
 // names without the leading dashes ("kind", "error", "threads",
-// "io-threads", "no-block-skip", ...); values are the flag values (an
-// empty value means the bare-flag form, e.g. --sampling-pretest). Every
-// range check, every per-kind validation error and the Levenshtein
-// "did you mean" suggestion for an unknown key or approach therefore
-// surfaces identically whether the request came in over argv or HTTP.
+// "no-block-skip", ...); values are the flag values (an empty value means
+// the bare-flag form, e.g. --sampling-pretest). Every range check, every
+// per-kind validation error and the Levenshtein "did you mean" suggestion
+// for an unknown key or approach therefore surfaces identically whether
+// the request came in over argv or HTTP.
 
 #pragma once
 
@@ -39,9 +39,11 @@ const std::vector<std::string>& RunOptionKeys();
 /// offending input echoed) and rejecting unknown keys with a
 /// nearest-match suggestion. Later pairs override earlier ones. The
 /// approach default is resolved here: an explicit "approach" wins; with
-/// only a "kind" the kind's default discoverer is chosen; with neither,
-/// "brute-force" (the paper's baseline). Cross-field checks that need the
-/// catalog (out-of-core support, kind/approach agreement) stay in
+/// only a non-IND "kind" the kind's default discoverer is chosen; with
+/// "sigma" < 1 the first registered unary IND verifier that supports
+/// partial coverage ("spider-merge"); otherwise "brute-force" (the
+/// paper's baseline). Cross-field checks that need the catalog
+/// (out-of-core support, kind/approach agreement) stay in
 /// SpiderSession::Run.
 [[nodiscard]]
 Result<RunOptions> ParseRunOptions(const std::vector<RunOptionKv>& pairs);

@@ -484,14 +484,6 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
   SPIDER_RETURN_NOT_OK(ValidateRun(options, *approach, verifier, config,
                                    verify_config, catalog_->out_of_core()));
 
-  // The prefetch pool is distinct from the worker pool: readers block on
-  // their prefetch futures, which a shared pool's workers would end up
-  // servicing for each other.
-  std::unique_ptr<ThreadPool> io_pool;
-  if (options.io_threads > 0 && verifier_reads_sets) {
-    io_pool = std::make_unique<ThreadPool>(options.io_threads);
-    verify_config.io_pool = io_pool.get();
-  }
   const int threads = ThreadPool::ResolveThreadCount(options.threads);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {

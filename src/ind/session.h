@@ -116,11 +116,6 @@ struct RunOptions {
   /// either way; off forces the pre-block linear scans that the
   /// skip-parity tests compare against.
   bool block_skip = true;
-  /// Threads for a session-owned pool dedicated to background block
-  /// prefetch on the merge path; 0 = no prefetch (synchronous reads).
-  /// Deliberately separate from `threads`: a worker must never wait on a
-  /// prefetch future scheduled onto its own pool (no-nesting rule).
-  int io_threads = 0;
   /// Consult the persisted profile for this run (only meaningful with
   /// SessionOptions::persist_profile): reuse remembered exact-IND verdicts
   /// whose source fingerprints still match and hand only the rest to the

@@ -368,10 +368,10 @@ std::vector<std::vector<IndCandidate>> PartitionCandidatesByFileBudget(
   return blocks;
 }
 
-SinglePassAlgorithm::SinglePassAlgorithm(SinglePassOptions options)
-    : options_(options) {
-  SPIDER_CHECK(options_.extractor != nullptr)
-      << "SinglePassOptions::extractor is required";
+SinglePassAlgorithm::SinglePassAlgorithm(const AlgorithmConfig& config)
+    : config_(config) {
+  SPIDER_CHECK(config_.extractor != nullptr)
+      << "single-pass requires a value-set extractor";
 }
 
 Result<IndRunResult> SinglePassAlgorithm::Run(
@@ -392,7 +392,7 @@ Result<IndRunResult> SinglePassAlgorithm::Run(
 
   std::vector<std::vector<IndCandidate>> blocks =
       PartitionCandidatesByFileBudget(unique_candidates,
-                                      options_.max_open_files);
+                                      config_.max_open_files);
   context.Begin(static_cast<int64_t>(blocks.size()));
   for (const auto& block : blocks) {
     if (context.ShouldStop()) {
@@ -401,7 +401,7 @@ Result<IndRunResult> SinglePassAlgorithm::Run(
     }
     SPIDER_ASSIGN_OR_RETURN(
         bool block_finished,
-        RunBlock(catalog, options_.extractor, block, context, &result));
+        RunBlock(catalog, config_.extractor, block, context, &result));
     if (!block_finished) {
       result.finished = false;
       break;
@@ -422,14 +422,8 @@ void RegisterSinglePassAlgorithm(AlgorithmRegistry& registry) {
       "all candidates in one pass, every value read once (Sec. 3.2); "
       "max_open_files enables the blockwise extension";
   Status status = registry.Register(
-      "single-pass", capabilities,
-      [](const AlgorithmConfig& config)
-          -> Result<std::unique_ptr<IndAlgorithm>> {
-        SinglePassOptions options;
-        options.extractor = config.extractor;
-        options.max_open_files = config.max_open_files;
-        return std::unique_ptr<IndAlgorithm>(
-            std::make_unique<SinglePassAlgorithm>(options));
+      "single-pass", capabilities, [](const AlgorithmConfig& config) {
+        return std::make_unique<SinglePassAlgorithm>(config);
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

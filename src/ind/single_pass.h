@@ -12,36 +12,26 @@
 // candidate is decided when the queue drains.
 //
 // Section 4.2 scalability: the number of open files, not memory, limits
-// this algorithm. The `max_open_files` option enables the paper's proposed
-// blockwise extension — candidates are partitioned into groups whose
-// dependent + referenced file count fits the budget, and the engine runs
-// once per group.
+// this algorithm. AlgorithmConfig::max_open_files enables the paper's
+// proposed blockwise extension — candidates are partitioned into groups
+// whose dependent + referenced file count fits the budget, and the engine
+// runs once per group.
 
 #pragma once
 
-#include "src/extsort/value_set_extractor.h"
 #include "src/ind/algorithm.h"
+#include "src/ind/registry.h"
 
 namespace spider {
-
-class AlgorithmRegistry;
-
-/// Options for SinglePassAlgorithm.
-struct SinglePassOptions {
-  /// Materializes and caches sorted value sets. Required.
-  ValueSetExtractor* extractor = nullptr;
-
-  /// Maximum sorted-set files open simultaneously; 0 means unlimited (the
-  /// paper's original single-group behaviour). Values >= 2 enable the
-  /// blockwise extension.
-  int max_open_files = 0;
-};
 
 /// \brief Single-pass IND verification: every value read once, all
 /// candidates tested in parallel.
 class SinglePassAlgorithm final : public IndAlgorithm {
  public:
-  explicit SinglePassAlgorithm(SinglePassOptions options);
+  /// Reads `config.extractor` (required) and `config.max_open_files`: 0
+  /// means unlimited (the paper's original single-group behaviour), values
+  /// >= 2 enable the blockwise extension.
+  explicit SinglePassAlgorithm(const AlgorithmConfig& config);
 
   using IndAlgorithm::Run;
   [[nodiscard]]
@@ -52,7 +42,7 @@ class SinglePassAlgorithm final : public IndAlgorithm {
   std::string_view name() const override { return "single-pass"; }
 
  private:
-  SinglePassOptions options_;
+  AlgorithmConfig config_;
 };
 
 /// Registers "single-pass" (called once from AlgorithmRegistry::Global()).

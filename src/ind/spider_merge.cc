@@ -45,12 +45,12 @@ struct AttributeCursor {
 
 }  // namespace
 
-SpiderMergeAlgorithm::SpiderMergeAlgorithm(SpiderMergeOptions options)
-    : options_(options) {
-  SPIDER_CHECK(options_.extractor != nullptr)
-      << "SpiderMergeOptions::extractor is required";
-  SPIDER_CHECK_GE(options_.min_coverage, 0.0);
-  SPIDER_CHECK_LE(options_.min_coverage, 1.0);
+SpiderMergeAlgorithm::SpiderMergeAlgorithm(const AlgorithmConfig& config)
+    : config_(config) {
+  SPIDER_CHECK(config_.extractor != nullptr)
+      << "spider-merge requires a value-set extractor";
+  SPIDER_CHECK_GE(config_.min_coverage, 0.0);
+  SPIDER_CHECK_LE(config_.min_coverage, 1.0);
 }
 
 Result<IndRunResult> SpiderMergeAlgorithm::Run(
@@ -68,10 +68,9 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
     auto it = cursor_index.find(attr);
     if (it != cursor_index.end()) return it->second;
     SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
-                            options_.extractor->Extract(catalog, attr));
+                            config_.extractor->Extract(catalog, attr));
     SortedSetReaderOptions reader_options;
-    reader_options.allow_block_skip = options_.block_skip;
-    reader_options.prefetch_pool = options_.io_pool;
+    reader_options.allow_block_skip = config_.block_skip;
     SPIDER_ASSIGN_OR_RETURN(
         std::unique_ptr<SortedSetReader> reader,
         SortedSetReader::Open(info.path, &result.counters, reader_options));
@@ -101,7 +100,7 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
   // σ-partial budgets: each dependent tolerates
   // |s(d)| - ceil(sigma * |s(d)|) unmatched distinct values.
   for (AttributeCursor& cursor : cursors) {
-    const double sigma = options_.min_coverage;
+    const double sigma = config_.min_coverage;
     cursor.allowed_misses =
         cursor.distinct_count -
         static_cast<int64_t>(
@@ -238,7 +237,7 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
         cursor.current = std::string_view();
         continue;
       }
-      if (options_.block_skip && !cursor.dep_active() &&
+      if (config_.block_skip && !cursor.dep_active() &&
           !dep_currents.empty()) {
         // Pure reference stream: gallop to the dependent frontier. Deps
         // from this group that have not advanced yet still hold the group
@@ -291,16 +290,8 @@ void RegisterSpiderMergeAlgorithm(AlgorithmRegistry& registry) {
       "heap-merged single pass (the paper's announced improvement); "
       "verifies sigma-partial INDs in the same scan";
   Status status = registry.Register(
-      "spider-merge", capabilities,
-      [](const AlgorithmConfig& config)
-          -> Result<std::unique_ptr<IndAlgorithm>> {
-        SpiderMergeOptions options;
-        options.extractor = config.extractor;
-        options.min_coverage = config.min_coverage;
-        options.block_skip = config.block_skip;
-        options.io_pool = config.io_pool;
-        return std::unique_ptr<IndAlgorithm>(
-            std::make_unique<SpiderMergeAlgorithm>(options));
+      "spider-merge", capabilities, [](const AlgorithmConfig& config) {
+        return std::make_unique<SpiderMergeAlgorithm>(config);
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

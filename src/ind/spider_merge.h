@@ -14,41 +14,25 @@
 
 #pragma once
 
-#include "src/extsort/value_set_extractor.h"
 #include "src/ind/algorithm.h"
+#include "src/ind/registry.h"
 
 namespace spider {
-
-class AlgorithmRegistry;
-
-/// Options for SpiderMergeAlgorithm.
-struct SpiderMergeOptions {
-  /// Materializes and caches sorted value sets. Required.
-  ValueSetExtractor* extractor = nullptr;
-
-  /// σ-partial mode: a candidate is satisfied when at least this fraction
-  /// of the DISTINCT dependent values occurs in the referenced set. 1.0 is
-  /// exact IND semantics; lower values verify all partial-IND candidates
-  /// in the same single pass (the per-candidate generalization that
-  /// PartialIndFinder runs one scan at a time).
-  double min_coverage = 1.0;
-
-  /// Gallop pure-reference cursors to the dependent frontier with
-  /// SkipToAtLeast, hopping whole zonemap blocks where the file format
-  /// allows. The satisfied set is identical either way; off forces the
-  /// decode-every-record scan the parity tests compare against.
-  bool block_skip = true;
-
-  /// Dedicated I/O pool for background block prefetch (see
-  /// AlgorithmConfig::io_pool for the no-nesting constraint). Not owned.
-  ThreadPool* io_pool = nullptr;
-};
 
 /// \brief Heap-based single-pass IND verification: every value read at most
 /// once, all candidates tested in parallel, no per-delivery bookkeeping.
 class SpiderMergeAlgorithm final : public IndAlgorithm {
  public:
-  explicit SpiderMergeAlgorithm(SpiderMergeOptions options);
+  /// Reads `config.extractor` (required), `config.block_skip` and
+  /// `config.min_coverage`. σ-partial mode: a candidate is satisfied when
+  /// at least that fraction of the DISTINCT dependent values occurs in the
+  /// referenced set. 1.0 is exact IND semantics; lower values verify all
+  /// partial-IND candidates in the same single pass (the per-candidate
+  /// generalization that PartialIndFinder runs one scan at a time). With
+  /// block_skip, pure-reference cursors gallop to the dependent frontier
+  /// with SkipToAtLeast, hopping whole zonemap blocks; the satisfied set
+  /// is identical either way.
+  explicit SpiderMergeAlgorithm(const AlgorithmConfig& config);
 
   using IndAlgorithm::Run;
   [[nodiscard]]
@@ -59,7 +43,7 @@ class SpiderMergeAlgorithm final : public IndAlgorithm {
   std::string_view name() const override { return "spider-merge"; }
 
  private:
-  SpiderMergeOptions options_;
+  AlgorithmConfig config_;
 };
 
 /// Registers "spider-merge" (called once from AlgorithmRegistry::Global()).

@@ -12,10 +12,10 @@ namespace spider {
 namespace {
 
 // Shared driver: runs `test_one` per candidate under the run context's
-// budget (and the legacy per-algorithm budget, whichever is tighter).
+// budget.
 Result<IndRunResult> RunSqlApproach(
     const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    const SqlAlgorithmOptions& options, RunContext& context,
+    RunContext& context,
     const std::function<Result<bool>(const Column& dep, const Column& ref,
                                      RunCounters* counters)>& test_one) {
   IndRunResult result;
@@ -24,7 +24,7 @@ Result<IndRunResult> RunSqlApproach(
   context.Begin(static_cast<int64_t>(candidates.size()));
 
   for (const IndCandidate& candidate : candidates) {
-    if (context.ShouldStop(options.time_budget_seconds)) {
+    if (context.ShouldStop()) {
       result.finished = false;
       break;
     }
@@ -50,16 +50,13 @@ Result<IndRunResult> RunSqlApproach(
 Result<IndRunResult> SqlJoinAlgorithm::Run(
     const Catalog& catalog, const std::vector<IndCandidate>& candidates,
     RunContext& context) {
-  const JoinStrategy strategy = strategy_;
   return RunSqlApproach(
-      catalog, candidates, options_, context,
-      [strategy](const Column& dep, const Column& ref,
-                 RunCounters* counters) -> Result<bool> {
+      catalog, candidates, context,
+      [](const Column& dep, const Column& ref,
+         RunCounters* counters) -> Result<bool> {
         SPIDER_ASSIGN_OR_RETURN(
             const int64_t matched,
-            strategy == JoinStrategy::kHash
-                ? engine::HashJoinMatchCount(dep, ref, counters)
-                : engine::SortMergeJoinMatchCount(dep, ref, counters));
+            engine::HashJoinMatchCount(dep, ref, counters));
         return matched == dep.non_null_count();
       });
 }
@@ -68,7 +65,7 @@ Result<IndRunResult> SqlMinusAlgorithm::Run(
     const Catalog& catalog, const std::vector<IndCandidate>& candidates,
     RunContext& context) {
   return RunSqlApproach(
-      catalog, candidates, options_, context,
+      catalog, candidates, context,
       [](const Column& dep, const Column& ref,
          RunCounters* counters) -> Result<bool> {
         SPIDER_ASSIGN_OR_RETURN(const int64_t unmatched,
@@ -81,7 +78,7 @@ Result<IndRunResult> SqlNotInAlgorithm::Run(
     const Catalog& catalog, const std::vector<IndCandidate>& candidates,
     RunContext& context) {
   return RunSqlApproach(
-      catalog, candidates, options_, context,
+      catalog, candidates, context,
       [](const Column& dep, const Column& ref,
          RunCounters* counters) -> Result<bool> {
         SPIDER_ASSIGN_OR_RETURN(const int64_t unmatched,
@@ -102,18 +99,15 @@ void RegisterSqlAlgorithms(AlgorithmRegistry& registry) {
   } kSqlApproaches[] = {
       {"sql-join", "per-candidate SQL join statement (paper Fig. 2)",
        [](const AlgorithmConfig&) {
-         return Result<std::unique_ptr<IndAlgorithm>>(
-             std::make_unique<SqlJoinAlgorithm>());
+         return std::make_unique<SqlJoinAlgorithm>();
        }},
       {"sql-minus", "per-candidate SQL minus statement (paper Fig. 3)",
        [](const AlgorithmConfig&) {
-         return Result<std::unique_ptr<IndAlgorithm>>(
-             std::make_unique<SqlMinusAlgorithm>());
+         return std::make_unique<SqlMinusAlgorithm>();
        }},
       {"sql-not-in", "per-candidate SQL not-in statement (paper Fig. 4)",
        [](const AlgorithmConfig&) {
-         return Result<std::unique_ptr<IndAlgorithm>>(
-             std::make_unique<SqlNotInAlgorithm>());
+         return std::make_unique<SqlNotInAlgorithm>();
        }},
   };
   for (const auto& approach : kSqlApproaches) {

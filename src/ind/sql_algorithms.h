@@ -6,8 +6,9 @@
 // early stop, and that each statement re-scans and re-sorts base data
 // because sorted sets cannot be reused across queries.
 //
-// A wall-clock budget models the paper's aborted runs ("> 7 days"): when
-// exceeded, Run() returns a partial result with finished = false.
+// The run context's wall-clock budget models the paper's aborted runs
+// ("> 7 days"): when exceeded, Run() returns a partial result with
+// finished = false.
 
 #pragma once
 
@@ -17,37 +18,17 @@ namespace spider {
 
 class AlgorithmRegistry;
 
-/// Options shared by the SQL approaches.
-struct SqlAlgorithmOptions {
-  /// Abort the run (finished=false) after this many seconds; 0 = unlimited.
-  /// Deprecated: prefer RunContext::time_budget_seconds, which applies to
-  /// every approach; when both are set the tighter bound wins.
-  double time_budget_seconds = 0;
-};
-
-/// Physical plan the "optimizer" picks for the join statement.
-enum class JoinStrategy {
-  kHash,       ///< build/probe hash join (the usual winner)
-  kSortMerge,  ///< per-query sorts + merge (no reuse across statements)
-};
-
 /// \brief Statement "utilizing join" (paper Fig. 2): count join partners
-/// and compare against the number of non-NULL dependent values.
+/// and compare against the number of non-NULL dependent values, with the
+/// engine's hash join as the physical plan.
 class SqlJoinAlgorithm final : public IndAlgorithm {
  public:
-  explicit SqlJoinAlgorithm(SqlAlgorithmOptions options = {},
-                            JoinStrategy strategy = JoinStrategy::kHash)
-      : options_(options), strategy_(strategy) {}
   using IndAlgorithm::Run;
   [[nodiscard]]
   Result<IndRunResult> Run(const Catalog& catalog,
                            const std::vector<IndCandidate>& candidates,
                            RunContext& context) override;
   std::string_view name() const override { return "sql-join"; }
-
- private:
-  SqlAlgorithmOptions options_;
-  JoinStrategy strategy_;
 };
 
 /// \brief Statement "utilizing minus" (paper Fig. 3): |dep MINUS ref| must
@@ -55,17 +36,12 @@ class SqlJoinAlgorithm final : public IndAlgorithm {
 /// is not pushed down — Sec. 2.2).
 class SqlMinusAlgorithm final : public IndAlgorithm {
  public:
-  explicit SqlMinusAlgorithm(SqlAlgorithmOptions options = {})
-      : options_(options) {}
   using IndAlgorithm::Run;
   [[nodiscard]]
   Result<IndRunResult> Run(const Catalog& catalog,
                            const std::vector<IndCandidate>& candidates,
                            RunContext& context) override;
   std::string_view name() const override { return "sql-minus"; }
-
- private:
-  SqlAlgorithmOptions options_;
 };
 
 /// \brief Statement "utilizing not in" (paper Fig. 4): no dependent value
@@ -73,17 +49,12 @@ class SqlMinusAlgorithm final : public IndAlgorithm {
 /// join, the slowest plan in the paper's measurements.
 class SqlNotInAlgorithm final : public IndAlgorithm {
  public:
-  explicit SqlNotInAlgorithm(SqlAlgorithmOptions options = {})
-      : options_(options) {}
   using IndAlgorithm::Run;
   [[nodiscard]]
   Result<IndRunResult> Run(const Catalog& catalog,
                            const std::vector<IndCandidate>& candidates,
                            RunContext& context) override;
   std::string_view name() const override { return "sql-not-in"; }
-
- private:
-  SqlAlgorithmOptions options_;
 };
 
 /// Registers "sql-join", "sql-minus" and "sql-not-in" (called once from

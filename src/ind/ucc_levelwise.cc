@@ -45,7 +45,7 @@ Result<bool> IsUnique(const Catalog& catalog, ValueSetExtractor* extractor,
 // steps its progress once per tested candidate.
 Result<BatchOutcome<Ucc>> FindMinimalUccs(const Catalog& catalog,
                                           const Table& table,
-                                          const UccLevelwiseOptions& options,
+                                          const AlgorithmConfig& config,
                                           RunContext& context) {
   BatchOutcome<Ucc> outcome;
   const int n = table.column_count();
@@ -58,7 +58,7 @@ Result<BatchOutcome<Ucc>> FindMinimalUccs(const Catalog& catalog,
     ++outcome.counters.candidates_tested;
     SPIDER_ASSIGN_OR_RETURN(
         const bool unique,
-        IsUnique(catalog, options.extractor, table, combo));
+        IsUnique(catalog, config.extractor, table, combo));
     context.Step();
     if (unique) {
       Ucc ucc;
@@ -89,7 +89,7 @@ Result<BatchOutcome<Ucc>> FindMinimalUccs(const Catalog& catalog,
 
   // Levels 2..max: extend non-unique combinations (supersets of a UCC are
   // never minimal; supersets of a non-unique set may become unique).
-  for (int arity = 2; arity <= options.max_arity && !non_unique.empty();
+  for (int arity = 2; arity <= config.max_nary_arity && !non_unique.empty();
        ++arity) {
     std::set<std::vector<int>> candidates;
     for (const std::vector<int>& base : non_unique) {
@@ -131,11 +131,11 @@ Result<BatchOutcome<Ucc>> FindMinimalUccs(const Catalog& catalog,
 
 }  // namespace
 
-UccLevelwiseAlgorithm::UccLevelwiseAlgorithm(UccLevelwiseOptions options)
-    : options_(options) {
-  SPIDER_CHECK(options_.extractor != nullptr)
+UccLevelwiseAlgorithm::UccLevelwiseAlgorithm(const AlgorithmConfig& config)
+    : config_(config) {
+  SPIDER_CHECK(config_.extractor != nullptr)
       << "ucc-levelwise requires a value-set extractor";
-  SPIDER_CHECK_GE(options_.max_arity, 1);
+  if (config_.max_nary_arity < 1) config_.max_nary_arity = 4;
 }
 
 Result<DependencyRunResult> UccLevelwiseAlgorithm::Run(const Catalog& catalog,
@@ -145,11 +145,11 @@ Result<DependencyRunResult> UccLevelwiseAlgorithm::Run(const Catalog& catalog,
   // order, so output and counters are identical at any thread count.
   auto search = [&](size_t t) {
     return FindMinimalUccs(catalog, catalog.table(static_cast<int>(t)),
-                           options_, context);
+                           config_, context);
   };
   SPIDER_ASSIGN_OR_RETURN(
       BatchOutcome<Ucc> batch,
-      RunBatch<Ucc>(options_.pool, static_cast<size_t>(catalog.table_count()),
+      RunBatch<Ucc>(config_.pool, static_cast<size_t>(catalog.table_count()),
                     context, search));
   DependencyRunResult result;
   result.uccs = std::move(batch.found);
@@ -173,17 +173,8 @@ void RegisterUccLevelwiseAlgorithm(AlgorithmRegistry& registry) {
       "levelwise minimal unique column combinations (composite key "
       "candidates) over sorted composite sets";
   const Status status = registry.Register(
-      "ucc-levelwise", capabilities,
-      [](const AlgorithmConfig& config)
-          -> Result<std::unique_ptr<DependencyAlgorithm>> {
-        UccLevelwiseOptions options;
-        options.extractor = config.extractor;
-        options.pool = config.pool;
-        if (config.max_nary_arity >= 1) {
-          options.max_arity = config.max_nary_arity;
-        }
-        return std::unique_ptr<DependencyAlgorithm>(
-            std::make_unique<UccLevelwiseAlgorithm>(options));
+      "ucc-levelwise", capabilities, [](const AlgorithmConfig& config) {
+        return std::make_unique<UccLevelwiseAlgorithm>(config);
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

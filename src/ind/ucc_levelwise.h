@@ -24,31 +24,21 @@
 #include <string_view>
 
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
-#include "src/extsort/value_set_extractor.h"
 #include "src/ind/dependency.h"
+#include "src/ind/registry.h"
 #include "src/storage/catalog.h"
 
 namespace spider {
-
-class AlgorithmRegistry;
-
-/// Options for the registered "ucc-levelwise" algorithm.
-struct UccLevelwiseOptions {
-  /// Highest combination size considered.
-  int max_arity = 4;
-  /// Sorted-set materializer (required). Borrowed, thread-safe.
-  ValueSetExtractor* extractor = nullptr;
-  /// When set, per-table searches run concurrently on this pool; results
-  /// and counters are identical to the serial run. Borrowed.
-  ThreadPool* pool = nullptr;
-};
 
 /// \brief The registered UCC discoverer: sorted-set uniqueness tests,
 /// per-table dispatch on an optional pool, unified run controls.
 class UccLevelwiseAlgorithm : public DependencyAlgorithm {
  public:
-  explicit UccLevelwiseAlgorithm(UccLevelwiseOptions options);
+  /// Reads from `config`: `extractor` (required), `max_nary_arity` (the
+  /// highest combination size considered; values < 1 select 4) and `pool`
+  /// (per-table searches run concurrently when set; results and counters
+  /// are identical to the serial run).
+  explicit UccLevelwiseAlgorithm(const AlgorithmConfig& config);
 
   using DependencyAlgorithm::Run;
   [[nodiscard]]
@@ -58,7 +48,7 @@ class UccLevelwiseAlgorithm : public DependencyAlgorithm {
   std::string_view name() const override { return "ucc-levelwise"; }
 
  private:
-  UccLevelwiseOptions options_;
+  AlgorithmConfig config_;
 };
 
 /// Registers "ucc-levelwise" (called by AlgorithmRegistry::Global()).

@@ -12,11 +12,13 @@
 
 namespace spider {
 
-ZigzagAlgorithm::ZigzagAlgorithm(ZigzagOptions options)
-    : options_(options), verifier_(options.extractor, options.block_skip) {
-  SPIDER_CHECK_GE(options_.max_arity, 2);
-  SPIDER_CHECK_GE(options_.epsilon, 0.0);
-  SPIDER_CHECK_LE(options_.epsilon, 1.0);
+ZigzagAlgorithm::ZigzagAlgorithm(const AlgorithmConfig& config, double epsilon)
+    : config_(config),
+      epsilon_(epsilon),
+      verifier_(config.extractor, config.block_skip) {
+  if (config_.max_nary_arity < 2) config_.max_nary_arity = 8;
+  SPIDER_CHECK_GE(epsilon_, 0.0);
+  SPIDER_CHECK_LE(epsilon_, 1.0);
 }
 
 Result<NaryRunResult> ZigzagAlgorithm::Run(const Catalog& catalog,
@@ -48,7 +50,7 @@ Result<NaryRunResult> ZigzagAlgorithm::Run(const Catalog& catalog,
       take(base[seed]);
       for (const auto& edge : base) take(edge);
       if (static_cast<int>(matching.size()) < 2) continue;
-      while (static_cast<int>(matching.size()) > options_.max_arity) {
+      while (static_cast<int>(matching.size()) > config_.max_nary_arity) {
         matching.pop_back();
       }
       optimistic.insert(CanonicalNaryInd(std::move(matching)));
@@ -79,7 +81,7 @@ Result<NaryRunResult> ZigzagAlgorithm::Run(const Catalog& catalog,
         satisfied_here.push_back(std::move(candidate));
         continue;
       }
-      if (error <= options_.epsilon) {
+      if (error <= epsilon_) {
         // Nearly satisfied: its children are promising.
         for (NaryInd& child : Children(candidate)) {
           queue.push_back(std::move(child));
@@ -94,7 +96,7 @@ Result<NaryRunResult> ZigzagAlgorithm::Run(const Catalog& catalog,
   };
   SPIDER_ASSIGN_OR_RETURN(
       BatchOutcome<NaryInd> batch,
-      RunBatch<NaryInd>(options_.pool, pairs.size(), context, run_pair));
+      RunBatch<NaryInd>(config_.pool, pairs.size(), context, run_pair));
 
   NaryRunResult result;
   result.satisfied = std::move(batch.found);
@@ -115,18 +117,8 @@ void RegisterZigzagAlgorithm(AlgorithmRegistry& registry) {
       "optimistic/top-down (zigzag) maximal n-ary INDs with g3' error "
       "refinement over streamed composite sets";
   Status status = registry.Register(
-      "zigzag", capabilities,
-      [](const AlgorithmConfig& config)
-          -> Result<std::unique_ptr<NaryAlgorithm>> {
-        ZigzagOptions options;
-        options.extractor = config.extractor;
-        options.pool = config.pool;
-        options.block_skip = config.block_skip;
-        if (config.max_nary_arity >= 2) {
-          options.max_arity = config.max_nary_arity;
-        }
-        return std::unique_ptr<NaryAlgorithm>(
-            std::make_unique<ZigzagAlgorithm>(options));
+      "zigzag", capabilities, [](const AlgorithmConfig& config) {
+        return std::make_unique<ZigzagAlgorithm>(config);
       });
   SPIDER_CHECK(status.ok()) << status.ToString();
 }

@@ -35,31 +35,11 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
 #include "src/ind/composite_verify.h"
 #include "src/ind/nary_algorithm.h"
+#include "src/ind/registry.h"
 
 namespace spider {
-
-class AlgorithmRegistry;
-
-/// Options for ZigzagAlgorithm.
-struct ZigzagOptions {
-  /// Maximum arity considered.
-  int max_arity = 8;
-  /// A failed optimistic candidate with error g3' <= epsilon refines
-  /// top-down into its children; above the threshold it is abandoned.
-  double epsilon = 0.3;
-  /// Sorted composite sets are materialized and cached here. Borrowed;
-  /// nullptr = a scoped temp-dir extractor owned by the verifier.
-  ValueSetExtractor* extractor = nullptr;
-  /// When set, independent table pairs are processed concurrently on this
-  /// pool. Results and counters are identical to the serial run. Borrowed.
-  ThreadPool* pool = nullptr;
-  /// Zonemap block skipping on the verifier's referenced-side cursor
-  /// (AlgorithmConfig::block_skip). Identical results either way.
-  bool block_skip = true;
-};
 
 /// \brief Optimistic/top-down n-ary IND discovery, registered as "zigzag".
 /// Reports the maximal satisfied INDs of arity >= 2 (none is a
@@ -67,7 +47,15 @@ struct ZigzagOptions {
 /// tests, the figure to compare against pure levelwise expansion.
 class ZigzagAlgorithm final : public NaryAlgorithm {
  public:
-  explicit ZigzagAlgorithm(ZigzagOptions options = {});
+  /// Reads from `config`: `max_nary_arity` (the maximum arity considered;
+  /// values < 2 select 8), `extractor` (nullptr = a scoped temp-dir
+  /// extractor owned by the verifier), `pool` (independent table pairs run
+  /// concurrently when set) and `block_skip`. Results and counters are
+  /// identical with or without pool and skipping. A failed optimistic
+  /// candidate with error g3' <= `epsilon` refines top-down into its
+  /// children; above the threshold it is abandoned.
+  explicit ZigzagAlgorithm(const AlgorithmConfig& config = {},
+                           double epsilon = 0.3);
 
   /// `unary` must be the complete satisfied unary IND set (as for the
   /// levelwise expansion).
@@ -80,7 +68,8 @@ class ZigzagAlgorithm final : public NaryAlgorithm {
   std::string_view name() const override { return "zigzag"; }
 
  private:
-  ZigzagOptions options_;
+  AlgorithmConfig config_;
+  double epsilon_;
   CompositeSetVerifier verifier_;
 };
 

@@ -1,7 +1,6 @@
 #include "src/storage/disk_store.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -386,15 +385,9 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
     return bad("missing or unsupported version header");
   }
   if (!line.empty() && line.back() == '\r') line.pop_back();
-  int version = 0;
-  if (line == "spider-store\t1") {
-    version = 1;
-  } else if (line == "spider-store\t2") {
-    version = 2;
-  } else {
+  if (line != "spider-store\t2") {
     return bad("missing or unsupported version header");
   }
-  const size_t column_arity = version == 1 ? 18 : 20;
 
   ManifestData data;
   bool saw_catalog = false;
@@ -447,7 +440,7 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
       SPIDER_ASSIGN_OR_RETURN(table->row_count, ParseManifestInt(fields[2]));
     } else if (kind == "column") {
       if (table == nullptr) return bad("column before table");
-      if (fields.size() != column_arity) return bad("column record arity");
+      if (fields.size() != 20) return bad("column record arity");
       ManifestColumn column;
       column.name = fields[1];
       SPIDER_ASSIGN_OR_RETURN(column.type, TypeIdFromString(fields[2]));
@@ -471,17 +464,9 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
                               ParseManifestDouble(fields[16]));
       SPIDER_ASSIGN_OR_RETURN(stats.digit_fraction,
                               ParseManifestDouble(fields[17]));
-      if (version >= 2) {
-        SPIDER_ASSIGN_OR_RETURN(stats.letter_count,
-                                ParseManifestInt(fields[18]));
-        SPIDER_ASSIGN_OR_RETURN(stats.digit_count,
-                                ParseManifestInt(fields[19]));
-      } else {
-        stats.letter_count = std::llround(
-            stats.letter_fraction * static_cast<double>(stats.non_null_count));
-        stats.digit_count = std::llround(
-            stats.digit_fraction * static_cast<double>(stats.non_null_count));
-      }
+      SPIDER_ASSIGN_OR_RETURN(stats.letter_count,
+                              ParseManifestInt(fields[18]));
+      SPIDER_ASSIGN_OR_RETURN(stats.digit_count, ParseManifestInt(fields[19]));
       stats.verified_unique = stats.non_null_count > 0 &&
                               stats.distinct_count == stats.non_null_count;
       const fs::path file = dir / column.file_name;

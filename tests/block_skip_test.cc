@@ -115,11 +115,10 @@ TEST(BlockSkipTest, SkipCountersAreDeterministicSerially) {
   EXPECT_EQ(first->run.satisfied, second->run.satisfied);
 }
 
-TEST(BlockSkipTest, CompositeVerifierParity) {
-  // The n-ary verifier gallops its referenced cursor to each dependent
-  // tuple; with skipping off it must reach the identical verdict and
-  // error, reading at least as many tuples.
-  Catalog catalog;
+// Two-column tables whose dependent tuples hit two narrow slices of the
+// referenced tuple space: the composite merge gallops its referenced
+// cursor across the gap between the slices.
+void FillBandedCompositeCatalog(Catalog* catalog) {
   std::vector<std::string> dep_a;
   std::vector<std::string> dep_b;
   std::vector<std::string> ref_a;
@@ -128,14 +127,13 @@ TEST(BlockSkipTest, CompositeVerifierParity) {
     ref_a.push_back(PaddedKey("a", i));
     ref_b.push_back(PaddedKey("b", i));
   }
-  // Dependent rows hit two narrow slices of the referenced tuple space.
   for (int i = 0; i < 50; ++i) {
     dep_a.push_back(PaddedKey("a", 100 + i));
     dep_b.push_back(PaddedKey("b", 100 + i));
     dep_a.push_back(PaddedKey("a", 3800 + i));
     dep_b.push_back(PaddedKey("b", 3800 + i));
   }
-  auto* dep_table = catalog.CreateTable("dep").value();
+  auto* dep_table = catalog->CreateTable("dep").value();
   ASSERT_TRUE(dep_table->AddColumn("x", TypeId::kString, false).ok());
   ASSERT_TRUE(dep_table->AddColumn("y", TypeId::kString, false).ok());
   for (size_t i = 0; i < dep_a.size(); ++i) {
@@ -144,7 +142,7 @@ TEST(BlockSkipTest, CompositeVerifierParity) {
                                  Value::String(dep_b[i])})
                     .ok());
   }
-  auto* ref_table = catalog.CreateTable("ref").value();
+  auto* ref_table = catalog->CreateTable("ref").value();
   ASSERT_TRUE(ref_table->AddColumn("x", TypeId::kString, false).ok());
   ASSERT_TRUE(ref_table->AddColumn("y", TypeId::kString, false).ok());
   for (size_t i = 0; i < ref_a.size(); ++i) {
@@ -153,6 +151,14 @@ TEST(BlockSkipTest, CompositeVerifierParity) {
                                  Value::String(ref_b[i])})
                     .ok());
   }
+}
+
+TEST(BlockSkipTest, CompositeVerifierParity) {
+  // The n-ary verifier gallops its referenced cursor to each dependent
+  // tuple; with skipping off it must reach the identical verdict and
+  // error, reading at least as many tuples.
+  Catalog catalog;
+  FillBandedCompositeCatalog(&catalog);
 
   NaryInd candidate;
   candidate.dependent = {{"dep", "x"}, {"dep", "y"}};
@@ -220,6 +226,34 @@ TEST(BlockSkipTest, DiskBackendParityAcrossSkipAndThreads) {
     }
   }
 }
+
+// Every n-ary expansion receives block_skip through the session: its
+// composite merges reach the identical INDs with the identical test count
+// either way, and bypass blocks only when skipping is on.
+class NaryBlockSkipTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(NaryBlockSkipTest, SessionHandsBlockSkipToTheExpansion) {
+  Catalog catalog;
+  FillBandedCompositeCatalog(&catalog);
+  SpiderSession session(catalog);
+  RunOptions options;
+  options.approach = GetParam();
+  options.block_skip = false;
+  auto linear = session.Run(options);
+  ASSERT_TRUE(linear.ok()) << linear.status().ToString();
+  options.block_skip = true;
+  auto skipping = session.Run(options);
+  ASSERT_TRUE(skipping.ok()) << skipping.status().ToString();
+
+  EXPECT_FALSE(linear->nary_run.satisfied.empty());
+  EXPECT_EQ(skipping->nary_run.satisfied, linear->nary_run.satisfied);
+  EXPECT_EQ(skipping->nary_run.tests, linear->nary_run.tests);
+  EXPECT_EQ(linear->nary_run.counters.blocks_skipped, 0);
+  EXPECT_GT(skipping->nary_run.counters.blocks_skipped, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllNaryApproaches, NaryBlockSkipTest,
+                         ::testing::Values("nary", "clique-nary", "zigzag"));
 
 }  // namespace
 }  // namespace spider

@@ -111,9 +111,9 @@ TEST_F(BruteForceTest, RunOverCatalogCollectsSatisfiedInds) {
   testing::AddStringColumn(&catalog, "parent", "pk", {"a", "b", "c"}, true);
   testing::AddStringColumn(&catalog, "other", "pk", {"x", "y", "z"}, true);
 
-  BruteForceOptions options;
-  options.extractor = extractor_.get();
-  BruteForceAlgorithm algorithm(options);
+  AlgorithmConfig config;
+  config.extractor = extractor_.get();
+  BruteForceAlgorithm algorithm(config);
   std::vector<IndCandidate> candidates = {
       {{"child", "fk"}, {"parent", "pk"}},
       {{"child", "fk"}, {"other", "pk"}},
@@ -134,10 +134,11 @@ TEST_F(BruteForceTest, TransitivityPrunerSkipsImpliedCandidates) {
   testing::AddStringColumn(&catalog, "d", "c", {"x", "y", "z"}, true);
 
   TransitivityPruner pruner;
+  AlgorithmConfig config;
+  config.extractor = extractor_.get();
   BruteForceOptions options;
-  options.extractor = extractor_.get();
   options.transitivity = &pruner;
-  BruteForceAlgorithm algorithm(options);
+  BruteForceAlgorithm algorithm(config, options);
 
   // a ⊆ b and b ⊆ d are tested; a ⊆ d then follows without a data test.
   std::vector<IndCandidate> candidates = {
@@ -154,9 +155,9 @@ TEST_F(BruteForceTest, TransitivityPrunerSkipsImpliedCandidates) {
 
 TEST_F(BruteForceTest, MissingAttributeSurfacesError) {
   Catalog catalog;
-  BruteForceOptions options;
-  options.extractor = extractor_.get();
-  BruteForceAlgorithm algorithm(options);
+  AlgorithmConfig config;
+  config.extractor = extractor_.get();
+  BruteForceAlgorithm algorithm(config);
   auto result = algorithm.Run(catalog, {{{"no", "such"}, {"not", "there"}}});
   EXPECT_TRUE(result.status().IsNotFound());
 }

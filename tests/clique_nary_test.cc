@@ -189,9 +189,8 @@ TEST(CliqueNaryTest, SingleUnaryYieldsNothing) {
 TEST(CliqueNaryTest, TestBudgetSurfacesError) {
   Catalog catalog;
   BuildWide(&catalog, 6, 1);
-  CliqueNaryOptions options;
-  options.max_tests_per_pair = 0;  // any clique validation exceeds
-  CliqueNaryAlgorithm discovery(options);
+  // Any clique validation exceeds the per-pair test bound.
+  CliqueNaryAlgorithm discovery({}, /*max_tests_per_pair=*/0);
   auto result = discovery.Run(catalog, WideUnarySeed(6));
   EXPECT_TRUE(result.status().IsResourceExhausted());
 }
@@ -247,9 +246,9 @@ TEST_P(CliqueNaryPropertyTest, MatchesLevelwiseMaximalInds) {
   auto clique_result = clique.Run(catalog, unary);
   ASSERT_TRUE(clique_result.ok());
 
-  NaryDiscoveryOptions lw_options;
-  lw_options.max_arity = cols;
-  auto levelwise = LevelwiseNaryAlgorithm(lw_options).Run(catalog, unary);
+  AlgorithmConfig lw_config;
+  lw_config.max_nary_arity = cols;
+  auto levelwise = LevelwiseNaryAlgorithm(lw_config).Run(catalog, unary);
   ASSERT_TRUE(levelwise.ok());
   // Maximal INDs from the levelwise result: those not strictly contained
   // in another satisfied IND.

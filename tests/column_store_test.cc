@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -275,6 +276,44 @@ TEST_F(DiskStoreTest, CorruptBlockHeaderSurfacesStatusNotAbort) {
   EXPECT_EQ(static_cast<int>((*cursor)->Next(&view)),
             static_cast<int>(CursorStep::kEnd));
   EXPECT_TRUE((*cursor)->status().IsIOError());
+}
+
+TEST_F(DiskStoreTest, VersionOneManifestIsACleanError) {
+  // Version-1 manifests are no longer read: reopening or appending to such
+  // a workspace reports the unsupported header (reimport it) instead of
+  // aborting.
+  const auto workspace = Workspace("ws");
+  {
+    auto writer = DiskCatalogWriter::Create(workspace, "db");
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->BeginTable("t").ok());
+    ASSERT_TRUE((*writer)->AddColumn("v", TypeId::kString).ok());
+    ASSERT_TRUE((*writer)->AppendRow({Value::String("a")}).ok());
+    ASSERT_TRUE((*writer)->FinishTable().ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  const auto manifest = workspace / kDiskStoreManifestName;
+  std::string text;
+  {
+    std::ifstream in(manifest);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string v2_header = "spider-store\t2\n";
+  ASSERT_EQ(text.rfind(v2_header, 0), 0u);
+  text.replace(0, v2_header.size(), "spider-store\t1\n");
+  std::ofstream(manifest) << text;
+
+  const Status opened = OpenDiskCatalog(workspace).status();
+  EXPECT_TRUE(opened.IsInvalidArgument()) << opened.ToString();
+  EXPECT_NE(opened.message().find("missing or unsupported version header"),
+            std::string::npos)
+      << opened.ToString();
+  const Status appended = DiskCatalogWriter::OpenForAppend(workspace).status();
+  EXPECT_TRUE(appended.IsInvalidArgument()) << appended.ToString();
+  EXPECT_NE(appended.message().find("missing or unsupported version header"),
+            std::string::npos)
+      << appended.ToString();
 }
 
 TEST_F(DiskStoreTest, OpenMissingWorkspaceFails) {

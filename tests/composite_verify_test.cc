@@ -121,9 +121,9 @@ TEST(CompositeVerifyTest, ThresholdAcceptsErrorExactlyAtAndRejectsAbove) {
   const std::vector<Ind> unary = {{{"dep", "a"}, {"ref", "a"}},
                                   {{"dep", "b"}, {"ref", "b"}}};
   auto satisfied_at = [&](double threshold) {
-    NaryDiscoveryOptions options;
-    options.error_threshold = threshold;
-    auto result = LevelwiseNaryAlgorithm(options).Run(catalog, unary);
+    AlgorithmConfig config;
+    config.error_threshold = threshold;
+    auto result = LevelwiseNaryAlgorithm(config).Run(catalog, unary);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? result->satisfied : std::vector<NaryInd>{};
   };

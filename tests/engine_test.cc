@@ -106,26 +106,6 @@ TEST(NotInCountTest, ReferencedNullsAreSkipped) {
   EXPECT_EQ(*engine::NotInCount(dep, ref, nullptr), 0);
 }
 
-TEST(SortMergeJoinTest, MatchesHashJoinCount) {
-  const std::vector<std::vector<const char*>> columns = {
-      {"a", "b", "a", "z", nullptr}, {"a", "b", "c"}, {}, {"q", "q"},
-      {nullptr}};
-  for (const auto& d : columns) {
-    for (const auto& r : columns) {
-      Column dep = MakeColumn(d);
-      Column ref = MakeColumn(r);
-      EXPECT_EQ(*engine::SortMergeJoinMatchCount(dep, ref, nullptr),
-                *engine::HashJoinMatchCount(dep, ref, nullptr));
-    }
-  }
-}
-
-TEST(SortMergeJoinTest, CountsDuplicateDependentRows) {
-  Column dep = MakeColumn({"a", "a", "a", "b"});
-  Column ref = MakeColumn({"a", "c"});
-  EXPECT_EQ(*engine::SortMergeJoinMatchCount(dep, ref, nullptr), 3);
-}
-
 TEST(OperatorAgreementTest, AllThreeStatementsAgreeOnVerdict) {
   const std::vector<std::vector<const char*>> deps = {
       {"a", "b"}, {"a", "x"}, {}, {"q", "q", "q"}};

@@ -50,12 +50,12 @@ class FdTest : public ::testing::Test {
 
   DependencyRunResult Discover(const Catalog& catalog, int max_lhs = 2,
                                double threshold = 0) {
-    FdLevelwiseOptions options;
-    options.extractor = extractor_.get();
-    options.max_lhs_arity = max_lhs;
-    options.error_threshold = threshold;
-    FdLevelwiseAlgorithm algorithm(options, threshold > 0 ? "afd-levelwise"
-                                                          : "fd-levelwise");
+    AlgorithmConfig config;
+    config.extractor = extractor_.get();
+    config.max_lhs_arity = max_lhs;
+    config.error_threshold = threshold;
+    FdLevelwiseAlgorithm algorithm(config, threshold > 0 ? "afd-levelwise"
+                                                         : "fd-levelwise");
     auto result = algorithm.Run(catalog);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? *result : DependencyRunResult{};
@@ -148,9 +148,9 @@ TEST_F(FdTest, BudgetExpiryReturnsPartialSortedResult) {
   Catalog catalog;
   AddTable(&catalog, "t", {"a", "b", "c"},
            {{"x", "1", "p"}, {"x", "1", "q"}, {"y", "2", "p"}, {"y", "2", "q"}});
-  FdLevelwiseOptions options;
-  options.extractor = extractor_.get();
-  FdLevelwiseAlgorithm algorithm(options, "fd-levelwise");
+  AlgorithmConfig config;
+  config.extractor = extractor_.get();
+  FdLevelwiseAlgorithm algorithm(config, "fd-levelwise");
   RunContext context;
   CancellationToken cancelled;
   cancelled.Cancel();

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -194,18 +195,35 @@ TEST(NaryOutOfCoreTest, LevelwiseFindsTheTernaryInd) {
   EXPECT_TRUE(found) << "ternary lineitems ⊆ orders IND not discovered";
 }
 
-TEST(NaryOutOfCoreTest, MaxArityCapsTheExpansion) {
+// Every expansion receives max_nary_arity through the session: uncapped,
+// each finds an IND of arity >= 3 (the ternary lineitems ⊆ orders), so a
+// cap of 2 is observable.
+class NaryMaxArityTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(NaryMaxArityTest, MaxArityCapsTheExpansion) {
   ParityCatalogs catalogs = BuildCatalogs();
   SpiderSession session(*catalogs.disk);
   RunOptions options;
-  options.approach = "nary";
+  options.approach = GetParam();
+  auto uncapped = session.Run(options);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status().ToString();
+  int widest = 0;
+  for (const NaryInd& ind : uncapped->nary_run.satisfied) {
+    widest = std::max(widest, ind.arity());
+  }
+  EXPECT_GE(widest, 3);
+
   options.nary_max_arity = 2;
-  auto report = session.Run(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  for (const NaryInd& ind : report->nary_run.satisfied) {
+  auto capped = session.Run(options);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_FALSE(capped->nary_run.satisfied.empty());
+  for (const NaryInd& ind : capped->nary_run.satisfied) {
     EXPECT_LE(ind.arity(), 2) << ind.ToString();
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllNaryApproaches, NaryMaxArityTest,
+                         ::testing::Values("nary", "clique-nary", "zigzag"));
 
 TEST(NaryOutOfCoreTest, NaryBaseMustBeUnary) {
   ParityCatalogs catalogs = BuildCatalogs();

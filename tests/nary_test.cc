@@ -185,9 +185,9 @@ TEST(NaryDiscoveryTest, ThreeColumnChainReachesTernary) {
       {{"child", "y"}, {"parent", "b"}},
       {{"child", "z"}, {"parent", "c"}},
   };
-  NaryDiscoveryOptions options;
-  options.max_arity = 3;
-  auto result = LevelwiseNaryAlgorithm(options).Run(catalog, unary);
+  AlgorithmConfig config;
+  config.max_nary_arity = 3;
+  auto result = LevelwiseNaryAlgorithm(config).Run(catalog, unary);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(CountArity(result->satisfied, 2), 3);  // all binary pairings
   EXPECT_EQ(CountArity(result->satisfied, 3), 1);  // the full ternary IND
@@ -224,9 +224,9 @@ TEST(NaryDiscoveryTest, DownwardClosurePrunesCandidates) {
       {{"child", "y"}, {"parent", "b"}},
       {{"child", "z"}, {"parent", "c"}},
   };
-  NaryDiscoveryOptions options;
-  options.max_arity = 3;
-  auto result = LevelwiseNaryAlgorithm(options).Run(catalog, unary);
+  AlgorithmConfig config;
+  config.max_nary_arity = 3;
+  auto result = LevelwiseNaryAlgorithm(config).Run(catalog, unary);
   ASSERT_TRUE(result.ok());
   // Level 2: (x,y)⊆(a,b) and (x,z)⊆(a,c) fail; (y,z)⊆(b,c) holds (v2/w2
   // pair exists in parent).
@@ -274,9 +274,9 @@ TEST_P(NaryPropertyTest, BinaryLevelMatchesExhaustiveCheck) {
     }
   }
 
-  NaryDiscoveryOptions options;
-  options.max_arity = 2;
-  auto result = LevelwiseNaryAlgorithm(options).Run(catalog, unary);
+  AlgorithmConfig config;
+  config.max_nary_arity = 2;
+  auto result = LevelwiseNaryAlgorithm(config).Run(catalog, unary);
   ASSERT_TRUE(result.ok());
   std::set<NaryInd> found(result->satisfied.begin(), result->satisfied.end());
 

@@ -4,6 +4,8 @@
 
 #include "src/common/temp_dir.h"
 #include "src/ind/de_marchi.h"
+#include "src/ind/fd_levelwise.h"
+#include "src/ind/nary.h"
 #include "tests/test_util.h"
 
 namespace spider {
@@ -269,17 +271,15 @@ TEST(RegistryTableTest, DatabaseInternalCapabilityMatchesBehavior) {
 
 TEST(RegistryTableTest, DuplicateNamesAreRejectedAcrossFamilies) {
   AlgorithmRegistry registry;
+  // Never called: registration alone is under test.
   AlgorithmRegistry::Factory unary = [](const AlgorithmConfig&) {
-    return Result<std::unique_ptr<IndAlgorithm>>(
-        Status::Internal("never called"));
+    return std::unique_ptr<IndAlgorithm>();
   };
   AlgorithmRegistry::NaryFactory nary = [](const AlgorithmConfig&) {
-    return Result<std::unique_ptr<NaryAlgorithm>>(
-        Status::Internal("never called"));
+    return std::unique_ptr<NaryAlgorithm>();
   };
   AlgorithmRegistry::DependencyFactory dependency = [](const AlgorithmConfig&) {
-    return Result<std::unique_ptr<DependencyAlgorithm>>(
-        Status::Internal("never called"));
+    return std::unique_ptr<DependencyAlgorithm>();
   };
   AlgorithmCapabilities ucc;
   ucc.kind = DependencyKind::kUcc;
@@ -307,8 +307,7 @@ TEST_F(RegistryTest, CustomRegistrationOfEveryFamilyIsCreatable) {
   ASSERT_TRUE(registry
                   .Register("my-unary", unary,
                             [](const AlgorithmConfig&) {
-                              return Result<std::unique_ptr<IndAlgorithm>>(
-                                  std::make_unique<DeMarchiAlgorithm>());
+                              return std::make_unique<DeMarchiAlgorithm>();
                             })
                   .ok());
   AlgorithmCapabilities nary;
@@ -316,8 +315,8 @@ TEST_F(RegistryTest, CustomRegistrationOfEveryFamilyIsCreatable) {
   ASSERT_TRUE(registry
                   .Register("my-nary", nary,
                             [](const AlgorithmConfig& config) {
-                              return AlgorithmRegistry::Global()
-                                  .Create<NaryAlgorithm>("nary", config);
+                              return std::make_unique<LevelwiseNaryAlgorithm>(
+                                  config);
                             })
                   .ok());
   AlgorithmCapabilities fd;
@@ -326,9 +325,8 @@ TEST_F(RegistryTest, CustomRegistrationOfEveryFamilyIsCreatable) {
   ASSERT_TRUE(registry
                   .Register("my-fd", fd,
                             [](const AlgorithmConfig& config) {
-                              return AlgorithmRegistry::Global()
-                                  .Create<DependencyAlgorithm>("fd-levelwise",
-                                                               config);
+                              return std::make_unique<FdLevelwiseAlgorithm>(
+                                  config, "my-fd");
                             })
                   .ok());
 

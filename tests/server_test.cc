@@ -122,6 +122,33 @@ TEST(RunOptionsParseTest, KindAloneSelectsKindDefaultApproach) {
   EXPECT_EQ(options->approach, *expected);
 }
 
+TEST(RunOptionsParseTest, SigmaAloneSelectsPartialVerifier) {
+  // σ < 1 without an approach resolves to the first registered unary IND
+  // verifier with partial coverage, the way a bare kind picks its default.
+  for (const std::vector<RunOptionKv>& pairs :
+       {std::vector<RunOptionKv>{{"sigma", "0.9"}},
+        std::vector<RunOptionKv>{{"kind", "ind"}, {"sigma", "0.9"}}}) {
+    auto options = ParseRunOptions(pairs);
+    ASSERT_TRUE(options.ok()) << options.status().ToString();
+    EXPECT_EQ(options->approach, "spider-merge");
+    EXPECT_EQ(options->min_coverage, 0.9);
+  }
+  // Exact σ keeps the historical default; an explicit approach and a
+  // non-IND kind's default both win over the rule.
+  auto exact = ParseRunOptions({{"sigma", "1"}});
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact->approach, "brute-force");
+  auto named = ParseRunOptions({{"sigma", "0.9"}, {"approach", "de-marchi"}});
+  ASSERT_TRUE(named.ok());
+  EXPECT_EQ(named->approach, "de-marchi");
+  auto ucc = ParseRunOptions({{"kind", "ucc"}, {"sigma", "0.9"}});
+  ASSERT_TRUE(ucc.ok());
+  auto ucc_default =
+      AlgorithmRegistry::Global().DefaultNameForKind(DependencyKind::kUcc);
+  ASSERT_TRUE(ucc_default.ok());
+  EXPECT_EQ(ucc->approach, *ucc_default);
+}
+
 TEST(RunOptionsParseTest, UnknownKeySuggestsNearestOption) {
   auto options = ParseRunOptions({{"threds", "2"}});
   ASSERT_TRUE(options.status().IsInvalidArgument());
@@ -599,6 +626,21 @@ TEST_F(ServerE2eTest, ProfileJobMatchesDirectSessionRun) {
   context.attributes = 4;
   EXPECT_EQ(StripSeconds(report.body),
             StripSeconds(SessionReportToJson(*direct, context)));
+}
+
+TEST_F(ServerE2eTest, SigmaJobRunsThePartialVerifier) {
+  // A bare σ resolves to spider-merge instead of failing on brute-force.
+  ClientResponse submitted = Fetch(server_->port(), "POST", "/jobs",
+                                   "{\"workspace\":\"smoke\",\"sigma\":0.9}");
+  ASSERT_EQ(submitted.status, 202) << submitted.body;
+  ClientResponse status = AwaitJob(1);
+  EXPECT_NE(status.body.find("\"state\":\"finished\""), std::string::npos)
+      << status.body;
+  ClientResponse report = Fetch(server_->port(), "GET", "/jobs/1/report");
+  ASSERT_EQ(report.status, 200);
+  EXPECT_NE(report.body.find("\"approach\":\"spider-merge\""),
+            std::string::npos)
+      << report.body;
 }
 
 TEST_F(ServerE2eTest, ConcurrentJobsShareOneExtractorCache) {

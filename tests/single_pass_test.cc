@@ -23,10 +23,10 @@ class SinglePassTest : public ::testing::Test {
                    const std::vector<IndCandidate>& candidates,
                    int max_open_files = 0) {
     ValueSetExtractor extractor(dir_->path());
-    SinglePassOptions options;
-    options.extractor = &extractor;
-    options.max_open_files = max_open_files;
-    SinglePassAlgorithm algorithm(options);
+    AlgorithmConfig config;
+    config.extractor = &extractor;
+    config.max_open_files = max_open_files;
+    SinglePassAlgorithm algorithm(config);
     auto result = algorithm.Run(catalog, candidates);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
@@ -232,9 +232,9 @@ TEST_P(SinglePassPropertyTest, AgreesWithBruteForceAndReference) {
   EXPECT_EQ(testing::ToSet(single_pass.satisfied), expected);
 
   ValueSetExtractor extractor(dir_->path());
-  BruteForceOptions bf;
-  bf.extractor = &extractor;
-  auto brute = BruteForceAlgorithm(bf).Run(catalog, candidates);
+  AlgorithmConfig config;
+  config.extractor = &extractor;
+  auto brute = BruteForceAlgorithm(config).Run(catalog, candidates);
   ASSERT_TRUE(brute.ok());
   EXPECT_EQ(testing::ToSet(brute->satisfied), expected);
 

@@ -4,7 +4,6 @@
 #include <random>
 
 #include "src/common/temp_dir.h"
-#include "src/common/thread_pool.h"
 #include "src/extsort/sorted_set_file.h"
 
 namespace spider {
@@ -296,59 +295,6 @@ TEST_F(SortedSetFileTest, SkipToAtLeastAccounting) {
   // Skipping past EOF consumes the tail without a value.
   (*reader)->SkipToAtLeast("z");
   EXPECT_FALSE((*reader)->HasNext());
-  EXPECT_TRUE((*reader)->status().ok());
-}
-
-TEST_F(SortedSetFileTest, PrefetchPoolReadsEverything) {
-  // A dedicated I/O pool prefetches the next window in the background; the
-  // decoded stream must be identical to synchronous reads.
-  std::vector<std::string> values;
-  for (int i = 0; i < 3000; ++i) {
-    values.push_back("pf" + std::to_string(100000 + i));
-  }
-  SortedSetWriterOptions write_options;
-  write_options.target_block_bytes = 256;
-  auto path = WriteSet(values, "prefetch.set", write_options);
-
-  ThreadPool io_pool(2);
-  SortedSetReaderOptions options;
-  options.buffer_bytes = 1024;  // many windows → many prefetches
-  options.prefetch_pool = &io_pool;
-  RunCounters counters;
-  auto reader = SortedSetReader::Open(path, &counters, options);
-  ASSERT_TRUE(reader.ok());
-  std::vector<std::string> got;
-  while ((*reader)->HasNext()) got.push_back((*reader)->Next());
-  EXPECT_EQ(got, values);
-  EXPECT_TRUE((*reader)->status().ok());
-  EXPECT_EQ(counters.tuples_read, static_cast<int64_t>(values.size()));
-}
-
-TEST_F(SortedSetFileTest, PrefetchedWindowDiscardedAfterSkip) {
-  // SkipToAtLeast can jump past the window a prefetch is fetching; the
-  // stale prefetch must be discarded, not spliced in.
-  std::vector<std::string> values;
-  for (int i = 0; i < 3000; ++i) {
-    values.push_back("sk" + std::to_string(100000 + i));
-  }
-  SortedSetWriterOptions write_options;
-  write_options.target_block_bytes = 256;
-  auto path = WriteSet(values, "skip-prefetch.set", write_options);
-
-  ThreadPool io_pool(1);
-  SortedSetReaderOptions options;
-  options.buffer_bytes = 1024;
-  options.prefetch_pool = &io_pool;
-  auto reader = SortedSetReader::Open(path, nullptr, options);
-  ASSERT_TRUE(reader.ok());
-  ASSERT_TRUE((*reader)->HasNext());  // loads window 0, prefetches window 1
-  (*reader)->SkipToAtLeast("sk102500");  // far past the prefetched window
-  ASSERT_TRUE((*reader)->HasNext());
-  EXPECT_EQ((*reader)->Peek(), "sk102500");
-  std::vector<std::string> tail;
-  while ((*reader)->HasNext()) tail.push_back((*reader)->Next());
-  EXPECT_EQ(tail.size(), 500u);
-  EXPECT_EQ(tail.back(), values.back());
   EXPECT_TRUE((*reader)->status().ok());
 }
 

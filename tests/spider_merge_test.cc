@@ -21,9 +21,9 @@ class SpiderMergeTest : public ::testing::Test {
   IndRunResult Run(const Catalog& catalog,
                    const std::vector<IndCandidate>& candidates) {
     ValueSetExtractor extractor(dir_->path());
-    SpiderMergeOptions options;
-    options.extractor = &extractor;
-    SpiderMergeAlgorithm algorithm(options);
+    AlgorithmConfig config;
+    config.extractor = &extractor;
+    SpiderMergeAlgorithm algorithm(config);
     auto result = algorithm.Run(catalog, candidates);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
@@ -114,10 +114,10 @@ TEST_F(SpiderMergeTest, PartialModeAcceptsCoverageAboveSigma) {
 
   auto run_sigma = [&](double sigma) {
     ValueSetExtractor extractor(dir_->path());
-    SpiderMergeOptions options;
-    options.extractor = &extractor;
-    options.min_coverage = sigma;
-    auto result = SpiderMergeAlgorithm(options).Run(catalog, {candidate});
+    AlgorithmConfig config;
+    config.extractor = &extractor;
+    config.min_coverage = sigma;
+    auto result = SpiderMergeAlgorithm(config).Run(catalog, {candidate});
     EXPECT_TRUE(result.ok());
     return !result->satisfied.empty();
   };
@@ -151,10 +151,10 @@ TEST_F(SpiderMergeTest, PartialModeMatchesPartialIndFinder) {
   }
   for (double sigma : {1.0, 0.9, 0.6, 0.3}) {
     ValueSetExtractor merge_extractor(dir_->path());
-    SpiderMergeOptions merge_options;
-    merge_options.extractor = &merge_extractor;
-    merge_options.min_coverage = sigma;
-    auto merged = SpiderMergeAlgorithm(merge_options).Run(catalog, candidates);
+    AlgorithmConfig merge_config;
+    merge_config.extractor = &merge_extractor;
+    merge_config.min_coverage = sigma;
+    auto merged = SpiderMergeAlgorithm(merge_config).Run(catalog, candidates);
     ASSERT_TRUE(merged.ok());
     auto merged_set = testing::ToSet(merged->satisfied);
 
@@ -205,9 +205,9 @@ TEST_P(SpiderMergePropertyTest, AgreesWithSinglePassAndReference) {
   EXPECT_EQ(testing::ToSet(Run(catalog, candidates).satisfied), expected);
 
   ValueSetExtractor extractor(dir_->path());
-  SinglePassOptions sp;
-  sp.extractor = &extractor;
-  auto single = SinglePassAlgorithm(sp).Run(catalog, candidates);
+  AlgorithmConfig config;
+  config.extractor = &extractor;
+  auto single = SinglePassAlgorithm(config).Run(catalog, candidates);
   ASSERT_TRUE(single.ok());
   EXPECT_EQ(testing::ToSet(single->satisfied), expected);
 }

@@ -83,9 +83,7 @@ TEST(ZigzagTest, OptimisticJumpFindsMaximalIndInOneTest) {
 TEST(ZigzagTest, TopDownRefinementAfterNearMiss) {
   Catalog catalog;
   BuildTernary(&catalog, true);
-  ZigzagOptions options;
-  options.epsilon = 0.5;  // 1/8 error refines top-down
-  ZigzagAlgorithm zigzag(options);
+  ZigzagAlgorithm zigzag({}, /*epsilon=*/0.5);  // 1/8 error refines top-down
   auto result = zigzag.Run(catalog, TernaryUnarySeed());
   ASSERT_TRUE(result.ok());
   // (x,y) ⊆ (a,b) survives; reported maximal INDs must all be satisfied
@@ -109,9 +107,8 @@ TEST(ZigzagTest, TopDownRefinementAfterNearMiss) {
 TEST(ZigzagTest, LargeEpsilonZeroAbandonsBadBranches) {
   Catalog catalog;
   BuildTernary(&catalog, true);
-  ZigzagOptions options;
-  options.epsilon = 0.0;  // never refine: failed optimistic test is final
-  ZigzagAlgorithm zigzag(options);
+  // Never refine: the failed optimistic test is final.
+  ZigzagAlgorithm zigzag({}, /*epsilon=*/0.0);
   auto result = zigzag.Run(catalog, TernaryUnarySeed());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied.empty());
@@ -198,9 +195,8 @@ TEST_P(ZigzagPropertyTest, SoundAndCompetitiveWithLevelwise) {
     }
   }
 
-  ZigzagOptions zz_options;
-  zz_options.epsilon = 1.0;  // always refine: complete within the seeds
-  auto zigzag = ZigzagAlgorithm(zz_options).Run(catalog, unary);
+  // Always refine: complete within the seeds.
+  auto zigzag = ZigzagAlgorithm({}, /*epsilon=*/1.0).Run(catalog, unary);
   ASSERT_TRUE(zigzag.ok());
 
   CompositeSetVerifier verifier;
@@ -213,9 +209,9 @@ TEST_P(ZigzagPropertyTest, SoundAndCompetitiveWithLevelwise) {
     zigzag_max_arity = std::max(zigzag_max_arity, ind.arity());
   }
 
-  NaryDiscoveryOptions lw_options;
-  lw_options.max_arity = cols;
-  auto levelwise = LevelwiseNaryAlgorithm(lw_options).Run(catalog, unary);
+  AlgorithmConfig lw_config;
+  lw_config.max_nary_arity = cols;
+  auto levelwise = LevelwiseNaryAlgorithm(lw_config).Run(catalog, unary);
   ASSERT_TRUE(levelwise.ok());
   int levelwise_max_arity = static_cast<int>(unary.size() >= 1 ? 1 : 0);
   for (const NaryInd& ind : levelwise->satisfied) {

@@ -8,7 +8,7 @@
 //                            [--sampling-pretest] [--sigma=S]
 //                            [--error=E] [--max-lhs=K]
 //                            [--time-budget=S] [--threads=N] [--progress]
-//                            [--no-block-skip] [--io-threads=N] [--json]
+//                            [--no-block-skip] [--json]
 //   spider import <csv_dir> --workspace=DIR [--backend=memory|disk]
 //                           [--block-bytes=N] [--append]
 //   spider discover <csv_dir|workspace> [--approach=NAME]
@@ -20,8 +20,10 @@
 //                [--max-sessions=N]
 //   spider version | --version
 //
-// `profile` prints the satisfied INDs (σ < 1 switches to partial INDs;
-// an n-ary approach appends the discovered composite INDs). With
+// `profile` prints the satisfied INDs (--sigma=S < 1 verifies σ-partial
+// INDs through the same session run, with spider-merge unless --approach
+// names another partial-capable verifier; an n-ary approach appends the
+// discovered composite INDs). With
 // --kind=ucc|fd|afd it runs a dependency discoverer over the same data
 // instead: minimal unique column combinations, exact functional
 // dependencies, or approximate FDs whose g3-style error stays within
@@ -57,8 +59,7 @@
 // verification phase on N workers (0 = hardware concurrency) with results
 // identical to --threads=1. --no-block-skip disables zonemap block
 // skipping in the merge loops (same INDs, more tuples read — the parity
-// baseline); --io-threads=N adds a dedicated background prefetch pool for
-// set-file reads (0 = synchronous).
+// baseline).
 //
 // Profiling an imported workspace persists its profile next to the data
 // (sorted set files plus spider_profile.manifest): a rerun reuses every
@@ -85,7 +86,6 @@
 #include "src/discovery/report.h"
 #include "src/common/string_util.h"
 #include "src/ind/dependency.h"
-#include "src/ind/partial_ind.h"
 #include "src/ind/registry.h"
 #include "src/ind/report_json.h"
 #include "src/ind/run_options_parse.h"
@@ -163,8 +163,7 @@ int Usage() {
          "                           [--sampling-pretest] [--sigma=S]\n"
          "                           [--error=E] [--max-lhs=K]\n"
          "                           [--time-budget=S] [--threads=N]\n"
-         "                           [--no-block-skip] [--io-threads=N]\n"
-         "                           [--progress] [--json]\n"
+         "                           [--no-block-skip] [--progress] [--json]\n"
          "  spider import <csv_dir> --workspace=DIR "
          "[--backend=memory|disk]\n"
          "                          [--block-bytes=N] [--append]\n"
@@ -178,6 +177,8 @@ int Usage() {
          "               [--max-sessions=N]\n"
          "  spider version\n"
          "\nn-ary approaches take [--nary-base=NAME] [--max-arity=K]\n"
+         "--sigma=S < 1 verifies sigma-partial INDs (default approach "
+         "spider-merge)\n"
          "--kind=ucc|fd|afd runs dependency discovery (--error=E accepts "
          "g3'\nerror up to E; --max-lhs=K caps the FD determinant arity)\n"
          "\napproaches: "
@@ -449,81 +450,51 @@ int RunProfile(const Flags& flags) {
               << catalog->catalog->attribute_count() << " attributes\n\n";
   }
 
-  if (flags.run.min_coverage >= 1.0) {
-    InstallSigintHandler();
-    // A durable workspace profiles in place: sorted sets and the profile
-    // manifest land next to spider_store.manifest, so the next run (or a
-    // spiderd restart) reuses them. --no-profile-cache keeps the scratch
-    // temp-dir behavior.
-    SessionOptions session_options;
-    if (!catalog->workspace_dir.empty() && flags.run.profile_cache) {
-      session_options.work_dir = catalog->workspace_dir;
-      session_options.persist_profile = true;
-    }
-    SpiderSession session(*catalog->catalog, session_options);
-    auto report = session.Run(MakeRunOptions(flags));
-    if (flags.progress) std::cerr << "\n";
-    if (!report.ok()) return Fail(report.status());
-    if (flags.json) {
-      // The shared serializer — the exact document spiderd's job-result
-      // endpoint returns for the same run (docs/SERVER.md).
-      ReportJsonContext context;
-      context.backend =
-          catalog->catalog->out_of_core() ? "disk" : "memory";
-      context.tables = static_cast<int64_t>(catalog->catalog->table_count());
-      context.attributes =
-          static_cast<int64_t>(catalog->catalog->attribute_count());
-      context.cancelled = g_sigint_token.cancelled();
-      std::cout << SessionReportToJson(*report, context) << "\n";
-      return 0;
-    }
-    if (report->kind != DependencyKind::kInd) {
-      std::cout << report->ToString();
-      return 0;
-    }
-    std::cout << report->ToString() << "\nsatisfied INDs"
-              << (report->run.finished
-                      ? ""
-                      : (g_sigint_token.cancelled()
-                             ? " (partial, interrupted)"
-                             : " (partial, budget expired)"))
-              << ":\n";
-    for (const Ind& ind : report->run.satisfied) {
-      std::cout << "  " << ind.ToString() << "\n";
-    }
-    if (report->nary) {
-      std::cout << "\nn-ary INDs (via " << report->nary_base << " base"
-                << (report->nary_run.finished ? "" : ", partial") << "):\n";
-      for (const NaryInd& ind : report->nary_run.satisfied) {
-        std::cout << "  " << ind.ToString() << "\n";
-      }
-    }
+  InstallSigintHandler();
+  // A durable workspace profiles in place: sorted sets and the profile
+  // manifest land next to spider_store.manifest, so the next run (or a
+  // spiderd restart) reuses them. --no-profile-cache keeps the scratch
+  // temp-dir behavior.
+  SessionOptions session_options;
+  if (!catalog->workspace_dir.empty() && flags.run.profile_cache) {
+    session_options.work_dir = catalog->workspace_dir;
+    session_options.persist_profile = true;
+  }
+  SpiderSession session(*catalog->catalog, session_options);
+  auto report = session.Run(MakeRunOptions(flags));
+  if (flags.progress) std::cerr << "\n";
+  if (!report.ok()) return Fail(report.status());
+  if (flags.json) {
+    // The shared serializer — the exact document spiderd's job-result
+    // endpoint returns for the same run (docs/SERVER.md).
+    ReportJsonContext context;
+    context.backend = catalog->catalog->out_of_core() ? "disk" : "memory";
+    context.tables = static_cast<int64_t>(catalog->catalog->table_count());
+    context.attributes =
+        static_cast<int64_t>(catalog->catalog->attribute_count());
+    context.cancelled = g_sigint_token.cancelled();
+    std::cout << SessionReportToJson(*report, context) << "\n";
     return 0;
   }
-
-  // Partial-IND mode: generate candidates, then measure coverage.
-  if (flags.run.time_budget_seconds > 0) {
-    std::cerr << "note: --time-budget is not supported in partial-IND mode "
-                 "(sigma < 1); running unbounded\n";
+  if (report->kind != DependencyKind::kInd) {
+    std::cout << report->ToString();
+    return 0;
   }
-  RunOptions options = MakeRunOptions(flags);
-  CandidateGenerator generator(options.generator);
-  auto candidates = generator.Generate(*catalog->catalog);
-  if (!candidates.ok()) return Fail(candidates.status());
-  auto dir = TempDir::Make("spider-cli");
-  if (!dir.ok()) return Fail(dir.status());
-  ValueSetExtractor extractor((*dir)->path());
-  PartialIndOptions partial_options;
-  partial_options.extractor = &extractor;
-  partial_options.min_coverage = flags.run.min_coverage;
-  PartialIndFinder finder(partial_options);
-  auto results = finder.Run(*catalog->catalog, candidates->candidates);
-  if (!results.ok()) return Fail(results.status());
-  std::cout << "partial INDs with sigma=" << flags.run.min_coverage << ":\n";
-  for (const PartialInd& p : *results) {
-    if (p.satisfied) {
-      std::cout << "  " << p.candidate.ToString() << "  (coverage "
-                << p.coverage << ")\n";
+  std::cout << report->ToString() << "\nsatisfied INDs"
+            << (report->run.finished
+                    ? ""
+                    : (g_sigint_token.cancelled()
+                           ? " (partial, interrupted)"
+                           : " (partial, budget expired)"))
+            << ":\n";
+  for (const Ind& ind : report->run.satisfied) {
+    std::cout << "  " << ind.ToString() << "\n";
+  }
+  if (report->nary) {
+    std::cout << "\nn-ary INDs (via " << report->nary_base << " base"
+              << (report->nary_run.finished ? "" : ", partial") << "):\n";
+    for (const NaryInd& ind : report->nary_run.satisfied) {
+      std::cout << "  " << ind.ToString() << "\n";
     }
   }
   return 0;
