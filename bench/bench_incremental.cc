@@ -13,8 +13,9 @@
 //     between cold and warm.
 //
 // The work counters (tuples_read, sets_extracted, verdicts_reused,
-// candidates_revalidated) are deterministic and gate the bench-regression
-// job; wall clock is advisory.
+// candidates_revalidated) and the sealed manifest's size (manifest_bytes)
+// are deterministic and gate the bench-regression job; wall clock is
+// advisory.
 
 #include <filesystem>
 #include <memory>
@@ -22,6 +23,7 @@
 #include <utility>
 
 #include "bench/bench_util.h"
+#include "src/extsort/profile_store.h"
 #include "src/storage/catalog_sink.h"
 #include "src/storage/disk_store.h"
 
@@ -100,7 +102,8 @@ SessionReport PersistedRun(const std::filesystem::path& workspace) {
   return std::move(report).value();
 }
 
-void ReportProfileRun(benchmark::State& state, const SessionReport& report) {
+void ReportProfileRun(benchmark::State& state, const SessionReport& report,
+                      const std::filesystem::path& workspace) {
   state.counters["candidates"] =
       static_cast<double>(report.candidates.candidates.size());
   state.counters["satisfied"] =
@@ -116,6 +119,8 @@ void ReportProfileRun(benchmark::State& state, const SessionReport& report) {
   state.counters["candidates_revalidated"] =
       static_cast<double>(report.candidates_revalidated);
   state.counters["finished"] = report.run.finished ? 1 : 0;
+  state.counters["manifest_bytes"] = static_cast<double>(
+      std::filesystem::file_size(workspace / kProfileManifestName));
 }
 
 // Copies the pristine workspace so each iteration starts from a known
@@ -133,14 +138,14 @@ std::filesystem::path CloneWorkspace(const std::filesystem::path& from,
 // Cold: fresh session, no profile on disk — full extraction + merges.
 void BM_ProfileCold(benchmark::State& state) {
   SessionReport last;
+  std::filesystem::path workspace;
   for (auto _ : state) {
     state.PauseTiming();
-    const std::filesystem::path workspace =
-        CloneWorkspace(PristineWorkspace(), "cold", /*profiled=*/false);
+    workspace = CloneWorkspace(PristineWorkspace(), "cold", /*profiled=*/false);
     state.ResumeTiming();
     last = PersistedRun(workspace);
   }
-  ReportProfileRun(state, last);
+  ReportProfileRun(state, last, workspace);
 }
 BENCHMARK(BM_ProfileCold)->Unit(benchmark::kMillisecond);
 
@@ -152,7 +157,7 @@ void BM_ProfileWarm(benchmark::State& state) {
   for (auto _ : state) {
     last = PersistedRun(workspace);
   }
-  ReportProfileRun(state, last);
+  ReportProfileRun(state, last, workspace);
 }
 BENCHMARK(BM_ProfileWarm)->Unit(benchmark::kMillisecond);
 
@@ -160,10 +165,10 @@ BENCHMARK(BM_ProfileWarm)->Unit(benchmark::kMillisecond);
 // revalidate (delta revalidation), the rest reuse their verdicts.
 void BM_AppendThenProfile(benchmark::State& state) {
   SessionReport last;
+  std::filesystem::path workspace;
   for (auto _ : state) {
     state.PauseTiming();
-    const std::filesystem::path workspace =
-        CloneWorkspace(PristineWorkspace(), "append", /*profiled=*/true);
+    workspace = CloneWorkspace(PristineWorkspace(), "append", /*profiled=*/true);
     state.ResumeTiming();
     auto writer = DiskCatalogWriter::OpenForAppend(workspace);
     SPIDER_CHECK(writer.ok()) << writer.status().ToString();
@@ -183,7 +188,7 @@ void BM_AppendThenProfile(benchmark::State& state) {
     SPIDER_CHECK(appended.ok()) << appended.status().ToString();
     last = PersistedRun(workspace);
   }
-  ReportProfileRun(state, last);
+  ReportProfileRun(state, last, workspace);
 }
 BENCHMARK(BM_AppendThenProfile)->Unit(benchmark::kMillisecond);
 

@@ -2,8 +2,8 @@
 //
 // Records are canonical value strings, stored length-prefixed (LEB128
 // varint + raw bytes) so values may contain any byte including newlines and
-// NULs. The same codec is used by spill runs, final sorted-set files and
-// the disk column store's block headers.
+// NULs. The same codec is used by spill runs, final sorted-set files, the
+// disk column store's block headers and the profile manifest.
 
 #pragma once
 
@@ -11,6 +11,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "src/common/status.h"
 
@@ -28,6 +29,28 @@ inline void EncodeVarint(std::string* out, uint64_t v) {
     if (v != 0) byte |= 0x80;
     out->push_back(static_cast<char>(byte));
   } while (v != 0);
+}
+
+/// Appends `value` as a record: varint length + raw bytes.
+inline void AppendLengthPrefixed(std::string* out, std::string_view value) {
+  EncodeVarint(out, value.size());
+  out->append(value.data(), value.size());
+}
+
+/// Appends `v` as 8 little-endian bytes.
+inline void AppendFixed64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+/// Reads 8 little-endian bytes at `p`.
+inline uint64_t DecodeFixed64(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return v;
 }
 
 /// Reads the next record into `*value`. Returns false at clean EOF; a

@@ -1,14 +1,13 @@
 #include "src/extsort/profile_store.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
 #include <string_view>
 #include <vector>
 
 #include "src/common/hash.h"
-#include "src/common/string_util.h"
-#include "src/storage/disk_store.h"
+#include "src/common/logging.h"
+#include "src/common/value_codec.h"
 
 namespace spider {
 
@@ -16,48 +15,186 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Profile manifest format (TSV, percent-escaped fields, version 1):
+// Profile manifest format (binary, version 2). Integers are LEB128 varints
+// (EncodeVarint/DecodeVarint) unless marked fixed64 (8 bytes,
+// little-endian); a string is a varint length plus its raw bytes.
 //
-//   spider-profile\t1
-//   set\t<file>\t<bytes>\t<content_fp>\t<source_fp>\t<distinct>\t<blocks>
-//      \t<min_flag>\t<min>\t<max_flag>\t<max>
-//   verdict\t<dep_table>\t<dep_col>\t<ref_table>\t<ref_col>\t<satisfied>
-//      \t<dep_fp>\t<ref_fp>
-//   end
-//   checksum\t<hex over every preceding byte>
+//   magic "SpPrfMan", version byte 2
+//   set count; per set file, ascending by name:
+//     name, file bytes, content fingerprint (fixed64), source fingerprint
+//     (fixed64), distinct count, block count, flags (bit 0: min present,
+//     bit 1: max present), [min], [max]
+//   attribute count; per attribute, ascending by (table, column):
+//     table, column, side count (>= 1), its source fingerprints (fixed64,
+//     strictly ascending)
+//   verdict count; then dependent groups until that many verdicts:
+//     dependent side delta, group size (>= 1),
+//     per verdict, ascending by referenced side:
+//       (referenced side delta << 1) | satisfied
+//   checksum: fixed64 HashString over every preceding byte
 //
-// The trailing checksum makes any torn write or bit flip in the manifest
-// itself detectable: Load() then starts from an empty profile instead of
-// trusting damaged fingerprints.
+// Sides are numbered in file order — the first attribute's fingerprints,
+// then the second's — so a side id names its attribute and its
+// fingerprint. A group's dependent side is a delta from the previous
+// group's, a referenced side a delta from the previous one in its group
+// (both start at 0): over a dense candidate graph nearly every verdict is
+// one byte. Only sides some verdict still refers to are written.
+//
+// The manifest is untrusted input. The checksum catches torn writes and
+// bit flips; every count, length and id is checked against the bytes that
+// remain and the table sizes before it is used or sized into an
+// allocation. Any failure — another format's magic included, such as the
+// pre-v2 text manifest — loads an empty profile, which the next seal
+// rewrites as v2.
 
-constexpr char kProfileHeader[] = "spider-profile\t1";
+constexpr std::string_view kMagic = "SpPrfMan";
+constexpr char kVersion = 2;
+constexpr size_t kChecksumBytes = 8;
+constexpr uint8_t kHasMin = 1;
+constexpr uint8_t kHasMax = 2;
+// Fewest bytes one encoded element can take, for bounding counts.
+constexpr size_t kMinSetBytes = 21;
+constexpr size_t kMinAttributeBytes = 11;
+constexpr size_t kFingerprintBytes = 8;
+// Side ids share a 32-bit word with the satisfied bit.
+constexpr uint64_t kMaxSides = uint64_t{1} << 31;
 
-std::string FormatHex64(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+uint64_t PairKey(uint32_t dependent, uint32_t referenced) {
+  return (uint64_t{dependent} << 32) | referenced;
 }
 
-bool ParseHex64(const std::string& field, uint64_t* out) {
-  if (field.empty() || field.size() > 16) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(field.c_str(), &end, 16);
-  if (end != field.c_str() + field.size()) return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
+// Bounds-checked cursor over a manifest body.
+class ManifestReader {
+ public:
+  explicit ManifestReader(std::string_view body) : body_(body) {}
 
-bool ParseInt64(const std::string& field, int64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(field.c_str(), &end, 10);
-  if (end != field.c_str() + field.size()) return false;
-  *out = static_cast<int64_t>(v);
-  return true;
-}
+  size_t remaining() const { return body_.size() - pos_; }
+
+  bool Varint(uint64_t* out) {
+    return DecodeVarint(
+               [this]() -> int {
+                 return pos_ < body_.size()
+                            ? static_cast<unsigned char>(body_[pos_++])
+                            : -1;
+               },
+               out) == VarintDecode::kOk;
+  }
+  bool Int64(int64_t* out) {
+    uint64_t v = 0;
+    if (!Varint(&v)) return false;
+    *out = static_cast<int64_t>(v);
+    return true;
+  }
+  /// A count of elements taking at least `min_bytes` each: no more than
+  /// the bytes that remain can hold.
+  bool Count(size_t min_bytes, uint64_t* out) {
+    return Varint(out) && *out <= remaining() / min_bytes;
+  }
+  bool Byte(uint8_t* out) {
+    if (remaining() < 1) return false;
+    *out = static_cast<uint8_t>(body_[pos_++]);
+    return true;
+  }
+  bool Fixed64(uint64_t* out) {
+    if (remaining() < 8) return false;
+    *out = DecodeFixed64(body_.data() + pos_);
+    pos_ += 8;
+    return true;
+  }
+  bool String(std::string* out) {
+    uint64_t length = 0;
+    if (!Varint(&length) || length > remaining()) return false;
+    out->assign(body_.data() + pos_, length);
+    pos_ += length;
+    return true;
+  }
+
+ private:
+  std::string_view body_;
+  size_t pos_ = 0;
+};
 
 }  // namespace
+
+size_t ProfileStore::VerdictTable::SlotFor(uint64_t key) const {
+  // A dependent's verdicts for 64 consecutive referenced ids share one
+  // randomly placed run of slots (splitmix64 over the run's key), so a
+  // sweep over one dependent's candidates, and a load in file order,
+  // touches a few contiguous runs instead of a cache line per verdict.
+  uint64_t run = key >> 6;
+  run ^= run >> 30;
+  run *= 0xBF58476D1CE4E5B9ULL;
+  run ^= run >> 27;
+  run *= 0x94D049BB133111EBULL;
+  run ^= run >> 31;
+  return static_cast<size_t>(run + (key & 63)) & (slots_.size() - 1);
+}
+
+void ProfileStore::VerdictTable::Reserve(size_t count) {
+  // Linear probing stays short at a load factor of at most 3/4.
+  size_t capacity = 16;
+  while (capacity / 4 * 3 < count) capacity *= 2;
+  if (capacity <= slots_.size()) return;
+  std::vector<Entry> old = std::move(slots_);
+  slots_.assign(capacity, Entry{kEmpty, 0, 0});
+  const size_t mask = capacity - 1;
+  for (const Entry& entry : old) {
+    if (entry.key == kEmpty) continue;
+    size_t slot = SlotFor(entry.key);
+    while (slots_[slot].key != kEmpty) slot = (slot + 1) & mask;
+    slots_[slot] = entry;
+  }
+}
+
+const ProfileStore::VerdictTable::Entry* ProfileStore::VerdictTable::Find(
+    uint64_t key) const {
+  if (slots_.empty()) return nullptr;
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = SlotFor(key);; slot = (slot + 1) & mask) {
+    const Entry& entry = slots_[slot];
+    if (entry.key == key) return &entry;
+    if (entry.key == kEmpty) return nullptr;
+  }
+}
+
+bool ProfileStore::VerdictTable::Put(uint64_t key, SideId dependent,
+                                     SideId referenced, bool satisfied) {
+  if ((size_ + 1) > slots_.size() / 4 * 3) Reserve(size_ + 1);
+  const size_t mask = slots_.size() - 1;
+  size_t slot = SlotFor(key);
+  while (slots_[slot].key != kEmpty && slots_[slot].key != key) {
+    slot = (slot + 1) & mask;
+  }
+  Entry& entry = slots_[slot];
+  const bool inserted = entry.key == kEmpty;
+  entry = Entry{key, dependent, (referenced << 1) | (satisfied ? 1u : 0u)};
+  if (inserted) ++size_;
+  return inserted;
+}
+
+ProfileStore::SideId ProfileStore::Contents::InternSide(
+    const AttributeRef& attribute, uint64_t fingerprint) {
+  const auto [id, inserted] = attribute_ids.try_emplace(
+      attribute, static_cast<uint32_t>(attributes.size()));
+  if (inserted) attributes.push_back(Attribute{&id->first, {}});
+  std::vector<SideId>& own = attributes[id->second].sides;
+  for (const SideId side : own) {
+    if (sides[side].fingerprint == fingerprint) return side;
+  }
+  SPIDER_DCHECK(sides.size() < kMaxSides);
+  const SideId side = static_cast<SideId>(sides.size());
+  sides.push_back(Side{id->second, fingerprint});
+  own.push_back(side);
+  return side;
+}
+
+void ProfileStore::Contents::PutVerdict(const SideVerdict& verdict) {
+  SPIDER_DCHECK(verdict.dependent < sides.size() &&
+                verdict.referenced < sides.size());
+  verdicts.Put(PairKey(sides[verdict.dependent].attribute,
+                       sides[verdict.referenced].attribute),
+               verdict.dependent, verdict.referenced, verdict.satisfied);
+}
 
 ProfileStore::ProfileStore(fs::path dir)
     : path_(std::move(dir) / kProfileManifestName) {}
@@ -109,127 +246,232 @@ Result<uint64_t> ProfileStore::FileFingerprint(const fs::path& path) {
   return hash;
 }
 
+std::string ProfileStore::Encode(const Contents& contents) {
+  std::string out(kMagic);
+  out.push_back(kVersion);
+
+  EncodeVarint(&out, contents.sets.size());
+  for (const auto& [file_name, entry] : contents.sets) {
+    AppendLengthPrefixed(&out, file_name);
+    EncodeVarint(&out, static_cast<uint64_t>(entry.file_bytes));
+    AppendFixed64(&out, entry.content_fingerprint);
+    AppendFixed64(&out, entry.source_fingerprint);
+    EncodeVarint(&out, static_cast<uint64_t>(entry.distinct_count));
+    EncodeVarint(&out, static_cast<uint64_t>(entry.block_count));
+    out.push_back(static_cast<char>((entry.min_value ? kHasMin : 0) |
+                                    (entry.max_value ? kHasMax : 0)));
+    if (entry.min_value) AppendLengthPrefixed(&out, *entry.min_value);
+    if (entry.max_value) AppendLengthPrefixed(&out, *entry.max_value);
+  }
+
+  // Only sides some verdict refers to are written, renumbered in file
+  // order: `file_side` maps an in-memory side to its file id.
+  std::vector<bool> live(contents.sides.size(), false);
+  contents.verdicts.ForEach([&](const VerdictTable::Entry& entry) {
+    live[entry.dependent] = true;
+    live[entry.referenced()] = true;
+  });
+  std::vector<uint32_t> order;
+  order.reserve(contents.attributes.size());
+  for (uint32_t id = 0; id < contents.attributes.size(); ++id) {
+    const std::vector<SideId>& sides = contents.attributes[id].sides;
+    if (std::any_of(sides.begin(), sides.end(),
+                    [&](SideId side) { return live[side]; })) {
+      order.push_back(id);
+    }
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return *contents.attributes[a].name < *contents.attributes[b].name;
+  });
+  EncodeVarint(&out, order.size());
+  std::vector<SideId> file_side(contents.sides.size(), kNoSide);
+  SideId next_side = 0;
+  std::vector<SideId> written;
+  for (const uint32_t id : order) {
+    const Contents::Attribute& attribute = contents.attributes[id];
+    AppendLengthPrefixed(&out, attribute.name->table);
+    AppendLengthPrefixed(&out, attribute.name->column);
+    written.clear();
+    for (const SideId side : attribute.sides) {
+      if (live[side]) written.push_back(side);
+    }
+    std::sort(written.begin(), written.end(), [&](SideId a, SideId b) {
+      return contents.sides[a].fingerprint < contents.sides[b].fingerprint;
+    });
+    EncodeVarint(&out, written.size());
+    for (const SideId side : written) {
+      AppendFixed64(&out, contents.sides[side].fingerprint);
+      file_side[side] = next_side++;
+    }
+  }
+
+  // Group the verdicts by file dependent side (a counting sort); within a
+  // group, (referenced << 1 | satisfied) sorts by referenced side.
+  std::vector<size_t> group_start(size_t{next_side} + 1, 0);
+  contents.verdicts.ForEach([&](const VerdictTable::Entry& entry) {
+    ++group_start[file_side[entry.dependent] + 1];
+  });
+  for (size_t i = 1; i < group_start.size(); ++i) {
+    group_start[i] += group_start[i - 1];
+  }
+  std::vector<uint32_t> grouped(contents.verdicts.size());
+  std::vector<size_t> fill(group_start.begin(), group_start.end() - 1);
+  contents.verdicts.ForEach([&](const VerdictTable::Entry& entry) {
+    grouped[fill[file_side[entry.dependent]]++] =
+        (file_side[entry.referenced()] << 1) | (entry.satisfied() ? 1u : 0u);
+  });
+  EncodeVarint(&out, contents.verdicts.size());
+  SideId previous_dependent = 0;
+  for (SideId dependent = 0; dependent < next_side; ++dependent) {
+    const auto begin = grouped.begin() + group_start[dependent];
+    const auto end = grouped.begin() + group_start[dependent + 1];
+    if (begin == end) continue;
+    std::sort(begin, end);
+    EncodeVarint(&out, dependent - previous_dependent);
+    EncodeVarint(&out, static_cast<uint64_t>(end - begin));
+    previous_dependent = dependent;
+    uint32_t previous_referenced = 0;
+    for (auto it = begin; it != end; ++it) {
+      const uint32_t referenced = *it >> 1;
+      EncodeVarint(&out, (uint64_t{referenced - previous_referenced} << 1) |
+                             (*it & 1u));
+      previous_referenced = referenced;
+    }
+  }
+
+  AppendFixed64(&out, HashString(out));
+  return out;
+}
+
+bool ProfileStore::Decode(std::string_view manifest, Contents* out) {
+  const size_t header = kMagic.size() + 1;
+  if (manifest.size() < header + kChecksumBytes) return false;
+  const size_t body_end = manifest.size() - kChecksumBytes;
+  if (DecodeFixed64(manifest.data() + body_end) !=
+      HashString(manifest.substr(0, body_end))) {
+    return false;  // torn write or bit flip — trust nothing
+  }
+  if (manifest.substr(0, kMagic.size()) != kMagic ||
+      manifest[kMagic.size()] != kVersion) {
+    return false;
+  }
+  ManifestReader in(manifest.substr(header, body_end - header));
+  Contents contents;
+
+  uint64_t count = 0;
+  if (!in.Count(kMinSetBytes, &count)) return false;
+  for (uint64_t i = 0; i < count; ++i) {
+    ProfileSetEntry entry;
+    uint8_t flags = 0;
+    if (!in.String(&entry.file_name) || !in.Int64(&entry.file_bytes) ||
+        !in.Fixed64(&entry.content_fingerprint) ||
+        !in.Fixed64(&entry.source_fingerprint) ||
+        !in.Int64(&entry.distinct_count) || !in.Int64(&entry.block_count) ||
+        !in.Byte(&flags) || (flags & ~(kHasMin | kHasMax)) != 0) {
+      return false;
+    }
+    if ((flags & kHasMin) != 0 && !in.String(&entry.min_value.emplace())) {
+      return false;
+    }
+    if ((flags & kHasMax) != 0 && !in.String(&entry.max_value.emplace())) {
+      return false;
+    }
+    std::string key = entry.file_name;
+    if (!contents.sets.emplace(std::move(key), std::move(entry)).second) {
+      return false;
+    }
+  }
+
+  if (!in.Count(kMinAttributeBytes, &count)) return false;
+  contents.attributes.reserve(count);
+  for (uint64_t id = 0; id < count; ++id) {
+    AttributeRef name;
+    uint64_t side_count = 0;
+    if (!in.String(&name.table) || !in.String(&name.column) ||
+        !in.Count(kFingerprintBytes, &side_count) || side_count == 0 ||
+        side_count > kMaxSides - contents.sides.size()) {
+      return false;
+    }
+    const auto [key, inserted] = contents.attribute_ids.emplace(
+        std::move(name), static_cast<uint32_t>(id));
+    if (!inserted) return false;
+    Contents::Attribute& attribute = contents.attributes.emplace_back(
+        Contents::Attribute{&key->first, {}});
+    attribute.sides.reserve(side_count);
+    for (uint64_t i = 0; i < side_count; ++i) {
+      uint64_t fingerprint = 0;
+      if (!in.Fixed64(&fingerprint)) return false;
+      if (i > 0 && fingerprint <= contents.sides.back().fingerprint) {
+        return false;  // not ascending, so possibly not distinct
+      }
+      attribute.sides.push_back(static_cast<SideId>(contents.sides.size()));
+      contents.sides.push_back(
+          Contents::Side{static_cast<uint32_t>(id), fingerprint});
+    }
+  }
+
+  uint64_t total = 0;
+  if (!in.Count(1, &total)) return false;
+  contents.verdicts.Reserve(total);
+  const uint64_t side_count = contents.sides.size();
+  uint64_t dependent = 0;
+  for (uint64_t decoded = 0; decoded < total;) {
+    uint64_t step = 0;
+    uint64_t group = 0;
+    if (!in.Varint(&step) || step >= side_count - dependent ||
+        !in.Varint(&group) || group == 0 || group > total - decoded) {
+      return false;
+    }
+    dependent += step;
+    uint64_t referenced = 0;
+    for (uint64_t i = 0; i < group; ++i) {
+      uint64_t packed = 0;
+      if (!in.Varint(&packed) || (packed >> 1) >= side_count - referenced) {
+        return false;
+      }
+      referenced += packed >> 1;
+      // One verdict per attribute pair: a repeat is damage.
+      const uint64_t key =
+          PairKey(contents.sides[dependent].attribute,
+                  contents.sides[referenced].attribute);
+      if (!contents.verdicts.Put(key, static_cast<SideId>(dependent),
+                                 static_cast<SideId>(referenced),
+                                 (packed & 1) != 0)) {
+        return false;
+      }
+    }
+    decoded += group;
+  }
+  if (in.remaining() != 0) return false;
+  *out = std::move(contents);
+  return true;
+}
+
 void ProfileStore::Load() {
+  // One read of the whole file; a missing or unreadable file is simply no
+  // profile yet, and anything Decode rejects is an empty profile too.
+  Contents loaded;
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
+  if (in) {
+    const std::streamoff size = in.tellg();
+    if (size > 0) {
+      std::string manifest(static_cast<size_t>(size), '\0');
+      if (in.seekg(0) && in.read(manifest.data(), size)) {
+        Decode(manifest, &loaded);  // on failure `loaded` stays empty
+      }
+    }
+  }
   MutexLock lock(&mutex_);
-  sets_.clear();
-  verdicts_.clear();
-
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return;  // no profile yet — empty is the correct state
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (in.bad()) return;
-
-  // The last line must be "checksum\t<hex>" covering every byte before it.
-  const size_t marker = content.rfind("\nchecksum\t");
-  if (marker == std::string::npos) return;
-  const size_t line_start = marker + 1;
-  std::string checksum_line = content.substr(line_start);
-  while (!checksum_line.empty() &&
-         (checksum_line.back() == '\n' || checksum_line.back() == '\r')) {
-    checksum_line.pop_back();
-  }
-  uint64_t expected = 0;
-  if (!ParseHex64(checksum_line.substr(std::string("checksum\t").size()),
-                  &expected)) {
-    return;
-  }
-  if (HashString(std::string_view(content.data(), line_start)) != expected) {
-    return;  // torn write or bit flip — trust nothing
-  }
-
-  // Checksum holds; parse the records. Any structural surprise (version
-  // bump, bad field) still degrades to an empty profile.
-  std::map<std::string, ProfileSetEntry> sets;
-  std::map<std::pair<AttributeRef, AttributeRef>, ProfileVerdict> verdicts;
-  std::vector<std::string> lines =
-      SplitString(std::string_view(content.data(), line_start), '\n');
-  if (lines.empty()) return;
-  std::string header = lines[0];
-  if (!header.empty() && header.back() == '\r') header.pop_back();
-  if (header != kProfileHeader) return;
-  bool saw_end = false;
-  for (size_t i = 1; i < lines.size() && !saw_end; ++i) {
-    std::string& line = lines[i];
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    std::vector<std::string> fields;
-    for (const std::string& raw : SplitString(line, '\t')) {
-      Result<std::string> unescaped = UnescapeManifestField(raw);
-      if (!unescaped.ok()) return;
-      fields.push_back(std::move(unescaped).value());
-    }
-    const std::string& kind = fields[0];
-    if (kind == "set") {
-      if (fields.size() != 11) return;
-      ProfileSetEntry entry;
-      entry.file_name = fields[1];
-      if (!ParseInt64(fields[2], &entry.file_bytes) ||
-          !ParseHex64(fields[3], &entry.content_fingerprint) ||
-          !ParseHex64(fields[4], &entry.source_fingerprint) ||
-          !ParseInt64(fields[5], &entry.distinct_count) ||
-          !ParseInt64(fields[6], &entry.block_count)) {
-        return;
-      }
-      if (fields[7] == "1") entry.min_value = fields[8];
-      if (fields[9] == "1") entry.max_value = fields[10];
-      sets[entry.file_name] = std::move(entry);
-    } else if (kind == "verdict") {
-      if (fields.size() != 8) return;
-      ProfileVerdict verdict;
-      int64_t satisfied = 0;
-      if (!ParseInt64(fields[5], &satisfied) ||
-          !ParseHex64(fields[6], &verdict.dependent_fingerprint) ||
-          !ParseHex64(fields[7], &verdict.referenced_fingerprint)) {
-        return;
-      }
-      verdict.satisfied = satisfied != 0;
-      verdicts[{AttributeRef{fields[1], fields[2]},
-                AttributeRef{fields[3], fields[4]}}] = verdict;
-    } else if (kind == "end") {
-      saw_end = true;
-    } else {
-      return;
-    }
-  }
-  if (!saw_end) return;
-  sets_ = std::move(sets);
-  verdicts_ = std::move(verdicts);
+  contents_ = std::move(loaded);
 }
 
 Status ProfileStore::Save() const {
-  std::string content = kProfileHeader;
-  content += '\n';
+  MutexLock save_lock(&save_mutex_);
+  std::string manifest;
   {
     MutexLock lock(&mutex_);
-    for (const auto& [file_name, entry] : sets_) {
-      content += "set\t" + EscapeManifestField(file_name) + "\t" +
-                 std::to_string(entry.file_bytes) + "\t" +
-                 FormatHex64(entry.content_fingerprint) + "\t" +
-                 FormatHex64(entry.source_fingerprint) + "\t" +
-                 std::to_string(entry.distinct_count) + "\t" +
-                 std::to_string(entry.block_count) + "\t";
-      content += entry.min_value
-                     ? "1\t" + EscapeManifestField(*entry.min_value)
-                     : "0\t";
-      content += "\t";
-      content += entry.max_value
-                     ? "1\t" + EscapeManifestField(*entry.max_value)
-                     : "0\t";
-      content += "\n";
-    }
-    for (const auto& [pair, verdict] : verdicts_) {
-      content += "verdict\t" + EscapeManifestField(pair.first.table) + "\t" +
-                 EscapeManifestField(pair.first.column) + "\t" +
-                 EscapeManifestField(pair.second.table) + "\t" +
-                 EscapeManifestField(pair.second.column) + "\t" +
-                 (verdict.satisfied ? "1" : "0") + "\t" +
-                 FormatHex64(verdict.dependent_fingerprint) + "\t" +
-                 FormatHex64(verdict.referenced_fingerprint) + "\n";
-    }
+    manifest = Encode(contents_);
   }
-  content += "end\n";
-  content += "checksum\t" + FormatHex64(HashString(content)) + "\n";
 
   const fs::path tmp = path_.string() + ".tmp";
   {
@@ -237,7 +479,7 @@ Status ProfileStore::Save() const {
     if (!out) {
       return Status::IOError("cannot create profile manifest " + tmp.string());
     }
-    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+    out.write(manifest.data(), static_cast<std::streamsize>(manifest.size()));
     out.close();
     if (out.fail()) {
       return Status::IOError("failed writing profile manifest " +
@@ -256,39 +498,92 @@ Status ProfileStore::Save() const {
 std::optional<ProfileSetEntry> ProfileStore::FindSet(
     const std::string& file_name) const {
   MutexLock lock(&mutex_);
-  const auto it = sets_.find(file_name);
-  if (it == sets_.end()) return std::nullopt;
+  const auto it = contents_.sets.find(file_name);
+  if (it == contents_.sets.end()) return std::nullopt;
   return it->second;
 }
 
 void ProfileStore::PutSet(ProfileSetEntry entry) {
   MutexLock lock(&mutex_);
-  sets_[entry.file_name] = std::move(entry);
+  contents_.sets[entry.file_name] = std::move(entry);
+}
+
+std::vector<ProfileStore::SideId> ProfileStore::InternSides(
+    const std::vector<SideKey>& keys) {
+  std::vector<SideId> sides;
+  sides.reserve(keys.size());
+  MutexLock lock(&mutex_);
+  for (const SideKey& key : keys) {
+    sides.push_back(contents_.InternSide(*key.attribute, key.fingerprint));
+  }
+  return sides;
+}
+
+std::vector<std::optional<bool>> ProfileStore::FindVerdicts(
+    const std::vector<std::pair<SideId, SideId>>& pairs) const {
+  std::vector<std::optional<bool>> outcomes(pairs.size());
+  MutexLock lock(&mutex_);
+  const std::vector<Contents::Side>& sides = contents_.sides;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [dependent, referenced] = pairs[i];
+    if (dependent == kNoSide || referenced == kNoSide) continue;
+    SPIDER_DCHECK(dependent < sides.size() && referenced < sides.size());
+    const VerdictTable::Entry* entry = contents_.verdicts.Find(
+        PairKey(sides[dependent].attribute, sides[referenced].attribute));
+    if (entry != nullptr && entry->dependent == dependent &&
+        entry->referenced() == referenced) {
+      outcomes[i] = entry->satisfied();
+    }
+  }
+  return outcomes;
+}
+
+void ProfileStore::PutVerdicts(const std::vector<SideVerdict>& verdicts) {
+  MutexLock lock(&mutex_);
+  contents_.verdicts.Reserve(contents_.verdicts.size() + verdicts.size());
+  for (const SideVerdict& verdict : verdicts) contents_.PutVerdict(verdict);
 }
 
 std::optional<ProfileVerdict> ProfileStore::FindVerdict(
     const AttributeRef& dependent, const AttributeRef& referenced) const {
   MutexLock lock(&mutex_);
-  const auto it = verdicts_.find({dependent, referenced});
-  if (it == verdicts_.end()) return std::nullopt;
-  return it->second;
+  const auto dependent_id = contents_.attribute_ids.find(dependent);
+  const auto referenced_id = contents_.attribute_ids.find(referenced);
+  if (dependent_id == contents_.attribute_ids.end() ||
+      referenced_id == contents_.attribute_ids.end()) {
+    return std::nullopt;
+  }
+  const VerdictTable::Entry* entry = contents_.verdicts.Find(
+      PairKey(dependent_id->second, referenced_id->second));
+  if (entry == nullptr) return std::nullopt;
+  ProfileVerdict verdict;
+  verdict.satisfied = entry->satisfied();
+  verdict.dependent_fingerprint = contents_.sides[entry->dependent].fingerprint;
+  verdict.referenced_fingerprint =
+      contents_.sides[entry->referenced()].fingerprint;
+  return verdict;
 }
 
 void ProfileStore::PutVerdict(const AttributeRef& dependent,
                               const AttributeRef& referenced,
                               ProfileVerdict verdict) {
   MutexLock lock(&mutex_);
-  verdicts_[{dependent, referenced}] = verdict;
+  const SideId dependent_side =
+      contents_.InternSide(dependent, verdict.dependent_fingerprint);
+  const SideId referenced_side =
+      contents_.InternSide(referenced, verdict.referenced_fingerprint);
+  contents_.PutVerdict(
+      SideVerdict{dependent_side, referenced_side, verdict.satisfied});
 }
 
 int64_t ProfileStore::set_count() const {
   MutexLock lock(&mutex_);
-  return static_cast<int64_t>(sets_.size());
+  return static_cast<int64_t>(contents_.sets.size());
 }
 
 int64_t ProfileStore::verdict_count() const {
   MutexLock lock(&mutex_);
-  return static_cast<int64_t>(verdicts_.size());
+  return static_cast<int64_t>(contents_.verdicts.size());
 }
 
 }  // namespace spider

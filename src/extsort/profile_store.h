@@ -9,17 +9,31 @@
 // statistics (stale the moment an append changes the column) and a content
 // fingerprint over the set file's bytes (stale the moment the file is
 // truncated, bit-flipped or replaced). A mismatch of either silently falls
-// back to re-extraction / re-verification; a corrupt or missing manifest
-// loads as an empty profile. Nothing in this file may crash the profiler.
+// back to re-extraction / re-verification; a corrupt, foreign-format or
+// missing manifest loads as an empty profile. Nothing in this file may
+// crash the profiler.
+//
+// Verdicts are interned. Each (table, column) is stored once under a dense
+// attribute id, each (attribute, source fingerprint) a verdict was decided
+// under once as a SideId, and a verdict is a 16-byte entry in one hash
+// table keyed by the packed (dependent, referenced) attribute ids — no
+// verdict owns a string. Hot callers resolve their attributes to sides once
+// (InternSides) and then look up and record whole batches by id under one
+// lock; the AttributeRef overloads are thin wrappers over the same table. The manifest (binary, format v2) writes each attribute name
+// once and each verdict as about one byte; see profile_store.cc.
 
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "src/common/mutex.h"
 #include "src/common/result.h"
@@ -60,11 +74,33 @@ struct ProfileVerdict {
 
 /// \brief Thread-safe store backing spider_profile.manifest.
 ///
-/// Load() tolerates any corruption (missing file, torn write, bit flip —
-/// the manifest carries a whole-file checksum) by starting empty; Save()
-/// commits atomically via write-to-temp-and-rename.
+/// Load() tolerates any corruption (missing file, torn write, bit flip,
+/// hostile counts — the manifest carries a whole-file checksum and every
+/// count and id is bounds-checked) by starting empty; Save() commits
+/// atomically via write-to-temp-and-rename, one writer at a time.
 class ProfileStore {
  public:
+  /// One interned (attribute, source fingerprint): a side of a verdict.
+  using SideId = uint32_t;
+  /// No side (e.g. an attribute without statistics): a pair naming it
+  /// never matches a remembered verdict.
+  static constexpr SideId kNoSide = std::numeric_limits<SideId>::max();
+
+  /// An attribute under the source fingerprint a caller sees it with.
+  /// `attribute` must outlive the call it is passed to.
+  struct SideKey {
+    const AttributeRef* attribute = nullptr;
+    uint64_t fingerprint = 0;
+  };
+
+  /// A verdict by sides: whether dependent ⊆ referenced held while both
+  /// attributes carried their sides' fingerprints.
+  struct SideVerdict {
+    SideId dependent = kNoSide;
+    SideId referenced = kNoSide;
+    bool satisfied = false;
+  };
+
   /// The manifest lives at `dir`/spider_profile.manifest. Nothing is read
   /// until Load().
   explicit ProfileStore(std::filesystem::path dir);
@@ -79,18 +115,40 @@ class ProfileStore {
   static Result<uint64_t> FileFingerprint(const std::filesystem::path& path);
 
   /// Replaces the in-memory profile with the manifest's contents. A
-  /// missing, torn or checksum-failing manifest loads as empty — reusing
-  /// nothing is always safe.
+  /// missing, torn, checksum-failing or pre-v2 manifest loads as empty —
+  /// reusing nothing is always safe.
   void Load() SPIDER_EXCLUDES(mutex_);
 
-  /// Atomically rewrites the manifest from the in-memory profile.
+  /// Atomically rewrites the manifest from the in-memory profile. Concurrent
+  /// calls are serialized; lookups wait only for the in-memory snapshot,
+  /// never for the file I/O.
   [[nodiscard]]
-  Status Save() const SPIDER_EXCLUDES(mutex_);
+  Status Save() const SPIDER_EXCLUDES(mutex_, save_mutex_);
 
   std::optional<ProfileSetEntry> FindSet(const std::string& file_name) const
       SPIDER_EXCLUDES(mutex_);
   void PutSet(ProfileSetEntry entry) SPIDER_EXCLUDES(mutex_);
 
+  /// Resolves every key to its side under one lock, interning unseen
+  /// attributes and fingerprints (a side no verdict refers to is never
+  /// saved). Side ids stay valid until the next Load().
+  std::vector<SideId> InternSides(const std::vector<SideKey>& keys)
+      SPIDER_EXCLUDES(mutex_);
+
+  /// Looks up every (dependent, referenced) side pair under one lock.
+  /// Entry i is the remembered outcome when the store holds a verdict for
+  /// pair i's attributes decided under exactly those sides, nullopt
+  /// otherwise (always when either side is kNoSide).
+  std::vector<std::optional<bool>> FindVerdicts(
+      const std::vector<std::pair<SideId, SideId>>& pairs) const
+      SPIDER_EXCLUDES(mutex_);
+  /// Records every verdict under one lock, replacing any earlier verdict
+  /// for the same attribute pair. Sides must come from InternSides.
+  void PutVerdicts(const std::vector<SideVerdict>& verdicts)
+      SPIDER_EXCLUDES(mutex_);
+
+  /// Single-pair wrappers over the id path: a hash lookup of both names
+  /// (PutVerdict interns an unseen name or fingerprint), no string copies.
   std::optional<ProfileVerdict> FindVerdict(const AttributeRef& dependent,
                                             const AttributeRef& referenced)
       const SPIDER_EXCLUDES(mutex_);
@@ -104,11 +162,88 @@ class ProfileStore {
   const std::filesystem::path& manifest_path() const { return path_; }
 
  private:
+  // Open-addressing (linear probing) map from the packed (dependent,
+  // referenced) attribute ids to the sides the pair's verdict was decided
+  // under.
+  class VerdictTable {
+   public:
+    struct Entry {
+      uint64_t key;
+      SideId dependent;
+      uint32_t referenced_and_satisfied;  // referenced side << 1 | bit
+
+      SideId referenced() const { return referenced_and_satisfied >> 1; }
+      bool satisfied() const { return (referenced_and_satisfied & 1) != 0; }
+    };
+
+    size_t size() const { return size_; }
+    /// Sizes the table for `count` entries without further growth.
+    void Reserve(size_t count);
+    const Entry* Find(uint64_t key) const;
+    /// Inserts or overwrites; returns true when `key` was new.
+    bool Put(uint64_t key, SideId dependent, SideId referenced,
+             bool satisfied);
+    /// Every occupied entry, in table order.
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      for (const Entry& entry : slots_) {
+        if (entry.key != kEmpty) fn(entry);
+      }
+    }
+
+   private:
+    static constexpr uint64_t kEmpty = ~uint64_t{0};
+    size_t SlotFor(uint64_t key) const;
+
+    std::vector<Entry> slots_;  // power-of-two size, or empty
+    size_t size_ = 0;
+  };
+
+  // Everything Load() replaces and Save() writes. Attribute names live
+  // once, as the keys of `attribute_ids`; `attributes[id].name` points at
+  // that key (node-based, so the pointer survives rehashing and moves —
+  // hence no copies).
+  struct Contents {
+    struct Attribute {
+      const AttributeRef* name;
+      std::vector<SideId> sides;  // usually one; more after an append
+    };
+    struct Side {
+      uint32_t attribute;
+      uint64_t fingerprint;
+    };
+
+    Contents() = default;
+    Contents(Contents&&) = default;
+    Contents& operator=(Contents&&) = default;
+    Contents(const Contents&) = delete;
+    Contents& operator=(const Contents&) = delete;
+
+    SideId InternSide(const AttributeRef& attribute, uint64_t fingerprint);
+    void PutVerdict(const SideVerdict& verdict);
+
+    std::map<std::string, ProfileSetEntry> sets;
+    std::unordered_map<AttributeRef, uint32_t, AttributeRefHash>
+        attribute_ids;
+    std::vector<Attribute> attributes;
+    std::vector<Side> sides;
+    VerdictTable verdicts;
+  };
+
+  /// The manifest bytes for `contents` (canonical: the same profile always
+  /// encodes to the same bytes, whatever order it was built in).
+  static std::string Encode(const Contents& contents);
+  /// Parses a whole manifest; false on any damage, hostile count or
+  /// foreign format.
+  static bool Decode(std::string_view manifest, Contents* out);
+
   std::filesystem::path path_;
   mutable Mutex mutex_;
-  std::map<std::string, ProfileSetEntry> sets_ SPIDER_GUARDED_BY(mutex_);
-  std::map<std::pair<AttributeRef, AttributeRef>, ProfileVerdict> verdicts_
-      SPIDER_GUARDED_BY(mutex_);
+  // Held across Save()'s snapshot, write and rename, so concurrent saves
+  // commit one at a time, each from a snapshot at least as new as the one
+  // before. Acquired before mutex_.
+  mutable Mutex save_mutex_;
+  Contents contents_ SPIDER_GUARDED_BY(mutex_);
 };
 
 }  // namespace spider

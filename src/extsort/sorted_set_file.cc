@@ -29,25 +29,6 @@ uint64_t RecordBytes(std::string_view value) {
   return header + value.size();
 }
 
-void AppendLengthPrefixed(std::string* out, std::string_view value) {
-  EncodeVarint(out, value.size());
-  out->append(value.data(), value.size());
-}
-
-void AppendFixed64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint64_t DecodeFixed64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<SortedSetWriter>> SortedSetWriter::Create(

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "src/common/mutex.h"
@@ -127,6 +131,42 @@ Status ValidateRun(const RunOptions& options,
   }
   return AlgorithmRegistry::ValidateConfig(*verifier, verify_config);
 }
+
+// The run's attribute table: every attribute the generator measured,
+// under a dense index, with the stats fingerprint its verdicts are keyed
+// by. Built once per run; candidates then resolve by one hash lookup per
+// side.
+class RunAttributes {
+ public:
+  static constexpr uint32_t kMissing = std::numeric_limits<uint32_t>::max();
+
+  explicit RunAttributes(const std::map<AttributeRef, ColumnStats>& stats) {
+    index_.reserve(stats.size());
+    keys_.reserve(stats.size());
+    for (const auto& [attribute, column_stats] : stats) {
+      index_.emplace(attribute, static_cast<uint32_t>(keys_.size()));
+      keys_.push_back(ProfileStore::SideKey{
+          &attribute, ProfileStore::StatsFingerprint(column_stats)});
+    }
+  }
+
+  /// The index of `attribute`, or kMissing when it has no statistics.
+  uint32_t Find(const AttributeRef& attribute) const {
+    const auto it = index_.find(attribute);
+    return it == index_.end() ? kMissing : it->second;
+  }
+
+  /// Index i's attribute and fingerprint, for resolving sides.
+  const std::vector<ProfileStore::SideKey>& keys() const { return keys_; }
+
+  static uint64_t Pack(uint32_t dependent, uint32_t referenced) {
+    return (uint64_t{dependent} << 32) | referenced;
+  }
+
+ private:
+  std::unordered_map<AttributeRef, uint32_t, AttributeRefHash> index_;
+  std::vector<ProfileStore::SideKey> keys_;
+};
 
 }  // namespace
 
@@ -356,53 +396,72 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
       config.extractor != nullptr ? config.extractor->profile() : nullptr;
   const bool delta_eligible =
       profile != nullptr && options.profile_cache && options.min_coverage >= 1.0;
-  std::map<AttributeRef, uint64_t> attr_fps;
-  auto fingerprint_of = [&](const AttributeRef& attr) -> const uint64_t* {
-    const auto cached = attr_fps.find(attr);
-    if (cached != attr_fps.end()) return &cached->second;
-    const auto stats = report->candidates.stats.find(attr);
-    if (stats == report->candidates.stats.end()) return nullptr;
-    return &attr_fps
-                .emplace(attr, ProfileStore::StatsFingerprint(stats->second))
-                .first->second;
-  };
-  std::vector<IndCandidate> to_verify;
+  const std::vector<IndCandidate>& candidates = report->candidates.candidates;
+  // What the algorithm decides: every candidate, or — when the profile
+  // answered some — a copy of the rest.
+  const std::vector<IndCandidate>* to_verify = &candidates;
+  std::vector<IndCandidate> unanswered;
   std::vector<Ind> reused_inds;
+  // Run attribute indices of each candidate in `*to_verify` (delta runs
+  // only), so recording needs no second name lookup.
+  std::vector<std::pair<uint32_t, uint32_t>> to_verify_attributes;
+  std::optional<RunAttributes> attributes;
+  std::vector<ProfileStore::SideId> sides;  // by run attribute index
   if (delta_eligible) {
-    for (const IndCandidate& candidate : report->candidates.candidates) {
-      const uint64_t* dep_fp = fingerprint_of(candidate.dependent);
-      const uint64_t* ref_fp = fingerprint_of(candidate.referenced);
-      std::optional<ProfileVerdict> verdict;
-      if (dep_fp != nullptr && ref_fp != nullptr) {
-        verdict =
-            profile->FindVerdict(candidate.dependent, candidate.referenced);
+    // Each distinct attribute is fingerprinted and resolved against the
+    // profile once; per candidate that leaves one name lookup per side and
+    // one id-pair lookup, all pairs under one store lock.
+    attributes.emplace(report->candidates.stats);
+    sides = profile->InternSides(attributes->keys());
+    std::vector<std::pair<ProfileStore::SideId, ProfileStore::SideId>> pairs;
+    to_verify_attributes.reserve(candidates.size());
+    pairs.reserve(candidates.size());
+    auto side_of = [&sides](uint32_t index) {
+      return index == RunAttributes::kMissing ? ProfileStore::kNoSide
+                                              : sides[index];
+    };
+    for (const IndCandidate& candidate : candidates) {
+      const uint32_t dependent = attributes->Find(candidate.dependent);
+      const uint32_t referenced = attributes->Find(candidate.referenced);
+      to_verify_attributes.emplace_back(dependent, referenced);
+      pairs.emplace_back(side_of(dependent), side_of(referenced));
+    }
+    const std::vector<std::optional<bool>> verdicts =
+        profile->FindVerdicts(pairs);
+    size_t kept = 0;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (!verdicts[i].has_value()) {
+        to_verify_attributes[kept++] = to_verify_attributes[i];
+        continue;
       }
-      if (verdict.has_value() && verdict->dependent_fingerprint == *dep_fp &&
-          verdict->referenced_fingerprint == *ref_fp) {
-        ++report->verdicts_reused;
-        if (verdict->satisfied) {
-          reused_inds.push_back(Ind{candidate.dependent, candidate.referenced});
-        }
-      } else {
-        to_verify.push_back(candidate);
+      ++report->verdicts_reused;
+      if (*verdicts[i]) {
+        reused_inds.push_back(
+            Ind{candidates[i].dependent, candidates[i].referenced});
       }
     }
-  } else {
-    to_verify = report->candidates.candidates;
+    to_verify_attributes.resize(kept);
+    if (kept < candidates.size()) {
+      unanswered.reserve(kept);
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        if (!verdicts[i].has_value()) unanswered.push_back(candidates[i]);
+      }
+      to_verify = &unanswered;
+    }
   }
-  report->candidates_revalidated = static_cast<int64_t>(to_verify.size());
+  report->candidates_revalidated = static_cast<int64_t>(to_verify->size());
 
   const bool parallel = pool != nullptr &&
                         verifier.capabilities.parallel_safe &&
-                        to_verify.size() >= 2;
+                        to_verify->size() >= 2;
   report->threads_used = parallel ? pool->size() : 1;
-  if (to_verify.empty()) {
+  if (to_verify->empty()) {
     // Everything was answered from the profile (or there were no
     // candidates): report->run stays at its finished, zero-work default.
   } else if (parallel) {
     SPIDER_ASSIGN_OR_RETURN(report->run,
                             RunParallel(options, verifier.name, config,
-                                        to_verify, *pool, run_watch, report));
+                                        *to_verify, *pool, run_watch, report));
   } else {
     SPIDER_ASSIGN_OR_RETURN(
         std::unique_ptr<IndAlgorithm> algorithm,
@@ -411,27 +470,32 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
     BindRunControls(options, run_watch, context);
     context.progress = options.progress;
     SPIDER_ASSIGN_OR_RETURN(report->run,
-                            algorithm->Run(*catalog_, to_verify, context));
+                            algorithm->Run(*catalog_, *to_verify, context));
   }
 
-  if (delta_eligible && report->run.finished && !to_verify.empty()) {
+  if (delta_eligible && report->run.finished && !to_verify->empty()) {
     // Only finished runs decide every submitted candidate; a budget- or
     // cancellation-truncated satisfied set must not be remembered as
-    // "unsatisfied".
-    const std::set<Ind> satisfied(report->run.satisfied.begin(),
-                                  report->run.satisfied.end());
-    for (const IndCandidate& candidate : to_verify) {
-      const uint64_t* dep_fp = fingerprint_of(candidate.dependent);
-      const uint64_t* ref_fp = fingerprint_of(candidate.referenced);
-      if (dep_fp == nullptr || ref_fp == nullptr) continue;
-      ProfileVerdict verdict;
-      verdict.satisfied =
-          satisfied.count(Ind{candidate.dependent, candidate.referenced}) > 0;
-      verdict.dependent_fingerprint = *dep_fp;
-      verdict.referenced_fingerprint = *ref_fp;
-      profile->PutVerdict(candidate.dependent, candidate.referenced, verdict);
-      *verdicts_recorded = true;
+    // "unsatisfied". Membership is tested on run attribute index pairs.
+    std::unordered_set<uint64_t> satisfied;
+    satisfied.reserve(report->run.satisfied.size());
+    for (const Ind& ind : report->run.satisfied) {
+      satisfied.insert(RunAttributes::Pack(attributes->Find(ind.dependent),
+                                           attributes->Find(ind.referenced)));
     }
+    std::vector<ProfileStore::SideVerdict> verdicts;
+    verdicts.reserve(to_verify_attributes.size());
+    for (const auto& [dependent, referenced] : to_verify_attributes) {
+      if (dependent == RunAttributes::kMissing ||
+          referenced == RunAttributes::kMissing) {
+        continue;
+      }
+      verdicts.push_back(ProfileStore::SideVerdict{
+          sides[dependent], sides[referenced],
+          satisfied.contains(RunAttributes::Pack(dependent, referenced))});
+    }
+    profile->PutVerdicts(verdicts);
+    if (!verdicts.empty()) *verdicts_recorded = true;
   }
 
   report->run.satisfied.insert(report->run.satisfied.end(),

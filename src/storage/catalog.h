@@ -2,8 +2,10 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -24,6 +26,15 @@ struct AttributeRef {
   friend bool operator<(const AttributeRef& a, const AttributeRef& b) {
     if (a.table != b.table) return a.table < b.table;
     return a.column < b.column;
+  }
+};
+
+/// Hash of an AttributeRef over both names, for unordered containers.
+struct AttributeRefHash {
+  size_t operator()(const AttributeRef& attr) const {
+    const size_t table = std::hash<std::string_view>{}(attr.table);
+    return table ^ (std::hash<std::string_view>{}(attr.column) +
+                    0x9E3779B97F4A7C15ULL + (table << 6) + (table >> 2));
   }
 };
 

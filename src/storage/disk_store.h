@@ -45,10 +45,10 @@ struct DiskStoreOptions {
 /// Name of the manifest file inside a disk-store workspace.
 inline constexpr const char* kDiskStoreManifestName = "spider_store.manifest";
 
-/// Manifest TSV field escaping, shared by every manifest in a workspace
-/// (spider_store.manifest, spider_profile.manifest): fields are
-/// tab-separated with one record per line, so '%', tab, newline and
-/// carriage return are percent-encoded.
+/// TSV field escaping for spider_store.manifest: fields are tab-separated
+/// with one record per line, so '%', tab, newline and carriage return are
+/// percent-encoded. (spider_profile.manifest is binary and escapes
+/// nothing; see profile_store.cc.)
 std::string EscapeManifestField(std::string_view field);
 [[nodiscard]]
 Result<std::string> UnescapeManifestField(std::string_view field);

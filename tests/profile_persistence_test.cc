@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/temp_dir.h"
 #include "src/extsort/profile_store.h"
 #include "src/ind/report_json.h"
@@ -222,6 +225,71 @@ TEST(ProfilePersistenceTest, FailedSaveIsReportedAndTheNextRunSeals) {
   EXPECT_EQ(warm->verdicts_reused,
             static_cast<int64_t>(warm->candidates.candidates.size()));
   EXPECT_EQ(warm->run.satisfied, unsaved->run.satisfied);
+}
+
+// The pre-v2 text manifest for `report`'s verdicts, as the old writer
+// sealed it: percent-escaped TSV lines behind a whole-file checksum.
+std::string TextManifest(const SessionReport& report) {
+  auto hex = [](uint64_t v) {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  const std::set<Ind> satisfied(report.run.satisfied.begin(),
+                                report.run.satisfied.end());
+  std::string text = "spider-profile\t1\n";
+  for (const IndCandidate& candidate : report.candidates.candidates) {
+    const uint64_t dependent = ProfileStore::StatsFingerprint(
+        report.candidates.stats.at(candidate.dependent));
+    const uint64_t referenced = ProfileStore::StatsFingerprint(
+        report.candidates.stats.at(candidate.referenced));
+    const bool holds =
+        satisfied.contains(Ind{candidate.dependent, candidate.referenced});
+    text += "verdict\t" + EscapeManifestField(candidate.dependent.table) +
+            "\t" + EscapeManifestField(candidate.dependent.column) + "\t" +
+            EscapeManifestField(candidate.referenced.table) + "\t" +
+            EscapeManifestField(candidate.referenced.column) + "\t" +
+            (holds ? "1" : "0") + "\t" + hex(dependent) + "\t" +
+            hex(referenced) + "\n";
+  }
+  text += "end\n";
+  return text + "checksum\t" + hex(HashString(text)) + "\n";
+}
+
+TEST(ProfilePersistenceTest, TextManifestIsRecomputedOnceAndResealed) {
+  auto dir = TempDir::Make("spider-profile-persist");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  WriteDump(root / "csv");
+  auto imported = ImportWorkspace(root / "csv", root / "wsp");
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  auto cold = PersistedRun(root / "wsp");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(cold->run.finished);
+
+  // A workspace sealed before the binary manifest: the same verdicts, in
+  // the old text format.
+  const std::filesystem::path manifest = root / "wsp" / kProfileManifestName;
+  WriteFile(manifest, TextManifest(*cold));
+
+  // The upgrade recomputes once — nothing is reused from the old file —
+  // and reseals without error.
+  auto upgraded = PersistedRun(root / "wsp");
+  ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
+  EXPECT_TRUE(upgraded->run.finished);
+  EXPECT_EQ(upgraded->run.satisfied, cold->run.satisfied);
+  EXPECT_EQ(upgraded->verdicts_reused, 0);
+  EXPECT_TRUE(upgraded->profile_save_error.empty())
+      << upgraded->profile_save_error;
+
+  // From then on the resealed profile answers every candidate.
+  auto warm = PersistedRun(root / "wsp");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->run.satisfied, cold->run.satisfied);
+  EXPECT_EQ(warm->verdicts_reused,
+            static_cast<int64_t>(warm->candidates.candidates.size()));
+  EXPECT_EQ(warm->candidates_revalidated, 0);
 }
 
 // ---------------------------------------------------------------------------

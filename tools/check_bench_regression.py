@@ -38,6 +38,7 @@ WORK_COUNTERS = (
     "sets_reused",
     "verdicts_reused",
     "candidates_revalidated",
+    "manifest_bytes",
 )
 
 
