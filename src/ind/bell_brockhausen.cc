@@ -102,8 +102,6 @@ Result<IndRunResult> BellBrockhausenAlgorithm::Run(
 void RegisterBellBrockhausenAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.database_internal = true;
-  capabilities.parallel_safe = true;  // reads the catalog, no shared state
-  capabilities.supports_out_of_core = true;  // stats + engine scans stream
   capabilities.summary =
       "sequential SQL-join testing with range and transitivity pruning "
       "(Bell & Brockhausen [2])";

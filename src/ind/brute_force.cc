@@ -118,8 +118,6 @@ Result<IndRunResult> BruteForceAlgorithm::Run(
 void RegisterBruteForceAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.needs_extractor = true;
-  capabilities.parallel_safe = true;  // shares only the thread-safe extractor
-  capabilities.supports_out_of_core = true;  // reads sorted-set files only
   capabilities.summary =
       "one merge scan per candidate over sorted value sets (Sec. 3.1)";
   Status status = registry.Register(

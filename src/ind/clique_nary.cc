@@ -217,8 +217,6 @@ Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
 void RegisterCliqueNaryAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.needs_extractor = true;
-  capabilities.parallel_safe = true;
-  capabilities.supports_out_of_core = true;
   capabilities.summary =
       "FIND2-style maximal n-ary INDs: maximal cliques over the satisfied "
       "binary graph, refined top-down, streamed composite-set validation";

@@ -119,8 +119,6 @@ Result<IndRunResult> DeMarchiAlgorithm::Run(
 
 void RegisterDeMarchiAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
-  capabilities.parallel_safe = true;  // shares only the thread-safe extractor
-  capabilities.supports_out_of_core = true;  // scans via streaming cursors
   capabilities.summary =
       "inverted-index discovery (De Marchi et al. [10]); large "
       "preprocessing footprint, no extractor needed";

@@ -165,9 +165,6 @@ Result<DependencyRunResult> FdLevelwiseAlgorithm::Run(const Catalog& catalog,
 void RegisterFdLevelwiseAlgorithms(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.needs_extractor = true;
-  capabilities.supports_time_budget = true;
-  capabilities.parallel_safe = true;
-  capabilities.supports_out_of_core = true;
 
   capabilities.kind = DependencyKind::kFd;
   capabilities.supports_partial = false;

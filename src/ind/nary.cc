@@ -130,8 +130,6 @@ Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
 void RegisterNaryAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.needs_extractor = true;
-  capabilities.parallel_safe = true;
-  capabilities.supports_out_of_core = true;
   // Partial here means the g3' error threshold (AlgorithmConfig::
   // error_threshold), not σ-coverage — the session still rejects a
   // σ-partial unary base under any expansion.

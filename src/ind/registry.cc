@@ -126,10 +126,6 @@ Status AlgorithmRegistry::FamilyMismatchError(const Entry& entry,
 Status AlgorithmRegistry::ValidateConfig(const Entry& entry,
                                          const AlgorithmConfig& config) {
   const AlgorithmCapabilities& capabilities = entry.capabilities;
-  if (capabilities.needs_extractor && config.extractor == nullptr) {
-    return Status::InvalidArgument(entry.name +
-                                   " requires a value-set extractor");
-  }
   if (config.min_coverage <= 0 || config.min_coverage > 1.0) {
     return Status::InvalidArgument("min_coverage must be in (0, 1]");
   }

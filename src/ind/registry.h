@@ -31,7 +31,11 @@ namespace spider {
 
 /// What an approach needs and what it can do. Consumers use this to
 /// validate configurations up front (e.g. σ < 1 with an approach that has
-/// no partial-coverage semantics) and to pick defaults.
+/// no partial-coverage semantics) and to pick defaults. What every
+/// approach must do is no capability: honor RunContext's budget and
+/// cancellation, run as independent concurrent instances (sharing only
+/// the thread-safe extractor), and read data through cursors or sorted
+/// sets, so disk-backed catalogs profile like in-memory ones.
 struct AlgorithmCapabilities {
   /// The dependency class the approach discovers. IND approaches (unary
   /// verifiers and n-ary expansions) are kInd; UCC/FD/AFD discoverers
@@ -46,24 +50,9 @@ struct AlgorithmCapabilities {
   /// expansion and the AFD discoverer. Configs requesting either knob are
   /// rejected up front when this is false.
   bool supports_partial = false;
-  /// Honors RunContext::time_budget_seconds mid-run (all built-ins do).
-  bool supports_time_budget = true;
   /// Runs inside the database engine (the paper's SQL statements) rather
   /// than over externally sorted value sets.
   bool database_internal = false;
-  /// Independent instances may run concurrently over disjoint candidate
-  /// partitions of one catalog (the session's parallel dispatcher requires
-  /// this). Opt-in: registrants assert it explicitly — all built-ins do,
-  /// since they only read the catalog and share nothing but the
-  /// thread-safe extractor — and the session falls back to serial
-  /// execution for approaches that don't.
-  bool parallel_safe = false;
-  /// Reads catalog data exclusively through streaming ValueCursors (or the
-  /// extractor's sorted-set files), so it can profile out-of-core
-  /// (disk-backend) catalogs. Opt-in: approaches that random-access
-  /// materialized columns must leave this false, and the session rejects
-  /// them up front for disk-backed catalogs instead of aborting mid-run.
-  bool supports_out_of_core = false;
   /// An n-ary expansion (NaryAlgorithm) rather than a unary verifier: it
   /// derives higher-arity INDs from a satisfied unary base. The session
   /// runs RunOptions::nary_base first and feeds its result in. Set by
@@ -148,9 +137,9 @@ class AlgorithmRegistry {
   [[nodiscard]]
   Result<const Entry*> Find(std::string_view name) const;
 
-  /// Builds an instance of the named approach after validating `config`
-  /// against its capabilities (extractor present, σ / error threshold
-  /// supported). T picks the family — IndAlgorithm, NaryAlgorithm or
+  /// Builds an instance of the named approach after checking that
+  /// `config` carries the extractor the approach needs and passes
+  /// ValidateConfig. T picks the family — IndAlgorithm, NaryAlgorithm or
   /// DependencyAlgorithm — and a name from another family fails with
   /// InvalidArgument.
   template <typename T = IndAlgorithm>
@@ -165,13 +154,18 @@ class AlgorithmRegistry {
       return FamilyMismatchError(
           *entry, AnyFactory(std::in_place_type<TypedFactory>).index());
     }
+    if (entry->capabilities.needs_extractor && config.extractor == nullptr) {
+      return Status::InvalidArgument(entry->name +
+                                     " requires a value-set extractor");
+    }
     SPIDER_RETURN_NOT_OK(ValidateConfig(*entry, config));
     return (*factory)(config);
   }
 
-  /// Rejects `config` knobs the entry's capabilities rule out: a missing
-  /// extractor, σ < 1 or an error threshold the approach cannot honor, and
-  /// out-of-range values. Create runs it; the session runs it up front.
+  /// Rejects `config` knobs the entry's capabilities rule out: σ < 1 or an
+  /// error threshold the approach cannot honor, and out-of-range values.
+  /// Create runs it; ValidateRunOptions runs it before a session does any
+  /// work.
   [[nodiscard]]
   static Status ValidateConfig(const Entry& entry,
                                const AlgorithmConfig& config);

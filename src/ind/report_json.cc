@@ -144,9 +144,6 @@ std::string ApproachesToJson() {
     json.KV("database_internal", capabilities.database_internal);
     json.KV("needs_extractor", capabilities.needs_extractor);
     json.KV("supports_partial", capabilities.supports_partial);
-    json.KV("supports_time_budget", capabilities.supports_time_budget);
-    json.KV("parallel_safe", capabilities.parallel_safe);
-    json.KV("supports_out_of_core", capabilities.supports_out_of_core);
     json.EndObject();
   }
   json.EndArray();

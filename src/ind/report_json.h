@@ -17,8 +17,9 @@
 
 namespace spider {
 
-/// Version of the report document layout. Bump on any non-additive change.
-inline constexpr int64_t kReportSchemaVersion = 1;
+/// Version of the report document layout. Bump on any non-additive change
+/// (history in docs/SERVER.md).
+inline constexpr int64_t kReportSchemaVersion = 2;
 
 /// What the serializer knows about the run but the SessionReport doesn't:
 /// catalog shape and how the run ended.

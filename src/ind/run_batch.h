@@ -1,6 +1,7 @@
-// The one batch driver behind every discoverer that fans independent tasks
-// out onto an optional ThreadPool: the levelwise n-ary expansion (one task
-// per candidate of a level), the clique and zigzag expansions (one task per
+// The one batch driver behind everything that fans independent tasks out
+// onto an optional ThreadPool: the session's unary verification (one task
+// per candidate partition), the levelwise n-ary expansion (one task per
+// candidate of a level), the clique and zigzag expansions (one task per
 // table pair) and the UCC/FD lattice searches (one task per table).
 
 #pragma once

@@ -1,5 +1,6 @@
 #include "src/ind/run_options_parse.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string_view>
 
@@ -13,14 +14,13 @@ namespace {
 // Keep in sync with the Apply() dispatch below; RunOptionKeys() is the
 // public listing unknown-key errors and the docs derive from.
 const char* const kKeys[] = {
-    "approach",       "kind",
-    "nary-base",      "max-arity",
-    "sigma",          "error",
-    "max-lhs",        "time-budget",
-    "threads",        "max-open-files",
-    "block-skip",     "no-block-skip",
-    "max-value-pretest", "sampling-pretest",
-    "profile-cache",  "no-profile-cache",
+    "approach",          "kind",
+    "nary-base",         "max-arity",
+    "sigma",             "error",
+    "max-lhs",           "time-budget",
+    "threads",           "max-open-files",
+    "no-block-skip",     "max-value-pretest",
+    "sampling-pretest",  "no-profile-cache",
 };
 
 Result<int> ParseIntInRange(const std::string& key, const std::string& value,
@@ -86,9 +86,6 @@ Status Apply(const RunOptionKv& kv, RunOptions& options) {
   const std::string& key = kv.key;
   const std::string& value = kv.value;
   if (key == "approach") {
-    // The registry's lookup error carries the valid names per kind plus a
-    // nearest-match suggestion — surface it verbatim.
-    SPIDER_RETURN_NOT_OK(AlgorithmRegistry::Global().Find(value).status());
     options.approach = value;
     return Status::OK();
   }
@@ -97,13 +94,6 @@ Status Apply(const RunOptionKv& kv, RunOptions& options) {
     return Status::OK();
   }
   if (key == "nary-base") {
-    SPIDER_ASSIGN_OR_RETURN(const AlgorithmRegistry::Entry* entry,
-                            AlgorithmRegistry::Global().Find(value));
-    if (entry->capabilities.nary) {
-      return Status::InvalidArgument(
-          "--nary-base must name a unary approach, got n-ary expansion '" +
-          value + "'");
-    }
     options.nary_base = value;
     return Status::OK();
   }
@@ -152,17 +142,9 @@ Status Apply(const RunOptionKv& kv, RunOptions& options) {
         ParseIntInRange(key, value, 0, 1 << 20, " (0 = unlimited)"));
     return Status::OK();
   }
-  if (key == "block-skip") {
-    SPIDER_ASSIGN_OR_RETURN(options.block_skip, ParseBool(key, value));
-    return Status::OK();
-  }
   if (key == "no-block-skip") {
     SPIDER_ASSIGN_OR_RETURN(const bool no_skip, ParseBool(key, value));
     options.block_skip = !no_skip;
-    return Status::OK();
-  }
-  if (key == "profile-cache") {
-    SPIDER_ASSIGN_OR_RETURN(options.profile_cache, ParseBool(key, value));
     return Status::OK();
   }
   if (key == "no-profile-cache") {
@@ -196,15 +178,16 @@ const std::vector<std::string>& RunOptionKeys() {
 
 Result<RunOptions> ParseRunOptions(const std::vector<RunOptionKv>& pairs) {
   RunOptions options;
-  options.approach.clear();  // "not set": the default resolves below
   for (const RunOptionKv& kv : pairs) {
     SPIDER_RETURN_NOT_OK(Apply(kv, options));
   }
-  if (options.approach.empty()) {
+  const bool approach_given =
+      std::any_of(pairs.begin(), pairs.end(),
+                  [](const RunOptionKv& kv) { return kv.key == "approach"; });
+  if (!approach_given) {
     // A bare "kind" selects the kind's default discoverer; σ < 1 selects
     // the first unary IND verifier with partial coverage; otherwise the
     // historical brute-force default stands.
-    options.approach = "brute-force";
     const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
     if (options.kind && *options.kind != DependencyKind::kInd) {
       auto name = registry.DefaultNameForKind(*options.kind);
@@ -221,6 +204,7 @@ Result<RunOptions> ParseRunOptions(const std::vector<RunOptionKv>& pairs) {
       }
     }
   }
+  SPIDER_RETURN_NOT_OK(ValidateRunOptions(options));
   return options;
 }
 

@@ -42,9 +42,10 @@ const std::vector<std::string>& RunOptionKeys();
 /// only a non-IND "kind" the kind's default discoverer is chosen; with
 /// "sigma" < 1 the first registered unary IND verifier that supports
 /// partial coverage ("spider-merge"); otherwise "brute-force" (the
-/// paper's baseline). Cross-field checks that need the catalog
-/// (out-of-core support, kind/approach agreement) stay in
-/// SpiderSession::Run.
+/// paper's baseline). Last it runs ValidateRunOptions, the check
+/// SpiderSession::Run starts with, so every cross-field rule (names,
+/// kind/approach agreement, σ, error threshold, nary-base) fails here,
+/// before a front-end loads a catalog, with the session's text.
 [[nodiscard]]
 Result<RunOptions> ParseRunOptions(const std::vector<RunOptionKv>& pairs);
 

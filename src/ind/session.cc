@@ -1,7 +1,6 @@
 #include "src/ind/session.h"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -63,20 +62,30 @@ void BindRunControls(const RunOptions& options, const Stopwatch& run_watch,
   }
 }
 
-// Every option rule the resolved approaches impose, checked before any
-// candidate is generated. `verifier` is the unary IND approach (the
-// approach itself, or nary_base under an expansion), null for the other
-// kinds; `config` / `verify_config` are what the approach / verifier will
-// be created with.
-Status ValidateRun(const RunOptions& options,
-                   const AlgorithmRegistry::Entry& approach,
-                   const AlgorithmRegistry::Entry* verifier,
-                   const AlgorithmConfig& config,
-                   const AlgorithmConfig& verify_config, bool out_of_core) {
+// What a valid option set runs: the approach with its config, and the
+// unary IND verifier with its own (the approach itself, or nary_base under
+// an expansion; null for the other kinds). Run adds extractor and pool.
+struct ResolvedRun {
+  const AlgorithmRegistry::Entry* approach = nullptr;
+  const AlgorithmRegistry::Entry* verifier = nullptr;
+  AlgorithmConfig config;
+  AlgorithmConfig verify_config;
+};
+
+// ValidateRunOptions, keeping what it resolved for Run.
+Result<ResolvedRun> ResolveRun(const RunOptions& options) {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  ResolvedRun run;
+  SPIDER_ASSIGN_OR_RETURN(run.approach, registry.Find(options.approach));
+  // Resolved whatever the approach, so a misspelt base never hides behind
+  // a run that does not read it.
+  SPIDER_ASSIGN_OR_RETURN(const AlgorithmRegistry::Entry* base,
+                          registry.Find(options.nary_base));
+  const AlgorithmRegistry::Entry& approach = *run.approach;
   const AlgorithmCapabilities& capabilities = approach.capabilities;
   if (options.kind.has_value() && *options.kind != capabilities.kind) {
     const std::vector<std::string> names =
-        AlgorithmRegistry::Global().NamesForKind(*options.kind);
+        registry.NamesForKind(*options.kind);
     return Status::InvalidArgument(
         "approach '" + approach.name + "' discovers " +
         std::string(KindName(capabilities.kind)) + "s, not " +
@@ -85,16 +94,32 @@ Status ValidateRun(const RunOptions& options,
         (names.empty() ? std::string("none") : JoinStrings(names, ", ")) +
         ")");
   }
-  for (const AlgorithmRegistry::Entry* entry : {&approach, verifier}) {
-    if (entry != nullptr && out_of_core &&
-        !entry->capabilities.supports_out_of_core) {
-      return Status::InvalidArgument(
-          "approach '" + entry->name +
-          "' random-accesses materialized columns and cannot profile an "
-          "out-of-core (disk-backend) catalog");
-    }
+  // An expansion is never a base; another kind's discoverer matters only
+  // where an expansion reads the base.
+  const AlgorithmCapabilities& base_capabilities = base->capabilities;
+  if (base_capabilities.nary ||
+      (capabilities.nary && base_capabilities.kind != DependencyKind::kInd)) {
+    return Status::InvalidArgument(
+        "nary_base must name a unary approach, got " +
+        (base_capabilities.nary
+             ? std::string("n-ary expansion")
+             : std::string(KindName(base_capabilities.kind)) + " discoverer") +
+        " '" + base->name + "'");
   }
-  if (verifier == nullptr) {
+  if (capabilities.nary) {
+    run.verifier = base;
+  } else if (capabilities.kind == DependencyKind::kInd) {
+    run.verifier = run.approach;
+  }
+
+  AlgorithmConfig& config = run.config;
+  config.max_open_files = options.max_open_files;
+  config.min_coverage = options.min_coverage;
+  config.max_nary_arity = options.nary_max_arity;
+  config.error_threshold = options.error_threshold;
+  config.max_lhs_arity = options.max_lhs_arity;
+  config.block_skip = options.block_skip;
+  if (run.verifier == nullptr) {
     // σ-coverage is an IND notion; the approximate kinds use the error
     // threshold instead, so reject the knob instead of ignoring it.
     if (options.min_coverage != 1.0) {
@@ -103,7 +128,8 @@ Status ValidateRun(const RunOptions& options,
           "error_threshold for approximate " +
           std::string(KindName(capabilities.kind)) + " discovery");
     }
-    return AlgorithmRegistry::ValidateConfig(approach, config);
+    SPIDER_RETURN_NOT_OK(AlgorithmRegistry::ValidateConfig(approach, config));
+    return run;
   }
   if (capabilities.nary) {
     // The expansions verify exact tuple containment only: a σ-partial
@@ -111,14 +137,6 @@ Status ValidateRun(const RunOptions& options,
     if (options.min_coverage < 1.0) {
       return Status::InvalidArgument(
           approach.name + " does not support partial (sigma < 1) coverage");
-    }
-    const AlgorithmCapabilities& base = verifier->capabilities;
-    if (base.kind != DependencyKind::kInd || base.nary) {
-      return Status::InvalidArgument(
-          "nary_base must name a unary approach, got " +
-          (base.nary ? std::string("n-ary expansion")
-                     : std::string(KindName(base.kind)) + " discoverer") +
-          " '" + verifier->name + "'");
     }
     SPIDER_RETURN_NOT_OK(AlgorithmRegistry::ValidateConfig(approach, config));
   } else if (options.error_threshold != 0) {
@@ -129,7 +147,13 @@ Status ValidateRun(const RunOptions& options,
         "' verifies unary INDs; use min_coverage (σ) for partial coverage "
         "instead of an error threshold");
   }
-  return AlgorithmRegistry::ValidateConfig(*verifier, verify_config);
+  // The unary phase stays exact: the g3' threshold parameterizes only an
+  // expansion.
+  run.verify_config = config;
+  run.verify_config.error_threshold = 0;
+  SPIDER_RETURN_NOT_OK(
+      AlgorithmRegistry::ValidateConfig(*run.verifier, run.verify_config));
+  return run;
 }
 
 // The run's attribute table: every attribute the generator measured,
@@ -169,6 +193,10 @@ class RunAttributes {
 };
 
 }  // namespace
+
+Status ValidateRunOptions(const RunOptions& options) {
+  return ResolveRun(options).status();
+}
 
 std::vector<std::vector<IndCandidate>> PartitionCandidatesByComponent(
     const std::vector<IndCandidate>& candidates) {
@@ -294,12 +322,13 @@ Result<IndRunResult> SpiderSession::RunParallel(
   // (done, total); deltas fold into shared counters and the user callback
   // sees run-wide, monotonically consistent numbers. One mutex guards both
   // the counters and the callback so no observer sees progress regress.
+  // RunBatch returns only after every task ended, so tasks may capture
+  // locals by reference.
   struct ProgressAggregator {
     Mutex mutex;
     int64_t done SPIDER_GUARDED_BY(mutex) = 0;
     int64_t total SPIDER_GUARDED_BY(mutex) = 0;
-  };
-  auto aggregator = std::make_shared<ProgressAggregator>();
+  } aggregator;
 
   // Seed the aggregate total with each partition's candidate count so the
   // first callbacks already see a run-wide denominator; when a partition
@@ -308,70 +337,63 @@ Result<IndRunResult> SpiderSession::RunParallel(
   if (options.progress) {
     // No worker can race yet; locked anyway so the guarded-field invariant
     // holds unconditionally (uncontended locks are cheap).
-    MutexLock lock(&aggregator->mutex);
+    MutexLock lock(&aggregator.mutex);
     for (const std::vector<IndCandidate>& partition : partitions) {
-      aggregator->total += static_cast<int64_t>(partition.size());
+      aggregator.total += static_cast<int64_t>(partition.size());
     }
   }
 
-  std::vector<std::future<Result<IndRunResult>>> futures;
-  futures.reserve(partitions.size());
-  for (const std::vector<IndCandidate>& partition : partitions) {
-    futures.push_back(pool.Submit([this, &options, &approach, &config,
-                                   &partition, &run_watch, &verify_seconds,
-                                   aggregator]() -> Result<IndRunResult> {
-      SPIDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<IndAlgorithm> algorithm,
-          AlgorithmRegistry::Global().Create(approach, config));
-      // A partition picked up late only gets what remains of the budget.
-      RunContext context;
-      BindRunControls(options, run_watch, context);
-      if (options.progress) {
-        // last_done/last_total are per-lambda (per-partition) state, only
-        // touched by the partition's own thread. last_total starts at the
-        // candidate-count seed folded into the aggregate above.
-        context.progress = [aggregator, &options, &verify_seconds,
-                            last_done = int64_t{0},
-                            last_total = static_cast<int64_t>(partition.size())](
-                               const RunProgress& partition_progress) mutable {
-          MutexLock lock(&aggregator->mutex);
-          aggregator->done += partition_progress.done - last_done;
-          aggregator->total += partition_progress.total - last_total;
-          last_done = partition_progress.done;
-          last_total = partition_progress.total;
-          options.progress(RunProgress{aggregator->done, aggregator->total,
-                                       verify_seconds()});
-        };
-      }
-      return algorithm->Run(*catalog_, partition, context);
-    }));
-  }
+  // A partition the budget or a cancel stops before it starts is skipped;
+  // one picked up late only gets what remains of the budget.
+  RunContext batch_context;
+  BindRunControls(options, run_watch, batch_context);
+  batch_context.Begin(static_cast<int64_t>(partitions.size()));
+  SPIDER_ASSIGN_OR_RETURN(
+      BatchOutcome<Ind> outcome,
+      RunBatch<Ind>(
+          &pool, partitions.size(), batch_context,
+          [&](size_t i) -> Result<BatchOutcome<Ind>> {
+            const std::vector<IndCandidate>& partition = partitions[i];
+            SPIDER_ASSIGN_OR_RETURN(
+                std::unique_ptr<IndAlgorithm> algorithm,
+                AlgorithmRegistry::Global().Create(approach, config));
+            RunContext context;
+            BindRunControls(options, run_watch, context);
+            if (options.progress) {
+              // last_done/last_total are per-partition state, only touched
+              // by the partition's own thread. last_total starts at the
+              // candidate-count seed folded into the aggregate above.
+              context.progress =
+                  [&aggregator, &options, &verify_seconds,
+                   last_done = int64_t{0},
+                   last_total = static_cast<int64_t>(partition.size())](
+                      const RunProgress& partition_progress) mutable {
+                    MutexLock lock(&aggregator.mutex);
+                    aggregator.done += partition_progress.done - last_done;
+                    aggregator.total += partition_progress.total - last_total;
+                    last_done = partition_progress.done;
+                    last_total = partition_progress.total;
+                    options.progress(RunProgress{aggregator.done,
+                                                 aggregator.total,
+                                                 verify_seconds()});
+                  };
+            }
+            SPIDER_ASSIGN_OR_RETURN(
+                IndRunResult result,
+                algorithm->Run(*catalog_, partition, context));
+            BatchOutcome<Ind> partial;
+            partial.found = std::move(result.satisfied);
+            partial.counters = result.counters;
+            partial.finished = result.finished;
+            return partial;
+          }));
 
-  // Wait for every partition before touching any result: tasks capture
-  // locals by reference.
-  std::vector<Result<IndRunResult>> results;
-  results.reserve(futures.size());
-  for (auto& future : futures) results.push_back(future.get());
-
+  // Folded in partition order; peak_open_files is the concurrent
+  // high-water bound over the partitions (ApplyConcurrentPeakBound).
   IndRunResult merged;
-  std::vector<int64_t> partition_peaks;
-  partition_peaks.reserve(results.size());
-  for (Result<IndRunResult>& result : results) {
-    SPIDER_RETURN_NOT_OK(result.status());
-    IndRunResult& partial = *result;
-    merged.satisfied.insert(merged.satisfied.end(),
-                            std::make_move_iterator(partial.satisfied.begin()),
-                            std::make_move_iterator(partial.satisfied.end()));
-    partition_peaks.push_back(partial.counters.peak_open_files);
-    merged.counters.Merge(partial.counters);
-    merged.finished = merged.finished && partial.finished;
-  }
-  // Concurrent partitions hold their files simultaneously, but at most
-  // `threads` of them at once — the high-water bound is the sum of the
-  // largest min(threads, partitions) per-partition peaks, not the sum over
-  // all partitions (ApplyConcurrentPeakBound) nor the max Merge() keeps.
-  ApplyConcurrentPeakBound(&pool, std::move(partition_peaks),
-                           merged.counters);
+  merged.satisfied = std::move(outcome.found);
+  merged.counters = outcome.counters;
+  merged.finished = outcome.finished;
   merged.seconds = verify_seconds();
   return merged;
 }
@@ -451,9 +473,7 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
   }
   report->candidates_revalidated = static_cast<int64_t>(to_verify->size());
 
-  const bool parallel = pool != nullptr &&
-                        verifier.capabilities.parallel_safe &&
-                        to_verify->size() >= 2;
+  const bool parallel = pool != nullptr && to_verify->size() >= 2;
   report->threads_used = parallel ? pool->size() : 1;
   if (to_verify->empty()) {
     // Everything was answered from the profile (or there were no
@@ -511,48 +531,29 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
   // The run's one clock: it times the report and bounds the budget.
   Stopwatch run_watch;
   run_watch.Start();
-  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  // Validate before any work: a rejected option set creates no workspace
+  // and loads no profile. IND runs verify unary candidates with
+  // `verifier`; the other kinds enumerate their own lattices.
+  SPIDER_ASSIGN_OR_RETURN(ResolvedRun resolved, ResolveRun(options));
+  const AlgorithmRegistry::Entry& approach = *resolved.approach;
+  const AlgorithmRegistry::Entry* const verifier = resolved.verifier;
+  const AlgorithmCapabilities& capabilities = approach.capabilities;
+  AlgorithmConfig& config = resolved.config;
 
-  // Resolve — a bad name fails before any work. IND runs verify unary
-  // candidates with `verifier`: the approach itself, or nary_base under an
-  // n-ary expansion. The other kinds enumerate their own lattices.
-  SPIDER_ASSIGN_OR_RETURN(const AlgorithmRegistry::Entry* approach,
-                          registry.Find(options.approach));
-  const AlgorithmCapabilities& capabilities = approach->capabilities;
-  const AlgorithmRegistry::Entry* verifier = nullptr;
-  if (capabilities.nary) {
-    SPIDER_ASSIGN_OR_RETURN(verifier, registry.Find(options.nary_base));
-  } else if (capabilities.kind == DependencyKind::kInd) {
-    verifier = approach;
-  }
+  // The extractor is only materialized for approaches that need it; the
+  // unary phase reads sets only when its own approach does.
   const bool verifier_reads_sets =
       verifier != nullptr && verifier->capabilities.needs_extractor;
-
-  AlgorithmConfig config;
-  config.max_open_files = options.max_open_files;
-  config.min_coverage = options.min_coverage;
-  config.max_nary_arity = options.nary_max_arity;
-  config.error_threshold = options.error_threshold;
-  config.max_lhs_arity = options.max_lhs_arity;
-  config.block_skip = options.block_skip;
-  // The extractor is only materialized for approaches that need it.
   if (capabilities.needs_extractor || verifier_reads_sets) {
     SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
   }
-  // The unary phase stays exact — the g3' threshold parameterizes only an
-  // expansion — and reads sets only when its own approach does.
-  AlgorithmConfig verify_config = config;
-  verify_config.error_threshold = 0;
-  if (!verifier_reads_sets) verify_config.extractor = nullptr;
-
-  SPIDER_RETURN_NOT_OK(ValidateRun(options, *approach, verifier, config,
-                                   verify_config, catalog_->out_of_core()));
+  if (verifier_reads_sets) resolved.verify_config.extractor = config.extractor;
 
   const int threads = ThreadPool::ResolveThreadCount(options.threads);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(threads);
-    if (capabilities.parallel_safe) config.pool = pool.get();
+    config.pool = pool.get();
   }
 
   // Extraction happens inside the session's cache, outside every
@@ -576,9 +577,9 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
   report.kind = capabilities.kind;
   bool verdicts_recorded = false;
   if (verifier != nullptr) {
-    SPIDER_RETURN_NOT_OK(VerifyUnary(options, *verifier, verify_config,
-                                     pool.get(), run_watch, &report,
-                                     &verdicts_recorded));
+    SPIDER_RETURN_NOT_OK(VerifyUnary(options, *verifier,
+                                     resolved.verify_config, pool.get(),
+                                     run_watch, &report, &verdicts_recorded));
     fold_extraction(report.run.counters);
   }
   if (capabilities.nary) {
@@ -592,7 +593,8 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
     if (report.run.finished) {
       SPIDER_ASSIGN_OR_RETURN(
           std::unique_ptr<NaryAlgorithm> algorithm,
-          registry.Create<NaryAlgorithm>(approach->name, config));
+          AlgorithmRegistry::Global().Create<NaryAlgorithm>(approach.name,
+                                                            config));
       RunContext context;
       BindRunControls(options, run_watch, context);
       context.progress = options.progress;
@@ -603,11 +605,12 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
     }
   } else if (verifier == nullptr) {
     // UCC/FD/AFD: no candidate generation — the discoverer enumerates its
-    // own lattice per table, on the pool when it is parallel-safe.
-    report.threads_used = config.pool != nullptr ? threads : 1;
+    // own lattice per table, on the pool.
+    report.threads_used = threads;
     SPIDER_ASSIGN_OR_RETURN(
         std::unique_ptr<DependencyAlgorithm> algorithm,
-        registry.Create<DependencyAlgorithm>(approach->name, config));
+        AlgorithmRegistry::Global().Create<DependencyAlgorithm>(approach.name,
+                                                                config));
     RunContext context;
     BindRunControls(options, run_watch, context);
     context.progress = options.progress;

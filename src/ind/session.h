@@ -1,23 +1,23 @@
 // SpiderSession: the registry-driven profiling entry point.
 //
 // A session binds one catalog to a sorted-value-set workspace. Each Run()
-// drives every approach through the same steps: resolve the approach by
-// registry name, validate the options against its capabilities, generate
-// unary IND candidates (IND approaches only), dispatch the algorithm under
-// one unified set of controls (time budget, cancellation, progress,
-// σ-partial coverage, memory/file budgets), fold the extractor's work into
-// the result and seal the persisted profile. An n-ary expansion runs after
-// the unary phase, on its satisfied set. The extractor cache lives in the
-// session, so sweeping several approaches over the same catalog extracts
-// and sorts each attribute only once — exactly the reuse the paper's
-// database-external approaches are built on.
+// drives every approach through the same steps: validate the options
+// (ValidateRunOptions) before any work, generate unary IND candidates (IND
+// approaches only), dispatch the algorithm under one unified set of
+// controls (time budget, cancellation, progress, σ-partial coverage,
+// memory/file budgets), fold the extractor's work into the result and seal
+// the persisted profile. An n-ary expansion runs after the unary phase, on
+// its satisfied set. The extractor cache lives in the session, so sweeping
+// several approaches over the same catalog extracts and sorts each
+// attribute only once — exactly the reuse the paper's database-external
+// approaches are built on.
 //
 // With RunOptions::threads != 1 the verification phase runs on a worker
 // pool: the candidate set is partitioned into connected components of the
-// attribute graph and independent partitions execute concurrently, each on
-// its own algorithm instance, under one shared cancellation token and time
-// budget. Results are identical to the single-threaded run — the satisfied
-// set is returned sorted either way.
+// attribute graph and independent partitions execute concurrently through
+// RunBatch, each on its own algorithm instance, under one shared
+// cancellation token and time budget. Results are identical to the
+// single-threaded run — the satisfied set is returned sorted either way.
 //
 //   SpiderSession session(catalog);
 //   RunOptions options;
@@ -184,9 +184,9 @@ std::vector<std::vector<IndCandidate>> PartitionCandidatesByComponent(
 /// fewer partitions than `target`, the largest partition (ties: the
 /// earliest) is split in half at a candidate boundary, each half keeping
 /// its candidate order. Candidates of one component stay verifiable in
-/// isolation — parallel_safe approaches only require disjoint candidate
-/// lists, not whole components — so a fully connected attribute graph no
-/// longer collapses --threads=N to one worker. Partitions below
+/// isolation — approaches only require disjoint candidate lists, not whole
+/// components — so a fully connected attribute graph no longer collapses
+/// --threads=N to one worker. Partitions below
 /// 2 × kMinSplitPartition candidates never split: below that the
 /// duplicated referenced-side reads outweigh the parallelism. The
 /// satisfied set is identical with or without splitting (the session
@@ -196,6 +196,18 @@ std::vector<std::vector<IndCandidate>> PartitionCandidatesByComponent(
 inline constexpr size_t kMinSplitPartition = 8;
 std::vector<std::vector<IndCandidate>> SplitPartitionsForParallelism(
     std::vector<std::vector<IndCandidate>> partitions, size_t target);
+
+/// The one check of an option set: every rule a run imposes, decided from
+/// `options` and the global registry alone. `approach` and `nary_base`
+/// must resolve (NotFound with the registry's suggestion); a set `kind`
+/// must be the approach's; σ < 1 needs a unary IND verifier that supports
+/// it, an error threshold an expansion or discoverer that does; nary_base
+/// is never an expansion and, under an expansion, is a unary IND verifier.
+/// ParseRunOptions calls it last and SpiderSession::Run first, so the
+/// CLI, spiderd and library callers reject the same sets with the same
+/// text before any catalog, workspace or profile is touched.
+[[nodiscard]]
+Status ValidateRunOptions(const RunOptions& options);
 
 /// \brief Owns the catalog binding, workspace and extractor cache for any
 /// number of profiling runs over one database instance.
@@ -209,8 +221,8 @@ class SpiderSession {
 
   const Catalog& catalog() const { return *catalog_; }
 
-  /// Runs the named approach (any kind) under `options`. Value-set
-  /// extraction is cached across calls.
+  /// Runs the named approach (any kind) under `options`, after
+  /// ValidateRunOptions. Value-set extraction is cached across calls.
   [[nodiscard]]
   Result<SessionReport> Run(const RunOptions& options = {});
 
@@ -233,7 +245,8 @@ class SpiderSession {
                      const Stopwatch& run_watch, SessionReport* report,
                      bool* verdicts_recorded);
 
-  /// Dispatches candidate partitions onto `pool` and merges the results.
+  /// Verifies candidate partitions on `pool` through RunBatch, one
+  /// algorithm instance each, and folds them in partition order.
   [[nodiscard]]
   Result<IndRunResult> RunParallel(const RunOptions& options,
                                    const std::string& approach,

@@ -416,8 +416,6 @@ Result<IndRunResult> SinglePassAlgorithm::Run(
 void RegisterSinglePassAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.needs_extractor = true;
-  capabilities.parallel_safe = true;  // shares only the thread-safe extractor
-  capabilities.supports_out_of_core = true;  // reads sorted-set files only
   capabilities.summary =
       "all candidates in one pass, every value read once (Sec. 3.2); "
       "max_open_files enables the blockwise extension";

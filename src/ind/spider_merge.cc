@@ -283,8 +283,6 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
 void RegisterSpiderMergeAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.needs_extractor = true;
-  capabilities.parallel_safe = true;  // shares only the thread-safe extractor
-  capabilities.supports_out_of_core = true;  // reads sorted-set files only
   capabilities.supports_partial = true;
   capabilities.summary =
       "heap-merged single pass (the paper's announced improvement); "

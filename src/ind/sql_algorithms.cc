@@ -90,8 +90,6 @@ Result<IndRunResult> SqlNotInAlgorithm::Run(
 void RegisterSqlAlgorithms(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.database_internal = true;
-  capabilities.parallel_safe = true;  // engine operators only read the catalog
-  capabilities.supports_out_of_core = true;  // ColumnScan streams via cursors
   const struct {
     const char* name;
     std::string_view summary;

@@ -166,9 +166,6 @@ void RegisterUccLevelwiseAlgorithm(AlgorithmRegistry& registry) {
   capabilities.kind = DependencyKind::kUcc;
   capabilities.needs_extractor = true;
   capabilities.supports_partial = false;
-  capabilities.supports_time_budget = true;
-  capabilities.parallel_safe = true;
-  capabilities.supports_out_of_core = true;
   capabilities.summary =
       "levelwise minimal unique column combinations (composite key "
       "candidates) over sorted composite sets";

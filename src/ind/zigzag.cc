@@ -111,8 +111,6 @@ Result<NaryRunResult> ZigzagAlgorithm::Run(const Catalog& catalog,
 void RegisterZigzagAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.needs_extractor = true;
-  capabilities.parallel_safe = true;
-  capabilities.supports_out_of_core = true;
   capabilities.summary =
       "optimistic/top-down (zigzag) maximal n-ary INDs with g3' error "
       "refinement over streamed composite sets";

@@ -164,11 +164,9 @@ HttpResponse RequestRouter::SubmitProfile(const JsonValue& body) const {
   if (workspace == nullptr || !workspace->is_string()) {
     return JsonError(400, "'workspace' (string) is required");
   }
-  auto session = workspaces_->GetOrOpen(workspace->string);
-  if (!session.ok()) return FromStatus(session.status());
-
   // Every other member is an option key — the same names `spider profile`
-  // takes as --flags, validated by the same parser.
+  // takes as --flags, validated by the same parser before the workspace
+  // is opened.
   std::vector<RunOptionKv> pairs;
   for (const auto& [key, value] : body.members) {
     if (key == "workspace" || key == "op") continue;
@@ -178,6 +176,8 @@ HttpResponse RequestRouter::SubmitProfile(const JsonValue& body) const {
   }
   auto options = ParseRunOptions(pairs);
   if (!options.ok()) return FromStatus(options.status());
+  auto session = workspaces_->GetOrOpen(workspace->string);
+  if (!session.ok()) return FromStatus(session.status());
 
   // The job owns a reference: an LRU eviction between submit and run must
   // not pull the session out from under the closure.

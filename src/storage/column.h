@@ -23,8 +23,8 @@ namespace spider {
 /// Values live in a ColumnStore: in memory by default, or in an out-of-core
 /// disk store for catalogs opened/imported with the disk backend. Streaming
 /// access (OpenCursor) works over either backend; the materialized accessors
-/// (values(), value()) abort on out-of-core columns — algorithms that need
-/// them advertise supports_out_of_core = false and are rejected up front.
+/// (values(), value()) abort on out-of-core columns, so code above the
+/// storage layer streams instead (spider_lint's column-values rule).
 class Column {
  public:
   Column(std::string name, TypeId type, bool declared_unique = false)

@@ -146,7 +146,6 @@ TEST_P(NaryOutOfCoreParityTest, DiskAndThreadCountsAreByteIdentical) {
   auto entry = AlgorithmRegistry::Global().Find(approach);
   ASSERT_TRUE(entry.ok());
   EXPECT_TRUE((*entry)->capabilities.nary);
-  EXPECT_TRUE((*entry)->capabilities.supports_out_of_core);
 
   ParityCatalogs catalogs = BuildCatalogs();
   const SessionReport reference = RunConfig(*catalogs.memory, approach, 1);

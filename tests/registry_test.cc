@@ -99,10 +99,6 @@ TEST(RegistryTableTest, CapabilitiesMatchTheFactoryFamily) {
   for (const std::string& name : AlgorithmRegistry::Global().Names()) {
     const Entry& entry = MustFind(name);
     const AlgorithmCapabilities& capabilities = entry.capabilities;
-    // The session's partitioned and pooled dispatchers rely on every
-    // built-in being runnable as independent concurrent instances.
-    EXPECT_TRUE(capabilities.parallel_safe) << name;
-    EXPECT_TRUE(capabilities.supports_time_budget) << name;
     EXPECT_EQ(capabilities.nary, IsNary(entry)) << name;
     if (IsUnary(entry) || IsNary(entry)) {
       EXPECT_EQ(capabilities.kind, DependencyKind::kInd) << name;
@@ -110,10 +106,8 @@ TEST(RegistryTableTest, CapabilitiesMatchTheFactoryFamily) {
       EXPECT_NE(capabilities.kind, DependencyKind::kInd) << name;
     }
     if (!IsUnary(entry)) {
-      // Expansions and discoverers ride the sorted-set seam: they stream,
-      // so they can profile disk workspaces.
+      // Expansions and discoverers ride the sorted-set seam.
       EXPECT_TRUE(capabilities.needs_extractor) << name;
-      EXPECT_TRUE(capabilities.supports_out_of_core) << name;
     }
   }
 }

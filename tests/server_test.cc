@@ -134,19 +134,63 @@ TEST(RunOptionsParseTest, SigmaAloneSelectsPartialVerifier) {
     EXPECT_EQ(options->min_coverage, 0.9);
   }
   // Exact σ keeps the historical default; an explicit approach and a
-  // non-IND kind's default both win over the rule.
+  // non-IND kind's default both win over the rule, so σ is then checked
+  // against the approach the parser resolved — and rejected for both.
   auto exact = ParseRunOptions({{"sigma", "1"}});
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact->approach, "brute-force");
   auto named = ParseRunOptions({{"sigma", "0.9"}, {"approach", "de-marchi"}});
-  ASSERT_TRUE(named.ok());
-  EXPECT_EQ(named->approach, "de-marchi");
+  ASSERT_TRUE(named.status().IsInvalidArgument());
+  EXPECT_EQ(named.status().message(),
+            "de-marchi does not support partial (sigma < 1) coverage");
   auto ucc = ParseRunOptions({{"kind", "ucc"}, {"sigma", "0.9"}});
-  ASSERT_TRUE(ucc.ok());
-  auto ucc_default =
-      AlgorithmRegistry::Global().DefaultNameForKind(DependencyKind::kUcc);
-  ASSERT_TRUE(ucc_default.ok());
-  EXPECT_EQ(ucc->approach, *ucc_default);
+  ASSERT_TRUE(ucc.status().IsInvalidArgument());
+  EXPECT_EQ(ucc.status().message(),
+            "min_coverage (σ) applies to IND verification; use "
+            "error_threshold for approximate ucc discovery");
+}
+
+// The option rules the session checks, as the parser (and so the CLI's
+// exit 2 and spiderd's 400) reports them: the session's own text.
+TEST(RunOptionsParseTest, SessionRulesFailInTheParserWithTheSessionText) {
+  struct Case {
+    std::vector<RunOptionKv> pairs;
+    RunOptions options;
+  };
+  RunOptions base_rule;
+  base_rule.approach = "nary";
+  base_rule.nary_base = "ucc-levelwise";
+  RunOptions sigma_rule;
+  sigma_rule.approach = "fd-levelwise";
+  sigma_rule.kind = DependencyKind::kFd;
+  sigma_rule.min_coverage = 0.9;
+  RunOptions kind_rule;
+  kind_rule.approach = "spider-merge";
+  kind_rule.kind = DependencyKind::kUcc;
+  const Case cases[] = {
+      {{{"approach", "nary"}, {"nary-base", "ucc-levelwise"}}, base_rule},
+      {{{"kind", "fd"}, {"sigma", "0.9"}}, sigma_rule},
+      {{{"approach", "spider-merge"}, {"kind", "ucc"}}, kind_rule},
+  };
+  Catalog catalog;
+  testing::AddStringColumn(&catalog, "a", "c", {"1", "2"});
+  SpiderSession session(catalog);
+  for (const Case& c : cases) {
+    auto parsed = ParseRunOptions(c.pairs);
+    ASSERT_TRUE(parsed.status().IsInvalidArgument());
+    auto run = session.Run(c.options);
+    ASSERT_TRUE(run.status().IsInvalidArgument());
+    EXPECT_EQ(parsed.status().message(), run.status().message());
+  }
+  // An unknown name fails with the registry's suggestion, whichever key
+  // names it.
+  auto approach = ParseRunOptions({{"approach", "spider-merg"}});
+  ASSERT_TRUE(approach.status().IsNotFound());
+  EXPECT_NE(approach.status().message().find("did you mean 'spider-merge'"),
+            std::string::npos)
+      << approach.status().message();
+  auto base = ParseRunOptions({{"approach", "nary"}, {"nary-base", "bogus"}});
+  EXPECT_TRUE(base.status().IsNotFound());
 }
 
 TEST(RunOptionsParseTest, UnknownKeySuggestsNearestOption) {
@@ -180,8 +224,10 @@ TEST(RunOptionsParseTest, BooleanKeysAcceptBareAndJsonSpellings) {
   auto json_false = ParseRunOptions({{"no-block-skip", "false"}});
   ASSERT_TRUE(json_false.ok());
   EXPECT_TRUE(json_false->block_skip);
-  auto bad = ParseRunOptions({{"block-skip", "maybe"}});
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
+  auto bad = ParseRunOptions({{"no-block-skip", "maybe"}});
+  ASSERT_TRUE(bad.status().IsInvalidArgument());
+  EXPECT_EQ(bad.status().message(),
+            "--no-block-skip must be a boolean (true/false), got 'maybe'");
 }
 
 // ---------------------------------------------------------------------------
@@ -696,14 +742,34 @@ TEST_F(ServerE2eTest, ConcurrentJobsShareOneExtractorCache) {
 }
 
 TEST_F(ServerE2eTest, InvalidOptionErrorsMatchTheCliParser) {
-  ClientResponse bad = Fetch(server_->port(), "POST", "/jobs",
-                             "{\"workspace\":\"smoke\",\"threds\":2}");
-  EXPECT_EQ(bad.status, 400);
-  auto expected = ParseRunOptions({{"threds", "2"}});
-  EXPECT_NE(
-      bad.body.find(JsonWriter::Escape(expected.status().message())),
-      std::string::npos)
-      << bad.body;
+  // A typo'd key, then one body per rule the session checks: each is a
+  // 400 with the parser's text — the session's, for the rules — answered
+  // up front instead of queueing a job that fails.
+  const struct {
+    const char* body;
+    std::vector<RunOptionKv> pairs;
+  } cases[] = {
+      {"{\"workspace\":\"smoke\",\"threds\":2}", {{"threds", "2"}}},
+      {"{\"workspace\":\"smoke\",\"approach\":\"nary\","
+       "\"nary-base\":\"ucc-levelwise\"}",
+       {{"approach", "nary"}, {"nary-base", "ucc-levelwise"}}},
+      {"{\"workspace\":\"smoke\",\"kind\":\"fd\",\"sigma\":0.9}",
+       {{"kind", "fd"}, {"sigma", "0.9"}}},
+      {"{\"workspace\":\"smoke\",\"approach\":\"spider-merge\","
+       "\"kind\":\"ucc\"}",
+       {{"approach", "spider-merge"}, {"kind", "ucc"}}},
+  };
+  for (const auto& c : cases) {
+    ClientResponse bad = Fetch(server_->port(), "POST", "/jobs", c.body);
+    EXPECT_EQ(bad.status, 400) << c.body << ": " << bad.body;
+    auto expected = ParseRunOptions(c.pairs);
+    ASSERT_FALSE(expected.ok());
+    EXPECT_NE(
+        bad.body.find(JsonWriter::Escape(expected.status().message())),
+        std::string::npos)
+        << bad.body;
+  }
+  EXPECT_EQ(Fetch(server_->port(), "GET", "/jobs").body, "{\"jobs\":[]}");
 
   EXPECT_EQ(Fetch(server_->port(), "POST", "/jobs", "not json").status, 400);
   EXPECT_EQ(Fetch(server_->port(), "POST", "/jobs",

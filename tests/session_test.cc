@@ -666,9 +666,13 @@ TEST(SessionTest, ValidationRejectsBeforeAnyWork) {
   Catalog catalog;
   FillCatalog(&catalog);
   SpiderSession session(catalog);
+  // Run rejects exactly what ValidateRunOptions (the front-ends' check)
+  // rejects, with the same status.
   auto rejected = [&session](RunOptions options) {
     auto report = session.Run(options);
     EXPECT_FALSE(report.ok());
+    EXPECT_EQ(ValidateRunOptions(options).ToString(),
+              report.status().ToString());
     return report.status();
   };
 
@@ -715,6 +719,19 @@ TEST(SessionTest, ValidationRejectsBeforeAnyWork) {
             "'ucc-levelwise'");
   nary_base.nary_base = "no-such-base";
   EXPECT_TRUE(rejected(nary_base).IsNotFound());
+
+  // nary_base resolves whatever the approach and is never an expansion;
+  // another kind's discoverer is only wrong where an expansion reads it.
+  RunOptions unread_base;
+  unread_base.approach = "brute-force";
+  unread_base.nary_base = "zigzag";
+  EXPECT_EQ(rejected(unread_base).message(),
+            "nary_base must name a unary approach, got n-ary expansion "
+            "'zigzag'");
+  unread_base.nary_base = "no-such-base";
+  EXPECT_TRUE(rejected(unread_base).IsNotFound());
+  unread_base.nary_base = "ucc-levelwise";
+  EXPECT_TRUE(ValidateRunOptions(unread_base).ok());
 
   // None of the rejected runs materialized a sorted set.
   auto extractor = session.extractor();

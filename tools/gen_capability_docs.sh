@@ -49,19 +49,16 @@ lines = [
     " `spider approaches --json`. Do not edit by hand:"
     " the docs-drift CI job regenerates and diffs this block. -->",
     "",
-    "| approach | kind | style | out-of-core | time budget | approximate | parallel-safe | needs extractor |",
-    "|---|---|---|---|---|---|---|---|",
+    "| approach | kind | style | approximate | needs extractor |",
+    "|---|---|---|---|---|",
 ]
 for a in report["approaches"]:
     style = "n-ary expansion" if a["nary"] else (
         "database-internal" if a["database_internal"] else "database-external")
     lines.append(
-        "| `%s` | %s | %s | %s | %s | %s | %s | %s |" % (
+        "| `%s` | %s | %s | %s | %s |" % (
             a["name"], a["kind"], style,
-            cell(a["supports_out_of_core"]),
-            cell(a["supports_time_budget"]),
             cell(a["supports_partial"]),
-            cell(a["parallel_safe"]),
             cell(a["needs_extractor"])))
 lines.append(END)
 block = "\n".join(lines)

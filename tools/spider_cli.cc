@@ -16,8 +16,6 @@
 //   spider links <source_csv_dir> <target_csv_dir> [--strip-prefixes]
 //                [--min-coverage=C]
 //   spider approaches [--json]
-//   spider serve <workspace_root> [--host=ADDR] [--port=N] [--threads=N]
-//                [--max-sessions=N]
 //   spider version | --version
 //
 // `profile` prints the satisfied INDs (--sigma=S < 1 verifies σ-partial
@@ -36,16 +34,14 @@
 // (spider_profile.manifest) invalidates exactly the touched columns;
 // `discover` runs the whole Aladin-style pipeline and prints the report;
 // `links` finds cross-database links into the target's accession columns;
-// `serve` runs the spiderd daemon (docs/SERVER.md) over a directory of
-// imported workspaces — the same HTTP/JSON API as the standalone spiderd
-// binary, sharing one extractor cache per workspace across requests;
 // `approaches` lists every registered verification approach with its
 // capabilities (--json emits the machine-readable form the docs
 // capability matrix is generated from). Approach names come from the
 // algorithm registry — the CLI has no hard-coded list.
 //
 // Exit codes: 0 success, 1 runtime failure (I/O, bad data), 2 usage error
-// (unknown command/flag/approach, malformed flag value).
+// (unknown command/flag/approach, malformed flag value, any option-rule
+// violation — checked before a catalog loads).
 //
 // Every command that takes a data directory accepts either a CSV dump or
 // an already-imported workspace (auto-detected via its manifest). With
@@ -66,8 +62,6 @@
 // set file and verdict whose fingerprints still verify and revalidates
 // only candidates whose columns changed since. --no-profile-cache runs
 // from scratch in a temp workspace instead (docs/CLI.md).
-
-#include <unistd.h>
 
 #include <atomic>
 #include <csignal>
@@ -90,7 +84,6 @@
 #include "src/ind/report_json.h"
 #include "src/ind/run_options_parse.h"
 #include "src/ind/session.h"
-#include "src/server/server.h"
 #include "src/storage/csv.h"
 #include "src/storage/disk_store.h"
 
@@ -172,9 +165,6 @@ int Usage() {
          "  spider links <source_dir> <target_dir> [--strip-prefixes]\n"
          "               [--min-coverage=C]\n"
          "  spider approaches [--json]\n"
-         "  spider serve <workspace_root> [--host=ADDR] [--port=N] "
-         "[--threads=N]\n"
-         "               [--max-sessions=N]\n"
          "  spider version\n"
          "\nn-ary approaches take [--nary-base=NAME] [--max-arity=K]\n"
          "--sigma=S < 1 verifies sigma-partial INDs (default approach "
@@ -189,12 +179,9 @@ int Usage() {
 struct Flags {
   std::vector<std::string> positional;
   /// The unified run options — everything `spider profile` and a spiderd
-  /// request body share. Built by ParseRunOptions from `pairs`, so the CLI
-  /// and the daemon validate values with byte-identical messages.
+  /// request body share. Built by ParseRunOptions, so the CLI and the
+  /// daemon validate values with byte-identical messages.
   RunOptions run;
-  /// The raw option key/values handed to ParseRunOptions (kept so `serve`
-  /// can tell whether a key was set explicitly).
-  std::vector<RunOptionKv> pairs;
   StorageBackend backend = StorageBackend::kMemory;
   bool backend_set = false;  // --backend was given explicitly
   std::string workspace;
@@ -205,10 +192,7 @@ struct Flags {
   bool progress = false;
   std::string dot_path;
   double min_coverage = 1.0;  // links --min-coverage
-  std::string host = "127.0.0.1";  // serve --host
-  int port = 4280;                 // serve --port
-  int max_sessions = -1;  // serve --max-sessions; -1 = server default
-  bool append = false;    // import --append
+  bool append = false;        // import --append
   bool ok = true;
 };
 
@@ -218,6 +202,7 @@ struct Flags {
 // texts cannot diverge between the two front-ends.
 Flags ParseFlags(int argc, char** argv, int first) {
   Flags flags;
+  std::vector<RunOptionKv> pairs;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--backend=", 0) == 0) {
@@ -248,18 +233,6 @@ Flags ParseFlags(int argc, char** argv, int first) {
       flags.block_bytes = static_cast<int64_t>(parsed);
     } else if (arg == "--append") {
       flags.append = true;
-    } else if (arg.rfind("--max-sessions=", 0) == 0) {
-      const std::string value = arg.substr(15);
-      char* end = nullptr;
-      const long parsed = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || parsed < 0) {
-        std::cerr << "--max-sessions must be a non-negative integer "
-                     "(0 = unlimited), got '"
-                  << value << "'\n";
-        flags.ok = false;
-        return flags;
-      }
-      flags.max_sessions = static_cast<int>(parsed);
     } else if (arg == "--no-surrogate-filter") {
       flags.surrogate_filter = false;
     } else if (arg == "--strip-prefixes") {
@@ -272,31 +245,18 @@ Flags ParseFlags(int argc, char** argv, int first) {
       flags.min_coverage = std::atof(arg.substr(15).c_str());
     } else if (arg == "--progress") {
       flags.progress = true;
-    } else if (arg.rfind("--host=", 0) == 0) {
-      flags.host = arg.substr(7);
-    } else if (arg.rfind("--port=", 0) == 0) {
-      const std::string value = arg.substr(7);
-      char* end = nullptr;
-      const long parsed = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || parsed < 0 || parsed > 65535) {
-        std::cerr << "--port must be an integer in [0, 65535], got '" << value
-                  << "'\n";
-        flags.ok = false;
-        return flags;
-      }
-      flags.port = static_cast<int>(parsed);
     } else if (arg.rfind("--", 0) == 0) {
       const size_t eq = arg.find('=');
       std::string key = eq == std::string::npos ? arg.substr(2)
                                                 : arg.substr(2, eq - 2);
       std::string value =
           eq == std::string::npos ? std::string() : arg.substr(eq + 1);
-      flags.pairs.push_back(RunOptionKv{std::move(key), std::move(value)});
+      pairs.push_back(RunOptionKv{std::move(key), std::move(value)});
     } else {
       flags.positional.push_back(arg);
     }
   }
-  auto run = ParseRunOptions(flags.pairs);
+  auto run = ParseRunOptions(pairs);
   if (!run.ok()) {
     std::cerr << run.status().message() << "\n";
     flags.ok = false;
@@ -437,12 +397,6 @@ int RunImport(const Flags& flags) {
 
 int RunProfile(const Flags& flags) {
   if (flags.positional.size() != 1) return Usage();
-  if (flags.run.min_coverage < 1.0 && flags.run.kind &&
-      *flags.run.kind != DependencyKind::kInd) {
-    std::cerr << "--sigma is σ-partial IND coverage; approximate --kind="
-              << KindName(*flags.run.kind) << " discovery takes --error=E\n";
-    return 2;
-  }
   auto catalog = LoadCatalog(flags.positional[0], flags);
   if (!catalog.ok()) return Fail(catalog.status());
   if (!flags.json) {
@@ -489,13 +443,6 @@ int RunProfile(const Flags& flags) {
             << ":\n";
   for (const Ind& ind : report->run.satisfied) {
     std::cout << "  " << ind.ToString() << "\n";
-  }
-  if (report->nary) {
-    std::cout << "\nn-ary INDs (via " << report->nary_base << " base"
-              << (report->nary_run.finished ? "" : ", partial") << "):\n";
-    for (const NaryInd& ind : report->nary_run.satisfied) {
-      std::cout << "  " << ind.ToString() << "\n";
-    }
   }
   return 0;
 }
@@ -576,55 +523,8 @@ int RunApproaches(const Flags& flags) {
                              ? ", sigma-partial"
                              : ", g3'-partial")
                       : "")
-              << (capabilities->supports_time_budget ? ", time budget" : "")
-              << (capabilities->supports_out_of_core ? ", out-of-core" : "")
               << "\n";
   }
-  return 0;
-}
-
-// `spider serve` — the spiderd daemon behind the main CLI (tools/spiderd.cc
-// is the standalone binary over the same server library). The signal
-// handler may only write(2) to the self-pipe, so the fd lives in a
-// sig_atomic_t set before handlers are installed.
-volatile std::sig_atomic_t g_serve_stop_fd = -1;
-
-void HandleServeStop(int /*signum*/) {
-  if (g_serve_stop_fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = write(g_serve_stop_fd, &byte, 1);
-  }
-}
-
-int RunServe(const Flags& flags) {
-  if (flags.positional.size() != 1) return Usage();
-  ServerOptions options;
-  options.root = flags.positional[0];
-  options.host = flags.host;
-  options.port = flags.port;
-  // The daemon's worker-pool default is hardware concurrency, not the
-  // profile command's single-threaded paper configuration — only an
-  // explicit --threads=N overrides it.
-  for (const RunOptionKv& kv : flags.pairs) {
-    if (kv.key == "threads") options.worker_threads = flags.run.threads;
-  }
-  if (flags.max_sessions >= 0) options.max_sessions = flags.max_sessions;
-  SpiderServer server(std::move(options));
-  Status started = server.Start();
-  if (!started.ok()) return Fail(started);
-
-  g_serve_stop_fd = server.stop_write_fd();
-  struct sigaction action{};
-  action.sa_handler = HandleServeStop;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-  // A client that disappears mid-response must not kill the daemon.
-  std::signal(SIGPIPE, SIG_IGN);
-
-  std::cerr << "spiderd serving " << flags.positional[0] << " on "
-            << flags.host << ":" << server.port() << "\n";
-  Status served = server.Run();
-  if (!served.ok()) return Fail(served);
   return 0;
 }
 
@@ -641,6 +541,5 @@ int main(int argc, char** argv) {
   if (command == "discover") return RunDiscover(flags);
   if (command == "links") return RunLinks(flags);
   if (command == "approaches") return RunApproaches(flags);
-  if (command == "serve") return RunServe(flags);
   return Usage();
 }

@@ -7,8 +7,7 @@
 // (docs/SERVER.md): POST /jobs enqueues import/profile runs on a worker
 // pool, GET /jobs/<id> polls progress, GET /jobs/<id>/report returns the
 // exact document `spider profile --json` prints. SIGINT/SIGTERM drain
-// in-flight jobs into partial reports before exit. `spider serve` is the
-// same daemon behind the main CLI.
+// in-flight jobs into partial reports before exit.
 
 #include <unistd.h>
 
