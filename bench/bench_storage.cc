@@ -1,9 +1,13 @@
 // Storage-backend microbenchmarks: streaming import throughput into the
-// out-of-core disk store, and full-column scan speed per backend.
+// out-of-core disk store (from values, and from a CSV dump through the
+// record reader), and full-column scan speed per backend.
 //
 // Expected shape:
 //   * disk import is dominated by dictionary building + block writes and
-//     stays bounded-memory regardless of row count;
+//     stays bounded-memory regardless of row count; the atom_site shape
+//     (every coordinate a distinct 17-digit double) stresses canonical
+//     rendering and dictionary inserts, the mixed shape repeats values;
+//   * CSV import adds the record reader and Value::Parse on top;
 //   * disk_bytes lands well under the materialized footprint on
 //     repetitive columns (dictionary + front coding);
 //   * cursor scans over the disk backend stay within a small factor of
@@ -16,6 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/random.h"
 #include "src/common/temp_dir.h"
 #include "src/storage/csv.h"
 #include "src/storage/disk_store.h"
@@ -38,23 +43,45 @@ Status FillSink(CatalogSink& sink, int64_t rows) {
   return sink.FinishTable();
 }
 
+// The shape of rows_cold's dominating table: a unique integer id plus
+// three coordinates drawn uniformly from ±100 at full double precision.
+Status FillAtomSite(CatalogSink& sink, int64_t rows) {
+  SPIDER_RETURN_NOT_OK(sink.BeginTable("atom_site"));
+  SPIDER_RETURN_NOT_OK(sink.AddColumn("id", TypeId::kInteger));
+  for (const char* axis : {"cartn_x", "cartn_y", "cartn_z"}) {
+    SPIDER_RETURN_NOT_OK(sink.AddColumn(axis, TypeId::kDouble));
+  }
+  Random rng(7);
+  for (int64_t i = 0; i < rows; ++i) {
+    SPIDER_RETURN_NOT_OK(
+        sink.AppendRow({Value::Integer(i),
+                        Value::Double(rng.NextDouble() * 200 - 100),
+                        Value::Double(rng.NextDouble() * 200 - 100),
+                        Value::Double(rng.NextDouble() * 200 - 100)}));
+  }
+  return sink.FinishTable();
+}
+
+using FillFn = Status (*)(CatalogSink&, int64_t);
+
 Result<std::unique_ptr<Catalog>> BuildCatalog(StorageBackend backend,
                                               const TempDir& dir,
                                               int64_t rows,
-                                              const std::string& tag) {
+                                              const std::string& tag,
+                                              FillFn fill = FillSink) {
   if (backend == StorageBackend::kMemory) {
     MemoryCatalogSink sink("bench");
-    SPIDER_RETURN_NOT_OK(FillSink(sink, rows));
+    SPIDER_RETURN_NOT_OK(fill(sink, rows));
     return sink.Finish();
   }
   SPIDER_ASSIGN_OR_RETURN(
       std::unique_ptr<DiskCatalogWriter> writer,
       DiskCatalogWriter::Create(dir.path() / ("ws-" + tag), "bench"));
-  SPIDER_RETURN_NOT_OK(FillSink(*writer, rows));
+  SPIDER_RETURN_NOT_OK(fill(*writer, rows));
   return writer->Finish();
 }
 
-void BM_DiskImport(benchmark::State& state) {
+void BM_DiskImport(benchmark::State& state, FillFn fill) {
   const int64_t rows = state.range(0);
   auto dir = TempDir::Make("bench-storage");
   SPIDER_CHECK(dir.ok());
@@ -62,14 +89,49 @@ void BM_DiskImport(benchmark::State& state) {
   int64_t disk_bytes = 0;
   for (auto _ : state) {
     auto catalog = BuildCatalog(StorageBackend::kDisk, **dir, rows,
-                                std::to_string(iteration++));
+                                std::to_string(iteration++), fill);
     SPIDER_CHECK(catalog.ok()) << catalog.status().ToString();
     disk_bytes = (*catalog)->ApproximateByteSize();
   }
   state.SetItemsProcessed(state.iterations() * rows);
   state.counters["disk_bytes"] = static_cast<double>(disk_bytes);
 }
-BENCHMARK(BM_DiskImport)->Arg(100000)->Unit(benchmark::kMillisecond);
+// The mixed shape keeps the family's original name, BM_DiskImport/100000.
+BENCHMARK_CAPTURE(BM_DiskImport, mixed, FillSink)
+    ->Name("BM_DiskImport")
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DiskImport, atom_site, FillAtomSite)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+// A CSV dump of both shapes (written once, with "#types:" lines, so no
+// inference pass) imported through ImportCsvDirectory: the record reader,
+// Value::Parse and the disk writer.
+void BM_CsvImport(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  auto dir = TempDir::Make("bench-storage");
+  SPIDER_CHECK(dir.ok());
+  const auto csv = (*dir)->path() / "csv";
+  std::filesystem::create_directories(csv);
+  CsvCatalogSink dump(csv);
+  SPIDER_CHECK(FillSink(dump, rows).ok());
+  SPIDER_CHECK(FillAtomSite(dump, rows).ok());
+  SPIDER_CHECK(dump.Finish().ok());
+  int iteration = 0;
+  int64_t disk_bytes = 0;
+  for (auto _ : state) {
+    auto writer = DiskCatalogWriter::Create(
+        (*dir)->path() / ("ws-" + std::to_string(iteration++)), "bench");
+    SPIDER_CHECK(writer.ok()) << writer.status().ToString();
+    auto catalog = ImportCsvDirectory(csv, CsvOptions{}, **writer);
+    SPIDER_CHECK(catalog.ok()) << catalog.status().ToString();
+    disk_bytes = (*catalog)->ApproximateByteSize();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * 2);
+  state.counters["disk_bytes"] = static_cast<double>(disk_bytes);
+}
+BENCHMARK(BM_CsvImport)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_ColumnScan(benchmark::State& state, StorageBackend backend) {
   const int64_t rows = 200000;

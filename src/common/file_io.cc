@@ -1,4 +1,4 @@
-#include "src/extsort/readahead.h"
+#include "src/common/file_io.h"
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -6,6 +6,11 @@
 #include <cerrno>
 
 namespace spider {
+
+void ScopedFd::Reset() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
 
 void AdviseSequential(int fd) {
 #ifdef POSIX_FADV_SEQUENTIAL

@@ -1,5 +1,5 @@
-// Best-effort page-cache hints and positioned-read helpers for the
-// sorted-set I/O path.
+// File-descriptor helpers for the sorted-set and column-store I/O paths:
+// descriptor ownership, positioned reads and best-effort page-cache hints.
 //
 // posix_fadvise is advisory: every function here degrades to a no-op on
 // platforms (or filesystems) that do not support the hint, so callers never
@@ -14,8 +14,34 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <utility>
 
 namespace spider {
+
+/// Owns a file descriptor and closes it on destruction or Reset(); -1
+/// holds nothing. Moving transfers ownership.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd = -1) : fd_(fd) {}
+  ~ScopedFd() { Reset(); }
+  ScopedFd(ScopedFd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  ScopedFd& operator=(ScopedFd&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      fd_ = std::exchange(other.fd_, -1);
+    }
+    return *this;
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+
+  int get() const { return fd_; }
+  /// Closes the descriptor (releasing any flock it holds).
+  void Reset();
+
+ private:
+  int fd_;
+};
 
 /// Declares whole-file sequential access on an open descriptor
 /// (POSIX_FADV_SEQUENTIAL): the kernel roughly doubles its readahead

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/common/logging.h"
+#include "src/common/string_util.h"
 
 namespace spider {
 
@@ -116,9 +117,8 @@ void JsonWriter::Double(double value) {
     out_ += "null";
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out_ += buf;
+  char text[kDoubleTextBytes];
+  out_.append(text, AppendDouble(text, value));
 }
 
 void JsonWriter::Bool(bool value) {

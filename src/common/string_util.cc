@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <vector>
 
@@ -73,6 +74,13 @@ bool ContainsLetter(std::string_view s) {
     if (std::isalpha(static_cast<unsigned char>(c))) return true;
   }
   return false;
+}
+
+char* AppendDouble(char* out, double v) {
+  // Cannot fail: kDoubleTextBytes holds every %.17g rendering.
+  return std::to_chars(out, out + kDoubleTextBytes, v,
+                       std::chars_format::general, 17)
+      .ptr;
 }
 
 size_t EditDistance(std::string_view a, std::string_view b) {

@@ -2,6 +2,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +32,18 @@ bool IsAllDigits(std::string_view s);
 
 /// True if `s` contains at least one ASCII letter.
 bool ContainsLetter(std::string_view s);
+
+/// Room AppendDouble needs: a sign, 17 significant digits, a point and an
+/// exponent ("-2.2250738585072014e-308" is 24 bytes).
+inline constexpr size_t kDoubleTextBytes = 32;
+
+/// Writes `v` at `out` exactly as printf("%.17g") prints it and returns one
+/// past the last byte written; `out` needs kDoubleTextBytes bytes of room.
+/// This is the canonical text of a double everywhere (values, .col
+/// dictionaries, manifests, report JSON). std::to_chars with the general
+/// format and precision 17 is specified to print as printf does, without
+/// printf's format parsing and locale.
+char* AppendDouble(char* out, double v);
 
 /// Classic Levenshtein edit distance. Quadratic — for short identifiers
 /// (approach and option names), where lookup errors use it to suggest the

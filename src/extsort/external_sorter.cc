@@ -6,7 +6,7 @@
 #include "src/common/logging.h"
 #include "src/common/tournament_tree.h"
 #include "src/common/value_codec.h"
-#include "src/extsort/readahead.h"
+#include "src/common/file_io.h"
 
 namespace spider {
 

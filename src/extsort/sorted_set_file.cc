@@ -12,7 +12,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/value_codec.h"
-#include "src/extsort/readahead.h"
+#include "src/common/file_io.h"
 
 namespace spider {
 

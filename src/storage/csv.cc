@@ -59,50 +59,66 @@ Result<std::vector<std::string>> ParseCsvLine(std::string_view line,
 }
 
 Result<bool> CsvRecordReader::Next(std::vector<std::string>* fields) {
-  fields->clear();
   last_blank_ = false;
   last_quoted_ = false;
-  std::string current;
+  // Fields fill the caller's strings in place, so their capacity carries
+  // over from record to record; `done` counts the completed ones and the
+  // vector is trimmed to them on every return.
+  std::streambuf& in = *in_.rdbuf();
+  constexpr int kEof = std::char_traits<char>::eof();
+  size_t done = 0;
+  auto start_field = [fields, &done]() -> std::string* {
+    if (done == fields->size()) fields->emplace_back();
+    std::string* field = &(*fields)[done];
+    field->clear();
+    return field;
+  };
+  std::string* current = start_field();
   bool in_quotes = false;
   int64_t chars_in_record = 0;
 
   // Consumes the rest of the current physical line so a lenient caller can
   // resume at the next record after a parse error.
-  auto skip_line = [this]() {
+  auto skip_line = [&in]() {
     int c;
-    while ((c = in_.get()) != std::char_traits<char>::eof()) {
+    while ((c = in.sbumpc()) != kEof) {
       if (c == '\n') break;
     }
   };
 
   while (true) {
-    const int c = in_.get();
-    if (c == std::char_traits<char>::eof()) {
+    const int c = in.sbumpc();
+    if (c == kEof) {
       if (in_quotes) {
+        fields->resize(done);
         return Status::InvalidArgument("unterminated quote at end of input");
       }
-      if (chars_in_record == 0 && fields->empty()) return false;
+      if (chars_in_record == 0 && done == 0) {
+        fields->clear();
+        return false;
+      }
       break;  // final record without trailing newline
     }
     if (in_quotes) {
       ++chars_in_record;
       if (c == '"') {
-        if (in_.peek() == '"') {
-          in_.get();
+        if (in.sgetc() == '"') {
+          in.sbumpc();
           ++chars_in_record;
-          current += '"';
+          current->push_back('"');
         } else {
           in_quotes = false;
         }
       } else {
-        current += static_cast<char>(c);
+        current->push_back(static_cast<char>(c));
       }
       continue;
     }
     if (c == '"') {
       ++chars_in_record;
-      if (!current.empty()) {
+      if (!current->empty()) {
         skip_line();
+        fields->resize(done);
         return Status::InvalidArgument("quote inside unquoted field");
       }
       in_quotes = true;
@@ -111,27 +127,28 @@ Result<bool> CsvRecordReader::Next(std::vector<std::string>* fields) {
     }
     if (c == delimiter_) {
       ++chars_in_record;
-      fields->push_back(std::move(current));
-      current.clear();
+      ++done;
+      current = start_field();
       continue;
     }
     if (c == '\r') {
-      if (in_.peek() == '\n') {
-        in_.get();
+      const int next = in.sgetc();
+      if (next == '\n') {
+        in.sbumpc();
         break;  // CRLF record terminator; the '\r' joins no field
       }
-      if (in_.peek() == std::char_traits<char>::eof()) {
+      if (next == kEof) {
         break;  // trailing '\r' of a CRLF file missing its final '\n'
       }
       ++chars_in_record;
-      current += '\r';  // a lone interior '\r' is data
+      current->push_back('\r');  // a lone interior '\r' is data
       continue;
     }
     if (c == '\n') break;
     ++chars_in_record;
-    current += static_cast<char>(c);
+    current->push_back(static_cast<char>(c));
   }
-  fields->push_back(std::move(current));
+  fields->resize(++done);
   last_blank_ = chars_in_record == 0;
   return true;
 }

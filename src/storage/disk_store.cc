@@ -1,12 +1,18 @@
 #include "src/storage/disk_store.h"
 
+#include <fcntl.h>
+#include <sys/file.h>
+
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
 
+#include "src/common/file_io.h"
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/tournament_tree.h"
 #include "src/common/string_util.h"
@@ -174,14 +180,14 @@ class DiskValueCursor final : public ValueCursor {
   Status status_;
 };
 
-// Streams one block's front-coded dictionary with a small private read
-// window over a shared file stream (one fd per column, however many
-// blocks). Entries decode in sorted order.
+// Streams one block's front-coded dictionary through a small private read
+// window, filled by pread on a descriptor shared by every block of the
+// column (one fd per column, however many blocks). Entries decode in
+// sorted order.
 class DictStreamCursor {
  public:
-  DictStreamCursor(std::ifstream* in, int64_t offset, int64_t bytes,
-                   int64_t buffer_bytes)
-      : in_(in),
+  DictStreamCursor(int fd, int64_t offset, int64_t bytes, int64_t buffer_bytes)
+      : fd_(fd),
         next_offset_(offset),
         bytes_left_(bytes),
         buffer_cap_(std::max<int64_t>(buffer_bytes, 64)) {}
@@ -201,13 +207,16 @@ class DictStreamCursor {
       return false;
     }
     current_.resize(shared);
-    for (uint64_t i = 0; i < suffix; ++i) {
-      const int byte = NextByte();
-      if (byte < 0) {
-        status_ = Status::IOError("truncated dictionary suffix");
+    while (suffix > 0) {
+      if (pos_ == buffer_.size() && !Refill()) {
+        if (status_.ok()) status_ = Status::IOError("truncated dictionary suffix");
         return false;
       }
-      current_.push_back(static_cast<char>(byte));
+      const size_t take =
+          static_cast<size_t>(std::min<uint64_t>(suffix, buffer_.size() - pos_));
+      current_.append(buffer_.data() + pos_, take);
+      pos_ += take;
+      suffix -= take;
     }
     return true;
   }
@@ -229,25 +238,28 @@ class DictStreamCursor {
   }
 
   int NextByte() {
-    if (pos_ >= buffer_.size()) {
-      if (bytes_left_ <= 0 || !status_.ok()) return -1;
-      const int64_t take = std::min<int64_t>(bytes_left_, buffer_cap_);
-      buffer_.resize(static_cast<size_t>(take));
-      in_->clear();
-      in_->seekg(next_offset_);
-      in_->read(buffer_.data(), take);
-      if (in_->gcount() != take) {
-        status_ = Status::IOError("failed reading dictionary bytes");
-        return -1;
-      }
-      next_offset_ += take;
-      bytes_left_ -= take;
-      pos_ = 0;
-    }
+    if (pos_ == buffer_.size() && !Refill()) return -1;
     return static_cast<unsigned char>(buffer_[pos_++]);
   }
 
-  std::ifstream* in_;
+  // Reads the next window of the dictionary region. False at its end or on
+  // a read error (which sets status()).
+  bool Refill() {
+    if (bytes_left_ <= 0 || !status_.ok()) return false;
+    const int64_t take = std::min<int64_t>(bytes_left_, buffer_cap_);
+    buffer_.resize(static_cast<size_t>(take));
+    if (!PreadExact(fd_, static_cast<uint64_t>(next_offset_), buffer_.data(),
+                    buffer_.size())) {
+      status_ = Status::IOError("failed reading dictionary bytes");
+      return false;
+    }
+    next_offset_ += take;
+    bytes_left_ -= take;
+    pos_ = 0;
+    return true;
+  }
+
+  int fd_;
   int64_t next_offset_;
   int64_t bytes_left_;
   int64_t buffer_cap_;
@@ -258,10 +270,87 @@ class DictStreamCursor {
 };
 
 std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  char text[kDoubleTextBytes];
+  return std::string(text, AppendDouble(text, v));
 }
+
+// One block's distinct values in arrival order. Their bytes live once in
+// an append-only arena; an open-addressing table of 1-based arrival codes
+// (0 = empty slot, at most half full) finds them by HashString. Memory is
+// the arena, 24 bytes per entry and 8 bytes per slot, all sized by the
+// largest block so far because Clear() keeps capacity: O(block_bytes).
+class BlockDictionary {
+ public:
+  // The value's arrival code, and whether this call added it.
+  std::pair<uint64_t, bool> Insert(std::string_view value) {
+    if ((entries_.size() + 1) * 2 > slots_.size()) Grow();
+    const uint64_t hash = HashString(value);
+    const size_t mask = slots_.size() - 1;
+    size_t slot = static_cast<size_t>(hash) & mask;
+    for (uint64_t code = slots_[slot]; code != 0; code = slots_[slot]) {
+      const Entry& entry = entries_[code - 1];
+      if (entry.hash == hash && View(entry) == value) return {code, false};
+      slot = (slot + 1) & mask;
+    }
+    entries_.push_back(Entry{hash, arena_.size(), value.size()});
+    arena_.append(value);
+    slots_[slot] = entries_.size();
+    return {entries_.size(), true};
+  }
+
+  size_t size() const { return entries_.size(); }
+
+  // Calls visit(value, arrival_code) for every entry in ascending byte
+  // order: string_view compares as std::string does, as unsigned chars.
+  template <typename Visit>
+  void VisitSorted(Visit&& visit) {
+    sorted_.clear();
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      sorted_.push_back(SortedEntry{View(entries_[i]), i + 1});
+    }
+    std::sort(sorted_.begin(), sorted_.end(),
+              [](const SortedEntry& a, const SortedEntry& b) {
+                return a.value < b.value;
+              });
+    for (const SortedEntry& entry : sorted_) visit(entry.value, entry.code);
+  }
+
+  void Clear() {
+    arena_.clear();
+    entries_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+
+ private:
+  struct Entry {
+    uint64_t hash;
+    size_t offset;  // into arena_; size_t because block_bytes is unbounded
+    size_t length;
+  };
+  struct SortedEntry {
+    std::string_view value;
+    uint64_t code;
+  };
+
+  std::string_view View(const Entry& entry) const {
+    return std::string_view(arena_).substr(entry.offset, entry.length);
+  }
+
+  void Grow() {
+    slots_.assign(slots_.empty() ? 64 : slots_.size() * 2, 0);
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      size_t slot = static_cast<size_t>(entries_[i].hash) & mask;
+      while (slots_[slot] != 0) slot = (slot + 1) & mask;
+      slots_[slot] = i + 1;
+    }
+  }
+
+  std::string arena_;
+  std::vector<Entry> entries_;
+  std::vector<uint64_t> slots_;
+  std::vector<SortedEntry> sorted_;  // FlushBlock scratch
+};
 
 Result<int64_t> ParseManifestInt(const std::string& field) {
   char* end = nullptr;
@@ -270,6 +359,27 @@ Result<int64_t> ParseManifestInt(const std::string& field) {
     return Status::InvalidArgument("bad integer in manifest: '" + field + "'");
   }
   return static_cast<int64_t>(v);
+}
+
+// Takes the writer lock of the workspace `dir`: an exclusive, non-blocking
+// flock on its kDiskStoreLockName, created if absent.
+Result<ScopedFd> LockWorkspace(const fs::path& dir) {
+  const fs::path path = dir / kDiskStoreLockName;
+  ScopedFd fd(::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644));
+  if (fd.get() < 0) {
+    return Status::IOError("cannot open writer lock " + path.string() + ": " +
+                           std::strerror(errno));
+  }
+  while (::flock(fd.get(), LOCK_EX | LOCK_NB) != 0) {
+    if (errno == EINTR) continue;
+    if (errno == EWOULDBLOCK) {
+      return Status::ResourceExhausted("workspace busy: " + dir.string() +
+                                       " is open by another writer");
+    }
+    return Status::IOError("cannot lock " + path.string() + ": " +
+                           std::strerror(errno));
+  }
+  return fd;
 }
 
 Result<double> ParseManifestDouble(const std::string& field) {
@@ -587,7 +697,8 @@ class DiskCatalogWriter::ColumnWriter {
       pending_bytes_ += 1;
     } else {
       ++stats_.non_null_count;
-      std::string canon = v.ToCanonicalString();
+      Value::CanonicalBuffer buffer;
+      const std::string_view canon = v.CanonicalView(buffer);
       const int64_t len = static_cast<int64_t>(canon.size());
       if (stats_.non_null_count == 1) {
         stats_.min_length = len;
@@ -598,10 +709,9 @@ class DiskCatalogWriter::ColumnWriter {
       }
       if (ContainsLetter(canon)) ++with_letter_;
       if (IsAllDigits(canon)) ++all_digits_;
-      auto [it, inserted] =
-          block_dict_.emplace(std::move(canon), block_dict_.size() + 1);
-      if (inserted) pending_bytes_ += static_cast<int64_t>(it->first.size());
-      block_codes_.push_back(it->second);
+      const auto [code, inserted] = block_dict_.Insert(canon);
+      if (inserted) pending_bytes_ += len;
+      block_codes_.push_back(code);
       pending_bytes_ += 4;
     }
     if (pending_bytes_ >= options_.block_bytes) return FlushBlock();
@@ -653,16 +763,17 @@ class DiskCatalogWriter::ColumnWriter {
     {
       uint64_t sorted_code = 1;
       std::string_view previous;
-      for (const auto& [value, arrival_code] : block_dict_) {
+      block_dict_.VisitSorted([&](std::string_view value,
+                                  uint64_t arrival_code) {
         size_t shared = 0;
         const size_t limit = std::min(previous.size(), value.size());
         while (shared < limit && previous[shared] == value[shared]) ++shared;
         EncodeVarint(&dict, shared);
         EncodeVarint(&dict, value.size() - shared);
-        dict.append(value, shared, value.size() - shared);
+        dict.append(value.substr(shared));
         arrival_to_sorted[arrival_code] = sorted_code++;
         previous = value;
-      }
+      });
     }
 
     std::string payload;
@@ -689,7 +800,7 @@ class DiskCatalogWriter::ColumnWriter {
         static_cast<int64_t>(dict.size())});
     file_bytes_ += static_cast<int64_t>(header.size() + payload.size());
 
-    block_dict_.clear();
+    block_dict_.Clear();
     block_codes_.clear();
     pending_bytes_ = 0;
     return Status::OK();
@@ -700,21 +811,20 @@ class DiskCatalogWriter::ColumnWriter {
   // one shared fd, block_count × stats_merge_buffer_bytes of memory.
   Status ComputeDistinctStats() {
     if (dicts_.empty()) return Status::OK();
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) {
+    const ScopedFd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
+    if (fd.get() < 0) {
       return Status::IOError("cannot reopen column file " + path_.string());
     }
     std::vector<DictStreamCursor> cursors;
     cursors.reserve(dicts_.size());
     for (const DictRegion& region : dicts_) {
-      cursors.emplace_back(&in, region.offset, region.bytes,
+      cursors.emplace_back(fd.get(), region.offset, region.bytes,
                            options_.stats_merge_buffer_bytes);
     }
     auto less = [&cursors](int a, int b) {
-      const std::string& va = cursors[static_cast<size_t>(a)].current();
-      const std::string& vb = cursors[static_cast<size_t>(b)].current();
-      if (va != vb) return va < vb;
-      return a < b;
+      const int order = cursors[static_cast<size_t>(a)].current().compare(
+          cursors[static_cast<size_t>(b)].current());
+      return order != 0 ? order < 0 : a < b;
     };
     TournamentTree<decltype(less)> tree(static_cast<int>(cursors.size()),
                                         less);
@@ -803,7 +913,7 @@ class DiskCatalogWriter::ColumnWriter {
 
   // Current block: distinct values mapped to 1-based arrival codes, plus
   // the per-row arrival codes (0 = NULL).
-  std::map<std::string, uint64_t> block_dict_;
+  BlockDictionary block_dict_;
   std::vector<uint64_t> block_codes_;
   int64_t pending_bytes_ = 0;
 
@@ -854,22 +964,30 @@ Result<std::unique_ptr<DiskCatalogWriter>> DiskCatalogWriter::Create(
     return Status::IOError("cannot create workspace " + dir.string() + ": " +
                            ec.message());
   }
+  SPIDER_ASSIGN_OR_RETURN(ScopedFd lock, LockWorkspace(dir));
   if (fs::exists(dir / kDiskStoreManifestName)) {
     return Status::AlreadyExists("workspace " + dir.string() +
                                  " already holds a disk store");
   }
-  return std::unique_ptr<DiskCatalogWriter>(new DiskCatalogWriter(
+  auto writer = std::unique_ptr<DiskCatalogWriter>(new DiskCatalogWriter(
       std::move(dir), std::move(catalog_name), options));
+  writer->lock_ = std::move(lock);
+  return writer;
 }
 
 Result<std::unique_ptr<DiskCatalogWriter>> DiskCatalogWriter::OpenForAppend(
     fs::path dir, DiskStoreOptions options) {
+  ScopedFd lock;
+  if (IsDiskCatalogDir(dir)) {
+    SPIDER_ASSIGN_OR_RETURN(lock, LockWorkspace(dir));
+  }
   SPIDER_ASSIGN_OR_RETURN(ManifestData previous, ParseManifest(dir));
   // Keep the workspace's original block size so every block in a chain
   // obeys the same bound.
   if (previous.block_bytes >= 1024) options.block_bytes = previous.block_bytes;
   auto writer = std::unique_ptr<DiskCatalogWriter>(new DiskCatalogWriter(
       std::move(dir), previous.catalog_name, options));
+  writer->lock_ = std::move(lock);
   writer->append_ = std::make_unique<AppendState>();
   writer->append_->previous = std::move(previous);
   const auto& tables = writer->append_->previous.tables;
@@ -1135,6 +1253,7 @@ Result<std::unique_ptr<Catalog>> DiskCatalogWriter::Finish() {
     catalog_ = std::move(merged);
   }
   SPIDER_RETURN_NOT_OK(WriteManifest());
+  lock_.Reset();
   return std::move(catalog_);
 }
 

@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/common/result.h"
 #include "src/storage/catalog.h"
 #include "src/storage/catalog_sink.h"
@@ -44,6 +45,10 @@ struct DiskStoreOptions {
 
 /// Name of the manifest file inside a disk-store workspace.
 inline constexpr const char* kDiskStoreManifestName = "spider_store.manifest";
+
+/// Name of the writer lock file inside a disk-store workspace: a
+/// DiskCatalogWriter holds an exclusive flock on it (see Create()).
+inline constexpr const char* kDiskStoreLockName = "spider_store.lock";
 
 /// TSV field escaping for spider_store.manifest: fields are tab-separated
 /// with one record per line, so '%', tab, newline and carriage return are
@@ -97,11 +102,18 @@ class DiskColumnStore final : public ColumnStore {
 /// Memory stays bounded by block_bytes × columns of the table being loaded
 /// (plus the per-block merge buffers of the seal-time statistics pass) no
 /// matter how many rows stream through.
+///
+/// One writer per workspace: Create() and OpenForAppend() take an
+/// exclusive flock on kDiskStoreLockName and hold it until Finish()
+/// commits or the writer is destroyed. flock locks belong to the open file
+/// description, so a second writer, in this process or another, fails with
+/// a ResourceExhausted "workspace busy" Status instead of interleaving its
+/// blocks with the first.
 class DiskCatalogWriter final : public CatalogSink {
  public:
-  /// Creates `dir` (and parents) if needed. Fails if the directory already
-  /// contains a manifest — Create() writes a workspace once; use
-  /// OpenForAppend() to add rows later.
+  /// Creates `dir` (and parents) if needed and takes the writer lock.
+  /// Fails if the directory already contains a manifest — Create() writes
+  /// a workspace once; use OpenForAppend() to add rows later.
   [[nodiscard]]
   static Result<std::unique_ptr<DiskCatalogWriter>> Create(
       std::filesystem::path dir, std::string catalog_name,
@@ -116,7 +128,9 @@ class DiskCatalogWriter final : public CatalogSink {
   /// Unknown tables are created as usual. Nothing is committed until
   /// Finish() atomically rewrites the manifest: a crash mid-append leaves a
   /// torn tail past the committed byte counts that readers never see and
-  /// the next OpenForAppend() truncates away.
+  /// the next OpenForAppend() truncates away. The writer lock is taken
+  /// before the manifest is read; a directory without a manifest fails as
+  /// before and gets no lock file.
   [[nodiscard]]
   static Result<std::unique_ptr<DiskCatalogWriter>> OpenForAppend(
       std::filesystem::path dir, DiskStoreOptions options = {});
@@ -134,8 +148,8 @@ class DiskCatalogWriter final : public CatalogSink {
   Status FinishTable() override;
   void DeclareForeignKey(ForeignKey fk) override;
 
-  /// Seals the workspace: writes the manifest and returns the catalog with
-  /// every column disk-backed.
+  /// Seals the workspace: writes the manifest, releases the writer lock and
+  /// returns the catalog with every column disk-backed.
   [[nodiscard]]
   Result<std::unique_ptr<Catalog>> Finish() override;
 
@@ -159,6 +173,8 @@ class DiskCatalogWriter final : public CatalogSink {
   bool finished_ = false;
   // Non-null when this writer extends an existing workspace (OpenForAppend).
   std::unique_ptr<AppendState> append_;
+  // The flock'd kDiskStoreLockName, held until Finish() commits.
+  ScopedFd lock_;
 };
 
 /// True when `dir` holds a disk-store workspace (its manifest exists).

@@ -2,33 +2,29 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-
-#include "src/common/string_util.h"
 
 namespace spider {
 
-namespace {
-
-// Renders a double without trailing zeros so that e.g. 4.0 and "4" coming
-// from different columns of nominally different types still compare
-// distinctly but deterministically.
-std::string RenderDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+std::string Value::ToCanonicalString() const {
+  CanonicalBuffer buffer;
+  return std::string(CanonicalView(buffer));
 }
 
-}  // namespace
-
-std::string Value::ToCanonicalString() const {
+std::string_view Value::CanonicalView(CanonicalBuffer& buffer) const {
+  char* const first = buffer.data();
   switch (payload_.index()) {
     case 0:
-      return "";
+      return {};
     case 1:
-      return std::to_string(std::get<1>(payload_));
+      return std::string_view(
+          first, std::to_chars(first, first + buffer.size(),
+                               std::get<1>(payload_))
+                     .ptr);
     case 2:
-      return RenderDouble(std::get<2>(payload_));
+      // %.17g drops trailing zeros, so e.g. 4.0 and "4" from columns of
+      // nominally different types compare deterministically.
+      return std::string_view(first,
+                              AppendDouble(first, std::get<2>(payload_)));
     default:
       return std::get<3>(payload_);
   }

@@ -2,11 +2,14 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "src/common/result.h"
+#include "src/common/string_util.h"
 #include "src/storage/type.h"
 
 namespace spider {
@@ -43,6 +46,14 @@ class Value {
   /// IND discovery. NULL has no canonical form (callers must filter NULLs
   /// before comparison); this returns "" for NULL.
   std::string ToCanonicalString() const;
+
+  /// Stack room for the canonical text of a number (an int64 needs 20).
+  using CanonicalBuffer = std::array<char, kDoubleTextBytes>;
+
+  /// ToCanonicalString() without the temporary: a number is rendered into
+  /// `buffer`, a string is viewed in place. The view is valid while both
+  /// `buffer` and this value are.
+  std::string_view CanonicalView(CanonicalBuffer& buffer) const;
 
   /// Debug rendering ("NULL" for nulls).
   std::string ToString() const;

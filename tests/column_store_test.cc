@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/temp_dir.h"
 #include "src/storage/column_stats.h"
 #include "src/storage/disk_store.h"
@@ -160,6 +164,177 @@ TEST_F(DiskStoreTest, MultiBlockColumnRoundTripsInOrder) {
   // (1000 % 13 != 0), so every row is distinct.
   EXPECT_EQ(column.cached_stats()->distinct_count, 2000);
   EXPECT_TRUE(column.cached_stats()->verified_unique);
+}
+
+// (file name, HashString of its bytes) of every .col file and the manifest
+// in `workspace`, sorted by name.
+std::vector<std::pair<std::string, uint64_t>> HashWorkspace(
+    const std::filesystem::path& workspace) {
+  std::vector<std::pair<std::string, uint64_t>> hashes;
+  for (const auto& entry : std::filesystem::directory_iterator(workspace)) {
+    if (entry.path().extension() != ".col" &&
+        entry.path().filename() != kDiskStoreManifestName) {
+      continue;
+    }
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    hashes.emplace_back(entry.path().filename().string(), HashString(bytes));
+  }
+  std::sort(hashes.begin(), hashes.end());
+  return hashes;
+}
+
+// Rows [begin, end) of the pinned table: every column cycles through its
+// edge cases, interleaved with ordinary values so each block's dictionary
+// holds several entries and every column spans several 1 KiB blocks.
+void AppendPinnedRows(DiskCatalogWriter& writer, int begin, int end) {
+  const int64_t ints[] = {-1,
+                          0,
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(),
+                          42,
+                          -987654321};
+  const double doubles[] = {-0.0, 0.1, 1e21, 5e-324, 1e16, 2.5};
+  const std::string strings[] = {"caf\xc3\xa9", "\xff\x80\x7f", "tab\there",
+                                 "new\nline",   "100%",         ""};
+  for (int r = begin; r < end; ++r) {
+    const size_t edge = static_cast<size_t>(r / 2 % 6);
+    std::vector<Value> row;
+    row.push_back(r % 11 == 0  ? Value::Null()
+                  : r % 2 == 0 ? Value::Integer(ints[edge])
+                               : Value::Integer(r * 7919LL - 500000));
+    row.push_back(r % 13 == 0  ? Value::Null()
+                  : r % 2 == 0 ? Value::Double(doubles[edge])
+                               : Value::Double(r * 0.37 - 50.0 + 1.0 / r));
+    row.push_back(r % 7 == 0   ? Value::Null()
+                  : r % 2 == 0 ? Value::String(strings[edge])
+                               : Value::String("s" + std::to_string(r % 97)));
+    ASSERT_TRUE(writer.AppendRow(std::move(row)).ok());
+  }
+}
+
+// Every byte of the .col block format and of spider_store.manifest, for a
+// create and an append that extends a column and adds a table. The
+// constants are FNV hashes of the files as the format stands; a change to
+// any block boundary, dictionary order, canonical rendering or manifest
+// field breaks them.
+TEST_F(DiskStoreTest, ColumnBytesArePinned) {
+  DiskStoreOptions options;
+  options.block_bytes = 1024;
+  const auto workspace = Workspace("ws");
+  {
+    auto writer = DiskCatalogWriter::Create(workspace, "pinned", options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->BeginTable("t").ok());
+    ASSERT_TRUE((*writer)->AddColumn("i", TypeId::kInteger).ok());
+    ASSERT_TRUE((*writer)->AddColumn("d", TypeId::kDouble).ok());
+    ASSERT_TRUE((*writer)->AddColumn("s", TypeId::kString).ok());
+    AppendPinnedRows(**writer, 1, 801);
+    ASSERT_TRUE((*writer)->FinishTable().ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  {
+    auto writer = DiskCatalogWriter::OpenForAppend(workspace, options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->BeginTable("t").ok());
+    ASSERT_TRUE((*writer)->AddColumn("i", TypeId::kInteger).ok());
+    ASSERT_TRUE((*writer)->AddColumn("d", TypeId::kDouble).ok());
+    ASSERT_TRUE((*writer)->AddColumn("s", TypeId::kString).ok());
+    AppendPinnedRows(**writer, 801, 1201);
+    ASSERT_TRUE((*writer)->FinishTable().ok());
+    ASSERT_TRUE((*writer)->BeginTable("u").ok());
+    ASSERT_TRUE((*writer)->AddColumn("i", TypeId::kInteger).ok());
+    ASSERT_TRUE((*writer)->AddColumn("d", TypeId::kDouble).ok());
+    ASSERT_TRUE((*writer)->AddColumn("s", TypeId::kString).ok());
+    AppendPinnedRows(**writer, 2000, 2300);
+    ASSERT_TRUE((*writer)->FinishTable().ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+
+  const std::vector<std::pair<std::string, uint64_t>> expected = {
+      {"spider_store.manifest", 2452291201034584153ULL},
+      {"t.d-ea4c76403e0d4687.col", 11651409292902824111ULL},
+      {"t.i-2c04d8ab0659317f.col", 6079092361327076125ULL},
+      {"t.s-8cf43eb234184442.col", 6571703981969331183ULL},
+      {"u.d-df39e108ee237ef5.col", 4851436847463988434ULL},
+      {"u.i-afb21f797f3fb41b.col", 517999071667864188ULL},
+      {"u.s-1ea6fa129de03908.col", 1846333633624720075ULL},
+  };
+  EXPECT_EQ(HashWorkspace(workspace), expected);
+}
+
+// Writes rows [begin, end) into table "t" (one integer column) through an
+// open writer and commits.
+void WriteIntRows(DiskCatalogWriter& writer, int begin, int end) {
+  ASSERT_TRUE(writer.BeginTable("t").ok());
+  ASSERT_TRUE(writer.AddColumn("v", TypeId::kInteger).ok());
+  for (int r = begin; r < end; ++r) {
+    ASSERT_TRUE(writer.AppendRow({Value::Integer(r * 31 % 1000)}).ok());
+  }
+  ASSERT_TRUE(writer.FinishTable().ok());
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+void ExpectBusy(const Status& status) {
+  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+  EXPECT_NE(status.message().find("workspace busy"), std::string::npos)
+      << status.ToString();
+}
+
+// Two writers on one workspace: flock locks belong to the open file
+// description, so two writers in one process contend exactly as two
+// processes do.
+TEST_F(DiskStoreTest, OneWriterPerWorkspace) {
+  const auto workspace = Workspace("ws");
+  {
+    auto first = DiskCatalogWriter::Create(workspace, "db");
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ExpectBusy(DiskCatalogWriter::Create(workspace, "db").status());
+    WriteIntRows(**first, 0, 300);
+  }
+  // Committed: a second Create is refused as before, not as busy.
+  EXPECT_TRUE(
+      DiskCatalogWriter::Create(workspace, "db").status().IsAlreadyExists());
+
+  auto first = DiskCatalogWriter::OpenForAppend(workspace);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ExpectBusy(DiskCatalogWriter::Create(workspace, "db").status());
+  ExpectBusy(DiskCatalogWriter::OpenForAppend(workspace).status());
+  WriteIntRows(**first, 300, 600);
+
+  // Finish() released the lock, though `first` is still alive.
+  auto second = DiskCatalogWriter::OpenForAppend(workspace);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  WriteIntRows(**second, 600, 900);
+
+  // Destroying an unfinished writer releases the lock too.
+  {
+    auto abandoned = DiskCatalogWriter::OpenForAppend(workspace);
+    ASSERT_TRUE(abandoned.ok()) << abandoned.status().ToString();
+  }
+  auto reopened = DiskCatalogWriter::OpenForAppend(workspace);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  reopened->reset();
+
+  // Missing or non-workspace directories fail as before, with no lock file.
+  EXPECT_TRUE(DiskCatalogWriter::OpenForAppend(Workspace("missing"))
+                  .status()
+                  .IsIOError());
+  EXPECT_FALSE(std::filesystem::exists(Workspace("missing")));
+  const auto plain = Workspace("plain");
+  std::filesystem::create_directories(plain);
+  EXPECT_TRUE(DiskCatalogWriter::OpenForAppend(plain).status().IsIOError());
+  EXPECT_FALSE(std::filesystem::exists(plain / kDiskStoreLockName));
+
+  const auto serial = Workspace("serial");
+  for (int batch = 0; batch < 3; ++batch) {
+    auto writer = batch == 0 ? DiskCatalogWriter::Create(serial, "db")
+                             : DiskCatalogWriter::OpenForAppend(serial);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    WriteIntRows(**writer, batch * 300, batch * 300 + 300);
+  }
+  EXPECT_EQ(HashWorkspace(workspace), HashWorkspace(serial));
 }
 
 TEST_F(DiskStoreTest, DictionaryCompressionShrinksRepetitiveColumns) {

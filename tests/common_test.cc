@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 
 #include "src/common/counters.h"
@@ -149,6 +153,44 @@ TEST(StringUtilTest, FormatBytes) {
   EXPECT_EQ(FormatBytes(2048), "2.0KB");
   EXPECT_EQ(FormatBytes(3LL << 20), "3.0MB");
   EXPECT_EQ(FormatBytes(17LL << 30), "17.0GB");
+}
+
+// AppendDouble is the one canonical double renderer; printf("%.17g") is
+// the reference it must equal byte for byte.
+TEST(StringUtilTest, AppendDoubleMatchesPrintf) {
+  int mismatches = 0;
+  auto check = [&mismatches](double v) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.17g", v);
+    char text[kDoubleTextBytes];
+    const std::string actual(text, AppendDouble(text, v));
+    if (actual != expected && ++mismatches <= 10) {
+      ADD_FAILURE() << "AppendDouble gave " << actual << ", printf "
+                    << expected;
+    }
+  };
+  using Limits = std::numeric_limits<double>;
+  for (double v : {-0.0, 0.0, 0.1, 1e21, 5e-324, 1e16, -1e16, 1e-5, 1e15,
+                   123456789012345678.0, Limits::max(), Limits::lowest(),
+                   Limits::min(), Limits::denorm_min(), Limits::infinity(),
+                   -Limits::infinity()}) {
+    check(v);
+  }
+  Random rng(20261017);
+  for (int tested = 0; tested < 1'000'000;) {
+    const uint64_t bits = rng.Next();
+    double v = 0;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (!std::isfinite(v)) continue;
+    check(v);
+    ++tested;
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    check(rng.NextDouble() * 200.0 - 100.0);
+    check(static_cast<double>(static_cast<int64_t>(rng.Next() >> 11)) -
+          static_cast<double>(1LL << 52));
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // ---------------------------------------------------------------- Random

@@ -247,6 +247,64 @@ TEST_F(CsvTest, RecordReaderHandlesMultiLineRecordsAndBlankLines) {
   EXPECT_FALSE(*end);
 }
 
+using Records = std::vector<std::vector<std::string>>;
+
+// Reads every record of `text` through one reused field vector, as the
+// importer does; a malformed record reads as {"<error>"}.
+Records ReadRecords(const std::string& text) {
+  std::istringstream in(text);
+  CsvRecordReader reader(in);
+  Records records;
+  std::vector<std::string> fields;
+  while (true) {
+    Result<bool> next = reader.Next(&fields);
+    if (!next.ok()) {
+      records.push_back({"<error>"});
+      continue;
+    }
+    if (!*next) break;
+    records.push_back(fields);
+  }
+  EXPECT_TRUE(fields.empty());
+  return records;
+}
+
+TEST(CsvRecordReaderTest, ShortRecordAfterLongOneKeepsNoStaleBytesOrFields) {
+  EXPECT_EQ(ReadRecords("a-long-first-field-past-any-sso-buffer,second,third\n"
+                        "x\n"
+                        "yy,z\n"),
+            (Records{{"a-long-first-field-past-any-sso-buffer", "second",
+                      "third"},
+                     {"x"},
+                     {"yy", "z"}}));
+}
+
+TEST(CsvRecordReaderTest, QuotedFieldAfterUnquotedOne) {
+  EXPECT_EQ(ReadRecords("plain,value\n\"quo,ted\",\"say \"\"hi\"\"\"\n"),
+            (Records{{"plain", "value"}, {"quo,ted", "say \"hi\""}}));
+}
+
+TEST(CsvRecordReaderTest, RecordAfterLenientSkip) {
+  EXPECT_EQ(ReadRecords("1,2\nbad\"row,9\n4,5\n"),
+            (Records{{"1", "2"}, {"<error>"}, {"4", "5"}}));
+}
+
+TEST_F(CsvTest, BlankLineInOneColumnTableIsNull) {
+  auto table = ReadCsvTable(WriteFile("t.csv", "v\n1\n\n3\n"));
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ((*table)->row_count(), 3);
+  EXPECT_EQ((*table)->column(0).value(0), Value::Integer(1));
+  EXPECT_TRUE((*table)->column(0).value(1).is_null());
+  EXPECT_EQ((*table)->column(0).value(2), Value::Integer(3));
+}
+
+TEST(CsvRecordReaderTest, LastRecordWithoutTrailingNewline) {
+  EXPECT_EQ(ReadRecords("first,record\nz"),
+            (Records{{"first", "record"}, {"z"}}));
+  EXPECT_EQ(ReadRecords("first,record\r\nz,\r"),
+            (Records{{"first", "record"}, {"z", ""}}));
+}
+
 TEST_F(CsvTest, RecordReaderUnterminatedQuoteFails) {
   std::istringstream in("\"abc\ndef");
   CsvRecordReader reader(in);

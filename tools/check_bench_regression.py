@@ -39,6 +39,7 @@ WORK_COUNTERS = (
     "verdicts_reused",
     "candidates_revalidated",
     "manifest_bytes",
+    "disk_bytes",
 )
 
 
