@@ -3,7 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <string>
 
 namespace spider {
 
@@ -58,6 +60,14 @@ bool PreadExact(int fd, uint64_t offset, char* dst, size_t len) {
     len -= static_cast<size_t>(got);
   }
   return true;
+}
+
+std::filesystem::path UniqueTempPath(const std::filesystem::path& final_path) {
+  static std::atomic<uint64_t> counter{0};
+  const uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
+  std::filesystem::path temp = final_path;
+  temp += ".tmp-" + std::to_string(::getpid()) + "-" + std::to_string(n);
+  return temp;
 }
 
 }  // namespace spider

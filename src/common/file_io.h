@@ -1,5 +1,6 @@
 // File-descriptor helpers for the sorted-set and column-store I/O paths:
-// descriptor ownership, positioned reads and best-effort page-cache hints.
+// descriptor ownership, positioned reads, best-effort page-cache hints and
+// the unique temp names that writers publish through a rename.
 //
 // posix_fadvise is advisory: every function here degrades to a no-op on
 // platforms (or filesystems) that do not support the hint, so callers never
@@ -62,5 +63,13 @@ void AdviseFileWillNeed(const std::filesystem::path& path);
 /// on a shared descriptor: pread never touches the file position.
 [[nodiscard]]
 bool PreadExact(int fd, uint64_t offset, char* dst, size_t len);
+
+/// A sibling of `final_path` that no other writer uses:
+/// `<final>.tmp-<pid>-<n>`, with `n` from a process-wide counter. Writers
+/// fill it and rename it over `final_path`, so a reader of a shared
+/// workspace — in this process or another — sees the old file or the
+/// complete new one, never a half-written one. The name never ends in the
+/// final path's extension (a `.set` scan skips it).
+std::filesystem::path UniqueTempPath(const std::filesystem::path& final_path);
 
 }  // namespace spider

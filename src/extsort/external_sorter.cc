@@ -39,9 +39,11 @@ Status ExternalSorter::SpillBuffer() {
   std::sort(buffer_.begin(), buffer_.end());
   buffer_.erase(std::unique(buffer_.begin(), buffer_.end()), buffer_.end());
 
-  fs::path run_path =
+  // The unique suffix keeps sorters apart that share a directory and a
+  // prefix: two processes extracting one attribute into one workspace.
+  fs::path run_path = UniqueTempPath(
       options_.spill_dir /
-      (options_.run_prefix + "-" + std::to_string(runs_.size()) + ".spill");
+      (options_.run_prefix + "-" + std::to_string(runs_.size()) + ".spill"));
   std::ofstream out(run_path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot create spill run " + run_path.string());
   for (const std::string& v : buffer_) {

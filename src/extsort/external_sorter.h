@@ -25,9 +25,10 @@ struct ExternalSorterOptions {
   int64_t memory_budget_bytes = 64LL << 20;
   /// Directory for spill runs. Must exist and be writable.
   std::filesystem::path spill_dir;
-  /// File-name prefix for this sorter's spill runs. Sorters sharing a spill
-  /// directory (e.g. concurrent per-attribute extractions) must use
-  /// distinct prefixes so their run files cannot collide.
+  /// File-name prefix for this sorter's spill runs, for telling them apart
+  /// on disk. Run files never collide, even between sorters that share a
+  /// spill directory and a prefix: each name carries a unique suffix
+  /// (UniqueTempPath).
   std::string run_prefix = "run";
   /// Format knobs for the final sorted-set file (block size).
   SortedSetWriterOptions set_writer;

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/value_codec.h"
@@ -451,8 +452,14 @@ void ProfileStore::Load() {
   // One read of the whole file; a missing or unreadable file is simply no
   // profile yet, and anything Decode rejects is an empty profile too.
   Contents loaded;
-  std::ifstream in(path_, std::ios::binary | std::ios::ate);
-  if (in) {
+  std::error_code ec;
+  // Only a regular file can be a manifest: the end offset of a directory
+  // standing in its place would size an allocation of up to 2^63 bytes.
+  std::ifstream in;
+  if (fs::is_regular_file(path_, ec)) {
+    in.open(path_, std::ios::binary | std::ios::ate);
+  }
+  if (in.is_open()) {
     const std::streamoff size = in.tellg();
     if (size > 0) {
       std::string manifest(static_cast<size_t>(size), '\0');
@@ -473,7 +480,12 @@ Status ProfileStore::Save() const {
     manifest = Encode(contents_);
   }
 
-  const fs::path tmp = path_.string() + ".tmp";
+  // A temp name of this save's own: another process sealing the same
+  // workspace writes its own file, and the renames replace each other
+  // whole.
+  const fs::path tmp = UniqueTempPath(path_);
+  std::error_code ec;
+  Status status;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -482,17 +494,18 @@ Status ProfileStore::Save() const {
     out.write(manifest.data(), static_cast<std::streamsize>(manifest.size()));
     out.close();
     if (out.fail()) {
-      return Status::IOError("failed writing profile manifest " +
-                             tmp.string());
+      status = Status::IOError("failed writing profile manifest " +
+                               tmp.string());
     }
   }
-  std::error_code ec;
-  fs::rename(tmp, path_, ec);
-  if (ec) {
-    return Status::IOError("cannot commit profile manifest " +
-                           path_.string() + ": " + ec.message());
+  if (status.ok()) {
+    fs::rename(tmp, path_, ec);
+    if (!ec) return Status::OK();
+    status = Status::IOError("cannot commit profile manifest " +
+                             path_.string() + ": " + ec.message());
   }
-  return Status::OK();
+  fs::remove(tmp, ec);  // best effort
+  return status;
 }
 
 std::optional<ProfileSetEntry> ProfileStore::FindSet(

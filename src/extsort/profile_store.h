@@ -77,7 +77,9 @@ struct ProfileVerdict {
 /// Load() tolerates any corruption (missing file, torn write, bit flip,
 /// hostile counts — the manifest carries a whole-file checksum and every
 /// count and id is bounds-checked) by starting empty; Save() commits
-/// atomically via write-to-temp-and-rename, one writer at a time.
+/// atomically via a uniquely named temp file and a rename, one writer at a
+/// time per store. Stores in other processes may seal the same manifest:
+/// each rename replaces the file whole, and the last one wins.
 class ProfileStore {
  public:
   /// One interned (attribute, source fingerprint): a side of a verdict.

@@ -33,10 +33,11 @@ uint64_t RecordBytes(std::string_view value) {
 
 Result<std::unique_ptr<SortedSetWriter>> SortedSetWriter::Create(
     const std::filesystem::path& path, SortedSetWriterOptions options) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot create " + path.string());
-  auto writer = std::unique_ptr<SortedSetWriter>(
-      new SortedSetWriter(std::move(out), options));
+  std::filesystem::path temp_path = UniqueTempPath(path);
+  std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot create " + temp_path.string());
+  auto writer = std::unique_ptr<SortedSetWriter>(new SortedSetWriter(
+      std::move(out), path, std::move(temp_path), options));
   writer->out_.write(kSortedSetMagic.data(),
                      static_cast<std::streamsize>(kSortedSetMagic.size()));
   writer->out_.put(static_cast<char>(kSortedSetFormatVersion));
@@ -45,6 +46,13 @@ Result<std::unique_ptr<SortedSetWriter>> SortedSetWriter::Create(
   }
   writer->offset_ = kSortedSetHeaderBytes;
   return writer;
+}
+
+SortedSetWriter::~SortedSetWriter() {
+  if (temp_path_.empty()) return;
+  out_.close();
+  std::error_code ec;
+  std::filesystem::remove(temp_path_, ec);  // best effort
 }
 
 Status SortedSetWriter::Append(std::string_view value) {
@@ -96,6 +104,13 @@ Status SortedSetWriter::Finish() {
   out_.flush();
   out_.close();
   if (out_.fail()) return Status::IOError("failed closing sorted set file");
+  std::error_code ec;
+  std::filesystem::rename(temp_path_, path_, ec);
+  if (ec) {
+    return Status::IOError("cannot publish sorted set file " +
+                           path_.string() + ": " + ec.message());
+  }
+  temp_path_.clear();
   return Status::OK();
 }
 

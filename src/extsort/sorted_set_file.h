@@ -63,18 +63,29 @@ struct SortedSetWriterOptions {
 
 /// \brief Writes a sorted-distinct value file. Enforces strict ordering:
 /// every appended value must be greater than its predecessor.
+///
+/// The records go to a unique temp sibling of `path` (UniqueTempPath);
+/// Finish() renames it over `path`. Until then readers of `path` — in this
+/// process or another sharing the directory — still see the earlier
+/// complete file, if any. A writer destroyed without a successful Finish()
+/// removes its temp file.
 class SortedSetWriter {
  public:
   [[nodiscard]]
   static Result<std::unique_ptr<SortedSetWriter>> Create(
       const std::filesystem::path& path, SortedSetWriterOptions options = {});
 
+  ~SortedSetWriter();
+
+  SortedSetWriter(const SortedSetWriter&) = delete;
+  SortedSetWriter& operator=(const SortedSetWriter&) = delete;
+
   /// Appends `value`; fails with InvalidArgument if ordering is violated.
   [[nodiscard]]
   Status Append(std::string_view value);
 
-  /// Seals the last block, writes the footer index and closes the file.
-  /// Must be called before reading.
+  /// Seals the last block, writes the footer index, closes the file and
+  /// publishes it at the final path. Must be called before reading.
   [[nodiscard]]
   Status Finish();
 
@@ -91,13 +102,21 @@ class SortedSetWriter {
     std::string last_key;
   };
 
-  SortedSetWriter(std::ofstream out, SortedSetWriterOptions options)
-      : out_(std::move(out)), options_(options) {}
+  SortedSetWriter(std::ofstream out, std::filesystem::path path,
+                  std::filesystem::path temp_path,
+                  SortedSetWriterOptions options)
+      : out_(std::move(out)),
+        path_(std::move(path)),
+        temp_path_(std::move(temp_path)),
+        options_(options) {}
 
   /// Closes the open block and appends its footer entry.
   void SealBlock();
 
   std::ofstream out_;
+  std::filesystem::path path_;
+  /// Where the records are written; empty once Finish() renamed it.
+  std::filesystem::path temp_path_;
   SortedSetWriterOptions options_;
   int64_t count_ = 0;
   std::optional<std::string> last_;

@@ -105,8 +105,8 @@ Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
   ExternalSorterOptions sorter_options;
   sorter_options.memory_budget_bytes = options_.sort_memory_budget_bytes;
   sorter_options.spill_dir = output_dir_;
-  // Spill runs inherit the set file's stem so concurrent extractions
-  // sharing this directory never collide.
+  // Spill runs carry the set file's name, which tells a directory listing
+  // whose they are; the sorter adds a suffix that keeps them unique.
   sorter_options.run_prefix = file_name;
   sorter_options.set_writer = options_.set_writer;
   ExternalSorter sorter(sorter_options);

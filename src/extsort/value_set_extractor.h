@@ -57,7 +57,8 @@ struct ValueSetExtractorOptions {
 class ValueSetExtractor {
  public:
   /// `output_dir` must exist; one ".set" file per attribute is created
-  /// inside it (plus transient ".spill" run files during sorting).
+  /// inside it (plus transient spill runs and temp files during sorting,
+  /// each uniquely named, so other processes may share the directory).
   ValueSetExtractor(std::filesystem::path output_dir,
                     ValueSetExtractorOptions options = {});
 

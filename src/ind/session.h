@@ -116,11 +116,14 @@ struct RunOptions {
   /// either way; off forces the pre-block linear scans that the
   /// skip-parity tests compare against.
   bool block_skip = true;
-  /// Consult the persisted profile for this run (only meaningful with
-  /// SessionOptions::persist_profile): reuse remembered exact-IND verdicts
-  /// whose source fingerprints still match and hand only the rest to the
-  /// algorithm. Off forces every candidate through verification (set-file
-  /// reuse inside the extractor is a separate, always-safe layer). The
+  /// Consult the persisted profile's verdicts for this run (only
+  /// meaningful with SessionOptions::persist_profile): reuse remembered
+  /// exact-IND verdicts whose source fingerprints still match and hand only
+  /// the rest to the algorithm. Off reuses and records no verdict, so every
+  /// candidate is verified; set files that verify are still reused and
+  /// freshly extracted ones still recorded (the extractor's separate,
+  /// always-safe layer). `--no-profile-cache` in the CLI and
+  /// `"no-profile-cache"` in a spiderd job body mean exactly this. The
   /// satisfied set is identical either way.
   bool profile_cache = true;
 };

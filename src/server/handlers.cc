@@ -248,11 +248,12 @@ HttpResponse RequestRouter::SubmitImport(const JsonValue& body) const {
   }
   const std::string csv_dir = source->string;
 
-  WorkspaceCache* workspaces = workspaces_;
+  // The cache notices the commit on its own: the next request for this
+  // workspace sees a new manifest and reopens the grown catalog.
   auto id = jobs_->Submit(
       name, (append ? "append " : "import ") + csv_dir,
-      [name, target, csv_dir, append,
-       workspaces](const JobControl&) -> Result<std::string> {
+      [name, target, csv_dir,
+       append](const JobControl&) -> Result<std::string> {
         std::unique_ptr<DiskCatalogWriter> writer;
         if (append) {
           SPIDER_ASSIGN_OR_RETURN(
@@ -266,11 +267,6 @@ HttpResponse RequestRouter::SubmitImport(const JsonValue& body) const {
         SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> catalog,
                                 ImportCsvDirectory(csv_dir, CsvOptions{},
                                                    *writer));
-        // The cached session (if any) still sees the pre-append catalog;
-        // dropping it makes the next job reopen the grown data — and the
-        // persisted profile, which revalidates by fingerprint, keeps every
-        // verdict and set file untouched columns still justify.
-        if (append) workspaces->Invalidate(name);
         JsonWriter json;
         json.BeginObject();
         json.KV("schema_version", kReportSchemaVersion);

@@ -1,5 +1,7 @@
 #include "src/server/workspace_cache.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <system_error>
 #include <utility>
@@ -23,11 +25,20 @@ std::filesystem::path WorkspaceCache::WorkspacePath(
   return root_ / name;
 }
 
-std::filesystem::path WorkspaceCache::SetCachePath(
-    const std::string& name) const {
-  // Dot-prefixed so List() (which skips dot-dirs via ValidName) never
-  // mistakes a set cache for a workspace.
-  return root_ / (".sets-" + name);
+std::optional<WorkspaceCache::ManifestIdentity> WorkspaceCache::StatManifest(
+    const std::filesystem::path& dir) {
+  struct stat st;
+  const std::filesystem::path manifest = dir / kDiskStoreManifestName;
+  if (::stat(manifest.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) {
+    return std::nullopt;
+  }
+  ManifestIdentity identity;
+  identity.device = static_cast<uint64_t>(st.st_dev);
+  identity.inode = static_cast<uint64_t>(st.st_ino);
+  identity.size = static_cast<int64_t>(st.st_size);
+  identity.mtime_sec = static_cast<int64_t>(st.st_mtim.tv_sec);
+  identity.mtime_nsec = static_cast<int64_t>(st.st_mtim.tv_nsec);
+  return identity;
 }
 
 Result<std::shared_ptr<SpiderSession>> WorkspaceCache::GetOrOpen(
@@ -35,31 +46,31 @@ Result<std::shared_ptr<SpiderSession>> WorkspaceCache::GetOrOpen(
   if (!ValidName(name)) {
     return Status::InvalidArgument("invalid workspace name '" + name + "'");
   }
+  const std::filesystem::path dir = WorkspacePath(name);
   MutexLock lock(&mutex_);
+  const std::optional<ManifestIdentity> manifest = StatManifest(dir);
   auto it = sessions_.find(name);
   if (it != sessions_.end()) {
-    it->second.last_used = ++clock_;
-    return it->second.session;
+    if (manifest == it->second.manifest) {
+      it->second.last_used = ++clock_;
+      return it->second.session;
+    }
+    // Committed (or removed) since the session opened. Jobs holding the
+    // old session finish on the data they started with.
+    sessions_.erase(it);
   }
 
-  const std::filesystem::path dir = WorkspacePath(name);
-  if (!IsDiskCatalogDir(dir)) {
+  if (!manifest.has_value()) {
     return Status::NotFound("workspace '" + name + "' not found under " +
                             root_.string());
   }
   SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> catalog,
                           OpenDiskCatalog(dir));
+  // Daemon sessions profile in place and always persist their profile:
+  // eviction and restarts would otherwise throw away every extracted set
+  // and verdict, and `spider profile <workspace>` reads the same files.
   SessionOptions options;
-  const std::filesystem::path set_dir = SetCachePath(name);
-  std::error_code ec;
-  std::filesystem::create_directories(set_dir, ec);
-  if (ec) {
-    return Status::IOError("cannot create set cache dir " + set_dir.string() +
-                           ": " + ec.message());
-  }
-  options.work_dir = set_dir.string();
-  // Daemon sessions always persist their profile: eviction and restarts
-  // would otherwise throw away every extracted set and verdict.
+  options.work_dir = dir.string();
   options.persist_profile = true;
 
   // Make room before inserting: evict the least recently used session.
@@ -81,13 +92,9 @@ Result<std::shared_ptr<SpiderSession>> WorkspaceCache::GetOrOpen(
   Entry entry;
   entry.session =
       std::make_shared<SpiderSession>(std::move(catalog), options);
+  entry.manifest = *manifest;
   entry.last_used = ++clock_;
   return sessions_.emplace(name, std::move(entry)).first->second.session;
-}
-
-void WorkspaceCache::Invalidate(const std::string& name) {
-  MutexLock lock(&mutex_);
-  sessions_.erase(name);
 }
 
 int64_t WorkspaceCache::open_session_count() const {

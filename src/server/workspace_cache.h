@@ -4,12 +4,19 @@
 // Sharing the session is the point of running a daemon at all — the
 // session owns the ValueSetExtractor cache, so two jobs against the same
 // workspace extract and sort each attribute once (the extractor
-// deduplicates in-flight work across threads). Sorted set files live in a
-// per-workspace cache directory next to the catalog data and survive
-// across jobs AND across sessions: every daemon session persists its
-// profile (spider_profile.manifest), so an evicted-and-reopened workspace
-// — or a restarted daemon — revalidates fingerprints instead of
-// re-extracting.
+// deduplicates in-flight work across threads). A session profiles its
+// workspace in place, as `spider profile <workspace>` does: the sorted set
+// files and the profile (spider_profile.manifest) live in the workspace
+// directory next to spider_store.manifest. They survive across jobs,
+// sessions, daemon restarts and CLI runs, so an evicted-and-reopened
+// workspace — or a CLI run after a daemon job, and the reverse —
+// revalidates fingerprints instead of re-extracting.
+//
+// A session serves its workspace as committed. Every GetOrOpen compares
+// the manifest's identity (device, inode, size, mtime) with the one the
+// session was opened at; a commit renames a fresh manifest into place, so
+// after any import or append — a daemon job's or `spider import --append`
+// beside the daemon — the next request reopens the grown catalog.
 //
 // The cache is bounded: beyond `max_sessions` open sessions the least
 // recently used one is evicted. Sessions are handed out as shared_ptr, so
@@ -21,6 +28,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,9 +42,9 @@ namespace spider {
 /// \brief Maps workspace names to open sessions under one root directory.
 ///
 /// A workspace is a subdirectory of the root that holds a disk catalog
-/// (DiskCatalogWriter layout). Thread-safe; sessions, once opened, live
-/// until the cache is destroyed, so pointers handed out stay valid for the
-/// daemon's lifetime.
+/// (DiskCatalogWriter layout). Thread-safe; sessions are handed out as
+/// shared_ptr, so a session stays valid for whoever holds it after the
+/// cache dropped it.
 class WorkspaceCache {
  public:
   /// `max_sessions` bounds the number of concurrently open sessions
@@ -47,18 +55,15 @@ class WorkspaceCache {
   /// separators, no leading dot (names map to subdirectories).
   static bool ValidName(std::string_view name);
 
-  /// The open (or newly opened) session for `name`. NotFound when the
-  /// subdirectory is missing or not a disk catalog. Opening may evict the
-  /// least recently used session once the cache is full; holders of its
-  /// shared_ptr are unaffected.
+  /// The open (or newly opened) session for `name`; a session whose
+  /// workspace was committed since it opened is dropped and the workspace
+  /// reopened. NotFound when the subdirectory is missing or not a disk
+  /// catalog. Opening may evict the least recently used session once the
+  /// cache is full; holders of a dropped session's shared_ptr are
+  /// unaffected.
   [[nodiscard]]
   Result<std::shared_ptr<SpiderSession>> GetOrOpen(const std::string& name)
       SPIDER_EXCLUDES(mutex_);
-
-  /// Drops the cached session for `name` (no-op when absent). Called after
-  /// an append import: the next GetOrOpen reopens the grown catalog — and
-  /// its persisted profile — from disk.
-  void Invalidate(const std::string& name) SPIDER_EXCLUDES(mutex_);
 
   /// Open sessions currently cached (for tests and introspection).
   [[nodiscard]]
@@ -69,17 +74,36 @@ class WorkspaceCache {
   [[nodiscard]]
   Result<std::vector<std::string>> List() const;
 
-  /// The directory a workspace's catalog data lives in.
+  /// The directory a workspace's data, sorted sets and profile live in.
   std::filesystem::path WorkspacePath(const std::string& name) const;
-
-  /// The directory a workspace's sorted set files are cached in.
-  std::filesystem::path SetCachePath(const std::string& name) const;
 
   const std::filesystem::path& root() const { return root_; }
 
  private:
+  /// One commit of a workspace: the identity of its spider_store.manifest.
+  /// A commit renames a freshly written manifest over the old one while
+  /// the old file still holds its inode, so a commit always changes the
+  /// inode; size and mtime tell apart a later manifest that happens to
+  /// reuse an older one's inode.
+  struct ManifestIdentity {
+    uint64_t device = 0;
+    uint64_t inode = 0;
+    int64_t size = 0;
+    int64_t mtime_sec = 0;
+    int64_t mtime_nsec = 0;
+    bool operator==(const ManifestIdentity&) const = default;
+  };
+
+  /// The identity of `dir`'s manifest; nullopt when there is no regular
+  /// manifest file (not, or no longer, a workspace).
+  static std::optional<ManifestIdentity> StatManifest(
+      const std::filesystem::path& dir);
+
   struct Entry {
     std::shared_ptr<SpiderSession> session;
+    /// The manifest the session's catalog was opened from, stat'ed before
+    /// the open: a commit racing the open only costs one extra reopen.
+    ManifestIdentity manifest;
     /// Logical timestamp of the last GetOrOpen hit (monotonic counter, not
     /// wall clock — eviction only needs relative order).
     uint64_t last_used = 0;

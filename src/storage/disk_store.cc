@@ -451,8 +451,9 @@ namespace {
 // Manifest records, decoded. Version history:
 //   1 — column record arity 18 (fractions only)
 //   2 — adds integer letter/digit counts (arity 20) so appends can continue
-//       the running totals exactly; v1 files reconstruct the counts from
-//       the fractions on read and are upgraded on the next write.
+//       the running totals exactly. Only v2 is read: a v1 workspace fails
+//       to open ("missing or unsupported version header") and must be
+//       reimported.
 // ---------------------------------------------------------------------------
 
 struct ManifestColumn {

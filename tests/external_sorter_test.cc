@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/common/temp_dir.h"
@@ -119,28 +122,41 @@ TEST_F(ExternalSorterTest, PaperScaleSpillForcesManyRunsAndMergesThem) {
 }
 
 TEST_F(ExternalSorterTest, RunPrefixKeepsSortersInOneDirApart) {
-  // Concurrent per-attribute extractions share one spill directory; the
-  // per-sorter prefix must keep their transient run files from colliding.
-  ExternalSorterOptions a_options = Options(64);
-  a_options.run_prefix = "attr_a";
-  ExternalSorterOptions b_options = Options(64);
-  b_options.run_prefix = "attr_b";
-  ExternalSorter a(a_options);
-  ExternalSorter b(b_options);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(a.Add("a" + std::to_string(i)).ok());
-    ASSERT_TRUE(b.Add("b" + std::to_string(i)).ok());
+  // Concurrent extractions share one spill directory: distinct attributes
+  // in one process (distinct prefixes), and the same attribute extracted
+  // by two processes sharing a workspace (the same prefix). Neither may
+  // read the other's transient run files.
+  for (const auto& [a_prefix, b_prefix] :
+       {std::pair<std::string, std::string>{"attr_a", "attr_b"},
+        std::pair<std::string, std::string>{"attr", "attr"}}) {
+    SCOPED_TRACE(a_prefix + " / " + b_prefix);
+    ExternalSorterOptions a_options = Options(64);
+    a_options.run_prefix = a_prefix;
+    ExternalSorterOptions b_options = Options(64);
+    b_options.run_prefix = b_prefix;
+    ExternalSorter a(a_options);
+    ExternalSorter b(b_options);
+    std::vector<std::string> a_values;
+    std::vector<std::string> b_values;
+    for (int i = 0; i < 100; ++i) {
+      a_values.push_back("a" + std::to_string(i));
+      b_values.push_back("b" + std::to_string(i));
+      ASSERT_TRUE(a.Add(a_values.back()).ok());
+      ASSERT_TRUE(b.Add(b_values.back()).ok());
+    }
+    ASSERT_GT(a.spill_count(), 1);
+    ASSERT_GT(b.spill_count(), 1);
+    auto a_info = a.WriteSortedSet(dir_->FilePath(a_prefix + "-a.set"));
+    auto b_info = b.WriteSortedSet(dir_->FilePath(b_prefix + "-b.set"));
+    ASSERT_TRUE(a_info.ok());
+    ASSERT_TRUE(b_info.ok());
+    std::sort(a_values.begin(), a_values.end());
+    std::sort(b_values.begin(), b_values.end());
+    EXPECT_EQ(a_info->distinct_count, 100);
+    EXPECT_EQ(b_info->distinct_count, 100);
+    EXPECT_EQ(ReadAll(a_info->path), a_values);
+    EXPECT_EQ(ReadAll(b_info->path), b_values);
   }
-  ASSERT_GT(a.spill_count(), 1);
-  ASSERT_GT(b.spill_count(), 1);
-  auto a_info = a.WriteSortedSet(dir_->FilePath("a.set"));
-  auto b_info = b.WriteSortedSet(dir_->FilePath("b.set"));
-  ASSERT_TRUE(a_info.ok());
-  ASSERT_TRUE(b_info.ok());
-  EXPECT_EQ(a_info->distinct_count, 100);
-  EXPECT_EQ(b_info->distinct_count, 100);
-  EXPECT_EQ(*a_info->min_value, "a0");
-  EXPECT_EQ(*b_info->min_value, "b0");
 }
 
 TEST_F(ExternalSorterTest, AddAfterFinishFails) {

@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -56,13 +58,16 @@ Result<std::unique_ptr<Catalog>> ImportWorkspace(
 // One profiling run over `workspace` in a brand-new session whose set
 // files and profile live in the workspace itself (the CLI's layout for
 // `spider profile <workspace-dir>`).
-Result<SessionReport> PersistedRun(const std::filesystem::path& workspace,
-                                   bool profile_cache = true) {
+Result<SessionReport> PersistedRun(
+    const std::filesystem::path& workspace, bool profile_cache = true,
+    int64_t sort_memory_budget_bytes =
+        SessionOptions{}.sort_memory_budget_bytes) {
   SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> catalog,
                           OpenDiskCatalog(workspace));
   SessionOptions session_options;
   session_options.work_dir = workspace.string();
   session_options.persist_profile = true;
+  session_options.sort_memory_budget_bytes = sort_memory_budget_bytes;
   SpiderSession session(std::move(catalog), session_options);
   RunOptions options;
   options.approach = "spider-merge";
@@ -191,10 +196,9 @@ TEST(ProfilePersistenceTest, FailedSaveIsReportedAndTheNextRunSeals) {
   ASSERT_TRUE(imported.ok()) << imported.status().ToString();
   const std::filesystem::path manifest = root / "wsp" / kProfileManifestName;
 
-  // A directory squatting on the manifest's temp path makes
-  // ProfileStore::Save fail.
-  const std::filesystem::path blocker =
-      root / "wsp" / (std::string(kProfileManifestName) + ".tmp");
+  // A directory squatting on the manifest's path makes ProfileStore::Save
+  // fail: renaming the written temp file over it is EISDIR, even as root.
+  const std::filesystem::path blocker = manifest;
   ASSERT_TRUE(std::filesystem::create_directories(blocker));
   auto unsaved = PersistedRun(root / "wsp");
   ASSERT_TRUE(unsaved.ok()) << unsaved.status().ToString();
@@ -208,7 +212,13 @@ TEST(ProfilePersistenceTest, FailedSaveIsReportedAndTheNextRunSeals) {
   EXPECT_NE(SessionReportToJson(*unsaved, ReportJsonContext{})
                 .find("\"profile_save_error\":"),
             std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists(manifest));
+  EXPECT_FALSE(std::filesystem::is_regular_file(manifest));
+  // The failed save removed its temp file.
+  for (const auto& entry : std::filesystem::directory_iterator(root / "wsp")) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp-"),
+              std::string::npos)
+        << entry.path();
+  }
 
   // With the obstacle gone the next run seals, and reports no error.
   std::filesystem::remove_all(blocker);
@@ -225,6 +235,76 @@ TEST(ProfilePersistenceTest, FailedSaveIsReportedAndTheNextRunSeals) {
   EXPECT_EQ(warm->verdicts_reused,
             static_cast<int64_t>(warm->candidates.candidates.size()));
   EXPECT_EQ(warm->run.satisfied, unsaved->run.satisfied);
+}
+
+// A dump large enough that a small sort budget spills every column:
+// orders.customer ⊆ customers.id.
+void WriteSpillingDump(const std::filesystem::path& csv_dir) {
+  ASSERT_TRUE(std::filesystem::create_directories(csv_dir));
+  std::string orders = "id,customer\n";
+  std::string customers = "id,city\n";
+  for (int i = 0; i < 600; ++i) {
+    orders += "o" + std::to_string(i) + ",c" + std::to_string(i % 200) + "\n";
+  }
+  for (int i = 0; i < 400; ++i) {
+    customers += "c" + std::to_string(i) + ",x" + std::to_string(i % 7) + "\n";
+  }
+  WriteFile(csv_dir / "orders.csv", orders);
+  WriteFile(csv_dir / "customers.csv", customers);
+}
+
+TEST(ProfilePersistenceTest, ConcurrentSessionsShareOneWorkspace) {
+  // Two sessions over one workspace at once, each with its own extractor
+  // — what two `spider profile` processes on one workspace are. They sort
+  // the same attributes into the same directory under the same names,
+  // spilling, and both seal the profile.
+  auto dir = TempDir::Make("spider-profile-shared");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  WriteSpillingDump(root / "csv");
+  const std::filesystem::path pristine = root / "pristine";
+  auto imported = ImportWorkspace(root / "csv", pristine);
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  // The reference: a scratch session (temp work dir, no profile).
+  auto catalog = OpenDiskCatalog(pristine);
+  ASSERT_TRUE(catalog.ok());
+  SpiderSession scratch(std::move(*catalog));
+  RunOptions options;
+  options.approach = "spider-merge";
+  auto expected = scratch.Run(options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_TRUE(testing::ToSet(expected->run.satisfied)
+                  .contains(Ind{{"orders", "customer"}, {"customers", "id"}}));
+
+  // Small enough that every column of WriteSpillingDump spills.
+  constexpr int64_t kSortBudget = 1024;
+  for (int copy = 0; copy < 20; ++copy) {
+    SCOPED_TRACE("copy " + std::to_string(copy));
+    const std::filesystem::path workspace =
+        root / ("copy-" + std::to_string(copy));
+    std::filesystem::copy(pristine, workspace,
+                          std::filesystem::copy_options::recursive);
+    std::optional<Result<SessionReport>> second;
+    std::thread other([&] {
+      second.emplace(PersistedRun(workspace, true, kSortBudget));
+    });
+    Result<SessionReport> first = PersistedRun(workspace, true, kSortBudget);
+    other.join();
+    for (const Result<SessionReport>* report : {&first, &*second}) {
+      ASSERT_TRUE(report->ok()) << report->status().ToString();
+      EXPECT_TRUE((*report)->run.finished);
+      EXPECT_TRUE((*report)->profile_save_error.empty())
+          << (*report)->profile_save_error;
+      EXPECT_EQ((*report)->run.satisfied, expected->run.satisfied);
+    }
+    auto third = PersistedRun(workspace, true, kSortBudget);
+    ASSERT_TRUE(third.ok()) << third.status().ToString();
+    EXPECT_EQ(third->run.satisfied, expected->run.satisfied);
+    EXPECT_EQ(third->verdicts_reused,
+              static_cast<int64_t>(third->candidates.candidates.size()));
+    EXPECT_EQ(third->run.counters.sets_extracted, 0);
+    std::filesystem::remove_all(workspace);
+  }
 }
 
 // The pre-v2 text manifest for `report`'s verdicts, as the old writer

@@ -497,7 +497,7 @@ TEST(WorkspaceCacheTest, EvictedWorkspaceReopensWithPersistedProfile) {
   auto cold = (*first)->Run(options);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_GT(cold->run.counters.sets_extracted, 0);
-  const int cold_set_files = CountSetFiles(cache.SetCachePath("wsp"));
+  const int cold_set_files = CountSetFiles(cache.WorkspacePath("wsp"));
   EXPECT_GT(cold_set_files, 0);
 
   // Evict wsp, then reopen it: the new session must answer from the
@@ -511,7 +511,113 @@ TEST(WorkspaceCacheTest, EvictedWorkspaceReopensWithPersistedProfile) {
   EXPECT_TRUE(warm->profile_reused);
   EXPECT_EQ(warm->run.counters.sets_extracted, 0);
   EXPECT_EQ(warm->run.satisfied, cold->run.satisfied);
-  EXPECT_EQ(CountSetFiles(cache.SetCachePath("wsp")), cold_set_files);
+  EXPECT_EQ(CountSetFiles(cache.WorkspacePath("wsp")), cold_set_files);
+}
+
+// Appends `rows` (CSV text with a header) to table `table` of the
+// workspace at `dir`, outside any cache: the `spider import --append`
+// beside the daemon.
+void AppendRows(const std::filesystem::path& dir, const std::string& table,
+                const std::string& rows) {
+  const std::filesystem::path csv_dir = dir.string() + "-delta";
+  ASSERT_TRUE(std::filesystem::create_directories(csv_dir));
+  WriteCsv(csv_dir / (table + ".csv"), rows);
+  auto writer = DiskCatalogWriter::OpenForAppend(dir, DiskStoreOptions{});
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  auto catalog = ImportCsvDirectory(csv_dir.string(), CsvOptions{}, **writer);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  std::filesystem::remove_all(csv_dir);
+}
+
+TEST(WorkspaceCacheTest, ReopensAfterACommitFromOutsideTheCache) {
+  auto dir = TempDir::Make("spider-server-test");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  MakeWorkspace(root, "wsp");
+  WorkspaceCache cache(root);
+  auto before = cache.GetOrOpen("wsp");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  auto orders = (*before)->catalog().ResolveAttribute({"orders", "id"});
+  ASSERT_TRUE(orders.ok());
+  EXPECT_EQ((*orders)->row_count(), 3);
+
+  // Nothing committed: the same session.
+  auto same = cache.GetOrOpen("wsp");
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(*same, *before);
+
+  AppendRows(root / "wsp", "orders", "id,ref\n4,9\n5,9\n");
+  auto after = cache.GetOrOpen("wsp");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_NE(*after, *before);
+  auto grown = (*after)->catalog().ResolveAttribute({"orders", "id"});
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ((*grown)->row_count(), 5);
+  EXPECT_EQ(cache.open_session_count(), 1);
+  // The session handed out before the commit still reads the old data.
+  EXPECT_EQ((*orders)->row_count(), 3);
+
+  auto again = cache.GetOrOpen("wsp");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *after);
+
+  // A workspace whose manifest vanished is gone, cached or not.
+  std::filesystem::remove(root / "wsp" / kDiskStoreManifestName);
+  EXPECT_TRUE(cache.GetOrOpen("wsp").status().IsNotFound());
+  EXPECT_EQ(cache.open_session_count(), 0);
+}
+
+// One profiling run in a session opened the way `spider profile
+// <workspace>` opens it: in place, with a persisted profile.
+Result<SessionReport> CliRun(const std::filesystem::path& workspace,
+                             const RunOptions& options) {
+  SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> catalog,
+                          OpenDiskCatalog(workspace));
+  SessionOptions session_options;
+  session_options.work_dir = workspace.string();
+  session_options.persist_profile = true;
+  SpiderSession session(std::move(catalog), session_options);
+  return session.Run(options);
+}
+
+TEST(WorkspaceCacheTest, DaemonAndCliShareOneProfile) {
+  auto dir = TempDir::Make("spider-server-test");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  MakeWorkspace(root, "daemon_first");
+  MakeWorkspace(root, "cli_first");
+  RunOptions options;
+  options.approach = "spider-merge";
+
+  // A daemon job, then the CLI: the CLI answers from the daemon's profile.
+  {
+    WorkspaceCache cache(root);
+    auto session = cache.GetOrOpen("daemon_first");
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto daemon = (*session)->Run(options);
+    ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+    EXPECT_GT(daemon->run.counters.sets_extracted, 0);
+    auto cli = CliRun(root / "daemon_first", options);
+    ASSERT_TRUE(cli.ok()) << cli.status().ToString();
+    EXPECT_EQ(cli->verdicts_reused,
+              static_cast<int64_t>(cli->candidates.candidates.size()));
+    EXPECT_EQ(cli->run.counters.sets_extracted, 0);
+    EXPECT_EQ(cli->run.satisfied, daemon->run.satisfied);
+  }
+
+  // The CLI, then a daemon job: the daemon answers from the CLI's profile.
+  auto cli = CliRun(root / "cli_first", options);
+  ASSERT_TRUE(cli.ok()) << cli.status().ToString();
+  EXPECT_GT(cli->run.counters.sets_extracted, 0);
+  WorkspaceCache cache(root);
+  auto session = cache.GetOrOpen("cli_first");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto daemon = (*session)->Run(options);
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  EXPECT_EQ(daemon->verdicts_reused,
+            static_cast<int64_t>(daemon->candidates.candidates.size()));
+  EXPECT_EQ(daemon->run.counters.sets_extracted, 0);
+  EXPECT_EQ(daemon->run.satisfied, cli->run.satisfied);
 }
 
 TEST(WorkspaceCacheTest, ListReturnsCatalogDirsOnly) {
@@ -519,10 +625,18 @@ TEST(WorkspaceCacheTest, ListReturnsCatalogDirsOnly) {
   ASSERT_TRUE(dir.ok());
   MakeWorkspace((*dir)->path(), "beta");
   MakeWorkspace((*dir)->path(), "alpha");
-  // Neither a plain directory nor the set cache is a workspace.
+  // Neither a plain directory nor a dot-prefixed one — even holding a
+  // catalog, like an older build's leftovers — is a workspace.
   ASSERT_TRUE(std::filesystem::create_directories((*dir)->path() / "notes"));
+  MakeWorkspace((*dir)->path(), ".hidden");
   WorkspaceCache cache((*dir)->path());
-  ASSERT_TRUE(cache.GetOrOpen("alpha").ok());  // materializes .sets-alpha
+  // Profiling writes set files into alpha itself; it stays one workspace.
+  auto session = cache.GetOrOpen("alpha");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  RunOptions options;
+  options.approach = "spider-merge";
+  ASSERT_TRUE((*session)->Run(options).ok());
+  EXPECT_GT(CountSetFiles(cache.WorkspacePath("alpha")), 0);
   auto names = cache.List();
   ASSERT_TRUE(names.ok());
   EXPECT_EQ(*names, (std::vector<std::string>{"alpha", "beta"}));
@@ -575,6 +689,13 @@ ClientResponse Fetch(int port, const std::string& method,
   const size_t header_end = raw.find("\r\n\r\n");
   if (header_end != std::string::npos) out.body = raw.substr(header_end + 4);
   return out;
+}
+
+// The satisfied-IND section of a report document, through its end.
+std::string SatisfiedOf(const std::string& body) {
+  const size_t begin = body.find("\"satisfied_inds\":");
+  EXPECT_NE(begin, std::string::npos) << body;
+  return begin == std::string::npos ? body : body.substr(begin);
 }
 
 // Timings vary run to run; everything else in the document must not.
@@ -696,7 +817,7 @@ TEST_F(ServerE2eTest, ConcurrentJobsShareOneExtractorCache) {
                 .status,
             202);
   AwaitJob(1);
-  const std::filesystem::path set_dir = dir_->path() / ".sets-smoke";
+  const std::filesystem::path set_dir = dir_->path() / "smoke";
   const int after_first = CountSetFiles(set_dir);
   EXPECT_GT(after_first, 0);
 
@@ -723,13 +844,8 @@ TEST_F(ServerE2eTest, ConcurrentJobsShareOneExtractorCache) {
   ClientResponse second_report =
       Fetch(server_->port(), "GET", "/jobs/2/report");
   ClientResponse third_report = Fetch(server_->port(), "GET", "/jobs/3/report");
-  auto satisfied_of = [](const std::string& body) {
-    const size_t begin = body.find("\"satisfied_inds\":");
-    EXPECT_NE(begin, std::string::npos) << body;
-    return body.substr(begin);
-  };
-  EXPECT_EQ(satisfied_of(first_report.body), satisfied_of(second_report.body));
-  EXPECT_EQ(satisfied_of(first_report.body), satisfied_of(third_report.body));
+  EXPECT_EQ(SatisfiedOf(first_report.body), SatisfiedOf(second_report.body));
+  EXPECT_EQ(SatisfiedOf(first_report.body), SatisfiedOf(third_report.body));
   EXPECT_NE(first_report.body.find("\"profile_reused\":false"),
             std::string::npos)
       << first_report.body;
@@ -739,6 +855,53 @@ TEST_F(ServerE2eTest, ConcurrentJobsShareOneExtractorCache) {
     EXPECT_NE(warm->body.find("\"sets_extracted\":0"), std::string::npos)
         << warm->body;
   }
+}
+
+TEST_F(ServerE2eTest, ProfileAfterAppendJobSeesTheAppendedRows) {
+  const std::string profile_body =
+      "{\"workspace\":\"smoke\",\"approach\":\"spider-merge\"}";
+  // Open and warm the workspace's session before the append.
+  ASSERT_EQ(Fetch(server_->port(), "POST", "/jobs", profile_body).status, 202);
+  AwaitJob(1);
+  ClientResponse before = Fetch(server_->port(), "GET", "/jobs/1/report");
+  ASSERT_EQ(before.status, 200) << before.body;
+  EXPECT_NE(SatisfiedOf(before.body).find("\"orders.ref\""),
+            std::string::npos)
+      << before.body;
+
+  // orders.ref gains a value customers.id lacks.
+  const std::filesystem::path delta = dir_->path() / "delta";
+  ASSERT_TRUE(std::filesystem::create_directories(delta));
+  WriteCsv(delta / "orders.csv", "id,ref\n4,9\n");
+  ClientResponse append = Fetch(
+      server_->port(), "POST", "/jobs",
+      "{\"op\":\"import\",\"workspace\":\"smoke\",\"append\":true,"
+      "\"source\":\"" +
+          JsonWriter::Escape(delta.string()) + "\"}");
+  ASSERT_EQ(append.status, 202) << append.body;
+  ClientResponse appended = AwaitJob(2);
+  ASSERT_NE(appended.body.find("\"state\":\"finished\""), std::string::npos)
+      << appended.body;
+
+  ASSERT_EQ(Fetch(server_->port(), "POST", "/jobs", profile_body).status, 202);
+  AwaitJob(3);
+  ClientResponse after = Fetch(server_->port(), "GET", "/jobs/3/report");
+  ASSERT_EQ(after.status, 200) << after.body;
+
+  // The daemon reports what a fresh session over the grown workspace
+  // finds.
+  auto catalog = OpenDiskCatalog(dir_->path() / "smoke");
+  ASSERT_TRUE(catalog.ok());
+  SpiderSession session(**catalog);
+  RunOptions options;
+  options.approach = "spider-merge";
+  auto direct = session.Run(options);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(SatisfiedOf(after.body),
+            SatisfiedOf(SessionReportToJson(*direct, ReportJsonContext{})));
+  EXPECT_EQ(SatisfiedOf(after.body).find("\"orders.ref\""),
+            std::string::npos)
+      << after.body;
 }
 
 TEST_F(ServerE2eTest, InvalidOptionErrorsMatchTheCliParser) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "src/common/temp_dir.h"
 #include "src/extsort/sorted_set_file.h"
@@ -110,6 +114,50 @@ TEST_F(SortedSetFileTest, OpenMissingFileFails) {
   EXPECT_TRUE(SortedSetReader::Open(dir_->FilePath("missing.set"))
                   .status()
                   .IsIOError());
+}
+
+// Names in the test directory, sorted.
+std::vector<std::string> ListDir(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::vector<std::string> ReadAll(const std::filesystem::path& path) {
+  std::vector<std::string> values;
+  auto reader = SortedSetReader::Open(path);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  if (!reader.ok()) return values;
+  while ((*reader)->HasNext()) values.push_back((*reader)->Next());
+  EXPECT_TRUE((*reader)->status().ok());
+  return values;
+}
+
+TEST_F(SortedSetFileTest, FinishPublishesTheNewFileWhole) {
+  // A set file in a shared workspace is replaced while other readers may
+  // open it: until Finish() they must still see the earlier complete file.
+  const std::filesystem::path path = WriteSet({"old"}, "x.set");
+  auto writer = SortedSetWriter::Create(path);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->Append("new-a").ok());
+  ASSERT_TRUE((*writer)->Append("new-b").ok());
+  EXPECT_EQ(ReadAll(path), (std::vector<std::string>{"old"}));
+  ASSERT_TRUE((*writer)->Finish().ok());
+  EXPECT_EQ(ReadAll(path), (std::vector<std::string>{"new-a", "new-b"}));
+  EXPECT_EQ(ListDir(dir_->path()), (std::vector<std::string>{"x.set"}));
+
+  // A writer dropped before Finish() leaves the published file alone and
+  // removes its temp file.
+  {
+    auto abandoned = SortedSetWriter::Create(path);
+    ASSERT_TRUE(abandoned.ok());
+    ASSERT_TRUE((*abandoned)->Append("never").ok());
+  }
+  EXPECT_EQ(ReadAll(path), (std::vector<std::string>{"new-a", "new-b"}));
+  EXPECT_EQ(ListDir(dir_->path()), (std::vector<std::string>{"x.set"}));
 }
 
 TEST_F(SortedSetFileTest, ValuesWithEmbeddedNewlines) {

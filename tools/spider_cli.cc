@@ -2,13 +2,13 @@
 //
 // Usage:
 //   spider profile <csv_dir|workspace> [--kind=ind|ucc|fd|afd]
-//                            [--approach=NAME]
-//                            [--backend=memory|disk] [--workspace=DIR]
+//                            [--approach=NAME] [--backend=memory|disk]
 //                            [--max-value-pretest]
 //                            [--sampling-pretest] [--sigma=S]
 //                            [--error=E] [--max-lhs=K]
 //                            [--time-budget=S] [--threads=N] [--progress]
-//                            [--no-block-skip] [--json]
+//                            [--no-block-skip] [--no-profile-cache]
+//                            [--json]
 //   spider import <csv_dir> --workspace=DIR [--backend=memory|disk]
 //                           [--block-bytes=N] [--append]
 //   spider discover <csv_dir|workspace> [--approach=NAME]
@@ -47,7 +47,8 @@
 // an already-imported workspace (auto-detected via its manifest). With
 // --backend=disk a CSV dump is streamed through the disk store first —
 // peak memory stays bounded by storage-block buffers regardless of dump
-// size — into --workspace (or a temp directory for this run only).
+// size — into a temp workspace for this run only. Only `import` creates a
+// workspace: `profile` and `discover` reject --workspace (exit 2).
 //
 // Ctrl-C (SIGINT) cancels a running profile cooperatively: the run stops
 // at the next poll and the partial finished=false report is still printed.
@@ -58,10 +59,12 @@
 // baseline).
 //
 // Profiling an imported workspace persists its profile next to the data
-// (sorted set files plus spider_profile.manifest): a rerun reuses every
-// set file and verdict whose fingerprints still verify and revalidates
-// only candidates whose columns changed since. --no-profile-cache runs
-// from scratch in a temp workspace instead (docs/CLI.md).
+// (sorted set files plus spider_profile.manifest), in the same directory
+// spiderd profiles that workspace in: a rerun — or a daemon job — reuses
+// every set file and verdict whose fingerprints still verify and
+// revalidates only candidates whose columns changed since.
+// --no-profile-cache reuses and records no verdict, so every candidate is
+// verified again; set files that verify are still reused (docs/CLI.md).
 
 #include <atomic>
 #include <csignal>
@@ -150,13 +153,13 @@ int Usage() {
       << "usage:\n"
          "  spider profile <csv_dir|workspace> [--kind=ind|ucc|fd|afd]\n"
          "                           [--approach=NAME]\n"
-         "                           [--backend=memory|disk] "
-         "[--workspace=DIR]\n"
+         "                           [--backend=memory|disk]\n"
          "                           [--max-value-pretest]\n"
          "                           [--sampling-pretest] [--sigma=S]\n"
          "                           [--error=E] [--max-lhs=K]\n"
          "                           [--time-budget=S] [--threads=N]\n"
-         "                           [--no-block-skip] [--progress] [--json]\n"
+         "                           [--no-block-skip] [--no-profile-cache]\n"
+         "                           [--progress] [--json]\n"
          "  spider import <csv_dir> --workspace=DIR "
          "[--backend=memory|disk]\n"
          "                          [--block-bytes=N] [--append]\n"
@@ -273,14 +276,14 @@ RunOptions MakeRunOptions(const Flags& flags) {
   return options;
 }
 
-// A catalog plus whatever keeps its backing storage alive (a temp disk
-// workspace when --backend=disk ran without --workspace).
+// A catalog plus whatever keeps its backing storage alive (the temp disk
+// workspace a --backend=disk run streams a CSV dump through).
 struct LoadedCatalog {
   std::unique_ptr<Catalog> catalog;
   std::unique_ptr<TempDir> temp_workspace;
-  /// Non-empty when the catalog lives in a durable disk workspace the user
-  /// named: the profile (set files + spider_profile.manifest) persists
-  /// there across runs. Temp workspaces stay empty — persisting into a
+  /// Non-empty when the argument was an imported workspace: `profile`
+  /// keeps the profile (set files + spider_profile.manifest) there, where
+  /// spiderd keeps it too. A temp workspace stays empty — persisting into a
   /// directory that dies with the process buys nothing.
   std::string workspace_dir;
 };
@@ -293,7 +296,8 @@ DiskStoreOptions MakeDiskOptions(const Flags& flags) {
 
 // Resolves a data-directory argument: an existing disk-store workspace
 // reopens directly; a CSV dump loads into memory, or — with
-// --backend=disk — streams through a DiskCatalogWriter first.
+// --backend=disk — streams through a DiskCatalogWriter into a temp
+// workspace first.
 Result<LoadedCatalog> LoadCatalog(const std::string& dir, const Flags& flags) {
   LoadedCatalog loaded;
   if (IsDiskCatalogDir(dir)) {
@@ -302,29 +306,14 @@ Result<LoadedCatalog> LoadCatalog(const std::string& dir, const Flags& flags) {
     return loaded;
   }
   if (flags.backend == StorageBackend::kDisk) {
-    // A workspace imported by an earlier run reopens directly — the "pay
-    // the parse once" workflow; delete the directory to force a reimport.
-    if (!flags.workspace.empty() && IsDiskCatalogDir(flags.workspace)) {
-      std::cerr << "note: reusing imported workspace " << flags.workspace
-                << " (delete it to reimport " << dir << ")\n";
-      SPIDER_ASSIGN_OR_RETURN(loaded.catalog,
-                              OpenDiskCatalog(flags.workspace));
-      loaded.workspace_dir = flags.workspace;
-      return loaded;
-    }
-    std::filesystem::path workspace = flags.workspace;
-    if (workspace.empty()) {
-      SPIDER_ASSIGN_OR_RETURN(loaded.temp_workspace,
-                              TempDir::Make("spider-workspace"));
-      workspace = loaded.temp_workspace->path();
-    } else {
-      loaded.workspace_dir = flags.workspace;
-    }
+    SPIDER_ASSIGN_OR_RETURN(loaded.temp_workspace,
+                            TempDir::Make("spider-workspace"));
     const std::string name =
         std::filesystem::path(dir).filename().string();
     SPIDER_ASSIGN_OR_RETURN(
         std::unique_ptr<DiskCatalogWriter> writer,
-        DiskCatalogWriter::Create(workspace, name, MakeDiskOptions(flags)));
+        DiskCatalogWriter::Create(loaded.temp_workspace->path(), name,
+                                  MakeDiskOptions(flags)));
     SPIDER_ASSIGN_OR_RETURN(loaded.catalog,
                             ImportCsvDirectory(dir, CsvOptions{}, *writer));
     return loaded;
@@ -407,10 +396,10 @@ int RunProfile(const Flags& flags) {
   InstallSigintHandler();
   // A durable workspace profiles in place: sorted sets and the profile
   // manifest land next to spider_store.manifest, so the next run (or a
-  // spiderd restart) reuses them. --no-profile-cache keeps the scratch
-  // temp-dir behavior.
+  // spiderd job) reuses them. --no-profile-cache only stops verdict reuse
+  // and recording inside the session, as it does in spiderd.
   SessionOptions session_options;
-  if (!catalog->workspace_dir.empty() && flags.run.profile_cache) {
+  if (!catalog->workspace_dir.empty()) {
     session_options.work_dir = catalog->workspace_dir;
     session_options.persist_profile = true;
   }
@@ -536,6 +525,14 @@ int main(int argc, char** argv) {
   if (command == "version" || command == "--version") return RunVersion();
   Flags flags = ParseFlags(argc, argv, 2);
   if (!flags.ok) return 2;
+  if ((command == "profile" || command == "discover") &&
+      !flags.workspace.empty()) {
+    std::cerr << "--workspace belongs to `spider import`: import the dump "
+                 "once with `spider import <csv_dir> --workspace=DIR`, then "
+                 "run `spider "
+              << command << " DIR`\n";
+    return 2;
+  }
   if (command == "profile") return RunProfile(flags);
   if (command == "import") return RunImport(flags);
   if (command == "discover") return RunDiscover(flags);
