@@ -1,6 +1,7 @@
 #include "src/common/file_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -68,6 +69,21 @@ std::filesystem::path UniqueTempPath(const std::filesystem::path& final_path) {
   std::filesystem::path temp = final_path;
   temp += ".tmp-" + std::to_string(::getpid()) + "-" + std::to_string(n);
   return temp;
+}
+
+std::optional<FileIdentity> StatFileIdentity(
+    const std::filesystem::path& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) {
+    return std::nullopt;
+  }
+  FileIdentity identity;
+  identity.device = static_cast<uint64_t>(st.st_dev);
+  identity.inode = static_cast<uint64_t>(st.st_ino);
+  identity.size = static_cast<int64_t>(st.st_size);
+  identity.mtime_sec = static_cast<int64_t>(st.st_mtim.tv_sec);
+  identity.mtime_nsec = static_cast<int64_t>(st.st_mtim.tv_nsec);
+  return identity;
 }
 
 }  // namespace spider

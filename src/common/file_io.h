@@ -1,6 +1,7 @@
 // File-descriptor helpers for the sorted-set and column-store I/O paths:
-// descriptor ownership, positioned reads, best-effort page-cache hints and
-// the unique temp names that writers publish through a rename.
+// descriptor ownership, positioned reads, best-effort page-cache hints,
+// the unique temp names that writers publish through a rename, and file
+// identities that tell a file from its replacement.
 //
 // posix_fadvise is advisory: every function here degrades to a no-op on
 // platforms (or filesystems) that do not support the hint, so callers never
@@ -15,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 namespace spider {
@@ -71,5 +73,25 @@ bool PreadExact(int fd, uint64_t offset, char* dst, size_t len);
 /// complete new one, never a half-written one. The name never ends in the
 /// final path's extension (a `.set` scan skips it).
 std::filesystem::path UniqueTempPath(const std::filesystem::path& final_path);
+
+/// What tells a file apart from its replacement at the same path. A writer
+/// that publishes by rename always changes the inode; size and mtime tell
+/// apart a later file that happens to reuse a freed inode number.
+struct FileIdentity {
+  uint64_t device = 0;
+  uint64_t inode = 0;
+  int64_t size = 0;
+  int64_t mtime_sec = 0;
+  int64_t mtime_nsec = 0;
+  // Spelled out: bench/e2e includes this header as C++17.
+  bool operator==(const FileIdentity& other) const {
+    return device == other.device && inode == other.inode &&
+           size == other.size && mtime_sec == other.mtime_sec &&
+           mtime_nsec == other.mtime_nsec;
+  }
+};
+
+/// The identity of the regular file at `path`; nullopt when there is none.
+std::optional<FileIdentity> StatFileIdentity(const std::filesystem::path& path);
 
 }  // namespace spider

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "src/common/file_io.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 
@@ -24,6 +25,18 @@ class TempDir {
   static Result<std::unique_ptr<TempDir>> Make(const std::string& prefix,
                                                const std::string& parent = "");
 
+  /// Creates `<parent>/<prefix>.tmp-<pid>-<n>` (UniqueTempPath) inside a
+  /// directory that other processes share, and holds an exclusive flock on
+  /// it until destruction. Files its owner keeps in `parent` itself are
+  /// named `<that name>.<anything>`. Every sibling `<prefix>.tmp-*`
+  /// directory whose lock is free is removed first, with its files: its
+  /// owner died without cleaning up (a flock dies with its process), so a
+  /// killed run's half-written files do not pile up in the shared
+  /// directory.
+  [[nodiscard]]
+  static Result<std::unique_ptr<TempDir>> MakeShared(
+      const std::filesystem::path& parent, const std::string& prefix);
+
   ~TempDir();
 
   TempDir(const TempDir&) = delete;
@@ -41,9 +54,12 @@ class TempDir {
   void Keep() { keep_ = true; }
 
  private:
-  explicit TempDir(std::filesystem::path path) : path_(std::move(path)) {}
+  explicit TempDir(std::filesystem::path path, ScopedFd lock = ScopedFd())
+      : path_(std::move(path)), lock_(std::move(lock)) {}
 
   std::filesystem::path path_;
+  /// MakeShared's flock on the directory; released after the removal.
+  ScopedFd lock_;
   bool keep_ = false;
 };
 

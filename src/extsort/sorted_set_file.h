@@ -77,9 +77,6 @@ class SortedSetWriter {
 
   ~SortedSetWriter();
 
-  SortedSetWriter(const SortedSetWriter&) = delete;
-  SortedSetWriter& operator=(const SortedSetWriter&) = delete;
-
   /// Appends `value`; fails with InvalidArgument if ordering is violated.
   [[nodiscard]]
   Status Append(std::string_view value);

@@ -55,6 +55,15 @@ ValueSetExtractor::ValueSetExtractor(fs::path output_dir,
   }
 }
 
+Result<fs::path> ValueSetExtractor::ScratchDir() {
+  MutexLock lock(&scratch_mutex_);
+  if (scratch_ == nullptr) {
+    SPIDER_ASSIGN_OR_RETURN(scratch_,
+                            TempDir::MakeShared(output_dir_, ".extract"));
+  }
+  return scratch_->path();
+}
+
 std::optional<SortedSetInfo> ValueSetExtractor::TryReuse(
     const std::string& file_name, uint64_t source_fingerprint) {
   std::optional<ProfileSetEntry> entry = profile_->FindSet(file_name);
@@ -62,14 +71,17 @@ std::optional<SortedSetInfo> ValueSetExtractor::TryReuse(
     return std::nullopt;  // never extracted, or the source data changed
   }
   const fs::path path = output_dir_ / file_name;
-  std::error_code ec;
-  const auto on_disk = fs::file_size(path, ec);
-  if (ec || static_cast<int64_t>(on_disk) != entry->file_bytes) {
+  const std::optional<FileIdentity> identity = StatFileIdentity(path);
+  if (!identity || identity->size != entry->file_bytes) {
     return std::nullopt;  // deleted or truncated — recompute
   }
   Result<uint64_t> content = ProfileStore::FileFingerprint(path);
   if (!content.ok() || *content != entry->content_fingerprint) {
-    return std::nullopt;  // bit rot / torn write — recompute
+    return std::nullopt;  // bit rot, or another commit's bytes — recompute
+  }
+  {
+    MutexLock lock(&mutex_);
+    served_[file_name] = ServedSet{*identity, *content};
   }
   SortedSetInfo info;
   info.path = path;
@@ -82,31 +94,50 @@ std::optional<SortedSetInfo> ValueSetExtractor::TryReuse(
 
 void ValueSetExtractor::RecordSet(const SortedSetInfo& info,
                                   const std::string& file_name,
-                                  uint64_t source_fingerprint) {
-  std::error_code ec;
-  const auto on_disk = fs::file_size(info.path, ec);
-  if (ec) return;
-  Result<uint64_t> content = ProfileStore::FileFingerprint(info.path);
-  if (!content.ok()) return;
+                                  uint64_t source_fingerprint,
+                                  const ServedSet& served) {
   ProfileSetEntry entry;
   entry.file_name = file_name;
-  entry.file_bytes = static_cast<int64_t>(on_disk);
-  entry.content_fingerprint = *content;
+  entry.file_bytes = served.identity.size;
+  entry.content_fingerprint = served.content_fingerprint;
   entry.source_fingerprint = source_fingerprint;
   entry.distinct_count = info.distinct_count;
   entry.block_count = info.block_count;
   entry.min_value = info.min_value;
   entry.max_value = info.max_value;
   profile_->PutSet(std::move(entry));
+  MutexLock lock(&mutex_);
+  served_[file_name] = served;
+}
+
+Status ValueSetExtractor::CheckSetsUnchanged() const {
+  std::vector<std::pair<std::string, ServedSet>> served;
+  {
+    MutexLock lock(&mutex_);
+    served.assign(served_.begin(), served_.end());
+  }
+  for (const auto& [file_name, set] : served) {
+    const fs::path path = output_dir_ / file_name;
+    if (StatFileIdentity(path) == set.identity) continue;
+    Result<uint64_t> content = ProfileStore::FileFingerprint(path);
+    if (content.ok() && *content == set.content_fingerprint) continue;
+    return Status::IOError(
+        "set file " + path.string() +
+        " changed during the run: another run over this directory, at "
+        "another commit of the workspace, replaced it");
+  }
+  return Status::OK();
 }
 
 Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
-    ValueCursor& cursor, const std::string& file_name) {
+    ValueCursor& cursor, const std::string& file_name,
+    std::optional<uint64_t> source_fingerprint) {
+  SPIDER_ASSIGN_OR_RETURN(const fs::path scratch, ScratchDir());
   ExternalSorterOptions sorter_options;
   sorter_options.memory_budget_bytes = options_.sort_memory_budget_bytes;
-  sorter_options.spill_dir = output_dir_;
-  // Spill runs carry the set file's name, which tells a directory listing
-  // whose they are; the sorter adds a suffix that keeps them unique.
+  sorter_options.spill_dir = scratch;
+  // Spill runs carry the set file's name, which tells a listing whose they
+  // are.
   sorter_options.run_prefix = file_name;
   sorter_options.set_writer = options_.set_writer;
   ExternalSorter sorter(sorter_options);
@@ -120,7 +151,36 @@ Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
     SPIDER_RETURN_NOT_OK(sorter.Add(std::string(value)));
   }
   SPIDER_RETURN_NOT_OK(cursor.status());
-  return sorter.WriteSortedSet(output_dir_ / file_name);
+  // Staged under a name of this extractor's own, beside the final one: a
+  // rename within one directory is cheaper than one between two, and the
+  // name, `<scratch dir>.<file_name>`, tells the sweep of a killed run's
+  // scratch directory that the file is the dead run's too.
+  const fs::path staged =
+      output_dir_ / (scratch.filename().string() + "." + file_name);
+  SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info, sorter.WriteSortedSet(staged));
+  // Fingerprinted where no other run can reach it, so the profile records
+  // these bytes even if another run publishes its own under the same name
+  // right after. Best effort: an unreadable file is simply not recorded.
+  std::optional<ServedSet> served;
+  if (source_fingerprint) {
+    const std::optional<FileIdentity> identity = StatFileIdentity(staged);
+    Result<uint64_t> content = ProfileStore::FileFingerprint(staged);
+    if (identity && content.ok()) served = ServedSet{*identity, *content};
+  }
+  info.path = output_dir_ / file_name;
+  std::error_code ec;
+  fs::rename(staged, info.path, ec);
+  if (ec) {
+    const Status failed = Status::IOError("cannot publish set file " +
+                                          info.path.string() + ": " +
+                                          ec.message());
+    fs::remove(staged, ec);  // best effort
+    return failed;
+  }
+  // The rename keeps the inode, size and mtime, so `served` names the
+  // published file until another run replaces it.
+  if (served) RecordSet(info, file_name, *source_fingerprint, *served);
+  return info;
 }
 
 Result<SortedSetInfo> ValueSetExtractor::DoExtract(
@@ -139,9 +199,8 @@ Result<SortedSetInfo> ValueSetExtractor::DoExtract(
   SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<ValueCursor> cursor,
                           column->OpenCursor());
   SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
-                          SortCursorToSet(*cursor, file_name));
+                          SortCursorToSet(*cursor, file_name, source_fp));
   sets_extracted_.fetch_add(1, std::memory_order_relaxed);
-  if (source_fp) RecordSet(info, file_name, *source_fp);
   return info;
 }
 
@@ -180,9 +239,8 @@ Result<SortedSetInfo> ValueSetExtractor::DoExtractComposite(
   SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<ValueCursor> cursor,
                           OpenCompositeCursor(catalog, attributes));
   SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
-                          SortCursorToSet(*cursor, file_name));
+                          SortCursorToSet(*cursor, file_name, source_fp));
   sets_extracted_.fetch_add(1, std::memory_order_relaxed);
-  if (source_fp) RecordSet(info, file_name, *source_fp);
   return info;
 }
 

@@ -18,8 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/common/mutex.h"
 #include "src/common/result.h"
+#include "src/common/temp_dir.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
 #include "src/extsort/external_sorter.h"
@@ -56,9 +58,11 @@ struct ValueSetExtractorOptions {
 /// regardless of thread interleaving.
 class ValueSetExtractor {
  public:
-  /// `output_dir` must exist; one ".set" file per attribute is created
-  /// inside it (plus transient spill runs and temp files during sorting,
-  /// each uniquely named, so other processes may share the directory).
+  /// `output_dir` must exist; one ".set" file per attribute is published
+  /// inside it. Spill runs live in this extractor's own `.extract.tmp-*`
+  /// scratch directory under it (TempDir::MakeShared, created at the first
+  /// sort), unpublished sets beside it under names that start with the
+  /// scratch directory's, so other processes may share `output_dir`.
   ValueSetExtractor(std::filesystem::path output_dir,
                     ValueSetExtractorOptions options = {});
 
@@ -112,6 +116,17 @@ class ValueSetExtractor {
     return profile_ == nullptr ? Status::OK() : profile_->Save();
   }
 
+  /// Confirms that every set file this extractor recorded in or reused
+  /// from the profile still holds the bytes it recorded. Another run over
+  /// the same directory — at another commit of the workspace — may have
+  /// published its own bytes under the same name since; a run that read
+  /// the file may then have read data that is not its own. IOError then,
+  /// naming the file. One stat per set; a set whose identity changed is
+  /// fingerprinted again, so a replacement with equal bytes (a concurrent
+  /// run at the same commit) passes. OK without a profile.
+  [[nodiscard]]
+  Status CheckSetsUnchanged() const SPIDER_EXCLUDES(mutex_);
+
   /// Monotonic counters: sets sorted fresh vs. reused from the persisted
   /// profile since construction. Sessions diff them around a run to report
   /// per-run work.
@@ -152,11 +167,26 @@ class ValueSetExtractor {
     return composite_cache_;
   }
 
-  /// Streams one cursor's non-NULL values through an ExternalSorter into
-  /// `file_name` under the output dir.
+  /// The bytes a set file held when this extractor recorded or reused it.
+  struct ServedSet {
+    FileIdentity identity;
+    uint64_t content_fingerprint = 0;
+  };
+
+  /// This extractor's scratch directory, created (and stale ones swept) on
+  /// first use.
   [[nodiscard]]
-  Result<SortedSetInfo> SortCursorToSet(ValueCursor& cursor,
-                                        const std::string& file_name);
+  Result<std::filesystem::path> ScratchDir() SPIDER_EXCLUDES(scratch_mutex_);
+
+  /// Streams one cursor's non-NULL values through an ExternalSorter into a
+  /// set file staged under this extractor's own name and publishes it as
+  /// `file_name` under the output dir. With a `source_fingerprint` the set
+  /// is recorded in the profile, fingerprinted before it is published:
+  /// what is recorded is always this extractor's own bytes.
+  [[nodiscard]]
+  Result<SortedSetInfo> SortCursorToSet(
+      ValueCursor& cursor, const std::string& file_name,
+      std::optional<uint64_t> source_fingerprint);
 
   /// Returns the recorded set for `file_name` when its profile entry's
   /// source fingerprint matches and the on-disk bytes still verify;
@@ -164,10 +194,9 @@ class ValueSetExtractor {
   std::optional<SortedSetInfo> TryReuse(const std::string& file_name,
                                         uint64_t source_fingerprint);
 
-  /// Records a fresh extraction in the profile (fingerprints the new file;
-  /// best-effort — an unreadable file is simply not recorded).
+  /// Records a fresh extraction in the profile and in served_.
   void RecordSet(const SortedSetInfo& info, const std::string& file_name,
-                 uint64_t source_fingerprint);
+                 uint64_t source_fingerprint, const ServedSet& served);
 
   std::filesystem::path output_dir_;
   ValueSetExtractorOptions options_;
@@ -176,7 +205,11 @@ class ValueSetExtractor {
   std::unique_ptr<ProfileStore> profile_;
   std::atomic<int64_t> sets_extracted_{0};
   std::atomic<int64_t> sets_reused_{0};
+  Mutex scratch_mutex_;
+  std::unique_ptr<TempDir> scratch_ SPIDER_GUARDED_BY(scratch_mutex_);
   mutable Mutex mutex_;
+  /// Recorded or reused sets by file name, for CheckSetsUnchanged().
+  std::map<std::string, ServedSet> served_ SPIDER_GUARDED_BY(mutex_);
   /// Completed or in-flight extractions. shared_future so that concurrent
   /// requesters of the same attribute all wait on one extraction. Only the
   /// map is guarded — waiting on a future happens outside the lock.

@@ -493,6 +493,12 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
                             algorithm->Run(*catalog_, *to_verify, context));
   }
 
+  // The algorithm read set files from a directory that other runs may
+  // share. If one was replaced mid-run by a run at another commit, this
+  // run may have read that run's bytes: fail, recording nothing.
+  if (config.extractor != nullptr && !to_verify->empty()) {
+    SPIDER_RETURN_NOT_OK(config.extractor->CheckSetsUnchanged());
+  }
   if (delta_eligible && report->run.finished && !to_verify->empty()) {
     // Only finished runs decide every submitted candidate; a budget- or
     // cancellation-truncated satisfied set must not be remembered as
@@ -601,6 +607,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
       SPIDER_ASSIGN_OR_RETURN(
           report.nary_run,
           algorithm->Run(*catalog_, report.run.satisfied, context));
+      if (sets != nullptr) SPIDER_RETURN_NOT_OK(sets->CheckSetsUnchanged());
       fold_extraction(report.nary_run.counters);
     }
   } else if (verifier == nullptr) {
@@ -616,6 +623,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
     context.progress = options.progress;
     SPIDER_ASSIGN_OR_RETURN(report.dependency,
                             algorithm->Run(*catalog_, context));
+    if (sets != nullptr) SPIDER_RETURN_NOT_OK(sets->CheckSetsUnchanged());
     fold_extraction(report.dependency.counters);
   }
   report.profile_reused = report.verdicts_reused > 0 ||

@@ -1,8 +1,7 @@
 #include "src/server/workspace_cache.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
+#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -25,22 +24,6 @@ std::filesystem::path WorkspaceCache::WorkspacePath(
   return root_ / name;
 }
 
-std::optional<WorkspaceCache::ManifestIdentity> WorkspaceCache::StatManifest(
-    const std::filesystem::path& dir) {
-  struct stat st;
-  const std::filesystem::path manifest = dir / kDiskStoreManifestName;
-  if (::stat(manifest.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) {
-    return std::nullopt;
-  }
-  ManifestIdentity identity;
-  identity.device = static_cast<uint64_t>(st.st_dev);
-  identity.inode = static_cast<uint64_t>(st.st_ino);
-  identity.size = static_cast<int64_t>(st.st_size);
-  identity.mtime_sec = static_cast<int64_t>(st.st_mtim.tv_sec);
-  identity.mtime_nsec = static_cast<int64_t>(st.st_mtim.tv_nsec);
-  return identity;
-}
-
 Result<std::shared_ptr<SpiderSession>> WorkspaceCache::GetOrOpen(
     const std::string& name) {
   if (!ValidName(name)) {
@@ -48,7 +31,8 @@ Result<std::shared_ptr<SpiderSession>> WorkspaceCache::GetOrOpen(
   }
   const std::filesystem::path dir = WorkspacePath(name);
   MutexLock lock(&mutex_);
-  const std::optional<ManifestIdentity> manifest = StatManifest(dir);
+  const std::optional<FileIdentity> manifest =
+      StatFileIdentity(dir / kDiskStoreManifestName);
   auto it = sessions_.find(name);
   if (it != sessions_.end()) {
     if (manifest == it->second.manifest) {

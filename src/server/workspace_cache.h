@@ -28,10 +28,10 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/common/mutex.h"
 #include "src/common/result.h"
 #include "src/common/thread_annotations.h"
@@ -80,30 +80,13 @@ class WorkspaceCache {
   const std::filesystem::path& root() const { return root_; }
 
  private:
-  /// One commit of a workspace: the identity of its spider_store.manifest.
-  /// A commit renames a freshly written manifest over the old one while
-  /// the old file still holds its inode, so a commit always changes the
-  /// inode; size and mtime tell apart a later manifest that happens to
-  /// reuse an older one's inode.
-  struct ManifestIdentity {
-    uint64_t device = 0;
-    uint64_t inode = 0;
-    int64_t size = 0;
-    int64_t mtime_sec = 0;
-    int64_t mtime_nsec = 0;
-    bool operator==(const ManifestIdentity&) const = default;
-  };
-
-  /// The identity of `dir`'s manifest; nullopt when there is no regular
-  /// manifest file (not, or no longer, a workspace).
-  static std::optional<ManifestIdentity> StatManifest(
-      const std::filesystem::path& dir);
-
   struct Entry {
     std::shared_ptr<SpiderSession> session;
     /// The manifest the session's catalog was opened from, stat'ed before
-    /// the open: a commit racing the open only costs one extra reopen.
-    ManifestIdentity manifest;
+    /// the open: a commit racing the open only costs one extra reopen. A
+    /// commit renames a freshly written manifest over the old one while
+    /// the old file still holds its inode, so every commit changes this.
+    FileIdentity manifest;
     /// Logical timestamp of the last GetOrOpen hit (monotonic counter, not
     /// wall clock — eviction only needs relative order).
     uint64_t last_used = 0;

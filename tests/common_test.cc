@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/file.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 
@@ -337,6 +341,57 @@ TEST(TempDirTest, KeepPreservesDirectory) {
   }
   EXPECT_TRUE(std::filesystem::exists(path));
   std::filesystem::remove_all(path);
+}
+
+TEST(TempDirTest, MakeSharedSweepsOnlyOrphanedSiblings) {
+  namespace fs = std::filesystem;
+  auto parent = TempDir::Make("spider-shared");
+  ASSERT_TRUE(parent.ok());
+  const fs::path root = (*parent)->path();
+  // A killed owner's directory, and a file it kept beside it: nobody
+  // holds the directory's lock.
+  ASSERT_TRUE(fs::create_directories(root / "x.tmp-1-0" / "sub"));
+  std::ofstream(root / "x.tmp-1-0" / "run.spill.tmp-1-3") << "half-written";
+  std::ofstream(root / "x.tmp-1-0.a.set.tmp-1-4") << "half-written";
+  // A live owner's directory and file: its lock is held.
+  ASSERT_TRUE(fs::create_directory(root / "x.tmp-2-0"));
+  std::ofstream(root / "x.tmp-2-0.b.set") << "being written";
+  ScopedFd held(::open((root / "x.tmp-2-0").c_str(), O_RDONLY | O_DIRECTORY));
+  ASSERT_GE(held.get(), 0);
+  ASSERT_EQ(::flock(held.get(), LOCK_EX | LOCK_NB), 0);
+  // Neither another prefix nor a plain file is a scratch directory, and a
+  // longer name is not the orphan's.
+  ASSERT_TRUE(fs::create_directory(root / "y.tmp-1-0"));
+  std::ofstream(root / "x.tmp-3-0") << "not a directory";
+  std::ofstream(root / "x.tmp-1-01.c") << "another owner's";
+
+  fs::path first_path;
+  {
+    auto first = TempDir::MakeShared(root, "x");
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    first_path = (*first)->path();
+    EXPECT_EQ(first_path.parent_path(), root);
+    EXPECT_EQ(first_path.filename().string().rfind("x.tmp-", 0), 0u);
+    EXPECT_FALSE(fs::exists(root / "x.tmp-1-0"));
+    EXPECT_FALSE(fs::exists(root / "x.tmp-1-0.a.set.tmp-1-4"));
+    EXPECT_TRUE(fs::is_directory(root / "x.tmp-2-0"));
+    EXPECT_TRUE(fs::is_regular_file(root / "x.tmp-2-0.b.set"));
+    EXPECT_TRUE(fs::is_directory(root / "y.tmp-1-0"));
+    EXPECT_TRUE(fs::is_regular_file(root / "x.tmp-3-0"));
+    EXPECT_TRUE(fs::is_regular_file(root / "x.tmp-1-01.c"));
+    // A second owner in the same process sweeps around the first.
+    auto second = TempDir::MakeShared(root, "x");
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_NE((*second)->path(), first_path);
+    EXPECT_TRUE(fs::is_directory(first_path));
+  }
+  EXPECT_FALSE(fs::exists(first_path));
+  // Once its owner lets go, the live owner's directory is an orphan too.
+  held.Reset();
+  auto third = TempDir::MakeShared(root, "x");
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_FALSE(fs::exists(root / "x.tmp-2-0"));
+  EXPECT_FALSE(fs::exists(root / "x.tmp-2-0.b.set"));
 }
 
 // -------------------------------------------------------------- Counters

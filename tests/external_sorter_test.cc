@@ -154,6 +154,10 @@ TEST_F(ExternalSorterTest, RunPrefixKeepsSortersInOneDirApart) {
     std::sort(b_values.begin(), b_values.end());
     EXPECT_EQ(a_info->distinct_count, 100);
     EXPECT_EQ(b_info->distinct_count, 100);
+    EXPECT_EQ(*a_info->min_value, a_values.front());
+    EXPECT_EQ(*b_info->min_value, b_values.front());
+    EXPECT_EQ(*a_info->max_value, a_values.back());
+    EXPECT_EQ(*b_info->max_value, b_values.back());
     EXPECT_EQ(ReadAll(a_info->path), a_values);
     EXPECT_EQ(ReadAll(b_info->path), b_values);
   }

@@ -20,6 +20,7 @@
 #include "src/common/hash.h"
 #include "src/common/temp_dir.h"
 #include "src/extsort/profile_store.h"
+#include "src/extsort/value_set_extractor.h"
 #include "src/ind/report_json.h"
 #include "src/ind/session.h"
 #include "src/storage/csv.h"
@@ -284,6 +285,12 @@ TEST(ProfilePersistenceTest, ConcurrentSessionsShareOneWorkspace) {
         root / ("copy-" + std::to_string(copy));
     std::filesystem::copy(pristine, workspace,
                           std::filesystem::copy_options::recursive);
+    // What a run killed mid-extraction leaves: its scratch directory with
+    // a spill run in it, and a half-written set beside it.
+    const std::filesystem::path orphan = workspace / ".extract.tmp-1-0";
+    ASSERT_TRUE(std::filesystem::create_directory(orphan));
+    WriteFile(orphan / "orders.set-0.spill.tmp-1-1", "spill");
+    WriteFile(workspace / ".extract.tmp-1-0.orders.set.tmp-1-2", "half");
     std::optional<Result<SessionReport>> second;
     std::thread other([&] {
       second.emplace(PersistedRun(workspace, true, kSortBudget));
@@ -303,8 +310,71 @@ TEST(ProfilePersistenceTest, ConcurrentSessionsShareOneWorkspace) {
     EXPECT_EQ(third->verdicts_reused,
               static_cast<int64_t>(third->candidates.candidates.size()));
     EXPECT_EQ(third->run.counters.sets_extracted, 0);
+    // The orphan was swept and every run cleaned up after itself.
+    for (const auto& entry : std::filesystem::directory_iterator(workspace)) {
+      EXPECT_EQ(entry.path().filename().string().find(".tmp-"),
+                std::string::npos)
+          << entry.path();
+    }
     std::filesystem::remove_all(workspace);
   }
+}
+
+TEST(ProfilePersistenceTest, SetReplacedByAnotherCommitFailsTheRun) {
+  // Runs at two commits of one workspace publish different bytes under
+  // one set-file name. A run whose set was replaced after it was served
+  // may have read the other commit's values: it must neither return nor
+  // record them.
+  auto dir = TempDir::Make("spider-profile-replaced");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  WriteDump(root / "csv");
+  const std::filesystem::path workspace = root / "wsp";
+  auto imported = ImportWorkspace(root / "csv", workspace);
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  auto catalog = OpenDiskCatalog(workspace);
+  ASSERT_TRUE(catalog.ok());
+  SessionOptions session_options;
+  session_options.work_dir = workspace.string();
+  session_options.persist_profile = true;
+  SpiderSession session(std::move(*catalog), session_options);
+  RunOptions options;
+  options.approach = "spider-merge";
+  auto cold = session.Run(options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  // Every later run of this session verifies again from the sets it was
+  // served, recording nothing.
+  options.profile_cache = false;
+  const std::filesystem::path set =
+      workspace / ValueSetExtractor::SetFileName({"orders", "customer"});
+  auto replace_with = [&](const std::filesystem::path& source) {
+    const std::filesystem::path staged = workspace / "staged.tmp-0-0";
+    std::filesystem::copy_file(source, staged);
+    std::filesystem::rename(staged, set);
+  };
+  // Equal bytes under a new inode: a concurrent run at the same commit.
+  replace_with(set);
+  auto same = session.Run(options);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(same->run.satisfied, cold->run.satisfied);
+
+  // Other bytes: orders.customer's set now holds customers.city's values.
+  replace_with(workspace /
+               ValueSetExtractor::SetFileName({"customers", "city"}));
+  auto replaced = session.Run(options);
+  ASSERT_FALSE(replaced.ok());
+  EXPECT_TRUE(replaced.status().IsIOError()) << replaced.status().ToString();
+  EXPECT_NE(replaced.status().ToString().find(set.filename().string()),
+            std::string::npos)
+      << replaced.status().ToString();
+
+  // The profile recorded the bytes the cold run wrote, so a fresh session
+  // that reads the sets re-extracts the foreign one instead of reusing it.
+  auto fresh = PersistedRun(workspace, /*profile_cache=*/false);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->run.satisfied, cold->run.satisfied);
+  EXPECT_EQ(fresh->run.counters.sets_extracted, 1);
 }
 
 // The pre-v2 text manifest for `report`'s verdicts, as the old writer
