@@ -29,6 +29,15 @@ struct IndRunResult {
   bool finished = true;
 };
 
+/// IndRunResult on the id path: the satisfied candidates as id pairs over
+/// the attribute table the run was given.
+struct IdRunResult {
+  std::vector<AttributePair> satisfied;
+  RunCounters counters;
+  double seconds = 0;
+  bool finished = true;
+};
+
 /// \brief Interface implemented by all IND verification approaches: the
 /// three SQL statements (join / minus / not in), the two database-
 /// external algorithms (brute force / single pass), and the implemented
@@ -38,16 +47,25 @@ class IndAlgorithm {
   virtual ~IndAlgorithm() = default;
 
   /// Tests every candidate against the catalog's data and returns the
-  /// satisfied INDs. Candidates must reference existing attributes. The
-  /// context carries the unified run controls — time budget, cancellation
-  /// and progress — which every implementation honors.
+  /// satisfied ones, by id. `attributes[id]` names each id the candidates
+  /// use; every named attribute must exist. The context carries the
+  /// unified run controls — time budget, cancellation and progress — which
+  /// every implementation honors.
   [[nodiscard]]
-  virtual Result<IndRunResult> Run(const Catalog& catalog,
-                                   const std::vector<IndCandidate>& candidates,
-                                   RunContext& context) = 0;
+  virtual Result<IdRunResult> Run(const Catalog& catalog,
+                                  const std::vector<AttributeRef>& attributes,
+                                  const std::vector<AttributePair>& candidates,
+                                  RunContext& context) = 0;
 
-  /// Convenience overload: unbounded run with no callbacks. Derived
-  /// classes re-expose it with `using IndAlgorithm::Run;`.
+  /// Adapter for candidates by name: interns their attributes into a local
+  /// table, runs the id path and names the satisfied INDs. Derived classes
+  /// re-expose it with `using IndAlgorithm::Run;`.
+  [[nodiscard]]
+  Result<IndRunResult> Run(const Catalog& catalog,
+                           const std::vector<IndCandidate>& candidates,
+                           RunContext& context);
+
+  /// Convenience overload: unbounded run with no callbacks.
   [[nodiscard]]
   Result<IndRunResult> Run(const Catalog& catalog,
                            const std::vector<IndCandidate>& candidates) {

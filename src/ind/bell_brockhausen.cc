@@ -1,6 +1,6 @@
 #include "src/ind/bell_brockhausen.h"
 
-#include <map>
+#include <optional>
 
 #include "src/common/logging.h"
 #include "src/common/stopwatch.h"
@@ -11,42 +11,41 @@
 
 namespace spider {
 
-Result<IndRunResult> BellBrockhausenAlgorithm::Run(
-    const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    RunContext& context) {
-  IndRunResult result;
+Result<IdRunResult> BellBrockhausenAlgorithm::Run(
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, RunContext& context) {
+  IdRunResult result;
   Stopwatch watch;
   watch.Start();
   context.Begin(static_cast<int64_t>(candidates.size()));
 
-  std::map<AttributeRef, ColumnStats> stats;
-  auto stats_for = [&](const AttributeRef& attr) -> Result<const ColumnStats*> {
-    auto it = stats.find(attr);
-    if (it == stats.end()) {
+  // Range statistics, computed on an attribute's first range pretest.
+  std::vector<std::optional<ColumnStats>> stats(attributes.size());
+  auto stats_for = [&](AttributeId attr) -> Result<const ColumnStats*> {
+    std::optional<ColumnStats>& entry = stats[attr];
+    if (!entry.has_value()) {
       SPIDER_ASSIGN_OR_RETURN(const Column* column,
-                              catalog.ResolveAttribute(attr));
-      it = stats.emplace(attr, ComputeColumnStats(*column)).first;
+                              catalog.ResolveAttribute(attributes[attr]));
+      entry = ComputeColumnStats(*column);
     }
-    return &it->second;
+    return &*entry;
   };
 
   TransitivityPruner pruner;
-  for (const IndCandidate& candidate : candidates) {
+  for (const AttributePair& candidate : candidates) {
     if (context.ShouldStop()) {
       result.finished = false;
       break;
     }
+    const AttributeRef& dependent = attributes[candidate.dependent];
+    const AttributeRef& referenced = attributes[candidate.referenced];
 
     // Transitivity: skip candidates whose outcome is already implied.
     if (options_.use_transitivity) {
-      std::optional<bool> known =
-          pruner.Known(candidate.dependent, candidate.referenced);
+      std::optional<bool> known = pruner.Known(dependent, referenced);
       if (known.has_value()) {
         ++result.counters.candidates_pretest_pruned;
-        if (*known) {
-          result.satisfied.push_back(
-              Ind{candidate.dependent, candidate.referenced});
-        }
+        if (*known) result.satisfied.push_back(candidate);
         context.Step();
         continue;
       }
@@ -66,7 +65,7 @@ Result<IndRunResult> BellBrockhausenAlgorithm::Run(
       if (out_of_range) {
         ++result.counters.candidates_pretest_pruned;
         if (options_.use_transitivity) {
-          pruner.AddRefuted(candidate.dependent, candidate.referenced);
+          pruner.AddRefuted(dependent, referenced);
         }
         context.Step();
         continue;
@@ -75,22 +74,19 @@ Result<IndRunResult> BellBrockhausenAlgorithm::Run(
 
     // The SQL join test (paper Fig. 2).
     SPIDER_ASSIGN_OR_RETURN(const Column* dep,
-                            catalog.ResolveAttribute(candidate.dependent));
+                            catalog.ResolveAttribute(dependent));
     SPIDER_ASSIGN_OR_RETURN(const Column* ref,
-                            catalog.ResolveAttribute(candidate.referenced));
+                            catalog.ResolveAttribute(referenced));
     ++result.counters.candidates_tested;
     SPIDER_ASSIGN_OR_RETURN(
         const int64_t matched,
         engine::HashJoinMatchCount(*dep, *ref, &result.counters));
     const bool satisfied = matched == dep->non_null_count();
     if (satisfied) {
-      result.satisfied.push_back(
-          Ind{candidate.dependent, candidate.referenced});
-      if (options_.use_transitivity) {
-        pruner.AddSatisfied(candidate.dependent, candidate.referenced);
-      }
+      result.satisfied.push_back(candidate);
+      if (options_.use_transitivity) pruner.AddSatisfied(dependent, referenced);
     } else if (options_.use_transitivity) {
-      pruner.AddRefuted(candidate.dependent, candidate.referenced);
+      pruner.AddRefuted(dependent, referenced);
     }
     context.Step();
   }

@@ -59,39 +59,36 @@ Result<bool> TestCandidateBruteForce(const SortedSetInfo& dep,
   return satisfied;
 }
 
-Result<IndRunResult> BruteForceAlgorithm::Run(
-    const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    RunContext& context) {
-  IndRunResult result;
+Result<IdRunResult> BruteForceAlgorithm::Run(
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, RunContext& context) {
+  IdRunResult result;
   Stopwatch watch;
   watch.Start();
   context.Begin(static_cast<int64_t>(candidates.size()));
 
-  for (const IndCandidate& candidate : candidates) {
+  for (const AttributePair& candidate : candidates) {
     if (context.ShouldStop()) {
       result.finished = false;
       break;
     }
+    const AttributeRef& dependent = attributes[candidate.dependent];
+    const AttributeRef& referenced = attributes[candidate.referenced];
     if (options_.transitivity != nullptr) {
-      std::optional<bool> known = options_.transitivity->Known(
-          candidate.dependent, candidate.referenced);
+      std::optional<bool> known =
+          options_.transitivity->Known(dependent, referenced);
       if (known.has_value()) {
         ++result.counters.candidates_pretest_pruned;
-        if (*known) {
-          result.satisfied.push_back(
-              Ind{candidate.dependent, candidate.referenced});
-        }
+        if (*known) result.satisfied.push_back(candidate);
         context.Step();
         continue;
       }
     }
 
-    SPIDER_ASSIGN_OR_RETURN(
-        SortedSetInfo dep_info,
-        config_.extractor->Extract(catalog, candidate.dependent));
-    SPIDER_ASSIGN_OR_RETURN(
-        SortedSetInfo ref_info,
-        config_.extractor->Extract(catalog, candidate.referenced));
+    SPIDER_ASSIGN_OR_RETURN(SortedSetInfo dep_info,
+                            config_.extractor->Extract(catalog, dependent));
+    SPIDER_ASSIGN_OR_RETURN(SortedSetInfo ref_info,
+                            config_.extractor->Extract(catalog, referenced));
 
     ++result.counters.candidates_tested;
     SPIDER_ASSIGN_OR_RETURN(
@@ -99,14 +96,12 @@ Result<IndRunResult> BruteForceAlgorithm::Run(
         TestCandidateBruteForce(dep_info, ref_info, &result.counters,
                                 options_.early_stop));
     if (satisfied) {
-      result.satisfied.push_back(Ind{candidate.dependent, candidate.referenced});
+      result.satisfied.push_back(candidate);
       if (options_.transitivity != nullptr) {
-        options_.transitivity->AddSatisfied(candidate.dependent,
-                                            candidate.referenced);
+        options_.transitivity->AddSatisfied(dependent, referenced);
       }
     } else if (options_.transitivity != nullptr) {
-      options_.transitivity->AddRefuted(candidate.dependent,
-                                        candidate.referenced);
+      options_.transitivity->AddRefuted(dependent, referenced);
     }
     context.Step();
   }

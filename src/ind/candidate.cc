@@ -1,12 +1,55 @@
 #include "src/ind/candidate.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace spider {
 
 std::vector<Ind> SortedInds(std::vector<Ind> inds) {
   std::sort(inds.begin(), inds.end());
   return inds;
+}
+
+InternedCandidates InternCandidates(
+    const std::vector<IndCandidate>& candidates) {
+  InternedCandidates interned;
+  std::unordered_map<AttributeRef, AttributeId, AttributeRefHash> ids;
+  auto intern = [&](const AttributeRef& attribute) {
+    const auto [it, inserted] = ids.emplace(
+        attribute, static_cast<AttributeId>(interned.attributes.size()));
+    if (inserted) interned.attributes.push_back(attribute);
+    return it->second;
+  };
+  interned.pairs.reserve(candidates.size());
+  for (const IndCandidate& candidate : candidates) {
+    const AttributeId dependent = intern(candidate.dependent);
+    interned.pairs.push_back(
+        AttributePair{dependent, intern(candidate.referenced)});
+  }
+  return interned;
+}
+
+std::vector<IndCandidate> NameCandidates(
+    const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& pairs) {
+  std::vector<IndCandidate> named;
+  named.reserve(pairs.size());
+  for (const AttributePair& pair : pairs) {
+    named.push_back(
+        IndCandidate{attributes[pair.dependent], attributes[pair.referenced]});
+  }
+  return named;
+}
+
+std::vector<Ind> NameInds(const std::vector<AttributeRef>& attributes,
+                          const std::vector<AttributePair>& pairs) {
+  std::vector<Ind> named;
+  named.reserve(pairs.size());
+  for (const AttributePair& pair : pairs) {
+    named.push_back(
+        Ind{attributes[pair.dependent], attributes[pair.referenced]});
+  }
+  return named;
 }
 
 std::string NaryInd::ToString() const {

@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,42 @@ struct Ind {
 
 /// Sorts and returns INDs (handy for deterministic test assertions).
 std::vector<Ind> SortedInds(std::vector<Ind> inds);
+
+/// Dense index of an attribute in a run's attribute table: the generator's
+/// CandidateGraph::attributes, or a table an adapter interned from names.
+using AttributeId = uint32_t;
+
+/// A unary candidate or satisfied IND "dependent ⊆ referenced" by attribute
+/// id: what the session, the partitioners and the verifiers pass around.
+/// Names are attached only at the report edge (NameInds).
+struct AttributePair {
+  AttributeId dependent = 0;
+  AttributeId referenced = 0;
+
+  friend bool operator==(const AttributePair& a, const AttributePair& b) {
+    return a.dependent == b.dependent && a.referenced == b.referenced;
+  }
+  friend bool operator<(const AttributePair& a, const AttributePair& b) {
+    if (a.dependent != b.dependent) return a.dependent < b.dependent;
+    return a.referenced < b.referenced;
+  }
+};
+
+/// Candidates given by name, re-expressed by id over a table of the
+/// attributes they name, in first-appearance order (a candidate's
+/// dependent before its referenced attribute).
+struct InternedCandidates {
+  std::vector<AttributeRef> attributes;
+  std::vector<AttributePair> pairs;
+};
+InternedCandidates InternCandidates(const std::vector<IndCandidate>& candidates);
+
+/// The pairs by name, in the same order.
+std::vector<IndCandidate> NameCandidates(
+    const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& pairs);
+std::vector<Ind> NameInds(const std::vector<AttributeRef>& attributes,
+                          const std::vector<AttributePair>& pairs);
 
 /// \brief An n-ary IND: positionally paired attribute lists. All dependent
 /// attributes come from one table, all referenced attributes from one

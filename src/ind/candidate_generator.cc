@@ -11,10 +11,9 @@ namespace spider {
 
 namespace {
 
+// What pass 2 needs of an attribute beyond its table entry.
 struct AttributeInfo {
-  AttributeRef ref;
   const Column* column;
-  ColumnStats stats;
   bool dependent_eligible = false;
   bool referenced_eligible = false;
 };
@@ -34,28 +33,29 @@ bool IsUniqueFor(const Column& column, const ColumnStats& stats,
 
 }  // namespace
 
-Result<CandidateSet> CandidateGenerator::Generate(const Catalog& catalog) const {
-  CandidateSet result;
+Result<CandidateGraph> CandidateGenerator::GenerateGraph(
+    const Catalog& catalog) const {
+  CandidateGraph result;
 
-  // Pass 1: per-attribute statistics and eligibility.
+  // Pass 1: per-attribute statistics and eligibility, indexed by id.
   std::vector<AttributeInfo> attributes;
   for (int t = 0; t < catalog.table_count(); ++t) {
     const Table& table = catalog.table(t);
     for (int c = 0; c < table.column_count(); ++c) {
       const Column& column = table.column(c);
+      const ColumnStats& stats =
+          result.stats.emplace_back(ComputeColumnStats(column));
+      result.attributes.push_back(AttributeRef{table.name(), column.name()});
       AttributeInfo info;
-      info.ref = {table.name(), column.name()};
       info.column = &column;
-      info.stats = ComputeColumnStats(column);
       // Dependent attributes: non-empty columns of any type except LOB.
       info.dependent_eligible =
-          info.stats.non_null_count > 0 && IsIndEligibleType(column.type());
+          stats.non_null_count > 0 && IsIndEligibleType(column.type());
       // Referenced attributes: non-empty unique columns.
       info.referenced_eligible =
-          info.stats.non_null_count > 0 && IsIndEligibleType(column.type()) &&
-          IsUniqueFor(column, info.stats, options_.uniqueness_source);
-      result.stats.emplace(info.ref, info.stats);
-      attributes.push_back(std::move(info));
+          stats.non_null_count > 0 && IsIndEligibleType(column.type()) &&
+          IsUniqueFor(column, stats, options_.uniqueness_source);
+      attributes.push_back(info);
     }
   }
 
@@ -63,11 +63,12 @@ Result<CandidateSet> CandidateGenerator::Generate(const Catalog& catalog) const 
   // dependent attribute; referenced value sets are hashed once per
   // referenced attribute on first use.
   Random rng(options_.sample_seed);
-  std::map<AttributeRef, std::vector<std::string>> samples;
+  std::vector<std::vector<std::string>> samples(attributes.size());
   if (options_.sampling_pretest) {
-    for (const AttributeInfo& dep : attributes) {
+    for (size_t d = 0; d < attributes.size(); ++d) {
+      const AttributeInfo& dep = attributes[d];
       if (!dep.dependent_eligible) continue;
-      std::vector<std::string> sample;
+      std::vector<std::string>& sample = samples[d];
       if (!dep.column->out_of_core()) {
         // Random access is the point of sampling; the out-of-core branch
         // below streams instead.
@@ -108,50 +109,52 @@ Result<CandidateSet> CandidateGenerator::Generate(const Catalog& catalog) const 
         }
         SPIDER_RETURN_NOT_OK((*cursor)->status());
       }
-      samples.emplace(dep.ref, std::move(sample));
     }
   }
   // Pass 2: enumerate ref × dep pairs and apply pretests in increasing
   // cost order. The loop is referenced-major so the sampling pretest's
   // hashed value set lives for exactly one referenced attribute — peak
   // pretest memory is one column, not every referenced column at once
-  // (load-bearing for out-of-core catalogs). Surviving pairs are collected
-  // as index pairs and emitted in dependent-major order afterwards, so the
-  // candidate list is byte-identical to the historical enumeration.
-  std::vector<std::pair<size_t, size_t>> surviving;  // (dep index, ref index)
+  // (load-bearing for out-of-core catalogs). Surviving pairs are then
+  // bucketed by dependent; each bucket receives its referenced ids in
+  // ascending order, so the list comes out sorted (dependent-major).
+  std::vector<AttributePair> surviving;
+  std::vector<size_t> per_dependent(attributes.size() + 1, 0);
   for (size_t r = 0; r < attributes.size(); ++r) {
     const AttributeInfo& ref = attributes[r];
     if (!ref.referenced_eligible) continue;
+    const ColumnStats& ref_stats = result.stats[r];
     std::unordered_set<std::string> ref_hash;
     bool ref_hash_built = false;
     for (size_t d = 0; d < attributes.size(); ++d) {
       const AttributeInfo& dep = attributes[d];
       if (!dep.dependent_eligible) continue;
-      if (dep.ref == ref.ref) continue;  // a ⊆ a is trivial
+      if (d == r) continue;  // a ⊆ a is trivial
       ++result.raw_pair_count;
+      const ColumnStats& dep_stats = result.stats[d];
 
       if (options_.type_pretest && dep.column->type() != ref.column->type()) {
         ++result.pruned_by_type;
         continue;
       }
       if (options_.cardinality_pretest &&
-          dep.stats.distinct_count > ref.stats.distinct_count) {
+          dep_stats.distinct_count > ref_stats.distinct_count) {
         ++result.pruned_by_cardinality;
         continue;
       }
-      if (options_.max_value_pretest && dep.stats.max_value &&
-          ref.stats.max_value && *dep.stats.max_value > *ref.stats.max_value) {
+      if (options_.max_value_pretest && dep_stats.max_value &&
+          ref_stats.max_value && *dep_stats.max_value > *ref_stats.max_value) {
         ++result.pruned_by_max_value;
         continue;
       }
-      if (options_.min_value_pretest && dep.stats.min_value &&
-          ref.stats.min_value && *dep.stats.min_value < *ref.stats.min_value) {
+      if (options_.min_value_pretest && dep_stats.min_value &&
+          ref_stats.min_value && *dep_stats.min_value < *ref_stats.min_value) {
         ++result.pruned_by_min_value;
         continue;
       }
       if (options_.sampling_pretest) {
         if (!ref_hash_built) {
-          ref_hash.reserve(static_cast<size_t>(ref.stats.non_null_count));
+          ref_hash.reserve(static_cast<size_t>(ref_stats.non_null_count));
           auto cursor = ref.column->OpenCursor();
           if (!cursor.ok()) return cursor.status();
           std::string_view view;
@@ -163,7 +166,7 @@ Result<CandidateSet> CandidateGenerator::Generate(const Catalog& catalog) const 
           ref_hash_built = true;
         }
         bool refuted = false;
-        for (const std::string& s : samples[dep.ref]) {
+        for (const std::string& s : samples[d]) {
           if (!ref_hash.contains(s)) {
             refuted = true;
             break;
@@ -175,15 +178,29 @@ Result<CandidateSet> CandidateGenerator::Generate(const Catalog& catalog) const 
         }
       }
 
-      surviving.emplace_back(d, r);
+      surviving.push_back(AttributePair{static_cast<AttributeId>(d),
+                                        static_cast<AttributeId>(r)});
+      ++per_dependent[d + 1];
     }
   }
 
-  std::sort(surviving.begin(), surviving.end());
-  result.candidates.reserve(surviving.size());
-  for (const auto& [d, r] : surviving) {
-    result.candidates.push_back(
-        IndCandidate{attributes[d].ref, attributes[r].ref});
+  for (size_t d = 1; d < per_dependent.size(); ++d) {
+    per_dependent[d] += per_dependent[d - 1];
+  }
+  result.candidates.resize(surviving.size());
+  for (const AttributePair& pair : surviving) {
+    result.candidates[per_dependent[pair.dependent]++] = pair;
+  }
+  return result;
+}
+
+Result<CandidateSet> CandidateGenerator::Generate(const Catalog& catalog) const {
+  SPIDER_ASSIGN_OR_RETURN(CandidateGraph graph, GenerateGraph(catalog));
+  CandidateSet result;
+  static_cast<PretestCounts&>(result) = graph;
+  result.candidates = NameCandidates(graph.attributes, graph.candidates);
+  for (size_t id = 0; id < graph.attributes.size(); ++id) {
+    result.stats.emplace(graph.attributes[id], std::move(graph.stats[id]));
   }
   return result;
 }

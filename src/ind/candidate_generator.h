@@ -65,10 +65,8 @@ struct CandidateGeneratorOptions {
   uint64_t sample_seed = 42;
 };
 
-/// Result of candidate generation.
-struct CandidateSet {
-  /// Surviving candidates, in deterministic (attribute) order.
-  std::vector<IndCandidate> candidates;
+/// How many raw pairs the pretests saw and how many each one eliminated.
+struct PretestCounts {
   /// Number of raw dep×ref pairs before any pretest (self-pairs excluded).
   int64_t raw_pair_count = 0;
   /// Pairs eliminated by each pretest.
@@ -77,13 +75,33 @@ struct CandidateSet {
   int64_t pruned_by_min_value = 0;
   int64_t pruned_by_type = 0;
   int64_t pruned_by_sampling = 0;
-  /// Column statistics computed along the way, reusable by callers.
-  std::map<AttributeRef, ColumnStats> stats;
 
   int64_t total_pruned() const {
     return pruned_by_cardinality + pruned_by_max_value + pruned_by_min_value +
            pruned_by_type + pruned_by_sampling;
   }
+};
+
+/// Result of candidate generation by attribute id: one attribute table and
+/// the surviving candidates as id pairs. The session runs on this form.
+struct CandidateGraph : PretestCounts {
+  /// Every attribute the generator measured, in catalog enumeration order
+  /// (tables, then columns); an attribute's index is its AttributeId.
+  std::vector<AttributeRef> attributes;
+  /// Column statistics of attributes[id], computed along the way.
+  std::vector<ColumnStats> stats;
+  /// Surviving candidates, sorted by (dependent, referenced) id: dependent-
+  /// major in catalog order.
+  std::vector<AttributePair> candidates;
+};
+
+/// Result of candidate generation by name (CandidateGenerator::Generate),
+/// materialized from the CandidateGraph for callers that want strings.
+struct CandidateSet : PretestCounts {
+  /// Surviving candidates, in deterministic (attribute) order.
+  std::vector<IndCandidate> candidates;
+  /// Column statistics computed along the way, reusable by callers.
+  std::map<AttributeRef, ColumnStats> stats;
 };
 
 /// \brief Generates IND candidates for a catalog.
@@ -93,7 +111,11 @@ class CandidateGenerator {
       : options_(options) {}
 
   /// Scans the catalog once for statistics, then produces all surviving
-  /// dep ⊆ ref candidates.
+  /// dep ⊆ ref candidates by attribute id.
+  [[nodiscard]]
+  Result<CandidateGraph> GenerateGraph(const Catalog& catalog) const;
+
+  /// GenerateGraph with every candidate and statistic keyed by name.
   [[nodiscard]]
   Result<CandidateSet> Generate(const Catalog& catalog) const;
 

@@ -1,7 +1,6 @@
 #include "src/ind/de_marchi.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -11,52 +10,40 @@
 
 namespace spider {
 
-Result<IndRunResult> DeMarchiAlgorithm::Run(
-    const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    RunContext& context) {
-  IndRunResult result;
+Result<IdRunResult> DeMarchiAlgorithm::Run(
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, RunContext& context) {
+  IdRunResult result;
   Stopwatch watch;
   watch.Start();
   context.Begin(static_cast<int64_t>(candidates.size()));
 
-  // Attribute ids for every attribute involved in any candidate.
-  std::map<AttributeRef, int> ids;
-  std::vector<AttributeRef> attrs;
-  auto id_for = [&](const AttributeRef& attr) {
-    auto it = ids.find(attr);
-    if (it != ids.end()) return it->second;
-    int id = static_cast<int>(attrs.size());
-    attrs.push_back(attr);
-    ids.emplace(attr, id);
-    return id;
-  };
-  // cand_refs[d] = referenced attribute ids still viable for dependent d.
-  std::vector<std::vector<int>> cand_refs;
-  for (const IndCandidate& candidate : candidates) {
-    int dep = id_for(candidate.dependent);
-    int ref = id_for(candidate.referenced);
-    if (static_cast<size_t>(dep) >= cand_refs.size() ||
-        static_cast<size_t>(ref) >= cand_refs.size()) {
-      cand_refs.resize(attrs.size());
-    }
-    auto& refs = cand_refs[static_cast<size_t>(dep)];
-    if (std::find(refs.begin(), refs.end(), ref) == refs.end()) {
-      refs.push_back(ref);
-    }
+  // cand_refs[d] = referenced attribute ids still viable for dependent d,
+  // sorted and distinct; `named` marks every attribute a candidate names.
+  std::vector<std::vector<AttributeId>> cand_refs(attributes.size());
+  std::vector<bool> named(attributes.size(), false);
+  for (const AttributePair& candidate : candidates) {
+    cand_refs[candidate.dependent].push_back(candidate.referenced);
+    named[candidate.dependent] = true;
+    named[candidate.referenced] = true;
     ++result.counters.candidates_tested;
   }
-  cand_refs.resize(attrs.size());
+  for (std::vector<AttributeId>& refs : cand_refs) {
+    std::sort(refs.begin(), refs.end());
+    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  }
 
   // Preprocessing: the inverted index value -> sorted attribute-id list.
   // A stop during indexing decides nothing: finished=false, no INDs.
-  std::unordered_map<std::string, std::vector<int>> index;
-  for (size_t a = 0; a < attrs.size(); ++a) {
+  std::unordered_map<std::string, std::vector<AttributeId>> index;
+  for (AttributeId a = 0; a < attributes.size(); ++a) {
+    if (!named[a]) continue;
     if (context.ShouldStop()) {
       result.finished = false;
       break;
     }
     SPIDER_ASSIGN_OR_RETURN(const Column* column,
-                            catalog.ResolveAttribute(attrs[a]));
+                            catalog.ResolveAttribute(attributes[a]));
     SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<ValueCursor> cursor,
                             column->OpenCursor());
     std::string_view view;
@@ -64,10 +51,8 @@ Result<IndRunResult> DeMarchiAlgorithm::Run(
          step = cursor->Next(&view)) {
       if (step == CursorStep::kNull) continue;
       ++result.counters.tuples_read;
-      std::vector<int>& entry = index[std::string(view)];
-      if (entry.empty() || entry.back() != static_cast<int>(a)) {
-        entry.push_back(static_cast<int>(a));
-      }
+      std::vector<AttributeId>& entry = index[std::string(view)];
+      if (entry.empty() || entry.back() != a) entry.push_back(a);
     }
     SPIDER_RETURN_NOT_OK(cursor->status());
   }
@@ -76,8 +61,8 @@ Result<IndRunResult> DeMarchiAlgorithm::Run(
   // Per dependent attribute: intersect the candidate set with the index
   // entry of every value. A dependent's survivors are confirmed only once
   // all its values are scanned, so the budget is polled between dependents.
-  for (size_t d = 0; result.finished && d < attrs.size(); ++d) {
-    std::vector<int>& refs = cand_refs[d];
+  for (AttributeId d = 0; result.finished && d < attributes.size(); ++d) {
+    std::vector<AttributeId>& refs = cand_refs[d];
     if (refs.empty()) continue;
     if (context.ShouldStop()) {
       result.finished = false;
@@ -87,7 +72,7 @@ Result<IndRunResult> DeMarchiAlgorithm::Run(
     // survive the intersections (satisfied) or get erased (refuted).
     const int64_t decided_here = static_cast<int64_t>(refs.size());
     SPIDER_ASSIGN_OR_RETURN(const Column* column,
-                            catalog.ResolveAttribute(attrs[d]));
+                            catalog.ResolveAttribute(attributes[d]));
     SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<ValueCursor> cursor,
                             column->OpenCursor());
     std::string_view view;
@@ -95,24 +80,22 @@ Result<IndRunResult> DeMarchiAlgorithm::Run(
          step = cursor->Next(&view)) {
       if (refs.empty()) break;  // every candidate of d refuted
       if (step == CursorStep::kNull) continue;
-      const std::vector<int>& containing = index.at(std::string(view));
+      const std::vector<AttributeId>& containing =
+          index.at(std::string(view));
       ++result.counters.comparisons;
       // refs := refs ∩ containing (both small; containing is sorted).
       refs.erase(std::remove_if(refs.begin(), refs.end(),
-                                [&](int r) {
+                                [&](AttributeId r) {
                                   return !std::binary_search(
                                       containing.begin(), containing.end(), r);
                                 }),
                  refs.end());
     }
     SPIDER_RETURN_NOT_OK(cursor->status());
-    for (int r : refs) {
-      result.satisfied.push_back(Ind{attrs[d], attrs[static_cast<size_t>(r)]});
-    }
+    for (AttributeId r : refs) result.satisfied.push_back(AttributePair{d, r});
     context.Step(decided_here);
   }
 
-  std::sort(result.satisfied.begin(), result.satisfied.end());
   result.seconds = watch.ElapsedSeconds();
   return result;
 }

@@ -23,9 +23,10 @@ class DeMarchiAlgorithm final : public IndAlgorithm {
  public:
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IndRunResult> Run(const Catalog& catalog,
-                           const std::vector<IndCandidate>& candidates,
-                           RunContext& context) override;
+  Result<IdRunResult> Run(const Catalog& catalog,
+                          const std::vector<AttributeRef>& attributes,
+                          const std::vector<AttributePair>& candidates,
+                          RunContext& context) override;
 
   std::string_view name() const override { return "de-marchi"; }
 

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <optional>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/mutex.h"
@@ -156,94 +152,42 @@ Result<ResolvedRun> ResolveRun(const RunOptions& options) {
   return run;
 }
 
-// The run's attribute table: every attribute the generator measured,
-// under a dense index, with the stats fingerprint its verdicts are keyed
-// by. Built once per run; candidates then resolve by one hash lookup per
-// side.
-class RunAttributes {
- public:
-  static constexpr uint32_t kMissing = std::numeric_limits<uint32_t>::max();
-
-  explicit RunAttributes(const std::map<AttributeRef, ColumnStats>& stats) {
-    index_.reserve(stats.size());
-    keys_.reserve(stats.size());
-    for (const auto& [attribute, column_stats] : stats) {
-      index_.emplace(attribute, static_cast<uint32_t>(keys_.size()));
-      keys_.push_back(ProfileStore::SideKey{
-          &attribute, ProfileStore::StatsFingerprint(column_stats)});
-    }
-  }
-
-  /// The index of `attribute`, or kMissing when it has no statistics.
-  uint32_t Find(const AttributeRef& attribute) const {
-    const auto it = index_.find(attribute);
-    return it == index_.end() ? kMissing : it->second;
-  }
-
-  /// Index i's attribute and fingerprint, for resolving sides.
-  const std::vector<ProfileStore::SideKey>& keys() const { return keys_; }
-
-  static uint64_t Pack(uint32_t dependent, uint32_t referenced) {
-    return (uint64_t{dependent} << 32) | referenced;
-  }
-
- private:
-  std::unordered_map<AttributeRef, uint32_t, AttributeRefHash> index_;
-  std::vector<ProfileStore::SideKey> keys_;
-};
-
 }  // namespace
 
 Status ValidateRunOptions(const RunOptions& options) {
   return ResolveRun(options).status();
 }
 
-std::vector<std::vector<IndCandidate>> PartitionCandidatesByComponent(
-    const std::vector<IndCandidate>& candidates) {
-  std::map<AttributeRef, size_t> attr_ids;
-  auto id_for = [&attr_ids](const AttributeRef& attr) {
-    return attr_ids.emplace(attr, attr_ids.size()).first->second;
-  };
-  std::vector<std::pair<size_t, size_t>> edges;
-  edges.reserve(candidates.size());
-  for (const IndCandidate& candidate : candidates) {
-    edges.emplace_back(id_for(candidate.dependent),
-                       id_for(candidate.referenced));
+std::vector<std::vector<AttributePair>> PartitionCandidatesByComponent(
+    size_t attribute_count, const std::vector<AttributePair>& candidates) {
+  UnionFind components(attribute_count);
+  for (const AttributePair& candidate : candidates) {
+    components.Union(candidate.dependent, candidate.referenced);
   }
 
-  UnionFind components(attr_ids.size());
-  for (const auto& [dep, ref] : edges) components.Union(dep, ref);
-
   // Partitions in order of first appearance; candidates keep input order.
-  std::vector<std::vector<IndCandidate>> partitions;
-  std::map<size_t, size_t> root_to_partition;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const size_t root = components.Find(edges[i].first);
-    auto [it, inserted] = root_to_partition.emplace(root, partitions.size());
-    if (inserted) partitions.emplace_back();
-    partitions[it->second].push_back(candidates[i]);
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  std::vector<size_t> partition_of_root(attribute_count, kNone);
+  std::vector<std::vector<AttributePair>> partitions;
+  for (const AttributePair& candidate : candidates) {
+    size_t& partition = partition_of_root[components.Find(candidate.dependent)];
+    if (partition == kNone) {
+      partition = partitions.size();
+      partitions.emplace_back();
+    }
+    partitions[partition].push_back(candidate);
   }
   return partitions;
 }
 
-std::vector<std::vector<IndCandidate>> SplitPartitionsForParallelism(
-    std::vector<std::vector<IndCandidate>> partitions, size_t target) {
-  while (partitions.size() < target) {
-    size_t largest = 0;
-    for (size_t i = 1; i < partitions.size(); ++i) {
-      if (partitions[i].size() > partitions[largest].size()) largest = i;
-    }
-    if (partitions[largest].size() < 2 * kMinSplitPartition) break;
-    std::vector<IndCandidate>& whole = partitions[largest];
-    const size_t half = whole.size() / 2;
-    std::vector<IndCandidate> back(
-        std::make_move_iterator(whole.begin() + static_cast<ptrdiff_t>(half)),
-        std::make_move_iterator(whole.end()));
-    whole.resize(half);
-    // Inserting right after the front half keeps the concatenation of all
-    // partitions equal to the input candidate order.
-    partitions.insert(partitions.begin() + static_cast<ptrdiff_t>(largest) + 1,
-                      std::move(back));
+std::vector<std::vector<IndCandidate>> PartitionCandidatesByComponent(
+    const std::vector<IndCandidate>& candidates) {
+  const InternedCandidates interned = InternCandidates(candidates);
+  std::vector<std::vector<IndCandidate>> partitions;
+  for (const std::vector<AttributePair>& partition :
+       PartitionCandidatesByComponent(interned.attributes.size(),
+                                      interned.pairs)) {
+    partitions.push_back(NameCandidates(interned.attributes, partition));
   }
   return partitions;
 }
@@ -279,12 +223,13 @@ Result<ValueSetExtractor*> SpiderSession::extractor() {
   return extractor_.get();
 }
 
-Result<IndRunResult> SpiderSession::RunParallel(
+Result<IdRunResult> SpiderSession::RunParallel(
     const RunOptions& options, const std::string& approach,
-    const AlgorithmConfig& config, const std::vector<IndCandidate>& candidates,
-    ThreadPool& pool, const Stopwatch& run_watch, SessionReport* report) {
-  std::vector<std::vector<IndCandidate>> partitions =
-      PartitionCandidatesByComponent(candidates);
+    const AlgorithmConfig& config, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, ThreadPool& pool,
+    const Stopwatch& run_watch, SessionReport* report) {
+  std::vector<std::vector<AttributePair>> partitions =
+      PartitionCandidatesByComponent(attributes.size(), candidates);
   // A collapsed candidate graph (few components) would idle most workers;
   // oversubscribing the pool slightly lets it balance uneven partitions.
   const size_t threads = static_cast<size_t>(pool.size());
@@ -304,18 +249,17 @@ Result<IndRunResult> SpiderSession::RunParallel(
   // partitions — the per-attribute sorts dominate and parallelize
   // regardless of how the verification phase partitions.
   if (config.extractor != nullptr) {
-    std::set<AttributeRef> seen;
-    std::vector<AttributeRef> attributes;
-    for (const IndCandidate& candidate : candidates) {
-      if (seen.insert(candidate.dependent).second) {
-        attributes.push_back(candidate.dependent);
-      }
-      if (seen.insert(candidate.referenced).second) {
-        attributes.push_back(candidate.referenced);
+    std::vector<bool> named(attributes.size(), false);
+    std::vector<AttributeRef> to_extract;
+    for (const AttributePair& candidate : candidates) {
+      for (const AttributeId id : {candidate.dependent, candidate.referenced}) {
+        if (named[id]) continue;
+        named[id] = true;
+        to_extract.push_back(attributes[id]);
       }
     }
     SPIDER_RETURN_NOT_OK(
-        config.extractor->ExtractAll(*catalog_, attributes, &pool).status());
+        config.extractor->ExtractAll(*catalog_, to_extract, &pool).status());
   }
 
   // Progress aggregation: per-partition contexts report partition-local
@@ -338,7 +282,7 @@ Result<IndRunResult> SpiderSession::RunParallel(
     // No worker can race yet; locked anyway so the guarded-field invariant
     // holds unconditionally (uncontended locks are cheap).
     MutexLock lock(&aggregator.mutex);
-    for (const std::vector<IndCandidate>& partition : partitions) {
+    for (const std::vector<AttributePair>& partition : partitions) {
       aggregator.total += static_cast<int64_t>(partition.size());
     }
   }
@@ -349,11 +293,11 @@ Result<IndRunResult> SpiderSession::RunParallel(
   BindRunControls(options, run_watch, batch_context);
   batch_context.Begin(static_cast<int64_t>(partitions.size()));
   SPIDER_ASSIGN_OR_RETURN(
-      BatchOutcome<Ind> outcome,
-      RunBatch<Ind>(
+      BatchOutcome<AttributePair> outcome,
+      RunBatch<AttributePair>(
           &pool, partitions.size(), batch_context,
-          [&](size_t i) -> Result<BatchOutcome<Ind>> {
-            const std::vector<IndCandidate>& partition = partitions[i];
+          [&](size_t i) -> Result<BatchOutcome<AttributePair>> {
+            const std::vector<AttributePair>& partition = partitions[i];
             SPIDER_ASSIGN_OR_RETURN(
                 std::unique_ptr<IndAlgorithm> algorithm,
                 AlgorithmRegistry::Global().Create(approach, config));
@@ -379,9 +323,9 @@ Result<IndRunResult> SpiderSession::RunParallel(
                   };
             }
             SPIDER_ASSIGN_OR_RETURN(
-                IndRunResult result,
-                algorithm->Run(*catalog_, partition, context));
-            BatchOutcome<Ind> partial;
+                IdRunResult result,
+                algorithm->Run(*catalog_, attributes, partition, context));
+            BatchOutcome<AttributePair> partial;
             partial.found = std::move(result.satisfied);
             partial.counters = result.counters;
             partial.finished = result.finished;
@@ -390,7 +334,7 @@ Result<IndRunResult> SpiderSession::RunParallel(
 
   // Folded in partition order; peak_open_files is the concurrent
   // high-water bound over the partitions (ApplyConcurrentPeakBound).
-  IndRunResult merged;
+  IdRunResult merged;
   merged.satisfied = std::move(outcome.found);
   merged.counters = outcome.counters;
   merged.finished = outcome.finished;
@@ -406,8 +350,11 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
                                   bool* verdicts_recorded) {
   const double generation_start = run_watch.ElapsedSeconds();
   CandidateGenerator generator(options.generator);
-  SPIDER_ASSIGN_OR_RETURN(report->candidates, generator.Generate(*catalog_));
+  SPIDER_ASSIGN_OR_RETURN(report->candidates,
+                          generator.GenerateGraph(*catalog_));
   report->generation_seconds = run_watch.ElapsedSeconds() - generation_start;
+  const std::vector<AttributeRef>& attributes = report->candidates.attributes;
+  const std::vector<AttributePair>& candidates = report->candidates.candidates;
 
   // Delta revalidation against the persisted profile: a verdict remembered
   // under the exact statistics both attributes still carry holds for any
@@ -418,53 +365,41 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
       config.extractor != nullptr ? config.extractor->profile() : nullptr;
   const bool delta_eligible =
       profile != nullptr && options.profile_cache && options.min_coverage >= 1.0;
-  const std::vector<IndCandidate>& candidates = report->candidates.candidates;
   // What the algorithm decides: every candidate, or — when the profile
-  // answered some — a copy of the rest.
-  const std::vector<IndCandidate>* to_verify = &candidates;
-  std::vector<IndCandidate> unanswered;
-  std::vector<Ind> reused_inds;
-  // Run attribute indices of each candidate in `*to_verify` (delta runs
-  // only), so recording needs no second name lookup.
-  std::vector<std::pair<uint32_t, uint32_t>> to_verify_attributes;
-  std::optional<RunAttributes> attributes;
-  std::vector<ProfileStore::SideId> sides;  // by run attribute index
+  // answered some — a copy of the rest. Either way a subsequence of the
+  // generator's list, so sorted by id pair.
+  const std::vector<AttributePair>* to_verify = &candidates;
+  std::vector<AttributePair> unanswered;
+  std::vector<AttributePair> satisfied;  // reused from the profile, then all
+  std::vector<ProfileStore::SideId> sides;  // by attribute id
   if (delta_eligible) {
-    // Each distinct attribute is fingerprinted and resolved against the
-    // profile once; per candidate that leaves one name lookup per side and
-    // one id-pair lookup, all pairs under one store lock.
-    attributes.emplace(report->candidates.stats);
-    sides = profile->InternSides(attributes->keys());
+    // Each attribute is fingerprinted and resolved against the profile
+    // once; per candidate that leaves one id-pair lookup, all pairs under
+    // one store lock.
+    std::vector<ProfileStore::SideKey> keys;
+    keys.reserve(attributes.size());
+    for (size_t id = 0; id < attributes.size(); ++id) {
+      keys.push_back(ProfileStore::SideKey{
+          &attributes[id],
+          ProfileStore::StatsFingerprint(report->candidates.stats[id])});
+    }
+    sides = profile->InternSides(keys);
     std::vector<std::pair<ProfileStore::SideId, ProfileStore::SideId>> pairs;
-    to_verify_attributes.reserve(candidates.size());
     pairs.reserve(candidates.size());
-    auto side_of = [&sides](uint32_t index) {
-      return index == RunAttributes::kMissing ? ProfileStore::kNoSide
-                                              : sides[index];
-    };
-    for (const IndCandidate& candidate : candidates) {
-      const uint32_t dependent = attributes->Find(candidate.dependent);
-      const uint32_t referenced = attributes->Find(candidate.referenced);
-      to_verify_attributes.emplace_back(dependent, referenced);
-      pairs.emplace_back(side_of(dependent), side_of(referenced));
+    for (const AttributePair& candidate : candidates) {
+      pairs.emplace_back(sides[candidate.dependent],
+                         sides[candidate.referenced]);
     }
     const std::vector<std::optional<bool>> verdicts =
         profile->FindVerdicts(pairs);
-    size_t kept = 0;
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (!verdicts[i].has_value()) {
-        to_verify_attributes[kept++] = to_verify_attributes[i];
-        continue;
-      }
+      if (!verdicts[i].has_value()) continue;
       ++report->verdicts_reused;
-      if (*verdicts[i]) {
-        reused_inds.push_back(
-            Ind{candidates[i].dependent, candidates[i].referenced});
-      }
+      if (*verdicts[i]) satisfied.push_back(candidates[i]);
     }
-    to_verify_attributes.resize(kept);
-    if (kept < candidates.size()) {
-      unanswered.reserve(kept);
+    if (report->verdicts_reused > 0) {
+      unanswered.reserve(candidates.size() -
+                         static_cast<size_t>(report->verdicts_reused));
       for (size_t i = 0; i < candidates.size(); ++i) {
         if (!verdicts[i].has_value()) unanswered.push_back(candidates[i]);
       }
@@ -475,22 +410,22 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
 
   const bool parallel = pool != nullptr && to_verify->size() >= 2;
   report->threads_used = parallel ? pool->size() : 1;
-  if (to_verify->empty()) {
-    // Everything was answered from the profile (or there were no
-    // candidates): report->run stays at its finished, zero-work default.
-  } else if (parallel) {
-    SPIDER_ASSIGN_OR_RETURN(report->run,
-                            RunParallel(options, verifier.name, config,
-                                        *to_verify, *pool, run_watch, report));
-  } else {
+  // Everything answered from the profile (or no candidates) leaves the run
+  // at its finished, zero-work default.
+  IdRunResult verified;
+  if (parallel) {
+    SPIDER_ASSIGN_OR_RETURN(
+        verified, RunParallel(options, verifier.name, config, attributes,
+                              *to_verify, *pool, run_watch, report));
+  } else if (!to_verify->empty()) {
     SPIDER_ASSIGN_OR_RETURN(
         std::unique_ptr<IndAlgorithm> algorithm,
         AlgorithmRegistry::Global().Create(verifier.name, config));
     RunContext context;
     BindRunControls(options, run_watch, context);
     context.progress = options.progress;
-    SPIDER_ASSIGN_OR_RETURN(report->run,
-                            algorithm->Run(*catalog_, *to_verify, context));
+    SPIDER_ASSIGN_OR_RETURN(
+        verified, algorithm->Run(*catalog_, attributes, *to_verify, context));
   }
 
   // The algorithm read set files from a directory that other runs may
@@ -499,37 +434,48 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
   if (config.extractor != nullptr && !to_verify->empty()) {
     SPIDER_RETURN_NOT_OK(config.extractor->CheckSetsUnchanged());
   }
-  if (delta_eligible && report->run.finished && !to_verify->empty()) {
+  if (delta_eligible && verified.finished && !to_verify->empty()) {
     // Only finished runs decide every submitted candidate; a budget- or
     // cancellation-truncated satisfied set must not be remembered as
-    // "unsatisfied". Membership is tested on run attribute index pairs.
-    std::unordered_set<uint64_t> satisfied;
-    satisfied.reserve(report->run.satisfied.size());
-    for (const Ind& ind : report->run.satisfied) {
-      satisfied.insert(RunAttributes::Pack(attributes->Find(ind.dependent),
-                                           attributes->Find(ind.referenced)));
-    }
+    // "unsatisfied". Both lists sorted by id pair: one merge decides each.
+    std::sort(verified.satisfied.begin(), verified.satisfied.end());
     std::vector<ProfileStore::SideVerdict> verdicts;
-    verdicts.reserve(to_verify_attributes.size());
-    for (const auto& [dependent, referenced] : to_verify_attributes) {
-      if (dependent == RunAttributes::kMissing ||
-          referenced == RunAttributes::kMissing) {
-        continue;
-      }
+    verdicts.reserve(to_verify->size());
+    auto held = verified.satisfied.begin();
+    for (const AttributePair& candidate : *to_verify) {
+      while (held != verified.satisfied.end() && *held < candidate) ++held;
       verdicts.push_back(ProfileStore::SideVerdict{
-          sides[dependent], sides[referenced],
-          satisfied.contains(RunAttributes::Pack(dependent, referenced))});
+          sides[candidate.dependent], sides[candidate.referenced],
+          held != verified.satisfied.end() && *held == candidate});
     }
     profile->PutVerdicts(verdicts);
     if (!verdicts.empty()) *verdicts_recorded = true;
   }
 
-  report->run.satisfied.insert(report->run.satisfied.end(),
-                               std::make_move_iterator(reused_inds.begin()),
-                               std::make_move_iterator(reused_inds.end()));
   // One canonical order regardless of approach, partitioning, thread count
   // or verdict reuse: every configuration returns byte-identical reports.
-  report->run.satisfied = SortedInds(std::move(report->run.satisfied));
+  // Attribute names are unique, so ranking the table once orders the pairs
+  // exactly as their names would sort.
+  satisfied.insert(satisfied.end(), verified.satisfied.begin(),
+                   verified.satisfied.end());
+  std::vector<AttributeId> by_name(attributes.size());
+  std::iota(by_name.begin(), by_name.end(), AttributeId{0});
+  std::sort(by_name.begin(), by_name.end(), [&](AttributeId a, AttributeId b) {
+    return attributes[a] < attributes[b];
+  });
+  std::vector<AttributeId> rank(attributes.size());
+  for (size_t i = 0; i < by_name.size(); ++i) {
+    rank[by_name[i]] = static_cast<AttributeId>(i);
+  }
+  std::sort(satisfied.begin(), satisfied.end(),
+            [&rank](const AttributePair& a, const AttributePair& b) {
+              return AttributePair{rank[a.dependent], rank[a.referenced]} <
+                     AttributePair{rank[b.dependent], rank[b.referenced]};
+            });
+  report->run.satisfied = NameInds(attributes, satisfied);
+  report->run.counters = verified.counters;
+  report->run.seconds = verified.seconds;
+  report->run.finished = verified.finished;
   return Status::OK();
 }
 

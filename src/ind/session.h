@@ -28,9 +28,12 @@
 
 #pragma once
 
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -136,9 +139,11 @@ struct SessionReport {
   /// / `run` / `nary_run` sections apply; for the other kinds the result
   /// lives in `dependency`.
   DependencyKind kind = DependencyKind::kInd;
-  CandidateSet candidates;
+  /// The generated candidates by attribute id, with the attribute table
+  /// that names them.
+  CandidateGraph candidates;
   /// The verification outcome. `run.satisfied` is sorted (deterministic
-  /// across thread counts).
+  /// across thread counts); it is the one place the session names INDs.
   IndRunResult run;
   /// Seconds spent generating candidates (statistics pass + pretests).
   double generation_seconds = 0;
@@ -179,7 +184,11 @@ struct SessionReport {
 /// (attributes are nodes, candidates are edges): partitions share no
 /// attribute, so they can be verified independently and concurrently.
 /// Deterministic: partitions are ordered by first appearance and preserve
-/// the input's candidate order. Exposed for the dispatcher's tests.
+/// the input's candidate order. Ids must be below `attribute_count`.
+std::vector<std::vector<AttributePair>> PartitionCandidatesByComponent(
+    size_t attribute_count, const std::vector<AttributePair>& candidates);
+
+/// The same partitions by name, for callers outside the session.
 std::vector<std::vector<IndCandidate>> PartitionCandidatesByComponent(
     const std::vector<IndCandidate>& candidates);
 
@@ -194,11 +203,31 @@ std::vector<std::vector<IndCandidate>> PartitionCandidatesByComponent(
 /// duplicated referenced-side reads outweigh the parallelism. The
 /// satisfied set is identical with or without splitting (the session
 /// sorts it); only cursor-sharing counters like tuples_read may differ.
-/// Deterministic for a given (partitioning, target). Exposed for the
-/// dispatcher's tests.
+/// Deterministic for a given (partitioning, target); the same for
+/// candidates by id or by name.
 inline constexpr size_t kMinSplitPartition = 8;
-std::vector<std::vector<IndCandidate>> SplitPartitionsForParallelism(
-    std::vector<std::vector<IndCandidate>> partitions, size_t target);
+template <typename Candidate>
+std::vector<std::vector<Candidate>> SplitPartitionsForParallelism(
+    std::vector<std::vector<Candidate>> partitions, size_t target) {
+  while (partitions.size() < target) {
+    size_t largest = 0;
+    for (size_t i = 1; i < partitions.size(); ++i) {
+      if (partitions[i].size() > partitions[largest].size()) largest = i;
+    }
+    if (partitions[largest].size() < 2 * kMinSplitPartition) break;
+    std::vector<Candidate>& whole = partitions[largest];
+    const size_t half = whole.size() / 2;
+    std::vector<Candidate> back(
+        std::make_move_iterator(whole.begin() + static_cast<ptrdiff_t>(half)),
+        std::make_move_iterator(whole.end()));
+    whole.resize(half);
+    // Inserting right after the front half keeps the concatenation of all
+    // partitions equal to the input candidate order.
+    partitions.insert(partitions.begin() + static_cast<ptrdiff_t>(largest) + 1,
+                      std::move(back));
+  }
+  return partitions;
+}
 
 /// The one check of an option set: every rule a run imposes, decided from
 /// `options` and the global registry alone. `approach` and `nary_base`
@@ -251,12 +280,13 @@ class SpiderSession {
   /// Verifies candidate partitions on `pool` through RunBatch, one
   /// algorithm instance each, and folds them in partition order.
   [[nodiscard]]
-  Result<IndRunResult> RunParallel(const RunOptions& options,
-                                   const std::string& approach,
-                                   const AlgorithmConfig& config,
-                                   const std::vector<IndCandidate>& candidates,
-                                   ThreadPool& pool, const Stopwatch& run_watch,
-                                   SessionReport* report);
+  Result<IdRunResult> RunParallel(const RunOptions& options,
+                                  const std::string& approach,
+                                  const AlgorithmConfig& config,
+                                  const std::vector<AttributeRef>& attributes,
+                                  const std::vector<AttributePair>& candidates,
+                                  ThreadPool& pool, const Stopwatch& run_watch,
+                                  SessionReport* report);
 
   const Catalog* catalog_;
   std::unique_ptr<Catalog> owned_catalog_;

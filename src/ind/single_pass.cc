@@ -1,9 +1,10 @@
 #include "src/ind/single_pass.h"
 
 #include <deque>
-#include <map>
+#include <limits>
 #include <memory>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -36,11 +37,11 @@ class Monitor {
 // list of dependent objects whose IND candidate is still undecided.
 class ReferencedObject {
  public:
-  ReferencedObject(AttributeRef attr, std::unique_ptr<SortedSetReader> reader,
+  ReferencedObject(AttributeId attr, std::unique_ptr<SortedSetReader> reader,
                    Monitor* monitor)
-      : attr_(std::move(attr)), reader_(std::move(reader)), monitor_(monitor) {}
+      : attr_(attr), reader_(std::move(reader)), monitor_(monitor) {}
 
-  const AttributeRef& attr() const { return attr_; }
+  AttributeId attr() const { return attr_; }
 
   void Attach(DependentObject* dep) { attached_.insert(dep); }
 
@@ -76,7 +77,7 @@ class ReferencedObject {
   const Status& reader_status() const { return reader_->status(); }
 
  private:
-  AttributeRef attr_;
+  AttributeId attr_;
   std::unique_ptr<SortedSetReader> reader_;
   Monitor* monitor_;
   std::set<DependentObject*> attached_;
@@ -87,16 +88,14 @@ class ReferencedObject {
 // delivered referenced values (paper Algorithms 2 and 3).
 class DependentObject {
  public:
-  DependentObject(AttributeRef attr, std::unique_ptr<SortedSetReader> reader,
-                  std::vector<Ind>* satisfied, int64_t* refuted,
+  DependentObject(AttributeId attr, std::unique_ptr<SortedSetReader> reader,
+                  std::vector<AttributePair>* satisfied, int64_t* refuted,
                   RunCounters* counters)
-      : attr_(std::move(attr)),
+      : attr_(attr),
         reader_(std::move(reader)),
         satisfied_(satisfied),
         refuted_(refuted),
         counters_(counters) {}
-
-  const AttributeRef& attr() const { return attr_; }
 
   // Reads the first dependent value. Returns false when the set is empty
   // (the caller then decides all its candidates as vacuously satisfied).
@@ -150,7 +149,7 @@ class DependentObject {
       } else {
         // Last dependent value matched: IND candidate satisfied.
         ref->Detach(this);
-        satisfied_->push_back(Ind{attr_, ref->attr()});
+        satisfied_->push_back(AttributePair{attr_, ref->attr()});
       }
       return;
     }
@@ -195,9 +194,9 @@ class DependentObject {
     }
   }
 
-  AttributeRef attr_;
+  AttributeId attr_;
   std::unique_ptr<SortedSetReader> reader_;
-  std::vector<Ind>* satisfied_;
+  std::vector<AttributePair>* satisfied_;
   int64_t* refuted_;
   RunCounters* counters_;
 
@@ -256,41 +255,39 @@ Result<bool> Monitor::Drain(RunContext& context) {
 
 // Runs one single-pass engine instance over one candidate block. Returns
 // false when the run context stopped the block early.
-Result<bool> RunBlock(const Catalog& catalog, ValueSetExtractor* extractor,
-                      const std::vector<IndCandidate>& candidates,
-                      RunContext& context, IndRunResult* result) {
+Result<bool> RunBlock(const Catalog& catalog,
+                      const std::vector<AttributeRef>& attributes,
+                      ValueSetExtractor* extractor,
+                      const std::vector<AttributePair>& candidates,
+                      RunContext& context, IdRunResult* result) {
   Monitor monitor;
   int64_t refuted = 0;
   const int64_t satisfied_at_entry =
       static_cast<int64_t>(result->satisfied.size());
 
-  // Instantiate one object per distinct attribute in each role.
-  std::map<AttributeRef, std::unique_ptr<DependentObject>> deps;
-  std::map<AttributeRef, std::unique_ptr<ReferencedObject>> refs;
+  // Instantiate one object per distinct attribute in each role, by id.
+  std::vector<std::unique_ptr<DependentObject>> deps(attributes.size());
+  std::vector<std::unique_ptr<ReferencedObject>> refs(attributes.size());
   int64_t open_files = 0;
-  for (const IndCandidate& candidate : candidates) {
-    if (!deps.contains(candidate.dependent)) {
-      SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
-                              extractor->Extract(catalog, candidate.dependent));
-      SPIDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<SortedSetReader> reader,
-          SortedSetReader::Open(info.path, &result->counters));
-      ++open_files;
-      deps.emplace(candidate.dependent,
-                   std::make_unique<DependentObject>(
-                       candidate.dependent, std::move(reader),
-                       &result->satisfied, &refuted, &result->counters));
+  auto open = [&](AttributeId attr) -> Result<std::unique_ptr<SortedSetReader>> {
+    SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
+                            extractor->Extract(catalog, attributes[attr]));
+    ++open_files;
+    return SortedSetReader::Open(info.path, &result->counters);
+  };
+  for (const AttributePair& candidate : candidates) {
+    if (deps[candidate.dependent] == nullptr) {
+      SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<SortedSetReader> reader,
+                              open(candidate.dependent));
+      deps[candidate.dependent] = std::make_unique<DependentObject>(
+          candidate.dependent, std::move(reader), &result->satisfied, &refuted,
+          &result->counters);
     }
-    if (!refs.contains(candidate.referenced)) {
-      SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
-                              extractor->Extract(catalog, candidate.referenced));
-      SPIDER_ASSIGN_OR_RETURN(
-          std::unique_ptr<SortedSetReader> reader,
-          SortedSetReader::Open(info.path, &result->counters));
-      ++open_files;
-      refs.emplace(candidate.referenced,
-                   std::make_unique<ReferencedObject>(
-                       candidate.referenced, std::move(reader), &monitor));
+    if (refs[candidate.referenced] == nullptr) {
+      SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<SortedSetReader> reader,
+                              open(candidate.referenced));
+      refs[candidate.referenced] = std::make_unique<ReferencedObject>(
+          candidate.referenced, std::move(reader), &monitor);
     }
   }
   if (open_files > result->counters.peak_open_files) {
@@ -300,20 +297,18 @@ Result<bool> RunBlock(const Catalog& catalog, ValueSetExtractor* extractor,
   // Read first dependent values; an empty dependent set satisfies all its
   // candidates vacuously (cannot occur for candidates from the generator,
   // which requires non-empty dependents, but callers may hand-craft sets).
-  std::set<AttributeRef> empty_deps;
-  for (auto& [attr, dep] : deps) {
-    if (!dep->Init()) empty_deps.insert(attr);
+  std::vector<bool> empty_dep(attributes.size(), false);
+  for (size_t id = 0; id < deps.size(); ++id) {
+    if (deps[id] != nullptr && !deps[id]->Init()) empty_dep[id] = true;
   }
 
-  for (const IndCandidate& candidate : candidates) {
+  for (const AttributePair& candidate : candidates) {
     ++result->counters.candidates_tested;
-    if (empty_deps.contains(candidate.dependent)) {
-      result->satisfied.push_back(
-          Ind{candidate.dependent, candidate.referenced});
+    if (empty_dep[candidate.dependent]) {
+      result->satisfied.push_back(candidate);
       continue;
     }
-    deps.at(candidate.dependent)
-        ->Register(refs.at(candidate.referenced).get());
+    deps[candidate.dependent]->Register(refs[candidate.referenced].get());
   }
 
   SPIDER_ASSIGN_OR_RETURN(bool drained, monitor.Drain(context));
@@ -331,9 +326,10 @@ Result<bool> RunBlock(const Catalog& catalog, ValueSetExtractor* extractor,
 
 }  // namespace
 
-std::vector<std::vector<IndCandidate>> PartitionCandidatesByFileBudget(
-    const std::vector<IndCandidate>& candidates, int max_open_files) {
-  std::vector<std::vector<IndCandidate>> blocks;
+std::vector<std::vector<AttributePair>> PartitionCandidatesByFileBudget(
+    size_t attribute_count, const std::vector<AttributePair>& candidates,
+    int max_open_files) {
+  std::vector<std::vector<AttributePair>> blocks;
   if (candidates.empty()) return blocks;
   if (max_open_files <= 0) {
     blocks.push_back(candidates);
@@ -342,29 +338,42 @@ std::vector<std::vector<IndCandidate>> PartitionCandidatesByFileBudget(
   SPIDER_CHECK_GE(max_open_files, 2)
       << "single-pass needs at least one dependent and one referenced file";
 
-  std::vector<IndCandidate> current;
-  std::set<AttributeRef> dep_attrs;
-  std::set<AttributeRef> ref_attrs;
-  for (const IndCandidate& candidate : candidates) {
-    std::set<AttributeRef> new_deps = dep_attrs;
-    std::set<AttributeRef> new_refs = ref_attrs;
-    new_deps.insert(candidate.dependent);
-    new_refs.insert(candidate.referenced);
-    int64_t files = static_cast<int64_t>(new_deps.size() + new_refs.size());
-    if (!current.empty() && files > max_open_files) {
+  // The block each attribute's file was last counted in, per role: a
+  // candidate adds at most its two files to the open block.
+  constexpr size_t kNever = std::numeric_limits<size_t>::max();
+  std::vector<size_t> dep_block(attribute_count, kNever);
+  std::vector<size_t> ref_block(attribute_count, kNever);
+  std::vector<AttributePair> current;
+  int64_t files = 0;
+  for (const AttributePair& candidate : candidates) {
+    size_t block = blocks.size();
+    int64_t added = (dep_block[candidate.dependent] != block ? 1 : 0) +
+                    (ref_block[candidate.referenced] != block ? 1 : 0);
+    if (!current.empty() && files + added > max_open_files) {
       blocks.push_back(std::move(current));
       current.clear();
-      dep_attrs.clear();
-      ref_attrs.clear();
-      dep_attrs.insert(candidate.dependent);
-      ref_attrs.insert(candidate.referenced);
-    } else {
-      dep_attrs = std::move(new_deps);
-      ref_attrs = std::move(new_refs);
+      block = blocks.size();
+      files = 0;
+      added = 2;
     }
+    dep_block[candidate.dependent] = block;
+    ref_block[candidate.referenced] = block;
+    files += added;
     current.push_back(candidate);
   }
   if (!current.empty()) blocks.push_back(std::move(current));
+  return blocks;
+}
+
+std::vector<std::vector<IndCandidate>> PartitionCandidatesByFileBudget(
+    const std::vector<IndCandidate>& candidates, int max_open_files) {
+  const InternedCandidates interned = InternCandidates(candidates);
+  std::vector<std::vector<IndCandidate>> blocks;
+  for (const std::vector<AttributePair>& block :
+       PartitionCandidatesByFileBudget(interned.attributes.size(),
+                                       interned.pairs, max_open_files)) {
+    blocks.push_back(NameCandidates(interned.attributes, block));
+  }
   return blocks;
 }
 
@@ -374,24 +383,28 @@ SinglePassAlgorithm::SinglePassAlgorithm(const AlgorithmConfig& config)
       << "single-pass requires a value-set extractor";
 }
 
-Result<IndRunResult> SinglePassAlgorithm::Run(
-    const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    RunContext& context) {
-  IndRunResult result;
+Result<IdRunResult> SinglePassAlgorithm::Run(
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, RunContext& context) {
+  IdRunResult result;
   Stopwatch watch;
   watch.Start();
 
   // Duplicate candidates would register the same observer pair twice;
   // test each distinct pair once (preserving first-occurrence order).
-  std::vector<IndCandidate> unique_candidates;
+  std::vector<AttributePair> unique_candidates;
   unique_candidates.reserve(candidates.size());
-  std::set<IndCandidate> seen;
-  for (const IndCandidate& candidate : candidates) {
-    if (seen.insert(candidate).second) unique_candidates.push_back(candidate);
+  std::unordered_set<uint64_t> seen;
+  seen.reserve(candidates.size());
+  for (const AttributePair& candidate : candidates) {
+    if (seen.insert(uint64_t{candidate.dependent} << 32 | candidate.referenced)
+            .second) {
+      unique_candidates.push_back(candidate);
+    }
   }
 
-  std::vector<std::vector<IndCandidate>> blocks =
-      PartitionCandidatesByFileBudget(unique_candidates,
+  std::vector<std::vector<AttributePair>> blocks =
+      PartitionCandidatesByFileBudget(attributes.size(), unique_candidates,
                                       config_.max_open_files);
   context.Begin(static_cast<int64_t>(blocks.size()));
   for (const auto& block : blocks) {
@@ -399,9 +412,9 @@ Result<IndRunResult> SinglePassAlgorithm::Run(
       result.finished = false;
       break;
     }
-    SPIDER_ASSIGN_OR_RETURN(
-        bool block_finished,
-        RunBlock(catalog, config_.extractor, block, context, &result));
+    SPIDER_ASSIGN_OR_RETURN(bool block_finished,
+                            RunBlock(catalog, attributes, config_.extractor,
+                                     block, context, &result));
     if (!block_finished) {
       result.finished = false;
       break;

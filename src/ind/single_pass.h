@@ -35,9 +35,10 @@ class SinglePassAlgorithm final : public IndAlgorithm {
 
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IndRunResult> Run(const Catalog& catalog,
-                           const std::vector<IndCandidate>& candidates,
-                           RunContext& context) override;
+  Result<IdRunResult> Run(const Catalog& catalog,
+                          const std::vector<AttributeRef>& attributes,
+                          const std::vector<AttributePair>& candidates,
+                          RunContext& context) override;
 
   std::string_view name() const override { return "single-pass"; }
 
@@ -49,8 +50,16 @@ class SinglePassAlgorithm final : public IndAlgorithm {
 void RegisterSinglePassAlgorithm(AlgorithmRegistry& registry);
 
 /// \brief Partitions candidates into blocks whose distinct dependent +
-/// referenced attribute count does not exceed `max_open_files` (>= 2).
-/// Exposed for unit testing of the blockwise extension.
+/// referenced attribute count does not exceed `max_open_files` (>= 2;
+/// 0 = one block). Greedy in candidate order: a candidate whose files would
+/// overflow the open block starts the next one. Ids must be below
+/// `attribute_count`; linear in the candidates, whatever the budget.
+std::vector<std::vector<AttributePair>> PartitionCandidatesByFileBudget(
+    size_t attribute_count, const std::vector<AttributePair>& candidates,
+    int max_open_files);
+
+/// The same blocks by name. Exposed for unit testing of the blockwise
+/// extension.
 std::vector<std::vector<IndCandidate>> PartitionCandidatesByFileBudget(
     const std::vector<IndCandidate>& candidates, int max_open_files);
 

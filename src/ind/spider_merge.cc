@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -18,18 +17,25 @@ namespace spider {
 
 namespace {
 
+// A referenced cursor a dependent cursor's candidate is still open against,
+// with the unmatched distinct dependent values so far (σ-partial mode
+// tolerates a budget of them).
+struct OpenRef {
+  int cursor;
+  int64_t misses;
+};
+
 // Per-attribute state in the merge.
 struct AttributeCursor {
-  AttributeRef attr;
+  AttributeId attr;
   std::unique_ptr<SortedSetReader> reader;
   // The cursor's current value: a zero-copy view into the reader's block
   // buffer, refreshed on every advance. Heap comparisons read this field
   // directly instead of calling into the reader.
   std::string_view current;
-  // Candidate bookkeeping: key = cursor index of a referenced attribute r
-  // with (this ⊆ r) still open; value = unmatched distinct dep values so
-  // far (σ-partial mode tolerates a budget of them).
-  std::map<int, int64_t> open_refs;
+  // Candidate bookkeeping: this ⊆ r still open for each entry's cursor r,
+  // sorted by cursor index.
+  std::vector<OpenRef> open_refs;
   int ref_use_count = 0;     // number of deps whose open_refs contains this
   int64_t distinct_count = 0;  // |s(this)|, from extraction
   int64_t allowed_misses = 0;  // derived from distinct_count and sigma
@@ -38,6 +44,8 @@ struct AttributeCursor {
   // This cursor's slot in the dependent-frontier multiset while it is
   // dep-active and carries a value (see dep_currents in Run).
   std::optional<std::multiset<std::string_view>::iterator> dep_entry;
+  // The last merge group this cursor was popped in (see Run).
+  int64_t group_stamp = -1;
 
   bool dep_active() const { return !open_refs.empty(); }
   bool needed() const { return dep_active() || ref_use_count > 0; }
@@ -53,22 +61,22 @@ SpiderMergeAlgorithm::SpiderMergeAlgorithm(const AlgorithmConfig& config)
   SPIDER_CHECK_LE(config_.min_coverage, 1.0);
 }
 
-Result<IndRunResult> SpiderMergeAlgorithm::Run(
-    const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    RunContext& context) {
-  IndRunResult result;
+Result<IdRunResult> SpiderMergeAlgorithm::Run(
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, RunContext& context) {
+  IdRunResult result;
   Stopwatch watch;
   watch.Start();
   context.Begin(static_cast<int64_t>(candidates.size()));
 
-  // Deduplicate candidates; assign a cursor to every distinct attribute.
-  std::map<AttributeRef, int> cursor_index;
+  // One cursor per distinct attribute, numbered in order of first
+  // appearance in the candidate list.
+  std::vector<int> cursor_of(attributes.size(), -1);
   std::vector<AttributeCursor> cursors;
-  auto cursor_for = [&](const AttributeRef& attr) -> Result<int> {
-    auto it = cursor_index.find(attr);
-    if (it != cursor_index.end()) return it->second;
+  auto cursor_for = [&](AttributeId attr) -> Result<int> {
+    if (cursor_of[attr] >= 0) return cursor_of[attr];
     SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
-                            config_.extractor->Extract(catalog, attr));
+                            config_.extractor->Extract(catalog, attributes[attr]));
     SortedSetReaderOptions reader_options;
     reader_options.allow_block_skip = config_.block_skip;
     SPIDER_ASSIGN_OR_RETURN(
@@ -78,23 +86,33 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
     cursor.attr = attr;
     cursor.reader = std::move(reader);
     cursor.distinct_count = info.distinct_count;
-    int index = static_cast<int>(cursors.size());
+    cursor_of[attr] = static_cast<int>(cursors.size());
     cursors.push_back(std::move(cursor));
-    cursor_index.emplace(attr, index);
-    return index;
+    return cursor_of[attr];
   };
 
-  // Duplicates are detected on cursor-id pairs: at paper scale the
-  // candidate list runs into the millions, and a set of id pairs costs
-  // bytes per entry where a set of IndCandidate copies costs strings.
-  std::set<std::pair<int, int>> seen;
-  for (const IndCandidate& candidate : candidates) {
+  for (const AttributePair& candidate : candidates) {
     SPIDER_ASSIGN_OR_RETURN(int dep, cursor_for(candidate.dependent));
     SPIDER_ASSIGN_OR_RETURN(int ref, cursor_for(candidate.referenced));
-    if (!seen.insert({dep, ref}).second) continue;
-    ++result.counters.candidates_tested;
-    if (cursors[static_cast<size_t>(dep)].open_refs.emplace(ref, 0).second) {
-      ++cursors[static_cast<size_t>(ref)].ref_use_count;
+    cursors[static_cast<size_t>(dep)].open_refs.push_back(OpenRef{ref, 0});
+  }
+  // Each dependent's references sorted by cursor, duplicate candidates
+  // dropped.
+  for (AttributeCursor& cursor : cursors) {
+    std::vector<OpenRef>& refs = cursor.open_refs;
+    std::sort(refs.begin(), refs.end(), [](const OpenRef& a, const OpenRef& b) {
+      return a.cursor < b.cursor;
+    });
+    refs.erase(std::unique(refs.begin(), refs.end(),
+                           [](const OpenRef& a, const OpenRef& b) {
+                             return a.cursor == b.cursor;
+                           }),
+               refs.end());
+    result.counters.candidates_tested += static_cast<int64_t>(refs.size());
+  }
+  for (const AttributeCursor& cursor : cursors) {
+    for (const OpenRef& open : cursor.open_refs) {
+      ++cursors[static_cast<size_t>(open.cursor)].ref_use_count;
     }
   }
   // σ-partial budgets: each dependent tolerates
@@ -124,10 +142,10 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
   // Satisfies every open candidate of dependent cursor `d`.
   auto satisfy_all = [&](int d) {
     AttributeCursor& dep = cursors[static_cast<size_t>(d)];
-    for (const auto& [r, misses] : dep.open_refs) {
-      result.satisfied.push_back(
-          Ind{dep.attr, cursors[static_cast<size_t>(r)].attr});
-      --cursors[static_cast<size_t>(r)].ref_use_count;
+    for (const OpenRef& open : dep.open_refs) {
+      AttributeCursor& ref = cursors[static_cast<size_t>(open.cursor)];
+      result.satisfied.push_back(AttributePair{dep.attr, ref.attr});
+      --ref.ref_use_count;
       context.Step();
     }
     dep.open_refs.clear();
@@ -135,8 +153,7 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
 
   // Cursor-index tournament tree: entries are cursor ids ordered by the
   // cursor's current value with the cursor id as tie-break, so equal
-  // values pop in ascending cursor order — the property the group binary
-  // search below relies on. A view stays valid until its cursor advances,
+  // values pop in ascending cursor order. A view stays valid until its cursor advances,
   // and a cursor only advances after it leaves the tree, so comparisons
   // never see a dangling view. The tree replays one leaf-to-root path per
   // operation (⌈log2 k⌉ comparisons), versus the former binary heap's
@@ -173,10 +190,11 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
   // cancellation are polled once per kStopPollInterval groups so the hot
   // loop stays free of clock reads.
   constexpr int64_t kStopPollInterval = 256;
-  int64_t groups_since_poll = 0;
+  int64_t groups = 0;
   std::vector<int> group;
   while (!heap.empty()) {
-    if (groups_since_poll++ % kStopPollInterval == 0 && context.ShouldStop()) {
+    const int64_t stamp = groups++;
+    if (stamp % kStopPollInterval == 0 && context.ShouldStop()) {
       result.finished = false;
       break;
     }
@@ -193,26 +211,30 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
       group.push_back(heap.top());
       heap.Pop();
     }
-    // group is sorted by cursor id (heap tie-break on equal values), which
-    // enables the binary search below.
+    // Stamping the members makes "r holds the value" one load per open
+    // reference, however large the group.
+    for (int index : group) {
+      cursors[static_cast<size_t>(index)].group_stamp = stamp;
+    }
     result.counters.comparisons += static_cast<int64_t>(group.size());
 
     // Charge a miss to candidates whose referenced attribute lacks this
-    // value; refute those whose σ-budget is exhausted.
+    // value; refute those whose σ-budget is exhausted. The survivors are
+    // compacted in place and stay sorted.
     for (int d : group) {
       AttributeCursor& dep = cursors[static_cast<size_t>(d)];
       if (!dep.dep_active()) continue;
-      for (auto it = dep.open_refs.begin(); it != dep.open_refs.end();) {
-        if (std::binary_search(group.begin(), group.end(), it->first)) {
-          ++it;
-        } else if (++it->second > dep.allowed_misses) {
-          --cursors[static_cast<size_t>(it->first)].ref_use_count;
-          it = dep.open_refs.erase(it);
-          context.Step();
+      size_t kept = 0;
+      for (OpenRef& open : dep.open_refs) {
+        AttributeCursor& ref = cursors[static_cast<size_t>(open.cursor)];
+        if (ref.group_stamp == stamp || ++open.misses <= dep.allowed_misses) {
+          dep.open_refs[kept++] = open;
         } else {
-          ++it;
+          --ref.ref_use_count;
+          context.Step();
         }
       }
+      dep.open_refs.resize(kept);
     }
 
     // Advance group members; drop streams nobody needs any more. The group
@@ -272,7 +294,7 @@ Result<IndRunResult> SpiderMergeAlgorithm::Run(
     for (const AttributeCursor& cursor : cursors) {
       SPIDER_CHECK(cursor.open_refs.empty())
           << "spider-merge left an undecided candidate for "
-          << cursor.attr.ToString();
+          << attributes[cursor.attr].ToString();
     }
   }
 

@@ -36,9 +36,10 @@ class SpiderMergeAlgorithm final : public IndAlgorithm {
 
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IndRunResult> Run(const Catalog& catalog,
-                           const std::vector<IndCandidate>& candidates,
-                           RunContext& context) override;
+  Result<IdRunResult> Run(const Catalog& catalog,
+                          const std::vector<AttributeRef>& attributes,
+                          const std::vector<AttributePair>& candidates,
+                          RunContext& context) override;
 
   std::string_view name() const override { return "spider-merge"; }
 

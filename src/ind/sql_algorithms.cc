@@ -13,31 +13,31 @@ namespace {
 
 // Shared driver: runs `test_one` per candidate under the run context's
 // budget.
-Result<IndRunResult> RunSqlApproach(
-    const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    RunContext& context,
+Result<IdRunResult> RunSqlApproach(
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, RunContext& context,
     const std::function<Result<bool>(const Column& dep, const Column& ref,
                                      RunCounters* counters)>& test_one) {
-  IndRunResult result;
+  IdRunResult result;
   Stopwatch watch;
   watch.Start();
   context.Begin(static_cast<int64_t>(candidates.size()));
 
-  for (const IndCandidate& candidate : candidates) {
+  for (const AttributePair& candidate : candidates) {
     if (context.ShouldStop()) {
       result.finished = false;
       break;
     }
-    SPIDER_ASSIGN_OR_RETURN(const Column* dep,
-                            catalog.ResolveAttribute(candidate.dependent));
-    SPIDER_ASSIGN_OR_RETURN(const Column* ref,
-                            catalog.ResolveAttribute(candidate.referenced));
+    SPIDER_ASSIGN_OR_RETURN(
+        const Column* dep,
+        catalog.ResolveAttribute(attributes[candidate.dependent]));
+    SPIDER_ASSIGN_OR_RETURN(
+        const Column* ref,
+        catalog.ResolveAttribute(attributes[candidate.referenced]));
     ++result.counters.candidates_tested;
     SPIDER_ASSIGN_OR_RETURN(bool satisfied,
                             test_one(*dep, *ref, &result.counters));
-    if (satisfied) {
-      result.satisfied.push_back(Ind{candidate.dependent, candidate.referenced});
-    }
+    if (satisfied) result.satisfied.push_back(candidate);
     context.Step();
   }
 
@@ -47,11 +47,11 @@ Result<IndRunResult> RunSqlApproach(
 
 }  // namespace
 
-Result<IndRunResult> SqlJoinAlgorithm::Run(
-    const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    RunContext& context) {
+Result<IdRunResult> SqlJoinAlgorithm::Run(
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, RunContext& context) {
   return RunSqlApproach(
-      catalog, candidates, context,
+      catalog, attributes, candidates, context,
       [](const Column& dep, const Column& ref,
          RunCounters* counters) -> Result<bool> {
         SPIDER_ASSIGN_OR_RETURN(
@@ -61,11 +61,11 @@ Result<IndRunResult> SqlJoinAlgorithm::Run(
       });
 }
 
-Result<IndRunResult> SqlMinusAlgorithm::Run(
-    const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    RunContext& context) {
+Result<IdRunResult> SqlMinusAlgorithm::Run(
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, RunContext& context) {
   return RunSqlApproach(
-      catalog, candidates, context,
+      catalog, attributes, candidates, context,
       [](const Column& dep, const Column& ref,
          RunCounters* counters) -> Result<bool> {
         SPIDER_ASSIGN_OR_RETURN(const int64_t unmatched,
@@ -74,11 +74,11 @@ Result<IndRunResult> SqlMinusAlgorithm::Run(
       });
 }
 
-Result<IndRunResult> SqlNotInAlgorithm::Run(
-    const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    RunContext& context) {
+Result<IdRunResult> SqlNotInAlgorithm::Run(
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, RunContext& context) {
   return RunSqlApproach(
-      catalog, candidates, context,
+      catalog, attributes, candidates, context,
       [](const Column& dep, const Column& ref,
          RunCounters* counters) -> Result<bool> {
         SPIDER_ASSIGN_OR_RETURN(const int64_t unmatched,

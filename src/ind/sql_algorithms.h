@@ -25,9 +25,10 @@ class SqlJoinAlgorithm final : public IndAlgorithm {
  public:
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IndRunResult> Run(const Catalog& catalog,
-                           const std::vector<IndCandidate>& candidates,
-                           RunContext& context) override;
+  Result<IdRunResult> Run(const Catalog& catalog,
+                          const std::vector<AttributeRef>& attributes,
+                          const std::vector<AttributePair>& candidates,
+                          RunContext& context) override;
   std::string_view name() const override { return "sql-join"; }
 };
 
@@ -38,9 +39,10 @@ class SqlMinusAlgorithm final : public IndAlgorithm {
  public:
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IndRunResult> Run(const Catalog& catalog,
-                           const std::vector<IndCandidate>& candidates,
-                           RunContext& context) override;
+  Result<IdRunResult> Run(const Catalog& catalog,
+                          const std::vector<AttributeRef>& attributes,
+                          const std::vector<AttributePair>& candidates,
+                          RunContext& context) override;
   std::string_view name() const override { return "sql-minus"; }
 };
 
@@ -51,9 +53,10 @@ class SqlNotInAlgorithm final : public IndAlgorithm {
  public:
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IndRunResult> Run(const Catalog& catalog,
-                           const std::vector<IndCandidate>& candidates,
-                           RunContext& context) override;
+  Result<IdRunResult> Run(const Catalog& catalog,
+                          const std::vector<AttributeRef>& attributes,
+                          const std::vector<AttributePair>& candidates,
+                          RunContext& context) override;
   std::string_view name() const override { return "sql-not-in"; }
 };
 

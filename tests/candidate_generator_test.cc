@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/datagen/pdb_like.h"
 #include "src/ind/candidate_generator.h"
 #include "tests/test_util.h"
 
@@ -213,6 +214,52 @@ TEST(CandidateGeneratorTest, CountsRawPairsAndStats) {
   // b->a (2>1), c->a (3>1), c->b (3>2) pruned by cardinality.
   EXPECT_EQ(set->pruned_by_cardinality, 3);
   EXPECT_EQ(set->candidates.size(), 3u);
+}
+
+// Generate() is GenerateGraph() by name: the same candidates in the same
+// order, the same statistics and pretest counts, under every pretest.
+TEST(CandidateGeneratorTest, NamedFormIsTheGraphMaterialized) {
+  datagen::PdbLikeOptions shape;
+  shape.entries = 300;
+  shape.category_tables = 5;
+  auto catalog = datagen::MakePdbLike(shape);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  CandidateGeneratorOptions pretests;
+  pretests.max_value_pretest = true;
+  pretests.min_value_pretest = true;
+  pretests.sampling_pretest = true;
+  for (const CandidateGeneratorOptions& options :
+       {CandidateGeneratorOptions{}, pretests}) {
+    const CandidateGenerator generator(options);
+    auto graph = generator.GenerateGraph(**catalog);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    auto named = generator.Generate(**catalog);
+    ASSERT_TRUE(named.ok()) << named.status().ToString();
+    ASSERT_FALSE(graph->candidates.empty());
+
+    EXPECT_EQ(named->candidates,
+              NameCandidates(graph->attributes, graph->candidates));
+    ASSERT_EQ(graph->stats.size(), graph->attributes.size());
+    std::map<AttributeRef, std::string> stats;
+    for (size_t id = 0; id < graph->attributes.size(); ++id) {
+      stats.emplace(graph->attributes[id], graph->stats[id].ToString());
+    }
+    std::map<AttributeRef, std::string> named_stats;
+    for (const auto& [attribute, column_stats] : named->stats) {
+      named_stats.emplace(attribute, column_stats.ToString());
+    }
+    EXPECT_EQ(named_stats, stats);
+    EXPECT_EQ(named->raw_pair_count, graph->raw_pair_count);
+    EXPECT_EQ(named->total_pruned(), graph->total_pruned());
+    EXPECT_EQ(named->pruned_by_sampling, graph->pruned_by_sampling);
+    // Dependent-major in catalog order: strictly ascending id pairs.
+    EXPECT_TRUE(std::adjacent_find(graph->candidates.begin(),
+                                   graph->candidates.end(),
+                                   [](const AttributePair& a,
+                                      const AttributePair& b) {
+                                     return !(a < b);
+                                   }) == graph->candidates.end());
+  }
 }
 
 }  // namespace

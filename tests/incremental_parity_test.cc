@@ -216,6 +216,8 @@ TEST(IncrementalParityTest, InterleavedAppendsMatchFromScratchImport) {
       // sessions over both do identical work, counter for counter.
       EXPECT_EQ(inc_report->run.counters.ToString(),
                 scratch_report->run.counters.ToString());
+      EXPECT_EQ(inc_report->candidates.attributes,
+                scratch_report->candidates.attributes);
       EXPECT_EQ(inc_report->candidates.candidates,
                 scratch_report->candidates.candidates);
     }

@@ -159,9 +159,10 @@ TEST(ProfilePersistenceTest, AppendRevalidatesOnlyCandidatesTouchingTheTable) {
   // Exactly the candidates with an `orders` side were re-verified; every
   // archive↔customers candidate came out of the profile.
   int64_t touching = 0;
-  for (const IndCandidate& candidate : warm->candidates.candidates) {
-    if (candidate.dependent.table == "orders" ||
-        candidate.referenced.table == "orders") {
+  const std::vector<AttributeRef>& attributes = warm->candidates.attributes;
+  for (const AttributePair& candidate : warm->candidates.candidates) {
+    if (attributes[candidate.dependent].table == "orders" ||
+        attributes[candidate.referenced].table == "orders") {
       ++touching;
     }
   }
@@ -389,19 +390,21 @@ std::string TextManifest(const SessionReport& report) {
   const std::set<Ind> satisfied(report.run.satisfied.begin(),
                                 report.run.satisfied.end());
   std::string text = "spider-profile\t1\n";
-  for (const IndCandidate& candidate : report.candidates.candidates) {
-    const uint64_t dependent = ProfileStore::StatsFingerprint(
-        report.candidates.stats.at(candidate.dependent));
-    const uint64_t referenced = ProfileStore::StatsFingerprint(
-        report.candidates.stats.at(candidate.referenced));
-    const bool holds =
-        satisfied.contains(Ind{candidate.dependent, candidate.referenced});
-    text += "verdict\t" + EscapeManifestField(candidate.dependent.table) +
-            "\t" + EscapeManifestField(candidate.dependent.column) + "\t" +
-            EscapeManifestField(candidate.referenced.table) + "\t" +
-            EscapeManifestField(candidate.referenced.column) + "\t" +
-            (holds ? "1" : "0") + "\t" + hex(dependent) + "\t" +
-            hex(referenced) + "\n";
+  const CandidateGraph& graph = report.candidates;
+  for (const AttributePair& candidate : graph.candidates) {
+    const AttributeRef& dependent = graph.attributes[candidate.dependent];
+    const AttributeRef& referenced = graph.attributes[candidate.referenced];
+    const uint64_t dependent_fingerprint =
+        ProfileStore::StatsFingerprint(graph.stats[candidate.dependent]);
+    const uint64_t referenced_fingerprint =
+        ProfileStore::StatsFingerprint(graph.stats[candidate.referenced]);
+    const bool holds = satisfied.contains(Ind{dependent, referenced});
+    text += "verdict\t" + EscapeManifestField(dependent.table) + "\t" +
+            EscapeManifestField(dependent.column) + "\t" +
+            EscapeManifestField(referenced.table) + "\t" +
+            EscapeManifestField(referenced.column) + "\t" +
+            (holds ? "1" : "0") + "\t" + hex(dependent_fingerprint) + "\t" +
+            hex(referenced_fingerprint) + "\n";
   }
   text += "end\n";
   return text + "checksum\t" + hex(HashString(text)) + "\n";

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 
+#include "src/common/random.h"
 #include "src/common/temp_dir.h"
 #include "src/datagen/uniprot_like.h"
 #include "src/ind/report_json.h"
@@ -326,6 +328,53 @@ TEST(PartitionTest, ChainedAttributesStayInOnePartition) {
   auto partitions = PartitionCandidatesByComponent(candidates);
   ASSERT_EQ(partitions.size(), 1u);
   EXPECT_EQ(partitions[0].size(), 2u);
+}
+
+// The by-name partitioners are the id ones with names attached: the same
+// partitions and splits, in the same order, however the ids are assigned
+// (first appearance, as the adapters intern them, or a shuffled table
+// standing in for the generator's catalog order).
+TEST(PartitionTest, NamedPartitionsAreTheIdPartitionsNamed) {
+  Random rng(1485);
+  for (int round = 0; round < 30; ++round) {
+    const int64_t attribute_count = rng.Uniform(1, 30);
+    std::vector<IndCandidate> candidates;
+    const int64_t count = rng.Uniform(0, 200);
+    for (int64_t i = 0; i < count; ++i) {
+      candidates.push_back(
+          {{"t", "c" + std::to_string(rng.Uniform(0, attribute_count - 1))},
+           {"t", "c" + std::to_string(rng.Uniform(0, attribute_count - 1))}});
+    }
+    const InternedCandidates interned = InternCandidates(candidates);
+    std::vector<AttributeId> shuffled(interned.attributes.size());
+    std::iota(shuffled.begin(), shuffled.end(), AttributeId{0});
+    rng.Shuffle(&shuffled);
+    std::vector<AttributeRef> table(interned.attributes.size());
+    for (size_t id = 0; id < shuffled.size(); ++id) {
+      table[shuffled[id]] = interned.attributes[id];
+    }
+    std::vector<AttributePair> pairs;
+    for (const AttributePair& pair : interned.pairs) {
+      pairs.push_back({shuffled[pair.dependent], shuffled[pair.referenced]});
+    }
+
+    const auto by_name = PartitionCandidatesByComponent(candidates);
+    const auto by_id = PartitionCandidatesByComponent(table.size(), pairs);
+    ASSERT_EQ(by_id.size(), by_name.size()) << "round " << round;
+    for (size_t i = 0; i < by_id.size(); ++i) {
+      EXPECT_EQ(NameCandidates(table, by_id[i]), by_name[i])
+          << "round " << round << " partition " << i;
+    }
+    for (size_t target : {2, 4, 8}) {
+      const auto split_by_name = SplitPartitionsForParallelism(by_name, target);
+      const auto split_by_id = SplitPartitionsForParallelism(by_id, target);
+      ASSERT_EQ(split_by_id.size(), split_by_name.size());
+      for (size_t i = 0; i < split_by_id.size(); ++i) {
+        EXPECT_EQ(NameCandidates(table, split_by_id[i]), split_by_name[i])
+            << "round " << round << " target " << target;
+      }
+    }
+  }
 }
 
 // A catalog of `clusters` disjoint FK clusters whose value ranges do not

@@ -187,6 +187,64 @@ TEST(PartitionCandidatesTest, RespectsBudget) {
   }
 }
 
+// The blockwise greedy as first written: both attribute sets copied per
+// candidate. Kept as the reference the linear partitioner must reproduce.
+std::vector<std::vector<IndCandidate>> SetBasedBlocks(
+    const std::vector<IndCandidate>& candidates, int max_open_files) {
+  std::vector<std::vector<IndCandidate>> blocks;
+  if (candidates.empty()) return blocks;
+  if (max_open_files <= 0) {
+    blocks.push_back(candidates);
+    return blocks;
+  }
+  std::vector<IndCandidate> current;
+  std::set<AttributeRef> dep_attrs;
+  std::set<AttributeRef> ref_attrs;
+  for (const IndCandidate& candidate : candidates) {
+    std::set<AttributeRef> new_deps = dep_attrs;
+    std::set<AttributeRef> new_refs = ref_attrs;
+    new_deps.insert(candidate.dependent);
+    new_refs.insert(candidate.referenced);
+    int64_t files = static_cast<int64_t>(new_deps.size() + new_refs.size());
+    if (!current.empty() && files > max_open_files) {
+      blocks.push_back(std::move(current));
+      current.clear();
+      dep_attrs.clear();
+      ref_attrs.clear();
+      dep_attrs.insert(candidate.dependent);
+      ref_attrs.insert(candidate.referenced);
+    } else {
+      dep_attrs = std::move(new_deps);
+      ref_attrs = std::move(new_refs);
+    }
+    current.push_back(candidate);
+  }
+  if (!current.empty()) blocks.push_back(std::move(current));
+  return blocks;
+}
+
+TEST(PartitionCandidatesTest, MatchesTheSetBasedGreedyOnRandomCandidates) {
+  Random rng(20061);
+  for (int round = 0; round < 40; ++round) {
+    // Few attributes force repeats, duplicate candidates and a ⊆ a pairs.
+    const int64_t attributes = rng.Uniform(1, 40);
+    std::vector<IndCandidate> candidates;
+    const int64_t count = rng.Uniform(0, 400);
+    for (int64_t i = 0; i < count; ++i) {
+      candidates.push_back(
+          {{"t" + std::to_string(rng.Uniform(0, 2)),
+            "c" + std::to_string(rng.Uniform(0, attributes - 1))},
+           {"t" + std::to_string(rng.Uniform(0, 2)),
+            "c" + std::to_string(rng.Uniform(0, attributes - 1))}});
+    }
+    for (int budget : {0, 2, 3, 5, 8, 17, 64, 1024}) {
+      EXPECT_EQ(PartitionCandidatesByFileBudget(candidates, budget),
+                SetBasedBlocks(candidates, budget))
+          << "round " << round << " budget " << budget;
+    }
+  }
+}
+
 TEST(PartitionCandidatesTest, UnlimitedBudgetIsOneBlock) {
   std::vector<IndCandidate> candidates = {{{"a", "c"}, {"b", "c"}},
                                           {{"c", "c"}, {"d", "c"}}};
