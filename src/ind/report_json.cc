@@ -59,9 +59,15 @@ void WriteIndReport(const SessionReport& report,
   json.KV("threads", static_cast<int64_t>(report.threads_used));
   json.KV("partitions", static_cast<int64_t>(report.partitions));
   json.KV("seconds", report.total_seconds);
-  json.KV("tuples_read", report.run.counters.tuples_read);
-  json.KV("sets_extracted", report.run.counters.sets_extracted);
-  json.KV("sets_reused", report.run.counters.sets_reused);
+  const RunCounters& counters = report.run.counters;
+  json.KV("tuples_read", counters.tuples_read);
+  json.KV("comparisons", counters.comparisons);
+  json.KV("blocks_skipped", counters.blocks_skipped);
+  json.KV("files_opened", counters.files_opened);
+  json.KV("peak_open_files", counters.peak_open_files);
+  json.KV("candidates_tested", counters.candidates_tested);
+  json.KV("sets_extracted", counters.sets_extracted);
+  json.KV("sets_reused", counters.sets_reused);
   json.KV("profile_reused", report.profile_reused);
   json.KV("candidates_revalidated", report.candidates_revalidated);
   json.KV("verdicts_reused", report.verdicts_reused);

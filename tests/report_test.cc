@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "src/common/json_reader.h"
 #include "src/datagen/uniprot_like.h"
 #include "src/discovery/report.h"
+#include "src/ind/report_json.h"
 #include "tests/test_util.h"
 
 namespace spider {
@@ -150,6 +155,46 @@ TEST(SchemaReportOptionsTest, EmptyCatalog) {
   EXPECT_TRUE(report->primary_relations.empty());
   // The rendering must not crash on empty sections.
   EXPECT_FALSE(report->ToString().empty());
+}
+
+// The IND report JSON carries the unary work counters beside tuples_read,
+// each equal to the run's RunCounters field.
+TEST(IndReportJsonTest, CountersEqualRunCounters) {
+  datagen::UniprotLikeOptions shape;
+  shape.bioentries = 60;
+  auto catalog = datagen::MakeUniprotLike(shape);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  for (const char* approach : {"spider-merge", "single-pass", "de-marchi"}) {
+    for (int threads : {1, 4}) {
+      SpiderSession session(**catalog);
+      RunOptions options;
+      options.approach = approach;
+      options.threads = threads;
+      auto report = session.Run(options);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      auto json = ParseJson(SessionReportToJson(*report, ReportJsonContext{}));
+      ASSERT_TRUE(json.ok()) << json.status().ToString();
+      const RunCounters& counters = report->run.counters;
+      EXPECT_GT(counters.comparisons, 0) << approach;
+      EXPECT_GT(counters.candidates_tested, 0) << approach;
+      const std::pair<const char*, int64_t> expected[] = {
+          {"tuples_read", counters.tuples_read},
+          {"comparisons", counters.comparisons},
+          {"blocks_skipped", counters.blocks_skipped},
+          {"files_opened", counters.files_opened},
+          {"peak_open_files", counters.peak_open_files},
+          {"candidates_tested", counters.candidates_tested},
+          {"sets_extracted", counters.sets_extracted},
+          {"sets_reused", counters.sets_reused},
+      };
+      for (const auto& [key, value] : expected) {
+        const JsonValue* member = json->Find(key);
+        ASSERT_NE(member, nullptr) << key;
+        EXPECT_EQ(member->raw_number, std::to_string(value))
+            << approach << " threads=" << threads << " " << key;
+      }
+    }
+  }
 }
 
 }  // namespace
