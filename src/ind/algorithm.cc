@@ -1,7 +1,5 @@
 #include "src/ind/algorithm.h"
 
-#include <utility>
-
 namespace spider {
 
 Result<IndRunResult> IndAlgorithm::Run(
@@ -12,7 +10,7 @@ Result<IndRunResult> IndAlgorithm::Run(
       IdRunResult run,
       Run(catalog, interned.attributes, interned.pairs, context));
   IndRunResult result;
-  result.satisfied = NameInds(interned.attributes, run.satisfied);
+  result.satisfied = NamePairs<Ind>(interned.attributes, run.satisfied);
   result.counters = run.counters;
   result.seconds = run.seconds;
   result.finished = run.finished;

@@ -29,29 +29,6 @@ InternedCandidates InternCandidates(
   return interned;
 }
 
-std::vector<IndCandidate> NameCandidates(
-    const std::vector<AttributeRef>& attributes,
-    const std::vector<AttributePair>& pairs) {
-  std::vector<IndCandidate> named;
-  named.reserve(pairs.size());
-  for (const AttributePair& pair : pairs) {
-    named.push_back(
-        IndCandidate{attributes[pair.dependent], attributes[pair.referenced]});
-  }
-  return named;
-}
-
-std::vector<Ind> NameInds(const std::vector<AttributeRef>& attributes,
-                          const std::vector<AttributePair>& pairs) {
-  std::vector<Ind> named;
-  named.reserve(pairs.size());
-  for (const AttributePair& pair : pairs) {
-    named.push_back(
-        Ind{attributes[pair.dependent], attributes[pair.referenced]});
-  }
-  return named;
-}
-
 std::string NaryInd::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < dependent.size(); ++i) {

@@ -56,7 +56,7 @@ using AttributeId = uint32_t;
 
 /// A unary candidate or satisfied IND "dependent ⊆ referenced" by attribute
 /// id: what the session, the partitioners and the verifiers pass around.
-/// Names are attached only at the report edge (NameInds).
+/// Names are attached only at the report edge (NamePairs).
 struct AttributePair {
   AttributeId dependent = 0;
   AttributeId referenced = 0;
@@ -77,14 +77,21 @@ struct InternedCandidates {
   std::vector<AttributeRef> attributes;
   std::vector<AttributePair> pairs;
 };
-InternedCandidates InternCandidates(const std::vector<IndCandidate>& candidates);
+InternedCandidates InternCandidates(
+    const std::vector<IndCandidate>& candidates);
 
-/// The pairs by name, in the same order.
-std::vector<IndCandidate> NameCandidates(
-    const std::vector<AttributeRef>& attributes,
-    const std::vector<AttributePair>& pairs);
-std::vector<Ind> NameInds(const std::vector<AttributeRef>& attributes,
-                          const std::vector<AttributePair>& pairs);
+/// The pairs by name, in the same order, as IndCandidate or Ind.
+template <typename Named>
+std::vector<Named> NamePairs(const std::vector<AttributeRef>& attributes,
+                             const std::vector<AttributePair>& pairs) {
+  std::vector<Named> named;
+  named.reserve(pairs.size());
+  for (const AttributePair& pair : pairs) {
+    named.push_back(
+        Named{attributes[pair.dependent], attributes[pair.referenced]});
+  }
+  return named;
+}
 
 /// \brief An n-ary IND: positionally paired attribute lists. All dependent
 /// attributes come from one table, all referenced attributes from one

@@ -194,11 +194,13 @@ Result<CandidateGraph> CandidateGenerator::GenerateGraph(
   return result;
 }
 
-Result<CandidateSet> CandidateGenerator::Generate(const Catalog& catalog) const {
+Result<CandidateSet> CandidateGenerator::Generate(
+    const Catalog& catalog) const {
   SPIDER_ASSIGN_OR_RETURN(CandidateGraph graph, GenerateGraph(catalog));
   CandidateSet result;
   static_cast<PretestCounts&>(result) = graph;
-  result.candidates = NameCandidates(graph.attributes, graph.candidates);
+  result.candidates =
+      NamePairs<IndCandidate>(graph.attributes, graph.candidates);
   for (size_t id = 0; id < graph.attributes.size(); ++id) {
     result.stats.emplace(graph.attributes[id], std::move(graph.stats[id]));
   }

@@ -187,7 +187,8 @@ std::vector<std::vector<IndCandidate>> PartitionCandidatesByComponent(
   for (const std::vector<AttributePair>& partition :
        PartitionCandidatesByComponent(interned.attributes.size(),
                                       interned.pairs)) {
-    partitions.push_back(NameCandidates(interned.attributes, partition));
+    partitions.push_back(
+        NamePairs<IndCandidate>(interned.attributes, partition));
   }
   return partitions;
 }
@@ -472,7 +473,7 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
               return AttributePair{rank[a.dependent], rank[a.referenced]} <
                      AttributePair{rank[b.dependent], rank[b.referenced]};
             });
-  report->run.satisfied = NameInds(attributes, satisfied);
+  report->run.satisfied = NamePairs<Ind>(attributes, satisfied);
   report->run.counters = verified.counters;
   report->run.seconds = verified.seconds;
   report->run.finished = verified.finished;

@@ -269,7 +269,8 @@ Result<bool> RunBlock(const Catalog& catalog,
   std::vector<std::unique_ptr<DependentObject>> deps(attributes.size());
   std::vector<std::unique_ptr<ReferencedObject>> refs(attributes.size());
   int64_t open_files = 0;
-  auto open = [&](AttributeId attr) -> Result<std::unique_ptr<SortedSetReader>> {
+  auto open =
+      [&](AttributeId attr) -> Result<std::unique_ptr<SortedSetReader>> {
     SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
                             extractor->Extract(catalog, attributes[attr]));
     ++open_files;
@@ -372,7 +373,7 @@ std::vector<std::vector<IndCandidate>> PartitionCandidatesByFileBudget(
   for (const std::vector<AttributePair>& block :
        PartitionCandidatesByFileBudget(interned.attributes.size(),
                                        interned.pairs, max_open_files)) {
-    blocks.push_back(NameCandidates(interned.attributes, block));
+    blocks.push_back(NamePairs<IndCandidate>(interned.attributes, block));
   }
   return blocks;
 }

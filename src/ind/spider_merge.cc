@@ -70,13 +70,16 @@ Result<IdRunResult> SpiderMergeAlgorithm::Run(
   context.Begin(static_cast<int64_t>(candidates.size()));
 
   // One cursor per distinct attribute, numbered in order of first
-  // appearance in the candidate list.
+  // appearance in the candidate list. The numbering breaks ties between
+  // equal values in the tree, which decides how far a reference cursor
+  // gallops within a group, so it is part of the counters.
   std::vector<int> cursor_of(attributes.size(), -1);
   std::vector<AttributeCursor> cursors;
   auto cursor_for = [&](AttributeId attr) -> Result<int> {
     if (cursor_of[attr] >= 0) return cursor_of[attr];
-    SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
-                            config_.extractor->Extract(catalog, attributes[attr]));
+    SPIDER_ASSIGN_OR_RETURN(
+        SortedSetInfo info,
+        config_.extractor->Extract(catalog, attributes[attr]));
     SortedSetReaderOptions reader_options;
     reader_options.allow_block_skip = config_.block_skip;
     SPIDER_ASSIGN_OR_RETURN(
@@ -153,9 +156,9 @@ Result<IdRunResult> SpiderMergeAlgorithm::Run(
 
   // Cursor-index tournament tree: entries are cursor ids ordered by the
   // cursor's current value with the cursor id as tie-break, so equal
-  // values pop in ascending cursor order. A view stays valid until its cursor advances,
-  // and a cursor only advances after it leaves the tree, so comparisons
-  // never see a dangling view. The tree replays one leaf-to-root path per
+  // values pop in ascending cursor order. A view stays valid until its
+  // cursor advances, and a cursor only advances after it leaves the tree,
+  // so comparisons never see a dangling view. The tree replays one leaf-to-root path per
   // operation (⌈log2 k⌉ comparisons), versus the former binary heap's
   // two-comparisons-per-level sift.
   auto heap_less = [&cursors](int a, int b) {

@@ -238,7 +238,7 @@ TEST(CandidateGeneratorTest, NamedFormIsTheGraphMaterialized) {
     ASSERT_FALSE(graph->candidates.empty());
 
     EXPECT_EQ(named->candidates,
-              NameCandidates(graph->attributes, graph->candidates));
+              NamePairs<IndCandidate>(graph->attributes, graph->candidates));
     ASSERT_EQ(graph->stats.size(), graph->attributes.size());
     std::map<AttributeRef, std::string> stats;
     for (size_t id = 0; id < graph->attributes.size(); ++id) {

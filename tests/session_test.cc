@@ -362,7 +362,7 @@ TEST(PartitionTest, NamedPartitionsAreTheIdPartitionsNamed) {
     const auto by_id = PartitionCandidatesByComponent(table.size(), pairs);
     ASSERT_EQ(by_id.size(), by_name.size()) << "round " << round;
     for (size_t i = 0; i < by_id.size(); ++i) {
-      EXPECT_EQ(NameCandidates(table, by_id[i]), by_name[i])
+      EXPECT_EQ(NamePairs<IndCandidate>(table, by_id[i]), by_name[i])
           << "round " << round << " partition " << i;
     }
     for (size_t target : {2, 4, 8}) {
@@ -370,7 +370,8 @@ TEST(PartitionTest, NamedPartitionsAreTheIdPartitionsNamed) {
       const auto split_by_id = SplitPartitionsForParallelism(by_id, target);
       ASSERT_EQ(split_by_id.size(), split_by_name.size());
       for (size_t i = 0; i < split_by_id.size(); ++i) {
-        EXPECT_EQ(NameCandidates(table, split_by_id[i]), split_by_name[i])
+        EXPECT_EQ(NamePairs<IndCandidate>(table, split_by_id[i]),
+                  split_by_name[i])
             << "round " << round << " target " << target;
       }
     }
