@@ -36,8 +36,9 @@ Result<IdRunResult> DeMarchiAlgorithm::Run(
   // Preprocessing: the inverted index value -> sorted attribute-id list.
   // A stop during indexing decides nothing: finished=false, no INDs.
   std::unordered_map<std::string, std::vector<AttributeId>> index;
-  for (AttributeId a = 0; a < attributes.size(); ++a) {
+  for (size_t a = 0; a < attributes.size(); ++a) {
     if (!named[a]) continue;
+    const AttributeId id = static_cast<AttributeId>(a);
     if (context.ShouldStop()) {
       result.finished = false;
       break;
@@ -52,7 +53,7 @@ Result<IdRunResult> DeMarchiAlgorithm::Run(
       if (step == CursorStep::kNull) continue;
       ++result.counters.tuples_read;
       std::vector<AttributeId>& entry = index[std::string(view)];
-      if (entry.empty() || entry.back() != a) entry.push_back(a);
+      if (entry.empty() || entry.back() != id) entry.push_back(id);
     }
     SPIDER_RETURN_NOT_OK(cursor->status());
   }
@@ -61,7 +62,7 @@ Result<IdRunResult> DeMarchiAlgorithm::Run(
   // Per dependent attribute: intersect the candidate set with the index
   // entry of every value. A dependent's survivors are confirmed only once
   // all its values are scanned, so the budget is polled between dependents.
-  for (AttributeId d = 0; result.finished && d < attributes.size(); ++d) {
+  for (size_t d = 0; result.finished && d < attributes.size(); ++d) {
     std::vector<AttributeId>& refs = cand_refs[d];
     if (refs.empty()) continue;
     if (context.ShouldStop()) {
@@ -92,7 +93,10 @@ Result<IdRunResult> DeMarchiAlgorithm::Run(
                  refs.end());
     }
     SPIDER_RETURN_NOT_OK(cursor->status());
-    for (AttributeId r : refs) result.satisfied.push_back(AttributePair{d, r});
+    for (AttributeId r : refs) {
+      result.satisfied.push_back(
+          AttributePair{static_cast<AttributeId>(d), r});
+    }
     context.Step(decided_here);
   }
 

@@ -338,8 +338,9 @@ TEST(PartitionTest, NamedPartitionsAreTheIdPartitionsNamed) {
   Random rng(1485);
   for (int round = 0; round < 30; ++round) {
     const int64_t attribute_count = rng.Uniform(1, 30);
-    std::vector<IndCandidate> candidates;
     const int64_t count = rng.Uniform(0, 200);
+    std::vector<IndCandidate> candidates;
+    candidates.reserve(static_cast<size_t>(count));
     for (int64_t i = 0; i < count; ++i) {
       candidates.push_back(
           {{"t", "c" + std::to_string(rng.Uniform(0, attribute_count - 1))},
@@ -354,6 +355,7 @@ TEST(PartitionTest, NamedPartitionsAreTheIdPartitionsNamed) {
       table[shuffled[id]] = interned.attributes[id];
     }
     std::vector<AttributePair> pairs;
+    pairs.reserve(interned.pairs.size());
     for (const AttributePair& pair : interned.pairs) {
       pairs.push_back({shuffled[pair.dependent], shuffled[pair.referenced]});
     }

@@ -228,8 +228,9 @@ TEST(PartitionCandidatesTest, MatchesTheSetBasedGreedyOnRandomCandidates) {
   for (int round = 0; round < 40; ++round) {
     // Few attributes force repeats, duplicate candidates and a ⊆ a pairs.
     const int64_t attributes = rng.Uniform(1, 40);
-    std::vector<IndCandidate> candidates;
     const int64_t count = rng.Uniform(0, 400);
+    std::vector<IndCandidate> candidates;
+    candidates.reserve(static_cast<size_t>(count));
     for (int64_t i = 0; i < count; ++i) {
       candidates.push_back(
           {{"t" + std::to_string(rng.Uniform(0, 2)),
