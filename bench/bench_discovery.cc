@@ -77,15 +77,15 @@ void BM_PrimaryRelation(benchmark::State& state, Dataset& (*dataset_fn)(),
           static_cast<double>(split->filtered.size());
       inds = split->kept;
     }
-    PrimaryRelationFinder finder;
-    auto ranked = finder.Rank(*dataset.catalog, inds);
-    SPIDER_CHECK(ranked.ok());
-    state.counters["relation_candidates"] =
-        static_cast<double>(ranked->size());
-    if (!ranked->empty()) {
-      state.SetLabel("primary=" + (*ranked)[0].table);
+    auto accessions = AccessionNumberDetector().Detect(*dataset.catalog);
+    SPIDER_CHECK(accessions.ok());
+    const std::vector<PrimaryRelationCandidate> ranked =
+        RankPrimaryRelations(*accessions, inds);
+    state.counters["relation_candidates"] = static_cast<double>(ranked.size());
+    if (!ranked.empty()) {
+      state.SetLabel("primary=" + ranked[0].table);
       state.counters["top_inbound"] =
-          static_cast<double>((*ranked)[0].inbound_ind_count);
+          static_cast<double>(ranked[0].inbound_ind_count);
     }
   }
 }

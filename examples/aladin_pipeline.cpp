@@ -41,7 +41,8 @@ int main() {
   SchemaReportOptions report_options;
   report_options.ind.approach = "spider-merge";
   report_options.ind.generator.max_value_pretest = true;
-  auto report = BuildSchemaReport(**primary, report_options);
+  SpiderSession session(**primary);
+  auto report = BuildSchemaReport(session, report_options);
   if (!report.ok()) {
     std::cerr << report.status().ToString() << "\n";
     return 1;

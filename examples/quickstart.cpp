@@ -99,8 +99,9 @@ int main(int argc, char** argv) {
     std::cout << "  " << ind.ToString() << "\n";
   }
 
-  // 4. Turn INDs into foreign-key guesses.
-  auto guesses = GuessForeignKeys(**catalog, report->run.satisfied);
+  // 4. Turn INDs into foreign-key guesses; the run measured the distinct
+  // counts that pick the tightest target.
+  auto guesses = GuessForeignKeys(report->candidates, report->run.satisfied);
   std::cout << "\nforeign-key guesses:\n";
   for (const ForeignKey& fk : guesses) {
     std::cout << "  " << fk.ToString() << "\n";

@@ -69,19 +69,15 @@ int main(int argc, char** argv) {
               << acc.min_length << ".." << acc.max_length << ")\n";
   }
 
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(**catalog, report->run.satisfied);
-  if (!ranked.ok()) {
-    std::cerr << ranked.status().ToString() << "\n";
-    return 1;
-  }
+  const std::vector<PrimaryRelationCandidate> ranked =
+      RankPrimaryRelations(*accessions, report->run.satisfied);
   std::cout << "\nprimary-relation ranking (Heuristic 2):\n";
-  for (const PrimaryRelationCandidate& candidate : *ranked) {
+  for (const PrimaryRelationCandidate& candidate : ranked) {
     std::cout << "  " << candidate.table << "  ("
               << candidate.inbound_ind_count << " inbound INDs)\n";
   }
-  if (!ranked->empty()) {
-    std::cout << "\n=> primary relation: " << (*ranked)[0].table << "\n";
+  if (!ranked.empty()) {
+    std::cout << "\n=> primary relation: " << ranked[0].table << "\n";
   }
   return 0;
 }

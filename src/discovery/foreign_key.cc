@@ -4,8 +4,6 @@
 #include <map>
 #include <set>
 
-#include "src/storage/column_stats.h"
-
 namespace spider {
 
 namespace {
@@ -89,7 +87,7 @@ FkEvaluation EvaluateForeignKeys(const Catalog& catalog,
   return eval;
 }
 
-std::vector<ForeignKey> GuessForeignKeys(const Catalog& catalog,
+std::vector<ForeignKey> GuessForeignKeys(const CandidateGraph& graph,
                                          const std::vector<Ind>& satisfied_inds) {
   // Group INDs by dependent attribute; pick the referenced attribute with
   // the smallest distinct-value count (tightest superset).
@@ -98,15 +96,13 @@ std::vector<ForeignKey> GuessForeignKeys(const Catalog& catalog,
     by_dependent[ind.dependent].push_back(ind.referenced);
   }
 
-  std::map<AttributeRef, int64_t> distinct_cache;
-  auto distinct_count = [&](const AttributeRef& attr) -> int64_t {
-    auto it = distinct_cache.find(attr);
-    if (it != distinct_cache.end()) return it->second;
-    int64_t count = 0;
-    auto column = catalog.ResolveAttribute(attr);
-    if (column.ok()) count = ComputeColumnStats(**column).distinct_count;
-    distinct_cache.emplace(attr, count);
-    return count;
+  std::map<AttributeRef, int64_t> distinct;
+  for (size_t id = 0; id < graph.attributes.size(); ++id) {
+    distinct.emplace(graph.attributes[id], graph.stats[id].distinct_count);
+  }
+  auto distinct_count = [&distinct](const AttributeRef& attr) -> int64_t {
+    const auto it = distinct.find(attr);
+    return it == distinct.end() ? 0 : it->second;
   };
 
   std::vector<ForeignKey> guesses;

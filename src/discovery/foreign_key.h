@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/ind/candidate.h"
+#include "src/ind/candidate_generator.h"
 #include "src/storage/catalog.h"
 
 namespace spider {
@@ -45,8 +46,10 @@ FkEvaluation EvaluateForeignKeys(const Catalog& catalog,
 /// \brief Proposes foreign keys from satisfied INDs, one guess per
 /// dependent attribute: when a dependent attribute is included in several
 /// referenced attributes, the smallest referenced value set is the
-/// tightest (most plausible) target.
-std::vector<ForeignKey> GuessForeignKeys(const Catalog& catalog,
+/// tightest (most plausible) target. Distinct counts come from `graph`,
+/// the attribute table of the run that found the INDs (an attribute
+/// missing from it counts 0).
+std::vector<ForeignKey> GuessForeignKeys(const CandidateGraph& graph,
                                          const std::vector<Ind>& satisfied_inds);
 
 }  // namespace spider

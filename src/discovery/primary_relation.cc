@@ -5,18 +5,16 @@
 
 namespace spider {
 
-Result<std::vector<PrimaryRelationCandidate>> PrimaryRelationFinder::Rank(
-    const Catalog& catalog, const std::vector<Ind>& satisfied_inds) const {
-  SPIDER_ASSIGN_OR_RETURN(std::vector<AccessionCandidate> accessions,
-                          detector_.Detect(catalog));
-
+std::vector<PrimaryRelationCandidate> RankPrimaryRelations(
+    const std::vector<AccessionCandidate>& accessions,
+    const std::vector<Ind>& satisfied_inds) {
   std::map<std::string, PrimaryRelationCandidate> by_table;
-  for (AccessionCandidate& acc : accessions) {
+  for (const AccessionCandidate& acc : accessions) {
     PrimaryRelationCandidate& entry = by_table[acc.attribute.table];
     entry.table = acc.attribute.table;
-    entry.accession_candidates.push_back(std::move(acc));
+    entry.accession_candidates.push_back(acc);
   }
-  if (by_table.empty()) return std::vector<PrimaryRelationCandidate>{};
+  if (by_table.empty()) return {};
 
   for (const Ind& ind : satisfied_inds) {
     auto it = by_table.find(ind.referenced.table);

@@ -7,12 +7,11 @@
 
 #pragma once
 
+#include <string>
 #include <vector>
 
-#include "src/common/result.h"
 #include "src/discovery/accession.h"
 #include "src/ind/candidate.h"
-#include "src/storage/catalog.h"
 
 namespace spider {
 
@@ -25,21 +24,13 @@ struct PrimaryRelationCandidate {
   std::vector<AccessionCandidate> accession_candidates;
 };
 
-/// \brief Ranks tables by the primary-relation heuristics.
-class PrimaryRelationFinder {
- public:
-  explicit PrimaryRelationFinder(AccessionDetectorOptions accession_options = {})
-      : detector_(accession_options) {}
-
-  /// Returns candidates sorted by descending inbound IND count (ties broken
-  /// by table name for determinism). Only tables containing at least one
-  /// accession-number candidate are returned; the first entry is the
-  /// heuristic's primary-relation guess.
-  Result<std::vector<PrimaryRelationCandidate>> Rank(
-      const Catalog& catalog, const std::vector<Ind>& satisfied_inds) const;
-
- private:
-  AccessionNumberDetector detector_;
-};
+/// \brief Ranks the tables holding `accessions` (what
+/// AccessionNumberDetector::Detect found) by the satisfied INDs that
+/// reference them: descending inbound IND count, ties broken by table name
+/// for determinism. Tables without an accession-number candidate are not
+/// ranked; the first entry is the heuristic's primary-relation guess.
+std::vector<PrimaryRelationCandidate> RankPrimaryRelations(
+    const std::vector<AccessionCandidate>& accessions,
+    const std::vector<Ind>& satisfied_inds);
 
 }  // namespace spider

@@ -5,27 +5,33 @@
 
 namespace spider {
 
-Result<SchemaReport> BuildSchemaReport(const Catalog& catalog,
+Result<SchemaReport> BuildSchemaReport(SpiderSession& session,
                                        const SchemaReportOptions& options) {
+  const Catalog& catalog = session.catalog();
   SchemaReport report;
 
-  // Aladin step 2: primary-key candidates (unique, non-empty columns).
+  // Aladin step 3: IND discovery.
+  RunOptions ind = options.ind;
+  ind.kind = DependencyKind::kInd;
+  SPIDER_ASSIGN_OR_RETURN(report.profile, session.Run(ind));
+  const CandidateGraph& graph = report.profile.candidates;
+
+  // Aladin step 2: primary-key candidates (unique, non-empty columns),
+  // from the statistics the IND run measured. Its attribute table is in
+  // catalog enumeration order, the order walked here.
+  size_t id = 0;
   for (int t = 0; t < catalog.table_count(); ++t) {
     const Table& table = catalog.table(t);
-    for (int c = 0; c < table.column_count(); ++c) {
+    for (int c = 0; c < table.column_count(); ++c, ++id) {
       const Column& column = table.column(c);
       if (!column.has_data() || !IsIndEligibleType(column.type())) continue;
-      ColumnStats stats = ComputeColumnStats(column);
+      const ColumnStats& stats = graph.stats[id];
       if (stats.verified_unique || column.declared_unique()) {
         report.key_candidates.push_back(
-            KeyCandidate{{table.name(), column.name()}, stats.distinct_count});
+            KeyCandidate{graph.attributes[id], stats.distinct_count});
       }
     }
   }
-
-  // Aladin step 3: IND discovery through a registry-driven session.
-  SpiderSession session(catalog);
-  SPIDER_ASSIGN_OR_RETURN(report.profile, session.Run(options.ind));
 
   // Composite keys (minimal UCCs of arity >= 2) from the same session,
   // after the IND run: its profile counters stay the IND run's own, and
@@ -53,17 +59,15 @@ Result<SchemaReport> BuildSchemaReport(const Catalog& catalog,
     working_inds = std::move(split.kept);
   }
 
-  report.fk_guesses = GuessForeignKeys(catalog, working_inds);
+  report.fk_guesses = GuessForeignKeys(graph, working_inds);
   report.fk_evaluation =
       EvaluateForeignKeys(catalog, report.profile.run.satisfied);
 
   AccessionNumberDetector detector(options.accession);
   SPIDER_ASSIGN_OR_RETURN(report.accession_candidates,
                           detector.Detect(catalog));
-
-  PrimaryRelationFinder finder(options.accession);
-  SPIDER_ASSIGN_OR_RETURN(report.primary_relations,
-                          finder.Rank(catalog, working_inds));
+  report.primary_relations =
+      RankPrimaryRelations(report.accession_candidates, working_inds);
   return report;
 }
 

@@ -20,7 +20,8 @@ namespace spider {
 /// Options for BuildSchemaReport.
 struct SchemaReportOptions {
   /// IND discovery controls: approach (by registry name), pretests,
-  /// budgets, progress.
+  /// budgets, progress. `kind` is pinned to IND, so an approach of another
+  /// kind fails the run.
   RunOptions ind;
   AccessionDetectorOptions accession;
   SurrogateFilterOptions surrogate;
@@ -64,8 +65,13 @@ struct SchemaReport {
   std::string ToString() const;
 };
 
-/// Runs the whole pipeline over a catalog.
-Result<SchemaReport> BuildSchemaReport(const Catalog& catalog,
+/// Runs the whole pipeline over the session's catalog, on the session: a
+/// session persisting a workspace profile reuses and records its sorted
+/// sets and verdicts, as any other run on it does. The IND run goes first;
+/// the key candidates, foreign-key guesses and primary-relation ranking
+/// read what it and the accession detector computed, so each column is
+/// measured and scanned for accession numbers once.
+Result<SchemaReport> BuildSchemaReport(SpiderSession& session,
                                        const SchemaReportOptions& options = {});
 
 }  // namespace spider

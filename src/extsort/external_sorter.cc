@@ -144,9 +144,10 @@ Result<SortedSetInfo> ExternalSorter::WriteSortedSet(const fs::path& path) {
     sources.push_back(std::make_unique<VectorSource>(&buffer_));
   }
 
-  SPIDER_ASSIGN_OR_RETURN(
-      std::unique_ptr<SortedSetWriter> writer,
-      SortedSetWriter::Create(path, options_.set_writer));
+  // One set-file format (block size) for every sort.
+  constexpr SortedSetWriterOptions kSetFormat{};
+  SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<SortedSetWriter> writer,
+                          SortedSetWriter::Create(path, kSetFormat));
 
   // K-way merge with duplicate elimination via a tournament tree of
   // source indexes: advancing the winning source replays one leaf-to-root

@@ -30,8 +30,6 @@ struct ExternalSorterOptions {
   /// spill directory and a prefix: each name carries a unique suffix
   /// (UniqueTempPath).
   std::string run_prefix = "run";
-  /// Format knobs for the final sorted-set file (block size).
-  SortedSetWriterOptions set_writer;
 };
 
 /// \brief Sorts and deduplicates an unbounded stream of strings using

@@ -139,7 +139,6 @@ Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
   // Spill runs carry the set file's name, which tells a listing whose they
   // are.
   sorter_options.run_prefix = file_name;
-  sorter_options.set_writer = options_.set_writer;
   ExternalSorter sorter(sorter_options);
   // Stream the cursor into the sorter: with the disk backend, peak memory
   // is one storage block per component plus the sorter's budget — never

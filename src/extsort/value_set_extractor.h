@@ -35,9 +35,6 @@ namespace spider {
 struct ValueSetExtractorOptions {
   /// Memory budget handed to each per-attribute external sort.
   int64_t sort_memory_budget_bytes = 64LL << 20;
-  /// Format knobs for the materialized set files (block size), forwarded
-  /// to every SortedSetWriter this extractor creates.
-  SortedSetWriterOptions set_writer;
   /// Persist the profile: load spider_profile.manifest from the output dir
   /// at construction, reuse recorded set files whose source and content
   /// fingerprints still verify instead of re-extracting, and record fresh

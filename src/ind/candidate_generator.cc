@@ -60,55 +60,36 @@ Result<CandidateGraph> CandidateGenerator::GenerateGraph(
   }
 
   // Sampled dependent values for the sampling pretest, drawn once per
-  // dependent attribute; referenced value sets are hashed once per
-  // referenced attribute on first use.
-  Random rng(options_.sample_seed);
+  // dependent attribute by one streaming pass that reservoir-samples the
+  // non-NULL values — the same draw on every backend, deterministic for
+  // the fixed seed. Referenced value sets are hashed once per referenced
+  // attribute on first use.
+  constexpr uint64_t kSampleSeed = 42;
+  Random rng(kSampleSeed);
   std::vector<std::vector<std::string>> samples(attributes.size());
   if (options_.sampling_pretest) {
     for (size_t d = 0; d < attributes.size(); ++d) {
       const AttributeInfo& dep = attributes[d];
       if (!dep.dependent_eligible) continue;
       std::vector<std::string>& sample = samples[d];
-      if (!dep.column->out_of_core()) {
-        // Random access is the point of sampling; the out-of-core branch
-        // below streams instead.
-        // spider-lint: allow(column-values): in-memory column, gated on !out_of_core() above
-        const auto& values = dep.column->values();
-        for (int i = 0; i < options_.sample_size; ++i) {
-          // Rejection-sample a non-NULL row; the column is non-empty.
-          for (int attempt = 0; attempt < 256; ++attempt) {
-            const Value& v = values[static_cast<size_t>(
-                rng.Uniform(0, static_cast<int64_t>(values.size()) - 1))];
-            if (!v.is_null()) {
-              sample.push_back(v.ToCanonicalString());
-              break;
-            }
+      auto cursor = dep.column->OpenCursor();
+      if (!cursor.ok()) return cursor.status();
+      std::string_view view;
+      int64_t seen = 0;
+      for (CursorStep step = (*cursor)->Next(&view); step != CursorStep::kEnd;
+           step = (*cursor)->Next(&view)) {
+        if (step == CursorStep::kNull) continue;
+        if (seen < options_.sample_size) {
+          sample.emplace_back(view);
+        } else {
+          const int64_t j = rng.Uniform(0, seen);
+          if (j < options_.sample_size) {
+            sample[static_cast<size_t>(j)] = std::string(view);
           }
         }
-      } else {
-        // Disk backend: one streaming pass, reservoir-sampling the non-NULL
-        // values (deterministic for a fixed seed). The sample differs from
-        // the in-memory draw, but the pretest stays sound either way — it
-        // only prunes candidates some sampled value already refutes.
-        auto cursor = dep.column->OpenCursor();
-        if (!cursor.ok()) return cursor.status();
-        std::string_view view;
-        int64_t seen = 0;
-        for (CursorStep step = (*cursor)->Next(&view);
-             step != CursorStep::kEnd; step = (*cursor)->Next(&view)) {
-          if (step == CursorStep::kNull) continue;
-          if (seen < options_.sample_size) {
-            sample.emplace_back(view);
-          } else {
-            const int64_t j = rng.Uniform(0, seen);
-            if (j < options_.sample_size) {
-              sample[static_cast<size_t>(j)] = std::string(view);
-            }
-          }
-          ++seen;
-        }
-        SPIDER_RETURN_NOT_OK((*cursor)->status());
+        ++seen;
       }
+      SPIDER_RETURN_NOT_OK((*cursor)->status());
     }
   }
   // Pass 2: enumerate ref × dep pairs and apply pretests in increasing

@@ -62,7 +62,6 @@ struct CandidateGeneratorOptions {
   /// (sound pruning: a missing value definitively refutes).
   bool sampling_pretest = false;
   int sample_size = 16;
-  uint64_t sample_seed = 42;
 };
 
 /// How many raw pairs the pretests saw and how many each one eliminated.

@@ -366,18 +366,6 @@ std::vector<std::vector<AttributePair>> PartitionCandidatesByFileBudget(
   return blocks;
 }
 
-std::vector<std::vector<IndCandidate>> PartitionCandidatesByFileBudget(
-    const std::vector<IndCandidate>& candidates, int max_open_files) {
-  const InternedCandidates interned = InternCandidates(candidates);
-  std::vector<std::vector<IndCandidate>> blocks;
-  for (const std::vector<AttributePair>& block :
-       PartitionCandidatesByFileBudget(interned.attributes.size(),
-                                       interned.pairs, max_open_files)) {
-    blocks.push_back(NamePairs<IndCandidate>(interned.attributes, block));
-  }
-  return blocks;
-}
-
 SinglePassAlgorithm::SinglePassAlgorithm(const AlgorithmConfig& config)
     : config_(config) {
   SPIDER_CHECK(config_.extractor != nullptr)

@@ -58,9 +58,4 @@ std::vector<std::vector<AttributePair>> PartitionCandidatesByFileBudget(
     size_t attribute_count, const std::vector<AttributePair>& candidates,
     int max_open_files);
 
-/// The same blocks by name. Exposed for unit testing of the blockwise
-/// extension.
-std::vector<std::vector<IndCandidate>> PartitionCandidatesByFileBudget(
-    const std::vector<IndCandidate>& candidates, int max_open_files);
-
 }  // namespace spider

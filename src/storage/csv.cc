@@ -10,54 +10,6 @@ namespace spider {
 
 namespace fs = std::filesystem;
 
-Result<std::vector<std::string>> ParseCsvLine(std::string_view line,
-                                              char delimiter) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  size_t i = 0;
-  while (i < line.size()) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
-          i += 2;
-          continue;
-        }
-        in_quotes = false;
-        ++i;
-        continue;
-      }
-      current += c;
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      if (!current.empty()) {
-        return Status::InvalidArgument("quote inside unquoted field: " +
-                                       std::string(line));
-      }
-      in_quotes = true;
-      ++i;
-      continue;
-    }
-    if (c == delimiter) {
-      fields.push_back(std::move(current));
-      current.clear();
-      ++i;
-      continue;
-    }
-    current += c;
-    ++i;
-  }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quote: " + std::string(line));
-  }
-  fields.push_back(std::move(current));
-  return fields;
-}
-
 Result<bool> CsvRecordReader::Next(std::vector<std::string>* fields) {
   last_blank_ = false;
   last_quoted_ = false;

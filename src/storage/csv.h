@@ -142,10 +142,4 @@ class CsvCatalogSink final : public CatalogSink {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Parses one CSV record from an already-split physical line (no embedded
-/// newlines; handles quoting). Exposed for testing.
-[[nodiscard]]
-Result<std::vector<std::string>> ParseCsvLine(std::string_view line,
-                                              char delimiter);
-
 }  // namespace spider

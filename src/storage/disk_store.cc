@@ -8,8 +8,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <optional>
+#include <set>
 
 #include "src/common/file_io.h"
 #include "src/common/hash.h"
@@ -179,6 +179,10 @@ class DiskValueCursor final : public ValueCursor {
   uint64_t rows_left_ = 0;
   Status status_;
 };
+
+// Read-window bytes per block dictionary in the seal-time statistics
+// merge: peak stats memory per column is about block count × this.
+constexpr int64_t kStatsMergeBufferBytes = 8LL << 10;
 
 // Streams one block's front-coded dictionary through a small private read
 // window, filled by pread on a descriptor shared by every block of the
@@ -605,6 +609,30 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
   return data;
 }
 
+// The catalog a manifest describes: schema, counts and cached statistics,
+// every column a DiskColumnStore over dir/file_name. OpenDiskCatalog runs
+// it on the manifest it parsed, DiskCatalogWriter::Finish on the one it
+// commits.
+Result<std::unique_ptr<Catalog>> CatalogFromManifest(const fs::path& dir,
+                                                     ManifestData data) {
+  auto catalog = std::make_unique<Catalog>(data.catalog_name);
+  for (ManifestTable& manifest_table : data.tables) {
+    auto table = std::make_unique<Table>(manifest_table.name);
+    for (ManifestColumn& column : manifest_table.columns) {
+      auto store = std::make_unique<DiskColumnStore>(
+          dir / column.file_name, std::move(column.stats), column.file_bytes,
+          column.block_count);
+      SPIDER_RETURN_NOT_OK(table->AttachStoredColumn(
+          column.name, column.type, column.declared_unique, std::move(store)));
+    }
+    SPIDER_RETURN_NOT_OK(catalog->AddTable(std::move(table)));
+  }
+  for (ForeignKey& fk : data.foreign_keys) {
+    catalog->DeclareForeignKey(std::move(fk));
+  }
+  return catalog;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ValueCursor>> DiskColumnStore::OpenCursor() const {
@@ -635,7 +663,6 @@ class DiskCatalogWriter::ColumnWriter {
 
   const std::string& name() const { return name_; }
   TypeId type() const { return type_; }
-  bool declared_unique() const { return declared_unique_; }
 
   Status Open() {
     out_.open(path_, std::ios::binary | std::ios::trunc);
@@ -721,8 +748,8 @@ class DiskCatalogWriter::ColumnWriter {
 
   /// Flushes the tail block, closes the file and computes the seal-time
   /// statistics (exact distinct count / min / max via a k-way merge of the
-  /// per-block sorted dictionaries). Returns the sealed read-only store.
-  Result<std::unique_ptr<ColumnStore>> Seal() {
+  /// per-block sorted dictionaries). Returns the column's manifest record.
+  Result<ManifestColumn> Seal() {
     SPIDER_RETURN_NOT_OK(FlushBlock());
     out_.close();
     if (out_.fail()) {
@@ -739,14 +766,10 @@ class DiskCatalogWriter::ColumnWriter {
       stats_.digit_fraction = static_cast<double>(all_digits_) /
                               static_cast<double>(stats_.non_null_count);
     }
-    return std::unique_ptr<ColumnStore>(std::make_unique<DiskColumnStore>(
-        path_, stats_, file_bytes_, static_cast<int64_t>(dicts_.size())));
+    return ManifestColumn{name_, type_, declared_unique_,
+                          path_.filename().string(), file_bytes_,
+                          static_cast<int64_t>(dicts_.size()), stats_};
   }
-
-  const ColumnStats& stats() const { return stats_; }
-  int64_t file_bytes() const { return file_bytes_; }
-  int64_t block_count() const { return static_cast<int64_t>(dicts_.size()); }
-  const fs::path& path() const { return path_; }
 
  private:
   struct DictRegion {
@@ -809,7 +832,7 @@ class DiskCatalogWriter::ColumnWriter {
 
   // Exact distinct count and global min/max from the sorted per-block
   // dictionaries: a loser-tree k-way merge over small streaming windows —
-  // one shared fd, block_count × stats_merge_buffer_bytes of memory.
+  // one shared fd, block_count × kStatsMergeBufferBytes of memory.
   Status ComputeDistinctStats() {
     if (dicts_.empty()) return Status::OK();
     const ScopedFd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
@@ -820,7 +843,7 @@ class DiskCatalogWriter::ColumnWriter {
     cursors.reserve(dicts_.size());
     for (const DictRegion& region : dicts_) {
       cursors.emplace_back(fd.get(), region.offset, region.bytes,
-                           options_.stats_merge_buffer_bytes);
+                           kStatsMergeBufferBytes);
     }
     auto less = [&cursors](int a, int b) {
       const int order = cursors[static_cast<size_t>(a)].current().compare(
@@ -929,28 +952,32 @@ class DiskCatalogWriter::ColumnWriter {
 // DiskCatalogWriter
 // ---------------------------------------------------------------------------
 
-// Append-session bookkeeping: what the workspace held before, which tables
-// this session resealed, and which it created.
+// The workspace as Finish() will commit it. It starts as the manifest the
+// workspace held (an empty one for Create()); each sealed table replaces
+// its entry (an append) or follows the others (a new table), and each
+// declared foreign key follows the previous ones.
 struct DiskCatalogWriter::AppendState {
-  ManifestData previous;
-  std::map<std::string, size_t> previous_index;  // table name → previous idx
-  // Tables sealed this session (appended-to or new), by name.
-  std::map<std::string, std::unique_ptr<Table>> sealed;
-  // Names of brand-new tables, in creation order (appended-to tables keep
-  // their original manifest position).
-  std::vector<std::string> new_tables;
-  std::vector<ForeignKey> declared_fks;
-  // The previous state of the table currently open in append mode; null
-  // when the open table is new.
-  const ManifestTable* appending = nullptr;
+  ManifestData manifest;
+  // Tables sealed this session, by name: each is begun at most once.
+  std::set<std::string> sealed;
+  // The manifest entry of the open table when it is an append; null when
+  // the open table is new.
+  ManifestTable* appending = nullptr;
   size_t next_column = 0;
 };
 
-DiskCatalogWriter::DiskCatalogWriter(fs::path dir, std::string catalog_name,
-                                     DiskStoreOptions options)
+DiskCatalogWriter::DiskCatalogWriter(fs::path dir, DiskStoreOptions options,
+                                     std::unique_ptr<AppendState> append,
+                                     ScopedFd lock)
     : dir_(std::move(dir)),
       options_(options),
-      catalog_(std::make_unique<Catalog>(std::move(catalog_name))) {}
+      append_(std::move(append)),
+      lock_(std::move(lock)) {
+  // Keep the workspace's original block size so every block in a chain
+  // obeys the same bound.
+  const int64_t block_bytes = append_->manifest.block_bytes;
+  if (block_bytes >= 1024) options_.block_bytes = block_bytes;
+}
 
 DiskCatalogWriter::~DiskCatalogWriter() = default;
 
@@ -970,10 +997,12 @@ Result<std::unique_ptr<DiskCatalogWriter>> DiskCatalogWriter::Create(
     return Status::AlreadyExists("workspace " + dir.string() +
                                  " already holds a disk store");
   }
-  auto writer = std::unique_ptr<DiskCatalogWriter>(new DiskCatalogWriter(
-      std::move(dir), std::move(catalog_name), options));
-  writer->lock_ = std::move(lock);
-  return writer;
+  // A new workspace is an append onto an empty one.
+  auto append = std::make_unique<AppendState>();
+  append->manifest.catalog_name = std::move(catalog_name);
+  append->manifest.block_bytes = options.block_bytes;
+  return std::unique_ptr<DiskCatalogWriter>(new DiskCatalogWriter(
+      std::move(dir), options, std::move(append), std::move(lock)));
 }
 
 Result<std::unique_ptr<DiskCatalogWriter>> DiskCatalogWriter::OpenForAppend(
@@ -982,37 +1011,24 @@ Result<std::unique_ptr<DiskCatalogWriter>> DiskCatalogWriter::OpenForAppend(
   if (IsDiskCatalogDir(dir)) {
     SPIDER_ASSIGN_OR_RETURN(lock, LockWorkspace(dir));
   }
-  SPIDER_ASSIGN_OR_RETURN(ManifestData previous, ParseManifest(dir));
-  // Keep the workspace's original block size so every block in a chain
-  // obeys the same bound.
-  if (previous.block_bytes >= 1024) options.block_bytes = previous.block_bytes;
-  auto writer = std::unique_ptr<DiskCatalogWriter>(new DiskCatalogWriter(
-      std::move(dir), previous.catalog_name, options));
-  writer->lock_ = std::move(lock);
-  writer->append_ = std::make_unique<AppendState>();
-  writer->append_->previous = std::move(previous);
-  const auto& tables = writer->append_->previous.tables;
-  for (size_t i = 0; i < tables.size(); ++i) {
-    writer->append_->previous_index.emplace(tables[i].name, i);
-  }
-  return writer;
+  auto append = std::make_unique<AppendState>();
+  SPIDER_ASSIGN_OR_RETURN(append->manifest, ParseManifest(dir));
+  return std::unique_ptr<DiskCatalogWriter>(new DiskCatalogWriter(
+      std::move(dir), options, std::move(append), std::move(lock)));
 }
 
 Status DiskCatalogWriter::BeginTable(const std::string& name) {
   if (finished_) return Status::InvalidArgument("writer already finished");
   if (table_open_) return Status::InvalidArgument("previous table not finished");
-  if (catalog_->FindTable(name) != nullptr ||
-      (append_ != nullptr && append_->sealed.count(name) != 0)) {
+  if (append_->sealed.count(name) != 0) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
-  if (append_ != nullptr) {
-    const auto it = append_->previous_index.find(name);
-    append_->appending =
-        it == append_->previous_index.end()
-            ? nullptr
-            : &append_->previous.tables[it->second];
-    append_->next_column = 0;
-  }
+  std::vector<ManifestTable>& tables = append_->manifest.tables;
+  const auto it =
+      std::find_if(tables.begin(), tables.end(),
+                   [&name](const ManifestTable& t) { return t.name == name; });
+  append_->appending = it == tables.end() ? nullptr : &*it;
+  append_->next_column = 0;
   table_name_ = name;
   column_writers_.clear();
   table_rows_ = 0;
@@ -1033,7 +1049,7 @@ Status DiskCatalogWriter::AddColumn(std::string name, TypeId type,
                                    table_name_ + "'");
     }
   }
-  if (append_ != nullptr && append_->appending != nullptr) {
+  if (append_->appending != nullptr) {
     // Appending to an existing table: the schema is fixed; columns must be
     // re-declared in their sealed order and keep their sealed type.
     const ManifestTable& previous = *append_->appending;
@@ -1084,7 +1100,7 @@ Status DiskCatalogWriter::AppendRow(std::vector<Value> row) {
         table_name_ + "' with " + std::to_string(column_writers_.size()) +
         " columns");
   }
-  if (append_ != nullptr && append_->appending != nullptr) {
+  if (append_->appending != nullptr) {
     // Widen where safe: a later batch may infer a narrower type than the
     // sealed column (e.g. an all-digit CSV batch for a string column).
     for (size_t i = 0; i < row.size(); ++i) {
@@ -1121,44 +1137,39 @@ Status DiskCatalogWriter::AppendRow(std::vector<Value> row) {
 
 Status DiskCatalogWriter::FinishTable() {
   if (!table_open_) return Status::InvalidArgument("no open table");
-  if (append_ != nullptr && append_->appending != nullptr &&
-      append_->next_column != append_->appending->columns.size()) {
+  ManifestTable* const appending = append_->appending;
+  if (appending != nullptr &&
+      append_->next_column != appending->columns.size()) {
     return Status::InvalidArgument(
         "append to '" + table_name_ + "' declared " +
         std::to_string(append_->next_column) + " of " +
-        std::to_string(append_->appending->columns.size()) +
-        " sealed columns");
+        std::to_string(appending->columns.size()) + " sealed columns");
   }
-  auto table = std::make_unique<Table>(table_name_);
+  ManifestTable table;
+  table.name = table_name_;
   for (auto& writer : column_writers_) {
-    SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<ColumnStore> store, writer->Seal());
-    SPIDER_RETURN_NOT_OK(table->AttachStoredColumn(
-        writer->name(), writer->type(), writer->declared_unique(),
-        std::move(store)));
+    SPIDER_ASSIGN_OR_RETURN(ManifestColumn column, writer->Seal());
+    table.columns.push_back(std::move(column));
   }
-  if (append_ != nullptr) {
-    if (append_->appending == nullptr) {
-      append_->new_tables.push_back(table_name_);
-    }
-    append_->sealed.emplace(table_name_, std::move(table));
-    append_->appending = nullptr;
+  table.row_count =
+      table.columns.empty() ? 0 : table.columns.front().stats.row_count;
+  if (appending != nullptr) {
+    *appending = std::move(table);
   } else {
-    SPIDER_RETURN_NOT_OK(catalog_->AddTable(std::move(table)));
+    append_->manifest.tables.push_back(std::move(table));
   }
+  append_->sealed.insert(table_name_);
+  append_->appending = nullptr;
   column_writers_.clear();
   table_open_ = false;
   return Status::OK();
 }
 
 void DiskCatalogWriter::DeclareForeignKey(ForeignKey fk) {
-  if (append_ != nullptr) {
-    append_->declared_fks.push_back(std::move(fk));
-    return;
-  }
-  catalog_->DeclareForeignKey(std::move(fk));
+  append_->manifest.foreign_keys.push_back(std::move(fk));
 }
 
-Status DiskCatalogWriter::WriteManifest() const {
+Status DiskCatalogWriter::WriteManifest(const Catalog& catalog) const {
   const fs::path path = dir_ / kDiskStoreManifestName;
   // Write-then-rename: the rename is the commit point. Readers either see
   // the old manifest (with the old byte counts, so appended tail bytes are
@@ -1170,10 +1181,10 @@ Status DiskCatalogWriter::WriteManifest() const {
 
   auto field = [](std::string_view s) { return EscapeManifestField(s); };
   out << "spider-store\t2\n";
-  out << "catalog\t" << field(catalog_->name()) << "\n";
+  out << "catalog\t" << field(catalog.name()) << "\n";
   out << "blocksize\t" << options_.block_bytes << "\n";
-  for (int t = 0; t < catalog_->table_count(); ++t) {
-    const Table& table = catalog_->table(t);
+  for (int t = 0; t < catalog.table_count(); ++t) {
+    const Table& table = catalog.table(t);
     out << "table\t" << field(table.name()) << "\t" << table.row_count()
         << "\n";
     for (int c = 0; c < table.column_count(); ++c) {
@@ -1198,7 +1209,7 @@ Status DiskCatalogWriter::WriteManifest() const {
           << "\t" << stats.digit_count << "\n";
     }
   }
-  for (const ForeignKey& fk : catalog_->declared_foreign_keys()) {
+  for (const ForeignKey& fk : catalog.declared_foreign_keys()) {
     out << "fk\t" << field(fk.referencing.table) << "\t"
         << field(fk.referencing.column) << "\t" << field(fk.referenced.table)
         << "\t" << field(fk.referenced.column) << "\n";
@@ -1221,41 +1232,12 @@ Result<std::unique_ptr<Catalog>> DiskCatalogWriter::Finish() {
   if (finished_) return Status::InvalidArgument("writer already finished");
   if (table_open_) return Status::InvalidArgument("table not finished");
   finished_ = true;
-  if (append_ != nullptr) {
-    // Merge: previous tables keep their manifest order (resealed ones swap
-    // in), new tables follow, then previous plus newly declared FKs.
-    auto merged = std::make_unique<Catalog>(append_->previous.catalog_name);
-    for (ManifestTable& previous : append_->previous.tables) {
-      auto it = append_->sealed.find(previous.name);
-      if (it != append_->sealed.end()) {
-        SPIDER_RETURN_NOT_OK(merged->AddTable(std::move(it->second)));
-        continue;
-      }
-      auto table = std::make_unique<Table>(previous.name);
-      for (ManifestColumn& column : previous.columns) {
-        auto store = std::make_unique<DiskColumnStore>(
-            dir_ / column.file_name, std::move(column.stats),
-            column.file_bytes, column.block_count);
-        SPIDER_RETURN_NOT_OK(table->AttachStoredColumn(
-            column.name, column.type, column.declared_unique,
-            std::move(store)));
-      }
-      SPIDER_RETURN_NOT_OK(merged->AddTable(std::move(table)));
-    }
-    for (const std::string& name : append_->new_tables) {
-      SPIDER_RETURN_NOT_OK(merged->AddTable(std::move(append_->sealed.at(name))));
-    }
-    for (ForeignKey& fk : append_->previous.foreign_keys) {
-      merged->DeclareForeignKey(std::move(fk));
-    }
-    for (ForeignKey& fk : append_->declared_fks) {
-      merged->DeclareForeignKey(std::move(fk));
-    }
-    catalog_ = std::move(merged);
-  }
-  SPIDER_RETURN_NOT_OK(WriteManifest());
+  SPIDER_ASSIGN_OR_RETURN(
+      std::unique_ptr<Catalog> catalog,
+      CatalogFromManifest(dir_, std::move(append_->manifest)));
+  SPIDER_RETURN_NOT_OK(WriteManifest(*catalog));
   lock_.Reset();
-  return std::move(catalog_);
+  return catalog;
 }
 
 // ---------------------------------------------------------------------------
@@ -1269,22 +1251,7 @@ bool IsDiskCatalogDir(const fs::path& dir) {
 
 Result<std::unique_ptr<Catalog>> OpenDiskCatalog(const fs::path& dir) {
   SPIDER_ASSIGN_OR_RETURN(ManifestData data, ParseManifest(dir));
-  auto catalog = std::make_unique<Catalog>(data.catalog_name);
-  for (ManifestTable& manifest_table : data.tables) {
-    auto table = std::make_unique<Table>(manifest_table.name);
-    for (ManifestColumn& column : manifest_table.columns) {
-      auto store = std::make_unique<DiskColumnStore>(
-          dir / column.file_name, std::move(column.stats), column.file_bytes,
-          column.block_count);
-      SPIDER_RETURN_NOT_OK(table->AttachStoredColumn(
-          column.name, column.type, column.declared_unique, std::move(store)));
-    }
-    SPIDER_RETURN_NOT_OK(catalog->AddTable(std::move(table)));
-  }
-  for (ForeignKey& fk : data.foreign_keys) {
-    catalog->DeclareForeignKey(std::move(fk));
-  }
-  return catalog;
+  return CatalogFromManifest(dir, std::move(data));
 }
 
 }  // namespace spider

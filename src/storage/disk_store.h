@@ -37,10 +37,6 @@ struct DiskStoreOptions {
   /// bound on import memory is block_bytes × columns of the widest table;
   /// the bound on scan memory is one block per open cursor.
   int64_t block_bytes = 256LL << 10;
-  /// Read-buffer bytes per block stream in the seal-time dictionary merge
-  /// that computes exact distinct counts (the stats the candidate pretests
-  /// need). Peak stats memory per column ≈ block count × this.
-  int64_t stats_merge_buffer_bytes = 8LL << 10;
 };
 
 /// Name of the manifest file inside a disk-store workspace.
@@ -113,7 +109,9 @@ class DiskCatalogWriter final : public CatalogSink {
  public:
   /// Creates `dir` (and parents) if needed and takes the writer lock.
   /// Fails if the directory already contains a manifest — Create() writes
-  /// a workspace once; use OpenForAppend() to add rows later.
+  /// a workspace once; use OpenForAppend() to add rows later. The writer
+  /// then runs exactly as OpenForAppend() on an empty workspace: every
+  /// table it writes is a new one.
   [[nodiscard]]
   static Result<std::unique_ptr<DiskCatalogWriter>> Create(
       std::filesystem::path dir, std::string catalog_name,
@@ -157,21 +155,22 @@ class DiskCatalogWriter final : public CatalogSink {
   class ColumnWriter;
   struct AppendState;
 
-  DiskCatalogWriter(std::filesystem::path dir, std::string catalog_name,
-                    DiskStoreOptions options);
+  DiskCatalogWriter(std::filesystem::path dir, DiskStoreOptions options,
+                    std::unique_ptr<AppendState> append, ScopedFd lock);
 
   [[nodiscard]]
-  Status WriteManifest() const;
+  Status WriteManifest(const Catalog& catalog) const;
 
   std::filesystem::path dir_;
   DiskStoreOptions options_;
-  std::unique_ptr<Catalog> catalog_;
   std::string table_name_;
   std::vector<std::unique_ptr<ColumnWriter>> column_writers_;
   int64_t table_rows_ = 0;
   bool table_open_ = false;
   bool finished_ = false;
-  // Non-null when this writer extends an existing workspace (OpenForAppend).
+  // The workspace Finish() commits; never null. Create() starts it from an
+  // empty manifest, so every new table is an append to a workspace that
+  // does not hold it yet.
   std::unique_ptr<AppendState> append_;
   // The flock'd kDiskStoreLockName, held until Finish() commits.
   ScopedFd lock_;

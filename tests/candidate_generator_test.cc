@@ -2,8 +2,10 @@
 
 #include <algorithm>
 
+#include "src/common/temp_dir.h"
 #include "src/datagen/pdb_like.h"
 #include "src/ind/candidate_generator.h"
+#include "src/storage/disk_store.h"
 #include "tests/test_util.h"
 
 namespace spider {
@@ -198,6 +200,38 @@ TEST(CandidateGeneratorTest, SamplingPretestNeverPrunesTrueInds) {
   auto set = CandidateGenerator(options).Generate(catalog);
   ASSERT_TRUE(set.ok());
   EXPECT_TRUE(HasCandidate(*set, {"t1", "dep"}, {"t2", "ref"}));
+}
+
+// The sampling pretest draws each dependent sample from the column's
+// cursor, so an in-memory catalog and a disk workspace of the same data
+// keep and prune the same candidates.
+TEST(CandidateGeneratorTest, SamplingPretestAgreesAcrossBackends) {
+  datagen::PdbLikeOptions shape;
+  shape.entries = 300;
+  shape.category_tables = 5;
+  MemoryCatalogSink memory_sink("pdb_like");
+  ASSERT_TRUE(datagen::WritePdbLike(shape, memory_sink).ok());
+  auto memory = memory_sink.Finish();
+  ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+  auto dir = TempDir::Make("spider-sampling-parity");
+  ASSERT_TRUE(dir.ok());
+  auto writer = DiskCatalogWriter::Create((*dir)->path() / "ws", "pdb_like");
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE(datagen::WritePdbLike(shape, **writer).ok());
+  auto disk = (*writer)->Finish();
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+
+  CandidateGeneratorOptions options;
+  options.sampling_pretest = true;
+  const CandidateGenerator generator(options);
+  auto from_memory = generator.GenerateGraph(**memory);
+  ASSERT_TRUE(from_memory.ok()) << from_memory.status().ToString();
+  auto from_disk = generator.GenerateGraph(**disk);
+  ASSERT_TRUE(from_disk.ok()) << from_disk.status().ToString();
+  EXPECT_GT(from_memory->pruned_by_sampling, 0);
+  EXPECT_EQ(from_memory->pruned_by_sampling, from_disk->pruned_by_sampling);
+  EXPECT_EQ(from_memory->candidates.size(), from_disk->candidates.size());
+  EXPECT_TRUE(from_memory->candidates == from_disk->candidates);
 }
 
 TEST(CandidateGeneratorTest, CountsRawPairsAndStats) {

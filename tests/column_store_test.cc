@@ -337,6 +337,40 @@ TEST_F(DiskStoreTest, OneWriterPerWorkspace) {
   EXPECT_EQ(HashWorkspace(workspace), HashWorkspace(serial));
 }
 
+// A writer seals each table once per session, whether the session created
+// the workspace or appends to it: beginning a table name it already sealed
+// is refused.
+TEST_F(DiskStoreTest, TableBegunTwiceInOneSessionAlreadyExists) {
+  const auto workspace = Workspace("ws");
+  auto write_one_row = [](DiskCatalogWriter& writer, const std::string& table,
+                          int64_t value) {
+    ASSERT_TRUE(writer.BeginTable(table).ok()) << table;
+    ASSERT_TRUE(writer.AddColumn("v", TypeId::kInteger).ok());
+    ASSERT_TRUE(writer.AppendRow({Value::Integer(value)}).ok());
+    ASSERT_TRUE(writer.FinishTable().ok());
+  };
+  auto create = DiskCatalogWriter::Create(workspace, "db");
+  ASSERT_TRUE(create.ok()) << create.status().ToString();
+  write_one_row(**create, "t", 1);
+  EXPECT_TRUE((*create)->BeginTable("t").IsAlreadyExists());
+  ASSERT_TRUE((*create)->Finish().ok());
+
+  auto append = DiskCatalogWriter::OpenForAppend(workspace);
+  ASSERT_TRUE(append.ok()) << append.status().ToString();
+  // "t" grows; "u" is new to the workspace.
+  for (const char* table : {"t", "u"}) {
+    write_one_row(**append, table, 2);
+    EXPECT_TRUE((*append)->BeginTable(table).IsAlreadyExists()) << table;
+  }
+  auto catalog = (*append)->Finish();
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  ASSERT_EQ((*catalog)->table_count(), 2);
+  EXPECT_EQ((*catalog)->table(0).name(), "t");
+  EXPECT_EQ((*catalog)->table(0).row_count(), 2);
+  EXPECT_EQ((*catalog)->table(1).name(), "u");
+  EXPECT_EQ((*catalog)->table(1).row_count(), 1);
+}
+
 TEST_F(DiskStoreTest, DictionaryCompressionShrinksRepetitiveColumns) {
   auto writer = DiskCatalogWriter::Create(Workspace("ws"), "db");
   ASSERT_TRUE(writer.ok());

@@ -29,36 +29,47 @@ class CsvTest : public ::testing::Test {
   std::unique_ptr<TempDir> dir_;
 };
 
-TEST(ParseCsvLineTest, PlainFields) {
-  auto fields = ParseCsvLine("a,b,c", ',');
+// Reads the one record `text` holds.
+Result<std::vector<std::string>> ReadOneRecord(const std::string& text,
+                                               char delimiter = ',') {
+  std::istringstream in(text);
+  CsvRecordReader reader(in, delimiter);
+  std::vector<std::string> fields;
+  SPIDER_ASSIGN_OR_RETURN(const bool read, reader.Next(&fields));
+  EXPECT_TRUE(read);
+  return fields;
+}
+
+TEST(CsvRecordReaderTest, PlainFields) {
+  auto fields = ReadOneRecord("a,b,c");
   ASSERT_TRUE(fields.ok());
   EXPECT_EQ(*fields, (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(ParseCsvLineTest, EmptyFields) {
-  EXPECT_EQ(*ParseCsvLine(",,", ','), (std::vector<std::string>{"", "", ""}));
+TEST(CsvRecordReaderTest, EmptyFields) {
+  EXPECT_EQ(*ReadOneRecord(",,"), (std::vector<std::string>{"", "", ""}));
 }
 
-TEST(ParseCsvLineTest, QuotedFieldWithDelimiter) {
-  EXPECT_EQ(*ParseCsvLine("\"a,b\",c", ','),
+TEST(CsvRecordReaderTest, QuotedFieldWithDelimiter) {
+  EXPECT_EQ(*ReadOneRecord("\"a,b\",c"),
             (std::vector<std::string>{"a,b", "c"}));
 }
 
-TEST(ParseCsvLineTest, EscapedQuote) {
-  EXPECT_EQ(*ParseCsvLine("\"say \"\"hi\"\"\",x", ','),
+TEST(CsvRecordReaderTest, EscapedQuote) {
+  EXPECT_EQ(*ReadOneRecord("\"say \"\"hi\"\"\",x"),
             (std::vector<std::string>{"say \"hi\"", "x"}));
 }
 
-TEST(ParseCsvLineTest, UnterminatedQuoteFails) {
-  EXPECT_TRUE(ParseCsvLine("\"abc", ',').status().IsInvalidArgument());
+TEST(CsvRecordReaderTest, UnterminatedQuoteFails) {
+  EXPECT_TRUE(ReadOneRecord("\"abc").status().IsInvalidArgument());
 }
 
-TEST(ParseCsvLineTest, QuoteInsideUnquotedFieldFails) {
-  EXPECT_TRUE(ParseCsvLine("ab\"c", ',').status().IsInvalidArgument());
+TEST(CsvRecordReaderTest, QuoteInsideUnquotedFieldFails) {
+  EXPECT_TRUE(ReadOneRecord("ab\"c").status().IsInvalidArgument());
 }
 
-TEST(ParseCsvLineTest, AlternateDelimiter) {
-  EXPECT_EQ(*ParseCsvLine("a;b", ';'), (std::vector<std::string>{"a", "b"}));
+TEST(CsvRecordReaderTest, AlternateDelimiter) {
+  EXPECT_EQ(*ReadOneRecord("a;b", ';'), (std::vector<std::string>{"a", "b"}));
 }
 
 TEST_F(CsvTest, ReadsWithTypeInference) {

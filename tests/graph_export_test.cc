@@ -59,7 +59,8 @@ TEST(GraphExportTest, EndToEndOnGeneratedDatabase) {
   options.bioentries = 80;
   auto catalog = datagen::MakeUniprotLike(options);
   ASSERT_TRUE(catalog.ok());
-  auto report = BuildSchemaReport(**catalog);
+  SpiderSession session(**catalog);
+  auto report = BuildSchemaReport(session);
   ASSERT_TRUE(report.ok());
   std::string dot = ExportSchemaDot(*report);
   // Every guessed FK's tables appear as nodes and an edge exists.

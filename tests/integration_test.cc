@@ -88,8 +88,8 @@ TEST_F(UniprotIntegrationTest, NoFalsePositives) {
 }
 
 TEST_F(UniprotIntegrationTest, PrimaryRelationIsBioentry) {
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(*catalog_, report_->run.satisfied);
+  auto ranked = testing::RankPrimaryRelations(
+      *catalog_, report_->run.satisfied);
   ASSERT_TRUE(ranked.ok());
   ASSERT_GE(ranked->size(), 3u);  // bioentry, reference, ontology
   EXPECT_EQ((*ranked)[0].table, "sg_bioentry");
@@ -165,8 +165,8 @@ TEST_F(PdbIntegrationTest, SurrogateKeysProduceManySpuriousInds) {
 }
 
 TEST_F(PdbIntegrationTest, PrimaryRelationCandidatesIncludeStruct) {
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(*catalog_, report_->run.satisfied);
+  auto ranked = testing::RankPrimaryRelations(
+      *catalog_, report_->run.satisfied);
   ASSERT_TRUE(ranked.ok());
   ASSERT_GE(ranked->size(), 3u);
   EXPECT_EQ((*ranked)[0].table, "pdb_struct");
@@ -178,8 +178,7 @@ TEST_F(PdbIntegrationTest, SurrogateFilterSharpensPrimaryRelation) {
   SurrogateKeyFilter filter;
   auto split = filter.Filter(*catalog_, report_->run.satisfied);
   ASSERT_TRUE(split.ok());
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(*catalog_, split->kept);
+  auto ranked = testing::RankPrimaryRelations(*catalog_, split->kept);
   ASSERT_TRUE(ranked.ok());
   ASSERT_GE(ranked->size(), 1u);
   EXPECT_EQ((*ranked)[0].table, "pdb_struct");

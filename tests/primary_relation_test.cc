@@ -28,8 +28,7 @@ TEST_F(PrimaryRelationTest, RanksByInboundIndCount) {
       {{"child2", "fk"}, {"main", "acc"}},
       {{"child1", "fk"}, {"side", "acc"}},
   };
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(catalog_, inds);
+  auto ranked = testing::RankPrimaryRelations(catalog_, inds);
   ASSERT_TRUE(ranked.ok());
   ASSERT_EQ(ranked->size(), 2u);  // noacc has no accession candidate
   EXPECT_EQ((*ranked)[0].table, "main");
@@ -52,8 +51,7 @@ TEST_F(PrimaryRelationTest, CountsIndsIntoAnyAttributeOfTheTable) {
   testing::AddStringColumn(&catalog, "child", "fk", {"x1"});
 
   std::vector<Ind> inds = {{{"child", "fk"}, {"main", "other"}}};
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(catalog, inds);
+  auto ranked = testing::RankPrimaryRelations(catalog, inds);
   ASSERT_TRUE(ranked.ok());
   ASSERT_EQ(ranked->size(), 1u);
   EXPECT_EQ((*ranked)[0].inbound_ind_count, 1);
@@ -64,8 +62,7 @@ TEST_F(PrimaryRelationTest, TieBrokenByTableNameForDeterminism) {
       {{"child1", "fk"}, {"main", "acc"}},
       {{"child2", "fk"}, {"side", "acc"}},
   };
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(catalog_, inds);
+  auto ranked = testing::RankPrimaryRelations(catalog_, inds);
   ASSERT_TRUE(ranked.ok());
   ASSERT_EQ(ranked->size(), 2u);
   EXPECT_EQ((*ranked)[0].table, "main");  // "main" < "side"
@@ -74,23 +71,20 @@ TEST_F(PrimaryRelationTest, TieBrokenByTableNameForDeterminism) {
 TEST_F(PrimaryRelationTest, NoAccessionCandidatesYieldsEmptyRanking) {
   Catalog catalog;
   testing::AddStringColumn(&catalog, "t", "num", {"111111", "222222"});
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(catalog, {});
+  auto ranked = testing::RankPrimaryRelations(catalog, {});
   ASSERT_TRUE(ranked.ok());
   EXPECT_TRUE(ranked->empty());
 }
 
 TEST_F(PrimaryRelationTest, ZeroIndsStillRanksAccessionTables) {
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(catalog_, {});
+  auto ranked = testing::RankPrimaryRelations(catalog_, {});
   ASSERT_TRUE(ranked.ok());
   EXPECT_EQ(ranked->size(), 2u);
   EXPECT_EQ((*ranked)[0].inbound_ind_count, 0);
 }
 
 TEST_F(PrimaryRelationTest, ReportsAccessionCandidatesPerTable) {
-  PrimaryRelationFinder finder;
-  auto ranked = finder.Rank(catalog_, {});
+  auto ranked = testing::RankPrimaryRelations(catalog_, {});
   ASSERT_TRUE(ranked.ok());
   for (const auto& entry : *ranked) {
     ASSERT_EQ(entry.accession_candidates.size(), 1u);

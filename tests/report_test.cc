@@ -4,9 +4,12 @@
 #include <utility>
 
 #include "src/common/json_reader.h"
+#include "src/common/temp_dir.h"
+#include "src/datagen/pdb_like.h"
 #include "src/datagen/uniprot_like.h"
 #include "src/discovery/report.h"
 #include "src/ind/report_json.h"
+#include "src/storage/disk_store.h"
 #include "tests/test_util.h"
 
 namespace spider {
@@ -20,7 +23,8 @@ class SchemaReportTest : public ::testing::Test {
     auto catalog = datagen::MakeUniprotLike(options);
     ASSERT_TRUE(catalog.ok());
     catalog_ = catalog->release();
-    auto report = BuildSchemaReport(*catalog_);
+    SpiderSession session(*catalog_);
+    auto report = BuildSchemaReport(session);
     ASSERT_TRUE(report.ok());
     report_ = new SchemaReport(std::move(report).value());
   }
@@ -98,14 +102,16 @@ TEST(SchemaReportOptionsTest, SurrogateFilterCanBeDisabled) {
   }
 
   SchemaReportOptions with_filter;
-  auto filtered = BuildSchemaReport(catalog, with_filter);
+  SpiderSession filtered_session(catalog);
+  auto filtered = BuildSchemaReport(filtered_session, with_filter);
   ASSERT_TRUE(filtered.ok());
   EXPECT_FALSE(filtered->surrogate_filtered.empty());
   EXPECT_TRUE(filtered->fk_guesses.empty());
 
   SchemaReportOptions without_filter;
   without_filter.filter_surrogates = false;
-  auto unfiltered = BuildSchemaReport(catalog, without_filter);
+  SpiderSession unfiltered_session(catalog);
+  auto unfiltered = BuildSchemaReport(unfiltered_session, without_filter);
   ASSERT_TRUE(unfiltered.ok());
   EXPECT_TRUE(unfiltered->surrogate_filtered.empty());
   EXPECT_FALSE(unfiltered->fk_guesses.empty());
@@ -138,7 +144,8 @@ TEST(SchemaReportOptionsTest, CompositeKeysAcrossTables) {
             {{"e1", "1", "n"}, {"e1", "2", "n"}, {"e2", "1", "n"},
              {"e2", "2", "n"}});
 
-  auto report = BuildSchemaReport(catalog);
+  SpiderSession session(catalog);
+  auto report = BuildSchemaReport(session);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const std::set<Ucc> keys(report->composite_keys.begin(),
                            report->composite_keys.end());
@@ -149,12 +156,101 @@ TEST(SchemaReportOptionsTest, CompositeKeysAcrossTables) {
 
 TEST(SchemaReportOptionsTest, EmptyCatalog) {
   Catalog catalog;
-  auto report = BuildSchemaReport(catalog);
+  SpiderSession session(catalog);
+  auto report = BuildSchemaReport(session);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->key_candidates.empty());
   EXPECT_TRUE(report->primary_relations.empty());
   // The rendering must not crash on empty sections.
   EXPECT_FALSE(report->ToString().empty());
+}
+
+// What a report concluded, one line per finding: key candidates with their
+// distinct counts, satisfied INDs, foreign-key guesses, accession-number
+// candidates and the primary-relation ranking.
+std::vector<std::string> Conclusions(const SchemaReport& report) {
+  std::vector<std::string> out;
+  for (const KeyCandidate& key : report.key_candidates) {
+    out.push_back("key " + key.attribute.ToString() + " " +
+                  std::to_string(key.distinct_count));
+  }
+  for (const Ind& ind : report.profile.run.satisfied) {
+    out.push_back("ind " + ind.ToString());
+  }
+  for (const ForeignKey& fk : report.fk_guesses) {
+    out.push_back("fk " + fk.ToString());
+  }
+  for (const AccessionCandidate& accession : report.accession_candidates) {
+    out.push_back("accession " + accession.attribute.ToString());
+  }
+  for (const PrimaryRelationCandidate& relation : report.primary_relations) {
+    out.push_back("primary " + relation.table + " " +
+                  std::to_string(relation.inbound_ind_count));
+  }
+  return out;
+}
+
+// The report on a disk workspace runs on a session opened the way
+// `spider profile <workspace>` opens it, profiling in place: a second fresh
+// session answers every IND candidate from the profile the first sealed,
+// and both conclude what an in-memory catalog of the same data does.
+TEST(SchemaReportWorkspaceTest, SecondSessionReusesEveryVerdict) {
+  datagen::PdbLikeOptions shape;
+  shape.entries = 60;
+  shape.category_tables = 4;
+  MemoryCatalogSink memory_sink("pdb_like");
+  ASSERT_TRUE(datagen::WritePdbLike(shape, memory_sink).ok());
+  auto memory = memory_sink.Finish();
+  ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+  auto dir = TempDir::Make("spider-report-workspace");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path workspace = (*dir)->path() / "ws";
+  {
+    auto writer = DiskCatalogWriter::Create(workspace, "pdb_like");
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(datagen::WritePdbLike(shape, **writer).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  auto discover = [&workspace]() -> Result<SchemaReport> {
+    SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> catalog,
+                            OpenDiskCatalog(workspace));
+    SessionOptions options;
+    options.work_dir = workspace.string();
+    options.persist_profile = true;
+    SpiderSession session(std::move(catalog), options);
+    return BuildSchemaReport(session);
+  };
+
+  auto cold = discover();
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  auto warm = discover();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  SpiderSession memory_session(**memory);
+  auto reference = BuildSchemaReport(memory_session);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  const int64_t candidates =
+      static_cast<int64_t>(warm->profile.candidates.candidates.size());
+  EXPECT_GT(candidates, 0);
+  EXPECT_EQ(cold->profile.verdicts_reused, 0);
+  EXPECT_EQ(warm->profile.verdicts_reused, candidates);
+  EXPECT_EQ(warm->profile.candidates_revalidated, 0);
+  EXPECT_FALSE(warm->key_candidates.empty());
+  EXPECT_FALSE(warm->fk_guesses.empty());
+  EXPECT_FALSE(warm->accession_candidates.empty());
+  EXPECT_FALSE(warm->primary_relations.empty());
+  EXPECT_EQ(Conclusions(*warm), Conclusions(*cold));
+  EXPECT_EQ(Conclusions(*warm), Conclusions(*reference));
+}
+
+// The report's IND run is an IND run: an approach of another kind fails it.
+TEST(SchemaReportOptionsTest, OtherKindIsRejected) {
+  Catalog catalog;
+  testing::AddStringColumn(&catalog, "t", "c", {"a", "b"});
+  SpiderSession session(catalog);
+  SchemaReportOptions options;
+  options.ind.approach = "ucc-levelwise";
+  EXPECT_TRUE(BuildSchemaReport(session, options).status().IsInvalidArgument());
 }
 
 // The IND report JSON carries the unary work counters beside tuples_read,

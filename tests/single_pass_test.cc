@@ -161,6 +161,19 @@ TEST_F(SinglePassTest, BlockwiseLimitsOpenFiles) {
   EXPECT_EQ(bounded.satisfied.size(), 6u);
 }
 
+// The id partitioner over named candidates, its blocks named back.
+std::vector<std::vector<IndCandidate>> NamedBlocks(
+    const std::vector<IndCandidate>& candidates, int max_open_files) {
+  const InternedCandidates interned = InternCandidates(candidates);
+  std::vector<std::vector<IndCandidate>> blocks;
+  for (const std::vector<AttributePair>& block :
+       PartitionCandidatesByFileBudget(interned.attributes.size(),
+                                       interned.pairs, max_open_files)) {
+    blocks.push_back(NamePairs<IndCandidate>(interned.attributes, block));
+  }
+  return blocks;
+}
+
 TEST(PartitionCandidatesTest, RespectsBudget) {
   std::vector<IndCandidate> candidates;
   for (int d = 0; d < 5; ++d) {
@@ -170,7 +183,7 @@ TEST(PartitionCandidatesTest, RespectsBudget) {
     }
   }
   for (int budget : {2, 3, 5, 8}) {
-    auto blocks = PartitionCandidatesByFileBudget(candidates, budget);
+    auto blocks = NamedBlocks(candidates, budget);
     size_t total = 0;
     for (const auto& block : blocks) {
       std::set<AttributeRef> deps;
@@ -239,7 +252,7 @@ TEST(PartitionCandidatesTest, MatchesTheSetBasedGreedyOnRandomCandidates) {
             "c" + std::to_string(rng.Uniform(0, attributes - 1))}});
     }
     for (int budget : {0, 2, 3, 5, 8, 17, 64, 1024}) {
-      EXPECT_EQ(PartitionCandidatesByFileBudget(candidates, budget),
+      EXPECT_EQ(NamedBlocks(candidates, budget),
                 SetBasedBlocks(candidates, budget))
           << "round " << round << " budget " << budget;
     }
@@ -249,13 +262,13 @@ TEST(PartitionCandidatesTest, MatchesTheSetBasedGreedyOnRandomCandidates) {
 TEST(PartitionCandidatesTest, UnlimitedBudgetIsOneBlock) {
   std::vector<IndCandidate> candidates = {{{"a", "c"}, {"b", "c"}},
                                           {{"c", "c"}, {"d", "c"}}};
-  auto blocks = PartitionCandidatesByFileBudget(candidates, 0);
+  auto blocks = NamedBlocks(candidates, 0);
   ASSERT_EQ(blocks.size(), 1u);
   EXPECT_EQ(blocks[0].size(), 2u);
 }
 
 TEST(PartitionCandidatesTest, EmptyInput) {
-  EXPECT_TRUE(PartitionCandidatesByFileBudget({}, 4).empty());
+  EXPECT_TRUE(NamedBlocks({}, 4).empty());
 }
 
 // Property sweep: on random catalogs the single-pass result equals both the

@@ -8,6 +8,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/discovery/accession.h"
+#include "src/discovery/primary_relation.h"
 #include "src/storage/catalog.h"
 #include "src/ind/candidate.h"
 #include "src/ind/registry.h"
@@ -72,6 +74,15 @@ inline std::vector<std::string> UnaryApproachNames() {
     if (entry.ok() && !(*entry)->capabilities.nary) names.push_back(name);
   }
   return names;
+}
+
+/// Heuristic 1 (accession-number detection), then Heuristic 2 on its
+/// candidates, as the schema report runs them.
+inline Result<std::vector<PrimaryRelationCandidate>> RankPrimaryRelations(
+    const Catalog& catalog, const std::vector<Ind>& satisfied_inds) {
+  SPIDER_ASSIGN_OR_RETURN(std::vector<AccessionCandidate> accessions,
+                          AccessionNumberDetector().Detect(catalog));
+  return spider::RankPrimaryRelations(accessions, satisfied_inds);
 }
 
 /// Set-ifies a result vector for order-insensitive comparison.

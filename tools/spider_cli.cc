@@ -32,7 +32,8 @@
 // --append the dump's rows are appended to an existing workspace instead —
 // new tables are created, existing tables grow, and the persisted profile
 // (spider_profile.manifest) invalidates exactly the touched columns;
-// `discover` runs the whole Aladin-style pipeline and prints the report;
+// `discover` runs the whole Aladin-style pipeline — IND profiling always,
+// so --kind other than ind is a usage error — and prints the report;
 // `links` finds cross-database links into the target's accession columns;
 // `approaches` lists every registered verification approach with its
 // capabilities (--json emits the machine-readable form the docs
@@ -58,11 +59,11 @@
 // skipping in the merge loops (same INDs, more tuples read — the parity
 // baseline).
 //
-// Profiling an imported workspace persists its profile next to the data
-// (sorted set files plus spider_profile.manifest), in the same directory
-// spiderd profiles that workspace in: a rerun — or a daemon job — reuses
-// every set file and verdict whose fingerprints still verify and
-// revalidates only candidates whose columns changed since.
+// Profiling or discovering on an imported workspace persists its profile
+// next to the data (sorted set files plus spider_profile.manifest), in the
+// same directory spiderd profiles that workspace in: a rerun — or a daemon
+// job — reuses every set file and verdict whose fingerprints still verify
+// and revalidates only candidates whose columns changed since.
 // --no-profile-cache reuses and records no verdict, so every candidate is
 // verified again; set files that verify are still reused (docs/CLI.md).
 
@@ -281,12 +282,27 @@ RunOptions MakeRunOptions(const Flags& flags) {
 struct LoadedCatalog {
   std::unique_ptr<Catalog> catalog;
   std::unique_ptr<TempDir> temp_workspace;
-  /// Non-empty when the argument was an imported workspace: `profile`
+  /// Non-empty when the argument was an imported workspace: the session
   /// keeps the profile (set files + spider_profile.manifest) there, where
   /// spiderd keeps it too. A temp workspace stays empty — persisting into a
   /// directory that dies with the process buys nothing.
   std::string workspace_dir;
 };
+
+// The session `profile` and `discover` run on. A durable workspace
+// profiles in place: sorted sets and the profile manifest land next to
+// spider_store.manifest, so the next run (or a spiderd job) reuses them.
+// --no-profile-cache only stops verdict reuse and recording inside the
+// session, as it does in spiderd. Anything else works in a temp directory
+// that dies with the session.
+SpiderSession OpenSession(const LoadedCatalog& loaded) {
+  SessionOptions options;
+  if (!loaded.workspace_dir.empty()) {
+    options.work_dir = loaded.workspace_dir;
+    options.persist_profile = true;
+  }
+  return SpiderSession(*loaded.catalog, options);
+}
 
 DiskStoreOptions MakeDiskOptions(const Flags& flags) {
   DiskStoreOptions options;
@@ -338,36 +354,28 @@ int RunImport(const Flags& flags) {
       std::cerr << "import --backend=disk requires --workspace=DIR\n";
       return 2;
     }
-    if (flags.append) {
-      if (!IsDiskCatalogDir(flags.workspace)) {
-        std::cerr << "import --append needs an existing imported workspace, "
-                  << flags.workspace << " has no spider_store.manifest\n";
-        return 2;
-      }
-      auto writer =
-          DiskCatalogWriter::OpenForAppend(flags.workspace, MakeDiskOptions(flags));
-      if (!writer.ok()) return Fail(writer.status());
-      auto catalog = ImportCsvDirectory(dir, CsvOptions{}, **writer);
-      if (!catalog.ok()) return Fail(catalog.status());
-      std::cout << "appended into " << flags.workspace << ": now "
-                << (*catalog)->table_count() << " tables, "
-                << (*catalog)->attribute_count() << " attributes\n"
-                << "on-disk size: "
-                << FormatBytes((*catalog)->ApproximateByteSize()) << "  ("
-                << Stopwatch::FormatDuration(watch.ElapsedSeconds()) << ")\n"
-                << "profile it with: spider profile " << flags.workspace
-                << "\n";
-      return 0;
+    if (flags.append && !IsDiskCatalogDir(flags.workspace)) {
+      std::cerr << "import --append needs an existing imported workspace, "
+                << flags.workspace << " has no spider_store.manifest\n";
+      return 2;
     }
     const std::string name = std::filesystem::path(dir).filename().string();
     auto writer =
-        DiskCatalogWriter::Create(flags.workspace, name, MakeDiskOptions(flags));
+        flags.append
+            ? DiskCatalogWriter::OpenForAppend(flags.workspace,
+                                               MakeDiskOptions(flags))
+            : DiskCatalogWriter::Create(flags.workspace, name,
+                                        MakeDiskOptions(flags));
     if (!writer.ok()) return Fail(writer.status());
     auto catalog = ImportCsvDirectory(dir, CsvOptions{}, **writer);
     if (!catalog.ok()) return Fail(catalog.status());
-    std::cout << "imported " << (*catalog)->table_count() << " tables, "
-              << (*catalog)->attribute_count() << " attributes into "
-              << flags.workspace << "\n"
+    const std::string counts =
+        std::to_string((*catalog)->table_count()) + " tables, " +
+        std::to_string((*catalog)->attribute_count()) + " attributes";
+    std::cout << (flags.append
+                      ? "appended into " + flags.workspace + ": now " + counts
+                      : "imported " + counts + " into " + flags.workspace)
+              << "\n"
               << "on-disk size: "
               << FormatBytes((*catalog)->ApproximateByteSize()) << "  ("
               << Stopwatch::FormatDuration(watch.ElapsedSeconds()) << ")\n"
@@ -394,16 +402,7 @@ int RunProfile(const Flags& flags) {
   }
 
   InstallSigintHandler();
-  // A durable workspace profiles in place: sorted sets and the profile
-  // manifest land next to spider_store.manifest, so the next run (or a
-  // spiderd job) reuses them. --no-profile-cache only stops verdict reuse
-  // and recording inside the session, as it does in spiderd.
-  SessionOptions session_options;
-  if (!catalog->workspace_dir.empty()) {
-    session_options.work_dir = catalog->workspace_dir;
-    session_options.persist_profile = true;
-  }
-  SpiderSession session(*catalog->catalog, session_options);
+  SpiderSession session = OpenSession(*catalog);
   auto report = session.Run(MakeRunOptions(flags));
   if (flags.progress) std::cerr << "\n";
   if (!report.ok()) return Fail(report.status());
@@ -438,17 +437,28 @@ int RunProfile(const Flags& flags) {
 
 int RunDiscover(const Flags& flags) {
   if (flags.positional.size() != 1) return Usage();
+  if (flags.run.kind.value_or(DependencyKind::kInd) != DependencyKind::kInd) {
+    std::cerr << "discover profiles INDs; run --kind="
+              << KindName(*flags.run.kind) << " with `spider profile`\n";
+    return 2;
+  }
+  SchemaReportOptions options;
+  options.ind = MakeRunOptions(flags);
+  // `discover` has always run exact INDs; a stray --sigma must not flip
+  // the pipeline into σ-partial mode, nor --approach into another kind.
+  options.ind.kind = DependencyKind::kInd;
+  options.ind.min_coverage = 1.0;
+  if (const Status valid = ValidateRunOptions(options.ind); !valid.ok()) {
+    std::cerr << valid.message() << "\n";
+    return 2;
+  }
+  options.filter_surrogates = flags.surrogate_filter;
   auto catalog = LoadCatalog(flags.positional[0], flags);
   if (!catalog.ok()) return Fail(catalog.status());
 
   InstallSigintHandler();
-  SchemaReportOptions options;
-  options.ind = MakeRunOptions(flags);
-  // `discover` has always run exact INDs; a stray --sigma must not flip
-  // the pipeline into σ-partial mode.
-  options.ind.min_coverage = 1.0;
-  options.filter_surrogates = flags.surrogate_filter;
-  auto report = BuildSchemaReport(*catalog->catalog, options);
+  SpiderSession session = OpenSession(*catalog);
+  auto report = BuildSchemaReport(session, options);
   if (!report.ok()) return Fail(report.status());
   std::cout << report->ToString();
   if (!flags.dot_path.empty()) {
