@@ -6,13 +6,14 @@ Result<IndRunResult> IndAlgorithm::Run(
     const Catalog& catalog, const std::vector<IndCandidate>& candidates,
     RunContext& context) {
   const InternedCandidates interned = InternCandidates(candidates);
+  const double start = context.elapsed_seconds();
   SPIDER_ASSIGN_OR_RETURN(
       IdRunResult run,
       Run(catalog, interned.attributes, interned.pairs, context));
   IndRunResult result;
   result.satisfied = NamePairs<Ind>(interned.attributes, run.satisfied);
   result.counters = run.counters;
-  result.seconds = run.seconds;
+  result.seconds = context.elapsed_seconds() - start;
   result.finished = run.finished;
   return result;
 }

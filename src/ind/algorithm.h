@@ -20,7 +20,8 @@ struct IndRunResult {
   std::vector<Ind> satisfied;
   /// Work counters (tuples read, comparisons, ...).
   RunCounters counters;
-  /// Wall-clock seconds spent inside Run().
+  /// Wall-clock seconds spent verifying, read off the run's clock by the
+  /// caller that timed the run (the session, or the by-name adapter).
   double seconds = 0;
   /// False when a time budget expired or the run was cancelled before all
   /// candidates were tested (mirrors the paper's "> 7 days" entries).
@@ -34,7 +35,6 @@ struct IndRunResult {
 struct IdRunResult {
   std::vector<AttributePair> satisfied;
   RunCounters counters;
-  double seconds = 0;
   bool finished = true;
 };
 
@@ -50,7 +50,8 @@ class IndAlgorithm {
   /// satisfied ones, by id. `attributes[id]` names each id the candidates
   /// use; every named attribute must exist. The context carries the
   /// unified run controls — time budget, cancellation and progress — which
-  /// every implementation honors.
+  /// every implementation honors: it polls ShouldStop() and steps once per
+  /// candidate it decides.
   [[nodiscard]]
   virtual Result<IdRunResult> Run(const Catalog& catalog,
                                   const std::vector<AttributeRef>& attributes,

@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/engine/operators.h"
 #include "src/ind/registry.h"
 #include "src/ind/transitivity.h"
@@ -15,9 +14,6 @@ Result<IdRunResult> BellBrockhausenAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
   IdRunResult result;
-  Stopwatch watch;
-  watch.Start();
-  context.Begin(static_cast<int64_t>(candidates.size()));
 
   // Range statistics, computed on an attribute's first range pretest.
   std::vector<std::optional<ColumnStats>> stats(attributes.size());
@@ -91,7 +87,6 @@ Result<IdRunResult> BellBrockhausenAlgorithm::Run(
     context.Step();
   }
 
-  result.seconds = watch.ElapsedSeconds();
   return result;
 }
 

@@ -1,7 +1,6 @@
 #include "src/ind/brute_force.h"
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/extsort/sorted_set_file.h"
 #include "src/ind/registry.h"
 
@@ -63,9 +62,6 @@ Result<IdRunResult> BruteForceAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
   IdRunResult result;
-  Stopwatch watch;
-  watch.Start();
-  context.Begin(static_cast<int64_t>(candidates.size()));
 
   for (const AttributePair& candidate : candidates) {
     if (context.ShouldStop()) {
@@ -106,7 +102,6 @@ Result<IdRunResult> BruteForceAlgorithm::Run(
     context.Step();
   }
 
-  result.seconds = watch.ElapsedSeconds();
   return result;
 }
 

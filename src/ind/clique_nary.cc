@@ -100,8 +100,6 @@ CliqueNaryAlgorithm::CliqueNaryAlgorithm(const AlgorithmConfig& config,
 Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
                                                const std::vector<Ind>& unary,
                                                RunContext& context) {
-  context.Begin(/*total_work=*/0);
-
   // One task per table pair. Pairs share nothing but the thread-safe
   // verifier, so they dispatch concurrently.
   const std::vector<UnaryPairs> pairs = GroupByTablePair(unary);
@@ -210,7 +208,6 @@ Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
   result.tests = batch.tests;
   result.counters = batch.counters;
   result.finished = batch.finished;
-  result.seconds = context.elapsed_seconds();
   return result;
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/ind/registry.h"
 
 namespace spider {
@@ -14,9 +13,6 @@ Result<IdRunResult> DeMarchiAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
   IdRunResult result;
-  Stopwatch watch;
-  watch.Start();
-  context.Begin(static_cast<int64_t>(candidates.size()));
 
   // cand_refs[d] = referenced attribute ids still viable for dependent d,
   // sorted and distinct; `named` marks every attribute a candidate names.
@@ -100,7 +96,6 @@ Result<IdRunResult> DeMarchiAlgorithm::Run(
     context.Step(decided_here);
   }
 
-  result.seconds = watch.ElapsedSeconds();
   return result;
 }
 

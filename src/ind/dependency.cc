@@ -1,6 +1,7 @@
 #include "src/ind/dependency.h"
 
 #include "src/common/string_util.h"
+#include "src/extsort/value_set_extractor.h"
 
 namespace spider {
 
@@ -34,6 +35,23 @@ std::string Ucc::ToString() const {
 
 std::string Fd::ToString() const {
   return table + "(" + JoinStrings(lhs, ", ") + " -> " + rhs + ")";
+}
+
+Result<int64_t> DistinctTupleCount(const Catalog& catalog,
+                                   ValueSetExtractor* extractor,
+                                   const Table& table,
+                                   const std::vector<int>& columns) {
+  std::vector<AttributeRef> attributes;
+  attributes.reserve(columns.size());
+  for (int c : columns) {
+    attributes.push_back(AttributeRef{table.name(), table.column(c).name()});
+  }
+  SPIDER_ASSIGN_OR_RETURN(
+      const SortedSetInfo info,
+      attributes.size() == 1
+          ? extractor->Extract(catalog, attributes.front())
+          : extractor->ExtractComposite(catalog, attributes));
+  return info.distinct_count;
 }
 
 }  // namespace spider

@@ -100,7 +100,8 @@ struct DependencyRunResult {
   int64_t tests = 0;
   /// Work counters; deterministic across backends and thread counts.
   RunCounters counters;
-  /// Wall-clock seconds spent inside Run().
+  /// Wall-clock seconds of the phase, set by the session from the run's
+  /// clock (algorithms leave it 0).
   double seconds = 0;
   /// False when the budget expired or the run was cancelled; the result
   /// sections are then partial (everything listed is confirmed).
@@ -131,5 +132,18 @@ class DependencyAlgorithm {
   /// Short display name, e.g. "ucc-levelwise".
   virtual std::string_view name() const = 0;
 };
+
+class ValueSetExtractor;
+
+/// The number of distinct tuples of `table` projected onto `columns`
+/// (ascending indices), read off the sorted set `extractor` materializes:
+/// the unary set for one column (the cache IND profiling shares), the
+/// composite set otherwise. NULL-containing rows are dropped and duplicate
+/// rows collapse. The UCC and FD searches decide on this count.
+[[nodiscard]]
+Result<int64_t> DistinctTupleCount(const Catalog& catalog,
+                                   ValueSetExtractor* extractor,
+                                   const Table& table,
+                                   const std::vector<int>& columns);
 
 }  // namespace spider

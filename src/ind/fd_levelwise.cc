@@ -35,24 +35,11 @@ Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
   auto distinct_of = [&](const std::vector<int>& combo) -> Result<int64_t> {
     auto it = distinct_cache.find(combo);
     if (it != distinct_cache.end()) return it->second;
-    SortedSetInfo info;
-    if (combo.size() == 1) {
-      SPIDER_ASSIGN_OR_RETURN(
-          info, config.extractor->Extract(
-                    catalog, AttributeRef{table.name(),
-                                          table.column(combo[0]).name()}));
-    } else {
-      std::vector<AttributeRef> attributes;
-      attributes.reserve(combo.size());
-      for (int c : combo) {
-        attributes.push_back(
-            AttributeRef{table.name(), table.column(c).name()});
-      }
-      SPIDER_ASSIGN_OR_RETURN(
-          info, config.extractor->ExtractComposite(catalog, attributes));
-    }
-    distinct_cache.emplace(combo, info.distinct_count);
-    return info.distinct_count;
+    SPIDER_ASSIGN_OR_RETURN(
+        const int64_t distinct,
+        DistinctTupleCount(catalog, config.extractor, table, combo));
+    distinct_cache.emplace(combo, distinct);
+    return distinct;
   };
 
   for (int a : eligible) {
@@ -141,7 +128,6 @@ FdLevelwiseAlgorithm::FdLevelwiseAlgorithm(const AlgorithmConfig& config,
 
 Result<DependencyRunResult> FdLevelwiseAlgorithm::Run(const Catalog& catalog,
                                                       RunContext& context) {
-  context.Begin(/*total_work=*/0);  // candidate count unknown up front
   // Per-table searches are independent; the batch folds them in table
   // order, so output and counters are identical at any thread count.
   auto search = [&](size_t t) {
@@ -158,7 +144,6 @@ Result<DependencyRunResult> FdLevelwiseAlgorithm::Run(const Catalog& catalog,
   result.tests = batch.tests;
   result.counters = batch.counters;
   result.finished = batch.finished;
-  result.seconds = context.elapsed_seconds();
   return result;
 }
 

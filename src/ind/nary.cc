@@ -20,7 +20,6 @@ LevelwiseNaryAlgorithm::LevelwiseNaryAlgorithm(const AlgorithmConfig& config)
 Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
     const Catalog& catalog, const std::vector<Ind>& unary,
     RunContext& context) {
-  context.Begin(/*total_work=*/0);  // candidate count is not known up front
   NaryRunResult result;
 
   // Level 1: the unary INDs in NaryInd form (deduplicated, sorted).
@@ -123,7 +122,6 @@ Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
     previous = std::move(level.found);
   }
   std::sort(result.satisfied.begin(), result.satisfied.end());
-  result.seconds = context.elapsed_seconds();
   return result;
 }
 

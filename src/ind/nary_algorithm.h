@@ -36,7 +36,8 @@ struct NaryRunResult {
   int64_t tests = 0;
   /// Work counters of the validation merges.
   RunCounters counters;
-  /// Wall-clock seconds spent inside Run().
+  /// Wall-clock seconds of the phase, set by the session from the run's
+  /// clock (algorithms leave it 0).
   double seconds = 0;
   /// False when the budget expired or the run was cancelled; `satisfied`
   /// is then partial (every listed IND is confirmed).

@@ -34,8 +34,9 @@ namespace spider {
 /// no partial-coverage semantics) and to pick defaults. What every
 /// approach must do is no capability: honor RunContext's budget and
 /// cancellation, run as independent concurrent instances (sharing only
-/// the thread-safe extractor), and read data through cursors or sorted
-/// sets, so disk-backed catalogs profile like in-memory ones.
+/// the thread-safe extractor and the run's context), and read data
+/// through cursors or sorted sets, so disk-backed catalogs profile like
+/// in-memory ones.
 struct AlgorithmCapabilities {
   /// The dependency class the approach discovers. IND approaches (unary
   /// verifiers and n-ary expansions) are kInd; UCC/FD/AFD discoverers

@@ -7,6 +7,22 @@ namespace spider {
 
 namespace {
 
+// The work counters of the phase a report describes and whether the run
+// answered work from the persisted profile: the same keys, in the same
+// order, for every kind.
+void WriteCounters(const RunCounters& counters, bool profile_reused,
+                   JsonWriter& json) {
+  json.KV("tuples_read", counters.tuples_read);
+  json.KV("comparisons", counters.comparisons);
+  json.KV("blocks_skipped", counters.blocks_skipped);
+  json.KV("files_opened", counters.files_opened);
+  json.KV("peak_open_files", counters.peak_open_files);
+  json.KV("candidates_tested", counters.candidates_tested);
+  json.KV("sets_extracted", counters.sets_extracted);
+  json.KV("sets_reused", counters.sets_reused);
+  json.KV("profile_reused", profile_reused);
+}
+
 void WriteDependencyReport(const SessionReport& report,
                            const ReportJsonContext& context, JsonWriter& json) {
   json.KV("finished", report.dependency.finished);
@@ -15,7 +31,7 @@ void WriteDependencyReport(const SessionReport& report,
   json.KV("threads", static_cast<int64_t>(report.threads_used));
   json.KV("seconds", report.total_seconds);
   json.KV("tests", report.dependency.tests);
-  json.KV("tuples_read", report.dependency.counters.tuples_read);
+  WriteCounters(report.dependency.counters, report.profile_reused, json);
   if (report.kind == DependencyKind::kUcc) {
     json.Key("uccs");
     json.BeginArray();
@@ -59,16 +75,7 @@ void WriteIndReport(const SessionReport& report,
   json.KV("threads", static_cast<int64_t>(report.threads_used));
   json.KV("partitions", static_cast<int64_t>(report.partitions));
   json.KV("seconds", report.total_seconds);
-  const RunCounters& counters = report.run.counters;
-  json.KV("tuples_read", counters.tuples_read);
-  json.KV("comparisons", counters.comparisons);
-  json.KV("blocks_skipped", counters.blocks_skipped);
-  json.KV("files_opened", counters.files_opened);
-  json.KV("peak_open_files", counters.peak_open_files);
-  json.KV("candidates_tested", counters.candidates_tested);
-  json.KV("sets_extracted", counters.sets_extracted);
-  json.KV("sets_reused", counters.sets_reused);
-  json.KV("profile_reused", report.profile_reused);
+  WriteCounters(report.run.counters, report.profile_reused, json);
   json.KV("candidates_revalidated", report.candidates_revalidated);
   json.KV("verdicts_reused", report.verdicts_reused);
   json.Key("satisfied_inds");

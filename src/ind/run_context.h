@@ -1,12 +1,16 @@
-// Cross-cutting run controls shared by every IND verification approach:
+// Cross-cutting run controls shared by every verification approach:
 // wall-clock budget, cooperative cancellation and progress reporting.
 //
 // The paper aborts runs that exceed a time limit ("> 7 days"); originally
 // only the SQL approaches implemented that. RunContext gives all
 // algorithms the same semantics: when the budget expires or the caller
-// cancels, Run() returns a *partial* IndRunResult with finished = false —
-// every IND already in `satisfied` is confirmed, the remaining candidates
-// are simply undecided.
+// cancels, Run() returns a *partial* result with finished = false — every
+// dependency already reported is confirmed, the rest are undecided.
+//
+// A session run builds one RunContext and hands that same object to every
+// phase and every concurrent partition. Algorithms only poll
+// (ShouldStop) and step (Step); the owner of the context starts each
+// phase's progress count (Begin) and times phases from its clock.
 
 #pragma once
 
@@ -34,23 +38,23 @@ class CancellationToken {
 
 /// Snapshot handed to progress callbacks.
 struct RunProgress {
-  /// Units of work completed so far (candidates for the per-candidate
-  /// algorithms, blocks / value groups for the streaming ones).
+  /// Units of work completed in the current phase: candidates decided for
+  /// unary IND verification, tests run for the other phases.
   int64_t done = 0;
-  /// Total units of work, 0 when unknown up front.
+  /// Total units of the current phase, 0 when unknown up front.
   int64_t total = 0;
-  /// Wall-clock seconds since Begin().
+  /// Wall-clock seconds since the context was built (for a session run:
+  /// since Run() entry).
   double elapsed_seconds = 0;
 };
 
 using ProgressCallback = std::function<void(const RunProgress&)>;
 
-/// \brief Per-run controls passed to IndAlgorithm::Run. A default-built
-/// context is unbounded and silent, matching the old behaviour.
+/// \brief Per-run controls passed to every algorithm's Run. A default-built
+/// context is unbounded and silent. Its clock starts at construction.
 class RunContext {
  public:
-  /// Wall-clock budget in seconds; 0 = unlimited. The clock starts at
-  /// Begin(), which every algorithm calls on entry.
+  /// Wall-clock budget in seconds from construction; 0 = unlimited.
   double time_budget_seconds = 0;
 
   /// Optional cancellation flag, polled cooperatively. Not owned.
@@ -61,12 +65,13 @@ class RunContext {
   /// non-reentrant.
   ProgressCallback progress;
 
-  /// (Re)starts the budget clock and records the expected work size. Not
-  /// thread-safe: call before handing the context to worker threads.
-  void Begin(int64_t total_work) {
-    watch_.Start();
+  /// Starts a phase's progress count: `done` back to 0 out of `total_work`
+  /// (0 = unknown). Called by the context's owner between phases, never
+  /// by an algorithm; the clock keeps running.
+  void Begin(int64_t total_work) SPIDER_EXCLUDES(progress_mutex_) {
+    MutexLock lock(&progress_mutex_);
     total_ = total_work;
-    done_.store(0, std::memory_order_relaxed);
+    done_ = 0;
   }
 
   /// True when the run should end early: the caller cancelled or the
@@ -77,32 +82,24 @@ class RunContext {
            watch_.ElapsedSeconds() > time_budget_seconds;
   }
 
-  /// Marks `units` of work done and fires the progress callback if set.
-  /// Thread-safe: the done counter is atomic, and when a callback is set
+  /// Marks `units` of work done and fires the progress callback. Without a
+  /// callback nothing reads the count, so this does nothing. Thread-safe:
   /// the count-and-report pair runs under one mutex, so threads sharing a
   /// context observe monotonically non-decreasing `done` values.
   void Step(int64_t units = 1) SPIDER_EXCLUDES(progress_mutex_) {
-    if (!progress) {
-      done_.fetch_add(units, std::memory_order_relaxed);
-      return;
-    }
+    if (!progress) return;
     MutexLock lock(&progress_mutex_);
-    const int64_t done =
-        done_.fetch_add(units, std::memory_order_relaxed) + units;
-    progress(RunProgress{done, total_, watch_.ElapsedSeconds()});
+    done_ += units;
+    progress(RunProgress{done_, total_, watch_.ElapsedSeconds()});
   }
 
   double elapsed_seconds() const { return watch_.ElapsedSeconds(); }
 
  private:
   Stopwatch watch_;
-  /// Written by Begin() before worker threads exist, read-only afterwards.
-  int64_t total_ = 0;
-  /// Atomic so Step() needs no lock on the no-callback fast path; the
-  /// fetch_add + callback pair is additionally serialized by
-  /// progress_mutex_ so observers see monotonically non-decreasing values.
-  std::atomic<int64_t> done_{0};
   Mutex progress_mutex_;
+  int64_t total_ SPIDER_GUARDED_BY(progress_mutex_) = 0;
+  int64_t done_ SPIDER_GUARDED_BY(progress_mutex_) = 0;
 };
 
 }  // namespace spider

@@ -46,18 +46,6 @@ class UnionFind {
   std::vector<size_t> parent_;
 };
 
-// Hands an algorithm the run controls. The budget is wall clock since
-// Run() entry (RunOptions::time_budget_seconds): a phase or partition that
-// starts late gets only what remains.
-void BindRunControls(const RunOptions& options, const Stopwatch& run_watch,
-                     RunContext& context) {
-  context.cancel = options.cancel;
-  if (options.time_budget_seconds > 0) {
-    context.time_budget_seconds = std::max(
-        options.time_budget_seconds - run_watch.ElapsedSeconds(), 1e-12);
-  }
-}
-
 // What a valid option set runs: the approach with its config, and the
 // unary IND verifier with its own (the approach itself, or nary_base under
 // an expansion; null for the other kinds). Run adds extractor and pool.
@@ -224,136 +212,17 @@ Result<ValueSetExtractor*> SpiderSession::extractor() {
   return extractor_.get();
 }
 
-Result<IdRunResult> SpiderSession::RunParallel(
-    const RunOptions& options, const std::string& approach,
-    const AlgorithmConfig& config, const std::vector<AttributeRef>& attributes,
-    const std::vector<AttributePair>& candidates, ThreadPool& pool,
-    const Stopwatch& run_watch, SessionReport* report) {
-  std::vector<std::vector<AttributePair>> partitions =
-      PartitionCandidatesByComponent(attributes.size(), candidates);
-  // A collapsed candidate graph (few components) would idle most workers;
-  // oversubscribing the pool slightly lets it balance uneven partitions.
-  const size_t threads = static_cast<size_t>(pool.size());
-  if (partitions.size() < threads) {
-    partitions = SplitPartitionsForParallelism(std::move(partitions), threads);
-  }
-  report->partitions = static_cast<int>(partitions.size());
-  const double verify_start = run_watch.ElapsedSeconds();
-  auto verify_seconds = [&run_watch, verify_start] {
-    return run_watch.ElapsedSeconds() - verify_start;
-  };
-
-  // Concurrent partitions extract through the thread-safe cache; priming
-  // it up front on the pool parallelizes the sort work itself instead of
-  // serializing it behind whichever partition asks first. Extraction wants
-  // every worker even when the candidate graph collapsed to few
-  // partitions — the per-attribute sorts dominate and parallelize
-  // regardless of how the verification phase partitions.
-  if (config.extractor != nullptr) {
-    std::vector<bool> named(attributes.size(), false);
-    std::vector<AttributeRef> to_extract;
-    for (const AttributePair& candidate : candidates) {
-      for (const AttributeId id : {candidate.dependent, candidate.referenced}) {
-        if (named[id]) continue;
-        named[id] = true;
-        to_extract.push_back(attributes[id]);
-      }
-    }
-    SPIDER_RETURN_NOT_OK(
-        config.extractor->ExtractAll(*catalog_, to_extract, &pool).status());
-  }
-
-  // Progress aggregation: per-partition contexts report partition-local
-  // (done, total); deltas fold into shared counters and the user callback
-  // sees run-wide, monotonically consistent numbers. One mutex guards both
-  // the counters and the callback so no observer sees progress regress.
-  // RunBatch returns only after every task ended, so tasks may capture
-  // locals by reference.
-  struct ProgressAggregator {
-    Mutex mutex;
-    int64_t done SPIDER_GUARDED_BY(mutex) = 0;
-    int64_t total SPIDER_GUARDED_BY(mutex) = 0;
-  } aggregator;
-
-  // Seed the aggregate total with each partition's candidate count so the
-  // first callbacks already see a run-wide denominator; when a partition
-  // begins and reports its real total (some algorithms count blocks, not
-  // candidates), the delta below corrects the seed.
-  if (options.progress) {
-    // No worker can race yet; locked anyway so the guarded-field invariant
-    // holds unconditionally (uncontended locks are cheap).
-    MutexLock lock(&aggregator.mutex);
-    for (const std::vector<AttributePair>& partition : partitions) {
-      aggregator.total += static_cast<int64_t>(partition.size());
-    }
-  }
-
-  // A partition the budget or a cancel stops before it starts is skipped;
-  // one picked up late only gets what remains of the budget.
-  RunContext batch_context;
-  BindRunControls(options, run_watch, batch_context);
-  batch_context.Begin(static_cast<int64_t>(partitions.size()));
-  SPIDER_ASSIGN_OR_RETURN(
-      BatchOutcome<AttributePair> outcome,
-      RunBatch<AttributePair>(
-          &pool, partitions.size(), batch_context,
-          [&](size_t i) -> Result<BatchOutcome<AttributePair>> {
-            const std::vector<AttributePair>& partition = partitions[i];
-            SPIDER_ASSIGN_OR_RETURN(
-                std::unique_ptr<IndAlgorithm> algorithm,
-                AlgorithmRegistry::Global().Create(approach, config));
-            RunContext context;
-            BindRunControls(options, run_watch, context);
-            if (options.progress) {
-              // last_done/last_total are per-partition state, only touched
-              // by the partition's own thread. last_total starts at the
-              // candidate-count seed folded into the aggregate above.
-              context.progress =
-                  [&aggregator, &options, &verify_seconds,
-                   last_done = int64_t{0},
-                   last_total = static_cast<int64_t>(partition.size())](
-                      const RunProgress& partition_progress) mutable {
-                    MutexLock lock(&aggregator.mutex);
-                    aggregator.done += partition_progress.done - last_done;
-                    aggregator.total += partition_progress.total - last_total;
-                    last_done = partition_progress.done;
-                    last_total = partition_progress.total;
-                    options.progress(RunProgress{aggregator.done,
-                                                 aggregator.total,
-                                                 verify_seconds()});
-                  };
-            }
-            SPIDER_ASSIGN_OR_RETURN(
-                IdRunResult result,
-                algorithm->Run(*catalog_, attributes, partition, context));
-            BatchOutcome<AttributePair> partial;
-            partial.found = std::move(result.satisfied);
-            partial.counters = result.counters;
-            partial.finished = result.finished;
-            return partial;
-          }));
-
-  // Folded in partition order; peak_open_files is the concurrent
-  // high-water bound over the partitions (ApplyConcurrentPeakBound).
-  IdRunResult merged;
-  merged.satisfied = std::move(outcome.found);
-  merged.counters = outcome.counters;
-  merged.finished = outcome.finished;
-  merged.seconds = verify_seconds();
-  return merged;
-}
-
 Status SpiderSession::VerifyUnary(const RunOptions& options,
                                   const AlgorithmRegistry::Entry& verifier,
                                   const AlgorithmConfig& config,
-                                  ThreadPool* pool, const Stopwatch& run_watch,
+                                  ThreadPool* pool, RunContext& context,
                                   SessionReport* report,
                                   bool* verdicts_recorded) {
-  const double generation_start = run_watch.ElapsedSeconds();
+  const double generation_start = context.elapsed_seconds();
   CandidateGenerator generator(options.generator);
   SPIDER_ASSIGN_OR_RETURN(report->candidates,
                           generator.GenerateGraph(*catalog_));
-  report->generation_seconds = run_watch.ElapsedSeconds() - generation_start;
+  report->generation_seconds = context.elapsed_seconds() - generation_start;
   const std::vector<AttributeRef>& attributes = report->candidates.attributes;
   const std::vector<AttributePair>& candidates = report->candidates.candidates;
 
@@ -409,25 +278,73 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
   }
   report->candidates_revalidated = static_cast<int64_t>(to_verify->size());
 
+  // One dispatch. A serial run is the one-partition batch over the list
+  // itself. A parallel run verifies the connected components of the
+  // attribute graph, split until they fill the pool, each on its own
+  // algorithm instance; all share the run's context.
+  const double verify_start = context.elapsed_seconds();
   const bool parallel = pool != nullptr && to_verify->size() >= 2;
-  report->threads_used = parallel ? pool->size() : 1;
+  std::vector<std::vector<AttributePair>> partitions;
+  if (parallel) {
+    partitions = PartitionCandidatesByComponent(attributes.size(), *to_verify);
+    // A collapsed candidate graph (few components) would idle most
+    // workers; oversubscribing the pool slightly lets it balance uneven
+    // partitions.
+    const size_t threads = static_cast<size_t>(pool->size());
+    if (partitions.size() < threads) {
+      partitions =
+          SplitPartitionsForParallelism(std::move(partitions), threads);
+    }
+    // Concurrent partitions extract through the thread-safe cache; priming
+    // it on the pool parallelizes the sorts themselves instead of
+    // serializing them behind whichever partition asks first, even when
+    // the graph collapsed to few partitions.
+    if (config.extractor != nullptr) {
+      std::vector<bool> named(attributes.size(), false);
+      std::vector<AttributeRef> to_extract;
+      for (const AttributePair& candidate : *to_verify) {
+        for (const AttributeId id :
+             {candidate.dependent, candidate.referenced}) {
+          if (named[id]) continue;
+          named[id] = true;
+          to_extract.push_back(attributes[id]);
+        }
+      }
+      SPIDER_RETURN_NOT_OK(
+          config.extractor->ExtractAll(*catalog_, to_extract, pool).status());
+    }
+    report->threads_used = pool->size();
+    report->partitions = static_cast<int>(partitions.size());
+  }
   // Everything answered from the profile (or no candidates) leaves the run
   // at its finished, zero-work default.
-  IdRunResult verified;
-  if (parallel) {
+  BatchOutcome<AttributePair> verified;
+  if (!to_verify->empty()) {
+    context.Begin(static_cast<int64_t>(to_verify->size()));
+    // A partition the budget or a cancel stops before it starts is skipped
+    // and counts as unfinished; peak_open_files folds to the concurrent
+    // high-water bound (ApplyConcurrentPeakBound).
     SPIDER_ASSIGN_OR_RETURN(
-        verified, RunParallel(options, verifier.name, config, attributes,
-                              *to_verify, *pool, run_watch, report));
-  } else if (!to_verify->empty()) {
-    SPIDER_ASSIGN_OR_RETURN(
-        std::unique_ptr<IndAlgorithm> algorithm,
-        AlgorithmRegistry::Global().Create(verifier.name, config));
-    RunContext context;
-    BindRunControls(options, run_watch, context);
-    context.progress = options.progress;
-    SPIDER_ASSIGN_OR_RETURN(
-        verified, algorithm->Run(*catalog_, attributes, *to_verify, context));
+        verified,
+        RunBatch<AttributePair>(
+            parallel ? pool : nullptr, parallel ? partitions.size() : 1,
+            context, [&](size_t i) -> Result<BatchOutcome<AttributePair>> {
+              SPIDER_ASSIGN_OR_RETURN(
+                  std::unique_ptr<IndAlgorithm> algorithm,
+                  AlgorithmRegistry::Global().Create(verifier.name, config));
+              SPIDER_ASSIGN_OR_RETURN(
+                  IdRunResult result,
+                  algorithm->Run(*catalog_, attributes,
+                                 parallel ? partitions[i] : *to_verify,
+                                 context));
+              BatchOutcome<AttributePair> partial;
+              partial.found = std::move(result.satisfied);
+              partial.counters = result.counters;
+              partial.finished = result.finished;
+              return partial;
+            }));
   }
+  report->run.seconds = context.elapsed_seconds() - verify_start;
 
   // The algorithm read set files from a directory that other runs may
   // share. If one was replaced mid-run by a run at another commit, this
@@ -439,15 +356,15 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
     // Only finished runs decide every submitted candidate; a budget- or
     // cancellation-truncated satisfied set must not be remembered as
     // "unsatisfied". Both lists sorted by id pair: one merge decides each.
-    std::sort(verified.satisfied.begin(), verified.satisfied.end());
+    std::sort(verified.found.begin(), verified.found.end());
     std::vector<ProfileStore::SideVerdict> verdicts;
     verdicts.reserve(to_verify->size());
-    auto held = verified.satisfied.begin();
+    auto held = verified.found.begin();
     for (const AttributePair& candidate : *to_verify) {
-      while (held != verified.satisfied.end() && *held < candidate) ++held;
+      while (held != verified.found.end() && *held < candidate) ++held;
       verdicts.push_back(ProfileStore::SideVerdict{
           sides[candidate.dependent], sides[candidate.referenced],
-          held != verified.satisfied.end() && *held == candidate});
+          held != verified.found.end() && *held == candidate});
     }
     profile->PutVerdicts(verdicts);
     if (!verdicts.empty()) *verdicts_recorded = true;
@@ -457,8 +374,8 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
   // or verdict reuse: every configuration returns byte-identical reports.
   // Attribute names are unique, so ranking the table once orders the pairs
   // exactly as their names would sort.
-  satisfied.insert(satisfied.end(), verified.satisfied.begin(),
-                   verified.satisfied.end());
+  satisfied.insert(satisfied.end(), verified.found.begin(),
+                   verified.found.end());
   std::vector<AttributeId> by_name(attributes.size());
   std::iota(by_name.begin(), by_name.end(), AttributeId{0});
   std::sort(by_name.begin(), by_name.end(), [&](AttributeId a, AttributeId b) {
@@ -475,15 +392,17 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
             });
   report->run.satisfied = NamePairs<Ind>(attributes, satisfied);
   report->run.counters = verified.counters;
-  report->run.seconds = verified.seconds;
   report->run.finished = verified.finished;
   return Status::OK();
 }
 
 Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
-  // The run's one clock: it times the report and bounds the budget.
-  Stopwatch run_watch;
-  run_watch.Start();
+  // The run's one context, handed to every phase and partition: its clock
+  // starts here, times the report and bounds the budget.
+  RunContext context;
+  context.time_budget_seconds = options.time_budget_seconds;
+  context.cancel = options.cancel;
+  context.progress = options.progress;
   // Validate before any work: a rejected option set creates no workspace
   // and loads no profile. IND runs verify unary candidates with
   // `verifier`; the other kinds enumerate their own lattices.
@@ -532,7 +451,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
   if (verifier != nullptr) {
     SPIDER_RETURN_NOT_OK(VerifyUnary(options, *verifier,
                                      resolved.verify_config, pool.get(),
-                                     run_watch, &report, &verdicts_recorded));
+                                     context, &report, &verdicts_recorded));
     fold_extraction(report.run.counters);
   }
   if (capabilities.nary) {
@@ -548,12 +467,12 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
           std::unique_ptr<NaryAlgorithm> algorithm,
           AlgorithmRegistry::Global().Create<NaryAlgorithm>(approach.name,
                                                             config));
-      RunContext context;
-      BindRunControls(options, run_watch, context);
-      context.progress = options.progress;
+      const double start = context.elapsed_seconds();
+      context.Begin(/*total_work=*/0);  // tests are not known up front
       SPIDER_ASSIGN_OR_RETURN(
           report.nary_run,
           algorithm->Run(*catalog_, report.run.satisfied, context));
+      report.nary_run.seconds = context.elapsed_seconds() - start;
       if (sets != nullptr) SPIDER_RETURN_NOT_OK(sets->CheckSetsUnchanged());
       fold_extraction(report.nary_run.counters);
     }
@@ -565,11 +484,11 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
         std::unique_ptr<DependencyAlgorithm> algorithm,
         AlgorithmRegistry::Global().Create<DependencyAlgorithm>(approach.name,
                                                                 config));
-    RunContext context;
-    BindRunControls(options, run_watch, context);
-    context.progress = options.progress;
+    const double start = context.elapsed_seconds();
+    context.Begin(/*total_work=*/0);  // tests are not known up front
     SPIDER_ASSIGN_OR_RETURN(report.dependency,
                             algorithm->Run(*catalog_, context));
+    report.dependency.seconds = context.elapsed_seconds() - start;
     if (sets != nullptr) SPIDER_RETURN_NOT_OK(sets->CheckSetsUnchanged());
     fold_extraction(report.dependency.counters);
   }
@@ -586,7 +505,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
     const Status saved = sets->SaveProfile();
     if (!saved.ok()) report.profile_save_error = saved.ToString();
   }
-  report.total_seconds = run_watch.ElapsedSeconds();
+  report.total_seconds = context.elapsed_seconds();
   return report;
 }
 

@@ -12,12 +12,15 @@
 // attribute only once — exactly the reuse the paper's database-external
 // approaches are built on.
 //
-// With RunOptions::threads != 1 the verification phase runs on a worker
-// pool: the candidate set is partitioned into connected components of the
+// Each Run() builds one RunContext from its options (budget, cancellation,
+// progress) and hands that same object to every phase and partition; its
+// clock starts at Run() entry and times the report. With
+// RunOptions::threads != 1 the verification phase runs on a worker pool:
+// the candidate set is partitioned into connected components of the
 // attribute graph and independent partitions execute concurrently through
-// RunBatch, each on its own algorithm instance, under one shared
-// cancellation token and time budget. Results are identical to the
-// single-threaded run — the satisfied set is returned sorted either way.
+// RunBatch, each on its own algorithm instance. Results are identical to
+// the single-threaded run — the satisfied set is returned sorted either
+// way.
 //
 //   SpiderSession session(catalog);
 //   RunOptions options;
@@ -38,7 +41,6 @@
 
 #include "src/common/mutex.h"
 #include "src/common/result.h"
-#include "src/common/stopwatch.h"
 #include "src/common/temp_dir.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
@@ -74,16 +76,18 @@ struct RunOptions {
   CandidateGeneratorOptions generator;
   /// Wall-clock budget for the whole run, measured from Run() entry: it
   /// covers candidate generation, verification and n-ary expansion (or
-  /// UCC/FD discovery). Generation does not poll it; each algorithm gets
-  /// whatever remains when it starts. 0 = unlimited. On expiry the run
-  /// returns finished=false with a partial result of confirmed
-  /// dependencies only.
+  /// UCC/FD discovery). Generation does not poll it; every later phase and
+  /// partition polls the run's one clock, and one that would start after
+  /// expiry is skipped. 0 = unlimited. On expiry the run returns
+  /// finished=false with a partial result of confirmed dependencies only.
   double time_budget_seconds = 0;
   /// Optional cancellation flag, polled cooperatively mid-run. Not owned.
   const CancellationToken* cancel = nullptr;
-  /// Optional progress sink. Serial runs invoke it from the running
-  /// thread; parallel runs aggregate partition progress and invoke it
-  /// serialized (done/total then span all partitions).
+  /// Optional progress sink, invoked serialized from whichever thread
+  /// steps. Each phase restarts the count: unary verification reports
+  /// candidates decided out of the candidates handed to the verifier
+  /// (across all partitions), an n-ary expansion or UCC/FD discovery tests
+  /// run out of 0 (unknown). `elapsed_seconds` runs from Run() entry.
   ProgressCallback progress;
   /// σ-partial coverage in (0, 1]; 1 = exact INDs. Requires an approach
   /// whose capabilities advertise supports_partial.
@@ -267,26 +271,16 @@ class SpiderSession {
 
  private:
   /// The unary IND phase: generate candidates, answer what the persisted
-  /// profile still vouches for, verify the rest with `verifier` — serially
-  /// or partitioned onto `pool` — and record the fresh verdicts. Sets
+  /// profile still vouches for, verify the rest with `verifier` in one
+  /// RunBatch dispatch — one partition, or connected components on `pool`
+  /// — under the run's `context`, and record the fresh verdicts. Sets
   /// `*verdicts_recorded` when the profile changed.
   [[nodiscard]]
   Status VerifyUnary(const RunOptions& options,
                      const AlgorithmRegistry::Entry& verifier,
                      const AlgorithmConfig& config, ThreadPool* pool,
-                     const Stopwatch& run_watch, SessionReport* report,
+                     RunContext& context, SessionReport* report,
                      bool* verdicts_recorded);
-
-  /// Verifies candidate partitions on `pool` through RunBatch, one
-  /// algorithm instance each, and folds them in partition order.
-  [[nodiscard]]
-  Result<IdRunResult> RunParallel(const RunOptions& options,
-                                  const std::string& approach,
-                                  const AlgorithmConfig& config,
-                                  const std::vector<AttributeRef>& attributes,
-                                  const std::vector<AttributePair>& candidates,
-                                  ThreadPool& pool, const Stopwatch& run_watch,
-                                  SessionReport* report);
 
   const Catalog* catalog_;
   std::unique_ptr<Catalog> owned_catalog_;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/extsort/sorted_set_file.h"
 #include "src/ind/registry.h"
 
@@ -376,8 +375,6 @@ Result<IdRunResult> SinglePassAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
   IdRunResult result;
-  Stopwatch watch;
-  watch.Start();
 
   // Duplicate candidates would register the same observer pair twice;
   // test each distinct pair once (preserving first-occurrence order).
@@ -395,7 +392,6 @@ Result<IdRunResult> SinglePassAlgorithm::Run(
   std::vector<std::vector<AttributePair>> blocks =
       PartitionCandidatesByFileBudget(attributes.size(), unique_candidates,
                                       config_.max_open_files);
-  context.Begin(static_cast<int64_t>(blocks.size()));
   for (const auto& block : blocks) {
     if (context.ShouldStop()) {
       result.finished = false;
@@ -408,10 +404,10 @@ Result<IdRunResult> SinglePassAlgorithm::Run(
       result.finished = false;
       break;
     }
-    context.Step();
+    // A finished block decided every one of its candidates.
+    context.Step(static_cast<int64_t>(block.size()));
   }
 
-  result.seconds = watch.ElapsedSeconds();
   return result;
 }
 

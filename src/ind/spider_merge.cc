@@ -9,7 +9,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/tournament_tree.h"
-#include "src/common/stopwatch.h"
 #include "src/extsort/sorted_set_file.h"
 #include "src/ind/registry.h"
 
@@ -65,9 +64,6 @@ Result<IdRunResult> SpiderMergeAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
   IdRunResult result;
-  Stopwatch watch;
-  watch.Start();
-  context.Begin(static_cast<int64_t>(candidates.size()));
 
   // One cursor per distinct attribute, numbered in order of first
   // appearance in the candidate list. The numbering breaks ties between
@@ -301,7 +297,6 @@ Result<IdRunResult> SpiderMergeAlgorithm::Run(
     }
   }
 
-  result.seconds = watch.ElapsedSeconds();
   return result;
 }
 

@@ -3,7 +3,6 @@
 #include <functional>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/engine/operators.h"
 #include "src/ind/registry.h"
 
@@ -19,9 +18,6 @@ Result<IdRunResult> RunSqlApproach(
     const std::function<Result<bool>(const Column& dep, const Column& ref,
                                      RunCounters* counters)>& test_one) {
   IdRunResult result;
-  Stopwatch watch;
-  watch.Start();
-  context.Begin(static_cast<int64_t>(candidates.size()));
 
   for (const AttributePair& candidate : candidates) {
     if (context.ShouldStop()) {
@@ -41,7 +37,6 @@ Result<IdRunResult> RunSqlApproach(
     context.Step();
   }
 
-  result.seconds = watch.ElapsedSeconds();
   return result;
 }
 

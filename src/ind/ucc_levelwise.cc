@@ -14,32 +14,6 @@ namespace spider {
 
 namespace {
 
-// True when the projection of `table` onto `columns` (ascending indices) is
-// a key. NULL-containing rows are dropped by the extractor and duplicate
-// rows collapse, so only a NULL-free duplicate-free projection keeps all
-// row_count tuples in its sorted-distinct set. One cached streaming
-// extraction per combination.
-Result<bool> IsUnique(const Catalog& catalog, ValueSetExtractor* extractor,
-                      const Table& table, const std::vector<int>& columns) {
-  SortedSetInfo info;
-  if (columns.size() == 1) {
-    // Reuses (and seeds) the unary cache shared with IND profiling.
-    SPIDER_ASSIGN_OR_RETURN(
-        info, extractor->Extract(
-                  catalog, AttributeRef{table.name(),
-                                        table.column(columns[0]).name()}));
-  } else {
-    std::vector<AttributeRef> attributes;
-    attributes.reserve(columns.size());
-    for (int c : columns) {
-      attributes.push_back(AttributeRef{table.name(), table.column(c).name()});
-    }
-    SPIDER_ASSIGN_OR_RETURN(info,
-                            extractor->ExtractComposite(catalog, attributes));
-  }
-  return info.distinct_count == table.row_count();
-}
-
 // One table's levelwise search, serial within the table (the caller
 // parallelizes across tables). Polls `context` between candidates and
 // steps its progress once per tested candidate.
@@ -52,13 +26,16 @@ Result<BatchOutcome<Ucc>> FindMinimalUccs(const Catalog& catalog,
   // An empty table's combinations are vacuously unique: useless as keys.
   if (n == 0 || table.row_count() == 0) return outcome;
 
-  // Tests one combination, recording it when unique.
+  // Tests one combination, recording it when unique. NULL-containing rows
+  // drop out of the count and duplicate rows collapse, so only a NULL-free
+  // duplicate-free projection keeps all row_count tuples.
   auto test = [&](const std::vector<int>& combo) -> Result<bool> {
     ++outcome.tests;
     ++outcome.counters.candidates_tested;
     SPIDER_ASSIGN_OR_RETURN(
-        const bool unique,
-        IsUnique(catalog, config.extractor, table, combo));
+        const int64_t distinct,
+        DistinctTupleCount(catalog, config.extractor, table, combo));
+    const bool unique = distinct == table.row_count();
     context.Step();
     if (unique) {
       Ucc ucc;
@@ -140,7 +117,6 @@ UccLevelwiseAlgorithm::UccLevelwiseAlgorithm(const AlgorithmConfig& config)
 
 Result<DependencyRunResult> UccLevelwiseAlgorithm::Run(const Catalog& catalog,
                                                        RunContext& context) {
-  context.Begin(/*total_work=*/0);  // candidate count unknown up front
   // Per-table searches are independent; the batch folds them in table
   // order, so output and counters are identical at any thread count.
   auto search = [&](size_t t) {
@@ -157,7 +133,6 @@ Result<DependencyRunResult> UccLevelwiseAlgorithm::Run(const Catalog& catalog,
   result.tests = batch.tests;
   result.counters = batch.counters;
   result.finished = batch.finished;
-  result.seconds = context.elapsed_seconds();
   return result;
 }
 

@@ -24,8 +24,6 @@ ZigzagAlgorithm::ZigzagAlgorithm(const AlgorithmConfig& config, double epsilon)
 Result<NaryRunResult> ZigzagAlgorithm::Run(const Catalog& catalog,
                                            const std::vector<Ind>& unary,
                                            RunContext& context) {
-  context.Begin(/*total_work=*/0);
-
   const std::vector<UnaryPairs> pairs = GroupByTablePair(unary);
   auto run_pair = [&](size_t pair_index) -> Result<BatchOutcome<NaryInd>> {
     const UnaryPairs& base = pairs[pair_index];
@@ -104,7 +102,6 @@ Result<NaryRunResult> ZigzagAlgorithm::Run(const Catalog& catalog,
   result.tests = batch.tests;
   result.counters = batch.counters;
   result.finished = batch.finished;
-  result.seconds = context.elapsed_seconds();
   return result;
 }
 

@@ -562,6 +562,15 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
       SPIDER_ASSIGN_OR_RETURN(int64_t unique, ParseManifestInt(fields[3]));
       column.declared_unique = unique != 0;
       column.file_name = fields[4];
+      // A column file lives in the workspace itself: a separator, "." or
+      // ".." would make a reader open, and an append truncate, a file
+      // outside it.
+      if (column.file_name.empty() || column.file_name == "." ||
+          column.file_name == ".." ||
+          column.file_name.find('/') != std::string::npos) {
+        return bad("column file name '" + column.file_name +
+                   "' is not a plain file name");
+      }
       SPIDER_ASSIGN_OR_RETURN(column.file_bytes, ParseManifestInt(fields[5]));
       SPIDER_ASSIGN_OR_RETURN(column.block_count, ParseManifestInt(fields[6]));
       ColumnStats& stats = column.stats;

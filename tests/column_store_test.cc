@@ -525,6 +525,64 @@ TEST_F(DiskStoreTest, VersionOneManifestIsACleanError) {
       << appended.ToString();
 }
 
+// A manifest may only name column files inside its workspace: a path
+// leaving it fails to open and to append, and the file it named keeps its
+// bytes.
+TEST_F(DiskStoreTest, ColumnFileNameMustStayInsideTheWorkspace) {
+  const auto workspace = Workspace("ws");
+  {
+    auto writer = DiskCatalogWriter::Create(workspace, "db");
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->BeginTable("t").ok());
+    ASSERT_TRUE((*writer)->AddColumn("v", TypeId::kString).ok());
+    ASSERT_TRUE((*writer)->AppendRow({Value::String("a")}).ok());
+    ASSERT_TRUE((*writer)->FinishTable().ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  const auto manifest = workspace / kDiskStoreManifestName;
+  std::string original;
+  {
+    std::ifstream in(manifest);
+    original.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  const auto victim = dir_->path() / "victim.col";
+  const std::string victim_bytes = "bytes outside the workspace";
+  std::ofstream(victim, std::ios::binary) << victim_bytes;
+
+  for (const std::string& hostile :
+       {std::string("../victim.col"), victim.string()}) {
+    SCOPED_TRACE(hostile);
+    // Field 4 of the column record is its file name.
+    const size_t record = original.find("\ncolumn\t");
+    ASSERT_NE(record, std::string::npos);
+    size_t start = record + 1;
+    for (int field = 0; field < 4; ++field) {
+      start = original.find('\t', start) + 1;
+    }
+    const size_t end = original.find('\t', start);
+    std::string text = original;
+    text.replace(start, end - start, hostile);
+    std::ofstream(manifest, std::ios::trunc) << text;
+
+    for (const Status& status :
+         {OpenDiskCatalog(workspace).status(),
+          DiskCatalogWriter::OpenForAppend(workspace).status()}) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+      EXPECT_NE(status.message().find(kDiskStoreManifestName),
+                std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find("not a plain file name"),
+                std::string::npos)
+          << status.ToString();
+    }
+    std::ifstream in(victim, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()),
+              victim_bytes);
+  }
+}
+
 TEST_F(DiskStoreTest, OpenMissingWorkspaceFails) {
   EXPECT_FALSE(IsDiskCatalogDir(Workspace("nope")));
   EXPECT_FALSE(OpenDiskCatalog(Workspace("nope")).ok());

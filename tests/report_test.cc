@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -291,6 +294,68 @@ TEST(IndReportJsonTest, CountersEqualRunCounters) {
       }
     }
   }
+}
+
+// A UCC report carries the counters an IND report does. A second session
+// on a persisted workspace reuses the sets the first one recorded, and its
+// JSON says so with the numbers its text report prints.
+TEST(DependencyReportJsonTest, SecondPersistedUccRunReportsReusedSets) {
+  datagen::PdbLikeOptions shape;
+  shape.entries = 40;
+  shape.category_tables = 3;
+  auto dir = TempDir::Make("spider-ucc-report");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path workspace = (*dir)->path() / "ws";
+  {
+    auto writer = DiskCatalogWriter::Create(workspace, "pdb_like");
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(datagen::WritePdbLike(shape, **writer).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  auto profile = [&workspace]() -> Result<SessionReport> {
+    SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> catalog,
+                            OpenDiskCatalog(workspace));
+    SessionOptions options;
+    options.work_dir = workspace.string();
+    options.persist_profile = true;
+    SpiderSession session(std::move(catalog), options);
+    RunOptions run;
+    run.approach = "ucc-levelwise";
+    return session.Run(run);
+  };
+  ASSERT_TRUE(profile().ok());
+  auto warm = profile();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_GT(warm->dependency.counters.sets_reused, 0);
+
+  // The text report's "counters:" line as key -> digits.
+  const std::string text = warm->ToString();
+  const size_t line = text.find("counters:");
+  ASSERT_NE(line, std::string::npos) << text;
+  std::map<std::string, std::string> printed;
+  std::istringstream tokens(text.substr(line, text.find('\n', line) - line));
+  for (std::string token; tokens >> token;) {
+    const size_t eq = token.find('=');
+    if (eq == std::string::npos) continue;
+    std::string digits = token.substr(eq + 1);
+    digits.erase(std::remove(digits.begin(), digits.end(), ','), digits.end());
+    printed[token.substr(0, eq)] = digits;
+  }
+
+  auto json = ParseJson(SessionReportToJson(*warm, ReportJsonContext{}));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  for (const char* key :
+       {"tuples_read", "comparisons", "blocks_skipped", "files_opened",
+        "peak_open_files", "candidates_tested", "sets_extracted",
+        "sets_reused"}) {
+    const JsonValue* member = json->Find(key);
+    ASSERT_NE(member, nullptr) << key;
+    ASSERT_TRUE(printed.contains(key)) << key;
+    EXPECT_EQ(member->raw_number, printed[key]) << key;
+  }
+  const JsonValue* reused = json->Find("profile_reused");
+  ASSERT_NE(reused, nullptr);
+  EXPECT_TRUE(reused->is_bool() && reused->boolean);
 }
 
 }  // namespace

@@ -519,10 +519,56 @@ TEST(SessionTest, ParallelProgressAggregatesAcrossPartitions) {
   const int64_t candidates =
       static_cast<int64_t>(report->candidates.candidates.size());
   ASSERT_GT(candidates, 0);
-  // Brute force steps once per candidate; the aggregated counter must reach
+  // Brute force steps once per candidate; the run's one count must reach
   // the full candidate count across all partitions.
   EXPECT_EQ(calls.load(), candidates);
   EXPECT_EQ(max_done.load(), candidates);
+}
+
+// Every unary verifier steps once per candidate it decides, so the last
+// progress report of a finished run names every candidate handed to the
+// verifier, at any thread count and for blockwise single-pass too.
+TEST(SessionTest, ProgressCountsCandidatesForEveryApproach) {
+  datagen::UniprotLikeOptions data_options;
+  data_options.bioentries = 40;
+  auto catalog = datagen::MakeUniprotLike(data_options);
+  ASSERT_TRUE(catalog.ok());
+  struct Case {
+    std::string approach;
+    int threads;
+    int max_open_files;
+  };
+  std::vector<Case> cases;
+  for (const std::string& name : testing::UnaryApproachNames()) {
+    for (int threads : {1, 4}) cases.push_back({name, threads, 0});
+  }
+  ASSERT_EQ(cases.size(), 16u);  // the eight unary approaches
+  for (int threads : {1, 4}) cases.push_back({"single-pass", threads, 8});
+
+  for (const Case& run : cases) {
+    SCOPED_TRACE(run.approach + " threads=" + std::to_string(run.threads) +
+                 " max_open_files=" + std::to_string(run.max_open_files));
+    SpiderSession session(**catalog);
+    // Written under the run context's lock; read after Run() joined every
+    // partition.
+    int64_t calls = 0;
+    RunProgress last;
+    RunOptions options;
+    options.approach = run.approach;
+    options.threads = run.threads;
+    options.max_open_files = run.max_open_files;
+    options.progress = [&](const RunProgress& progress) {
+      ++calls;
+      last = progress;
+    };
+    auto report = session.Run(options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report->run.finished);
+    ASSERT_GT(report->candidates_revalidated, 0);
+    EXPECT_GT(calls, 0);
+    EXPECT_EQ(last.done, report->candidates_revalidated);
+    EXPECT_EQ(last.total, report->candidates_revalidated);
+  }
 }
 
 TEST(SessionTest, ParallelTimeBudgetReturnsPartialResult) {
