@@ -161,8 +161,6 @@ class ProfileStore {
   int64_t set_count() const SPIDER_EXCLUDES(mutex_);
   int64_t verdict_count() const SPIDER_EXCLUDES(mutex_);
 
-  const std::filesystem::path& manifest_path() const { return path_; }
-
  private:
   // Open-addressing (linear probing) map from the packed (dependent,
   // referenced) attribute ids to the sides the pair's verdict was decided

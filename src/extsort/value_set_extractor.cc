@@ -183,7 +183,8 @@ Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
 }
 
 Result<SortedSetInfo> ValueSetExtractor::DoExtract(
-    const Catalog& catalog, const AttributeRef& attribute) {
+    const Catalog& catalog, const AttributeRef& attribute,
+    RunCounters* counters) {
   SPIDER_ASSIGN_OR_RETURN(const Column* column,
                           catalog.ResolveAttribute(attribute));
   const std::string file_name = SetFileName(attribute);
@@ -191,7 +192,7 @@ Result<SortedSetInfo> ValueSetExtractor::DoExtract(
   if (profile_ != nullptr && column->cached_stats() != nullptr) {
     source_fp = ProfileStore::StatsFingerprint(*column->cached_stats());
     if (std::optional<SortedSetInfo> reused = TryReuse(file_name, *source_fp)) {
-      sets_reused_.fetch_add(1, std::memory_order_relaxed);
+      if (counters != nullptr) ++counters->sets_reused;
       return *std::move(reused);
     }
   }
@@ -199,12 +200,13 @@ Result<SortedSetInfo> ValueSetExtractor::DoExtract(
                           column->OpenCursor());
   SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
                           SortCursorToSet(*cursor, file_name, source_fp));
-  sets_extracted_.fetch_add(1, std::memory_order_relaxed);
+  if (counters != nullptr) ++counters->sets_extracted;
   return info;
 }
 
 Result<SortedSetInfo> ValueSetExtractor::DoExtractComposite(
-    const Catalog& catalog, const std::vector<AttributeRef>& attributes) {
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    RunCounters* counters) {
   const std::string file_name = CompositeSetFileName(attributes);
   std::optional<uint64_t> source_fp;
   if (profile_ != nullptr) {
@@ -230,7 +232,7 @@ Result<SortedSetInfo> ValueSetExtractor::DoExtractComposite(
       source_fp = chained;
       if (std::optional<SortedSetInfo> reused =
               TryReuse(file_name, *source_fp)) {
-        sets_reused_.fetch_add(1, std::memory_order_relaxed);
+        if (counters != nullptr) ++counters->sets_reused;
         return *std::move(reused);
       }
     }
@@ -239,7 +241,7 @@ Result<SortedSetInfo> ValueSetExtractor::DoExtractComposite(
                           OpenCompositeCursor(catalog, attributes));
   SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
                           SortCursorToSet(*cursor, file_name, source_fp));
-  sets_extracted_.fetch_add(1, std::memory_order_relaxed);
+  if (counters != nullptr) ++counters->sets_extracted;
   return info;
 }
 
@@ -277,19 +279,21 @@ Result<SortedSetInfo> ValueSetExtractor::ExtractCached(const Key& key,
 }
 
 Result<SortedSetInfo> ValueSetExtractor::Extract(const Catalog& catalog,
-                                                 const AttributeRef& attribute) {
+                                                 const AttributeRef& attribute,
+                                                 RunCounters* counters) {
   return ExtractCached(attribute, [&] {
-    return DoExtract(catalog, attribute);
+    return DoExtract(catalog, attribute, counters);
   });
 }
 
 Result<SortedSetInfo> ValueSetExtractor::ExtractComposite(
-    const Catalog& catalog, const std::vector<AttributeRef>& attributes) {
+    const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+    RunCounters* counters) {
   if (attributes.empty()) {
     return Status::InvalidArgument("composite extraction over zero attributes");
   }
   return ExtractCached(attributes, [&] {
-    return DoExtractComposite(catalog, attributes);
+    return DoExtractComposite(catalog, attributes, counters);
   });
 }
 

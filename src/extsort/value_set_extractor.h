@@ -8,7 +8,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <future>
@@ -18,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/counters.h"
 #include "src/common/file_io.h"
 #include "src/common/mutex.h"
 #include "src/common/result.h"
@@ -53,6 +53,12 @@ struct ValueSetExtractorOptions {
 /// its file. Set-file names are deterministic functions of the attribute
 /// (not of arrival order), so a given work_dir layout is reproducible
 /// regardless of thread interleaving.
+///
+/// The work is counted where it happens, as SortedSetReader::Open counts
+/// files_opened: the one call that sorted a set, or reused it from the
+/// persisted profile, adds it to the counters it was handed
+/// (sets_extracted or sets_reused). Callers served from the cache add
+/// nothing, so runs sharing an extractor never count each other's sorts.
 class ValueSetExtractor {
  public:
   /// `output_dir` must exist; one ".set" file per attribute is published
@@ -65,10 +71,12 @@ class ValueSetExtractor {
 
   /// Extracts the given attribute from the catalog. NULLs are dropped
   /// (inclusion dependencies are defined over non-NULL values). Re-runs for
-  /// the same attribute return the cached file.
+  /// the same attribute return the cached file. A non-null `counters`
+  /// counts the set if this call sorted or reused it.
   [[nodiscard]]
   Result<SortedSetInfo> Extract(const Catalog& catalog,
-                                const AttributeRef& attribute);
+                                const AttributeRef& attribute,
+                                RunCounters* counters = nullptr);
 
   /// Extracts all listed attributes; returns infos in the same order. When
   /// `pool` is non-null the per-attribute sorts run concurrently on it
@@ -89,10 +97,11 @@ class ValueSetExtractor {
   /// component are dropped (SQL MATCH SIMPLE). Streams through a
   /// CompositeValueCursor, so peak memory is one storage block per
   /// component plus the sort budget — the n-ary algorithms' out-of-core
-  /// path. Cached and thread-safe exactly like Extract().
+  /// path. Cached, thread-safe and counted exactly like Extract().
   [[nodiscard]]
   Result<SortedSetInfo> ExtractComposite(
-      const Catalog& catalog, const std::vector<AttributeRef>& attributes);
+      const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+      RunCounters* counters = nullptr);
 
   /// Deterministic file-system-safe set-file name for an attribute.
   /// Exposed for tests and tools that want to predict the workspace layout.
@@ -124,24 +133,17 @@ class ValueSetExtractor {
   [[nodiscard]]
   Status CheckSetsUnchanged() const SPIDER_EXCLUDES(mutex_);
 
-  /// Monotonic counters: sets sorted fresh vs. reused from the persisted
-  /// profile since construction. Sessions diff them around a run to report
-  /// per-run work.
-  int64_t sets_extracted() const {
-    return sets_extracted_.load(std::memory_order_relaxed);
-  }
-  int64_t sets_reused() const {
-    return sets_reused_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// The uncached sort-and-materialize step.
+  /// The uncached reuse-or-sort step; counts what it did into `counters`
+  /// when non-null.
   [[nodiscard]]
   Result<SortedSetInfo> DoExtract(const Catalog& catalog,
-                                  const AttributeRef& attribute);
+                                  const AttributeRef& attribute,
+                                  RunCounters* counters);
   [[nodiscard]]
   Result<SortedSetInfo> DoExtractComposite(
-      const Catalog& catalog, const std::vector<AttributeRef>& attributes);
+      const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+      RunCounters* counters);
 
   /// Claim-or-wait against the cache selected by `Key`: the first caller
   /// for `key` runs `do_extract`, concurrent callers block on its shared
@@ -200,8 +202,6 @@ class ValueSetExtractor {
   /// Non-null iff options_.persist_profile; ProfileStore is internally
   /// thread-safe.
   std::unique_ptr<ProfileStore> profile_;
-  std::atomic<int64_t> sets_extracted_{0};
-  std::atomic<int64_t> sets_reused_{0};
   Mutex scratch_mutex_;
   std::unique_ptr<TempDir> scratch_ SPIDER_GUARDED_BY(scratch_mutex_);
   mutable Mutex mutex_;

@@ -8,13 +8,10 @@ Result<IndRunResult> IndAlgorithm::Run(
   const InternedCandidates interned = InternCandidates(candidates);
   const double start = context.elapsed_seconds();
   SPIDER_ASSIGN_OR_RETURN(
-      IdRunResult run,
+      const RunResult<AttributePair> run,
       Run(catalog, interned.attributes, interned.pairs, context));
-  IndRunResult result;
-  result.satisfied = NamePairs<Ind>(interned.attributes, run.satisfied);
-  result.counters = run.counters;
+  IndRunResult result{run, NamePairs<Ind>(interned.attributes, run.satisfied)};
   result.seconds = context.elapsed_seconds() - start;
-  result.finished = run.finished;
   return result;
 }
 

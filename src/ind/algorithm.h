@@ -9,34 +9,14 @@
 #include "src/common/counters.h"
 #include "src/common/result.h"
 #include "src/ind/candidate.h"
+#include "src/ind/run_batch.h"
 #include "src/ind/run_context.h"
 #include "src/storage/catalog.h"
 
 namespace spider {
 
-/// Outcome of running an algorithm over a candidate set.
-struct IndRunResult {
-  /// Candidates verified as satisfied INDs.
-  std::vector<Ind> satisfied;
-  /// Work counters (tuples read, comparisons, ...).
-  RunCounters counters;
-  /// Wall-clock seconds spent verifying, read off the run's clock by the
-  /// caller that timed the run (the session, or the by-name adapter).
-  double seconds = 0;
-  /// False when a time budget expired or the run was cancelled before all
-  /// candidates were tested (mirrors the paper's "> 7 days" entries).
-  /// `satisfied` is then partial: every listed IND is confirmed, the
-  /// remaining candidates are undecided.
-  bool finished = true;
-};
-
-/// IndRunResult on the id path: the satisfied candidates as id pairs over
-/// the attribute table the run was given.
-struct IdRunResult {
-  std::vector<AttributePair> satisfied;
-  RunCounters counters;
-  bool finished = true;
-};
+/// Unary verification over candidates by name: the satisfied INDs.
+using IndRunResult = RunResult<Ind>;
 
 /// \brief Interface implemented by all IND verification approaches: the
 /// three SQL statements (join / minus / not in), the two database-
@@ -47,20 +27,20 @@ class IndAlgorithm {
   virtual ~IndAlgorithm() = default;
 
   /// Tests every candidate against the catalog's data and returns the
-  /// satisfied ones, by id. `attributes[id]` names each id the candidates
-  /// use; every named attribute must exist. The context carries the
-  /// unified run controls — time budget, cancellation and progress — which
-  /// every implementation honors: it polls ShouldStop() and steps once per
-  /// candidate it decides.
+  /// satisfied ones, by id over `attributes`. `attributes[id]` names each
+  /// id the candidates use; every named attribute must exist. The context
+  /// carries the unified run controls — time budget, cancellation and
+  /// progress — which every implementation honors: it polls ShouldStop()
+  /// and steps once per candidate it decides.
   [[nodiscard]]
-  virtual Result<IdRunResult> Run(const Catalog& catalog,
-                                  const std::vector<AttributeRef>& attributes,
-                                  const std::vector<AttributePair>& candidates,
-                                  RunContext& context) = 0;
+  virtual Result<RunResult<AttributePair>> Run(
+      const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+      const std::vector<AttributePair>& candidates, RunContext& context) = 0;
 
   /// Adapter for candidates by name: interns their attributes into a local
-  /// table, runs the id path and names the satisfied INDs. Derived classes
-  /// re-expose it with `using IndAlgorithm::Run;`.
+  /// table, runs the id path, names the satisfied INDs and times the run
+  /// on the context's clock. Derived classes re-expose it with
+  /// `using IndAlgorithm::Run;`.
   [[nodiscard]]
   Result<IndRunResult> Run(const Catalog& catalog,
                            const std::vector<IndCandidate>& candidates,

@@ -10,10 +10,10 @@
 
 namespace spider {
 
-Result<IdRunResult> BellBrockhausenAlgorithm::Run(
+Result<RunResult<AttributePair>> BellBrockhausenAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
-  IdRunResult result;
+  RunResult<AttributePair> result;
 
   // Range statistics, computed on an attribute's first range pretest.
   std::vector<std::optional<ColumnStats>> stats(attributes.size());

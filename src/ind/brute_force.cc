@@ -58,10 +58,10 @@ Result<bool> TestCandidateBruteForce(const SortedSetInfo& dep,
   return satisfied;
 }
 
-Result<IdRunResult> BruteForceAlgorithm::Run(
+Result<RunResult<AttributePair>> BruteForceAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
-  IdRunResult result;
+  RunResult<AttributePair> result;
 
   for (const AttributePair& candidate : candidates) {
     if (context.ShouldStop()) {
@@ -81,10 +81,12 @@ Result<IdRunResult> BruteForceAlgorithm::Run(
       }
     }
 
-    SPIDER_ASSIGN_OR_RETURN(SortedSetInfo dep_info,
-                            config_.extractor->Extract(catalog, dependent));
-    SPIDER_ASSIGN_OR_RETURN(SortedSetInfo ref_info,
-                            config_.extractor->Extract(catalog, referenced));
+    SPIDER_ASSIGN_OR_RETURN(
+        SortedSetInfo dep_info,
+        config_.extractor->Extract(catalog, dependent, &result.counters));
+    SPIDER_ASSIGN_OR_RETURN(
+        SortedSetInfo ref_info,
+        config_.extractor->Extract(catalog, referenced, &result.counters));
 
     ++result.counters.candidates_tested;
     SPIDER_ASSIGN_OR_RETURN(

@@ -118,8 +118,6 @@ class CandidateGenerator {
   [[nodiscard]]
   Result<CandidateSet> Generate(const Catalog& catalog) const;
 
-  const CandidateGeneratorOptions& options() const { return options_; }
-
  private:
   CandidateGeneratorOptions options_;
 };

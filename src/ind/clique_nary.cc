@@ -103,10 +103,10 @@ Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
   // One task per table pair. Pairs share nothing but the thread-safe
   // verifier, so they dispatch concurrently.
   const std::vector<UnaryPairs> pairs = GroupByTablePair(unary);
-  auto run_pair = [&](size_t pair_index) -> Result<BatchOutcome<NaryInd>> {
+  auto run_pair = [&](size_t pair_index) -> Result<NaryRunResult> {
     const UnaryPairs& base = pairs[pair_index];
     const int n = static_cast<int>(base.size());
-    BatchOutcome<NaryInd> outcome;
+    NaryRunResult outcome;
 
     // Binary edges: node i–j is connected when the two unary INDs are
     // attribute-disjoint and their binary combination is satisfied.
@@ -192,22 +192,16 @@ Result<NaryRunResult> CliqueNaryAlgorithm::Run(const Catalog& catalog,
       }
     }
 
-    outcome.found = MaximalInds(satisfied_here);
+    outcome.satisfied = MaximalInds(satisfied_here);
     return outcome;
   };
   SPIDER_ASSIGN_OR_RETURN(
-      BatchOutcome<NaryInd> batch,
+      NaryRunResult result,
       RunBatch<NaryInd>(config_.pool, pairs.size(), context, run_pair));
-
-  NaryRunResult result;
-  result.satisfied = std::move(batch.found);
   std::sort(result.satisfied.begin(), result.satisfied.end());
   result.satisfied.erase(
       std::unique(result.satisfied.begin(), result.satisfied.end()),
       result.satisfied.end());
-  result.tests = batch.tests;
-  result.counters = batch.counters;
-  result.finished = batch.finished;
   return result;
 }
 

@@ -43,14 +43,14 @@ Result<CompositeSetVerifier::MergeOutcome> CompositeSetVerifier::Merge(
   SPIDER_ASSIGN_OR_RETURN(ValueSetExtractor * extractor, ExtractorOrCreate());
   SPIDER_ASSIGN_OR_RETURN(
       SortedSetInfo dep_info,
-      extractor->ExtractComposite(catalog, candidate.dependent));
+      extractor->ExtractComposite(catalog, candidate.dependent, counters));
   MergeOutcome outcome;
   outcome.dep_distinct = dep_info.distinct_count;
   // Vacuously satisfied: don't pay for sorting the referenced side.
   if (dep_info.distinct_count == 0) return outcome;
   SPIDER_ASSIGN_OR_RETURN(
       SortedSetInfo ref_info,
-      extractor->ExtractComposite(catalog, candidate.referenced));
+      extractor->ExtractComposite(catalog, candidate.referenced, counters));
 
   // Open() counts files_opened; the merge holds both sets at once. Only
   // the referenced side ever fast-forwards, so only it gets the zonemap

@@ -9,10 +9,10 @@
 
 namespace spider {
 
-Result<IdRunResult> DeMarchiAlgorithm::Run(
+Result<RunResult<AttributePair>> DeMarchiAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
-  IdRunResult result;
+  RunResult<AttributePair> result;
 
   // cand_refs[d] = referenced attribute ids still viable for dependent d,
   // sorted and distinct; `named` marks every attribute a candidate names.

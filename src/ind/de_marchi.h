@@ -23,10 +23,10 @@ class DeMarchiAlgorithm final : public IndAlgorithm {
  public:
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IdRunResult> Run(const Catalog& catalog,
-                          const std::vector<AttributeRef>& attributes,
-                          const std::vector<AttributePair>& candidates,
-                          RunContext& context) override;
+  Result<RunResult<AttributePair>> Run(
+      const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+      const std::vector<AttributePair>& candidates,
+      RunContext& context) override;
 
   std::string_view name() const override { return "de-marchi"; }
 

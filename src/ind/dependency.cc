@@ -40,7 +40,8 @@ std::string Fd::ToString() const {
 Result<int64_t> DistinctTupleCount(const Catalog& catalog,
                                    ValueSetExtractor* extractor,
                                    const Table& table,
-                                   const std::vector<int>& columns) {
+                                   const std::vector<int>& columns,
+                                   RunCounters* counters) {
   std::vector<AttributeRef> attributes;
   attributes.reserve(columns.size());
   for (int c : columns) {
@@ -49,8 +50,8 @@ Result<int64_t> DistinctTupleCount(const Catalog& catalog,
   SPIDER_ASSIGN_OR_RETURN(
       const SortedSetInfo info,
       attributes.size() == 1
-          ? extractor->Extract(catalog, attributes.front())
-          : extractor->ExtractComposite(catalog, attributes));
+          ? extractor->Extract(catalog, attributes.front(), counters)
+          : extractor->ExtractComposite(catalog, attributes, counters));
   return info.distinct_count;
 }
 

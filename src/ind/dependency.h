@@ -19,6 +19,7 @@
 
 #include "src/common/counters.h"
 #include "src/common/result.h"
+#include "src/ind/run_batch.h"
 #include "src/ind/run_context.h"
 #include "src/storage/catalog.h"
 
@@ -88,24 +89,15 @@ struct Fd {
   }
 };
 
-/// Outcome of one dependency-discovery run. Only the section matching the
-/// algorithm's kind is populated (uccs for kUcc, fds for kFd/kAfd).
-struct DependencyRunResult {
+/// Outcome of one dependency-discovery run: a UCC or FD search's fold as
+/// the result of its kind. Only the section matching the algorithm's kind
+/// is populated (uccs for kUcc, fds for kFd/kAfd).
+struct DependencyRunResult : RunTotals {
   /// Minimal UCCs, sorted.
   std::vector<Ucc> uccs;
   /// Minimal (approximate) FDs, sorted; `error` carries the measured
   /// error, 0 for exact results.
   std::vector<Fd> fds;
-  /// Candidate combinations validated against the data.
-  int64_t tests = 0;
-  /// Work counters; deterministic across backends and thread counts.
-  RunCounters counters;
-  /// Wall-clock seconds of the phase, set by the session from the run's
-  /// clock (algorithms leave it 0).
-  double seconds = 0;
-  /// False when the budget expired or the run was cancelled; the result
-  /// sections are then partial (everything listed is confirmed).
-  bool finished = true;
 };
 
 /// \brief Interface implemented by the non-IND dependency discoverers
@@ -139,11 +131,13 @@ class ValueSetExtractor;
 /// (ascending indices), read off the sorted set `extractor` materializes:
 /// the unary set for one column (the cache IND profiling shares), the
 /// composite set otherwise. NULL-containing rows are dropped and duplicate
-/// rows collapse. The UCC and FD searches decide on this count.
+/// rows collapse. The UCC and FD searches decide on this count. The set
+/// counts into `counters` if this call sorted or reused it.
 [[nodiscard]]
 Result<int64_t> DistinctTupleCount(const Catalog& catalog,
                                    ValueSetExtractor* extractor,
                                    const Table& table,
-                                   const std::vector<int>& columns);
+                                   const std::vector<int>& columns,
+                                   RunCounters* counters);
 
 }  // namespace spider

@@ -16,11 +16,11 @@ namespace {
 
 // One table's levelwise search. Serial within the table; the caller
 // parallelizes across tables.
-Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
-                                        const Table& table,
-                                        const AlgorithmConfig& config,
-                                        RunContext& context) {
-  BatchOutcome<Fd> outcome;
+Result<RunResult<Fd>> FindFdsInTable(const Catalog& catalog,
+                                     const Table& table,
+                                     const AlgorithmConfig& config,
+                                     RunContext& context) {
+  RunResult<Fd> outcome;
   if (table.row_count() == 0) return outcome;
   std::vector<int> eligible;
   for (int c = 0; c < table.column_count(); ++c) {
@@ -37,7 +37,8 @@ Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
     if (it != distinct_cache.end()) return it->second;
     SPIDER_ASSIGN_OR_RETURN(
         const int64_t distinct,
-        DistinctTupleCount(catalog, config.extractor, table, combo));
+        DistinctTupleCount(catalog, config.extractor, table, combo,
+                           &outcome.counters));
     distinct_cache.emplace(combo, distinct);
     return distinct;
   };
@@ -82,7 +83,7 @@ Result<BatchOutcome<Fd>> FindFdsInTable(const Catalog& catalog,
           for (int c : lhs) fd.lhs.push_back(table.column(c).name());
           fd.rhs = table.column(a).name();
           fd.error = error;
-          outcome.found.push_back(std::move(fd));
+          outcome.satisfied.push_back(std::move(fd));
         } else {
           unsatisfied.push_back(lhs);
         }
@@ -135,16 +136,11 @@ Result<DependencyRunResult> FdLevelwiseAlgorithm::Run(const Catalog& catalog,
                           config_, context);
   };
   SPIDER_ASSIGN_OR_RETURN(
-      BatchOutcome<Fd> batch,
+      RunResult<Fd> batch,
       RunBatch<Fd>(config_.pool, static_cast<size_t>(catalog.table_count()),
                    context, search));
-  DependencyRunResult result;
-  result.fds = std::move(batch.found);
-  std::sort(result.fds.begin(), result.fds.end());
-  result.tests = batch.tests;
-  result.counters = batch.counters;
-  result.finished = batch.finished;
-  return result;
+  std::sort(batch.satisfied.begin(), batch.satisfied.end());
+  return DependencyRunResult{batch, {}, std::move(batch.satisfied)};
 }
 
 void RegisterFdLevelwiseAlgorithms(AlgorithmRegistry& registry) {

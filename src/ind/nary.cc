@@ -87,8 +87,8 @@ Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
 
     // Verify the level's batch — concurrently when a pool is configured.
     const std::vector<NaryInd> batch(candidates.begin(), candidates.end());
-    auto verify = [&](size_t i) -> Result<BatchOutcome<NaryInd>> {
-      BatchOutcome<NaryInd> outcome;
+    auto verify = [&](size_t i) -> Result<NaryRunResult> {
+      NaryRunResult outcome;
       outcome.tests = 1;
       outcome.counters.candidates_tested = 1;
       // Exact containment, or g3' error up to the partial threshold.
@@ -104,22 +104,16 @@ Result<NaryRunResult> LevelwiseNaryAlgorithm::Run(
                                                 &outcome.counters,
                                                 /*early_stop=*/true));
       }
-      if (satisfied) outcome.found.push_back(batch[i]);
+      if (satisfied) outcome.satisfied.push_back(batch[i]);
       context.Step();
       return outcome;
     };
     SPIDER_ASSIGN_OR_RETURN(
-        BatchOutcome<NaryInd> level,
+        NaryRunResult level,
         RunBatch<NaryInd>(config_.pool, batch.size(), context, verify));
-    result.satisfied.insert(result.satisfied.end(), level.found.begin(),
-                            level.found.end());
-    result.tests += level.tests;
-    result.counters.Merge(level.counters);
-    if (!level.finished) {
-      result.finished = false;
-      break;
-    }
-    previous = std::move(level.found);
+    previous = level.satisfied;
+    result.Append(std::move(level));
+    if (!result.finished) break;
   }
   std::sort(result.satisfied.begin(), result.satisfied.end());
   return result;

@@ -20,29 +20,18 @@
 #include "src/common/counters.h"
 #include "src/common/result.h"
 #include "src/ind/candidate.h"
+#include "src/ind/run_batch.h"
 #include "src/ind/run_context.h"
 #include "src/storage/catalog.h"
 
 namespace spider {
 
-/// Outcome of running an n-ary expansion over a unary IND base.
-struct NaryRunResult {
-  /// Satisfied n-ary INDs of arity >= 2, sorted. For the maximal-IND
-  /// strategies (clique, zigzag) these are the maximal INDs; for levelwise
-  /// expansion every satisfied IND of every level.
-  std::vector<NaryInd> satisfied;
-  /// Direct data validations performed (the figure the n-ary papers
-  /// compare strategies on).
-  int64_t tests = 0;
-  /// Work counters of the validation merges.
-  RunCounters counters;
-  /// Wall-clock seconds of the phase, set by the session from the run's
-  /// clock (algorithms leave it 0).
-  double seconds = 0;
-  /// False when the budget expired or the run was cancelled; `satisfied`
-  /// is then partial (every listed IND is confirmed).
-  bool finished = true;
-};
+/// Outcome of running an n-ary expansion over a unary IND base: satisfied
+/// n-ary INDs of arity >= 2, sorted (the maximal INDs for clique and
+/// zigzag, every satisfied IND of every level for levelwise expansion),
+/// and the direct data validations performed (`tests`, the figure the
+/// n-ary papers compare strategies on).
+using NaryRunResult = RunResult<NaryInd>;
 
 /// \brief Interface implemented by the n-ary expansion strategies.
 class NaryAlgorithm {

@@ -24,10 +24,10 @@ Result<std::vector<PartialInd>> PartialIndFinder::Run(
   for (const IndCandidate& candidate : candidates) {
     SPIDER_ASSIGN_OR_RETURN(
         SortedSetInfo dep_info,
-        options_.extractor->Extract(catalog, candidate.dependent));
+        options_.extractor->Extract(catalog, candidate.dependent, counters));
     SPIDER_ASSIGN_OR_RETURN(
         SortedSetInfo ref_info,
-        options_.extractor->Extract(catalog, candidate.referenced));
+        options_.extractor->Extract(catalog, candidate.referenced, counters));
     if (counters != nullptr) ++counters->candidates_tested;
 
     PartialInd measured;

@@ -1,8 +1,10 @@
-// The one batch driver behind everything that fans independent tasks out
-// onto an optional ThreadPool: the session's unary verification (one task
-// per candidate partition), the levelwise n-ary expansion (one task per
-// candidate of a level), the clique and zigzag expansions (one task per
-// table pair) and the UCC/FD lattice searches (one task per table).
+// What every phase of a run returns, and the one batch driver that folds
+// it: RunBatch fans independent tasks out onto an optional ThreadPool for
+// the session's unary verification (one task per candidate partition) and
+// cache priming (one per attribute), the levelwise n-ary expansion (one
+// task per candidate of a level), the clique and zigzag expansions (one
+// task per table pair) and the UCC/FD lattice searches (one task per
+// table).
 
 #pragma once
 
@@ -19,6 +21,41 @@
 #include "src/ind/run_context.h"
 
 namespace spider {
+
+/// What a phase reports beside the dependencies it found.
+struct RunTotals {
+  /// Direct data validations performed by the n-ary expansions and the
+  /// lattice searches (unary verification counts candidates_tested).
+  int64_t tests = 0;
+  /// Work counters, counted where the work happens: an algorithm counts
+  /// its reads, and each set it had the extractor sort or reuse.
+  RunCounters counters;
+  /// Wall-clock seconds of the phase, set by the session from the run's
+  /// clock (algorithms leave it 0).
+  double seconds = 0;
+  /// False when the budget expired or the run was cancelled before every
+  /// candidate was decided (the paper's "> 7 days" entries); the found
+  /// dependencies are then partial, every listed one confirmed.
+  bool finished = true;
+};
+
+/// The result of a phase, a batch or one batch task, final when returned:
+/// the dependencies it confirmed and its totals.
+template <typename Item>
+struct RunResult : RunTotals {
+  std::vector<Item> satisfied;
+
+  /// Folds `other` in after this result: its items appended, tests summed,
+  /// counters merged, finished AND-ed.
+  void Append(RunResult other) {
+    satisfied.insert(satisfied.end(),
+                     std::make_move_iterator(other.satisfied.begin()),
+                     std::make_move_iterator(other.satisfied.end()));
+    tests += other.tests;
+    counters.Merge(other.counters);
+    finished = finished && other.finished;
+  }
+};
 
 /// The one place the concurrent peak-open-files policy lives: serial
 /// batches keep the per-task max that RunCounters::Merge produced, but
@@ -46,62 +83,43 @@ inline void ApplyConcurrentPeakBound(const ThreadPool* pool,
   }
 }
 
-/// What one batch task contributes, and what a whole batch folds into.
-template <typename Item>
-struct BatchOutcome {
-  /// Dependencies the task confirmed.
-  std::vector<Item> found;
-  /// Direct data validations performed.
-  int64_t tests = 0;
-  RunCounters counters;
-  /// False when the budget expired or the run was cancelled; `found` is
-  /// then partial (every listed item is confirmed).
-  bool finished = true;
-};
-
-/// Runs `count` independent tasks (`task(i) -> Result<BatchOutcome<Item>>`),
+/// Runs `count` independent tasks (`task(i) -> Result<RunResult<Item>>`),
 /// serially when `pool` is null, concurrently on the pool otherwise.
 /// `context` is polled before each task; a task skipped by a stop counts as
-/// unfinished. Outcomes fold in task order — found items appended, tests
-/// summed, counters merged, finished AND-ed, then the concurrent peak bound
-/// applied — so a batch is byte-identical at any thread count. Fails with
-/// the first failed task's status.
+/// unfinished. Results fold in task order (RunResult::Append), then the
+/// concurrent peak bound applies, so a batch is byte-identical at any
+/// thread count. Fails with the first failed task's status.
 template <typename Item, typename Task>
-Result<BatchOutcome<Item>> RunBatch(ThreadPool* pool, size_t count,
-                                    const RunContext& context, Task&& task) {
-  auto run_one = [&context, &task](size_t i) -> Result<BatchOutcome<Item>> {
+Result<RunResult<Item>> RunBatch(ThreadPool* pool, size_t count,
+                                 const RunContext& context, Task&& task) {
+  auto run_one = [&context, &task](size_t i) -> Result<RunResult<Item>> {
     if (context.ShouldStop()) {
-      BatchOutcome<Item> skipped;
+      RunResult<Item> skipped;
       skipped.finished = false;
       return skipped;
     }
     return task(i);
   };
-  std::vector<Result<BatchOutcome<Item>>> outcomes;
-  outcomes.reserve(count);
+  std::vector<Result<RunResult<Item>>> results;
+  results.reserve(count);
   if (pool == nullptr || count < 2) {
-    for (size_t i = 0; i < count; ++i) outcomes.push_back(run_one(i));
+    for (size_t i = 0; i < count; ++i) results.push_back(run_one(i));
   } else {
-    std::vector<std::future<Result<BatchOutcome<Item>>>> futures;
+    std::vector<std::future<Result<RunResult<Item>>>> futures;
     futures.reserve(count);
     for (size_t i = 0; i < count; ++i) {
       futures.push_back(pool->Submit([&run_one, i] { return run_one(i); }));
     }
-    for (auto& future : futures) outcomes.push_back(future.get());
+    for (auto& future : futures) results.push_back(future.get());
   }
 
-  BatchOutcome<Item> folded;
+  RunResult<Item> folded;
   std::vector<int64_t> peaks;
   peaks.reserve(count);
-  for (Result<BatchOutcome<Item>>& outcome : outcomes) {
-    SPIDER_RETURN_NOT_OK(outcome.status());
-    folded.found.insert(folded.found.end(),
-                        std::make_move_iterator(outcome->found.begin()),
-                        std::make_move_iterator(outcome->found.end()));
-    folded.tests += outcome->tests;
-    folded.counters.Merge(outcome->counters);
-    folded.finished = folded.finished && outcome->finished;
-    peaks.push_back(outcome->counters.peak_open_files);
+  for (Result<RunResult<Item>>& result : results) {
+    SPIDER_RETURN_NOT_OK(result.status());
+    peaks.push_back(result->counters.peak_open_files);
+    folded.Append(std::move(result).value());
   }
   ApplyConcurrentPeakBound(pool, std::move(peaks), folded.counters);
   return folded;

@@ -140,6 +140,51 @@ Result<ResolvedRun> ResolveRun(const RunOptions& options) {
   return run;
 }
 
+// Runs one phase on the run's `context`: starts its progress count at
+// `total` (0 = unknown), times it on the run's clock and, with `sets`,
+// fails it, recording nothing, if a set file it read was replaced
+// meanwhile by a run at another commit of the shared directory. The
+// phase's result is final as returned but for the seconds.
+template <typename PhaseResult, typename Phase>
+Status RunPhase(RunContext& context, const ValueSetExtractor* sets,
+                int64_t total, PhaseResult* result, Phase&& phase) {
+  const double start = context.elapsed_seconds();
+  context.Begin(total);
+  SPIDER_ASSIGN_OR_RETURN(*result, phase());
+  result->seconds = context.elapsed_seconds() - start;
+  return sets == nullptr ? Status::OK() : sets->CheckSetsUnchanged();
+}
+
+// Has `sets` sort (or reuse) the set of every attribute `candidates` name,
+// one task per attribute on `pool`, so concurrent partitions find them in
+// the cache instead of serializing the sorts behind whichever partition
+// asks first. A batch like any other: a task the budget or a cancel stops
+// before it starts sorts nothing, and each set counts in the result.
+Result<RunResult<AttributePair>> PrimeSets(
+    const Catalog& catalog, ValueSetExtractor& sets,
+    const std::vector<AttributeRef>& attributes,
+    const std::vector<AttributePair>& candidates, ThreadPool* pool,
+    const RunContext& context) {
+  std::vector<bool> named(attributes.size(), false);
+  std::vector<AttributeId> to_extract;
+  for (const AttributePair& candidate : candidates) {
+    for (const AttributeId id : {candidate.dependent, candidate.referenced}) {
+      if (named[id]) continue;
+      named[id] = true;
+      to_extract.push_back(id);
+    }
+  }
+  return RunBatch<AttributePair>(
+      pool, to_extract.size(), context,
+      [&](size_t i) -> Result<RunResult<AttributePair>> {
+        RunResult<AttributePair> primed;
+        SPIDER_RETURN_NOT_OK(
+            sets.Extract(catalog, attributes[to_extract[i]], &primed.counters)
+                .status());
+        return primed;
+      });
+}
+
 }  // namespace
 
 Status ValidateRunOptions(const RunOptions& options) {
@@ -282,7 +327,6 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
   // itself. A parallel run verifies the connected components of the
   // attribute graph, split until they fill the pool, each on its own
   // algorithm instance; all share the run's context.
-  const double verify_start = context.elapsed_seconds();
   const bool parallel = pool != nullptr && to_verify->size() >= 2;
   std::vector<std::vector<AttributePair>> partitions;
   if (parallel) {
@@ -295,76 +339,56 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
       partitions =
           SplitPartitionsForParallelism(std::move(partitions), threads);
     }
-    // Concurrent partitions extract through the thread-safe cache; priming
-    // it on the pool parallelizes the sorts themselves instead of
-    // serializing them behind whichever partition asks first, even when
-    // the graph collapsed to few partitions.
-    if (config.extractor != nullptr) {
-      std::vector<bool> named(attributes.size(), false);
-      std::vector<AttributeRef> to_extract;
-      for (const AttributePair& candidate : *to_verify) {
-        for (const AttributeId id :
-             {candidate.dependent, candidate.referenced}) {
-          if (named[id]) continue;
-          named[id] = true;
-          to_extract.push_back(attributes[id]);
-        }
-      }
-      SPIDER_RETURN_NOT_OK(
-          config.extractor->ExtractAll(*catalog_, to_extract, pool).status());
-    }
     report->threads_used = pool->size();
     report->partitions = static_cast<int>(partitions.size());
   }
-  // Everything answered from the profile (or no candidates) leaves the run
-  // at its finished, zero-work default.
-  BatchOutcome<AttributePair> verified;
-  if (!to_verify->empty()) {
-    context.Begin(static_cast<int64_t>(to_verify->size()));
+  auto verify = [&]() -> Result<RunResult<AttributePair>> {
+    RunResult<AttributePair> result;
+    if (parallel && config.extractor != nullptr) {
+      SPIDER_ASSIGN_OR_RETURN(result,
+                              PrimeSets(*catalog_, *config.extractor,
+                                        attributes, *to_verify, pool, context));
+    }
     // A partition the budget or a cancel stops before it starts is skipped
     // and counts as unfinished; peak_open_files folds to the concurrent
     // high-water bound (ApplyConcurrentPeakBound).
     SPIDER_ASSIGN_OR_RETURN(
-        verified,
+        RunResult<AttributePair> partitioned,
         RunBatch<AttributePair>(
             parallel ? pool : nullptr, parallel ? partitions.size() : 1,
-            context, [&](size_t i) -> Result<BatchOutcome<AttributePair>> {
+            context, [&](size_t i) -> Result<RunResult<AttributePair>> {
               SPIDER_ASSIGN_OR_RETURN(
                   std::unique_ptr<IndAlgorithm> algorithm,
                   AlgorithmRegistry::Global().Create(verifier.name, config));
-              SPIDER_ASSIGN_OR_RETURN(
-                  IdRunResult result,
-                  algorithm->Run(*catalog_, attributes,
-                                 parallel ? partitions[i] : *to_verify,
-                                 context));
-              BatchOutcome<AttributePair> partial;
-              partial.found = std::move(result.satisfied);
-              partial.counters = result.counters;
-              partial.finished = result.finished;
-              return partial;
+              return algorithm->Run(*catalog_, attributes,
+                                    parallel ? partitions[i] : *to_verify,
+                                    context);
             }));
+    result.Append(std::move(partitioned));
+    return result;
+  };
+  // Everything answered from the profile (or no candidates) leaves the run
+  // at its finished, zero-work default.
+  RunResult<AttributePair> verified;
+  if (!to_verify->empty()) {
+    SPIDER_RETURN_NOT_OK(RunPhase(context, config.extractor,
+                                  static_cast<int64_t>(to_verify->size()),
+                                  &verified, verify));
   }
-  report->run.seconds = context.elapsed_seconds() - verify_start;
 
-  // The algorithm read set files from a directory that other runs may
-  // share. If one was replaced mid-run by a run at another commit, this
-  // run may have read that run's bytes: fail, recording nothing.
-  if (config.extractor != nullptr && !to_verify->empty()) {
-    SPIDER_RETURN_NOT_OK(config.extractor->CheckSetsUnchanged());
-  }
   if (delta_eligible && verified.finished && !to_verify->empty()) {
     // Only finished runs decide every submitted candidate; a budget- or
     // cancellation-truncated satisfied set must not be remembered as
     // "unsatisfied". Both lists sorted by id pair: one merge decides each.
-    std::sort(verified.found.begin(), verified.found.end());
+    std::sort(verified.satisfied.begin(), verified.satisfied.end());
     std::vector<ProfileStore::SideVerdict> verdicts;
     verdicts.reserve(to_verify->size());
-    auto held = verified.found.begin();
+    auto held = verified.satisfied.begin();
     for (const AttributePair& candidate : *to_verify) {
-      while (held != verified.found.end() && *held < candidate) ++held;
+      while (held != verified.satisfied.end() && *held < candidate) ++held;
       verdicts.push_back(ProfileStore::SideVerdict{
           sides[candidate.dependent], sides[candidate.referenced],
-          held != verified.found.end() && *held == candidate});
+          held != verified.satisfied.end() && *held == candidate});
     }
     profile->PutVerdicts(verdicts);
     if (!verdicts.empty()) *verdicts_recorded = true;
@@ -374,8 +398,8 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
   // or verdict reuse: every configuration returns byte-identical reports.
   // Attribute names are unique, so ranking the table once orders the pairs
   // exactly as their names would sort.
-  satisfied.insert(satisfied.end(), verified.found.begin(),
-                   verified.found.end());
+  satisfied.insert(satisfied.end(), verified.satisfied.begin(),
+                   verified.satisfied.end());
   std::vector<AttributeId> by_name(attributes.size());
   std::iota(by_name.begin(), by_name.end(), AttributeId{0});
   std::sort(by_name.begin(), by_name.end(), [&](AttributeId a, AttributeId b) {
@@ -390,9 +414,7 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
               return AttributePair{rank[a.dependent], rank[a.referenced]} <
                      AttributePair{rank[b.dependent], rank[b.referenced]};
             });
-  report->run.satisfied = NamePairs<Ind>(attributes, satisfied);
-  report->run.counters = verified.counters;
-  report->run.finished = verified.finished;
+  report->run = IndRunResult{verified, NamePairs<Ind>(attributes, satisfied)};
   return Status::OK();
 }
 
@@ -428,22 +450,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
     config.pool = pool.get();
   }
 
-  // Extraction happens inside the session's cache, outside every
-  // algorithm's counters: each phase's share folds into its own result.
   ValueSetExtractor* const sets = config.extractor;
-  const int64_t extracted_at_start = sets ? sets->sets_extracted() : 0;
-  int64_t extracted_mark = extracted_at_start;
-  int64_t reused_mark = sets ? sets->sets_reused() : 0;
-  auto fold_extraction = [&](RunCounters& counters) {
-    if (sets == nullptr) return;
-    const int64_t extracted = sets->sets_extracted();
-    const int64_t reused = sets->sets_reused();
-    counters.sets_extracted += extracted - extracted_mark;
-    counters.sets_reused += reused - reused_mark;
-    extracted_mark = extracted;
-    reused_mark = reused;
-  };
-
   SessionReport report;
   report.approach = options.approach;
   report.kind = capabilities.kind;
@@ -452,7 +459,6 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
     SPIDER_RETURN_NOT_OK(VerifyUnary(options, *verifier,
                                      resolved.verify_config, pool.get(),
                                      context, &report, &verdicts_recorded));
-    fold_extraction(report.run.counters);
   }
   if (capabilities.nary) {
     report.nary = true;
@@ -467,14 +473,10 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
           std::unique_ptr<NaryAlgorithm> algorithm,
           AlgorithmRegistry::Global().Create<NaryAlgorithm>(approach.name,
                                                             config));
-      const double start = context.elapsed_seconds();
-      context.Begin(/*total_work=*/0);  // tests are not known up front
-      SPIDER_ASSIGN_OR_RETURN(
-          report.nary_run,
-          algorithm->Run(*catalog_, report.run.satisfied, context));
-      report.nary_run.seconds = context.elapsed_seconds() - start;
-      if (sets != nullptr) SPIDER_RETURN_NOT_OK(sets->CheckSetsUnchanged());
-      fold_extraction(report.nary_run.counters);
+      // Tests are not known up front: the phase counts out of 0.
+      SPIDER_RETURN_NOT_OK(RunPhase(context, sets, 0, &report.nary_run, [&] {
+        return algorithm->Run(*catalog_, report.run.satisfied, context);
+      }));
     }
   } else if (verifier == nullptr) {
     // UCC/FD/AFD: no candidate generation — the discoverer enumerates its
@@ -484,24 +486,23 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
         std::unique_ptr<DependencyAlgorithm> algorithm,
         AlgorithmRegistry::Global().Create<DependencyAlgorithm>(approach.name,
                                                                 config));
-    const double start = context.elapsed_seconds();
-    context.Begin(/*total_work=*/0);  // tests are not known up front
-    SPIDER_ASSIGN_OR_RETURN(report.dependency,
-                            algorithm->Run(*catalog_, context));
-    report.dependency.seconds = context.elapsed_seconds() - start;
-    if (sets != nullptr) SPIDER_RETURN_NOT_OK(sets->CheckSetsUnchanged());
-    fold_extraction(report.dependency.counters);
+    SPIDER_RETURN_NOT_OK(RunPhase(context, sets, 0, &report.dependency, [&] {
+      return algorithm->Run(*catalog_, context);
+    }));
   }
   report.profile_reused = report.verdicts_reused > 0 ||
                           report.run.counters.sets_reused > 0 ||
                           report.nary_run.counters.sets_reused > 0 ||
                           report.dependency.counters.sets_reused > 0;
 
-  // Seal: commit fresh verdicts and freshly recorded set files. The
+  // Seal: commit fresh verdicts and the set files this run sorted. The
   // profile is a cache, so a failed save (read-only workspace, disk full)
   // is reported, not fatal — the next session recomputes instead.
+  const bool sets_sorted = report.run.counters.sets_extracted > 0 ||
+                           report.nary_run.counters.sets_extracted > 0 ||
+                           report.dependency.counters.sets_extracted > 0;
   if (sets != nullptr && sets->profile() != nullptr &&
-      (verdicts_recorded || sets->sets_extracted() != extracted_at_start)) {
+      (verdicts_recorded || sets_sorted)) {
     const Status saved = sets->SaveProfile();
     if (!saved.ok()) report.profile_save_error = saved.ToString();
   }

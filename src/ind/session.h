@@ -5,9 +5,11 @@
 // (ValidateRunOptions) before any work, generate unary IND candidates (IND
 // approaches only), dispatch the algorithm under one unified set of
 // controls (time budget, cancellation, progress, σ-partial coverage,
-// memory/file budgets), fold the extractor's work into the result and seal
-// the persisted profile. An n-ary expansion runs after the unary phase, on
-// its satisfied set. The extractor cache lives in the session, so sweeping
+// memory/file budgets) and seal the persisted profile. Every phase returns
+// its result final, its work counted where it happened — each set the
+// extractor sorted or reused for it included — and the session starts,
+// times and set-checks every phase in one place. An n-ary expansion runs
+// after the unary phase, on its satisfied set. The extractor cache lives in the session, so sweeping
 // several approaches over the same catalog extracts and sorts each
 // attribute only once — exactly the reuse the paper's database-external
 // approaches are built on.
@@ -273,7 +275,8 @@ class SpiderSession {
   /// The unary IND phase: generate candidates, answer what the persisted
   /// profile still vouches for, verify the rest with `verifier` in one
   /// RunBatch dispatch — one partition, or connected components on `pool`
-  /// — under the run's `context`, and record the fresh verdicts. Sets
+  /// after priming the extractor's cache through one more batch — under
+  /// the run's `context`, and record the fresh verdicts. Sets
   /// `*verdicts_recorded` when the profile changed.
   [[nodiscard]]
   Status VerifyUnary(const RunOptions& options,

@@ -258,7 +258,7 @@ Result<bool> RunBlock(const Catalog& catalog,
                       const std::vector<AttributeRef>& attributes,
                       ValueSetExtractor* extractor,
                       const std::vector<AttributePair>& candidates,
-                      RunContext& context, IdRunResult* result) {
+                      RunContext& context, RunResult<AttributePair>* result) {
   Monitor monitor;
   int64_t refuted = 0;
   const int64_t satisfied_at_entry =
@@ -270,8 +270,9 @@ Result<bool> RunBlock(const Catalog& catalog,
   int64_t open_files = 0;
   auto open =
       [&](AttributeId attr) -> Result<std::unique_ptr<SortedSetReader>> {
-    SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
-                            extractor->Extract(catalog, attributes[attr]));
+    SPIDER_ASSIGN_OR_RETURN(
+        SortedSetInfo info,
+        extractor->Extract(catalog, attributes[attr], &result->counters));
     ++open_files;
     return SortedSetReader::Open(info.path, &result->counters);
   };
@@ -371,10 +372,10 @@ SinglePassAlgorithm::SinglePassAlgorithm(const AlgorithmConfig& config)
       << "single-pass requires a value-set extractor";
 }
 
-Result<IdRunResult> SinglePassAlgorithm::Run(
+Result<RunResult<AttributePair>> SinglePassAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
-  IdRunResult result;
+  RunResult<AttributePair> result;
 
   // Duplicate candidates would register the same observer pair twice;
   // test each distinct pair once (preserving first-occurrence order).

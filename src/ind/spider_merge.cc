@@ -60,10 +60,10 @@ SpiderMergeAlgorithm::SpiderMergeAlgorithm(const AlgorithmConfig& config)
   SPIDER_CHECK_LE(config_.min_coverage, 1.0);
 }
 
-Result<IdRunResult> SpiderMergeAlgorithm::Run(
+Result<RunResult<AttributePair>> SpiderMergeAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
-  IdRunResult result;
+  RunResult<AttributePair> result;
 
   // One cursor per distinct attribute, numbered in order of first
   // appearance in the candidate list. The numbering breaks ties between
@@ -75,7 +75,8 @@ Result<IdRunResult> SpiderMergeAlgorithm::Run(
     if (cursor_of[attr] >= 0) return cursor_of[attr];
     SPIDER_ASSIGN_OR_RETURN(
         SortedSetInfo info,
-        config_.extractor->Extract(catalog, attributes[attr]));
+        config_.extractor->Extract(catalog, attributes[attr],
+                                   &result.counters));
     SortedSetReaderOptions reader_options;
     reader_options.allow_block_skip = config_.block_skip;
     SPIDER_ASSIGN_OR_RETURN(

@@ -36,10 +36,10 @@ class SpiderMergeAlgorithm final : public IndAlgorithm {
 
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IdRunResult> Run(const Catalog& catalog,
-                          const std::vector<AttributeRef>& attributes,
-                          const std::vector<AttributePair>& candidates,
-                          RunContext& context) override;
+  Result<RunResult<AttributePair>> Run(
+      const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+      const std::vector<AttributePair>& candidates,
+      RunContext& context) override;
 
   std::string_view name() const override { return "spider-merge"; }
 

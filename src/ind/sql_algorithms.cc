@@ -12,12 +12,12 @@ namespace {
 
 // Shared driver: runs `test_one` per candidate under the run context's
 // budget.
-Result<IdRunResult> RunSqlApproach(
+Result<RunResult<AttributePair>> RunSqlApproach(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context,
     const std::function<Result<bool>(const Column& dep, const Column& ref,
                                      RunCounters* counters)>& test_one) {
-  IdRunResult result;
+  RunResult<AttributePair> result;
 
   for (const AttributePair& candidate : candidates) {
     if (context.ShouldStop()) {
@@ -42,7 +42,7 @@ Result<IdRunResult> RunSqlApproach(
 
 }  // namespace
 
-Result<IdRunResult> SqlJoinAlgorithm::Run(
+Result<RunResult<AttributePair>> SqlJoinAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
   return RunSqlApproach(
@@ -56,7 +56,7 @@ Result<IdRunResult> SqlJoinAlgorithm::Run(
       });
 }
 
-Result<IdRunResult> SqlMinusAlgorithm::Run(
+Result<RunResult<AttributePair>> SqlMinusAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
   return RunSqlApproach(
@@ -69,7 +69,7 @@ Result<IdRunResult> SqlMinusAlgorithm::Run(
       });
 }
 
-Result<IdRunResult> SqlNotInAlgorithm::Run(
+Result<RunResult<AttributePair>> SqlNotInAlgorithm::Run(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
     const std::vector<AttributePair>& candidates, RunContext& context) {
   return RunSqlApproach(

@@ -25,10 +25,10 @@ class SqlJoinAlgorithm final : public IndAlgorithm {
  public:
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IdRunResult> Run(const Catalog& catalog,
-                          const std::vector<AttributeRef>& attributes,
-                          const std::vector<AttributePair>& candidates,
-                          RunContext& context) override;
+  Result<RunResult<AttributePair>> Run(
+      const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+      const std::vector<AttributePair>& candidates,
+      RunContext& context) override;
   std::string_view name() const override { return "sql-join"; }
 };
 
@@ -39,10 +39,10 @@ class SqlMinusAlgorithm final : public IndAlgorithm {
  public:
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IdRunResult> Run(const Catalog& catalog,
-                          const std::vector<AttributeRef>& attributes,
-                          const std::vector<AttributePair>& candidates,
-                          RunContext& context) override;
+  Result<RunResult<AttributePair>> Run(
+      const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+      const std::vector<AttributePair>& candidates,
+      RunContext& context) override;
   std::string_view name() const override { return "sql-minus"; }
 };
 
@@ -53,10 +53,10 @@ class SqlNotInAlgorithm final : public IndAlgorithm {
  public:
   using IndAlgorithm::Run;
   [[nodiscard]]
-  Result<IdRunResult> Run(const Catalog& catalog,
-                          const std::vector<AttributeRef>& attributes,
-                          const std::vector<AttributePair>& candidates,
-                          RunContext& context) override;
+  Result<RunResult<AttributePair>> Run(
+      const Catalog& catalog, const std::vector<AttributeRef>& attributes,
+      const std::vector<AttributePair>& candidates,
+      RunContext& context) override;
   std::string_view name() const override { return "sql-not-in"; }
 };
 

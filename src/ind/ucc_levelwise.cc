@@ -17,11 +17,11 @@ namespace {
 // One table's levelwise search, serial within the table (the caller
 // parallelizes across tables). Polls `context` between candidates and
 // steps its progress once per tested candidate.
-Result<BatchOutcome<Ucc>> FindMinimalUccs(const Catalog& catalog,
-                                          const Table& table,
-                                          const AlgorithmConfig& config,
-                                          RunContext& context) {
-  BatchOutcome<Ucc> outcome;
+Result<RunResult<Ucc>> FindMinimalUccs(const Catalog& catalog,
+                                       const Table& table,
+                                       const AlgorithmConfig& config,
+                                       RunContext& context) {
+  RunResult<Ucc> outcome;
   const int n = table.column_count();
   // An empty table's combinations are vacuously unique: useless as keys.
   if (n == 0 || table.row_count() == 0) return outcome;
@@ -34,14 +34,15 @@ Result<BatchOutcome<Ucc>> FindMinimalUccs(const Catalog& catalog,
     ++outcome.counters.candidates_tested;
     SPIDER_ASSIGN_OR_RETURN(
         const int64_t distinct,
-        DistinctTupleCount(catalog, config.extractor, table, combo));
+        DistinctTupleCount(catalog, config.extractor, table, combo,
+                           &outcome.counters));
     const bool unique = distinct == table.row_count();
     context.Step();
     if (unique) {
       Ucc ucc;
       ucc.table = table.name();
       for (int c : combo) ucc.columns.push_back(table.column(c).name());
-      outcome.found.push_back(std::move(ucc));
+      outcome.satisfied.push_back(std::move(ucc));
     }
     return unique;
   };
@@ -124,16 +125,11 @@ Result<DependencyRunResult> UccLevelwiseAlgorithm::Run(const Catalog& catalog,
                            config_, context);
   };
   SPIDER_ASSIGN_OR_RETURN(
-      BatchOutcome<Ucc> batch,
+      RunResult<Ucc> batch,
       RunBatch<Ucc>(config_.pool, static_cast<size_t>(catalog.table_count()),
                     context, search));
-  DependencyRunResult result;
-  result.uccs = std::move(batch.found);
-  std::sort(result.uccs.begin(), result.uccs.end());
-  result.tests = batch.tests;
-  result.counters = batch.counters;
-  result.finished = batch.finished;
-  return result;
+  std::sort(batch.satisfied.begin(), batch.satisfied.end());
+  return DependencyRunResult{batch, std::move(batch.satisfied), {}};
 }
 
 void RegisterUccLevelwiseAlgorithm(AlgorithmRegistry& registry) {

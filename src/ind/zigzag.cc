@@ -25,9 +25,9 @@ Result<NaryRunResult> ZigzagAlgorithm::Run(const Catalog& catalog,
                                            const std::vector<Ind>& unary,
                                            RunContext& context) {
   const std::vector<UnaryPairs> pairs = GroupByTablePair(unary);
-  auto run_pair = [&](size_t pair_index) -> Result<BatchOutcome<NaryInd>> {
+  auto run_pair = [&](size_t pair_index) -> Result<NaryRunResult> {
     const UnaryPairs& base = pairs[pair_index];
-    BatchOutcome<NaryInd> outcome;
+    NaryRunResult outcome;
 
     // Optimistic candidates: greedy maximal bipartite matchings of the
     // unary base. Each unary IND seeds one matching so different pairings
@@ -89,19 +89,13 @@ Result<NaryRunResult> ZigzagAlgorithm::Run(const Catalog& catalog,
       // reached through other, nearly-satisfied branches).
     }
 
-    outcome.found = MaximalInds(satisfied_here);
+    outcome.satisfied = MaximalInds(satisfied_here);
     return outcome;
   };
   SPIDER_ASSIGN_OR_RETURN(
-      BatchOutcome<NaryInd> batch,
+      NaryRunResult result,
       RunBatch<NaryInd>(config_.pool, pairs.size(), context, run_pair));
-
-  NaryRunResult result;
-  result.satisfied = std::move(batch.found);
   std::sort(result.satisfied.begin(), result.satisfied.end());
-  result.tests = batch.tests;
-  result.counters = batch.counters;
-  result.finished = batch.finished;
   return result;
 }
 

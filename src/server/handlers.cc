@@ -52,13 +52,15 @@ void WriteJobSnapshot(const JobSnapshot& job, JsonWriter& json) {
   json.KV("state", std::string(JobStateName(job.state)));
   json.KV("done", job.done);
   json.KV("total", job.total);
-  // Progress percent; 0 until the run announces a denominator.
-  const double percent =
-      job.total > 0
-          ? 100.0 * static_cast<double>(job.done) /
-                static_cast<double>(job.total)
-          : 0.0;
-  json.KV("percent", percent);
+  // Progress percent of the current phase; null while its total is
+  // unknown (an n-ary expansion, a UCC/FD/AFD search), never a made-up 0.
+  json.Key("percent");
+  if (job.total > 0) {
+    json.Double(100.0 * static_cast<double>(job.done) /
+                static_cast<double>(job.total));
+  } else {
+    json.Null();
+  }
   json.KV("has_report", !job.report_json.empty());
   if (!job.error.empty()) json.KV("error", job.error);
   json.EndObject();

@@ -57,8 +57,9 @@ void JobManager::Execute(Job* job, const JobFn& fn) {
   JobControl control;
   control.cancel = &job->token;
   control.progress = [job](const RunProgress& progress) {
-    job->done.store(progress.done, std::memory_order_relaxed);
-    job->total.store(progress.total, std::memory_order_relaxed);
+    MutexLock lock(&job->progress_mutex);
+    job->done = progress.done;
+    job->total = progress.total;
   };
   Result<std::string> report = fn(control);
 
@@ -81,8 +82,9 @@ JobSnapshot JobManager::SnapshotLocked(const Job& job) const {
   out.state = job.state;
   out.error = job.error;
   out.report_json = job.report_json;
-  out.done = job.done.load(std::memory_order_relaxed);
-  out.total = job.total.load(std::memory_order_relaxed);
+  MutexLock lock(&job.progress_mutex);
+  out.done = job.done;
+  out.total = job.total;
   return out;
 }
 

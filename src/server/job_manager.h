@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -57,7 +56,8 @@ struct JobSnapshot {
   std::string error;
   /// The report document; empty until kFinished/kCancelled with a report.
   std::string report_json;
-  /// Progress: work units done / total (0 total = unknown).
+  /// Progress: work units done / total of the run's current phase, read
+  /// as one pair (0 total = unknown).
   int64_t done = 0;
   int64_t total = 0;
 };
@@ -100,9 +100,12 @@ class JobManager {
     std::string workspace;
     std::string label;
     CancellationToken token;
-    /// Updated lock-free from progress callbacks (hot path under a run).
-    std::atomic<int64_t> done{0};
-    std::atomic<int64_t> total{0};
+    /// The run's last progress report, one done/total pair under its own
+    /// lock: a poll never pairs one phase's count with another's total,
+    /// and progress callbacks never wait on the job table's mutex.
+    mutable Mutex progress_mutex;
+    int64_t done SPIDER_GUARDED_BY(progress_mutex) = 0;
+    int64_t total SPIDER_GUARDED_BY(progress_mutex) = 0;
     JobState state SPIDER_GUARDED_BY(mutex_) = JobState::kQueued;
     std::string error SPIDER_GUARDED_BY(mutex_);
     std::string report_json SPIDER_GUARDED_BY(mutex_);

@@ -272,8 +272,9 @@ Result<std::vector<TypeId>> SniffColumnTypes(const fs::path& path,
   return types;
 }
 
-}  // namespace
-
+// Streams one CSV file into `sink` as one table (named after the file stem
+// unless `table_name` is given), after a type-sniffing pass when the file
+// has no "#types:" line.
 Status ImportCsvTable(const fs::path& path, const CsvOptions& options,
                       CatalogSink& sink, const std::string& table_name) {
   SPIDER_ASSIGN_OR_RETURN(CsvPass pass, OpenCsvPass(path, options));
@@ -314,6 +315,8 @@ Status ImportCsvTable(const fs::path& path, const CsvOptions& options,
   return sink.FinishTable();
 }
 
+}  // namespace
+
 Result<std::unique_ptr<Catalog>> ImportCsvDirectory(const fs::path& dir,
                                                     const CsvOptions& options,
                                                     CatalogSink& sink) {
@@ -329,7 +332,7 @@ Result<std::unique_ptr<Catalog>> ImportCsvDirectory(const fs::path& dir,
   }
   std::sort(files.begin(), files.end());
   for (const auto& file : files) {
-    SPIDER_RETURN_NOT_OK(ImportCsvTable(file, options, sink));
+    SPIDER_RETURN_NOT_OK(ImportCsvTable(file, options, sink, ""));
   }
   return sink.Finish();
 }

@@ -77,14 +77,6 @@ class CsvRecordReader {
   bool last_quoted_ = false;
 };
 
-/// \brief Streams one CSV file into `sink` as one table (named after the
-/// file stem unless `table_name` is given). Runs a type-sniffing pass first
-/// when the file has no "#types:" line.
-[[nodiscard]]
-Status ImportCsvTable(const std::filesystem::path& path,
-                      const CsvOptions& options, CatalogSink& sink,
-                      const std::string& table_name = "");
-
 /// \brief Streams every "*.csv" file in `dir` into `sink` (sorted by file
 /// name) and finishes the sink. This is the backend-agnostic quickstart
 /// entry point: point it at a dump of an undocumented database with a

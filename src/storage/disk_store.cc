@@ -421,6 +421,9 @@ std::string EscapeManifestField(std::string_view field) {
   return out;
 }
 
+namespace {
+
+// Inverse of EscapeManifestField; InvalidArgument on a malformed escape.
 Result<std::string> UnescapeManifestField(std::string_view field) {
   std::string out;
   out.reserve(field.size());
@@ -448,8 +451,6 @@ Result<std::string> UnescapeManifestField(std::string_view field) {
   }
   return out;
 }
-
-namespace {
 
 // ---------------------------------------------------------------------------
 // Manifest records, decoded. Version history:

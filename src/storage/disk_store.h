@@ -51,8 +51,6 @@ inline constexpr const char* kDiskStoreLockName = "spider_store.lock";
 /// percent-encoded. (spider_profile.manifest is binary and escapes
 /// nothing; see profile_store.cc.)
 std::string EscapeManifestField(std::string_view field);
-[[nodiscard]]
-Result<std::string> UnescapeManifestField(std::string_view field);
 
 /// \brief A sealed, read-only disk-backed column (one ".col" block file).
 class DiskColumnStore final : public ColumnStore {

@@ -32,12 +32,13 @@ TEST_P(RunBatchTest, FoldsOutcomesInTaskOrder) {
   constexpr size_t kTasks = 6;
   RunContext context;
   auto batch = RunBatch<int>(
-      pool(), kTasks, context, [](size_t i) -> Result<BatchOutcome<int>> {
+      pool(), kTasks, context, [](size_t i) -> Result<RunResult<int>> {
         // Earlier tasks finish later on a pool: the fold must still follow
         // task order.
         std::this_thread::sleep_for((kTasks - i) * 2ms);
-        BatchOutcome<int> outcome;
-        outcome.found = {static_cast<int>(2 * i), static_cast<int>(2 * i + 1)};
+        RunResult<int> outcome;
+        outcome.satisfied = {static_cast<int>(2 * i),
+                             static_cast<int>(2 * i + 1)};
         outcome.tests = static_cast<int64_t>(i) + 1;
         outcome.counters.tuples_read = int64_t{1} << i;
         outcome.counters.files_opened = 1;
@@ -45,8 +46,8 @@ TEST_P(RunBatchTest, FoldsOutcomesInTaskOrder) {
         return outcome;
       });
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(batch->found, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                            11}));
+  EXPECT_EQ(batch->satisfied,
+            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
   EXPECT_EQ(batch->tests, 1 + 2 + 3 + 4 + 5 + 6);
   EXPECT_EQ(batch->counters.tuples_read, (int64_t{1} << kTasks) - 1);
   EXPECT_EQ(batch->counters.files_opened, static_cast<int64_t>(kTasks));
@@ -56,13 +57,13 @@ TEST_P(RunBatchTest, FoldsOutcomesInTaskOrder) {
 TEST_P(RunBatchTest, AllFinishedTasksFoldFinished) {
   RunContext context;
   auto batch = RunBatch<int>(pool(), 3, context,
-                             [](size_t i) -> Result<BatchOutcome<int>> {
-                               BatchOutcome<int> outcome;
-                               outcome.found = {static_cast<int>(i)};
+                             [](size_t i) -> Result<RunResult<int>> {
+                               RunResult<int> outcome;
+                               outcome.satisfied = {static_cast<int>(i)};
                                return outcome;
                              });
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(batch->found, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(batch->satisfied, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(batch->finished);
 }
 
@@ -73,16 +74,16 @@ TEST_P(RunBatchTest, TaskSkippedByCancelledTokenNeverRunsAndIsUnfinished) {
   context.cancel = &token;
   std::atomic<int> ran{0};
   auto batch = RunBatch<int>(pool(), 4, context,
-                             [&ran](size_t i) -> Result<BatchOutcome<int>> {
+                             [&ran](size_t i) -> Result<RunResult<int>> {
                                ran.fetch_add(1);
-                               BatchOutcome<int> outcome;
-                               outcome.found = {static_cast<int>(i)};
+                               RunResult<int> outcome;
+                               outcome.satisfied = {static_cast<int>(i)};
                                outcome.tests = 1;
                                return outcome;
                              });
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(ran.load(), 0);
-  EXPECT_TRUE(batch->found.empty());
+  EXPECT_TRUE(batch->satisfied.empty());
   EXPECT_EQ(batch->tests, 0);
   EXPECT_FALSE(batch->finished);
 }
@@ -90,7 +91,7 @@ TEST_P(RunBatchTest, TaskSkippedByCancelledTokenNeverRunsAndIsUnfinished) {
 TEST_P(RunBatchTest, ReturnsTheFirstFailingTasksStatus) {
   RunContext context;
   auto batch = RunBatch<int>(
-      pool(), 4, context, [](size_t i) -> Result<BatchOutcome<int>> {
+      pool(), 4, context, [](size_t i) -> Result<RunResult<int>> {
         if (i == 1) {
           // Fails last on a pool; it is still the first failure in task
           // order.
@@ -98,7 +99,7 @@ TEST_P(RunBatchTest, ReturnsTheFirstFailingTasksStatus) {
           return Status::IOError("task 1");
         }
         if (i == 3) return Status::InvalidArgument("task 3");
-        return BatchOutcome<int>{};
+        return RunResult<int>{};
       });
   ASSERT_FALSE(batch.ok());
   EXPECT_TRUE(batch.status().IsIOError()) << batch.status().ToString();
@@ -109,8 +110,8 @@ TEST_P(RunBatchTest, PeakOpenFilesFoldsToTheConcurrentBound) {
   const std::vector<int64_t> peaks = {5, 1, 7, 3};
   RunContext context;
   auto batch = RunBatch<int>(pool(), peaks.size(), context,
-                             [&peaks](size_t i) -> Result<BatchOutcome<int>> {
-                               BatchOutcome<int> outcome;
+                             [&peaks](size_t i) -> Result<RunResult<int>> {
+                               RunResult<int> outcome;
                                outcome.counters.peak_open_files = peaks[i];
                                return outcome;
                              });

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <latch>
 #include <memory>
 #include <regex>
 #include <string>
@@ -392,6 +393,36 @@ TEST(JobManagerTest, ListReturnsJobsAscendingById) {
   ASSERT_EQ(jobs.size(), 3u);
   EXPECT_EQ(jobs[0].id, 1);
   EXPECT_EQ(jobs[2].id, 3);
+}
+
+// A phase that counts out of an unknown total (an n-ary expansion, a
+// UCC/FD/AFD search) shows a null percent, never a made-up 0.
+TEST(RequestRouterTest, UnknownTotalShowsNullPercent) {
+  auto dir = TempDir::Make("spider-router");
+  ASSERT_TRUE(dir.ok());
+  WorkspaceCache workspaces((*dir)->path());
+  // Both latches outlive the manager, whose destructor drains the job.
+  std::latch reported(1);
+  std::latch release(1);
+  JobManager jobs(1);
+  RequestRouter router(&workspaces, &jobs);
+  auto id = jobs.Submit("ws", "expansion", [&](const JobControl& control) {
+    control.progress(RunProgress{1, 0, 0});
+    reported.count_down();
+    release.wait();
+    return Result<std::string>("{}");
+  });
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  reported.wait();
+  HttpRequest poll;
+  poll.method = "GET";
+  poll.path = "/jobs/" + std::to_string(*id);
+  const HttpResponse running = router.Handle(poll);
+  release.count_down();
+  EXPECT_EQ(running.status_code, 200);
+  EXPECT_NE(running.body.find("\"done\":1,\"total\":0,\"percent\":null"),
+            std::string::npos)
+      << running.body;
 }
 
 // ---------------------------------------------------------------------------

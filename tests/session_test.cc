@@ -202,6 +202,44 @@ TEST(SessionTest, ProgressCallbackSeesEveryCandidate) {
   EXPECT_EQ(reported_total, candidates);
 }
 
+// A run counts the sets its own phases had sorted, not every sort the
+// shared extractor made while it ran: here another user of the session's
+// extractor sorts a set no candidate names from inside the run, through
+// the run's own progress callback.
+TEST(SessionTest, RunCountsOnlyTheSetsItsOwnPhasesSorted) {
+  Catalog catalog;
+  testing::AddStringColumn(&catalog, "child", "fk", {"a", "b", "a"});
+  testing::AddStringColumn(&catalog, "parent", "pk", {"a", "b", "c"}, true);
+  Table* other = *catalog.CreateTable("other");
+  ASSERT_TRUE(other->AddColumn("n", TypeId::kInteger).ok());
+  ASSERT_TRUE(other->AppendRow({Value::Integer(7)}).ok());
+  SpiderSession session(catalog);
+
+  const AttributeRef unnamed{"other", "n"};
+  bool extracted_unnamed = false;
+  RunOptions options;
+  // The only integer column: the type pretest pairs it with nothing.
+  options.generator.type_pretest = true;
+  options.progress = [&](const RunProgress&) {
+    if (extracted_unnamed) return;
+    extracted_unnamed = true;
+    auto extractor = session.extractor();
+    ASSERT_TRUE(extractor.ok());
+    ASSERT_TRUE((*extractor)->Extract(catalog, unnamed).ok());
+  };
+  auto report = session.Run(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(extracted_unnamed);
+  const std::vector<AttributeRef>& attributes = report->candidates.attributes;
+  for (const AttributePair& candidate : report->candidates.candidates) {
+    EXPECT_FALSE(attributes[candidate.dependent] == unnamed);
+    EXPECT_FALSE(attributes[candidate.referenced] == unnamed);
+  }
+  // child.fk and parent.pk.
+  EXPECT_EQ(report->run.counters.sets_extracted, 2);
+  EXPECT_EQ(report->run.counters.sets_reused, 0);
+}
+
 TEST(SessionTest, ReportToStringNamesTheApproach) {
   Catalog catalog;
   FillCatalog(&catalog);
@@ -612,11 +650,21 @@ TEST_P(SessionBudgetTest, ExpiredBudgetReturnsOnlyConfirmedResults) {
   RunOptions options;
   options.approach = GetParam().approach;
   options.threads = GetParam().threads;
-  auto full = session.Run(options);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  // The bounded run goes first on the fresh session: with its budget gone
+  // before any phase starts it sorts and reuses no set, at any thread
+  // count.
   options.time_budget_seconds = 1e-9;
   auto bounded = session.Run(options);
   ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+  for (const RunCounters* counters :
+       {&bounded->run.counters, &bounded->nary_run.counters,
+        &bounded->dependency.counters}) {
+    EXPECT_EQ(counters->sets_extracted, 0);
+    EXPECT_EQ(counters->sets_reused, 0);
+  }
+  options.time_budget_seconds = 0;
+  auto full = session.Run(options);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
 
   if (bounded->kind == DependencyKind::kInd) {
     ASSERT_TRUE(full->run.finished);
@@ -763,7 +811,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SessionTest, ValidationRejectsBeforeAnyWork) {
   Catalog catalog;
   FillCatalog(&catalog);
-  SpiderSession session(catalog);
+  auto dir = TempDir::Make("spider-session-validation");
+  ASSERT_TRUE(dir.ok());
+  SessionOptions session_options;
+  session_options.work_dir = (*dir)->path().string();
+  SpiderSession session(catalog, session_options);
   // Run rejects exactly what ValidateRunOptions (the front-ends' check)
   // rejects, with the same status.
   auto rejected = [&session](RunOptions options) {
@@ -832,9 +884,10 @@ TEST(SessionTest, ValidationRejectsBeforeAnyWork) {
   EXPECT_TRUE(ValidateRunOptions(unread_base).ok());
 
   // None of the rejected runs materialized a sorted set.
-  auto extractor = session.extractor();
-  ASSERT_TRUE(extractor.ok());
-  EXPECT_EQ((*extractor)->sets_extracted(), 0);
+  for (const auto& entry :
+       std::filesystem::directory_iterator((*dir)->path())) {
+    EXPECT_NE(entry.path().extension(), ".set") << entry.path();
+  }
 }
 
 }  // namespace
