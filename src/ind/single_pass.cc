@@ -97,12 +97,15 @@ class DependentObject {
         counters_(counters) {}
 
   // Reads the first dependent value. Returns false when the set is empty
-  // (the caller then decides all its candidates as vacuously satisfied).
+  // (the caller then decides all its candidates as vacuously satisfied) or
+  // unreadable (reader_status() tells the two apart).
   bool Init() {
     if (!reader_->HasNext()) return false;
     current_ = reader_->Next();
     return true;
   }
+
+  const Status& reader_status() const { return reader_->status(); }
 
   // Initial registration: request the first value of `ref`. Mirrors the
   // steady-state request path of Algorithm 2.
@@ -295,6 +298,16 @@ Result<bool> RunBlock(const Catalog& catalog,
     result->counters.peak_open_files = open_files;
   }
 
+  // A reader that failed reports HasNext() false, as an exhausted one does:
+  // before any verdict is trusted, every reader must have ended cleanly.
+  auto first_read_error = [&]() -> Status {
+    for (size_t id = 0; id < attributes.size(); ++id) {
+      if (deps[id] != nullptr) SPIDER_RETURN_NOT_OK(deps[id]->reader_status());
+      if (refs[id] != nullptr) SPIDER_RETURN_NOT_OK(refs[id]->reader_status());
+    }
+    return Status::OK();
+  };
+
   // Read first dependent values; an empty dependent set satisfies all its
   // candidates vacuously (cannot occur for candidates from the generator,
   // which requires non-empty dependents, but callers may hand-craft sets).
@@ -302,6 +315,7 @@ Result<bool> RunBlock(const Catalog& catalog,
   for (size_t id = 0; id < deps.size(); ++id) {
     if (deps[id] != nullptr && !deps[id]->Init()) empty_dep[id] = true;
   }
+  SPIDER_RETURN_NOT_OK(first_read_error());
 
   for (const AttributePair& candidate : candidates) {
     ++result->counters.candidates_tested;
@@ -313,6 +327,7 @@ Result<bool> RunBlock(const Catalog& catalog,
   }
 
   SPIDER_ASSIGN_OR_RETURN(bool drained, monitor.Drain(context));
+  SPIDER_RETURN_NOT_OK(first_read_error());
   if (!drained) return false;
 
   // Theorem 3.1: when the monitor runs dry every candidate is decided —

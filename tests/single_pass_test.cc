@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "src/common/random.h"
 #include "src/common/temp_dir.h"
+#include "src/extsort/sorted_set_file.h"
 #include "src/ind/brute_force.h"
 #include "src/ind/single_pass.h"
 #include "tests/test_util.h"
@@ -159,6 +162,44 @@ TEST_F(SinglePassTest, BlockwiseLimitsOpenFiles) {
   EXPECT_LE(bounded.counters.peak_open_files, 3);
   EXPECT_EQ(testing::ToSet(unbounded.satisfied), testing::ToSet(bounded.satisfied));
   EXPECT_EQ(bounded.satisfied.size(), 6u);
+}
+
+// dep = {a, b, zzz}, ref = {a, b}: the dependent's set file is written,
+// the length byte of its record `record` is set to 0x7F (a length past the
+// block's end), and single-pass runs over the damaged file. A read error is
+// not an exhausted set: the run fails instead of reporting dep ⊆ ref.
+Status RunOnDamagedDependentRecord(const std::filesystem::path& dir,
+                                   int record) {
+  Catalog catalog;
+  testing::AddStringColumn(&catalog, "dep", "v", {"a", "b", "zzz"});
+  testing::AddStringColumn(&catalog, "ref", "v", {"a", "b"});
+  ValueSetExtractor extractor(dir);
+  auto info = extractor.Extract(catalog, AttributeRef{"dep", "v"});
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  if (!info.ok()) return info.status();
+  // Records "a" and "b" take two bytes each after the header.
+  {
+    std::fstream file(info->path,
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(static_cast<std::streamoff>(kSortedSetHeaderBytes) +
+               2 * record);
+    file.put('\x7f');
+  }
+  AlgorithmConfig config;
+  config.extractor = &extractor;
+  return SinglePassAlgorithm(config)
+      .Run(catalog, {{{"dep", "v"}, {"ref", "v"}}})
+      .status();
+}
+
+TEST_F(SinglePassTest, DamagedFirstDependentRecordFailsTheRun) {
+  const Status status = RunOnDamagedDependentRecord(dir_->path(), 0);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+}
+
+TEST_F(SinglePassTest, DamagedSecondDependentRecordFailsTheRun) {
+  const Status status = RunOnDamagedDependentRecord(dir_->path(), 1);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
 }
 
 // The id partitioner over named candidates, its blocks named back.
