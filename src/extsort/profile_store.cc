@@ -17,7 +17,7 @@ namespace fs = std::filesystem;
 namespace {
 
 // Profile manifest format (binary, version 2). Integers are LEB128 varints
-// (EncodeVarint/DecodeVarint) unless marked fixed64 (8 bytes,
+// (EncodeVarint, and SpanReader to decode) unless marked fixed64 (8 bytes,
 // little-endian); a string is a varint length plus its raw bytes.
 //
 //   magic "SpPrfMan", version byte 2
@@ -63,57 +63,6 @@ constexpr uint64_t kMaxSides = uint64_t{1} << 31;
 uint64_t PairKey(uint32_t dependent, uint32_t referenced) {
   return (uint64_t{dependent} << 32) | referenced;
 }
-
-// Bounds-checked cursor over a manifest body.
-class ManifestReader {
- public:
-  explicit ManifestReader(std::string_view body) : body_(body) {}
-
-  size_t remaining() const { return body_.size() - pos_; }
-
-  bool Varint(uint64_t* out) {
-    return DecodeVarint(
-               [this]() -> int {
-                 return pos_ < body_.size()
-                            ? static_cast<unsigned char>(body_[pos_++])
-                            : -1;
-               },
-               out) == VarintDecode::kOk;
-  }
-  bool Int64(int64_t* out) {
-    uint64_t v = 0;
-    if (!Varint(&v)) return false;
-    *out = static_cast<int64_t>(v);
-    return true;
-  }
-  /// A count of elements taking at least `min_bytes` each: no more than
-  /// the bytes that remain can hold.
-  bool Count(size_t min_bytes, uint64_t* out) {
-    return Varint(out) && *out <= remaining() / min_bytes;
-  }
-  bool Byte(uint8_t* out) {
-    if (remaining() < 1) return false;
-    *out = static_cast<uint8_t>(body_[pos_++]);
-    return true;
-  }
-  bool Fixed64(uint64_t* out) {
-    if (remaining() < 8) return false;
-    *out = DecodeFixed64(body_.data() + pos_);
-    pos_ += 8;
-    return true;
-  }
-  bool String(std::string* out) {
-    uint64_t length = 0;
-    if (!Varint(&length) || length > remaining()) return false;
-    out->assign(body_.data() + pos_, length);
-    pos_ += length;
-    return true;
-  }
-
- private:
-  std::string_view body_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -356,7 +305,7 @@ bool ProfileStore::Decode(std::string_view manifest, Contents* out) {
       manifest[kMagic.size()] != kVersion) {
     return false;
   }
-  ManifestReader in(manifest.substr(header, body_end - header));
+  SpanReader in(manifest.substr(header, body_end - header));
   Contents contents;
 
   uint64_t count = 0;

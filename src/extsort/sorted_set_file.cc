@@ -18,6 +18,10 @@ namespace spider {
 
 namespace {
 
+/// Fewest bytes one footer entry takes: four one-byte varints (offset,
+/// record count and the two key lengths).
+constexpr size_t kMinFooterEntryBytes = 4;
+
 /// Encoded size of one record: varint length header + payload.
 uint64_t RecordBytes(std::string_view value) {
   uint64_t len = value.size();
@@ -114,9 +118,10 @@ Status SortedSetWriter::Finish() {
   return Status::OK();
 }
 
-SortedSetReader::SortedSetReader(int fd, RunCounters* counters,
+SortedSetReader::SortedSetReader(std::filesystem::path path, int fd,
+                                 RunCounters* counters,
                                  SortedSetReaderOptions options)
-    : fd_(fd), counters_(counters), options_(options) {
+    : path_(std::move(path)), fd_(fd), counters_(counters), options_(options) {
   options_.buffer_bytes = std::max<size_t>(options_.buffer_bytes, 16);
 }
 
@@ -142,87 +147,64 @@ Result<std::unique_ptr<SortedSetReader>> SortedSetReader::Open(
   }
   AdviseSequential(fd);
   auto reader = std::unique_ptr<SortedSetReader>(
-      new SortedSetReader(fd, counters, options));
-  SPIDER_RETURN_NOT_OK(
-      reader->Init(path, static_cast<uint64_t>(st.st_size)));
+      new SortedSetReader(path, fd, counters, options));
+  SPIDER_RETURN_NOT_OK(reader->Init(static_cast<uint64_t>(st.st_size)));
   return reader;
 }
 
-Status SortedSetReader::Init(const std::filesystem::path& path,
-                             uint64_t file_size) {
+Status SortedSetReader::Init(uint64_t file_size) {
   char header[kSortedSetHeaderBytes];
   if (file_size < kSortedSetHeaderBytes ||
       !PreadExact(fd_, 0, header, kSortedSetHeaderBytes) ||
       std::string_view(header, kSortedSetMagic.size()) != kSortedSetMagic) {
     return Status::IOError("not a block-indexed set file (missing magic): " +
-                           path.string());
+                           path_.string());
   }
   const auto version =
       static_cast<unsigned char>(header[kSortedSetMagic.size()]);
   if (version != kSortedSetFormatVersion) {
     return Status::IOError("unsupported set-file format version " +
-                           std::to_string(version) + " in " + path.string());
+                           std::to_string(version) + " in " + path_.string());
   }
-  return ParseFooter(path, file_size);
+  return ParseFooter(file_size);
 }
 
-Status SortedSetReader::ParseFooter(const std::filesystem::path& path,
-                                    uint64_t file_size) {
+Status SortedSetReader::ParseFooter(uint64_t file_size) {
   if (file_size < kSortedSetHeaderBytes + 1 + kSortedSetTrailerBytes) {
     return Status::IOError("truncated block-indexed set file " +
-                           path.string());
+                           path_.string());
   }
   char trailer[kSortedSetTrailerBytes];
   if (!PreadExact(fd_, file_size - kSortedSetTrailerBytes, trailer,
                   kSortedSetTrailerBytes) ||
       std::string_view(trailer + 8, kSortedSetMagic.size()) !=
           kSortedSetMagic) {
-    return Status::IOError("missing set-file trailer in " + path.string() +
+    return Status::IOError("missing set-file trailer in " + path_.string() +
                            " (file truncated?)");
   }
   const uint64_t footer_offset = DecodeFixed64(trailer);
   if (footer_offset < kSortedSetHeaderBytes ||
       footer_offset > file_size - kSortedSetTrailerBytes) {
-    return Status::IOError("corrupt footer offset in " + path.string());
+    return Status::IOError("corrupt footer offset in " + path_.string());
   }
   const size_t footer_len =
       static_cast<size_t>(file_size - kSortedSetTrailerBytes - footer_offset);
-  std::vector<char> footer(footer_len);
+  std::string footer(footer_len, '\0');
   if (!PreadExact(fd_, footer_offset, footer.data(), footer_len)) {
-    return Status::IOError("cannot read set-file footer of " + path.string());
+    return Status::IOError("cannot read set-file footer of " + path_.string());
   }
-  size_t p = 0;
-  auto next_byte = [&]() -> int {
-    if (p == footer.size()) return -1;
-    return static_cast<unsigned char>(footer[p++]);
+  auto corrupt = [this]() {
+    return Status::IOError("corrupt set-file footer in " + path_.string());
   };
-  auto corrupt = [&path]() {
-    return Status::IOError("corrupt set-file footer in " + path.string());
-  };
+  SpanReader in(footer);
   uint64_t block_count = 0;
-  if (DecodeVarint(next_byte, &block_count) != VarintDecode::kOk) {
-    return corrupt();
-  }
+  if (!in.Count(kMinFooterEntryBytes, &block_count)) return corrupt();
   index_.reserve(block_count);
   for (uint64_t i = 0; i < block_count; ++i) {
     BlockEntry entry;
-    uint64_t first_len = 0;
-    uint64_t last_len = 0;
-    if (DecodeVarint(next_byte, &entry.offset) != VarintDecode::kOk ||
-        DecodeVarint(next_byte, &entry.records) != VarintDecode::kOk ||
-        DecodeVarint(next_byte, &first_len) != VarintDecode::kOk) {
-      return corrupt();
-    }
-    if (footer.size() - p < first_len) return corrupt();
-    entry.first_key.assign(footer.data() + p, first_len);
-    p += first_len;
-    if (DecodeVarint(next_byte, &last_len) != VarintDecode::kOk ||
-        footer.size() - p < last_len) {
-      return corrupt();
-    }
-    entry.last_key.assign(footer.data() + p, last_len);
-    p += last_len;
-    if (entry.records == 0 || entry.offset < kSortedSetHeaderBytes ||
+    if (!in.Varint(&entry.offset) || !in.Varint(&entry.records) ||
+        !in.String(&entry.first_key) || !in.String(&entry.last_key) ||
+        entry.records == 0 || entry.offset < kSortedSetHeaderBytes ||
         entry.first_key > entry.last_key) {
       return corrupt();
     }
@@ -233,7 +215,7 @@ Status SortedSetReader::ParseFooter(const std::filesystem::path& path,
     }
     index_.push_back(std::move(entry));
   }
-  if (p != footer.size()) return corrupt();
+  if (in.remaining() != 0) return corrupt();
   for (size_t i = 0; i < index_.size(); ++i) {
     index_[i].end =
         i + 1 < index_.size() ? index_[i + 1].offset : footer_offset;
@@ -241,6 +223,10 @@ Status SortedSetReader::ParseFooter(const std::filesystem::path& path,
   }
   if (index_.empty()) eof_ = true;  // a sealed empty set
   return Status::OK();
+}
+
+void SortedSetReader::Fail(const std::string& what) {
+  status_ = Status::IOError(what + " in set file " + path_.string());
 }
 
 size_t SortedSetReader::WindowEnd(size_t first) const {
@@ -261,7 +247,7 @@ void SortedSetReader::LoadWindow(size_t first) {
   const size_t bytes = static_cast<size_t>(index_[last].end - begin);
   if (buffer_.size() < bytes) buffer_.resize(bytes);
   if (!PreadExact(fd_, begin, buffer_.data(), bytes)) {
-    status_ = Status::IOError("failed reading set-file block window");
+    Fail("failed reading a block window");
     return;
   }
   window_begin_ = begin;
@@ -295,33 +281,28 @@ void SortedSetReader::FillRecord() {
     default:
       // Windows end at block boundaries and records never span blocks, so
       // any EOF mid-record here is corruption, never a clean end.
-      status_ = Status::IOError("corrupt record in block-indexed set file");
+      Fail("corrupt record");
       return;
   }
   if (len > end_ - pos_) {
-    status_ = Status::IOError(
-        "record crosses a block boundary (corrupt set file)");
+    Fail("record crosses a block boundary");
     return;
   }
   value_pos_ = pos_;
   value_len_ = static_cast<size_t>(len);
   pos_ += value_len_;
-  have_value_ = true;
   // Zonemap soundness checks at the block edges: a footer whose keys do
   // not match the records it indexes would make SkipToAtLeast skip values
-  // it must not, so a mismatch is a hard stop, not a Status.
+  // it must not, so the value is withheld and the reader fails for good.
   const BlockEntry& block = index_[cur_block_];
   const std::string_view value(buffer_.data() + value_pos_, value_len_);
-  if (record_offset == block.offset) {
-    SPIDER_CHECK(value == block.first_key)
-        << "zonemap out of sync: block " << cur_block_
-        << " first key does not match its footer entry";
+  if ((record_offset == block.offset && value != block.first_key) ||
+      (window_begin_ + pos_ == block.end && value != block.last_key)) {
+    Fail("zonemap out of sync: block " + std::to_string(cur_block_) +
+         " does not match its footer entry");
+    return;
   }
-  if (window_begin_ + pos_ == block.end) {
-    SPIDER_CHECK(value == block.last_key)
-        << "zonemap out of sync: block " << cur_block_
-        << " last key does not match its footer entry";
-  }
+  have_value_ = true;
 }
 
 void SortedSetReader::JumpToCandidateBlock(std::string_view key) {

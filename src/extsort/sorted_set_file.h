@@ -223,7 +223,9 @@ class SortedSetReader {
   /// attached RunCounters).
   int64_t blocks_skipped() const { return blocks_skipped_; }
 
-  /// Last I/O error, if any (clean EOF is not an error).
+  /// Last I/O error, if any (clean EOF is not an error). A damaged record
+  /// or a zonemap that disagrees with its block fails the reader for good:
+  /// HasNext() is false from then on.
   const Status& status() const { return status_; }
 
  private:
@@ -236,18 +238,20 @@ class SortedSetReader {
     std::string last_key;
   };
 
-  SortedSetReader(int fd, RunCounters* counters,
+  SortedSetReader(std::filesystem::path path, int fd, RunCounters* counters,
                   SortedSetReaderOptions options);
 
   /// Checks the header magic and version, then parses the footer.
   [[nodiscard]]
-  Status Init(const std::filesystem::path& path, uint64_t file_size);
+  Status Init(uint64_t file_size);
   [[nodiscard]]
-  Status ParseFooter(const std::filesystem::path& path, uint64_t file_size);
+  Status ParseFooter(uint64_t file_size);
 
   /// Decodes the next record so value_pos_/value_len_ frame it
-  /// contiguously in buffer_.
+  /// contiguously in buffer_. Damage sets a sticky IOError instead.
   void FillRecord();
+  /// Fails the reader for good: `what` went wrong in this file.
+  void Fail(const std::string& what);
 
   /// Last block index of the read window starting at block `first`: as
   /// many whole consecutive blocks as fit buffer_bytes (at least one).
@@ -259,6 +263,7 @@ class SortedSetReader {
   /// cur_block_ and jumps there, counting fully bypassed blocks.
   void JumpToCandidateBlock(std::string_view key);
 
+  std::filesystem::path path_;
   int fd_ = -1;
   RunCounters* counters_ = nullptr;
   SortedSetReaderOptions options_;

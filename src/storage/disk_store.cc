@@ -10,6 +10,7 @@
 #include <fstream>
 #include <optional>
 #include <set>
+#include <sstream>
 
 #include "src/common/file_io.h"
 #include "src/common/hash.h"
@@ -35,25 +36,142 @@ namespace {
 //
 // dict_bytes lets the statistics merge stream a block's dictionary without
 // decoding its codes.
+//
+// The format has one reader, its two decoders below, both over SpanReader:
+// ReadBlockHead locates a block's parts and DictReader decodes its
+// dictionary. The scan cursor uses both, the append path's rescan the
+// first and the seal-time statistics merge the second. Whatever damage
+// they meet is one IOError naming the file (CorruptBlock).
 // ---------------------------------------------------------------------------
-
-// Decodes one varint from [*pos, end); advances *pos. False on overrun.
-bool DecodeBufferVarint(const char** pos, const char* end, uint64_t* out) {
-  const char* p = *pos;
-  VarintDecode decode = DecodeVarint(
-      [&p, end]() -> int {
-        if (p >= end) return -1;
-        return static_cast<unsigned char>(*p++);
-      },
-      out);
-  if (decode != VarintDecode::kOk) return false;
-  *pos = p;
-  return true;
-}
 
 Status CorruptBlock(const fs::path& path) {
   return Status::IOError("corrupt block in column file " + path.string());
 }
+
+// Where a block's front-coded dictionary lies in its column file.
+struct DictRegion {
+  uint64_t offset = 0;  // absolute file offset
+  uint64_t bytes = 0;
+  uint64_t count = 0;   // entries
+};
+
+// Where one block's parts lie in its column file.
+struct BlockHead {
+  uint64_t rows = 0;
+  DictRegion dict;
+  uint64_t codes_offset = 0;  // absolute file offset
+  uint64_t end = 0;           // one past the block: the next block's offset
+};
+
+// The most bytes a block head takes: four varints of at most ten bytes.
+constexpr size_t kMaxBlockHeadBytes = 40;
+
+// Decodes the head of the block at `offset` (< file_bytes) of a column
+// file whose committed bytes end at `file_bytes`. False when it cannot be
+// read or does not fit: the payload must end within the committed bytes,
+// the dictionary within the payload, and every dictionary entry (at least
+// two bytes) and row code (at least one) within its span.
+bool ReadBlockHead(int fd, uint64_t offset, uint64_t file_bytes,
+                   BlockHead* head) {
+  char bytes[kMaxBlockHeadBytes];
+  const size_t length = static_cast<size_t>(
+      std::min<uint64_t>(kMaxBlockHeadBytes, file_bytes - offset));
+  if (!PreadExact(fd, offset, bytes, length)) return false;
+  SpanReader in(std::string_view(bytes, length));
+  uint64_t payload_bytes = 0;
+  if (!in.Varint(&payload_bytes) ||
+      payload_bytes > file_bytes - offset - in.position()) {
+    return false;
+  }
+  head->end = offset + in.position() + payload_bytes;
+  if (!in.Varint(&head->rows) || !in.Varint(&head->dict.count) ||
+      !in.Varint(&head->dict.bytes)) {
+    return false;
+  }
+  head->dict.offset = offset + in.position();
+  if (head->dict.offset > head->end ||
+      head->dict.bytes > head->end - head->dict.offset ||
+      head->dict.count > head->dict.bytes / 2) {
+    return false;
+  }
+  head->codes_offset = head->dict.offset + head->dict.bytes;
+  return head->rows <= head->end - head->codes_offset;
+}
+
+// Decodes one block's dictionary entry by entry, in sorted order, through
+// a read window of `window_bytes` (grown for an entry that needs more)
+// filled by pread on a descriptor the caller keeps open.
+class DictReader {
+ public:
+  DictReader(int fd, const DictRegion& region, size_t window_bytes)
+      : fd_(fd),
+        next_offset_(region.offset),
+        region_left_(region.bytes),
+        entries_left_(region.count),
+        window_bytes_(std::max<size_t>(window_bytes, 64)) {}
+
+  // Decodes the next entry into current(). False once every entry is read,
+  // or when the region is damaged (ok() tells the two apart): it must hold
+  // exactly its entries, each sharing no more than the previous one holds.
+  bool Next() {
+    if (entries_left_ == 0) {
+      damaged_ = damaged_ || region_left_ > 0 || pos_ < window_.size();
+      return false;
+    }
+    while (true) {
+      SpanReader in(std::string_view(window_).substr(pos_));
+      uint64_t shared = 0;
+      uint64_t suffix = 0;
+      std::string_view bytes;
+      if (in.Varint(&shared) && in.Varint(&suffix) &&
+          in.Bytes(suffix, &bytes)) {
+        if (shared > current_.size()) break;
+        current_.resize(shared);
+        current_.append(bytes);
+        pos_ += in.position();
+        --entries_left_;
+        return true;
+      }
+      // The entry runs past the window: read on, enough for its suffix.
+      if (region_left_ == 0 || !Refill(suffix)) break;
+    }
+    damaged_ = true;
+    entries_left_ = 0;
+    return false;
+  }
+
+  const std::string& current() const { return current_; }
+  bool ok() const { return !damaged_; }
+
+ private:
+  // Keeps the undecoded tail and appends the region's next bytes: a window,
+  // or `at_least` when that is more. False on a read error.
+  bool Refill(uint64_t at_least) {
+    const uint64_t take = std::min<uint64_t>(
+        region_left_, std::max<uint64_t>(at_least, window_bytes_));
+    window_.erase(0, pos_);
+    pos_ = 0;
+    const size_t kept = window_.size();
+    window_.resize(kept + static_cast<size_t>(take));
+    if (!PreadExact(fd_, next_offset_, window_.data() + kept,
+                    static_cast<size_t>(take))) {
+      return false;
+    }
+    next_offset_ += take;
+    region_left_ -= take;
+    return true;
+  }
+
+  int fd_;
+  uint64_t next_offset_;
+  uint64_t region_left_;
+  uint64_t entries_left_;
+  size_t window_bytes_;
+  std::string window_;
+  size_t pos_ = 0;
+  std::string current_;
+  bool damaged_ = false;
+};
 
 // Streaming cursor over one ".col" file: decodes one block at a time; the
 // resident footprint is one block's dictionary plus its code bytes.
@@ -63,18 +181,21 @@ Status CorruptBlock(const fs::path& path) {
 // are treated as if they did not exist.
 class DiskValueCursor final : public ValueCursor {
  public:
-  DiskValueCursor(fs::path path, std::ifstream in, int64_t file_bytes)
-      : path_(std::move(path)), in_(std::move(in)), file_bytes_(file_bytes) {}
+  DiskValueCursor(fs::path path, ScopedFd fd, uint64_t file_bytes)
+      : path_(std::move(path)), fd_(std::move(fd)), file_bytes_(file_bytes) {}
 
   CursorStep Next(std::string_view* out) override {
     if (!status_.ok()) return CursorStep::kEnd;
     while (rows_left_ == 0) {
-      if (!LoadBlock()) return CursorStep::kEnd;
+      if (next_block_ == file_bytes_) return CursorStep::kEnd;
+      if (!LoadBlock()) {
+        status_ = CorruptBlock(path_);
+        return CursorStep::kEnd;
+      }
     }
     --rows_left_;
     uint64_t code = 0;
-    if (!DecodeBufferVarint(&codes_pos_, codes_end_, &code) ||
-        code > dict_.size()) {
+    if (!codes_.Varint(&code) || code > dict_.size()) {
       status_ = CorruptBlock(path_);
       return CursorStep::kEnd;
     }
@@ -86,192 +207,41 @@ class DiskValueCursor final : public ValueCursor {
   const Status& status() const override { return status_; }
 
  private:
-  // Reads and decodes the next block. False at clean EOF (the committed
-  // byte count is exhausted) or on error.
+  // Reads and decodes the block at next_block_. False when it is damaged.
   bool LoadBlock() {
-    uint64_t payload_bytes = 0;
-    switch (DecodeVarint(
-        [this]() {
-          if (consumed_ >= file_bytes_) return -1;  // committed bytes end
-          const int byte = in_.get();
-          if (byte == std::char_traits<char>::eof()) return -1;
-          ++consumed_;
-          return byte;
-        },
-        &payload_bytes)) {
-      case VarintDecode::kOk:
-        break;
-      case VarintDecode::kCleanEof:
-        return false;
-      default:
-        status_ = CorruptBlock(path_);
-        return false;
-    }
-    // Bound allocations by the committed bytes before trusting the varint:
-    // a corrupt header must surface as a Status, not as std::bad_alloc.
-    if (payload_bytes > static_cast<uint64_t>(file_bytes_ - consumed_)) {
-      status_ = CorruptBlock(path_);
+    BlockHead head;
+    if (!ReadBlockHead(fd_.get(), next_block_, file_bytes_, &head)) {
       return false;
     }
-    payload_.resize(payload_bytes);
-    in_.read(payload_.data(), static_cast<std::streamsize>(payload_bytes));
-    if (static_cast<uint64_t>(in_.gcount()) != payload_bytes) {
-      status_ = CorruptBlock(path_);
-      return false;
-    }
-    consumed_ += static_cast<int64_t>(payload_bytes);
-
-    const char* pos = payload_.data();
-    const char* end = pos + payload_.size();
-    uint64_t rows = 0;
-    uint64_t dict_count = 0;
-    uint64_t dict_bytes = 0;
-    if (!DecodeBufferVarint(&pos, end, &rows) ||
-        !DecodeBufferVarint(&pos, end, &dict_count) ||
-        !DecodeBufferVarint(&pos, end, &dict_bytes) ||
-        dict_bytes > static_cast<uint64_t>(end - pos)) {
-      status_ = CorruptBlock(path_);
-      return false;
-    }
-    // Every front-coded entry spends at least two bytes of the dictionary
-    // region, so a larger count is corruption (and would over-reserve).
-    if (dict_count > dict_bytes / 2) {
-      status_ = CorruptBlock(path_);
-      return false;
-    }
-    const char* dict_end = pos + dict_bytes;
+    DictReader dict(fd_.get(), head.dict, static_cast<size_t>(head.dict.bytes));
     dict_.clear();
-    dict_.reserve(dict_count);
-    std::string previous;
-    for (uint64_t i = 0; i < dict_count; ++i) {
-      uint64_t shared = 0;
-      uint64_t suffix = 0;
-      if (!DecodeBufferVarint(&pos, dict_end, &shared) ||
-          !DecodeBufferVarint(&pos, dict_end, &suffix) ||
-          shared > previous.size() ||
-          suffix > static_cast<uint64_t>(dict_end - pos)) {
-        status_ = CorruptBlock(path_);
-        return false;
-      }
-      previous.resize(shared);
-      previous.append(pos, suffix);
-      pos += suffix;
-      dict_.push_back(previous);
-    }
-    if (pos != dict_end) {
-      status_ = CorruptBlock(path_);
+    dict_.reserve(head.dict.count);
+    while (dict.Next()) dict_.push_back(dict.current());
+    codes_bytes_.resize(static_cast<size_t>(head.end - head.codes_offset));
+    if (!dict.ok() || !PreadExact(fd_.get(), head.codes_offset,
+                                  codes_bytes_.data(), codes_bytes_.size())) {
       return false;
     }
-    codes_pos_ = dict_end;
-    codes_end_ = end;
-    rows_left_ = rows;
+    codes_ = SpanReader(codes_bytes_);
+    rows_left_ = head.rows;
+    next_block_ = head.end;
     return true;
   }
 
   fs::path path_;
-  std::ifstream in_;
-  int64_t file_bytes_;
-  int64_t consumed_ = 0;
-  std::vector<char> payload_;
+  ScopedFd fd_;
+  uint64_t file_bytes_;
+  uint64_t next_block_ = 0;
   std::vector<std::string> dict_;
-  const char* codes_pos_ = nullptr;
-  const char* codes_end_ = nullptr;
+  std::string codes_bytes_;
+  SpanReader codes_;
   uint64_t rows_left_ = 0;
   Status status_;
 };
 
 // Read-window bytes per block dictionary in the seal-time statistics
 // merge: peak stats memory per column is about block count × this.
-constexpr int64_t kStatsMergeBufferBytes = 8LL << 10;
-
-// Streams one block's front-coded dictionary through a small private read
-// window, filled by pread on a descriptor shared by every block of the
-// column (one fd per column, however many blocks). Entries decode in
-// sorted order.
-class DictStreamCursor {
- public:
-  DictStreamCursor(int fd, int64_t offset, int64_t bytes, int64_t buffer_bytes)
-      : fd_(fd),
-        next_offset_(offset),
-        bytes_left_(bytes),
-        buffer_cap_(std::max<int64_t>(buffer_bytes, 64)) {}
-
-  // Decodes the next entry into current(). False at end of dictionary or
-  // on error (check status()).
-  bool Next() {
-    uint64_t shared = 0;
-    uint64_t suffix = 0;
-    if (!ReadVarint(&shared)) return false;
-    if (!ReadVarint(&suffix)) {
-      if (status_.ok()) status_ = Status::IOError("truncated dictionary");
-      return false;
-    }
-    if (shared > current_.size()) {
-      status_ = Status::IOError("corrupt dictionary front coding");
-      return false;
-    }
-    current_.resize(shared);
-    while (suffix > 0) {
-      if (pos_ == buffer_.size() && !Refill()) {
-        if (status_.ok()) status_ = Status::IOError("truncated dictionary suffix");
-        return false;
-      }
-      const size_t take =
-          static_cast<size_t>(std::min<uint64_t>(suffix, buffer_.size() - pos_));
-      current_.append(buffer_.data() + pos_, take);
-      pos_ += take;
-      suffix -= take;
-    }
-    return true;
-  }
-
-  const std::string& current() const { return current_; }
-  const Status& status() const { return status_; }
-
- private:
-  bool ReadVarint(uint64_t* out) {
-    switch (DecodeVarint([this]() { return NextByte(); }, out)) {
-      case VarintDecode::kOk:
-        return true;
-      case VarintDecode::kCleanEof:
-        return false;
-      default:
-        status_ = Status::IOError("corrupt dictionary varint");
-        return false;
-    }
-  }
-
-  int NextByte() {
-    if (pos_ == buffer_.size() && !Refill()) return -1;
-    return static_cast<unsigned char>(buffer_[pos_++]);
-  }
-
-  // Reads the next window of the dictionary region. False at its end or on
-  // a read error (which sets status()).
-  bool Refill() {
-    if (bytes_left_ <= 0 || !status_.ok()) return false;
-    const int64_t take = std::min<int64_t>(bytes_left_, buffer_cap_);
-    buffer_.resize(static_cast<size_t>(take));
-    if (!PreadExact(fd_, static_cast<uint64_t>(next_offset_), buffer_.data(),
-                    buffer_.size())) {
-      status_ = Status::IOError("failed reading dictionary bytes");
-      return false;
-    }
-    next_offset_ += take;
-    bytes_left_ -= take;
-    pos_ = 0;
-    return true;
-  }
-
-  int fd_;
-  int64_t next_offset_;
-  int64_t bytes_left_;
-  int64_t buffer_cap_;
-  std::vector<char> buffer_;
-  size_t pos_ = 0;
-  std::string current_;
-  Status status_;
-};
+constexpr size_t kStatsMergeBufferBytes = 8 << 10;
 
 std::string FormatDouble(double v) {
   char text[kDoubleTextBytes];
@@ -594,10 +564,18 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
       SPIDER_ASSIGN_OR_RETURN(stats.digit_count, ParseManifestInt(fields[19]));
       stats.verified_unique = stats.non_null_count > 0 &&
                               stats.distinct_count == stats.non_null_count;
+      // Readers take the recorded bytes as the column's extent, so a file
+      // that holds fewer is damage here, not an allocation sized by it.
       const fs::path file = dir / column.file_name;
       std::error_code ec;
       if (!fs::is_regular_file(file, ec)) {
         return Status::IOError("missing column file " + file.string());
+      }
+      const uintmax_t on_disk = fs::file_size(file, ec);
+      if (ec || column.file_bytes < 0 ||
+          on_disk < static_cast<uintmax_t>(column.file_bytes)) {
+        return Status::IOError("column file " + file.string() +
+                               " is shorter than its manifest record");
       }
       table->columns.push_back(std::move(column));
     } else if (kind == "fk") {
@@ -643,18 +621,76 @@ Result<std::unique_ptr<Catalog>> CatalogFromManifest(const fs::path& dir,
   return catalog;
 }
 
+// The text ParseManifest decodes `data` from.
+std::string EncodeManifest(const ManifestData& data) {
+  std::ostringstream out;
+  auto field = [](std::string_view s) { return EscapeManifestField(s); };
+  out << "spider-store\t2\n";
+  out << "catalog\t" << field(data.catalog_name) << "\n";
+  out << "blocksize\t" << data.block_bytes << "\n";
+  for (const ManifestTable& table : data.tables) {
+    out << "table\t" << field(table.name) << "\t" << table.row_count << "\n";
+    for (const ManifestColumn& column : table.columns) {
+      const ColumnStats& stats = column.stats;
+      out << "column\t" << field(column.name) << "\t"
+          << TypeIdToString(column.type) << "\t"
+          << (column.declared_unique ? 1 : 0) << "\t"
+          << field(column.file_name) << "\t" << column.file_bytes << "\t"
+          << column.block_count << "\t" << stats.row_count << "\t"
+          << stats.non_null_count << "\t" << stats.distinct_count << "\t"
+          << (stats.min_value ? "1\t" + field(*stats.min_value) : "0\t")
+          << "\t"
+          << (stats.max_value ? "1\t" + field(*stats.max_value) : "0\t")
+          << "\t" << stats.min_length << "\t" << stats.max_length << "\t"
+          << FormatDouble(stats.letter_fraction) << "\t"
+          << FormatDouble(stats.digit_fraction) << "\t" << stats.letter_count
+          << "\t" << stats.digit_count << "\n";
+    }
+  }
+  for (const ForeignKey& fk : data.foreign_keys) {
+    out << "fk\t" << field(fk.referencing.table) << "\t"
+        << field(fk.referencing.column) << "\t" << field(fk.referenced.table)
+        << "\t" << field(fk.referenced.column) << "\n";
+  }
+  out << "end\n";
+  return out.str();
+}
+
+// Write-then-rename: the rename is the commit point. Readers either see
+// the old manifest (with the old byte counts, so appended tail bytes are
+// invisible) or the complete new one — never a torn manifest.
+Status CommitManifest(const fs::path& dir, const std::string& manifest) {
+  const fs::path path = dir / kDiskStoreManifestName;
+  const fs::path tmp = dir / (std::string(kDiskStoreManifestName) + ".tmp");
+  std::ofstream out(tmp, std::ios::trunc);
+  if (!out) return Status::IOError("cannot create manifest " + tmp.string());
+  out << manifest;
+  out.close();
+  if (out.fail()) {
+    return Status::IOError("failed writing manifest " + tmp.string());
+  }
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    return Status::IOError("cannot commit manifest " + path.string() + ": " +
+                           ec.message());
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ValueCursor>> DiskColumnStore::OpenCursor() const {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
+  ScopedFd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) {
     return Status::IOError("cannot open column file " + path_.string());
   }
+  AdviseSequential(fd.get());
   // Scan exactly the manifest-recorded bytes, not the on-disk size: a torn
   // append may have left extra bytes past the committed length, and those
   // must stay invisible until a manifest rename commits them.
   return std::unique_ptr<ValueCursor>(std::make_unique<DiskValueCursor>(
-      path_, std::move(in), file_bytes_));
+      path_, std::move(fd), static_cast<uint64_t>(file_bytes_)));
 }
 
 // ---------------------------------------------------------------------------
@@ -683,21 +719,18 @@ class DiskCatalogWriter::ColumnWriter {
   }
 
   /// Reopens an existing sealed column for appending. `committed_bytes` is
-  /// the manifest-recorded length: any bytes past it (the torn tail of an
-  /// interrupted append) are truncated away, then the committed blocks are
-  /// rescanned header-by-header to rebuild the dictionary-region index the
-  /// seal-time statistics merge needs. Running totals (row/null/length/
-  /// letter/digit) continue from `old_stats`; distinct/min/max are cleared
-  /// here and recomputed over all blocks — old and new — at Seal().
+  /// the manifest-recorded length (ParseManifest checked the file holds
+  /// it): any bytes past it (the torn tail of an interrupted append) are
+  /// truncated away, then the committed blocks' heads are read to rebuild
+  /// the dictionary-region index the seal-time statistics merge needs.
+  /// Running totals (row/null/length/letter/digit) continue from
+  /// `old_stats`; distinct/min/max are cleared here and recomputed over all
+  /// blocks — old and new — at Seal().
   Status OpenForAppend(int64_t committed_bytes, ColumnStats old_stats) {
     std::error_code ec;
     const auto on_disk = fs::file_size(path_, ec);
     if (ec) {
       return Status::IOError("cannot stat column file " + path_.string());
-    }
-    if (static_cast<int64_t>(on_disk) < committed_bytes) {
-      return Status::IOError("column file " + path_.string() +
-                             " is shorter than its manifest record");
     }
     if (static_cast<int64_t>(on_disk) > committed_bytes) {
       fs::resize_file(path_, static_cast<uintmax_t>(committed_bytes), ec);
@@ -706,7 +739,20 @@ class DiskCatalogWriter::ColumnWriter {
                                path_.string() + ": " + ec.message());
       }
     }
-    SPIDER_RETURN_NOT_OK(RescanDictRegions(committed_bytes));
+    {
+      const ScopedFd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
+      if (fd.get() < 0) {
+        return Status::IOError("cannot reopen column file " + path_.string());
+      }
+      const auto committed = static_cast<uint64_t>(committed_bytes);
+      BlockHead head;
+      for (uint64_t offset = 0; offset < committed; offset = head.end) {
+        if (!ReadBlockHead(fd.get(), offset, committed, &head)) {
+          return CorruptBlock(path_);
+        }
+        dicts_.push_back(head.dict);
+      }
+    }
     file_bytes_ = committed_bytes;
     stats_ = std::move(old_stats);
     with_letter_ = stats_.letter_count;
@@ -782,11 +828,6 @@ class DiskCatalogWriter::ColumnWriter {
   }
 
  private:
-  struct DictRegion {
-    int64_t offset = 0;  // absolute file offset of the front-coded dict
-    int64_t bytes = 0;
-  };
-
   Status FlushBlock() {
     if (block_codes_.empty()) return Status::OK();
 
@@ -828,10 +869,9 @@ class DiskCatalogWriter::ColumnWriter {
     if (!out_) {
       return Status::IOError("failed writing block to " + path_.string());
     }
-    dicts_.push_back(DictRegion{
-        file_bytes_ + static_cast<int64_t>(header.size()) +
-            static_cast<int64_t>(dict_offset_in_payload),
-        static_cast<int64_t>(dict.size())});
+    dicts_.push_back(DictRegion{static_cast<uint64_t>(file_bytes_) +
+                                    header.size() + dict_offset_in_payload,
+                                dict.size(), block_dict_.size()});
     file_bytes_ += static_cast<int64_t>(header.size() + payload.size());
 
     block_dict_.Clear();
@@ -849,11 +889,10 @@ class DiskCatalogWriter::ColumnWriter {
     if (fd.get() < 0) {
       return Status::IOError("cannot reopen column file " + path_.string());
     }
-    std::vector<DictStreamCursor> cursors;
+    std::vector<DictReader> cursors;
     cursors.reserve(dicts_.size());
     for (const DictRegion& region : dicts_) {
-      cursors.emplace_back(fd.get(), region.offset, region.bytes,
-                           kStatsMergeBufferBytes);
+      cursors.emplace_back(fd.get(), region, kStatsMergeBufferBytes);
     }
     auto less = [&cursors](int a, int b) {
       const int order = cursors[static_cast<size_t>(a)].current().compare(
@@ -865,14 +904,14 @@ class DiskCatalogWriter::ColumnWriter {
     for (size_t i = 0; i < cursors.size(); ++i) {
       if (cursors[i].Next()) {
         tree.Push(static_cast<int>(i));
-      } else {
-        SPIDER_RETURN_NOT_OK(cursors[i].status());
+      } else if (!cursors[i].ok()) {
+        return CorruptBlock(path_);
       }
     }
     std::optional<std::string> last;
     while (!tree.empty()) {
       const int slot = tree.top();
-      DictStreamCursor& cursor = cursors[static_cast<size_t>(slot)];
+      DictReader& cursor = cursors[static_cast<size_t>(slot)];
       if (!last || *last < cursor.current()) {
         ++stats_.distinct_count;
         if (!stats_.min_value) stats_.min_value = cursor.current();
@@ -880,61 +919,13 @@ class DiskCatalogWriter::ColumnWriter {
       }
       if (cursor.Next()) {
         tree.Refresh();
-      } else {
-        SPIDER_RETURN_NOT_OK(cursor.status());
+      } else if (cursor.ok()) {
         tree.Pop();
+      } else {
+        return CorruptBlock(path_);
       }
     }
     stats_.max_value = last;
-    return Status::OK();
-  }
-
-  // Rebuilds the DictRegion index of an already-sealed file by walking the
-  // committed block headers (header varint + the three payload-head varints
-  // locate each dictionary; the codes are seeked over, never decoded).
-  Status RescanDictRegions(int64_t committed_bytes) {
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) {
-      return Status::IOError("cannot reopen column file " + path_.string());
-    }
-    int64_t pos = 0;
-    while (pos < committed_bytes) {
-      in.clear();
-      in.seekg(pos);
-      int64_t consumed = 0;
-      auto next_byte = [&]() -> int {
-        if (pos + consumed >= committed_bytes) return -1;
-        const int byte = in.get();
-        if (byte == std::char_traits<char>::eof()) return -1;
-        ++consumed;
-        return byte;
-      };
-      uint64_t payload_bytes = 0;
-      if (DecodeVarint(next_byte, &payload_bytes) != VarintDecode::kOk) {
-        return CorruptBlock(path_);
-      }
-      const int64_t header_bytes = consumed;
-      if (payload_bytes >
-          static_cast<uint64_t>(committed_bytes - pos - header_bytes)) {
-        return CorruptBlock(path_);
-      }
-      uint64_t rows = 0;
-      uint64_t dict_count = 0;
-      uint64_t dict_bytes = 0;
-      if (DecodeVarint(next_byte, &rows) != VarintDecode::kOk ||
-          DecodeVarint(next_byte, &dict_count) != VarintDecode::kOk ||
-          DecodeVarint(next_byte, &dict_bytes) != VarintDecode::kOk) {
-        return CorruptBlock(path_);
-      }
-      const int64_t head_bytes = consumed - header_bytes;
-      if (static_cast<uint64_t>(head_bytes) > payload_bytes ||
-          dict_bytes > payload_bytes - static_cast<uint64_t>(head_bytes)) {
-        return CorruptBlock(path_);
-      }
-      dicts_.push_back(DictRegion{pos + header_bytes + head_bytes,
-                                  static_cast<int64_t>(dict_bytes)});
-      pos += header_bytes + static_cast<int64_t>(payload_bytes);
-    }
     return Status::OK();
   }
 
@@ -987,6 +978,7 @@ DiskCatalogWriter::DiskCatalogWriter(fs::path dir, DiskStoreOptions options,
   // obeys the same bound.
   const int64_t block_bytes = append_->manifest.block_bytes;
   if (block_bytes >= 1024) options_.block_bytes = block_bytes;
+  append_->manifest.block_bytes = options_.block_bytes;
 }
 
 DiskCatalogWriter::~DiskCatalogWriter() = default;
@@ -1179,73 +1171,15 @@ void DiskCatalogWriter::DeclareForeignKey(ForeignKey fk) {
   append_->manifest.foreign_keys.push_back(std::move(fk));
 }
 
-Status DiskCatalogWriter::WriteManifest(const Catalog& catalog) const {
-  const fs::path path = dir_ / kDiskStoreManifestName;
-  // Write-then-rename: the rename is the commit point. Readers either see
-  // the old manifest (with the old byte counts, so appended tail bytes are
-  // invisible) or the complete new one — never a torn manifest.
-  const fs::path tmp =
-      dir_ / (std::string(kDiskStoreManifestName) + ".tmp");
-  std::ofstream out(tmp, std::ios::trunc);
-  if (!out) return Status::IOError("cannot create manifest " + tmp.string());
-
-  auto field = [](std::string_view s) { return EscapeManifestField(s); };
-  out << "spider-store\t2\n";
-  out << "catalog\t" << field(catalog.name()) << "\n";
-  out << "blocksize\t" << options_.block_bytes << "\n";
-  for (int t = 0; t < catalog.table_count(); ++t) {
-    const Table& table = catalog.table(t);
-    out << "table\t" << field(table.name()) << "\t" << table.row_count()
-        << "\n";
-    for (int c = 0; c < table.column_count(); ++c) {
-      const Column& column = table.column(c);
-      const auto* store =
-          dynamic_cast<const DiskColumnStore*>(&column.store());
-      SPIDER_CHECK(store != nullptr);
-      const ColumnStats& stats = *store->cached_stats();
-      out << "column\t" << field(column.name()) << "\t"
-          << TypeIdToString(column.type()) << "\t"
-          << (column.declared_unique() ? 1 : 0) << "\t"
-          << field(store->path().filename().string()) << "\t"
-          << store->ApproximateByteSize() << "\t" << store->block_count()
-          << "\t" << stats.row_count << "\t" << stats.non_null_count << "\t"
-          << stats.distinct_count << "\t"
-          << (stats.min_value ? "1\t" + field(*stats.min_value) : "0\t")
-          << "\t"
-          << (stats.max_value ? "1\t" + field(*stats.max_value) : "0\t")
-          << "\t" << stats.min_length << "\t" << stats.max_length << "\t"
-          << FormatDouble(stats.letter_fraction) << "\t"
-          << FormatDouble(stats.digit_fraction) << "\t" << stats.letter_count
-          << "\t" << stats.digit_count << "\n";
-    }
-  }
-  for (const ForeignKey& fk : catalog.declared_foreign_keys()) {
-    out << "fk\t" << field(fk.referencing.table) << "\t"
-        << field(fk.referencing.column) << "\t" << field(fk.referenced.table)
-        << "\t" << field(fk.referenced.column) << "\n";
-  }
-  out << "end\n";
-  out.close();
-  if (out.fail()) {
-    return Status::IOError("failed writing manifest " + tmp.string());
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IOError("cannot commit manifest " + path.string() + ": " +
-                           ec.message());
-  }
-  return Status::OK();
-}
-
 Result<std::unique_ptr<Catalog>> DiskCatalogWriter::Finish() {
   if (finished_) return Status::InvalidArgument("writer already finished");
   if (table_open_) return Status::InvalidArgument("table not finished");
   finished_ = true;
+  const std::string manifest = EncodeManifest(append_->manifest);
   SPIDER_ASSIGN_OR_RETURN(
       std::unique_ptr<Catalog> catalog,
       CatalogFromManifest(dir_, std::move(append_->manifest)));
-  SPIDER_RETURN_NOT_OK(WriteManifest(*catalog));
+  SPIDER_RETURN_NOT_OK(CommitManifest(dir_, manifest));
   lock_.Reset();
   return catalog;
 }

@@ -156,9 +156,6 @@ class DiskCatalogWriter final : public CatalogSink {
   DiskCatalogWriter(std::filesystem::path dir, DiskStoreOptions options,
                     std::unique_ptr<AppendState> append, ScopedFd lock);
 
-  [[nodiscard]]
-  Status WriteManifest(const Catalog& catalog) const;
-
   std::filesystem::path dir_;
   DiskStoreOptions options_;
   std::string table_name_;

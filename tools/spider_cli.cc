@@ -246,7 +246,16 @@ Flags ParseFlags(int argc, char** argv, int first) {
     } else if (arg.rfind("--dot=", 0) == 0) {
       flags.dot_path = arg.substr(6);
     } else if (arg.rfind("--min-coverage=", 0) == 0) {
-      flags.min_coverage = std::atof(arg.substr(15).c_str());
+      const std::string value = arg.substr(15);
+      char* end = nullptr;
+      const double parsed = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0' || !(parsed >= 0.0 && parsed <= 1.0)) {
+        std::cerr << "--min-coverage must be a number in [0, 1], got '"
+                  << value << "'\n";
+        flags.ok = false;
+        return flags;
+      }
+      flags.min_coverage = parsed;
     } else if (arg == "--progress") {
       flags.progress = true;
     } else if (arg.rfind("--", 0) == 0) {
