@@ -118,7 +118,7 @@ Status SortedSetWriter::Finish() {
   return Status::OK();
 }
 
-SortedSetReader::SortedSetReader(std::filesystem::path path, int fd,
+SortedSetReader::SortedSetReader(std::string path, int fd,
                                  RunCounters* counters,
                                  SortedSetReaderOptions options)
     : path_(std::move(path)), fd_(fd), counters_(counters), options_(options) {
@@ -147,7 +147,7 @@ Result<std::unique_ptr<SortedSetReader>> SortedSetReader::Open(
   }
   AdviseSequential(fd);
   auto reader = std::unique_ptr<SortedSetReader>(
-      new SortedSetReader(path, fd, counters, options));
+      new SortedSetReader(path.string(), fd, counters, options));
   SPIDER_RETURN_NOT_OK(reader->Init(static_cast<uint64_t>(st.st_size)));
   return reader;
 }
@@ -158,13 +158,13 @@ Status SortedSetReader::Init(uint64_t file_size) {
       !PreadExact(fd_, 0, header, kSortedSetHeaderBytes) ||
       std::string_view(header, kSortedSetMagic.size()) != kSortedSetMagic) {
     return Status::IOError("not a block-indexed set file (missing magic): " +
-                           path_.string());
+                           path_);
   }
   const auto version =
       static_cast<unsigned char>(header[kSortedSetMagic.size()]);
   if (version != kSortedSetFormatVersion) {
     return Status::IOError("unsupported set-file format version " +
-                           std::to_string(version) + " in " + path_.string());
+                           std::to_string(version) + " in " + path_);
   }
   return ParseFooter(file_size);
 }
@@ -172,29 +172,29 @@ Status SortedSetReader::Init(uint64_t file_size) {
 Status SortedSetReader::ParseFooter(uint64_t file_size) {
   if (file_size < kSortedSetHeaderBytes + 1 + kSortedSetTrailerBytes) {
     return Status::IOError("truncated block-indexed set file " +
-                           path_.string());
+                           path_);
   }
   char trailer[kSortedSetTrailerBytes];
   if (!PreadExact(fd_, file_size - kSortedSetTrailerBytes, trailer,
                   kSortedSetTrailerBytes) ||
       std::string_view(trailer + 8, kSortedSetMagic.size()) !=
           kSortedSetMagic) {
-    return Status::IOError("missing set-file trailer in " + path_.string() +
+    return Status::IOError("missing set-file trailer in " + path_ +
                            " (file truncated?)");
   }
   const uint64_t footer_offset = DecodeFixed64(trailer);
   if (footer_offset < kSortedSetHeaderBytes ||
       footer_offset > file_size - kSortedSetTrailerBytes) {
-    return Status::IOError("corrupt footer offset in " + path_.string());
+    return Status::IOError("corrupt footer offset in " + path_);
   }
   const size_t footer_len =
       static_cast<size_t>(file_size - kSortedSetTrailerBytes - footer_offset);
   std::string footer(footer_len, '\0');
   if (!PreadExact(fd_, footer_offset, footer.data(), footer_len)) {
-    return Status::IOError("cannot read set-file footer of " + path_.string());
+    return Status::IOError("cannot read set-file footer of " + path_);
   }
   auto corrupt = [this]() {
-    return Status::IOError("corrupt set-file footer in " + path_.string());
+    return Status::IOError("corrupt set-file footer in " + path_);
   };
   SpanReader in(footer);
   uint64_t block_count = 0;
@@ -226,7 +226,7 @@ Status SortedSetReader::ParseFooter(uint64_t file_size) {
 }
 
 void SortedSetReader::Fail(const std::string& what) {
-  status_ = Status::IOError(what + " in set file " + path_.string());
+  status_ = Status::IOError(what + " in set file " + path_);
 }
 
 size_t SortedSetReader::WindowEnd(size_t first) const {

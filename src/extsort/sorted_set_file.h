@@ -238,7 +238,7 @@ class SortedSetReader {
     std::string last_key;
   };
 
-  SortedSetReader(std::filesystem::path path, int fd, RunCounters* counters,
+  SortedSetReader(std::string path, int fd, RunCounters* counters,
                   SortedSetReaderOptions options);
 
   /// Checks the header magic and version, then parses the footer.
@@ -263,7 +263,7 @@ class SortedSetReader {
   /// cur_block_ and jumps there, counting fully bypassed blocks.
   void JumpToCandidateBlock(std::string_view key);
 
-  std::filesystem::path path_;
+  std::string path_;  // for error texts
   int fd_ = -1;
   RunCounters* counters_ = nullptr;
   SortedSetReaderOptions options_;
