@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/temp_dir.h"
+#include "src/extsort/external_sorter.h"
 #include "src/extsort/sorted_set_file.h"
 
 namespace spider {
@@ -263,6 +266,44 @@ TEST_F(SortedSetFileTest, MultiBlockRoundTrip) {
   while ((*reader)->HasNext()) got.push_back((*reader)->Next());
   EXPECT_EQ(got, values);
   EXPECT_TRUE((*reader)->status().ok());
+}
+
+uint64_t HashFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return HashString(bytes);
+}
+
+// Every byte of the .set format, for a multi-block set written directly and
+// for one an ExternalSorter merges from several spill runs. The constants
+// are FNV hashes of the files as the format stands; a change to any block
+// boundary, record encoding or footer field breaks them.
+TEST_F(SortedSetFileTest, SetBytesArePinned) {
+  std::vector<std::string> values{""};
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back("v" + std::to_string(100000 + i * 37));
+  }
+  values.push_back(std::string(300, 'z'));  // a two-byte length varint
+  SortedSetWriterOptions write_options;
+  write_options.target_block_bytes = 64;
+  const auto direct = WriteSet(values, "direct.set", write_options);
+
+  ExternalSorterOptions sort_options;
+  sort_options.memory_budget_bytes = 16 << 10;
+  sort_options.spill_dir = dir_->path();
+  ExternalSorter sorter(sort_options);
+  for (int i = 0; i < 6000; ++i) {
+    ASSERT_TRUE(sorter.Add("key-" + std::to_string(i * 7919 % 4000)).ok());
+  }
+  ASSERT_GE(sorter.spill_count(), 2);
+  auto sorted = sorter.WriteSortedSet(dir_->FilePath("sorted.set"));
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  EXPECT_EQ(sorted->distinct_count, 4000);
+  EXPECT_GE(sorted->block_count, 2);
+
+  EXPECT_EQ(HashFile(direct), 9708098214354640615ULL);
+  EXPECT_EQ(HashFile(sorted->path), 8235940205893582045ULL);
 }
 
 TEST_F(SortedSetFileTest, SkipToAtLeastMatchesLinearScanReference) {
