@@ -26,27 +26,6 @@ void AdviseSequential(int fd) {
 #endif
 }
 
-void AdviseWillNeed(int fd, uint64_t offset, uint64_t len) {
-#ifdef POSIX_FADV_WILLNEED
-  if (fd >= 0 && len > 0) {
-    // ignore-status: advisory hint; failure must not fail the read path
-    (void)posix_fadvise(fd, static_cast<off_t>(offset),
-                        static_cast<off_t>(len), POSIX_FADV_WILLNEED);
-  }
-#else
-  (void)fd;
-  (void)offset;
-  (void)len;
-#endif
-}
-
-void AdviseFileWillNeed(const std::filesystem::path& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return;  // the caller's own open will report the real error
-  AdviseWillNeed(fd, 0, 0);  // len 0 = to end of file
-  ::close(fd);
-}
-
 bool PreadExact(int fd, uint64_t offset, char* dst, size_t len) {
   while (len > 0) {
     const ssize_t got =

@@ -3,13 +3,12 @@
 // the unique temp names that writers publish through a rename, and file
 // identities that tell a file from its replacement.
 //
-// posix_fadvise is advisory: every function here degrades to a no-op on
+// posix_fadvise is advisory: AdviseSequential degrades to a no-op on
 // platforms (or filesystems) that do not support the hint, so callers never
-// branch on availability. The hints matter on the merge hot path — readers
-// declare their access pattern up front (SEQUENTIAL) and the external
-// sorter warms spill runs it is about to re-read (WILLNEED) — which lets
-// the kernel schedule readahead instead of discovering the pattern one
-// page fault at a time.
+// branch on availability. Readers on the merge hot path — spill runs
+// included, which are read back as set files — declare their access
+// pattern up front, which lets the kernel schedule readahead instead of
+// discovering the pattern one page fault at a time.
 
 #pragma once
 
@@ -50,15 +49,6 @@ class ScopedFd {
 /// (POSIX_FADV_SEQUENTIAL): the kernel roughly doubles its readahead
 /// window. Best effort; no-op where unsupported.
 void AdviseSequential(int fd);
-
-/// Asks the kernel to populate the page cache for `[offset, offset+len)`
-/// (POSIX_FADV_WILLNEED). Non-blocking; best effort.
-void AdviseWillNeed(int fd, uint64_t offset, uint64_t len);
-
-/// Opens `path`, issues WILLNEED for the whole file and closes it again —
-/// the hint outlives the descriptor. Used to warm spill runs before the
-/// k-way merge re-reads them through buffered streams.
-void AdviseFileWillNeed(const std::filesystem::path& path);
 
 /// Reads exactly `len` bytes at `offset` via pread, retrying on EINTR and
 /// short reads. Returns false on an I/O error or premature EOF. Thread-safe

@@ -1,26 +1,19 @@
-// On-disk record format for sorted value files and spill runs.
+// Byte codec of the on-disk formats.
 //
-// Records are canonical value strings, stored length-prefixed (LEB128
-// varint + raw bytes) so values may contain any byte including newlines and
-// NULs. The same codec is used by spill runs, final sorted-set files, the
-// disk column store's blocks and the profile manifest; SpanReader below is
-// the one bounds-checked reader of in-memory spans of those formats.
+// Values are stored length-prefixed (LEB128 varint + raw bytes) so they may
+// contain any byte including newlines and NULs. Set files (spill runs
+// included), the disk column store's blocks and the profile manifest are
+// all written with the helpers below, and SpanReader is the one
+// bounds-checked reader of every span of them read back into memory.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <string_view>
 
-#include "src/common/status.h"
-
 namespace spider {
-
-/// Appends one record to `out`.
-[[nodiscard]]
-Status WriteValueRecord(std::ostream& out, std::string_view value);
 
 /// Appends the LEB128 encoding of `v` to `*out`.
 inline void EncodeVarint(std::string* out, uint64_t v) {
@@ -54,42 +47,12 @@ inline uint64_t DecodeFixed64(const char* p) {
   return v;
 }
 
-/// Reads the next record into `*value`. Returns false at clean EOF; a
-/// truncated record yields an IOError through `*status`.
-bool ReadValueRecord(std::istream& in, std::string* value, Status* status);
-
-/// Outcome of decoding one LEB128 length header.
-enum class VarintDecode { kOk, kCleanEof, kCorrupt, kTruncated };
-
-/// Decodes a LEB128 varint by pulling bytes from `next_byte` — a callable
-/// returning the next byte as 0..255, or a negative value at end of input.
-/// The single varint decoder: the stream codec, the block-buffered
-/// SortedSetReader and SpanReader all use it, so the formats cannot drift.
-template <typename NextByte>
-VarintDecode DecodeVarint(NextByte&& next_byte, uint64_t* out) {
-  const int first = next_byte();
-  if (first < 0) return VarintDecode::kCleanEof;
-  uint64_t len = 0;
-  int shift = 0;
-  int byte = first;
-  while (true) {
-    len |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-    if (shift > 63) return VarintDecode::kCorrupt;
-    byte = next_byte();
-    if (byte < 0) return VarintDecode::kTruncated;
-  }
-  *out = len;
-  return VarintDecode::kOk;
-}
-
 /// \brief The one bounds-checked reader over a byte span. The profile
-/// manifest, the `.set` footer and every `.col` block decode through it,
-/// so no count, length or offset read from a file is used before it is
-/// checked against the bytes that remain. Each call returns false when the
-/// span cannot hold what it asks for; the position is then unspecified and
-/// the caller treats the input as damaged.
+/// manifest, every `.set` record and footer and every `.col` block decode
+/// through it, so no count, length or offset read from a file is used
+/// before it is checked against the bytes that remain. Each call returns
+/// false when the span cannot hold what it asks for; the position is then
+/// unspecified and the caller treats the input as damaged.
 class SpanReader {
  public:
   SpanReader() = default;
@@ -98,14 +61,19 @@ class SpanReader {
   size_t position() const { return pos_; }
   size_t remaining() const { return bytes_.size() - pos_; }
 
+  /// A LEB128 varint of at most 10 bytes: the only varint decoder.
   bool Varint(uint64_t* out) {
-    return DecodeVarint(
-               [this]() -> int {
-                 return pos_ < bytes_.size()
-                            ? static_cast<unsigned char>(bytes_[pos_++])
-                            : -1;
-               },
-               out) == VarintDecode::kOk;
+    uint64_t v = 0;
+    for (int shift = 0; shift <= 63; shift += 7) {
+      if (pos_ == bytes_.size()) return false;
+      const auto byte = static_cast<unsigned char>(bytes_[pos_++]);
+      v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        *out = v;
+        return true;
+      }
+    }
+    return false;
   }
   bool Int64(int64_t* out) {
     uint64_t v = 0;

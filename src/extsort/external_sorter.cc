@@ -1,16 +1,26 @@
 #include "src/extsort/external_sorter.h"
 
 #include <algorithm>
-#include <fstream>
 
+#include "src/common/file_io.h"
 #include "src/common/logging.h"
 #include "src/common/tournament_tree.h"
-#include "src/common/value_codec.h"
-#include "src/common/file_io.h"
 
 namespace spider {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// One set-file format (block size) for every run and every sort.
+constexpr SortedSetWriterOptions kSetFormat{};
+
+void SortDistinct(std::vector<std::string>* values) {
+  std::sort(values->begin(), values->end());
+  values->erase(std::unique(values->begin(), values->end()), values->end());
+}
+
+}  // namespace
 
 ExternalSorter::ExternalSorter(ExternalSorterOptions options)
     : options_(std::move(options)) {
@@ -36,157 +46,90 @@ Status ExternalSorter::Add(std::string value) {
 
 Status ExternalSorter::SpillBuffer() {
   if (buffer_.empty()) return Status::OK();
-  std::sort(buffer_.begin(), buffer_.end());
-  buffer_.erase(std::unique(buffer_.begin(), buffer_.end()), buffer_.end());
+  SortDistinct(&buffer_);
 
   // The unique suffix keeps sorters apart that share a directory and a
   // prefix: two processes extracting one attribute into one workspace.
   fs::path run_path = UniqueTempPath(
       options_.spill_dir /
       (options_.run_prefix + "-" + std::to_string(runs_.size()) + ".spill"));
-  std::ofstream out(run_path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot create spill run " + run_path.string());
-  for (const std::string& v : buffer_) {
-    SPIDER_RETURN_NOT_OK(WriteValueRecord(out, v));
-  }
-  out.close();
-  if (out.fail()) return Status::IOError("failed writing spill run");
+  SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<SortedSetWriter> run,
+                          SortedSetWriter::Create(run_path, kSetFormat));
+  for (const std::string& v : buffer_) SPIDER_RETURN_NOT_OK(run->Append(v));
+  SPIDER_RETURN_NOT_OK(run->Finish());
   runs_.push_back(std::move(run_path));
   buffer_.clear();
   buffer_bytes_ = 0;
   return Status::OK();
 }
 
-namespace {
-
-/// One source in the k-way merge: a spill run stream or the in-memory
-/// buffer.
-class MergeSource {
- public:
-  virtual ~MergeSource() = default;
-  virtual bool HasNext() = 0;
-  virtual const std::string& Peek() = 0;
-  virtual void Advance() = 0;
-};
-
-class RunSource final : public MergeSource {
- public:
-  explicit RunSource(const fs::path& path) : in_(path, std::ios::binary) {
-    Fill();
-  }
-  bool ok() const { return opened_ok_ && status_.ok(); }
-  const Status& status() const { return status_; }
-
-  bool HasNext() override { return current_.has_value(); }
-  const std::string& Peek() override { return *current_; }
-  void Advance() override {
-    current_.reset();
-    Fill();
-  }
-
- private:
-  void Fill() {
-    if (!in_ && !eof_) {
-      opened_ok_ = false;
-      return;
-    }
-    std::string value;
-    Status st;
-    if (ReadValueRecord(in_, &value, &st)) {
-      current_ = std::move(value);
-    } else {
-      eof_ = true;
-      status_ = st;
-    }
-  }
-
-  std::ifstream in_;
-  bool opened_ok_ = true;
-  bool eof_ = false;
-  std::optional<std::string> current_;
-  Status status_;
-};
-
-class VectorSource final : public MergeSource {
- public:
-  explicit VectorSource(const std::vector<std::string>* values)
-      : values_(values) {}
-  bool HasNext() override { return index_ < values_->size(); }
-  const std::string& Peek() override { return (*values_)[index_]; }
-  void Advance() override { ++index_; }
-
- private:
-  const std::vector<std::string>* values_;
-  size_t index_ = 0;
-};
-
-}  // namespace
-
 Result<SortedSetInfo> ExternalSorter::WriteSortedSet(const fs::path& path) {
   if (finished_) return Status::InvalidArgument("sorter already finished");
   finished_ = true;
+  SortDistinct(&buffer_);
 
-  std::sort(buffer_.begin(), buffer_.end());
-  buffer_.erase(std::unique(buffer_.begin(), buffer_.end()), buffer_.end());
-
-  std::vector<std::unique_ptr<MergeSource>> sources;
-  for (const auto& run : runs_) {
-    // The k-way merge is about to stream every run front to back; telling
-    // the kernel now overlaps their readahead with the merge itself.
-    AdviseFileWillNeed(run);
-    auto src = std::make_unique<RunSource>(run);
-    if (!src->ok()) {
-      return Status::IOError("cannot reopen spill run " + run.string());
-    }
-    sources.push_back(std::move(src));
+  // The merge's sources: each spill run, read back as the set file it is,
+  // then the sorted in-memory buffer as source `in_memory`. A run that
+  // fails reads as exhausted, so its status is checked when it runs out.
+  std::vector<std::unique_ptr<SortedSetReader>> runs;
+  for (const fs::path& run : runs_) {
+    SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<SortedSetReader> reader,
+                            SortedSetReader::Open(run));
+    runs.push_back(std::move(reader));
   }
-  if (!buffer_.empty()) {
-    sources.push_back(std::make_unique<VectorSource>(&buffer_));
-  }
+  const size_t in_memory = runs.size();
+  size_t next_buffered = 0;
+  auto peek = [&](size_t source) -> std::string_view {
+    return source == in_memory ? buffer_[next_buffered] : runs[source]->Peek();
+  };
+  auto has_next = [&](size_t source) {
+    return source == in_memory ? next_buffered < buffer_.size()
+                               : runs[source]->HasNext();
+  };
 
-  // One set-file format (block size) for every sort.
-  constexpr SortedSetWriterOptions kSetFormat{};
   SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<SortedSetWriter> writer,
                           SortedSetWriter::Create(path, kSetFormat));
 
   // K-way merge with duplicate elimination via a tournament tree of
   // source indexes: advancing the winning source replays one leaf-to-root
   // path (Refresh) instead of a binary heap's pop+push double sift.
-  auto less = [&sources](int a, int b) {
-    const std::string& va = sources[static_cast<size_t>(a)]->Peek();
-    const std::string& vb = sources[static_cast<size_t>(b)]->Peek();
+  auto less = [&](int a, int b) {
+    const std::string_view va = peek(static_cast<size_t>(a));
+    const std::string_view vb = peek(static_cast<size_t>(b));
     if (va != vb) return va < vb;
     return a < b;
   };
-  TournamentTree<decltype(less)> tree(static_cast<int>(sources.size()), less);
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if (sources[i]->HasNext()) tree.Push(static_cast<int>(i));
+  TournamentTree<decltype(less)> tree(static_cast<int>(in_memory + 1), less);
+  for (size_t source = 0; source <= in_memory; ++source) {
+    if (has_next(source)) {
+      tree.Push(static_cast<int>(source));
+    } else if (source < in_memory) {
+      SPIDER_RETURN_NOT_OK(runs[source]->status());
+    }
   }
 
   SortedSetInfo info;
   info.path = path;
-  std::optional<std::string> last;
   while (!tree.empty()) {
-    const size_t idx = static_cast<size_t>(tree.top());
-    const std::string& value = sources[idx]->Peek();
-    if (!last || *last < value) {
+    const auto source = static_cast<size_t>(tree.top());
+    const std::string_view value = peek(source);
+    if (!info.max_value || *info.max_value < value) {
       SPIDER_RETURN_NOT_OK(writer->Append(value));
       if (!info.min_value) info.min_value = value;
       info.max_value = value;
       ++info.distinct_count;
-      last = value;
     }
-    sources[idx]->Advance();
-    if (sources[idx]->HasNext()) {
+    if (source == in_memory) {
+      ++next_buffered;
+    } else {
+      runs[source]->Skip();
+    }
+    if (has_next(source)) {
       tree.Refresh();
     } else {
+      if (source < in_memory) SPIDER_RETURN_NOT_OK(runs[source]->status());
       tree.Pop();
     }
-  }
-
-  for (const auto& src : sources) {
-    auto* run = dynamic_cast<RunSource*>(src.get());
-    if (run != nullptr && !run->status().ok()) return run->status();
   }
 
   SPIDER_RETURN_NOT_OK(writer->Finish());

@@ -2,8 +2,10 @@
 //
 // Plays the role of the RDBMS "ORDER BY DISTINCT" export in the paper: raw
 // attribute values go in, a sorted-distinct value file comes out. Values
-// beyond the memory budget spill to sorted run files which are k-way merged
-// at the end.
+// beyond the memory budget spill to sorted runs, each a set file in the
+// format of sorted_set_file.h, which are k-way merged through
+// SortedSetReader at the end. A run lives only as long as its sorter, which
+// deletes it.
 
 #pragma once
 

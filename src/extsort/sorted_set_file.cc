@@ -22,17 +22,6 @@ namespace {
 /// record count and the two key lengths).
 constexpr size_t kMinFooterEntryBytes = 4;
 
-/// Encoded size of one record: varint length header + payload.
-uint64_t RecordBytes(std::string_view value) {
-  uint64_t len = value.size();
-  uint64_t header = 1;
-  while (len >= 0x80) {
-    len >>= 7;
-    ++header;
-  }
-  return header + value.size();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<SortedSetWriter>> SortedSetWriter::Create(
@@ -61,38 +50,36 @@ SortedSetWriter::~SortedSetWriter() {
 
 Status SortedSetWriter::Append(std::string_view value) {
   if (finished_) return Status::InvalidArgument("writer already finished");
-  if (last_ && !(*last_ < value)) {
-    return Status::InvalidArgument(
-        "sorted-set ordering violated: '" + *last_ + "' then '" +
-        std::string(value) + "'");
+  if (count_ > 0 && !(last_ < value)) {
+    return Status::InvalidArgument("sorted-set ordering violated: '" + last_ +
+                                   "' then '" + std::string(value) + "'");
   }
-  if (block_records_ == 0) {
-    block_offset_ = offset_;
-    block_first_.assign(value.data(), value.size());
-  }
-  SPIDER_RETURN_NOT_OK(WriteValueRecord(out_, value));
-  offset_ += RecordBytes(value);
-  last_ = std::string(value);
+  if (block_records_ == 0) block_first_.assign(value.data(), value.size());
+  AppendLengthPrefixed(&block_, value);
+  last_.assign(value.data(), value.size());
   ++count_;
   ++block_records_;
-  if (offset_ - block_offset_ >= options_.target_block_bytes) SealBlock();
+  if (block_.size() >= options_.target_block_bytes) return SealBlock();
   return Status::OK();
 }
 
-void SortedSetWriter::SealBlock() {
-  BlockMeta meta;
-  meta.offset = block_offset_;
-  meta.records = block_records_;
-  meta.first_key = block_first_;
-  meta.last_key = *last_;
-  blocks_.push_back(std::move(meta));
+Status SortedSetWriter::SealBlock() {
+  blocks_.push_back(
+      BlockMeta{offset_, block_records_, std::move(block_first_), last_});
+  out_.write(block_.data(), static_cast<std::streamsize>(block_.size()));
+  offset_ += block_.size();
+  block_.clear();
   block_records_ = 0;
+  if (out_.fail()) {
+    return Status::IOError("failed writing a block of " + temp_path_.string());
+  }
+  return Status::OK();
 }
 
 Status SortedSetWriter::Finish() {
   if (finished_) return Status::OK();
   finished_ = true;
-  if (block_records_ > 0) SealBlock();
+  if (block_records_ > 0) SPIDER_RETURN_NOT_OK(SealBlock());
   const uint64_t footer_offset = offset_;
   std::string footer;
   EncodeVarint(&footer, blocks_.size());
@@ -269,33 +256,23 @@ void SortedSetReader::FillRecord() {
   }
   const uint64_t record_offset = window_begin_ + pos_;
   while (record_offset >= index_[cur_block_].end) ++cur_block_;
+  // A record never spans blocks, so it is read from what is left of its
+  // own block: a damaged length cannot reach into the next one.
+  const BlockEntry& block = index_[cur_block_];
+  SpanReader record(std::string_view(
+      buffer_.data() + pos_, static_cast<size_t>(block.end - record_offset)));
   uint64_t len = 0;
-  switch (DecodeVarint(
-      [this]() -> int {
-        if (pos_ == end_) return -1;
-        return static_cast<unsigned char>(buffer_[pos_++]);
-      },
-      &len)) {
-    case VarintDecode::kOk:
-      break;
-    default:
-      // Windows end at block boundaries and records never span blocks, so
-      // any EOF mid-record here is corruption, never a clean end.
-      Fail("corrupt record");
-      return;
-  }
-  if (len > end_ - pos_) {
-    Fail("record crosses a block boundary");
+  std::string_view value;
+  if (!record.Varint(&len) || !record.Bytes(len, &value)) {
+    Fail("corrupt record");
     return;
   }
-  value_pos_ = pos_;
-  value_len_ = static_cast<size_t>(len);
-  pos_ += value_len_;
+  value_pos_ = static_cast<size_t>(value.data() - buffer_.data());
+  value_len_ = value.size();
+  pos_ = value_pos_ + value_len_;
   // Zonemap soundness checks at the block edges: a footer whose keys do
   // not match the records it indexes would make SkipToAtLeast skip values
   // it must not, so the value is withheld and the reader fails for good.
-  const BlockEntry& block = index_[cur_block_];
-  const std::string_view value(buffer_.data() + value_pos_, value_len_);
   if ((record_offset == block.offset && value != block.first_key) ||
       (window_begin_ + pos_ == block.end && value != block.last_key)) {
     Fail("zonemap out of sync: block " + std::to_string(cur_block_) +

@@ -21,6 +21,10 @@
 // without the magic fails Open() with IOError: set files are a cache, and
 // the profile store treats a failed reuse as a miss.
 //
+// ExternalSorter's spill runs are set files too: each run is written with
+// SortedSetWriter and merged back through SortedSetReader, so one writer
+// and one bounds-checked reader serve every sorted run on disk.
+//
 // The magic/footer constants live here and nowhere else; hand-rolled
 // parsers elsewhere are rejected by the `set-format-magic` lint rule.
 
@@ -107,8 +111,9 @@ class SortedSetWriter {
         temp_path_(std::move(temp_path)),
         options_(options) {}
 
-  /// Closes the open block and appends its footer entry.
-  void SealBlock();
+  /// Writes the open block in one call and appends its footer entry.
+  [[nodiscard]]
+  Status SealBlock();
 
   std::ofstream out_;
   std::filesystem::path path_;
@@ -116,11 +121,11 @@ class SortedSetWriter {
   std::filesystem::path temp_path_;
   SortedSetWriterOptions options_;
   int64_t count_ = 0;
-  std::optional<std::string> last_;
+  std::string last_;  // the last value appended, once count_ > 0
   bool finished_ = false;
   uint64_t offset_ = 0;  // bytes written so far (header included)
-  // Open-block state.
-  uint64_t block_offset_ = 0;
+  // Open-block state: its encoded records and its first value.
+  std::string block_;
   uint64_t block_records_ = 0;
   std::string block_first_;
   std::vector<BlockMeta> blocks_;
@@ -247,8 +252,9 @@ class SortedSetReader {
   [[nodiscard]]
   Status ParseFooter(uint64_t file_size);
 
-  /// Decodes the next record so value_pos_/value_len_ frame it
-  /// contiguously in buffer_. Damage sets a sticky IOError instead.
+  /// Decodes the next record, within what is left of its block, so
+  /// value_pos_/value_len_ frame it contiguously in buffer_. Damage sets a
+  /// sticky IOError instead.
   void FillRecord();
   /// Fails the reader for good: `what` went wrong in this file.
   void Fail(const std::string& what);

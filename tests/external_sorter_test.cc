@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <utility>
@@ -170,6 +173,46 @@ TEST_F(ExternalSorterTest, AddAfterFinishFails) {
   EXPECT_TRUE(sorter.Add("y").IsInvalidArgument());
   EXPECT_TRUE(
       sorter.WriteSortedSet(dir_->FilePath("y.set")).status().IsInvalidArgument());
+}
+
+TEST_F(ExternalSorterTest, DamagedSpillRunFailsTheSort) {
+  // A spill run is a set file, read back through the set reader: a damaged
+  // record fails the sort, naming the run, instead of merging a made-up
+  // value into the output.
+  ExternalSorter sorter(Options(256));
+  for (int i = 0; i < 100; ++i) {
+    char value[5];
+    std::snprintf(value, sizeof(value), "k%03d", i);
+    ASSERT_TRUE(sorter.Add(value).ok());
+  }
+  ASSERT_GE(sorter.spill_count(), 2);
+  std::vector<std::filesystem::path> runs;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_->path())) {
+    runs.push_back(entry.path());
+  }
+  std::sort(runs.begin(), runs.end());
+  ASSERT_EQ(static_cast<int>(runs.size()), sorter.spill_count());
+  const std::filesystem::path damaged = runs[runs.size() / 2];
+  {
+    // The length byte of the run's first record, just after the header,
+    // made 5 bytes longer.
+    std::fstream file(damaged, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekg(kSortedSetHeaderBytes);
+    char length = 0;
+    file.read(&length, 1);
+    file.seekp(kSortedSetHeaderBytes);
+    length = static_cast<char>(length + 5);
+    file.write(&length, 1);
+    ASSERT_TRUE(file.good());
+  }
+
+  const std::filesystem::path out = dir_->FilePath("out.set");
+  auto info = sorter.WriteSortedSet(out);
+  ASSERT_FALSE(info.ok());
+  EXPECT_TRUE(info.status().IsIOError()) << info.status().ToString();
+  EXPECT_NE(info.status().message().find(damaged.string()), std::string::npos)
+      << info.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(out));
 }
 
 // Property sweep: external sort output equals a std::set reference for

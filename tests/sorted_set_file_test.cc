@@ -494,6 +494,35 @@ TEST_F(SortedSetFileTest, CorruptLastRecordFailsTheZonemapCheck) {
   ExpectZonemapError(**reader);
 }
 
+TEST_F(SortedSetFileTest, RecordCannotSwallowTheNextBlock) {
+  // Two five-byte records fill each 10-byte block, and one window holds
+  // both blocks. Raising bbbb's length byte (offset 14) from 4 to 9 makes
+  // the record reach into the next block: it must read as damage, never
+  // as the value "bbbb\x04cccc" with the set's status OK.
+  SortedSetWriterOptions options;
+  options.target_block_bytes = 10;
+  auto path = WriteSet({"aaaa", "bbbb", "cccc", "dddd"}, "swallow.set",
+                       options);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::in);
+    out.seekp(14);
+    const char raised = 9;
+    out.write(&raised, 1);
+  }
+  auto reader = SortedSetReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ((*reader)->block_count(), 2);
+  const std::string swallowed("bbbb\x04" "cccc");
+  std::vector<std::string> read;
+  while ((*reader)->HasNext()) read.push_back((*reader)->Next());
+  EXPECT_EQ(std::count(read.begin(), read.end(), swallowed), 0);
+  EXPECT_TRUE((*reader)->status().IsIOError())
+      << (*reader)->status().ToString();
+  EXPECT_NE((*reader)->status().message().find(path.string()),
+            std::string::npos)
+      << (*reader)->status().ToString();
+}
+
 using SortedSetFileDeathTest = SortedSetFileTest;
 
 TEST_F(SortedSetFileDeathTest, NextPastEofAborts) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/common/value_codec.h"
 
@@ -8,15 +10,13 @@ namespace spider {
 namespace {
 
 std::vector<std::string> RoundTrip(const std::vector<std::string>& values) {
-  std::stringstream buffer;
-  for (const std::string& v : values) {
-    EXPECT_TRUE(WriteValueRecord(buffer, v).ok());
-  }
+  std::string buffer;
+  for (const std::string& v : values) AppendLengthPrefixed(&buffer, v);
   std::vector<std::string> out;
+  SpanReader in(buffer);
   std::string value;
-  Status st;
-  while (ReadValueRecord(buffer, &value, &st)) out.push_back(value);
-  EXPECT_TRUE(st.ok()) << st.ToString();
+  while (in.remaining() > 0 && in.String(&value)) out.push_back(value);
+  EXPECT_EQ(in.remaining(), 0u);
   return out;
 }
 
@@ -43,32 +43,20 @@ TEST(ValueCodecTest, LongRecordExercisesMultiByteVarint) {
   EXPECT_EQ(RoundTrip(values), values);
 }
 
-TEST(ValueCodecTest, CleanEofReturnsFalseWithoutError) {
-  std::stringstream empty;
+TEST(ValueCodecTest, TruncatedPayloadFailsTheRead) {
+  std::string buffer;
+  AppendLengthPrefixed(&buffer, "abcdef");
+  SpanReader in(std::string_view(buffer).substr(0, buffer.size() - 2));
   std::string value;
-  Status st;
-  EXPECT_FALSE(ReadValueRecord(empty, &value, &st));
-  EXPECT_TRUE(st.ok());
+  EXPECT_FALSE(in.String(&value));
 }
 
-TEST(ValueCodecTest, TruncatedPayloadIsIOError) {
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteValueRecord(buffer, "abcdef").ok());
-  std::string data = buffer.str();
-  std::stringstream truncated(data.substr(0, data.size() - 2));
-  std::string value;
-  Status st;
-  EXPECT_FALSE(ReadValueRecord(truncated, &value, &st));
-  EXPECT_TRUE(st.IsIOError());
-}
-
-TEST(ValueCodecTest, TruncatedVarintIsIOError) {
+TEST(ValueCodecTest, TruncatedVarintFailsTheRead) {
   // 0x80 promises a continuation byte that never comes.
-  std::stringstream buffer(std::string(1, static_cast<char>(0x80)));
-  std::string value;
-  Status st;
-  EXPECT_FALSE(ReadValueRecord(buffer, &value, &st));
-  EXPECT_TRUE(st.IsIOError());
+  const std::string buffer(1, static_cast<char>(0x80));
+  SpanReader in(buffer);
+  uint64_t length = 0;
+  EXPECT_FALSE(in.Varint(&length));
 }
 
 }  // namespace
