@@ -129,6 +129,12 @@ Status ValueSetExtractor::CheckSetsUnchanged() const {
   return Status::OK();
 }
 
+void ValueSetExtractor::ForgetCachedSets() {
+  MutexLock lock(&mutex_);
+  cache_.clear();
+  composite_cache_.clear();
+}
+
 Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
     ValueCursor& cursor, const std::string& file_name,
     std::optional<uint64_t> source_fingerprint) {

@@ -133,6 +133,13 @@ class ValueSetExtractor {
   [[nodiscard]]
   Status CheckSetsUnchanged() const SPIDER_EXCLUDES(mutex_);
 
+  /// Drops every cached set, for after a failed run: the set that failed
+  /// it may be damaged on disk. Each set's next request checks its bytes
+  /// against the profile again (or sorts it again) instead of being served
+  /// from the cache. Extractions in flight still reach their waiters, and
+  /// the sets served so far stay known to CheckSetsUnchanged().
+  void ForgetCachedSets() SPIDER_EXCLUDES(mutex_);
+
  private:
   /// The uncached reuse-or-sort step; counts what it did into `counters`
   /// when non-null.

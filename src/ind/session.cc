@@ -419,6 +419,15 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
 }
 
 Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
+  Result<SessionReport> report = DoRun(options);
+  if (!report.ok()) {
+    MutexLock lock(&mutex_);
+    if (extractor_ != nullptr) extractor_->ForgetCachedSets();
+  }
+  return report;
+}
+
+Result<SessionReport> SpiderSession::DoRun(const RunOptions& options) {
   // The run's one context, handed to every phase and partition: its clock
   // starts here, times the report and bounds the budget.
   RunContext context;

@@ -260,7 +260,9 @@ class SpiderSession {
   const Catalog& catalog() const { return *catalog_; }
 
   /// Runs the named approach (any kind) under `options`, after
-  /// ValidateRunOptions. Value-set extraction is cached across calls.
+  /// ValidateRunOptions. Value-set extraction is cached across calls; a
+  /// failed run drops that cache (ValueSetExtractor::ForgetCachedSets), so
+  /// a set it found damaged is checked again, not served again.
   [[nodiscard]]
   Result<SessionReport> Run(const RunOptions& options = {});
 
@@ -272,6 +274,10 @@ class SpiderSession {
   Result<ValueSetExtractor*> extractor() SPIDER_EXCLUDES(mutex_);
 
  private:
+  /// Run() but for dropping the extractor's cache when it fails.
+  [[nodiscard]]
+  Result<SessionReport> DoRun(const RunOptions& options);
+
   /// The unary IND phase: generate candidates, answer what the persisted
   /// profile still vouches for, verify the rest with `verifier` in one
   /// RunBatch dispatch — one partition, or connected components on `pool`

@@ -378,6 +378,54 @@ TEST(ProfilePersistenceTest, SetReplacedByAnotherCommitFailsTheRun) {
   EXPECT_EQ(fresh->run.counters.sets_extracted, 1);
 }
 
+TEST(ProfilePersistenceTest, DamagedSetFailsOneRunAndTheNextSortsItAgain) {
+  // One long-lived session, as spiderd keeps per workspace. A run that
+  // reads a damaged set fails; the session must not keep serving that set
+  // from its cache, so the next run checks each set's bytes against the
+  // profile again and sorts the damaged ones again.
+  auto dir = TempDir::Make("spider-profile-damaged");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  WriteDump(root / "csv");
+  const std::filesystem::path workspace = root / "wsp";
+  auto imported = ImportWorkspace(root / "csv", workspace);
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  auto catalog = OpenDiskCatalog(workspace);
+  ASSERT_TRUE(catalog.ok());
+  SessionOptions session_options;
+  session_options.work_dir = workspace.string();
+  session_options.persist_profile = true;
+  SpiderSession session(std::move(*catalog), session_options);
+  RunOptions options;
+  options.approach = "spider-merge";
+  options.profile_cache = false;
+  auto first = session.Run(options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_FALSE(first->run.satisfied.empty());
+
+  // Byte 10 is the first payload byte of a set's first record.
+  int damaged = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(workspace)) {
+    if (entry.path().extension() != ".set") continue;
+    std::fstream file(entry.path(),
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(10);
+    file.put('~');
+    ASSERT_TRUE(file.good()) << entry.path();
+    ++damaged;
+  }
+  ASSERT_GT(damaged, 0);
+
+  auto failed = session.Run(options);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+
+  auto recovered = session.Run(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_GT(recovered->run.counters.sets_extracted, 0);
+  EXPECT_EQ(recovered->run.satisfied, first->run.satisfied);
+}
+
 // The pre-v2 text manifest for `report`'s verdicts, as the old writer
 // sealed it: percent-escaped TSV lines behind a whole-file checksum.
 std::string TextManifest(const SessionReport& report) {
