@@ -79,8 +79,9 @@ Result<SortedSetInfo> ExternalSorter::WriteSortedSet(const fs::path& path) {
   }
   const size_t in_memory = runs.size();
   size_t next_buffered = 0;
-  auto peek = [&](size_t source) -> std::string_view {
-    return source == in_memory ? buffer_[next_buffered] : runs[source]->Peek();
+  auto peek = [&](size_t source) {
+    return source == in_memory ? std::string_view(buffer_[next_buffered])
+                               : runs[source]->Peek();
   };
   auto has_next = [&](size_t source) {
     return source == in_memory ? next_buffered < buffer_.size()

@@ -259,8 +259,8 @@ void SortedSetReader::FillRecord() {
   // A record never spans blocks, so it is read from what is left of its
   // own block: a damaged length cannot reach into the next one.
   const BlockEntry& block = index_[cur_block_];
-  SpanReader record(std::string_view(
-      buffer_.data() + pos_, static_cast<size_t>(block.end - record_offset)));
+  const size_t block_left = static_cast<size_t>(block.end - record_offset);
+  SpanReader record(std::string_view(buffer_.data() + pos_, block_left));
   uint64_t len = 0;
   std::string_view value;
   if (!record.Varint(&len) || !record.Bytes(len, &value)) {

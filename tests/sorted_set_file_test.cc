@@ -501,8 +501,8 @@ TEST_F(SortedSetFileTest, RecordCannotSwallowTheNextBlock) {
   // as the value "bbbb\x04cccc" with the set's status OK.
   SortedSetWriterOptions options;
   options.target_block_bytes = 10;
-  auto path = WriteSet({"aaaa", "bbbb", "cccc", "dddd"}, "swallow.set",
-                       options);
+  const std::vector<std::string> values{"aaaa", "bbbb", "cccc", "dddd"};
+  auto path = WriteSet(values, "swallow.set", options);
   {
     std::ofstream out(path, std::ios::binary | std::ios::in);
     out.seekp(14);
