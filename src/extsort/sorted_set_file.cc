@@ -5,7 +5,6 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -108,9 +107,7 @@ Status SortedSetWriter::Finish() {
 SortedSetReader::SortedSetReader(std::string path, int fd,
                                  RunCounters* counters,
                                  SortedSetReaderOptions options)
-    : path_(std::move(path)), fd_(fd), counters_(counters), options_(options) {
-  options_.buffer_bytes = std::max<size_t>(options_.buffer_bytes, 16);
-}
+    : path_(std::move(path)), fd_(fd), counters_(counters), options_(options) {}
 
 SortedSetReader::~SortedSetReader() {
   if (fd_ >= 0) ::close(fd_);
@@ -216,51 +213,36 @@ void SortedSetReader::Fail(const std::string& what) {
   status_ = Status::IOError(what + " in set file " + path_);
 }
 
-size_t SortedSetReader::WindowEnd(size_t first) const {
-  const uint64_t begin = index_[first].offset;
-  // At least the whole first block, then as many more as fit the budget.
-  const uint64_t cap =
-      std::max<uint64_t>(options_.buffer_bytes, index_[first].end - begin);
-  size_t last = first;
-  while (last + 1 < index_.size() && index_[last + 1].end - begin <= cap) {
-    ++last;
-  }
-  return last;
-}
-
-void SortedSetReader::LoadWindow(size_t first) {
-  const size_t last = WindowEnd(first);
-  const uint64_t begin = index_[first].offset;
-  const size_t bytes = static_cast<size_t>(index_[last].end - begin);
+void SortedSetReader::LoadBlock(size_t block) {
+  const BlockEntry& entry = index_[block];
+  const size_t bytes = static_cast<size_t>(entry.end - entry.offset);
   if (buffer_.size() < bytes) buffer_.resize(bytes);
-  if (!PreadExact(fd_, begin, buffer_.data(), bytes)) {
-    Fail("failed reading a block window");
+  if (!PreadExact(fd_, entry.offset, buffer_.data(), bytes)) {
+    Fail("failed reading block " + std::to_string(block));
     return;
   }
-  window_begin_ = begin;
+  cur_block_ = block;
   pos_ = 0;
   end_ = bytes;
-  window_last_ = last;
-  cur_block_ = first;
 }
 
 void SortedSetReader::FillRecord() {
   if (have_value_ || eof_ || !status_.ok()) return;
   if (pos_ == end_) {
-    if (window_last_ + 1 >= index_.size()) {
+    // The loaded block is used up: load the next one (block 0 before the
+    // first load).
+    const size_t next = end_ == 0 ? 0 : cur_block_ + 1;
+    if (next == index_.size()) {
       eof_ = true;
       return;
     }
-    LoadWindow(window_last_ + 1);
+    LoadBlock(next);
     if (!status_.ok()) return;
   }
-  const uint64_t record_offset = window_begin_ + pos_;
-  while (record_offset >= index_[cur_block_].end) ++cur_block_;
-  // A record never spans blocks, so it is read from what is left of its
-  // own block: a damaged length cannot reach into the next one.
-  const BlockEntry& block = index_[cur_block_];
-  const size_t block_left = static_cast<size_t>(block.end - record_offset);
-  SpanReader record(std::string_view(buffer_.data() + pos_, block_left));
+  // buffer_ holds this block and nothing else, so a damaged length cannot
+  // reach into the next one.
+  const bool first = pos_ == 0;
+  SpanReader record(std::string_view(buffer_.data() + pos_, end_ - pos_));
   uint64_t len = 0;
   std::string_view value;
   if (!record.Varint(&len) || !record.Bytes(len, &value)) {
@@ -273,8 +255,9 @@ void SortedSetReader::FillRecord() {
   // Zonemap soundness checks at the block edges: a footer whose keys do
   // not match the records it indexes would make SkipToAtLeast skip values
   // it must not, so the value is withheld and the reader fails for good.
-  if ((record_offset == block.offset && value != block.first_key) ||
-      (window_begin_ + pos_ == block.end && value != block.last_key)) {
+  const BlockEntry& block = index_[cur_block_];
+  if ((first && value != block.first_key) ||
+      (pos_ == end_ && value != block.last_key)) {
     Fail("zonemap out of sync: block " + std::to_string(cur_block_) +
          " does not match its footer entry");
     return;
@@ -295,27 +278,14 @@ void SortedSetReader::JumpToCandidateBlock(std::string_view key) {
       hi = mid;
     }
   }
-  if (lo == index_.size()) {
-    // Nothing left can match: bypass every remaining whole block.
-    const int64_t skipped =
-        static_cast<int64_t>(index_.size() - cur_block_ - 1);
-    blocks_skipped_ += skipped;
-    if (counters_ != nullptr) counters_->blocks_skipped += skipped;
-    pos_ = end_;
-    window_last_ = index_.size();  // no further window to load
-    eof_ = true;
-    return;
-  }
   const int64_t skipped = static_cast<int64_t>(lo - cur_block_ - 1);
   blocks_skipped_ += skipped;
   if (counters_ != nullptr) counters_->blocks_skipped += skipped;
-  if (lo <= window_last_) {
-    // The target block is already resident; reposition within the window.
-    pos_ = static_cast<size_t>(index_[lo].offset - window_begin_);
-    cur_block_ = lo;
-  } else {
-    LoadWindow(lo);
+  if (lo == index_.size()) {
+    eof_ = true;  // nothing left can match
+    return;
   }
+  LoadBlock(lo);
 }
 
 void SortedSetReader::SkipToAtLeast(std::string_view key) {

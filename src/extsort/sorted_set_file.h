@@ -133,11 +133,6 @@ class SortedSetWriter {
 
 /// Options for SortedSetReader.
 struct SortedSetReaderOptions {
-  /// Read-window budget. The reader loads whole blocks — as many
-  /// consecutive blocks as fit the budget per read, never a partial one —
-  /// so no record is ever split across reads. An oversized block still
-  /// grows the buffer on demand.
-  size_t buffer_bytes = 64 * 1024;
   /// Honor the footer zonemap in SkipToAtLeast(). With false the call
   /// degrades to the linear scan it replaces — same values, same
   /// tuples_read — which is what the skip-parity tests toggle.
@@ -147,10 +142,12 @@ struct SortedSetReaderOptions {
 /// \brief Block-buffered streaming cursor over a sorted-distinct value
 /// file.
 ///
-/// Records are decoded from an in-memory read window instead of per-record
-/// stream reads, and the current value is exposed zero-copy as a
-/// std::string_view into that window — the merge algorithms compare
-/// millions of values without materializing a std::string for each.
+/// The footer's block is the reader's one unit: each read loads exactly
+/// one block (one pread), records are decoded from it, and the current
+/// value is exposed zero-copy as a std::string_view into it — the merge
+/// algorithms compare millions of values without materializing a
+/// std::string for each. A reader holds one block, about the writer's
+/// target size (16 KiB by default).
 ///
 /// Reads count into RunCounters::tuples_read when a counter sink is
 /// attached, which is how the benchmarks measure the paper's Figure 5
@@ -158,9 +155,6 @@ struct SortedSetReaderOptions {
 /// into RunCounters::blocks_skipped instead.
 class SortedSetReader {
  public:
-  /// Default read-window size; values larger than the window grow it.
-  static constexpr size_t kDefaultBufferBytes = 64 * 1024;
-
   /// Opens a block-indexed set file; a missing magic, an unsupported
   /// version or a corrupt footer fail with IOError.
   [[nodiscard]]
@@ -252,30 +246,27 @@ class SortedSetReader {
   [[nodiscard]]
   Status ParseFooter(uint64_t file_size);
 
-  /// Decodes the next record, within what is left of its block, so
-  /// value_pos_/value_len_ frame it contiguously in buffer_. Damage sets a
-  /// sticky IOError instead.
+  /// Decodes the next record from the loaded block (loading the next
+  /// block when it is used up), so value_pos_/value_len_ frame it
+  /// contiguously in buffer_. Damage sets a sticky IOError instead.
   void FillRecord();
   /// Fails the reader for good: `what` went wrong in this file.
   void Fail(const std::string& what);
 
-  /// Last block index of the read window starting at block `first`: as
-  /// many whole consecutive blocks as fit buffer_bytes (at least one).
-  size_t WindowEnd(size_t first) const;
-  /// Loads the window starting at block `first`.
-  void LoadWindow(size_t first);
+  /// Reads block `block`, and nothing else, into buffer_.
+  void LoadBlock(size_t block);
   /// Repositions after the zonemap ruled out everything below `key`:
   /// binary-searches the footer for the first candidate block past
-  /// cur_block_ and jumps there, counting fully bypassed blocks.
+  /// cur_block_ and loads it, counting fully bypassed blocks.
   void JumpToCandidateBlock(std::string_view key);
 
   std::string path_;  // for error texts
   int fd_ = -1;
   RunCounters* counters_ = nullptr;
   SortedSetReaderOptions options_;
-  std::vector<char> buffer_;
+  std::vector<char> buffer_;  // the loaded block; grows to the largest
   size_t pos_ = 0;  // next unparsed byte
-  size_t end_ = 0;  // one past the last valid byte
+  size_t end_ = 0;  // the loaded block's size; 0 before the first load
   size_t value_pos_ = 0;
   size_t value_len_ = 0;
   bool have_value_ = false;
@@ -284,10 +275,7 @@ class SortedSetReader {
   int64_t blocks_skipped_ = 0;
 
   std::vector<BlockEntry> index_;
-  uint64_t window_begin_ = 0;       // file offset of buffer_[0]
-  size_t window_last_ = SIZE_MAX;   // last block in the window (+1 wraps to
-                                    // 0 before the first load)
-  size_t cur_block_ = 0;            // block owning the record at value_pos_
+  size_t cur_block_ = 0;  // the loaded block
 };
 
 /// Metadata about a materialized sorted value set.

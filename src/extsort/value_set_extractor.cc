@@ -132,7 +132,6 @@ Status ValueSetExtractor::CheckSetsUnchanged() const {
 void ValueSetExtractor::ForgetCachedSets() {
   MutexLock lock(&mutex_);
   cache_.clear();
-  composite_cache_.clear();
 }
 
 Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
@@ -190,10 +189,9 @@ Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
 
 Result<SortedSetInfo> ValueSetExtractor::DoExtract(
     const Catalog& catalog, const AttributeRef& attribute,
-    RunCounters* counters) {
+    const std::string& file_name, RunCounters* counters) {
   SPIDER_ASSIGN_OR_RETURN(const Column* column,
                           catalog.ResolveAttribute(attribute));
-  const std::string file_name = SetFileName(attribute);
   std::optional<uint64_t> source_fp;
   if (profile_ != nullptr && column->cached_stats() != nullptr) {
     source_fp = ProfileStore::StatsFingerprint(*column->cached_stats());
@@ -212,8 +210,7 @@ Result<SortedSetInfo> ValueSetExtractor::DoExtract(
 
 Result<SortedSetInfo> ValueSetExtractor::DoExtractComposite(
     const Catalog& catalog, const std::vector<AttributeRef>& attributes,
-    RunCounters* counters) {
-  const std::string file_name = CompositeSetFileName(attributes);
+    const std::string& file_name, RunCounters* counters) {
   std::optional<uint64_t> source_fp;
   if (profile_ != nullptr) {
     // The composite source fingerprint chains the component columns'
@@ -251,21 +248,20 @@ Result<SortedSetInfo> ValueSetExtractor::DoExtractComposite(
   return info;
 }
 
-template <typename Key, typename ExtractFn>
-Result<SortedSetInfo> ValueSetExtractor::ExtractCached(const Key& key,
-                                                       ExtractFn&& do_extract) {
+template <typename ExtractFn>
+Result<SortedSetInfo> ValueSetExtractor::ExtractCached(
+    const std::string& file_name, ExtractFn&& do_extract) {
   std::promise<Result<SortedSetInfo>> promise;
   std::shared_future<Result<SortedSetInfo>> future;
   bool owner = false;
   {
     MutexLock lock(&mutex_);
-    auto& cache = LockedCacheFor(key);
-    auto it = cache.find(key);
-    if (it != cache.end()) {
+    auto it = cache_.find(file_name);
+    if (it != cache_.end()) {
       future = it->second;
     } else {
       future = promise.get_future().share();
-      cache.emplace(key, future);
+      cache_.emplace(file_name, future);
       owner = true;
     }
   }
@@ -278,7 +274,7 @@ Result<SortedSetInfo> ValueSetExtractor::ExtractCached(const Key& key,
     // Failures are not cached — a later call may retry (concurrent waiters
     // still observe this failure through the shared state).
     MutexLock lock(&mutex_);
-    LockedCacheFor(key).erase(key);
+    cache_.erase(file_name);
   }
   promise.set_value(result);
   return result;
@@ -287,8 +283,9 @@ Result<SortedSetInfo> ValueSetExtractor::ExtractCached(const Key& key,
 Result<SortedSetInfo> ValueSetExtractor::Extract(const Catalog& catalog,
                                                  const AttributeRef& attribute,
                                                  RunCounters* counters) {
-  return ExtractCached(attribute, [&] {
-    return DoExtract(catalog, attribute, counters);
+  const std::string file_name = SetFileName(attribute);
+  return ExtractCached(file_name, [&] {
+    return DoExtract(catalog, attribute, file_name, counters);
   });
 }
 
@@ -298,8 +295,9 @@ Result<SortedSetInfo> ValueSetExtractor::ExtractComposite(
   if (attributes.empty()) {
     return Status::InvalidArgument("composite extraction over zero attributes");
   }
-  return ExtractCached(attributes, [&] {
-    return DoExtractComposite(catalog, attributes, counters);
+  const std::string file_name = CompositeSetFileName(attributes);
+  return ExtractCached(file_name, [&] {
+    return DoExtractComposite(catalog, attributes, file_name, counters);
   });
 }
 
@@ -336,10 +334,11 @@ Result<std::vector<SortedSetInfo>> ValueSetExtractor::ExtractAll(
 
 Result<SortedSetInfo> ValueSetExtractor::Lookup(
     const AttributeRef& attribute) const {
+  const std::string file_name = SetFileName(attribute);
   std::shared_future<Result<SortedSetInfo>> future;
   {
     MutexLock lock(&mutex_);
-    auto it = cache_.find(attribute);
+    auto it = cache_.find(file_name);
     if (it == cache_.end()) {
       return Status::NotFound("no extracted value set for " +
                               attribute.ToString());

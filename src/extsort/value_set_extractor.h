@@ -141,37 +141,26 @@ class ValueSetExtractor {
   void ForgetCachedSets() SPIDER_EXCLUDES(mutex_);
 
  private:
-  /// The uncached reuse-or-sort step; counts what it did into `counters`
-  /// when non-null.
+  /// The uncached reuse-or-sort step for the set published as
+  /// `file_name`; counts what it did into `counters` when non-null.
   [[nodiscard]]
   Result<SortedSetInfo> DoExtract(const Catalog& catalog,
                                   const AttributeRef& attribute,
+                                  const std::string& file_name,
                                   RunCounters* counters);
   [[nodiscard]]
   Result<SortedSetInfo> DoExtractComposite(
       const Catalog& catalog, const std::vector<AttributeRef>& attributes,
-      RunCounters* counters);
+      const std::string& file_name, RunCounters* counters);
 
-  /// Claim-or-wait against the cache selected by `Key`: the first caller
-  /// for `key` runs `do_extract`, concurrent callers block on its shared
-  /// future; failures are evicted so later calls may retry.
-  template <typename Key, typename ExtractFn>
+  /// Claim-or-wait on the cache entry for `file_name`: the first caller
+  /// runs `do_extract`, concurrent callers block on its shared future;
+  /// failures are evicted so later calls may retry.
+  template <typename ExtractFn>
   [[nodiscard]]
-  Result<SortedSetInfo> ExtractCached(const Key& key, ExtractFn&& do_extract)
+  Result<SortedSetInfo> ExtractCached(const std::string& file_name,
+                                      ExtractFn&& do_extract)
       SPIDER_EXCLUDES(mutex_);
-
-  /// Locked accessors mapping a key type to its cache, so the guarded maps
-  /// are only ever touched under mutex_ (the thread-safety analysis rejects
-  /// handing out references to guarded fields from unlocked contexts).
-  std::map<AttributeRef, std::shared_future<Result<SortedSetInfo>>>&
-  LockedCacheFor(const AttributeRef&) SPIDER_REQUIRES(mutex_) {
-    return cache_;
-  }
-  std::map<std::vector<AttributeRef>,
-           std::shared_future<Result<SortedSetInfo>>>&
-  LockedCacheFor(const std::vector<AttributeRef>&) SPIDER_REQUIRES(mutex_) {
-    return composite_cache_;
-  }
 
   /// The bytes a set file held when this extractor recorded or reused it.
   struct ServedSet {
@@ -214,16 +203,13 @@ class ValueSetExtractor {
   mutable Mutex mutex_;
   /// Recorded or reused sets by file name, for CheckSetsUnchanged().
   std::map<std::string, ServedSet> served_ SPIDER_GUARDED_BY(mutex_);
-  /// Completed or in-flight extractions. shared_future so that concurrent
-  /// requesters of the same attribute all wait on one extraction. Only the
-  /// map is guarded — waiting on a future happens outside the lock.
-  std::map<AttributeRef, std::shared_future<Result<SortedSetInfo>>> cache_
+  /// Completed or in-flight extractions, unary and composite, by the
+  /// set-file name each is published under (SetFileName and
+  /// CompositeSetFileName never collide). shared_future so that concurrent
+  /// requesters of the same set all wait on one extraction. Only the map
+  /// is guarded — waiting on a future happens outside the lock.
+  std::map<std::string, std::shared_future<Result<SortedSetInfo>>> cache_
       SPIDER_GUARDED_BY(mutex_);
-  /// Same discipline for composite (tuple) sets, keyed by the ordered
-  /// attribute list.
-  std::map<std::vector<AttributeRef>,
-           std::shared_future<Result<SortedSetInfo>>>
-      composite_cache_ SPIDER_GUARDED_BY(mutex_);
 };
 
 }  // namespace spider

@@ -260,8 +260,8 @@ Result<ValueSetExtractor*> SpiderSession::extractor() {
 Status SpiderSession::VerifyUnary(const RunOptions& options,
                                   const AlgorithmRegistry::Entry& verifier,
                                   const AlgorithmConfig& config,
-                                  ThreadPool* pool, RunContext& context,
-                                  SessionReport* report,
+                                  ProfileStore* profile, ThreadPool* pool,
+                                  RunContext& context, SessionReport* report,
                                   bool* verdicts_recorded) {
   const double generation_start = context.elapsed_seconds();
   CandidateGenerator generator(options.generator);
@@ -276,8 +276,6 @@ Status SpiderSession::VerifyUnary(const RunOptions& options,
   // exact (σ = 1) approach — verification order and algorithm choice never
   // change an IND's truth. Candidates whose data moved (fingerprint
   // mismatch) or that were never decided go to the algorithm as usual.
-  ProfileStore* profile =
-      config.extractor != nullptr ? config.extractor->profile() : nullptr;
   const bool delta_eligible =
       profile != nullptr && options.profile_cache && options.min_coverage >= 1.0;
   // What the algorithm decides: every candidate, or — when the profile
@@ -443,14 +441,22 @@ Result<SessionReport> SpiderSession::DoRun(const RunOptions& options) {
   const AlgorithmCapabilities& capabilities = approach.capabilities;
   AlgorithmConfig& config = resolved.config;
 
-  // The extractor is only materialized for approaches that need it; the
-  // unary phase reads sets only when its own approach does.
+  // The extractor is materialized for approaches that read sets (the
+  // unary phase's own approach included) and, because it holds the
+  // persisted profile, whose verdicts hold for any exact verifier, for
+  // every IND run of a session that persists one.
   const bool verifier_reads_sets =
       verifier != nullptr && verifier->capabilities.needs_extractor;
   if (capabilities.needs_extractor || verifier_reads_sets) {
     SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
   }
   if (verifier_reads_sets) resolved.verify_config.extractor = config.extractor;
+  ValueSetExtractor* profiled = config.extractor;
+  if (verifier != nullptr && options_.persist_profile) {
+    SPIDER_ASSIGN_OR_RETURN(profiled, extractor());
+  }
+  ProfileStore* const profile =
+      profiled != nullptr ? profiled->profile() : nullptr;
 
   const int threads = ThreadPool::ResolveThreadCount(options.threads);
   std::unique_ptr<ThreadPool> pool;
@@ -466,8 +472,9 @@ Result<SessionReport> SpiderSession::DoRun(const RunOptions& options) {
   bool verdicts_recorded = false;
   if (verifier != nullptr) {
     SPIDER_RETURN_NOT_OK(VerifyUnary(options, *verifier,
-                                     resolved.verify_config, pool.get(),
-                                     context, &report, &verdicts_recorded));
+                                     resolved.verify_config, profile,
+                                     pool.get(), context, &report,
+                                     &verdicts_recorded));
   }
   if (capabilities.nary) {
     report.nary = true;
@@ -510,9 +517,8 @@ Result<SessionReport> SpiderSession::DoRun(const RunOptions& options) {
   const bool sets_sorted = report.run.counters.sets_extracted > 0 ||
                            report.nary_run.counters.sets_extracted > 0 ||
                            report.dependency.counters.sets_extracted > 0;
-  if (sets != nullptr && sets->profile() != nullptr &&
-      (verdicts_recorded || sets_sorted)) {
-    const Status saved = sets->SaveProfile();
+  if (profile != nullptr && (verdicts_recorded || sets_sorted)) {
+    const Status saved = profiled->SaveProfile();
     if (!saved.ok()) report.profile_save_error = saved.ToString();
   }
   report.total_seconds = context.elapsed_seconds();

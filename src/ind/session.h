@@ -278,18 +278,18 @@ class SpiderSession {
   [[nodiscard]]
   Result<SessionReport> DoRun(const RunOptions& options);
 
-  /// The unary IND phase: generate candidates, answer what the persisted
-  /// profile still vouches for, verify the rest with `verifier` in one
-  /// RunBatch dispatch — one partition, or connected components on `pool`
-  /// after priming the extractor's cache through one more batch — under
-  /// the run's `context`, and record the fresh verdicts. Sets
-  /// `*verdicts_recorded` when the profile changed.
+  /// The unary IND phase: generate candidates, answer what `profile` (the
+  /// persisted profile, or null) still vouches for, verify the rest with
+  /// `verifier` in one RunBatch dispatch — one partition, or connected
+  /// components on `pool` after priming the extractor's cache through one
+  /// more batch — under the run's `context`, and record the fresh
+  /// verdicts. Sets `*verdicts_recorded` when the profile changed.
   [[nodiscard]]
   Status VerifyUnary(const RunOptions& options,
                      const AlgorithmRegistry::Entry& verifier,
-                     const AlgorithmConfig& config, ThreadPool* pool,
-                     RunContext& context, SessionReport* report,
-                     bool* verdicts_recorded);
+                     const AlgorithmConfig& config, ProfileStore* profile,
+                     ThreadPool* pool, RunContext& context,
+                     SessionReport* report, bool* verdicts_recorded);
 
   const Catalog* catalog_;
   std::unique_ptr<Catalog> owned_catalog_;

@@ -577,6 +577,23 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
         return Status::IOError("column file " + file.string() +
                                " is shorter than its manifest record");
       }
+      // Readers reserve by these counts, so each must fit the checked
+      // bytes: every row holds at least one code byte.
+      const bool counts_fit =
+          0 <= stats.distinct_count &&
+          stats.distinct_count <= stats.non_null_count &&
+          stats.non_null_count <= stats.row_count &&
+          stats.row_count <= column.file_bytes &&
+          0 <= stats.letter_count &&
+          stats.letter_count <= stats.non_null_count &&
+          0 <= stats.digit_count &&
+          stats.digit_count <= stats.non_null_count &&
+          0 <= stats.min_length && stats.min_length <= stats.max_length &&
+          0 <= column.block_count;
+      if (!counts_fit) {
+        return bad("column '" + column.name +
+                   "' has counts its file cannot hold");
+      }
       table->columns.push_back(std::move(column));
     } else if (kind == "fk") {
       if (!saw_catalog) return bad("fk before catalog");

@@ -7,10 +7,12 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/string_util.h"
 #include "src/common/temp_dir.h"
 #include "src/storage/column_stats.h"
 #include "src/storage/disk_store.h"
@@ -580,6 +582,70 @@ TEST_F(DiskStoreTest, ColumnFileNameMustStayInsideTheWorkspace) {
     EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in),
                           std::istreambuf_iterator<char>()),
               victim_bytes);
+  }
+}
+
+// Readers size allocations by the counts a manifest records (a join's
+// hash table, a sort's buffer), so a count its column file cannot hold
+// fails to open and to append, naming the manifest, instead of reaching
+// an allocation.
+TEST_F(DiskStoreTest, ManifestCountsMustFitTheColumnFile) {
+  const auto workspace = Workspace("ws");
+  {
+    auto writer = DiskCatalogWriter::Create(workspace, "db");
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->BeginTable("t").ok());
+    ASSERT_TRUE((*writer)->AddColumn("v", TypeId::kString).ok());
+    ASSERT_TRUE((*writer)->AddColumn("w", TypeId::kString).ok());
+    ASSERT_TRUE(
+        (*writer)->AppendRow({Value::String("a"), Value::String("b")}).ok());
+    ASSERT_TRUE((*writer)->FinishTable().ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  const auto manifest = workspace / kDiskStoreManifestName;
+  std::string original;
+  {
+    std::ifstream in(manifest);
+    original.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  // Sets field `field` of the first `kind` record, or of every one.
+  auto rewrite = [](const std::string& text, const std::string& kind,
+                    size_t field, const std::string& value, bool every) {
+    std::istringstream in(text);
+    std::string line;
+    std::string out;
+    bool done = false;
+    while (std::getline(in, line)) {
+      std::vector<std::string> fields = SplitString(line, '\t');
+      if (!done && fields[0] == kind) {
+        fields.at(field) = value;
+        line = JoinStrings(fields, "\t");
+        done = !every;
+      }
+      out += line + "\n";
+    }
+    return out;
+  };
+  const std::string huge = std::to_string(uint64_t{1} << 62);
+  // Column fields 7, 8 and 9 are its row, non-null and distinct counts;
+  // table field 2 is its row count.
+  const std::string non_null_and_distinct = rewrite(
+      rewrite(original, "column", 8, huge, false), "column", 9, huge, false);
+  const std::string rows = rewrite(rewrite(original, "table", 2, huge, false),
+                                   "column", 7, huge, true);
+  for (const std::string& hostile : {non_null_and_distinct, rows}) {
+    SCOPED_TRACE(hostile);
+    ASSERT_NE(hostile, original);
+    std::ofstream(manifest, std::ios::trunc) << hostile;
+    for (const Status& status :
+         {OpenDiskCatalog(workspace).status(),
+          DiskCatalogWriter::OpenForAppend(workspace).status()}) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+      EXPECT_NE(status.message().find(kDiskStoreManifestName),
+                std::string::npos)
+          << status.ToString();
+    }
   }
 }
 

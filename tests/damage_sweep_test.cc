@@ -1,9 +1,11 @@
-// Byte-damage sweep over the two sorted, read-only file formats: every byte
-// of a multi-block `.set` file and of a 3-block `.col` file is set to 0x00,
-// to 0xFF and to itself with the low bit flipped, and every reader of the
-// damaged copy must return OK or an IOError. None may abort — ASan and
-// UBSan run this suite like every other — and a failed append must leave
-// the committed manifest as it was.
+// Byte-damage sweep over the two sorted, read-only file formats and the
+// store manifest: every byte of a multi-block `.set` file, of a 3-block
+// `.col` file and of a `spider_store.manifest` is set to 0x00, to 0xFF and
+// to itself with the low bit flipped. Every reader of a damaged `.set` or
+// `.col` copy must return OK or an IOError, and a workspace whose manifest
+// is damaged must fail to open or run a sql-join profile to OK or an
+// error. None may abort — ASan and UBSan run this suite like every other —
+// and a failed append must leave the committed manifest as it was.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "src/common/temp_dir.h"
 #include "src/common/value_codec.h"
 #include "src/extsort/sorted_set_file.h"
+#include "src/ind/session.h"
 #include "src/storage/disk_store.h"
 
 namespace spider {
@@ -225,6 +228,56 @@ TEST_F(DamageSweepTest, EveryDamagedColumnByteFailsCleanly) {
   EXPECT_TRUE(ScanColumn(column).ok());
   EXPECT_GT(failed_scans, 0);
   EXPECT_GT(failed_appends, 0);
+}
+
+// The store manifest is parsed before anything else reads the workspace,
+// and its counts size the allocations of what runs after it: a join's hash
+// table, a sort's buffer, the sampling pretest's set.
+TEST_F(DamageSweepTest, EveryDamagedStoreManifestByteFailsCleanly) {
+  const fs::path workspace = dir_->path() / "ws";
+  {
+    auto writer = DiskCatalogWriter::Create(workspace, "db");
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const std::string table : {"t", "u"}) {
+      ASSERT_TRUE((*writer)->BeginTable(table).ok());
+      ASSERT_TRUE((*writer)->AddColumn("v", TypeId::kString).ok());
+      ASSERT_TRUE((*writer)->AddColumn("n", TypeId::kInteger).ok());
+      const int rows = table == "t" ? 12 : 20;
+      for (int i = 0; i < rows; ++i) {
+        Value value = i % 5 == 4 ? Value::Null()
+                                 : Value::String("key-" + std::to_string(i));
+        ASSERT_TRUE(
+            (*writer)->AppendRow({std::move(value), Value::Integer(i % 3)})
+                .ok());
+      }
+      ASSERT_TRUE((*writer)->FinishTable().ok());
+    }
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  const fs::path path = workspace / kDiskStoreManifestName;
+  const std::string original = ReadFile(path);
+  int failed_opens = 0;
+  int runs = 0;
+  for (size_t offset = 0; offset < original.size(); ++offset) {
+    for (const char byte : DamagedBytes(original[offset])) {
+      std::string damaged = original;
+      damaged[offset] = byte;
+      WriteFile(path, damaged);
+      Result<std::unique_ptr<Catalog>> catalog = OpenDiskCatalog(workspace);
+      if (!catalog.ok()) {
+        ++failed_opens;
+        continue;
+      }
+      // The run may fail (a damaged extent, say); it must not abort.
+      SpiderSession session(std::move(catalog).value());
+      RunOptions options;
+      options.approach = "sql-join";
+      if (session.Run(options).ok()) ++runs;
+    }
+  }
+  // The sweep reached both the parser's error paths and the run.
+  EXPECT_GT(failed_opens, static_cast<int>(original.size()));
+  EXPECT_GT(runs, 0);
 }
 
 // A footer whose block-count varint takes five bytes claims billions of

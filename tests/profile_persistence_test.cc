@@ -132,6 +132,61 @@ TEST(ProfilePersistenceTest, NoProfileCacheForcesReverification) {
   EXPECT_EQ(warm->run.counters.sets_extracted, 0);
 }
 
+// A verdict is a fact about the data, not about the approach that decided
+// it: every exact verifier answers from, and records into, the one
+// persisted profile, whether or not it reads set files.
+TEST(ProfilePersistenceTest, EveryExactVerifierSharesTheVerdicts) {
+  auto dir = TempDir::Make("spider-profile-persist");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  WriteDump(root / "csv");
+  auto run = [](const std::filesystem::path& workspace,
+                const std::string& approach) -> Result<SessionReport> {
+    SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> catalog,
+                            OpenDiskCatalog(workspace));
+    SessionOptions session_options;
+    session_options.work_dir = workspace.string();
+    session_options.persist_profile = true;
+    SpiderSession session(std::move(catalog), session_options);
+    RunOptions options;
+    options.approach = approach;
+    return session.Run(options);
+  };
+  auto expect_all_reused = [](const Result<SessionReport>& warm,
+                              const SessionReport& cold) {
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm->verdicts_reused,
+              static_cast<int64_t>(warm->candidates.candidates.size()));
+    EXPECT_EQ(warm->candidates_revalidated, 0);
+    EXPECT_EQ(warm->run.satisfied, cold.run.satisfied);
+  };
+
+  // Sealed by a set-reading verifier, reused by the others.
+  ASSERT_TRUE(ImportWorkspace(root / "csv", root / "merge").ok());
+  auto merge = run(root / "merge", "spider-merge");
+  ASSERT_TRUE(merge.ok()) << merge.status().ToString();
+  ASSERT_GT(merge->candidates.candidates.size(), 0u);
+  ASSERT_FALSE(merge->run.satisfied.empty());
+  for (const std::string approach :
+       {"sql-join", "de-marchi", "bell-brockhausen"}) {
+    SCOPED_TRACE(approach);
+    expect_all_reused(run(root / "merge", approach), *merge);
+  }
+
+  // Sealed by a verifier that reads no set, reused by spider-merge.
+  ASSERT_TRUE(ImportWorkspace(root / "csv", root / "join").ok());
+  auto join = run(root / "join", "sql-join");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_EQ(join->verdicts_reused, 0);
+  EXPECT_EQ(join->run.satisfied, merge->run.satisfied);
+  EXPECT_TRUE(
+      std::filesystem::exists(root / "join" / kProfileManifestName));
+  auto reused = run(root / "join", "spider-merge");
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  expect_all_reused(reused, *join);
+  EXPECT_EQ(reused->run.counters.sets_extracted, 0);
+}
+
 TEST(ProfilePersistenceTest, AppendRevalidatesOnlyCandidatesTouchingTheTable) {
   auto dir = TempDir::Make("spider-profile-persist");
   ASSERT_TRUE(dir.ok());

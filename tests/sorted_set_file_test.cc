@@ -199,8 +199,9 @@ TEST_F(SortedSetFileTest, PeekViewStaysValidUntilAdvance) {
 }
 
 TEST_F(SortedSetFileTest, TinyBufferStillDecodesEveryRecord) {
-  // Every block exceeds the 16-byte read window, so each read grows the
-  // window to one whole block; records of every length decode intact.
+  // Each block is loaded whole and the blocks lengthen with their records,
+  // so the buffer grows with every longer block; records of every length
+  // decode intact.
   std::vector<std::string> values;
   for (char c = 'a'; c <= 'z'; ++c) {
     values.push_back(std::string(static_cast<size_t>(7 * (c - 'a' + 1)), c));
@@ -208,9 +209,7 @@ TEST_F(SortedSetFileTest, TinyBufferStillDecodesEveryRecord) {
   SortedSetWriterOptions write_options;
   write_options.target_block_bytes = 24;
   auto path = WriteSet(values, "tiny.set", write_options);
-  SortedSetReaderOptions read_options;
-  read_options.buffer_bytes = 16;
-  auto reader = SortedSetReader::Open(path, nullptr, read_options);
+  auto reader = SortedSetReader::Open(path);
   ASSERT_TRUE(reader.ok());
   std::vector<std::string> got;
   while ((*reader)->HasNext()) got.push_back((*reader)->Next());
@@ -388,8 +387,8 @@ TEST_F(SortedSetFileTest, SkipToAtLeastAccounting) {
 }
 
 TEST_F(SortedSetFileTest, BlockBiggerThanBufferStillDecodes) {
-  // A single record (and thus block) larger than the read window grows the
-  // buffer on demand instead of failing.
+  // A single record (and thus block) larger than the buffer so far grows
+  // it on demand instead of failing.
   std::vector<std::string> values = {std::string(1, 'a'),
                                      std::string(8000, 'b'),
                                      std::string(8000, 'c')};
@@ -397,9 +396,7 @@ TEST_F(SortedSetFileTest, BlockBiggerThanBufferStillDecodes) {
   write_options.target_block_bytes = 512;
   auto path = WriteSet(values, "big.set", write_options);
 
-  SortedSetReaderOptions options;
-  options.buffer_bytes = 64;
-  auto reader = SortedSetReader::Open(path, nullptr, options);
+  auto reader = SortedSetReader::Open(path);
   ASSERT_TRUE(reader.ok());
   std::vector<std::string> got;
   while ((*reader)->HasNext()) got.push_back((*reader)->Next());
@@ -495,10 +492,10 @@ TEST_F(SortedSetFileTest, CorruptLastRecordFailsTheZonemapCheck) {
 }
 
 TEST_F(SortedSetFileTest, RecordCannotSwallowTheNextBlock) {
-  // Two five-byte records fill each 10-byte block, and one window holds
-  // both blocks. Raising bbbb's length byte (offset 14) from 4 to 9 makes
-  // the record reach into the next block: it must read as damage, never
-  // as the value "bbbb\x04cccc" with the set's status OK.
+  // Two five-byte records fill each 10-byte block. Raising bbbb's length
+  // byte (offset 14) from 4 to 9 makes the record reach into the next
+  // block: it must read as damage, never as the value "bbbb\x04cccc" with
+  // the set's status OK.
   SortedSetWriterOptions options;
   options.target_block_bytes = 10;
   const std::vector<std::string> values{"aaaa", "bbbb", "cccc", "dddd"};
