@@ -18,6 +18,8 @@ void WriteCounters(const RunCounters& counters, bool profile_reused,
   json.KV("files_opened", counters.files_opened);
   json.KV("peak_open_files", counters.peak_open_files);
   json.KV("candidates_tested", counters.candidates_tested);
+  json.KV("candidates_pretest_pruned", counters.candidates_pretest_pruned);
+  json.KV("engine_rows_scanned", counters.engine_rows_scanned);
   json.KV("sets_extracted", counters.sets_extracted);
   json.KV("sets_reused", counters.sets_reused);
   json.KV("profile_reused", profile_reused);

@@ -9,6 +9,19 @@
 
 namespace spider {
 
+Result<int> ParseIntInRange(const std::string& key, const std::string& value,
+                            long min, long max, const std::string& range_note) {
+  char* end = nullptr;
+  const long parsed = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || parsed < min || parsed > max) {
+    return Status::InvalidArgument("--" + key + " must be an integer in [" +
+                                   std::to_string(min) + ", " +
+                                   std::to_string(max) + "]" + range_note +
+                                   ", got '" + value + "'");
+  }
+  return static_cast<int>(parsed);
+}
+
 namespace {
 
 // Keep in sync with the Apply() dispatch below; RunOptionKeys() is the
@@ -22,19 +35,6 @@ const char* const kKeys[] = {
     "no-block-skip",     "max-value-pretest",
     "sampling-pretest",  "no-profile-cache",
 };
-
-Result<int> ParseIntInRange(const std::string& key, const std::string& value,
-                            long min, long max, const std::string& range_note) {
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0' || parsed < min || parsed > max) {
-    return Status::InvalidArgument("--" + key + " must be an integer in [" +
-                                   std::to_string(min) + ", " +
-                                   std::to_string(max) + "]" + range_note +
-                                   ", got '" + value + "'");
-  }
-  return static_cast<int>(parsed);
-}
 
 Result<double> ParseNumber(const std::string& key, const std::string& value,
                            const std::string& range_text, double min,

@@ -29,6 +29,14 @@ struct RunOptionKv {
   std::string value;
 };
 
+/// Parses `value`, the text of flag --`key`, as an integer in [min, max]
+/// (a subrange of int); the range is checked on the parsed long, before it
+/// narrows. The error spells out the range, then `range_note` (say
+/// " (0 = unlimited)"), and echoes the input.
+[[nodiscard]]
+Result<int> ParseIntInRange(const std::string& key, const std::string& value,
+                            long min, long max, const std::string& range_note);
+
 /// The canonical option keys ParseRunOptions understands, in documentation
 /// order. The CLI prefixes them with "--"; the daemon uses them verbatim as
 /// JSON object keys.

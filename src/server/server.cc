@@ -10,12 +10,14 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/common/json_writer.h"
 #include "src/common/logging.h"
+#include "src/ind/run_options_parse.h"
 
 namespace spider {
 
@@ -31,6 +33,41 @@ Status SetNonBlocking(int fd) {
 }
 
 }  // namespace
+
+Result<ServerOptions> ParseServerArgs(const std::vector<std::string>& args) {
+  ServerOptions options;
+  options.port = 4280;
+  for (const std::string& arg : args) {
+    const size_t eq = arg.find('=');
+    if (eq == std::string::npos) {
+      return Status::InvalidArgument("unknown argument '" + arg + "'");
+    }
+    const std::string key = arg.substr(0, eq);
+    const std::string value = arg.substr(eq + 1);
+    if (key == "--root") {
+      options.root = value;
+    } else if (key == "--host") {
+      options.host = value;
+    } else if (key == "--port") {
+      SPIDER_ASSIGN_OR_RETURN(options.port,
+                              ParseIntInRange("port", value, 0, 65535, ""));
+    } else if (key == "--threads") {
+      SPIDER_ASSIGN_OR_RETURN(
+          options.worker_threads,
+          ParseIntInRange("threads", value, 0, 4096,
+                          " (0 = hardware concurrency)"));
+    } else if (key == "--max-sessions") {
+      SPIDER_ASSIGN_OR_RETURN(
+          options.max_sessions,
+          ParseIntInRange("max-sessions", value, 0,
+                          std::numeric_limits<int>::max(), " (0 = unlimited)"));
+    } else {
+      return Status::InvalidArgument("unknown argument '" + arg + "'");
+    }
+  }
+  if (options.root.empty()) return Status::InvalidArgument("--root is required");
+  return options;
+}
 
 SpiderServer::SpiderServer(ServerOptions options)
     : options_(std::move(options)),

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/result.h"
 #include "src/server/handlers.h"
@@ -48,6 +49,15 @@ struct ServerOptions {
   /// and its persisted profile survives for the reopen). 0 = unlimited.
   int max_sessions = 64;
 };
+
+/// spiderd's command line, without the program name: --root=DIR (required),
+/// --host=ADDR, --port=N in [0, 65535] (default 4280), --threads=N in
+/// [0, 4096] and --max-sessions=N in [0, INT_MAX]. Each number is
+/// range-checked before it narrows to int, so a value past int's range is
+/// an error, not a wrapped count. InvalidArgument names the offending
+/// argument.
+[[nodiscard]]
+Result<ServerOptions> ParseServerArgs(const std::vector<std::string>& args);
 
 /// \brief The daemon: listener, event loop, and the shared service state
 /// (workspace sessions + job table) behind it.

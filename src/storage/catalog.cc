@@ -7,19 +7,31 @@
 
 namespace spider {
 
-std::string AttributeFileStem(const AttributeRef& attr) {
-  std::string name = attr.table + "." + attr.column;
+namespace {
+
+// "<name with every character but [A-Za-z0-9._] made '_'>-<16-hex hash>".
+std::string FileStem(std::string name, uint64_t hash) {
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' && c != '_') {
       c = '_';
     }
   }
-  // Chained so the table/column boundary stays significant.
-  const uint64_t hash = HashString(attr.column, HashString(attr.table));
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(hash));
   return name + "-" + hex;
+}
+
+}  // namespace
+
+std::string AttributeFileStem(const AttributeRef& attr) {
+  // Chained so the table/column boundary stays significant.
+  return FileStem(attr.table + "." + attr.column,
+                  HashString(attr.column, HashString(attr.table)));
+}
+
+std::string TableFileStem(std::string_view table) {
+  return FileStem(std::string(table), HashString(table));
 }
 
 Result<Table*> Catalog::CreateTable(const std::string& name) {

@@ -60,9 +60,14 @@ struct ForeignKey {
 /// "<sanitized table.column>-<16-hex hash>". The sanitized human-readable
 /// part is lossy ("a.b_c" and "a_b.c" collapse to the same string); the
 /// hash of the unsanitized identity keeps distinct attributes in distinct
-/// files independent of processing order. Shared by the sorted-set
-/// extractor (".set" files) and the disk column store (".col" files).
+/// files independent of processing order. Names the sorted-set
+/// extractor's ".set" files.
 std::string AttributeFileStem(const AttributeRef& attr);
+
+/// The same kind of stem for a table: "<sanitized table>-<16-hex hash of
+/// the table name>". Names the disk column store's ".col" file, which
+/// holds the blocks of every column of the table.
+std::string TableFileStem(std::string_view table);
 
 /// \brief A set of named tables — the undocumented data source whose schema
 /// we discover.

@@ -28,6 +28,9 @@ namespace {
 // ---------------------------------------------------------------------------
 // Block format (all integers LEB128 varints):
 //
+//   table file := block*   — every column's blocks, in the order they were
+//                            flushed; the manifest records each block's
+//                            offset under its column
 //   block  := payload_bytes payload
 //   payload := row_count dict_count dict_bytes dict codes
 //   dict   := (shared_prefix_len suffix_len suffix_bytes)*   — sorted,
@@ -48,14 +51,14 @@ Status CorruptBlock(const fs::path& path) {
   return Status::IOError("corrupt block in column file " + path.string());
 }
 
-// Where a block's front-coded dictionary lies in its column file.
+// Where a block's front-coded dictionary lies in its table file.
 struct DictRegion {
   uint64_t offset = 0;  // absolute file offset
   uint64_t bytes = 0;
   uint64_t count = 0;   // entries
 };
 
-// Where one block's parts lie in its column file.
+// Where one block's parts lie in its table file.
 struct BlockHead {
   uint64_t rows = 0;
   DictRegion dict;
@@ -66,21 +69,21 @@ struct BlockHead {
 // The most bytes a block head takes: four varints of at most ten bytes.
 constexpr size_t kMaxBlockHeadBytes = 40;
 
-// Decodes the head of the block at `offset` (< file_bytes) of a column
-// file whose committed bytes end at `file_bytes`. False when it cannot be
-// read or does not fit: the payload must end within the committed bytes,
-// the dictionary within the payload, and every dictionary entry (at least
-// two bytes) and row code (at least one) within its span.
-bool ReadBlockHead(int fd, uint64_t offset, uint64_t file_bytes,
-                   BlockHead* head) {
+// Decodes the head of the block at `offset` of a table file, a block that
+// must end by `limit`. False when it cannot be read or does not fit: the
+// payload must end by `limit`, the dictionary within the payload, and every
+// dictionary entry (at least two bytes) and row code (at least one) within
+// its span.
+bool ReadBlockHead(int fd, uint64_t offset, uint64_t limit, BlockHead* head) {
+  if (offset >= limit) return false;
   char bytes[kMaxBlockHeadBytes];
-  const size_t length = static_cast<size_t>(
-      std::min<uint64_t>(kMaxBlockHeadBytes, file_bytes - offset));
+  const size_t length =
+      static_cast<size_t>(std::min<uint64_t>(kMaxBlockHeadBytes, limit - offset));
   if (!PreadExact(fd, offset, bytes, length)) return false;
   SpanReader in(std::string_view(bytes, length));
   uint64_t payload_bytes = 0;
   if (!in.Varint(&payload_bytes) ||
-      payload_bytes > file_bytes - offset - in.position()) {
+      payload_bytes > limit - offset - in.position()) {
     return false;
   }
   head->end = offset + in.position() + payload_bytes;
@@ -96,6 +99,14 @@ bool ReadBlockHead(int fd, uint64_t offset, uint64_t file_bytes,
   }
   head->codes_offset = head->dict.offset + head->dict.bytes;
   return head->rows <= head->end - head->codes_offset;
+}
+
+// Where block `b` of a column whose blocks start at `offsets` must end: at
+// the column's next block, or for its last one at the table file's
+// committed end. Other columns' blocks may lie in between.
+uint64_t BlockLimit(const std::vector<uint64_t>& offsets, size_t b,
+                    uint64_t table_bytes) {
+  return b + 1 < offsets.size() ? offsets[b + 1] : table_bytes;
 }
 
 // Decodes one block's dictionary entry by entry, in sorted order, through
@@ -173,21 +184,26 @@ class DictReader {
   bool damaged_ = false;
 };
 
-// Streaming cursor over one ".col" file: decodes one block at a time; the
-// resident footprint is one block's dictionary plus its code bytes.
+// Streaming cursor over one column's blocks in its table file: decodes one
+// block at a time; the resident footprint is one block's dictionary plus
+// its code bytes.
 //
-// file_bytes is the manifest-recorded (committed) length, not the on-disk
+// table_bytes is the manifest-recorded (committed) length, not the on-disk
 // length: bytes past it — e.g. the torn tail of an interrupted append —
 // are treated as if they did not exist.
 class DiskValueCursor final : public ValueCursor {
  public:
-  DiskValueCursor(fs::path path, ScopedFd fd, uint64_t file_bytes)
-      : path_(std::move(path)), fd_(std::move(fd)), file_bytes_(file_bytes) {}
+  DiskValueCursor(fs::path path, ScopedFd fd, std::vector<uint64_t> offsets,
+                  uint64_t table_bytes)
+      : path_(std::move(path)),
+        fd_(std::move(fd)),
+        offsets_(std::move(offsets)),
+        table_bytes_(table_bytes) {}
 
   CursorStep Next(std::string_view* out) override {
     if (!status_.ok()) return CursorStep::kEnd;
     while (rows_left_ == 0) {
-      if (next_block_ == file_bytes_) return CursorStep::kEnd;
+      if (next_block_ == offsets_.size()) return CursorStep::kEnd;
       if (!LoadBlock()) {
         status_ = CorruptBlock(path_);
         return CursorStep::kEnd;
@@ -207,10 +223,12 @@ class DiskValueCursor final : public ValueCursor {
   const Status& status() const override { return status_; }
 
  private:
-  // Reads and decodes the block at next_block_. False when it is damaged.
+  // Reads and decodes block next_block_. False when it is damaged.
   bool LoadBlock() {
+    const size_t b = next_block_++;
     BlockHead head;
-    if (!ReadBlockHead(fd_.get(), next_block_, file_bytes_, &head)) {
+    if (!ReadBlockHead(fd_.get(), offsets_[b],
+                       BlockLimit(offsets_, b, table_bytes_), &head)) {
       return false;
     }
     DictReader dict(fd_.get(), head.dict, static_cast<size_t>(head.dict.bytes));
@@ -224,14 +242,14 @@ class DiskValueCursor final : public ValueCursor {
     }
     codes_ = SpanReader(codes_bytes_);
     rows_left_ = head.rows;
-    next_block_ = head.end;
     return true;
   }
 
   fs::path path_;
   ScopedFd fd_;
-  uint64_t file_bytes_;
-  uint64_t next_block_ = 0;
+  std::vector<uint64_t> offsets_;
+  uint64_t table_bytes_;
+  size_t next_block_ = 0;
   std::vector<std::string> dict_;
   std::string codes_bytes_;
   SpanReader codes_;
@@ -424,26 +442,31 @@ Result<std::string> UnescapeManifestField(std::string_view field) {
 
 // ---------------------------------------------------------------------------
 // Manifest records, decoded. Version history:
-//   1 — column record arity 18 (fractions only)
+//   1 — one file per column; column record arity 18 (fractions only)
 //   2 — adds integer letter/digit counts (arity 20) so appends can continue
-//       the running totals exactly. Only v2 is read: a v1 workspace fails
-//       to open ("missing or unsupported version header") and must be
-//       reimported.
+//       the running totals exactly
+//   3 — one file per table: the table record names the table file and its
+//       committed bytes (arity 5); a column record lists its block offsets
+//       and its own block bytes instead of a file name, file bytes and
+//       block count (arity 19).
+// Only v3 is read: an older workspace fails to open ("missing or
+// unsupported version header") and must be reimported.
 // ---------------------------------------------------------------------------
 
 struct ManifestColumn {
   std::string name;
   TypeId type = TypeId::kString;
   bool declared_unique = false;
-  std::string file_name;
-  int64_t file_bytes = 0;
-  int64_t block_count = 0;
+  int64_t bytes = 0;  // the sum of the column's own block sizes
+  std::vector<uint64_t> block_offsets;  // strictly ascending
   ColumnStats stats;
 };
 
 struct ManifestTable {
   std::string name;
   int64_t row_count = 0;
+  std::string file_name;
+  int64_t file_bytes = 0;  // committed
   std::vector<ManifestColumn> columns;
 };
 
@@ -471,7 +494,7 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
     return bad("missing or unsupported version header");
   }
   if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (line != "spider-store\t2") {
+  if (line != "spider-store\t3") {
     return bad("missing or unsupported version header");
   }
 
@@ -493,6 +516,29 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
     if (stored_rows != table->row_count) {
       return Status::InvalidArgument("table '" + table->name +
                                      "' row count mismatch in manifest");
+    }
+    // Every committed byte of the table file lies in one block of one
+    // column, so the columns' bytes add up to it and no two columns start
+    // a block at the same offset.
+    int64_t unclaimed = table->file_bytes;
+    std::vector<uint64_t> offsets;
+    for (const ManifestColumn& column : table->columns) {
+      if (column.bytes > unclaimed) {
+        return bad("table '" + table->name +
+                   "' records more column bytes than its file holds");
+      }
+      unclaimed -= column.bytes;
+      offsets.insert(offsets.end(), column.block_offsets.begin(),
+                     column.block_offsets.end());
+    }
+    if (unclaimed != 0) {
+      return bad("table '" + table->name +
+                 "' records fewer column bytes than its file holds");
+    }
+    std::sort(offsets.begin(), offsets.end());
+    if (std::adjacent_find(offsets.begin(), offsets.end()) != offsets.end()) {
+      return bad("table '" + table->name +
+                 "' has a block offset two columns share");
     }
     table = nullptr;
     return Status::OK();
@@ -518,78 +564,92 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
       SPIDER_ASSIGN_OR_RETURN(data.block_bytes, ParseManifestInt(fields[1]));
     } else if (kind == "table") {
       if (!saw_catalog) return bad("table before catalog");
-      if (fields.size() != 3) return bad("table record arity");
+      if (fields.size() != 5) return bad("table record arity");
       SPIDER_RETURN_NOT_OK(flush_table());
       data.tables.emplace_back();
       table = &data.tables.back();
       table->name = fields[1];
       SPIDER_ASSIGN_OR_RETURN(table->row_count, ParseManifestInt(fields[2]));
+      table->file_name = fields[3];
+      // A table file lives in the workspace itself: a separator, "." or
+      // ".." would make a reader open, and an append truncate, a file
+      // outside it.
+      if (table->file_name.empty() || table->file_name == "." ||
+          table->file_name == ".." ||
+          table->file_name.find('/') != std::string::npos) {
+        return bad("column file name '" + table->file_name +
+                   "' is not a plain file name");
+      }
+      SPIDER_ASSIGN_OR_RETURN(table->file_bytes, ParseManifestInt(fields[4]));
+      // Readers take the recorded bytes as the file's extent, so a file
+      // that holds fewer is damage here, not an allocation sized by it.
+      const fs::path file = dir / table->file_name;
+      const std::optional<FileIdentity> on_disk = StatFileIdentity(file);
+      if (!on_disk) return Status::IOError("missing column file " + file.string());
+      if (table->file_bytes < 0 || on_disk->size < table->file_bytes) {
+        return Status::IOError("column file " + file.string() +
+                               " is shorter than its manifest record");
+      }
     } else if (kind == "column") {
       if (table == nullptr) return bad("column before table");
-      if (fields.size() != 20) return bad("column record arity");
+      if (fields.size() != 19) return bad("column record arity");
       ManifestColumn column;
       column.name = fields[1];
       SPIDER_ASSIGN_OR_RETURN(column.type, TypeIdFromString(fields[2]));
       SPIDER_ASSIGN_OR_RETURN(int64_t unique, ParseManifestInt(fields[3]));
       column.declared_unique = unique != 0;
-      column.file_name = fields[4];
-      // A column file lives in the workspace itself: a separator, "." or
-      // ".." would make a reader open, and an append truncate, a file
-      // outside it.
-      if (column.file_name.empty() || column.file_name == "." ||
-          column.file_name == ".." ||
-          column.file_name.find('/') != std::string::npos) {
-        return bad("column file name '" + column.file_name +
-                   "' is not a plain file name");
+      SPIDER_ASSIGN_OR_RETURN(column.bytes, ParseManifestInt(fields[4]));
+      if (!fields[5].empty()) {
+        for (const std::string& field : SplitString(fields[5], ',')) {
+          SPIDER_ASSIGN_OR_RETURN(int64_t offset, ParseManifestInt(field));
+          column.block_offsets.push_back(static_cast<uint64_t>(offset));
+        }
       }
-      SPIDER_ASSIGN_OR_RETURN(column.file_bytes, ParseManifestInt(fields[5]));
-      SPIDER_ASSIGN_OR_RETURN(column.block_count, ParseManifestInt(fields[6]));
+      // Readers take each block to end by the next one, the last by the
+      // table file's committed end.
+      const std::vector<uint64_t>& offsets = column.block_offsets;
+      for (size_t b = 0; b < offsets.size(); ++b) {
+        if (offsets[b] >= static_cast<uint64_t>(table->file_bytes)) {
+          return bad("column '" + column.name +
+                     "' has a block offset past its table file's bytes");
+        }
+        if (b > 0 && offsets[b] <= offsets[b - 1]) {
+          return bad("column '" + column.name +
+                     "' has block offsets that do not ascend");
+        }
+      }
       ColumnStats& stats = column.stats;
-      SPIDER_ASSIGN_OR_RETURN(stats.row_count, ParseManifestInt(fields[7]));
+      SPIDER_ASSIGN_OR_RETURN(stats.row_count, ParseManifestInt(fields[6]));
       SPIDER_ASSIGN_OR_RETURN(stats.non_null_count,
-                              ParseManifestInt(fields[8]));
+                              ParseManifestInt(fields[7]));
       stats.null_count = stats.row_count - stats.non_null_count;
       SPIDER_ASSIGN_OR_RETURN(stats.distinct_count,
-                              ParseManifestInt(fields[9]));
-      if (fields[10] == "1") stats.min_value = fields[11];
-      if (fields[12] == "1") stats.max_value = fields[13];
-      SPIDER_ASSIGN_OR_RETURN(stats.min_length, ParseManifestInt(fields[14]));
-      SPIDER_ASSIGN_OR_RETURN(stats.max_length, ParseManifestInt(fields[15]));
+                              ParseManifestInt(fields[8]));
+      if (fields[9] == "1") stats.min_value = fields[10];
+      if (fields[11] == "1") stats.max_value = fields[12];
+      SPIDER_ASSIGN_OR_RETURN(stats.min_length, ParseManifestInt(fields[13]));
+      SPIDER_ASSIGN_OR_RETURN(stats.max_length, ParseManifestInt(fields[14]));
       SPIDER_ASSIGN_OR_RETURN(stats.letter_fraction,
-                              ParseManifestDouble(fields[16]));
+                              ParseManifestDouble(fields[15]));
       SPIDER_ASSIGN_OR_RETURN(stats.digit_fraction,
-                              ParseManifestDouble(fields[17]));
+                              ParseManifestDouble(fields[16]));
       SPIDER_ASSIGN_OR_RETURN(stats.letter_count,
-                              ParseManifestInt(fields[18]));
-      SPIDER_ASSIGN_OR_RETURN(stats.digit_count, ParseManifestInt(fields[19]));
+                              ParseManifestInt(fields[17]));
+      SPIDER_ASSIGN_OR_RETURN(stats.digit_count, ParseManifestInt(fields[18]));
       stats.verified_unique = stats.non_null_count > 0 &&
                               stats.distinct_count == stats.non_null_count;
-      // Readers take the recorded bytes as the column's extent, so a file
-      // that holds fewer is damage here, not an allocation sized by it.
-      const fs::path file = dir / column.file_name;
-      std::error_code ec;
-      if (!fs::is_regular_file(file, ec)) {
-        return Status::IOError("missing column file " + file.string());
-      }
-      const uintmax_t on_disk = fs::file_size(file, ec);
-      if (ec || column.file_bytes < 0 ||
-          on_disk < static_cast<uintmax_t>(column.file_bytes)) {
-        return Status::IOError("column file " + file.string() +
-                               " is shorter than its manifest record");
-      }
-      // Readers reserve by these counts, so each must fit the checked
+      // Readers reserve by these counts, so each must fit the column's
       // bytes: every row holds at least one code byte.
       const bool counts_fit =
-          0 <= stats.distinct_count &&
+          0 <= column.bytes && 0 <= stats.distinct_count &&
           stats.distinct_count <= stats.non_null_count &&
           stats.non_null_count <= stats.row_count &&
-          stats.row_count <= column.file_bytes &&
+          stats.row_count <= column.bytes &&
           0 <= stats.letter_count &&
           stats.letter_count <= stats.non_null_count &&
           0 <= stats.digit_count &&
           stats.digit_count <= stats.non_null_count &&
-          0 <= stats.min_length && stats.min_length <= stats.max_length &&
-          0 <= column.block_count;
+          0 <= stats.min_length && stats.min_length <= stats.max_length;
       if (!counts_fit) {
         return bad("column '" + column.name +
                    "' has counts its file cannot hold");
@@ -615,18 +675,19 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
 }
 
 // The catalog a manifest describes: schema, counts and cached statistics,
-// every column a DiskColumnStore over dir/file_name. OpenDiskCatalog runs
-// it on the manifest it parsed, DiskCatalogWriter::Finish on the one it
-// commits.
+// every column a DiskColumnStore over its blocks in dir/<table file>.
+// OpenDiskCatalog runs it on the manifest it parsed,
+// DiskCatalogWriter::Finish on the one it commits.
 Result<std::unique_ptr<Catalog>> CatalogFromManifest(const fs::path& dir,
                                                      ManifestData data) {
   auto catalog = std::make_unique<Catalog>(data.catalog_name);
   for (ManifestTable& manifest_table : data.tables) {
     auto table = std::make_unique<Table>(manifest_table.name);
+    const fs::path file = dir / manifest_table.file_name;
     for (ManifestColumn& column : manifest_table.columns) {
       auto store = std::make_unique<DiskColumnStore>(
-          dir / column.file_name, std::move(column.stats), column.file_bytes,
-          column.block_count);
+          file, std::move(column.stats), column.bytes,
+          std::move(column.block_offsets), manifest_table.file_bytes);
       SPIDER_RETURN_NOT_OK(table->AttachStoredColumn(
           column.name, column.type, column.declared_unique, std::move(store)));
     }
@@ -642,18 +703,21 @@ Result<std::unique_ptr<Catalog>> CatalogFromManifest(const fs::path& dir,
 std::string EncodeManifest(const ManifestData& data) {
   std::ostringstream out;
   auto field = [](std::string_view s) { return EscapeManifestField(s); };
-  out << "spider-store\t2\n";
+  out << "spider-store\t3\n";
   out << "catalog\t" << field(data.catalog_name) << "\n";
   out << "blocksize\t" << data.block_bytes << "\n";
   for (const ManifestTable& table : data.tables) {
-    out << "table\t" << field(table.name) << "\t" << table.row_count << "\n";
+    out << "table\t" << field(table.name) << "\t" << table.row_count << "\t"
+        << field(table.file_name) << "\t" << table.file_bytes << "\n";
     for (const ManifestColumn& column : table.columns) {
       const ColumnStats& stats = column.stats;
       out << "column\t" << field(column.name) << "\t"
           << TypeIdToString(column.type) << "\t"
-          << (column.declared_unique ? 1 : 0) << "\t"
-          << field(column.file_name) << "\t" << column.file_bytes << "\t"
-          << column.block_count << "\t" << stats.row_count << "\t"
+          << (column.declared_unique ? 1 : 0) << "\t" << column.bytes << "\t";
+      for (size_t b = 0; b < column.block_offsets.size(); ++b) {
+        out << (b == 0 ? "" : ",") << column.block_offsets[b];
+      }
+      out << "\t" << stats.row_count << "\t"
           << stats.non_null_count << "\t" << stats.distinct_count << "\t"
           << (stats.min_value ? "1\t" + field(*stats.min_value) : "0\t")
           << "\t"
@@ -703,90 +767,101 @@ Result<std::unique_ptr<ValueCursor>> DiskColumnStore::OpenCursor() const {
     return Status::IOError("cannot open column file " + path_.string());
   }
   AdviseSequential(fd.get());
-  // Scan exactly the manifest-recorded bytes, not the on-disk size: a torn
+  // Scan within the manifest-recorded bytes, not the on-disk size: a torn
   // append may have left extra bytes past the committed length, and those
   // must stay invisible until a manifest rename commits them.
   return std::unique_ptr<ValueCursor>(std::make_unique<DiskValueCursor>(
-      path_, std::move(fd), static_cast<uint64_t>(file_bytes_)));
+      path_, std::move(fd), block_offsets_,
+      static_cast<uint64_t>(table_bytes_)));
 }
 
 // ---------------------------------------------------------------------------
-// ColumnWriter: accumulates one block at a time and flushes it compressed.
+// TableFile: the open table's ".col" file, shared by its column writers.
+// ---------------------------------------------------------------------------
+
+struct DiskCatalogWriter::TableFile {
+  // Opens the file of a new table (`committed` null), empty — an older file
+  // of that name is cut to nothing — or the file of the sealed table
+  // `committed`, cut back to the bytes its manifest record committed: the
+  // torn tail of an interrupted append goes, once for all its columns.
+  static Result<std::unique_ptr<TableFile>> Open(
+      fs::path path, const ManifestTable* committed) {
+    auto file = std::make_unique<TableFile>();
+    file->path = std::move(path);
+    const std::string name = file->path.string();
+    if (committed == nullptr) {
+      file->out.open(file->path, std::ios::binary | std::ios::trunc);
+    } else {
+      file->bytes = static_cast<uint64_t>(committed->file_bytes);
+      std::error_code ec;
+      fs::resize_file(file->path, file->bytes, ec);
+      if (ec) {
+        return Status::IOError("cannot truncate torn tail of " + name + ": " +
+                               ec.message());
+      }
+      file->out.open(file->path, std::ios::binary | std::ios::in |
+                                     std::ios::out | std::ios::ate);
+    }
+    if (!file->out) return Status::IOError("cannot open column file " + name);
+    file->in = ScopedFd(::open(file->path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (file->in.get() < 0) {
+      return Status::IOError("cannot reopen column file " + name);
+    }
+    return file;
+  }
+
+  fs::path path;
+  // Every column's blocks go to the end, in the order the columns flush.
+  std::ofstream out;
+  // Reads blocks back: the append path's rescan and the seal-time merge.
+  ScopedFd in;
+  // The file's end: where the next block starts.
+  uint64_t bytes = 0;
+};
+
+// ---------------------------------------------------------------------------
+// ColumnWriter: accumulates one block at a time and flushes it compressed
+// to the end of its table file.
 // ---------------------------------------------------------------------------
 
 class DiskCatalogWriter::ColumnWriter {
  public:
   ColumnWriter(std::string name, TypeId type, bool declared_unique,
-               fs::path path, const DiskStoreOptions& options)
+               TableFile& table, const DiskStoreOptions& options)
       : name_(std::move(name)),
         type_(type),
         declared_unique_(declared_unique),
-        path_(std::move(path)),
+        table_(table),
         options_(options) {}
 
   const std::string& name() const { return name_; }
   TypeId type() const { return type_; }
 
-  Status Open() {
-    out_.open(path_, std::ios::binary | std::ios::trunc);
-    if (!out_) {
-      return Status::IOError("cannot create column file " + path_.string());
-    }
-    return Status::OK();
-  }
-
-  /// Reopens an existing sealed column for appending. `committed_bytes` is
-  /// the manifest-recorded length (ParseManifest checked the file holds
-  /// it): any bytes past it (the torn tail of an interrupted append) are
-  /// truncated away, then the committed blocks' heads are read to rebuild
-  /// the dictionary-region index the seal-time statistics merge needs.
-  /// Running totals (row/null/length/letter/digit) continue from
-  /// `old_stats`; distinct/min/max are cleared here and recomputed over all
-  /// blocks — old and new — at Seal().
-  Status OpenForAppend(int64_t committed_bytes, ColumnStats old_stats) {
-    std::error_code ec;
-    const auto on_disk = fs::file_size(path_, ec);
-    if (ec) {
-      return Status::IOError("cannot stat column file " + path_.string());
-    }
-    if (static_cast<int64_t>(on_disk) > committed_bytes) {
-      fs::resize_file(path_, static_cast<uintmax_t>(committed_bytes), ec);
-      if (ec) {
-        return Status::IOError("cannot truncate torn tail of " +
-                               path_.string() + ": " + ec.message());
-      }
-    }
-    {
-      const ScopedFd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
-      if (fd.get() < 0) {
-        return Status::IOError("cannot reopen column file " + path_.string());
-      }
-      const auto committed = static_cast<uint64_t>(committed_bytes);
+  /// Continues the sealed column `sealed` of the open table: reads the
+  /// heads of its committed blocks (ParseManifest checked their offsets)
+  /// to rebuild the dictionary-region index the seal-time statistics merge
+  /// needs. Running totals (row/null/length/letter/digit) continue from
+  /// its statistics; distinct/min/max are cleared here and recomputed over
+  /// all blocks — old and new — at Seal().
+  Status OpenForAppend(const ManifestColumn& sealed) {
+    const std::vector<uint64_t>& offsets = sealed.block_offsets;
+    for (size_t b = 0; b < offsets.size(); ++b) {
       BlockHead head;
-      for (uint64_t offset = 0; offset < committed; offset = head.end) {
-        if (!ReadBlockHead(fd.get(), offset, committed, &head)) {
-          return CorruptBlock(path_);
-        }
-        dicts_.push_back(head.dict);
+      if (!ReadBlockHead(table_.in.get(), offsets[b],
+                         BlockLimit(offsets, b, table_.bytes), &head)) {
+        return CorruptBlock(table_.path);
       }
+      dicts_.push_back(head.dict);
     }
-    file_bytes_ = committed_bytes;
-    stats_ = std::move(old_stats);
+    block_offsets_ = offsets;
+    bytes_ = sealed.bytes;
+    stats_ = sealed.stats;
     with_letter_ = stats_.letter_count;
     all_digits_ = stats_.digit_count;
     stats_.distinct_count = 0;
     stats_.min_value.reset();
     stats_.max_value.reset();
     stats_.verified_unique = false;
-    out_.open(path_, std::ios::binary | std::ios::in | std::ios::out);
-    if (!out_) {
-      return Status::IOError("cannot reopen column file " + path_.string() +
-                             " for append");
-    }
-    out_.seekp(committed_bytes);
-    if (!out_) {
-      return Status::IOError("cannot seek to end of " + path_.string());
-    }
     return Status::OK();
   }
 
@@ -819,15 +894,11 @@ class DiskCatalogWriter::ColumnWriter {
     return Status::OK();
   }
 
-  /// Flushes the tail block, closes the file and computes the seal-time
-  /// statistics (exact distinct count / min / max via a k-way merge of the
-  /// per-block sorted dictionaries). Returns the column's manifest record.
+  /// Computes the seal-time statistics (exact distinct count / min / max
+  /// via a k-way merge of the per-block sorted dictionaries) once every
+  /// block, the tail one too, is in the table file. Returns the column's
+  /// manifest record.
   Result<ManifestColumn> Seal() {
-    SPIDER_RETURN_NOT_OK(FlushBlock());
-    out_.close();
-    if (out_.fail()) {
-      return Status::IOError("failed writing column file " + path_.string());
-    }
     SPIDER_RETURN_NOT_OK(ComputeDistinctStats());
     stats_.verified_unique = stats_.non_null_count > 0 &&
                              stats_.distinct_count == stats_.non_null_count;
@@ -839,12 +910,11 @@ class DiskCatalogWriter::ColumnWriter {
       stats_.digit_fraction = static_cast<double>(all_digits_) /
                               static_cast<double>(stats_.non_null_count);
     }
-    return ManifestColumn{name_, type_, declared_unique_,
-                          path_.filename().string(), file_bytes_,
-                          static_cast<int64_t>(dicts_.size()), stats_};
+    return ManifestColumn{name_, type_, declared_unique_, bytes_,
+                          std::move(block_offsets_), stats_};
   }
 
- private:
+  /// Writes the pending rows, if any, as one block at the table file's end.
   Status FlushBlock() {
     if (block_codes_.empty()) return Status::OK();
 
@@ -881,15 +951,19 @@ class DiskCatalogWriter::ColumnWriter {
 
     std::string header;
     EncodeVarint(&header, payload.size());
-    out_.write(header.data(), static_cast<std::streamsize>(header.size()));
-    out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    if (!out_) {
-      return Status::IOError("failed writing block to " + path_.string());
+    std::ofstream& out = table_.out;
+    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    if (!out) {
+      return Status::IOError("failed writing block to " + table_.path.string());
     }
-    dicts_.push_back(DictRegion{static_cast<uint64_t>(file_bytes_) +
-                                    header.size() + dict_offset_in_payload,
+    block_offsets_.push_back(table_.bytes);
+    dicts_.push_back(DictRegion{table_.bytes + header.size() +
+                                    dict_offset_in_payload,
                                 dict.size(), block_dict_.size()});
-    file_bytes_ += static_cast<int64_t>(header.size() + payload.size());
+    const uint64_t block_bytes = header.size() + payload.size();
+    table_.bytes += block_bytes;
+    bytes_ += static_cast<int64_t>(block_bytes);
 
     block_dict_.Clear();
     block_codes_.clear();
@@ -899,17 +973,14 @@ class DiskCatalogWriter::ColumnWriter {
 
   // Exact distinct count and global min/max from the sorted per-block
   // dictionaries: a loser-tree k-way merge over small streaming windows —
-  // one shared fd, block_count × kStatsMergeBufferBytes of memory.
+  // the table file's one read fd, block_count × kStatsMergeBufferBytes of
+  // memory.
   Status ComputeDistinctStats() {
     if (dicts_.empty()) return Status::OK();
-    const ScopedFd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
-    if (fd.get() < 0) {
-      return Status::IOError("cannot reopen column file " + path_.string());
-    }
     std::vector<DictReader> cursors;
     cursors.reserve(dicts_.size());
     for (const DictRegion& region : dicts_) {
-      cursors.emplace_back(fd.get(), region, kStatsMergeBufferBytes);
+      cursors.emplace_back(table_.in.get(), region, kStatsMergeBufferBytes);
     }
     auto less = [&cursors](int a, int b) {
       const int order = cursors[static_cast<size_t>(a)].current().compare(
@@ -922,7 +993,7 @@ class DiskCatalogWriter::ColumnWriter {
       if (cursors[i].Next()) {
         tree.Push(static_cast<int>(i));
       } else if (!cursors[i].ok()) {
-        return CorruptBlock(path_);
+        return CorruptBlock(table_.path);
       }
     }
     std::optional<std::string> last;
@@ -939,7 +1010,7 @@ class DiskCatalogWriter::ColumnWriter {
       } else if (cursor.ok()) {
         tree.Pop();
       } else {
-        return CorruptBlock(path_);
+        return CorruptBlock(table_.path);
       }
     }
     stats_.max_value = last;
@@ -949,9 +1020,8 @@ class DiskCatalogWriter::ColumnWriter {
   std::string name_;
   TypeId type_;
   bool declared_unique_;
-  fs::path path_;
+  TableFile& table_;
   const DiskStoreOptions& options_;
-  std::ofstream out_;
 
   // Current block: distinct values mapped to 1-based arrival codes, plus
   // the per-row arrival codes (0 = NULL).
@@ -959,8 +1029,9 @@ class DiskCatalogWriter::ColumnWriter {
   std::vector<uint64_t> block_codes_;
   int64_t pending_bytes_ = 0;
 
+  std::vector<uint64_t> block_offsets_;
   std::vector<DictRegion> dicts_;
-  int64_t file_bytes_ = 0;
+  int64_t bytes_ = 0;
   ColumnStats stats_;
   int64_t with_letter_ = 0;
   int64_t all_digits_ = 0;
@@ -1046,10 +1117,17 @@ Status DiskCatalogWriter::BeginTable(const std::string& name) {
   const auto it =
       std::find_if(tables.begin(), tables.end(),
                    [&name](const ManifestTable& t) { return t.name == name; });
-  append_->appending = it == tables.end() ? nullptr : &*it;
+  ManifestTable* const appending = it == tables.end() ? nullptr : &*it;
+  column_writers_.clear();
+  SPIDER_ASSIGN_OR_RETURN(
+      table_file_,
+      TableFile::Open(dir_ / (appending != nullptr
+                                  ? appending->file_name
+                                  : TableFileStem(name) + ".col"),
+                      appending));
+  append_->appending = appending;
   append_->next_column = 0;
   table_name_ = name;
-  column_writers_.clear();
   table_rows_ = 0;
   table_open_ = true;
   return Status::OK();
@@ -1096,18 +1174,13 @@ Status DiskCatalogWriter::AddColumn(std::string name, TypeId type,
     }
     ++append_->next_column;
     auto writer = std::make_unique<ColumnWriter>(
-        std::move(name), old.type, old.declared_unique, dir_ / old.file_name,
-        options_);
-    SPIDER_RETURN_NOT_OK(writer->OpenForAppend(old.file_bytes, old.stats));
+        std::move(name), old.type, old.declared_unique, *table_file_, options_);
+    SPIDER_RETURN_NOT_OK(writer->OpenForAppend(old));
     column_writers_.push_back(std::move(writer));
     return Status::OK();
   }
-  const fs::path path =
-      dir_ / (AttributeFileStem(AttributeRef{table_name_, name}) + ".col");
-  auto writer = std::make_unique<ColumnWriter>(std::move(name), type,
-                                               declared_unique, path, options_);
-  SPIDER_RETURN_NOT_OK(writer->Open());
-  column_writers_.push_back(std::move(writer));
+  column_writers_.push_back(std::make_unique<ColumnWriter>(
+      std::move(name), type, declared_unique, *table_file_, options_));
   return Status::OK();
 }
 
@@ -1164,8 +1237,18 @@ Status DiskCatalogWriter::FinishTable() {
         std::to_string(append_->next_column) + " of " +
         std::to_string(appending->columns.size()) + " sealed columns");
   }
+  for (auto& writer : column_writers_) {
+    SPIDER_RETURN_NOT_OK(writer->FlushBlock());
+  }
+  table_file_->out.close();
+  if (table_file_->out.fail()) {
+    return Status::IOError("failed writing column file " +
+                           table_file_->path.string());
+  }
   ManifestTable table;
   table.name = table_name_;
+  table.file_name = table_file_->path.filename().string();
+  table.file_bytes = static_cast<int64_t>(table_file_->bytes);
   for (auto& writer : column_writers_) {
     SPIDER_ASSIGN_OR_RETURN(ManifestColumn column, writer->Seal());
     table.columns.push_back(std::move(column));
@@ -1180,6 +1263,7 @@ Status DiskCatalogWriter::FinishTable() {
   append_->sealed.insert(table_name_);
   append_->appending = nullptr;
   column_writers_.clear();
+  table_file_.reset();
   table_open_ = false;
   return Status::OK();
 }

@@ -1,17 +1,24 @@
 // Out-of-core columnar storage: the disk backend behind Column.
 //
-// Each attribute's values live in one ".col" file of fixed-size compressed
-// blocks inside a workspace directory. A block holds a sorted, front-coded
-// dictionary of the block's distinct values plus one varint dictionary code
-// per row (code 0 is NULL) — dictionary-plus-prefix compression that needs
-// no external library and decompresses with a single sequential read.
-// Access is streaming only (ValueCursor): peak memory per open cursor is
-// one block, regardless of column size.
+// Each table's values live in one ".col" file of compressed blocks inside a
+// workspace directory (named by TableFileStem). A block belongs to one
+// column and holds a sorted, front-coded dictionary of the block's distinct
+// values plus one varint dictionary code per row (code 0 is NULL) —
+// dictionary-plus-prefix compression that needs no external library and
+// decompresses with a single sequential read. The columns of a table flush
+// their blocks into the table file as each fills, so one column's blocks
+// interleave with the others'; the manifest records where each block
+// starts. Access is streaming only (ValueCursor): peak memory per open
+// cursor is one block, regardless of column size.
 //
 // A workspace is self-describing: DiskCatalogWriter persists the schema,
-// row counts and per-column statistics in "spider_store.manifest", and
-// OpenDiskCatalog() rebuilds the Catalog from it without touching the data
-// files — so a multi-GB import is paid once and profiled many times.
+// row counts, per-column statistics and block offsets in
+// "spider_store.manifest" (version 3: a table record names its file and
+// committed bytes, a column record its block offsets and own block bytes),
+// and OpenDiskCatalog() rebuilds the Catalog from it without touching the
+// data files — so a multi-GB import is paid once and profiled many times.
+// An append adds blocks past a table file's committed bytes; the manifest
+// rename that commits them is the only point readers can see them.
 
 #pragma once
 
@@ -52,15 +59,20 @@ inline constexpr const char* kDiskStoreLockName = "spider_store.lock";
 /// nothing; see profile_store.cc.)
 std::string EscapeManifestField(std::string_view field);
 
-/// \brief A sealed, read-only disk-backed column (one ".col" block file).
+/// \brief A sealed, read-only disk-backed column: its blocks in its
+/// table's ".col" file.
 class DiskColumnStore final : public ColumnStore {
  public:
-  DiskColumnStore(std::filesystem::path path, ColumnStats stats,
-                  int64_t file_bytes, int64_t block_count)
+  /// `block_offsets` (strictly ascending) locate the column's blocks in the
+  /// table file at `path`, whose committed bytes end at `table_bytes`;
+  /// `bytes` is the sum of the column's own block sizes.
+  DiskColumnStore(std::filesystem::path path, ColumnStats stats, int64_t bytes,
+                  std::vector<uint64_t> block_offsets, int64_t table_bytes)
       : path_(std::move(path)),
         stats_(std::move(stats)),
-        file_bytes_(file_bytes),
-        block_count_(block_count) {}
+        bytes_(bytes),
+        block_offsets_(std::move(block_offsets)),
+        table_bytes_(table_bytes) {}
 
   int64_t row_count() const override { return stats_.row_count; }
   int64_t non_null_count() const override { return stats_.non_null_count; }
@@ -68,7 +80,7 @@ class DiskColumnStore final : public ColumnStore {
   [[nodiscard]]
   Status Append(Value v) override {
     (void)v;
-    return Status::InvalidArgument("disk-backed column '" + path_.string() +
+    return Status::InvalidArgument("disk-backed column in '" + path_.string() +
                                    "' is sealed (write through "
                                    "DiskCatalogWriter)");
   }
@@ -76,18 +88,23 @@ class DiskColumnStore final : public ColumnStore {
   [[nodiscard]]
   Result<std::unique_ptr<ValueCursor>> OpenCursor() const override;
 
-  int64_t ApproximateByteSize() const override { return file_bytes_; }
+  int64_t ApproximateByteSize() const override { return bytes_; }
   bool out_of_core() const override { return true; }
   const ColumnStats* cached_stats() const override { return &stats_; }
 
+  /// The table file that holds the column's blocks.
   const std::filesystem::path& path() const { return path_; }
-  int64_t block_count() const { return block_count_; }
+  const std::vector<uint64_t>& block_offsets() const { return block_offsets_; }
+  int64_t block_count() const {
+    return static_cast<int64_t>(block_offsets_.size());
+  }
 
  private:
   std::filesystem::path path_;
   ColumnStats stats_;
-  int64_t file_bytes_ = 0;
-  int64_t block_count_ = 0;
+  int64_t bytes_ = 0;
+  std::vector<uint64_t> block_offsets_;
+  int64_t table_bytes_ = 0;
 };
 
 /// \brief Streaming writer of one disk-store workspace; the CatalogSink the
@@ -116,15 +133,16 @@ class DiskCatalogWriter final : public CatalogSink {
       DiskStoreOptions options = {});
 
   /// Reopens an existing workspace to append rows. BeginTable() on a table
-  /// already in the manifest enters append mode for it: AddColumn() must
-  /// re-declare the existing columns in order (values widen to the sealed
-  /// column type where safe — integer into double, anything into string),
-  /// AppendRow() extends the `.col` block chains, and FinishTable() reseals
-  /// the per-column statistics by merging old and new block dictionaries.
+  /// already in the manifest enters append mode for it: it cuts the table
+  /// file back to its committed bytes, AddColumn() must re-declare the
+  /// existing columns in order (values widen to the sealed column type
+  /// where safe — integer into double, anything into string), AppendRow()
+  /// adds blocks past the committed bytes, and FinishTable() reseals the
+  /// per-column statistics by merging old and new block dictionaries.
   /// Unknown tables are created as usual. Nothing is committed until
   /// Finish() atomically rewrites the manifest: a crash mid-append leaves a
   /// torn tail past the committed byte counts that readers never see and
-  /// the next OpenForAppend() truncates away. The writer lock is taken
+  /// the next append to the table cuts away. The writer lock is taken
   /// before the manifest is read; a directory without a manifest fails as
   /// before and gets no lock file.
   [[nodiscard]]
@@ -152,6 +170,7 @@ class DiskCatalogWriter final : public CatalogSink {
  private:
   class ColumnWriter;
   struct AppendState;
+  struct TableFile;
 
   DiskCatalogWriter(std::filesystem::path dir, DiskStoreOptions options,
                     std::unique_ptr<AppendState> append, ScopedFd lock);
@@ -159,6 +178,8 @@ class DiskCatalogWriter final : public CatalogSink {
   std::filesystem::path dir_;
   DiskStoreOptions options_;
   std::string table_name_;
+  // The open table's ".col" file, which every column writer appends to.
+  std::unique_ptr<TableFile> table_file_;
   std::vector<std::unique_ptr<ColumnWriter>> column_writers_;
   int64_t table_rows_ = 0;
   bool table_open_ = false;

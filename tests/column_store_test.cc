@@ -14,6 +14,7 @@
 #include "src/common/hash.h"
 #include "src/common/string_util.h"
 #include "src/common/temp_dir.h"
+#include "src/common/value_codec.h"
 #include "src/storage/column_stats.h"
 #include "src/storage/disk_store.h"
 
@@ -187,6 +188,38 @@ std::vector<std::pair<std::string, uint64_t>> HashWorkspace(
   return hashes;
 }
 
+std::string ReadBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// (attribute, HashString of its blocks in offset order) of every column of
+// the workspace: a column's bytes, wherever in its table file they lie.
+std::vector<std::pair<std::string, uint64_t>> HashColumns(
+    const std::filesystem::path& workspace) {
+  std::vector<std::pair<std::string, uint64_t>> hashes;
+  auto catalog = OpenDiskCatalog(workspace);
+  EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
+  if (!catalog.ok()) return hashes;
+  for (const AttributeRef& attr : (*catalog)->AllAttributes()) {
+    const auto& store = dynamic_cast<const DiskColumnStore&>(
+        (*(*catalog)->ResolveAttribute(attr))->store());
+    const std::string file = ReadBytes(store.path());
+    std::string blocks;
+    for (const uint64_t offset : store.block_offsets()) {
+      SpanReader head(std::string_view(file).substr(offset));
+      uint64_t payload_bytes = 0;
+      EXPECT_TRUE(head.Varint(&payload_bytes));
+      blocks.append(file, offset, head.position() + payload_bytes);
+    }
+    EXPECT_EQ(static_cast<int64_t>(blocks.size()),
+              store.ApproximateByteSize());
+    hashes.emplace_back(attr.ToString(), HashString(blocks));
+  }
+  return hashes;
+}
+
 // Rows [begin, end) of the pinned table: every column cycles through its
 // edge cases, interleaved with ordinary values so each block's dictionary
 // holds several entries and every column spans several 1 KiB blocks.
@@ -218,9 +251,12 @@ void AppendPinnedRows(DiskCatalogWriter& writer, int begin, int end) {
 
 // Every byte of the .col block format and of spider_store.manifest, for a
 // create and an append that extends a column and adds a table. The
-// constants are FNV hashes of the files as the format stands; a change to
-// any block boundary, dictionary order, canonical rendering or manifest
-// field breaks them.
+// constants are FNV hashes as the format stands: of each column's blocks in
+// offset order (the bytes each column's own file held when a workspace
+// kept one file per column), of each table file, whose blocks interleave
+// in flush order, and of the manifest. A change to any block boundary,
+// dictionary order, canonical rendering, block placement or manifest field
+// breaks them.
 TEST_F(DiskStoreTest, ColumnBytesArePinned) {
   DiskStoreOptions options;
   options.block_bytes = 1024;
@@ -254,16 +290,18 @@ TEST_F(DiskStoreTest, ColumnBytesArePinned) {
     ASSERT_TRUE((*writer)->Finish().ok());
   }
 
-  const std::vector<std::pair<std::string, uint64_t>> expected = {
-      {"spider_store.manifest", 2452291201034584153ULL},
-      {"t.d-ea4c76403e0d4687.col", 11651409292902824111ULL},
-      {"t.i-2c04d8ab0659317f.col", 6079092361327076125ULL},
-      {"t.s-8cf43eb234184442.col", 6571703981969331183ULL},
-      {"u.d-df39e108ee237ef5.col", 4851436847463988434ULL},
-      {"u.i-afb21f797f3fb41b.col", 517999071667864188ULL},
-      {"u.s-1ea6fa129de03908.col", 1846333633624720075ULL},
+  const std::vector<std::pair<std::string, uint64_t>> columns = {
+      {"t.i", 6079092361327076125ULL},  {"t.d", 11651409292902824111ULL},
+      {"t.s", 6571703981969331183ULL},  {"u.i", 517999071667864188ULL},
+      {"u.d", 4851436847463988434ULL},  {"u.s", 1846333633624720075ULL},
   };
-  EXPECT_EQ(HashWorkspace(workspace), expected);
+  EXPECT_EQ(HashColumns(workspace), columns);
+  const std::vector<std::pair<std::string, uint64_t>> files = {
+      {"spider_store.manifest", 3295026482279354574ULL},
+      {"t-b6fcea7f248b153a.col", 14682618593437121046ULL},
+      {"u-c43cd7728426a6c0.col", 2607077698417229147ULL},
+  };
+  EXPECT_EQ(HashWorkspace(workspace), files);
 }
 
 // Writes rows [begin, end) into table "t" (one integer column) through an
@@ -489,10 +527,10 @@ TEST_F(DiskStoreTest, CorruptBlockHeaderSurfacesStatusNotAbort) {
   EXPECT_TRUE((*cursor)->status().IsIOError());
 }
 
-TEST_F(DiskStoreTest, VersionOneManifestIsACleanError) {
-  // Version-1 manifests are no longer read: reopening or appending to such
-  // a workspace reports the unsupported header (reimport it) instead of
-  // aborting.
+TEST_F(DiskStoreTest, OlderManifestVersionsAreACleanError) {
+  // Version-1 and version-2 manifests (one file per column) are no longer
+  // read: reopening or appending to such a workspace reports the
+  // unsupported header (reimport it) instead of aborting.
   const auto workspace = Workspace("ws");
   {
     auto writer = DiskCatalogWriter::Create(workspace, "db");
@@ -510,26 +548,27 @@ TEST_F(DiskStoreTest, VersionOneManifestIsACleanError) {
     text.assign(std::istreambuf_iterator<char>(in),
                 std::istreambuf_iterator<char>());
   }
-  const std::string v2_header = "spider-store\t2\n";
-  ASSERT_EQ(text.rfind(v2_header, 0), 0u);
-  text.replace(0, v2_header.size(), "spider-store\t1\n");
-  std::ofstream(manifest) << text;
-
-  const Status opened = OpenDiskCatalog(workspace).status();
-  EXPECT_TRUE(opened.IsInvalidArgument()) << opened.ToString();
-  EXPECT_NE(opened.message().find("missing or unsupported version header"),
-            std::string::npos)
-      << opened.ToString();
-  const Status appended = DiskCatalogWriter::OpenForAppend(workspace).status();
-  EXPECT_TRUE(appended.IsInvalidArgument()) << appended.ToString();
-  EXPECT_NE(appended.message().find("missing or unsupported version header"),
-            std::string::npos)
-      << appended.ToString();
+  const std::string v3_header = "spider-store\t3\n";
+  ASSERT_EQ(text.rfind(v3_header, 0), 0u);
+  for (const char* old_header : {"spider-store\t1\n", "spider-store\t2\n"}) {
+    SCOPED_TRACE(old_header);
+    std::string old = text;
+    old.replace(0, v3_header.size(), old_header);
+    std::ofstream(manifest, std::ios::trunc) << old;
+    for (const Status& status :
+         {OpenDiskCatalog(workspace).status(),
+          DiskCatalogWriter::OpenForAppend(workspace).status()}) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+      EXPECT_NE(status.message().find("missing or unsupported version header"),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
 }
 
-// A manifest may only name column files inside its workspace: a path
-// leaving it fails to open and to append, and the file it named keeps its
-// bytes.
+// A manifest may only name column files inside its workspace: a table
+// file path leaving it fails to open and to append, and the file it named
+// keeps its bytes.
 TEST_F(DiskStoreTest, ColumnFileNameMustStayInsideTheWorkspace) {
   const auto workspace = Workspace("ws");
   {
@@ -555,11 +594,11 @@ TEST_F(DiskStoreTest, ColumnFileNameMustStayInsideTheWorkspace) {
   for (const std::string& hostile :
        {std::string("../victim.col"), victim.string()}) {
     SCOPED_TRACE(hostile);
-    // Field 4 of the column record is its file name.
-    const size_t record = original.find("\ncolumn\t");
+    // Field 3 of the table record is its file name.
+    const size_t record = original.find("\ntable\t");
     ASSERT_NE(record, std::string::npos);
     size_t start = record + 1;
-    for (int field = 0; field < 4; ++field) {
+    for (int field = 0; field < 3; ++field) {
       start = original.find('\t', start) + 1;
     }
     const size_t end = original.find('\t', start);
@@ -628,12 +667,12 @@ TEST_F(DiskStoreTest, ManifestCountsMustFitTheColumnFile) {
     return out;
   };
   const std::string huge = std::to_string(uint64_t{1} << 62);
-  // Column fields 7, 8 and 9 are its row, non-null and distinct counts;
+  // Column fields 6, 7 and 8 are its row, non-null and distinct counts;
   // table field 2 is its row count.
   const std::string non_null_and_distinct = rewrite(
-      rewrite(original, "column", 8, huge, false), "column", 9, huge, false);
+      rewrite(original, "column", 7, huge, false), "column", 8, huge, false);
   const std::string rows = rewrite(rewrite(original, "table", 2, huge, false),
-                                   "column", 7, huge, true);
+                                   "column", 6, huge, true);
   for (const std::string& hostile : {non_null_and_distinct, rows}) {
     SCOPED_TRACE(hostile);
     ASSERT_NE(hostile, original);

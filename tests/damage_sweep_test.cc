@@ -1,22 +1,28 @@
 // Byte-damage sweep over the two sorted, read-only file formats and the
-// store manifest: every byte of a multi-block `.set` file, of a 3-block
-// `.col` file and of a `spider_store.manifest` is set to 0x00, to 0xFF and
-// to itself with the low bit flipped. Every reader of a damaged `.set` or
-// `.col` copy must return OK or an IOError, and a workspace whose manifest
-// is damaged must fail to open or run a sql-join profile to OK or an
-// error. None may abort — ASan and UBSan run this suite like every other —
-// and a failed append must leave the committed manifest as it was.
+// store manifest: every byte of a multi-block `.set` file, of a `.col`
+// table file whose two columns' blocks interleave and of a version-3
+// `spider_store.manifest` is set to 0x00, to 0xFF and to itself with the
+// low bit flipped. Every reader of a damaged `.set` or `.col` copy must
+// return OK or an IOError, and a workspace whose manifest is damaged must
+// fail to open or run a sql-join profile to OK or an error. None may abort
+// — ASan and UBSan run this suite like every other — and a failed append
+// must leave the committed manifest as it was. Named cases cover the
+// hostile inputs the sweep reaches only by chance.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/string_util.h"
 #include "src/common/temp_dir.h"
 #include "src/common/value_codec.h"
 #include "src/extsort/sorted_set_file.h"
@@ -57,6 +63,58 @@ bool OkOrIOError(const Status& status) {
   return status.ok() || status.IsIOError();
 }
 
+// Appends one row to table "t" of the workspace `dir` and commits; the
+// first failing step's status. A failed append must leave the manifest as
+// it was.
+Status AppendRowToT(const fs::path& dir) {
+  const std::string manifest = ReadFile(dir / kDiskStoreManifestName);
+  auto writer = DiskCatalogWriter::OpenForAppend(dir);
+  Status status = writer.status();
+  if (status.ok()) status = (*writer)->BeginTable("t");
+  if (status.ok()) status = (*writer)->AddColumn("v", TypeId::kString);
+  if (status.ok()) status = (*writer)->AddColumn("w", TypeId::kString);
+  if (status.ok()) {
+    status = (*writer)->AppendRow({Value::String("key-new"), Value::Null()});
+  }
+  if (status.ok()) status = (*writer)->FinishTable();
+  if (status.ok()) status = (*writer)->Finish().status();
+  if (!status.ok()) {
+    EXPECT_EQ(ReadFile(dir / kDiskStoreManifestName), manifest)
+        << "a failed append changed the manifest: " << status.ToString();
+  }
+  return status;
+}
+
+// Copies the flat workspace `from` to a fresh `to`.
+void CopyWorkspace(const fs::path& from, const fs::path& to) {
+  fs::remove_all(to);
+  fs::create_directories(to);
+  for (const auto& entry : fs::directory_iterator(from)) {
+    fs::copy_file(entry.path(), to / entry.path().filename());
+  }
+}
+
+// Sets field `field` of the first column record named `column` in a store
+// manifest's text.
+std::string SetColumnField(const std::string& manifest,
+                           const std::string& column, size_t field,
+                           const std::string& value) {
+  std::istringstream in(manifest);
+  std::string out;
+  bool done = false;
+  for (std::string line; std::getline(in, line);) {
+    std::vector<std::string> fields = SplitString(line, '\t');
+    if (!done && fields[0] == "column" && fields[1] == column) {
+      fields.at(field) = value;
+      line = JoinStrings(fields, "\t");
+      done = true;
+    }
+    out += line + "\n";
+  }
+  EXPECT_TRUE(done) << column;
+  return out;
+}
+
 class DamageSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -79,20 +137,25 @@ class DamageSweepTest : public ::testing::Test {
     return path;
   }
 
-  // Imports table "t" with one string column "v" of `rows` rows (every
-  // seventh NULL, 20 distinct values) into workspace `name` at 1 KiB
-  // blocks, and returns the catalog.
-  std::unique_ptr<Catalog> WriteColumn(const std::string& name, int rows) {
+  // Imports table "t" with two string columns of `rows` rows into
+  // workspace `name` at 1 KiB blocks, and returns the catalog: "v" has 20
+  // distinct values and every seventh row NULL, "w" 40 and every fifth, so
+  // the two fill their blocks at different rows and their blocks
+  // interleave in the table file.
+  std::unique_ptr<Catalog> WriteTable(const std::string& name, int rows) {
     DiskStoreOptions options;
     options.block_bytes = 1024;
     auto writer = DiskCatalogWriter::Create(dir_->path() / name, "db", options);
     EXPECT_TRUE(writer.ok()) << writer.status().ToString();
     EXPECT_TRUE((*writer)->BeginTable("t").ok());
     EXPECT_TRUE((*writer)->AddColumn("v", TypeId::kString).ok());
+    EXPECT_TRUE((*writer)->AddColumn("w", TypeId::kString).ok());
     for (int i = 0; i < rows; ++i) {
-      Value value = i % 7 == 0 ? Value::Null()
-                               : Value::String("key-" + std::to_string(i % 20));
-      EXPECT_TRUE((*writer)->AppendRow({std::move(value)}).ok());
+      Value v = i % 7 == 0 ? Value::Null()
+                           : Value::String("key-" + std::to_string(i % 20));
+      Value w = i % 5 == 0 ? Value::Null()
+                           : Value::String("w" + std::to_string(i % 40));
+      EXPECT_TRUE((*writer)->AppendRow({std::move(v), std::move(w)}).ok());
     }
     EXPECT_TRUE((*writer)->FinishTable().ok());
     auto catalog = (*writer)->Finish();
@@ -156,50 +219,54 @@ TEST_F(DamageSweepTest, EveryDamagedSetByteFailsCleanly) {
   EXPECT_GT(failed_reads, static_cast<int>(original.size()));
 }
 
-TEST_F(DamageSweepTest, EveryDamagedColumnByteFailsCleanly) {
-  std::unique_ptr<Catalog> catalog = WriteColumn("ws", 600);
-  const Column& column = catalog->FindTable("t")->column(0);
-  const auto* store = dynamic_cast<const DiskColumnStore*>(&column.store());
-  ASSERT_NE(store, nullptr);
-  ASSERT_EQ(store->block_count(), 3);
-  const fs::path path = store->path();
+TEST_F(DamageSweepTest, EveryDamagedTableFileByteFailsCleanly) {
+  std::unique_ptr<Catalog> catalog = WriteTable("ws", 600);
+  const Table& table = *catalog->FindTable("t");
+  std::vector<const DiskColumnStore*> stores;
+  for (int c = 0; c < table.column_count(); ++c) {
+    stores.push_back(
+        dynamic_cast<const DiskColumnStore*>(&table.column(c).store()));
+    ASSERT_NE(stores.back(), nullptr);
+    ASSERT_GE(stores.back()->block_count(), 3);
+  }
+  const std::vector<uint64_t>& v_offsets = stores[0]->block_offsets();
+  const std::vector<uint64_t>& w_offsets = stores[1]->block_offsets();
+  ASSERT_TRUE(std::any_of(w_offsets.begin(), w_offsets.end(),
+                          [&v_offsets](uint64_t offset) {
+                            return v_offsets.front() < offset &&
+                                   offset < v_offsets.back();
+                          }))
+      << "the two columns' blocks must interleave";
+  const fs::path path = stores[0]->path();
+  ASSERT_EQ(stores[1]->path(), path);
   const std::string original = ReadFile(path);
-  const std::string manifest =
-      ReadFile(dir_->path() / "ws" / kDiskStoreManifestName);
 
-  // The first block's head and dictionary end where its codes begin.
-  SpanReader head(original);
-  uint64_t payload_bytes = 0;
-  uint64_t rows = 0;
-  uint64_t dict_count = 0;
-  uint64_t dict_bytes = 0;
-  ASSERT_TRUE(head.Varint(&payload_bytes) && head.Varint(&rows) &&
-              head.Varint(&dict_count) && head.Varint(&dict_bytes));
-  const size_t first_dict_end = head.position() + dict_bytes;
-  ASSERT_LT(first_dict_end, original.size());
-
-  // An append to a copy of the workspace holding the damaged column:
-  // every step ends OK or in an IOError, and a failed one commits nothing.
-  const fs::path copy = dir_->path() / "append";
-  auto append = [&](const std::string& damaged) -> Status {
-    fs::remove_all(copy);
-    fs::create_directories(copy);
-    WriteFile(copy / kDiskStoreManifestName, manifest);
-    WriteFile(copy / path.filename(), damaged);
-    auto writer = DiskCatalogWriter::OpenForAppend(copy);
-    if (!writer.ok()) return writer.status();
-    Status status = (*writer)->BeginTable("t");
-    if (status.ok()) status = (*writer)->AddColumn("v", TypeId::kString);
-    if (status.ok()) status = (*writer)->AppendRow({Value::String("key-new")});
-    if (status.ok()) status = (*writer)->FinishTable();
-    if (status.ok()) status = (*writer)->Finish().status();
-    if (!status.ok()) {
-      EXPECT_EQ(ReadFile(copy / kDiskStoreManifestName), manifest)
-          << "a failed append changed the manifest: " << status.ToString();
+  // [offset, end of dictionary) of every block: the bytes an append reads
+  // (the rescan reads heads, the seal-time merge dictionaries).
+  std::vector<std::pair<size_t, size_t>> heads_and_dicts;
+  for (const DiskColumnStore* store : stores) {
+    for (const uint64_t offset : store->block_offsets()) {
+      SpanReader head(std::string_view(original).substr(offset));
+      uint64_t payload_bytes = 0;
+      uint64_t rows = 0;
+      uint64_t dict_count = 0;
+      uint64_t dict_bytes = 0;
+      ASSERT_TRUE(head.Varint(&payload_bytes) && head.Varint(&rows) &&
+                  head.Varint(&dict_count) && head.Varint(&dict_bytes));
+      heads_and_dicts.emplace_back(offset,
+                                   offset + head.position() + dict_bytes);
     }
-    return status;
+  }
+  auto read_by_append = [&heads_and_dicts](size_t offset) {
+    return std::any_of(heads_and_dicts.begin(), heads_and_dicts.end(),
+                       [offset](const std::pair<size_t, size_t>& range) {
+                         return range.first <= offset && offset < range.second;
+                       });
   };
 
+  // Appends go to a copy of the workspace holding the damaged table file.
+  const fs::path workspace = dir_->path() / "ws";
+  const fs::path copy = dir_->path() / "append";
   int failed_scans = 0;
   int failed_appends = 0;
   for (size_t offset = 0; offset < original.size(); ++offset) {
@@ -207,17 +274,20 @@ TEST_F(DamageSweepTest, EveryDamagedColumnByteFailsCleanly) {
       std::string damaged = original;
       damaged[offset] = byte;
       WriteFile(path, damaged);
-      const Status scanned = ScanColumn(column);
-      EXPECT_TRUE(OkOrIOError(scanned))
-          << "scan, offset " << offset << " byte " << int{byte} << ": "
-          << scanned.ToString();
-      if (!scanned.ok()) {
-        ++failed_scans;
-        EXPECT_NE(scanned.message().find(path.string()), std::string::npos)
-            << scanned.ToString();
+      for (int c = 0; c < table.column_count(); ++c) {
+        const Status scanned = ScanColumn(table.column(c));
+        EXPECT_TRUE(OkOrIOError(scanned))
+            << "scan " << c << ", offset " << offset << " byte " << int{byte}
+            << ": " << scanned.ToString();
+        if (!scanned.ok()) {
+          ++failed_scans;
+          EXPECT_NE(scanned.message().find(path.string()), std::string::npos)
+              << scanned.ToString();
+        }
       }
-      if (offset >= first_dict_end) continue;
-      const Status appended = append(damaged);
+      if (!read_by_append(offset)) continue;
+      CopyWorkspace(workspace, copy);
+      const Status appended = AppendRowToT(copy);
       EXPECT_TRUE(OkOrIOError(appended))
           << "append, offset " << offset << " byte " << int{byte} << ": "
           << appended.ToString();
@@ -225,7 +295,9 @@ TEST_F(DamageSweepTest, EveryDamagedColumnByteFailsCleanly) {
     }
   }
   WriteFile(path, original);
-  EXPECT_TRUE(ScanColumn(column).ok());
+  for (int c = 0; c < table.column_count(); ++c) {
+    EXPECT_TRUE(ScanColumn(table.column(c)).ok());
+  }
   EXPECT_GT(failed_scans, 0);
   EXPECT_GT(failed_appends, 0);
 }
@@ -256,13 +328,20 @@ TEST_F(DamageSweepTest, EveryDamagedStoreManifestByteFailsCleanly) {
   }
   const fs::path path = workspace / kDiskStoreManifestName;
   const std::string original = ReadFile(path);
+  ASSERT_EQ(original.rfind("spider-store\t3\n", 0), 0u);
+  const fs::path copy = dir_->path() / "append";
   int failed_opens = 0;
   int runs = 0;
+  int appends = 0;
   for (size_t offset = 0; offset < original.size(); ++offset) {
     for (const char byte : DamagedBytes(original[offset])) {
       std::string damaged = original;
       damaged[offset] = byte;
       WriteFile(path, damaged);
+      // An append to a copy ends in OK or an error, and a failed one
+      // commits nothing (AppendRowToT checks).
+      CopyWorkspace(workspace, copy);
+      if (AppendRowToT(copy).ok()) ++appends;
       Result<std::unique_ptr<Catalog>> catalog = OpenDiskCatalog(workspace);
       if (!catalog.ok()) {
         ++failed_opens;
@@ -278,6 +357,7 @@ TEST_F(DamageSweepTest, EveryDamagedStoreManifestByteFailsCleanly) {
   // The sweep reached both the parser's error paths and the run.
   EXPECT_GT(failed_opens, static_cast<int>(original.size()));
   EXPECT_GT(runs, 0);
+  EXPECT_GT(appends, 0);
 }
 
 // A footer whose block-count varint takes five bytes claims billions of
@@ -298,18 +378,19 @@ TEST_F(DamageSweepTest, FiveByteFooterBlockCountIsAnIOError) {
       << status.ToString();
 }
 
-// A manifest that records 2^62 bytes for a small column whose block head
-// claims 2^40 bytes: the workspace fails to open and to append, before any
-// reader sizes a buffer by either number. With the manifest's own count,
-// the scan fails on the head.
+// A manifest that records 2^62 bytes for a small table file whose first
+// block head claims 2^40 bytes: the workspace fails to open and to append,
+// before any reader sizes a buffer by either number. With the manifest's
+// own count, the scan fails on the head.
 TEST_F(DamageSweepTest, ColumnByteCountsPastTheFileAreIOErrors) {
   const fs::path workspace = dir_->path() / "ws";
   fs::path column_file;
   {
-    std::unique_ptr<Catalog> catalog = WriteColumn("ws", 3);
-    column_file = dynamic_cast<const DiskColumnStore&>(
-                      catalog->FindTable("t")->column(0).store())
-                      .path();
+    std::unique_ptr<Catalog> catalog = WriteTable("ws", 3);
+    const auto& store = dynamic_cast<const DiskColumnStore&>(
+        catalog->FindTable("t")->column(0).store());
+    ASSERT_EQ(store.block_offsets(), std::vector<uint64_t>{0});
+    column_file = store.path();
   }
   std::string column = ReadFile(column_file);
   ASSERT_GE(column.size(), 6u);
@@ -321,16 +402,16 @@ TEST_F(DamageSweepTest, ColumnByteCountsPastTheFileAreIOErrors) {
   EXPECT_NE(scanned.message().find(column_file.string()), std::string::npos)
       << scanned.ToString();
 
-  // Field 5 of the column record is its byte count.
+  // Field 4 of the table record is its file's byte count.
   const fs::path manifest_path = workspace / kDiskStoreManifestName;
   std::string manifest = ReadFile(manifest_path);
-  const size_t record = manifest.find("\ncolumn\t");
+  const size_t record = manifest.find("\ntable\t");
   ASSERT_NE(record, std::string::npos);
   size_t start = record + 1;
-  for (int field = 0; field < 5; ++field) {
+  for (int field = 0; field < 4; ++field) {
     start = manifest.find('\t', start) + 1;
   }
-  const size_t end = manifest.find('\t', start);
+  const size_t end = manifest.find('\n', start);
   ASSERT_EQ(manifest.substr(start, end - start), std::to_string(column.size()));
   manifest.replace(start, end - start, std::to_string(uint64_t{1} << 62));
   WriteFile(manifest_path, manifest);
@@ -343,6 +424,73 @@ TEST_F(DamageSweepTest, ColumnByteCountsPastTheFileAreIOErrors) {
         << status.ToString();
   }
   EXPECT_EQ(ReadFile(manifest_path), manifest);
+}
+
+// Block offsets a reader would take on trust: one at or past the table
+// file's committed bytes, a column's offsets out of order, and one block
+// offset claimed by two columns. Each fails to open and to append, naming
+// the manifest, and the failed append leaves the manifest as it was.
+TEST_F(DamageSweepTest, HostileBlockOffsetsFailToOpen) {
+  const fs::path workspace = dir_->path() / "ws";
+  std::vector<uint64_t> v;
+  std::vector<uint64_t> w;
+  uint64_t table_bytes = 0;
+  {
+    std::unique_ptr<Catalog> catalog = WriteTable("ws", 600);
+    const Table& table = *catalog->FindTable("t");
+    v = dynamic_cast<const DiskColumnStore&>(table.column(0).store())
+            .block_offsets();
+    w = dynamic_cast<const DiskColumnStore&>(table.column(1).store())
+            .block_offsets();
+    table_bytes = fs::file_size(
+        dynamic_cast<const DiskColumnStore&>(table.column(0).store()).path());
+  }
+  ASSERT_GE(v.size(), 2u);
+  ASSERT_GE(w.size(), 2u);
+  const fs::path manifest_path = workspace / kDiskStoreManifestName;
+  const std::string original = ReadFile(manifest_path);
+  // Field 5 of a column record lists its block offsets.
+  auto with_offsets = [&original](const std::string& column,
+                                  std::vector<uint64_t> offsets) {
+    std::vector<std::string> text;
+    for (const uint64_t offset : offsets) text.push_back(std::to_string(offset));
+    return SetColumnField(original, column, 5, JoinStrings(text, ","));
+  };
+  std::vector<uint64_t> at_end = v;
+  at_end.back() = table_bytes;
+  std::vector<uint64_t> past_end = v;
+  past_end.back() = uint64_t{1} << 62;
+  std::vector<uint64_t> descending = v;
+  std::swap(descending[0], descending[1]);
+  std::vector<uint64_t> shared = w;
+  shared.front() = v.front();
+  ASSERT_LT(shared[0], shared[1]);
+  struct Case {
+    std::string hostile;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {with_offsets("v", at_end), "past its table file's bytes"},
+      {with_offsets("v", past_end), "past its table file's bytes"},
+      {with_offsets("v", descending), "do not ascend"},
+      {with_offsets("w", shared), "a block offset two columns share"},
+  };
+  for (const auto& [hostile, reason] : cases) {
+    SCOPED_TRACE(reason);
+    ASSERT_NE(hostile, original);
+    WriteFile(manifest_path, hostile);
+    for (const Status& status :
+         {OpenDiskCatalog(workspace).status(),
+          DiskCatalogWriter::OpenForAppend(workspace).status()}) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+      EXPECT_NE(status.message().find(kDiskStoreManifestName),
+                std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find(reason), std::string::npos)
+          << status.ToString();
+    }
+    EXPECT_EQ(ReadFile(manifest_path), hostile);
+  }
 }
 
 }  // namespace

@@ -256,14 +256,18 @@ TEST(SchemaReportOptionsTest, OtherKindIsRejected) {
   EXPECT_TRUE(BuildSchemaReport(session, options).status().IsInvalidArgument());
 }
 
-// The IND report JSON carries the unary work counters beside tuples_read,
-// each equal to the run's RunCounters field.
+// The IND report JSON carries every RunCounters field, each equal to the
+// run's value. bell-brockhausen prunes by pretest and sql-join scans with
+// the engine, so each of those counters is nonzero in some run.
 TEST(IndReportJsonTest, CountersEqualRunCounters) {
   datagen::UniprotLikeOptions shape;
   shape.bioentries = 60;
   auto catalog = datagen::MakeUniprotLike(shape);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
-  for (const char* approach : {"spider-merge", "single-pass", "de-marchi"}) {
+  int64_t pruned = 0;
+  int64_t engine_rows = 0;
+  for (const char* approach :
+       {"spider-merge", "single-pass", "de-marchi", "bell-brockhausen", "sql-join"}) {
     for (int threads : {1, 4}) {
       SpiderSession session(**catalog);
       RunOptions options;
@@ -276,6 +280,8 @@ TEST(IndReportJsonTest, CountersEqualRunCounters) {
       const RunCounters& counters = report->run.counters;
       EXPECT_GT(counters.comparisons, 0) << approach;
       EXPECT_GT(counters.candidates_tested, 0) << approach;
+      pruned += counters.candidates_pretest_pruned;
+      engine_rows += counters.engine_rows_scanned;
       const std::pair<const char*, int64_t> expected[] = {
           {"tuples_read", counters.tuples_read},
           {"comparisons", counters.comparisons},
@@ -283,6 +289,8 @@ TEST(IndReportJsonTest, CountersEqualRunCounters) {
           {"files_opened", counters.files_opened},
           {"peak_open_files", counters.peak_open_files},
           {"candidates_tested", counters.candidates_tested},
+          {"candidates_pretest_pruned", counters.candidates_pretest_pruned},
+          {"engine_rows_scanned", counters.engine_rows_scanned},
           {"sets_extracted", counters.sets_extracted},
           {"sets_reused", counters.sets_reused},
       };
@@ -294,6 +302,8 @@ TEST(IndReportJsonTest, CountersEqualRunCounters) {
       }
     }
   }
+  EXPECT_GT(pruned, 0);
+  EXPECT_GT(engine_rows, 0);
 }
 
 // A UCC report carries the counters an IND report does. A second session
@@ -344,14 +354,24 @@ TEST(DependencyReportJsonTest, SecondPersistedUccRunReportsReusedSets) {
 
   auto json = ParseJson(SessionReportToJson(*warm, ReportJsonContext{}));
   ASSERT_TRUE(json.ok()) << json.status().ToString();
-  for (const char* key :
-       {"tuples_read", "comparisons", "blocks_skipped", "files_opened",
-        "peak_open_files", "candidates_tested", "sets_extracted",
-        "sets_reused"}) {
+  // JSON key -> the text report's name for the same counter.
+  const std::pair<const char*, const char*> keys[] = {
+      {"tuples_read", "tuples_read"},
+      {"comparisons", "comparisons"},
+      {"blocks_skipped", "blocks_skipped"},
+      {"files_opened", "files_opened"},
+      {"peak_open_files", "peak_open_files"},
+      {"candidates_tested", "candidates_tested"},
+      {"candidates_pretest_pruned", "pretest_pruned"},
+      {"engine_rows_scanned", "engine_rows"},
+      {"sets_extracted", "sets_extracted"},
+      {"sets_reused", "sets_reused"},
+  };
+  for (const auto& [key, text_key] : keys) {
     const JsonValue* member = json->Find(key);
     ASSERT_NE(member, nullptr) << key;
-    ASSERT_TRUE(printed.contains(key)) << key;
-    EXPECT_EQ(member->raw_number, printed[key]) << key;
+    ASSERT_TRUE(printed.contains(text_key)) << text_key;
+    EXPECT_EQ(member->raw_number, printed[text_key]) << key;
   }
   const JsonValue* reused = json->Find("profile_reused");
   ASSERT_NE(reused, nullptr);

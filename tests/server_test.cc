@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/common/json_writer.h"
+#include "src/common/string_util.h"
 #include "src/common/temp_dir.h"
 #include "src/common/thread_pool.h"
 #include "src/ind/registry.h"
@@ -101,6 +102,60 @@ TEST(HttpParserTest, RejectsOversizedBody) {
 TEST(HttpParserTest, RejectsMalformedRequestLine) {
   HttpParser parser;
   EXPECT_TRUE(parser.Feed("NONSENSE\r\n\r\n").IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------------
+// spiderd's command line (parsed only: no server starts here)
+
+TEST(ServerArgsTest, DefaultsAndAcceptedBounds) {
+  auto defaults = ParseServerArgs({"--root=/srv/ws"});
+  ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
+  EXPECT_EQ(defaults->root, "/srv/ws");
+  EXPECT_EQ(defaults->host, "127.0.0.1");
+  EXPECT_EQ(defaults->port, 4280);
+  EXPECT_EQ(defaults->worker_threads, 0);
+  EXPECT_EQ(defaults->max_sessions, 64);
+
+  auto bounds = ParseServerArgs({"--root=r", "--host=0.0.0.0", "--port=65535",
+                                 "--threads=4096", "--max-sessions=2147483647"});
+  ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+  EXPECT_EQ(bounds->host, "0.0.0.0");
+  EXPECT_EQ(bounds->port, 65535);
+  EXPECT_EQ(bounds->worker_threads, 4096);
+  EXPECT_EQ(bounds->max_sessions, 2147483647);
+}
+
+// A number past int's range is rejected before it narrows: 2^32 + 1 would
+// wrap to 1 and be accepted.
+TEST(ServerArgsTest, NumbersAreRangeCheckedBeforeNarrowing) {
+  const std::pair<const char*, const char*> rejected[] = {
+      {"--threads=4294967297", "--threads must be an integer in [0, 4096]"},
+      {"--threads=4097", "--threads must be an integer in [0, 4096]"},
+      {"--threads=-1", "--threads must be an integer in [0, 4096]"},
+      {"--threads=2x", "--threads must be an integer in [0, 4096]"},
+      {"--port=4294967297", "--port must be an integer in [0, 65535]"},
+      {"--port=65536", "--port must be an integer in [0, 65535]"},
+      {"--port=", "--port must be an integer in [0, 65535]"},
+      {"--max-sessions=4294967297",
+       "--max-sessions must be an integer in [0, 2147483647]"},
+      {"--max-sessions=-1",
+       "--max-sessions must be an integer in [0, 2147483647]"},
+  };
+  for (const auto& [arg, message] : rejected) {
+    const Status status = ParseServerArgs({"--root=r", arg}).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << arg;
+    EXPECT_NE(status.message().find(message), std::string::npos)
+        << arg << ": " << status.ToString();
+  }
+}
+
+TEST(ServerArgsTest, UnknownArgumentsAndMissingRootAreErrors) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {}, {"--port=0"}, {"--root=r", "--thread=2"}, {"--root=r", "--root"}}) {
+    EXPECT_TRUE(ParseServerArgs(args).status().IsInvalidArgument())
+        << JoinStrings(args, " ");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ Rules (see docs/ANALYSIS.md for the rationale of each):
                       concurrency flows through the pool so budgets,
                       cancellation and the thread-safety annotations see it.
   set-col-literal     hand-built ".set"/".col" file names — workspace
-                      layout is owned by AttributeFileStem /
+                      layout is owned by AttributeFileStem / TableFileStem /
                       ValueSetExtractor::SetFileName/CompositeSetFileName;
                       ad-hoc names break cache sharing and reopening.
   ignore-status-reason (void)-discarded call results without an

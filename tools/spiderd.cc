@@ -12,9 +12,9 @@
 #include <unistd.h>
 
 #include <csignal>
-#include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "src/server/server.h"
 
@@ -38,8 +38,8 @@ int Usage() {
                "(required)\n"
                "  --host=ADDR    listen address (default 127.0.0.1)\n"
                "  --port=N       TCP port (default 4280; 0 = ephemeral)\n"
-               "  --threads=N    job worker threads (default: hardware "
-               "concurrency)\n"
+               "  --threads=N    job worker threads, at most 4096 (default: "
+               "hardware concurrency)\n"
                "  --max-sessions=N  open workspace sessions kept before LRU "
                "eviction (default 64; 0 = unlimited)\n";
   return 2;
@@ -48,49 +48,13 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spider::ServerOptions options;
-  options.port = 4280;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) -> const char* {
-      const size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
-    if (const char* v = value_of("--root=")) {
-      options.root = v;
-    } else if (const char* v = value_of("--host=")) {
-      options.host = v;
-    } else if (const char* v = value_of("--port=")) {
-      char* end = nullptr;
-      options.port = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || options.port < 0 ||
-          options.port > 65535) {
-        std::cerr << "--port must be an integer in [0, 65535], got '" << v
-                  << "'\n";
-        return 2;
-      }
-    } else if (const char* v = value_of("--threads=")) {
-      char* end = nullptr;
-      options.worker_threads = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || options.worker_threads < 0) {
-        std::cerr << "--threads must be a non-negative integer, got '" << v
-                  << "'\n";
-        return 2;
-      }
-    } else if (const char* v = value_of("--max-sessions=")) {
-      char* end = nullptr;
-      options.max_sessions = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || options.max_sessions < 0) {
-        std::cerr << "--max-sessions must be a non-negative integer "
-                     "(0 = unlimited), got '"
-                  << v << "'\n";
-        return 2;
-      }
-    } else {
-      return Usage();
-    }
+  spider::Result<spider::ServerOptions> parsed =
+      spider::ParseServerArgs(std::vector<std::string>(argv + 1, argv + argc));
+  if (!parsed.ok()) {
+    std::cerr << "spiderd: " << parsed.status().message() << "\n";
+    return Usage();
   }
-  if (options.root.empty()) return Usage();
+  spider::ServerOptions options = std::move(parsed).value();
   const std::string root = options.root;
   const std::string host = options.host;
 
