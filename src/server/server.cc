@@ -65,7 +65,9 @@ Result<ServerOptions> ParseServerArgs(const std::vector<std::string>& args) {
       return Status::InvalidArgument("unknown argument '" + arg + "'");
     }
   }
-  if (options.root.empty()) return Status::InvalidArgument("--root is required");
+  if (options.root.empty()) {
+    return Status::InvalidArgument("--root is required");
+  }
   return options;
 }
 

@@ -77,8 +77,8 @@ constexpr size_t kMaxBlockHeadBytes = 40;
 bool ReadBlockHead(int fd, uint64_t offset, uint64_t limit, BlockHead* head) {
   if (offset >= limit) return false;
   char bytes[kMaxBlockHeadBytes];
-  const size_t length =
-      static_cast<size_t>(std::min<uint64_t>(kMaxBlockHeadBytes, limit - offset));
+  const size_t length = static_cast<size_t>(
+      std::min<uint64_t>(kMaxBlockHeadBytes, limit - offset));
   if (!PreadExact(fd, offset, bytes, length)) return false;
   SpanReader in(std::string_view(bytes, length));
   uint64_t payload_bytes = 0;
@@ -585,7 +585,9 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
       // that holds fewer is damage here, not an allocation sized by it.
       const fs::path file = dir / table->file_name;
       const std::optional<FileIdentity> on_disk = StatFileIdentity(file);
-      if (!on_disk) return Status::IOError("missing column file " + file.string());
+      if (!on_disk) {
+        return Status::IOError("missing column file " + file.string());
+      }
       if (table->file_bytes < 0 || on_disk->size < table->file_bytes) {
         return Status::IOError("column file " + file.string() +
                                " is shorter than its manifest record");
@@ -1062,7 +1064,7 @@ DiskCatalogWriter::DiskCatalogWriter(fs::path dir, DiskStoreOptions options,
       options_(options),
       append_(std::move(append)),
       lock_(std::move(lock)) {
-  // Keep the workspace's original block size so every block in a chain
+  // Keep the workspace's original block size so every block of a column
   // obeys the same bound.
   const int64_t block_bytes = append_->manifest.block_bytes;
   if (block_bytes >= 1024) options_.block_bytes = block_bytes;

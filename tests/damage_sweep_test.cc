@@ -453,7 +453,9 @@ TEST_F(DamageSweepTest, HostileBlockOffsetsFailToOpen) {
   auto with_offsets = [&original](const std::string& column,
                                   std::vector<uint64_t> offsets) {
     std::vector<std::string> text;
-    for (const uint64_t offset : offsets) text.push_back(std::to_string(offset));
+    for (const uint64_t offset : offsets) {
+      text.push_back(std::to_string(offset));
+    }
     return SetColumnField(original, column, 5, JoinStrings(text, ","));
   };
   std::vector<uint64_t> at_end = v;

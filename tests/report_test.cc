@@ -266,8 +266,8 @@ TEST(IndReportJsonTest, CountersEqualRunCounters) {
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
   int64_t pruned = 0;
   int64_t engine_rows = 0;
-  for (const char* approach :
-       {"spider-merge", "single-pass", "de-marchi", "bell-brockhausen", "sql-join"}) {
+  for (const char* approach : {"spider-merge", "single-pass", "de-marchi",
+                               "bell-brockhausen", "sql-join"}) {
     for (int threads : {1, 4}) {
       SpiderSession session(**catalog);
       RunOptions options;

@@ -117,7 +117,8 @@ TEST(ServerArgsTest, DefaultsAndAcceptedBounds) {
   EXPECT_EQ(defaults->max_sessions, 64);
 
   auto bounds = ParseServerArgs({"--root=r", "--host=0.0.0.0", "--port=65535",
-                                 "--threads=4096", "--max-sessions=2147483647"});
+                                 "--threads=4096",
+                                 "--max-sessions=2147483647"});
   ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
   EXPECT_EQ(bounds->host, "0.0.0.0");
   EXPECT_EQ(bounds->port, 65535);
@@ -150,9 +151,9 @@ TEST(ServerArgsTest, NumbersAreRangeCheckedBeforeNarrowing) {
 }
 
 TEST(ServerArgsTest, UnknownArgumentsAndMissingRootAreErrors) {
-  for (const std::vector<std::string>& args :
-       std::vector<std::vector<std::string>>{
-           {}, {"--port=0"}, {"--root=r", "--thread=2"}, {"--root=r", "--root"}}) {
+  const std::vector<std::vector<std::string>> rejected = {
+      {}, {"--port=0"}, {"--root=r", "--thread=2"}, {"--root=r", "--root"}};
+  for (const std::vector<std::string>& args : rejected) {
     EXPECT_TRUE(ParseServerArgs(args).status().IsInvalidArgument())
         << JoinStrings(args, " ");
   }
