@@ -63,16 +63,18 @@ bool OkOrIOError(const Status& status) {
   return status.ok() || status.IsIOError();
 }
 
-// Appends one row to table "t" of the workspace `dir` and commits; the
-// first failing step's status. A failed append must leave the manifest as
-// it was.
-Status AppendRowToT(const fs::path& dir) {
+// Appends one row to table "t" of the workspace `dir`, whose columns are
+// the string "v" and `second` of type `type`, and commits; the first
+// failing step's status. A failed append must leave the manifest as it
+// was.
+Status AppendRowToT(const fs::path& dir, const std::string& second,
+                    TypeId type) {
   const std::string manifest = ReadFile(dir / kDiskStoreManifestName);
   auto writer = DiskCatalogWriter::OpenForAppend(dir);
   Status status = writer.status();
   if (status.ok()) status = (*writer)->BeginTable("t");
   if (status.ok()) status = (*writer)->AddColumn("v", TypeId::kString);
-  if (status.ok()) status = (*writer)->AddColumn("w", TypeId::kString);
+  if (status.ok()) status = (*writer)->AddColumn(second, type);
   if (status.ok()) {
     status = (*writer)->AppendRow({Value::String("key-new"), Value::Null()});
   }
@@ -287,7 +289,7 @@ TEST_F(DamageSweepTest, EveryDamagedTableFileByteFailsCleanly) {
       }
       if (!read_by_append(offset)) continue;
       CopyWorkspace(workspace, copy);
-      const Status appended = AppendRowToT(copy);
+      const Status appended = AppendRowToT(copy, "w", TypeId::kString);
       EXPECT_TRUE(OkOrIOError(appended))
           << "append, offset " << offset << " byte " << int{byte} << ": "
           << appended.ToString();
@@ -341,7 +343,7 @@ TEST_F(DamageSweepTest, EveryDamagedStoreManifestByteFailsCleanly) {
       // An append to a copy ends in OK or an error, and a failed one
       // commits nothing (AppendRowToT checks).
       CopyWorkspace(workspace, copy);
-      if (AppendRowToT(copy).ok()) ++appends;
+      if (AppendRowToT(copy, "n", TypeId::kInteger).ok()) ++appends;
       Result<std::unique_ptr<Catalog>> catalog = OpenDiskCatalog(workspace);
       if (!catalog.ok()) {
         ++failed_opens;
