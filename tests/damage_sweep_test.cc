@@ -428,6 +428,41 @@ TEST_F(DamageSweepTest, ColumnByteCountsPastTheFileAreIOErrors) {
   EXPECT_EQ(ReadFile(manifest_path), manifest);
 }
 
+// Blocks of different columns interleave, so a block must end by its
+// column's next offset, not only by the table file's end: a head whose
+// payload runs one byte into the column's next block fails the scan and
+// the append's rescan, though the bytes it claims exist.
+TEST_F(DamageSweepTest, BlockPastItsColumnsNextOffsetIsAnIOError) {
+  const fs::path workspace = dir_->path() / "ws";
+  std::unique_ptr<Catalog> catalog = WriteTable("ws", 600);
+  const Table& table = *catalog->FindTable("t");
+  const auto& v = dynamic_cast<const DiskColumnStore&>(table.column(0).store());
+  const std::vector<uint64_t>& offsets = v.block_offsets();
+  ASSERT_GE(offsets.size(), 2u);
+  std::string file = ReadFile(v.path());
+  SpanReader head(std::string_view(file).substr(offsets[0]));
+  uint64_t payload_bytes = 0;
+  ASSERT_TRUE(head.Varint(&payload_bytes));
+  ASSERT_EQ(head.position(), 2u);
+  ASSERT_LT(offsets[0] + 2 + payload_bytes, offsets[1]) << "blocks between";
+  // The same two varint bytes, claiming a payload that ends at
+  // offsets[1] + 1.
+  const uint64_t longer = offsets[1] + 1 - offsets[0] - 2;
+  ASSERT_LT(longer, uint64_t{1} << 14);
+  file[offsets[0]] = static_cast<char>((longer & 0x7F) | 0x80);
+  file[offsets[0] + 1] = static_cast<char>(longer >> 7);
+  WriteFile(v.path(), file);
+
+  const Status scanned = ScanColumn(table.column(0));
+  EXPECT_TRUE(scanned.IsIOError()) << scanned.ToString();
+  EXPECT_NE(scanned.message().find("corrupt block in column file"),
+            std::string::npos)
+      << scanned.ToString();
+  EXPECT_TRUE(ScanColumn(table.column(1)).ok());
+  const Status appended = AppendRowToT(workspace, "w", TypeId::kString);
+  EXPECT_TRUE(appended.IsIOError()) << appended.ToString();
+}
+
 // Block offsets a reader would take on trust: one at or past the table
 // file's committed bytes, a column's offsets out of order, and one block
 // offset claimed by two columns. Each fails to open and to append, naming
