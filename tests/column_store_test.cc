@@ -252,11 +252,10 @@ void AppendPinnedRows(DiskCatalogWriter& writer, int begin, int end) {
 // Every byte of the .col block format and of spider_store.manifest, for a
 // create and an append that extends a column and adds a table. The
 // constants are FNV hashes as the format stands: of each column's blocks in
-// offset order (the bytes each column's own file held when a workspace
-// kept one file per column), of each table file, whose blocks interleave
-// in flush order, and of the manifest. A change to any block boundary,
-// dictionary order, canonical rendering, block placement or manifest field
-// breaks them.
+// offset order, of each table file, whose blocks interleave in flush
+// order, and of the manifest. A change to any block boundary, dictionary
+// order, canonical rendering, block placement or manifest field breaks
+// them.
 TEST_F(DiskStoreTest, ColumnBytesArePinned) {
   DiskStoreOptions options;
   options.block_bytes = 1024;
