@@ -11,6 +11,30 @@ namespace spider {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+// Writes the distinct values `store` keeps sorted as the set file `path`,
+// in the format an ExternalSorter writes: no sort, so no sort budget and no
+// spill run.
+Result<SortedSetInfo> WriteDistinctSet(const ColumnStore& store,
+                                       const fs::path& path) {
+  SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<SortedSetWriter> writer,
+                          SortedSetWriter::Create(path));
+  SortedSetInfo info;
+  info.path = path;
+  SPIDER_RETURN_NOT_OK(store.VisitDistinctSorted([&](std::string_view value) {
+    if (!info.min_value) info.min_value = value;
+    info.max_value = value;
+    return writer->Append(value);
+  }));
+  SPIDER_RETURN_NOT_OK(writer->Finish());
+  info.distinct_count = writer->count();
+  info.block_count = writer->block_count();
+  return info;
+}
+
+}  // namespace
+
 std::string ValueSetExtractor::SetFileName(const AttributeRef& attr) {
   // AttributeFileStem is shared with the disk column store, so one
   // attribute maps to the same "<sanitized>-<hash>" family everywhere.
@@ -134,34 +158,18 @@ void ValueSetExtractor::ForgetCachedSets() {
   cache_.clear();
 }
 
-Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
-    ValueCursor& cursor, const std::string& file_name,
-    std::optional<uint64_t> source_fingerprint) {
+template <typename WriteFn>
+Result<SortedSetInfo> ValueSetExtractor::PublishSet(
+    const std::string& file_name, std::optional<uint64_t> source_fingerprint,
+    WriteFn&& write) {
   SPIDER_ASSIGN_OR_RETURN(const fs::path scratch, ScratchDir());
-  ExternalSorterOptions sorter_options;
-  sorter_options.memory_budget_bytes = options_.sort_memory_budget_bytes;
-  sorter_options.spill_dir = scratch;
-  // Spill runs carry the set file's name, which tells a listing whose they
-  // are.
-  sorter_options.run_prefix = file_name;
-  ExternalSorter sorter(sorter_options);
-  // Stream the cursor into the sorter: with the disk backend, peak memory
-  // is one storage block per component plus the sorter's budget — never
-  // the column.
-  std::string_view value;
-  for (CursorStep step = cursor.Next(&value); step != CursorStep::kEnd;
-       step = cursor.Next(&value)) {
-    if (step == CursorStep::kNull) continue;
-    SPIDER_RETURN_NOT_OK(sorter.Add(std::string(value)));
-  }
-  SPIDER_RETURN_NOT_OK(cursor.status());
   // Staged under a name of this extractor's own, beside the final one: a
   // rename within one directory is cheaper than one between two, and the
   // name, `<scratch dir>.<file_name>`, tells the sweep of a killed run's
   // scratch directory that the file is the dead run's too.
   const fs::path staged =
       output_dir_ / (scratch.filename().string() + "." + file_name);
-  SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info, sorter.WriteSortedSet(staged));
+  SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info, write(scratch, staged));
   // Fingerprinted where no other run can reach it, so the profile records
   // these bytes even if another run publishes its own under the same name
   // right after. Best effort: an unreadable file is simply not recorded.
@@ -187,6 +195,34 @@ Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
   return info;
 }
 
+Result<SortedSetInfo> ValueSetExtractor::SortCursorToSet(
+    ValueCursor& cursor, const std::string& file_name,
+    std::optional<uint64_t> source_fingerprint) {
+  return PublishSet(
+      file_name, source_fingerprint,
+      [&](const fs::path& scratch,
+          const fs::path& staged) -> Result<SortedSetInfo> {
+        ExternalSorterOptions sorter_options;
+        sorter_options.memory_budget_bytes = options_.sort_memory_budget_bytes;
+        sorter_options.spill_dir = scratch;
+        // Spill runs carry the set file's name, which tells a listing whose
+        // they are.
+        sorter_options.run_prefix = file_name;
+        ExternalSorter sorter(sorter_options);
+        // Stream the cursor into the sorter: with the disk backend, peak
+        // memory is one storage block per component plus the sorter's
+        // budget — never the column.
+        std::string_view value;
+        for (CursorStep step = cursor.Next(&value); step != CursorStep::kEnd;
+             step = cursor.Next(&value)) {
+          if (step == CursorStep::kNull) continue;
+          SPIDER_RETURN_NOT_OK(sorter.Add(std::string(value)));
+        }
+        SPIDER_RETURN_NOT_OK(cursor.status());
+        return sorter.WriteSortedSet(staged);
+      });
+}
+
 Result<SortedSetInfo> ValueSetExtractor::DoExtract(
     const Catalog& catalog, const AttributeRef& attribute,
     const std::string& file_name, RunCounters* counters) {
@@ -200,10 +236,21 @@ Result<SortedSetInfo> ValueSetExtractor::DoExtract(
       return *std::move(reused);
     }
   }
-  SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<ValueCursor> cursor,
-                          column->OpenCursor());
-  SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info,
-                          SortCursorToSet(*cursor, file_name, source_fp));
+  SortedSetInfo info;
+  const ColumnStore& store = column->store();
+  if (store.keeps_sorted_distinct()) {
+    SPIDER_ASSIGN_OR_RETURN(
+        info, PublishSet(file_name, source_fp,
+                         [&store](const fs::path& /*scratch*/,
+                                  const fs::path& staged) {
+                           return WriteDistinctSet(store, staged);
+                         }));
+  } else {
+    SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<ValueCursor> cursor,
+                            column->OpenCursor());
+    SPIDER_ASSIGN_OR_RETURN(info,
+                            SortCursorToSet(*cursor, file_name, source_fp));
+  }
   if (counters != nullptr) ++counters->sets_extracted;
   return info;
 }

@@ -33,7 +33,9 @@ namespace spider {
 
 /// Options for value-set extraction.
 struct ValueSetExtractorOptions {
-  /// Memory budget handed to each per-attribute external sort.
+  /// Memory budget handed to each external sort: a memory-backed column's
+  /// or a composite tuple's. A column whose store keeps its distinct
+  /// values sorted (the disk backend) is merged from them, not sorted.
   int64_t sort_memory_budget_bytes = 64LL << 20;
   /// Persist the profile: load spider_profile.manifest from the output dir
   /// at construction, reuse recorded set files whose source and content
@@ -47,39 +49,43 @@ struct ValueSetExtractorOptions {
 
 /// \brief Materializes sorted-distinct value sets for catalog attributes.
 ///
+/// A disk column's set is the k-way merge of its block dictionaries, which
+/// the store keeps sorted (ColumnStore::VisitDistinctSorted); a memory
+/// column's set and every composite set go through an ExternalSorter.
+///
 /// Thread-safe: any number of threads may Extract() concurrently. The cache
-/// deduplicates in-flight work — the first caller for an attribute sorts
+/// deduplicates in-flight work — the first caller for an attribute extracts
 /// it, later callers (concurrent or not) block on that extraction and share
 /// its file. Set-file names are deterministic functions of the attribute
 /// (not of arrival order), so a given work_dir layout is reproducible
 /// regardless of thread interleaving.
 ///
 /// The work is counted where it happens, as SortedSetReader::Open counts
-/// files_opened: the one call that sorted a set, or reused it from the
+/// files_opened: the one call that extracted a set, or reused it from the
 /// persisted profile, adds it to the counters it was handed
 /// (sets_extracted or sets_reused). Callers served from the cache add
-/// nothing, so runs sharing an extractor never count each other's sorts.
+/// nothing, so runs sharing an extractor never count each other's work.
 class ValueSetExtractor {
  public:
   /// `output_dir` must exist; one ".set" file per attribute is published
   /// inside it. Spill runs live in this extractor's own `.extract.tmp-*`
   /// scratch directory under it (TempDir::MakeShared, created at the first
-  /// sort), unpublished sets beside it under names that start with the
-  /// scratch directory's, so other processes may share `output_dir`.
+  /// extraction), unpublished sets beside it under names that start with
+  /// the scratch directory's, so other processes may share `output_dir`.
   ValueSetExtractor(std::filesystem::path output_dir,
                     ValueSetExtractorOptions options = {});
 
   /// Extracts the given attribute from the catalog. NULLs are dropped
   /// (inclusion dependencies are defined over non-NULL values). Re-runs for
   /// the same attribute return the cached file. A non-null `counters`
-  /// counts the set if this call sorted or reused it.
+  /// counts the set if this call extracted or reused it.
   [[nodiscard]]
   Result<SortedSetInfo> Extract(const Catalog& catalog,
                                 const AttributeRef& attribute,
                                 RunCounters* counters = nullptr);
 
   /// Extracts all listed attributes; returns infos in the same order. When
-  /// `pool` is non-null the per-attribute sorts run concurrently on it
+  /// `pool` is non-null the per-attribute extractions run concurrently on it
   /// (duplicates in `attributes` are coalesced by the cache).
   [[nodiscard]]
   Result<std::vector<SortedSetInfo>> ExtractAll(
@@ -135,13 +141,13 @@ class ValueSetExtractor {
 
   /// Drops every cached set, for after a failed run: the set that failed
   /// it may be damaged on disk. Each set's next request checks its bytes
-  /// against the profile again (or sorts it again) instead of being served
+  /// against the profile again (or extracts it again) instead of being served
   /// from the cache. Extractions in flight still reach their waiters, and
   /// the sets served so far stay known to CheckSetsUnchanged().
   void ForgetCachedSets() SPIDER_EXCLUDES(mutex_);
 
  private:
-  /// The uncached reuse-or-sort step for the set published as
+  /// The uncached reuse-or-extract step for the set published as
   /// `file_name`; counts what it did into `counters` when non-null.
   [[nodiscard]]
   Result<SortedSetInfo> DoExtract(const Catalog& catalog,
@@ -173,11 +179,19 @@ class ValueSetExtractor {
   [[nodiscard]]
   Result<std::filesystem::path> ScratchDir() SPIDER_EXCLUDES(scratch_mutex_);
 
-  /// Streams one cursor's non-NULL values through an ExternalSorter into a
-  /// set file staged under this extractor's own name and publishes it as
-  /// `file_name` under the output dir. With a `source_fingerprint` the set
-  /// is recorded in the profile, fingerprinted before it is published:
-  /// what is recorded is always this extractor's own bytes.
+  /// Has `write(scratch_dir, staged)` write a set file at `staged`, a name
+  /// of this extractor's own, and publishes it as `file_name` under the
+  /// output dir. With a `source_fingerprint` the set is recorded in the
+  /// profile, fingerprinted before it is published: what is recorded is
+  /// always this extractor's own bytes.
+  template <typename WriteFn>
+  [[nodiscard]]
+  Result<SortedSetInfo> PublishSet(const std::string& file_name,
+                                   std::optional<uint64_t> source_fingerprint,
+                                   WriteFn&& write);
+
+  /// Publishes one cursor's non-NULL values, sorted through an
+  /// ExternalSorter that spills into the scratch directory (PublishSet).
   [[nodiscard]]
   Result<SortedSetInfo> SortCursorToSet(
       ValueCursor& cursor, const std::string& file_name,

@@ -35,6 +35,12 @@ class MemoryValueCursor final : public ValueCursor {
 
 }  // namespace
 
+Status ColumnStore::VisitDistinctSorted(
+    const std::function<Status(std::string_view)>& visit) const {
+  (void)visit;
+  return Status::NotImplemented("this column store keeps no sorted values");
+}
+
 Result<std::unique_ptr<ValueCursor>> MemoryColumnStore::OpenCursor() const {
   return std::unique_ptr<ValueCursor>(
       std::make_unique<MemoryValueCursor>(&values_));

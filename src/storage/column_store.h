@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -79,6 +80,19 @@ class ColumnStore {
   /// (the disk store persists them in its manifest); nullptr when stats
   /// must be computed by scanning.
   virtual const ColumnStats* cached_stats() const { return nullptr; }
+
+  /// True when the backend keeps the column's distinct values sorted (the
+  /// disk store's block dictionaries), so VisitDistinctSorted() streams
+  /// them without a sort.
+  virtual bool keeps_sorted_distinct() const { return false; }
+
+  /// Calls `visit` once with each distinct non-NULL value, in ascending
+  /// byte order (as std::string compares them), and returns the first
+  /// error it returns. Only stores that keeps_sorted_distinct() have it;
+  /// the others return NotImplemented.
+  [[nodiscard]]
+  virtual Status VisitDistinctSorted(
+      const std::function<Status(std::string_view)>& visit) const;
 };
 
 /// \brief The default backend: values materialized in a vector.

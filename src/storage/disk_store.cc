@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -42,9 +43,11 @@ namespace {
 //
 // The format has one reader, its two decoders below, both over SpanReader:
 // ReadBlockHead locates a block's parts and DictReader decodes its
-// dictionary. The scan cursor uses both, the append path's rescan the
-// first and the seal-time statistics merge the second. Whatever damage
-// they meet is one IOError naming the file (CorruptBlock).
+// dictionary, each entry strictly after the one before. The scan cursor
+// uses both, the append path's rescan the first, and MergeDictionaries —
+// the seal-time statistics and a sealed column's sorted distinct values —
+// both. Whatever damage they meet is one IOError naming the file
+// (CorruptBlock).
 // ---------------------------------------------------------------------------
 
 Status CorruptBlock(const fs::path& path) {
@@ -123,7 +126,8 @@ class DictReader {
 
   // Decodes the next entry into current(). False once every entry is read,
   // or when the region is damaged (ok() tells the two apart): it must hold
-  // exactly its entries, each sharing no more than the previous one holds.
+  // exactly its entries, each sharing no more than the previous one holds
+  // and sorting after it.
   bool Next() {
     if (entries_left_ == 0) {
       damaged_ = damaged_ || region_left_ > 0 || pos_ < window_.size();
@@ -136,11 +140,17 @@ class DictReader {
       std::string_view bytes;
       if (in.Varint(&shared) && in.Varint(&suffix) &&
           in.Bytes(suffix, &bytes)) {
-        if (shared > current_.size()) break;
+        // The entry keeps the previous one's first `shared` bytes, so it
+        // sorts after it exactly when `bytes` sorts after the rest.
+        if (shared > current_.size() ||
+            (decoded_ && bytes <= std::string_view(current_).substr(shared))) {
+          break;
+        }
         current_.resize(shared);
         current_.append(bytes);
         pos_ += in.position();
         --entries_left_;
+        decoded_ = true;
         return true;
       }
       // The entry runs past the window: read on, enough for its suffix.
@@ -181,8 +191,83 @@ class DictReader {
   std::string window_;
   size_t pos_ = 0;
   std::string current_;
+  bool decoded_ = false;  // current_ holds an entry
   bool damaged_ = false;
 };
+
+// The dictionary regions of the blocks at `offsets` in the table file
+// `path`, open as `fd`, whose committed bytes end at `table_bytes`.
+Result<std::vector<DictRegion>> ReadDictRegions(
+    int fd, const fs::path& path, const std::vector<uint64_t>& offsets,
+    uint64_t table_bytes) {
+  std::vector<DictRegion> dicts;
+  dicts.reserve(offsets.size());
+  for (size_t b = 0; b < offsets.size(); ++b) {
+    BlockHead head;
+    if (!ReadBlockHead(fd, offsets[b], BlockLimit(offsets, b, table_bytes),
+                       &head)) {
+      return CorruptBlock(path);
+    }
+    dicts.push_back(head.dict);
+  }
+  return dicts;
+}
+
+// Read-window bytes per block dictionary in MergeDictionaries: a merge
+// holds about block count × this.
+constexpr size_t kDictMergeWindowBytes = 8 << 10;
+
+// Calls `visit` once with each distinct value of the block dictionaries
+// `dicts` of the table file `path`, open as `fd`, in ascending byte order,
+// and sets `merged`'s distinct count, min and max to theirs: a
+// tournament-tree k-way merge of one DictReader per block.
+// CorruptBlock(path) when a dictionary is damaged; an error `visit`
+// returns ends the merge with it.
+Status MergeDictionaries(int fd, const fs::path& path,
+                         const std::vector<DictRegion>& dicts,
+                         const std::function<Status(std::string_view)>& visit,
+                         ColumnStats* merged) {
+  merged->distinct_count = 0;
+  merged->min_value.reset();
+  merged->max_value.reset();
+  std::vector<DictReader> readers;
+  readers.reserve(dicts.size());
+  for (const DictRegion& region : dicts) {
+    readers.emplace_back(fd, region, kDictMergeWindowBytes);
+  }
+  auto less = [&readers](int a, int b) {
+    const int order = readers[static_cast<size_t>(a)].current().compare(
+        readers[static_cast<size_t>(b)].current());
+    return order != 0 ? order < 0 : a < b;
+  };
+  TournamentTree<decltype(less)> tree(static_cast<int>(readers.size()), less);
+  for (size_t i = 0; i < readers.size(); ++i) {
+    if (readers[i].Next()) {
+      tree.Push(static_cast<int>(i));
+    } else if (!readers[i].ok()) {
+      return CorruptBlock(path);
+    }
+  }
+  std::string last;
+  while (!tree.empty()) {
+    DictReader& reader = readers[static_cast<size_t>(tree.top())];
+    if (merged->distinct_count == 0 || last < reader.current()) {
+      ++merged->distinct_count;
+      last = reader.current();
+      if (!merged->min_value) merged->min_value = last;
+      SPIDER_RETURN_NOT_OK(visit(last));
+    }
+    if (reader.Next()) {
+      tree.Refresh();
+    } else if (reader.ok()) {
+      tree.Pop();
+    } else {
+      return CorruptBlock(path);
+    }
+  }
+  if (merged->distinct_count > 0) merged->max_value = std::move(last);
+  return Status::OK();
+}
 
 // Streaming cursor over one column's blocks in its table file: decodes one
 // block at a time; the resident footprint is one block's dictionary plus
@@ -256,10 +341,6 @@ class DiskValueCursor final : public ValueCursor {
   uint64_t rows_left_ = 0;
   Status status_;
 };
-
-// Read-window bytes per block dictionary in the seal-time statistics
-// merge: peak stats memory per column is about block count × this.
-constexpr size_t kStatsMergeBufferBytes = 8 << 10;
 
 std::string FormatDouble(double v) {
   char text[kDoubleTextBytes];
@@ -777,6 +858,29 @@ Result<std::unique_ptr<ValueCursor>> DiskColumnStore::OpenCursor() const {
       static_cast<uint64_t>(table_bytes_)));
 }
 
+Status DiskColumnStore::VisitDistinctSorted(
+    const std::function<Status(std::string_view)>& visit) const {
+  ScopedFd fd(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) {
+    return Status::IOError("cannot open column file " + path_.string());
+  }
+  SPIDER_ASSIGN_OR_RETURN(
+      const std::vector<DictRegion> dicts,
+      ReadDictRegions(fd.get(), path_, block_offsets_,
+                      static_cast<uint64_t>(table_bytes_)));
+  ColumnStats merged;
+  SPIDER_RETURN_NOT_OK(
+      MergeDictionaries(fd.get(), path_, dicts, visit, &merged));
+  // The seal merged these same dictionaries into the manifest's
+  // statistics, so values that disagree with them come from damage.
+  if (merged.distinct_count != stats_.distinct_count ||
+      merged.min_value != stats_.min_value ||
+      merged.max_value != stats_.max_value) {
+    return CorruptBlock(path_);
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // TableFile: the open table's ".col" file, shared by its column writers.
 // ---------------------------------------------------------------------------
@@ -843,27 +947,17 @@ class DiskCatalogWriter::ColumnWriter {
   /// heads of its committed blocks (ParseManifest checked their offsets)
   /// to rebuild the dictionary-region index the seal-time statistics merge
   /// needs. Running totals (row/null/length/letter/digit) continue from
-  /// its statistics; distinct/min/max are cleared here and recomputed over
-  /// all blocks — old and new — at Seal().
+  /// its statistics; Seal() recomputes distinct/min/max over all blocks,
+  /// old and new.
   Status OpenForAppend(const ManifestColumn& sealed) {
-    const std::vector<uint64_t>& offsets = sealed.block_offsets;
-    for (size_t b = 0; b < offsets.size(); ++b) {
-      BlockHead head;
-      if (!ReadBlockHead(table_.in.get(), offsets[b],
-                         BlockLimit(offsets, b, table_.bytes), &head)) {
-        return CorruptBlock(table_.path);
-      }
-      dicts_.push_back(head.dict);
-    }
-    block_offsets_ = offsets;
+    SPIDER_ASSIGN_OR_RETURN(
+        dicts_, ReadDictRegions(table_.in.get(), table_.path,
+                                sealed.block_offsets, table_.bytes));
+    block_offsets_ = sealed.block_offsets;
     bytes_ = sealed.bytes;
     stats_ = sealed.stats;
     with_letter_ = stats_.letter_count;
     all_digits_ = stats_.digit_count;
-    stats_.distinct_count = 0;
-    stats_.min_value.reset();
-    stats_.max_value.reset();
-    stats_.verified_unique = false;
     return Status::OK();
   }
 
@@ -897,11 +991,13 @@ class DiskCatalogWriter::ColumnWriter {
   }
 
   /// Computes the seal-time statistics (exact distinct count / min / max
-  /// via a k-way merge of the per-block sorted dictionaries) once every
-  /// block, the tail one too, is in the table file. Returns the column's
-  /// manifest record.
+  /// from MergeDictionaries over the table file's one read descriptor)
+  /// once every block, the tail one too, is in the table file. Returns the
+  /// column's manifest record.
   Result<ManifestColumn> Seal() {
-    SPIDER_RETURN_NOT_OK(ComputeDistinctStats());
+    SPIDER_RETURN_NOT_OK(MergeDictionaries(
+        table_.in.get(), table_.path, dicts_,
+        [](std::string_view) { return Status::OK(); }, &stats_));
     stats_.verified_unique = stats_.non_null_count > 0 &&
                              stats_.distinct_count == stats_.non_null_count;
     stats_.letter_count = with_letter_;
@@ -970,52 +1066,6 @@ class DiskCatalogWriter::ColumnWriter {
     block_dict_.Clear();
     block_codes_.clear();
     pending_bytes_ = 0;
-    return Status::OK();
-  }
-
-  // Exact distinct count and global min/max from the sorted per-block
-  // dictionaries: a loser-tree k-way merge over small streaming windows —
-  // the table file's one read fd, block_count × kStatsMergeBufferBytes of
-  // memory.
-  Status ComputeDistinctStats() {
-    if (dicts_.empty()) return Status::OK();
-    std::vector<DictReader> cursors;
-    cursors.reserve(dicts_.size());
-    for (const DictRegion& region : dicts_) {
-      cursors.emplace_back(table_.in.get(), region, kStatsMergeBufferBytes);
-    }
-    auto less = [&cursors](int a, int b) {
-      const int order = cursors[static_cast<size_t>(a)].current().compare(
-          cursors[static_cast<size_t>(b)].current());
-      return order != 0 ? order < 0 : a < b;
-    };
-    TournamentTree<decltype(less)> tree(static_cast<int>(cursors.size()),
-                                        less);
-    for (size_t i = 0; i < cursors.size(); ++i) {
-      if (cursors[i].Next()) {
-        tree.Push(static_cast<int>(i));
-      } else if (!cursors[i].ok()) {
-        return CorruptBlock(table_.path);
-      }
-    }
-    std::optional<std::string> last;
-    while (!tree.empty()) {
-      const int slot = tree.top();
-      DictReader& cursor = cursors[static_cast<size_t>(slot)];
-      if (!last || *last < cursor.current()) {
-        ++stats_.distinct_count;
-        if (!stats_.min_value) stats_.min_value = cursor.current();
-        last = cursor.current();
-      }
-      if (cursor.Next()) {
-        tree.Refresh();
-      } else if (cursor.ok()) {
-        tree.Pop();
-      } else {
-        return CorruptBlock(table_.path);
-      }
-    }
-    stats_.max_value = last;
     return Status::OK();
   }
 

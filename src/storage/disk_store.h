@@ -9,7 +9,9 @@
 // their blocks into the table file as each fills, so one column's blocks
 // interleave with the others'; the manifest records where each block
 // starts. Access is streaming only (ValueCursor): peak memory per open
-// cursor is one block, regardless of column size.
+// cursor is one block, regardless of column size. A column's sorted
+// distinct values stream from a merge of its block dictionaries
+// (VisitDistinctSorted).
 //
 // A workspace is self-describing: DiskCatalogWriter persists the schema,
 // row counts, per-column statistics and block offsets in
@@ -24,6 +26,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -91,6 +94,16 @@ class DiskColumnStore final : public ColumnStore {
   int64_t ApproximateByteSize() const override { return bytes_; }
   bool out_of_core() const override { return true; }
   const ColumnStats* cached_stats() const override { return &stats_; }
+
+  /// Every block's dictionary is sorted: VisitDistinctSorted() merges them,
+  /// as the seal did for the statistics, through one read window of 8 KiB
+  /// per block. Damage — a block that does not decode, or values whose
+  /// count, min or max differ from the statistics — fails it with an
+  /// IOError naming the table file.
+  bool keeps_sorted_distinct() const override { return true; }
+  [[nodiscard]]
+  Status VisitDistinctSorted(
+      const std::function<Status(std::string_view)>& visit) const override;
 
   /// The table file that holds the column's blocks.
   const std::filesystem::path& path() const { return path_; }

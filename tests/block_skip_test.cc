@@ -190,8 +190,9 @@ TEST(BlockSkipTest, CompositeVerifierParity) {
 
 TEST(BlockSkipTest, DiskBackendParityAcrossSkipAndThreads) {
   // The same skip-on/off × serial/parallel matrix on an out-of-core
-  // catalog: the extractor spills and merges through the identical
-  // block-indexed files, so the satisfied set must not move.
+  // catalog: the extractor merges each column's sorted block dictionaries
+  // into the identical block-indexed files, so the satisfied set must not
+  // move.
   const auto data_options = datagen::PdbLikeOptions::PaperScale(/*entries=*/40);
   auto dir = TempDir::Make("spider-block-skip");
   ASSERT_TRUE(dir.ok());

@@ -2,12 +2,14 @@
 // store manifest: every byte of a multi-block `.set` file, of a `.col`
 // table file whose two columns' blocks interleave and of a version-3
 // `spider_store.manifest` is set to 0x00, to 0xFF and to itself with the
-// low bit flipped. Every reader of a damaged `.set` or `.col` copy must
-// return OK or an IOError, and a workspace whose manifest is damaged must
-// fail to open or run a sql-join profile to OK or an error. None may abort
-// — ASan and UBSan run this suite like every other — and a failed append
-// must leave the committed manifest as it was. Named cases cover the
-// hostile inputs the sweep reaches only by chance.
+// low bit flipped. Every reader of a damaged `.set` or `.col` copy — the
+// scan, the set extraction that merges a column's block dictionaries and
+// the append — must return OK or an IOError, and a workspace whose
+// manifest is damaged must fail to open or run a sql-join profile to OK or
+// an error. None may abort — ASan and UBSan run this suite like every
+// other — and a failed append must leave the committed manifest as it
+// was. Named cases cover the hostile inputs the sweep reaches only by
+// chance.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include "src/common/temp_dir.h"
 #include "src/common/value_codec.h"
 #include "src/extsort/sorted_set_file.h"
+#include "src/extsort/value_set_extractor.h"
 #include "src/ind/session.h"
 #include "src/storage/disk_store.h"
 
@@ -266,10 +269,14 @@ TEST_F(DamageSweepTest, EveryDamagedTableFileByteFailsCleanly) {
                        });
   };
 
-  // Appends go to a copy of the workspace holding the damaged table file.
+  // Appends go to a copy of the workspace holding the damaged table file,
+  // set files to a directory of their own.
   const fs::path workspace = dir_->path() / "ws";
   const fs::path copy = dir_->path() / "append";
+  const fs::path sets = dir_->path() / "sets";
+  ASSERT_TRUE(fs::create_directory(sets));
   int failed_scans = 0;
+  int failed_extractions = 0;
   int failed_appends = 0;
   for (size_t offset = 0; offset < original.size(); ++offset) {
     for (const char byte : DamagedBytes(original[offset])) {
@@ -288,6 +295,21 @@ TEST_F(DamageSweepTest, EveryDamagedTableFileByteFailsCleanly) {
         }
       }
       if (!read_by_append(offset)) continue;
+      // A fresh extractor, so no set is served from an earlier byte's cache.
+      ValueSetExtractor extractor(sets);
+      for (int c = 0; c < table.column_count(); ++c) {
+        const Status extracted =
+            extractor.Extract(*catalog, {"t", table.column(c).name()})
+                .status();
+        EXPECT_TRUE(OkOrIOError(extracted))
+            << "extract " << c << ", offset " << offset << " byte "
+            << int{byte} << ": " << extracted.ToString();
+        if (!extracted.ok()) {
+          ++failed_extractions;
+          EXPECT_NE(extracted.message().find(path.string()), std::string::npos)
+              << extracted.ToString();
+        }
+      }
       CopyWorkspace(workspace, copy);
       const Status appended = AppendRowToT(copy, "w", TypeId::kString);
       EXPECT_TRUE(OkOrIOError(appended))
@@ -301,6 +323,7 @@ TEST_F(DamageSweepTest, EveryDamagedTableFileByteFailsCleanly) {
     EXPECT_TRUE(ScanColumn(table.column(c)).ok());
   }
   EXPECT_GT(failed_scans, 0);
+  EXPECT_GT(failed_extractions, 0);
   EXPECT_GT(failed_appends, 0);
 }
 
@@ -461,6 +484,96 @@ TEST_F(DamageSweepTest, BlockPastItsColumnsNextOffsetIsAnIOError) {
   EXPECT_TRUE(ScanColumn(table.column(1)).ok());
   const Status appended = AppendRowToT(workspace, "w", TypeId::kString);
   EXPECT_TRUE(appended.IsIOError()) << appended.ToString();
+}
+
+// A dictionary whose entries do not strictly ascend is a damaged block,
+// though each entry decodes: the sorted "a1", "a2", "a3" with the suffix
+// byte of the second made '9' read "a1", "a9", "a3". A merge that trusted
+// the order would drop "a3" and an append would commit its count of two.
+// The scan, the set extraction and the append each fail with an IOError
+// naming the table file, and the failed append leaves the manifest as it
+// was.
+TEST_F(DamageSweepTest, DictionaryOutOfOrderIsAnIOError) {
+  const fs::path workspace = dir_->path() / "ws";
+  fs::path table_file;
+  {
+    auto writer = DiskCatalogWriter::Create(workspace, "db");
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->BeginTable("t").ok());
+    ASSERT_TRUE((*writer)->AddColumn("v", TypeId::kString).ok());
+    ASSERT_TRUE((*writer)->AddColumn("w", TypeId::kString).ok());
+    for (const char* v : {"a1", "a2", "a3"}) {
+      ASSERT_TRUE(
+          (*writer)->AppendRow({Value::String(v), Value::String("x")}).ok());
+    }
+    ASSERT_TRUE((*writer)->FinishTable().ok());
+    auto catalog = (*writer)->Finish();
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    table_file = dynamic_cast<const DiskColumnStore&>(
+                     (*catalog)->FindTable("t")->column(0).store())
+                     .path();
+  }
+  // v's front-coded dictionary: "a1", then 1 shared byte and "2", then 1
+  // shared byte and "3".
+  const std::string dict("\x00\x02" "a1" "\x01\x01" "2" "\x01\x01" "3", 10);
+  std::string file = ReadFile(table_file);
+  const size_t at = file.find(dict);
+  ASSERT_NE(at, std::string::npos);
+  file[at + 6] = '9';
+  WriteFile(table_file, file);
+
+  auto catalog = OpenDiskCatalog(workspace);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  const fs::path sets = dir_->path() / "sets";
+  ASSERT_TRUE(fs::create_directory(sets));
+  ValueSetExtractor extractor(sets);
+  for (const Status& status :
+       {ScanColumn((*catalog)->FindTable("t")->column(0)),
+        extractor.Extract(**catalog, {"t", "v"}).status(),
+        AppendRowToT(workspace, "w", TypeId::kString)}) {
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_NE(status.message().find(table_file.string()), std::string::npos)
+        << status.ToString();
+  }
+  // The other column's block is whole.
+  EXPECT_TRUE(ScanColumn((*catalog)->FindTable("t")->column(1)).ok());
+  EXPECT_TRUE(extractor.Extract(**catalog, {"t", "w"}).ok());
+}
+
+// The seal merged a column's block dictionaries into its distinct count,
+// min and max, so a set extracted from the same dictionaries must match
+// them: a manifest that records another count, min or max opens, but the
+// extraction fails with an IOError naming the table file.
+TEST_F(DamageSweepTest, SetThatDisagreesWithItsStatisticsIsAnIOError) {
+  const fs::path workspace = dir_->path() / "ws";
+  fs::path table_file;
+  {
+    std::unique_ptr<Catalog> catalog = WriteTable("ws", 600);
+    table_file = dynamic_cast<const DiskColumnStore&>(
+                     catalog->FindTable("t")->column(0).store())
+                     .path();
+  }
+  const fs::path manifest_path = workspace / kDiskStoreManifestName;
+  const std::string original = ReadFile(manifest_path);
+  const fs::path sets = dir_->path() / "sets";
+  ASSERT_TRUE(fs::create_directory(sets));
+  // Fields 8, 10 and 12 of a column record: distinct count, min and max.
+  // "v" holds "key-0" to "key-19".
+  const std::pair<size_t, const char*> fields[] = {
+      {8, "19"}, {10, "key-00"}, {12, "key-99"}};
+  for (const auto& [field, value] : fields) {
+    SCOPED_TRACE(value);
+    WriteFile(manifest_path, SetColumnField(original, "v", field, value));
+    auto catalog = OpenDiskCatalog(workspace);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    EXPECT_TRUE(ScanColumn((*catalog)->FindTable("t")->column(0)).ok());
+    ValueSetExtractor extractor(sets);
+    const Status status = extractor.Extract(**catalog, {"t", "v"}).status();
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_NE(status.message().find(table_file.string()), std::string::npos)
+        << status.ToString();
+    EXPECT_TRUE(extractor.Extract(**catalog, {"t", "w"}).ok());
+  }
 }
 
 // Block offsets a reader would take on trust: one at or past the table

@@ -62,7 +62,8 @@ Result<std::unique_ptr<Catalog>> ImportWorkspace(
 Result<SessionReport> PersistedRun(
     const std::filesystem::path& workspace, bool profile_cache = true,
     int64_t sort_memory_budget_bytes =
-        SessionOptions{}.sort_memory_budget_bytes) {
+        SessionOptions{}.sort_memory_budget_bytes,
+    const std::string& approach = "spider-merge") {
   SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> catalog,
                           OpenDiskCatalog(workspace));
   SessionOptions session_options;
@@ -71,7 +72,7 @@ Result<SessionReport> PersistedRun(
   session_options.sort_memory_budget_bytes = sort_memory_budget_bytes;
   SpiderSession session(std::move(catalog), session_options);
   RunOptions options;
-  options.approach = "spider-merge";
+  options.approach = approach;
   options.profile_cache = profile_cache;
   return session.Run(options);
 }
@@ -294,17 +295,19 @@ TEST(ProfilePersistenceTest, FailedSaveIsReportedAndTheNextRunSeals) {
   EXPECT_EQ(warm->run.satisfied, unsaved->run.satisfied);
 }
 
-// A dump large enough that a small sort budget spills every column:
-// orders.customer ⊆ customers.id.
+// A dump large enough that a small sort budget spills every composite
+// set: (orders.customer, orders.code) ⊆ (customers.id, customers.code).
 void WriteSpillingDump(const std::filesystem::path& csv_dir) {
   ASSERT_TRUE(std::filesystem::create_directories(csv_dir));
-  std::string orders = "id,customer\n";
-  std::string customers = "id,city\n";
+  std::string orders = "id,customer,code\n";
+  std::string customers = "id,code,city\n";
   for (int i = 0; i < 600; ++i) {
-    orders += "o" + std::to_string(i) + ",c" + std::to_string(i % 200) + "\n";
+    orders += "o" + std::to_string(i) + ",c" + std::to_string(i % 200) +
+              ",k" + std::to_string(i % 200) + "\n";
   }
   for (int i = 0; i < 400; ++i) {
-    customers += "c" + std::to_string(i) + ",x" + std::to_string(i % 7) + "\n";
+    customers += "c" + std::to_string(i) + ",k" + std::to_string(i) + ",x" +
+                 std::to_string(i % 7) + "\n";
   }
   WriteFile(csv_dir / "orders.csv", orders);
   WriteFile(csv_dir / "customers.csv", customers);
@@ -312,9 +315,10 @@ void WriteSpillingDump(const std::filesystem::path& csv_dir) {
 
 TEST(ProfilePersistenceTest, ConcurrentSessionsShareOneWorkspace) {
   // Two sessions over one workspace at once, each with its own extractor
-  // — what two `spider profile` processes on one workspace are. They sort
-  // the same attributes into the same directory under the same names,
-  // spilling, and both seal the profile.
+  // — what two `spider profile --approach=nary` processes on one workspace
+  // are. They extract the same sets into the same directory under the
+  // same names, the composite ones through sorts that spill at the same
+  // time, and both seal the profile.
   auto dir = TempDir::Make("spider-profile-shared");
   ASSERT_TRUE(dir.ok());
   const std::filesystem::path root = (*dir)->path();
@@ -327,13 +331,14 @@ TEST(ProfilePersistenceTest, ConcurrentSessionsShareOneWorkspace) {
   ASSERT_TRUE(catalog.ok());
   SpiderSession scratch(std::move(*catalog));
   RunOptions options;
-  options.approach = "spider-merge";
+  options.approach = "nary";
   auto expected = scratch.Run(options);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   EXPECT_TRUE(testing::ToSet(expected->run.satisfied)
                   .contains(Ind{{"orders", "customer"}, {"customers", "id"}}));
+  EXPECT_FALSE(expected->nary_run.satisfied.empty());
 
-  // Small enough that every column of WriteSpillingDump spills.
+  // Small enough that every composite set of WriteSpillingDump spills.
   constexpr int64_t kSortBudget = 1024;
   for (int copy = 0; copy < 20; ++copy) {
     SCOPED_TRACE("copy " + std::to_string(copy));
@@ -349,16 +354,19 @@ TEST(ProfilePersistenceTest, ConcurrentSessionsShareOneWorkspace) {
     WriteFile(workspace / ".extract.tmp-1-0.orders.set.tmp-1-2", "half");
     std::optional<Result<SessionReport>> second;
     std::thread other([&] {
-      second.emplace(PersistedRun(workspace, true, kSortBudget));
+      second.emplace(PersistedRun(workspace, true, kSortBudget, "nary"));
     });
-    Result<SessionReport> first = PersistedRun(workspace, true, kSortBudget);
+    Result<SessionReport> first =
+        PersistedRun(workspace, true, kSortBudget, "nary");
     other.join();
     for (const Result<SessionReport>* report : {&first, &*second}) {
       ASSERT_TRUE(report->ok()) << report->status().ToString();
       EXPECT_TRUE((*report)->run.finished);
+      EXPECT_TRUE((*report)->nary_run.finished);
       EXPECT_TRUE((*report)->profile_save_error.empty())
           << (*report)->profile_save_error;
       EXPECT_EQ((*report)->run.satisfied, expected->run.satisfied);
+      EXPECT_EQ((*report)->nary_run.satisfied, expected->nary_run.satisfied);
     }
     auto third = PersistedRun(workspace, true, kSortBudget);
     ASSERT_TRUE(third.ok()) << third.status().ToString();

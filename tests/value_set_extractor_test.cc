@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "src/common/temp_dir.h"
 #include "src/extsort/sorted_set_file.h"
 #include "src/extsort/value_set_extractor.h"
+#include "src/storage/csv.h"
+#include "src/storage/disk_store.h"
 #include "tests/test_util.h"
 
 namespace spider {
@@ -115,6 +122,119 @@ TEST_F(ValueSetExtractorTest, SpillsUnderTinyBudget) {
   auto info = extractor.Extract(catalog, {"t", "c"});
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->distinct_count, 300);
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Writes rows [from, to) of table "t" as `dir`/t.csv: a unique integer id,
+// integers, doubles and strings that repeat every few dozen rows, each
+// with NULL rows of its own, and a column that is NULL in every row.
+void WriteRows(const std::filesystem::path& dir, int from, int to) {
+  std::filesystem::create_directories(dir);
+  std::ofstream out(dir / "t.csv");
+  out << "id,n,x,s,none\n";
+  for (int i = from; i < to; ++i) {
+    out << i << ",";
+    if (i % 11 != 0) out << (i * 7) % 37;
+    out << ",";
+    if (i % 7 != 0) out << (i % 23) - 11 << ".5";
+    out << ",";
+    if (i % 5 != 0) out << "key-" << (i * 13) % 101;
+    out << ",\n";
+  }
+}
+
+// Removes the scratch directories of the extractors writing to `dir`, the
+// directories their sorts spill into: a sort that spills afterwards fails.
+void RemoveScratchDirs(const std::filesystem::path& dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_directory() &&
+        entry.path().filename().string().rfind(".extract.tmp-", 0) == 0) {
+      std::filesystem::remove_all(entry.path());
+    }
+  }
+}
+
+// A disk column's set is merged from its sorted block dictionaries, a
+// memory column's sorted through the external sorter: the same rows give
+// the same set bytes and SortedSetInfo either way, before and after an
+// append, and the merge spills nothing even at a 128-byte sort budget.
+TEST_F(ValueSetExtractorTest, DiskSetsEqualSortedSets) {
+  namespace fs = std::filesystem;
+  const fs::path root = dir_->path();
+  WriteRows(root / "first", 0, 2000);
+  WriteRows(root / "more", 2000, 2600);
+  WriteRows(root / "all", 0, 2600);
+  DiskStoreOptions store_options;
+  store_options.block_bytes = 1024;
+  auto writer = DiskCatalogWriter::Create(root / "ws", "db", store_options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  auto disk = ImportCsvDirectory(root / "first", CsvOptions{}, **writer);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  ValueSetExtractorOptions options;
+  options.sort_memory_budget_bytes = 128;
+
+  auto expect_same_sets = [&](const Catalog& disk_catalog,
+                              const fs::path& memory_csv,
+                              const std::string& phase) {
+    SCOPED_TRACE(phase);
+    MemoryCatalogSink sink;
+    auto memory = ImportCsvDirectory(memory_csv, CsvOptions{}, sink);
+    ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+    const fs::path disk_sets = root / (phase + "-disk");
+    const fs::path memory_sets = root / (phase + "-memory");
+    ASSERT_TRUE(fs::create_directory(disk_sets));
+    ASSERT_TRUE(fs::create_directory(memory_sets));
+    ValueSetExtractor from_disk(disk_sets, options);
+    ValueSetExtractor from_memory(memory_sets, options);
+    // A composite set still sorts, and spills into the scratch directory
+    // its extraction creates. With that directory gone, one more spill
+    // fails; the unary disk extractions below must not need it.
+    ASSERT_TRUE(
+        from_disk.ExtractComposite(disk_catalog, {{"t", "n"}, {"t", "s"}})
+            .ok());
+    RemoveScratchDirs(disk_sets);
+    EXPECT_TRUE(
+        from_disk.ExtractComposite(disk_catalog, {{"t", "s"}, {"t", "n"}})
+            .status()
+            .IsIOError());
+    const Table& table = *disk_catalog.FindTable("t");
+    for (int c = 0; c < table.column_count(); ++c) {
+      const AttributeRef attribute{"t", table.column(c).name()};
+      SCOPED_TRACE(attribute.ToString());
+      const auto& store =
+          dynamic_cast<const DiskColumnStore&>(table.column(c).store());
+      EXPECT_GT(store.block_count(), 1);
+      auto merged = from_disk.Extract(disk_catalog, attribute);
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      auto sorted = from_memory.Extract(**memory, attribute);
+      ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+      EXPECT_EQ(merged->distinct_count, sorted->distinct_count);
+      EXPECT_EQ(merged->block_count, sorted->block_count);
+      EXPECT_EQ(merged->min_value, sorted->min_value);
+      EXPECT_EQ(merged->max_value, sorted->max_value);
+      EXPECT_EQ(ReadFile(merged->path), ReadFile(sorted->path));
+    }
+  };
+
+  const Table& table = *(*disk)->FindTable("t");
+  ASSERT_EQ(table.column_count(), 5);
+  EXPECT_EQ(table.column(1).type(), TypeId::kInteger);
+  EXPECT_EQ(table.column(2).type(), TypeId::kDouble);
+  EXPECT_EQ(table.column(3).type(), TypeId::kString);
+  EXPECT_EQ(table.column(4).non_null_count(), 0);
+  expect_same_sets(**disk, root / "first", "imported");
+
+  auto appender = DiskCatalogWriter::OpenForAppend(root / "ws");
+  ASSERT_TRUE(appender.ok()) << appender.status().ToString();
+  auto appended = ImportCsvDirectory(root / "more", CsvOptions{}, **appender);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  ASSERT_EQ((*appended)->FindTable("t")->row_count(), 2600);
+  expect_same_sets(**appended, root / "all", "appended");
 }
 
 TEST_F(ValueSetExtractorTest, SetFileNamesAreDeterministicAndCollisionFree) {
