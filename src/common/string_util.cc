@@ -61,14 +61,6 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-bool IsAllDigits(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
-}
-
 bool ContainsLetter(std::string_view s) {
   for (char c : s) {
     if (std::isalpha(static_cast<unsigned char>(c))) return true;

@@ -27,9 +27,6 @@ std::string ToLowerAscii(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-/// True if every character is an ASCII digit and s is non-empty.
-bool IsAllDigits(std::string_view s);
-
 /// True if `s` contains at least one ASCII letter.
 bool ContainsLetter(std::string_view s);
 

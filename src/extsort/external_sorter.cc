@@ -1,6 +1,7 @@
 #include "src/extsort/external_sorter.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/file_io.h"
 #include "src/common/logging.h"
@@ -56,7 +57,7 @@ Status ExternalSorter::SpillBuffer() {
   SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<SortedSetWriter> run,
                           SortedSetWriter::Create(run_path, kSetFormat));
   for (const std::string& v : buffer_) SPIDER_RETURN_NOT_OK(run->Append(v));
-  SPIDER_RETURN_NOT_OK(run->Finish());
+  SPIDER_RETURN_NOT_OK(run->Finish().status());
   runs_.push_back(std::move(run_path));
   buffer_.clear();
   buffer_bytes_ = 0;
@@ -109,16 +110,13 @@ Result<SortedSetInfo> ExternalSorter::WriteSortedSet(const fs::path& path) {
     }
   }
 
-  SortedSetInfo info;
-  info.path = path;
+  std::optional<std::string> last;
   while (!tree.empty()) {
     const auto source = static_cast<size_t>(tree.top());
     const std::string_view value = peek(source);
-    if (!info.max_value || *info.max_value < value) {
+    if (!last || *last < value) {
       SPIDER_RETURN_NOT_OK(writer->Append(value));
-      if (!info.min_value) info.min_value = value;
-      info.max_value = value;
-      ++info.distinct_count;
+      last = value;
     }
     if (source == in_memory) {
       ++next_buffered;
@@ -133,9 +131,7 @@ Result<SortedSetInfo> ExternalSorter::WriteSortedSet(const fs::path& path) {
     }
   }
 
-  SPIDER_RETURN_NOT_OK(writer->Finish());
-  info.block_count = writer->block_count();
-  return info;
+  return writer->Finish();
 }
 
 }  // namespace spider

@@ -162,10 +162,6 @@ uint64_t ProfileStore::StatsFingerprint(const ColumnStats& stats) {
   add(std::to_string(stats.null_count));
   add(std::to_string(stats.non_null_count));
   add(std::to_string(stats.distinct_count));
-  add(std::to_string(stats.min_length));
-  add(std::to_string(stats.max_length));
-  add(std::to_string(stats.letter_count));
-  add(std::to_string(stats.digit_count));
   add(stats.min_value ? "1" : "0");
   if (stats.min_value) add(*stats.min_value);
   add(stats.max_value ? "1" : "0");

@@ -25,11 +25,10 @@ constexpr size_t kMinFooterEntryBytes = 4;
 
 Result<std::unique_ptr<SortedSetWriter>> SortedSetWriter::Create(
     const std::filesystem::path& path, SortedSetWriterOptions options) {
-  std::filesystem::path temp_path = UniqueTempPath(path);
-  std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot create " + temp_path.string());
-  auto writer = std::unique_ptr<SortedSetWriter>(new SortedSetWriter(
-      std::move(out), path, std::move(temp_path), options));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot create " + path.string());
+  auto writer = std::unique_ptr<SortedSetWriter>(
+      new SortedSetWriter(std::move(out), path, options));
   writer->out_.write(kSortedSetMagic.data(),
                      static_cast<std::streamsize>(kSortedSetMagic.size()));
   writer->out_.put(static_cast<char>(kSortedSetFormatVersion));
@@ -41,10 +40,10 @@ Result<std::unique_ptr<SortedSetWriter>> SortedSetWriter::Create(
 }
 
 SortedSetWriter::~SortedSetWriter() {
-  if (temp_path_.empty()) return;
+  if (complete_) return;
   out_.close();
   std::error_code ec;
-  std::filesystem::remove(temp_path_, ec);  // best effort
+  std::filesystem::remove(path_, ec);  // best effort
 }
 
 Status SortedSetWriter::Append(std::string_view value) {
@@ -70,38 +69,42 @@ Status SortedSetWriter::SealBlock() {
   block_.clear();
   block_records_ = 0;
   if (out_.fail()) {
-    return Status::IOError("failed writing a block of " + temp_path_.string());
+    return Status::IOError("failed writing a block of " + path_.string());
   }
   return Status::OK();
 }
 
-Status SortedSetWriter::Finish() {
-  if (finished_) return Status::OK();
-  finished_ = true;
-  if (block_records_ > 0) SPIDER_RETURN_NOT_OK(SealBlock());
-  const uint64_t footer_offset = offset_;
-  std::string footer;
-  EncodeVarint(&footer, blocks_.size());
-  for (const BlockMeta& block : blocks_) {
-    EncodeVarint(&footer, block.offset);
-    EncodeVarint(&footer, block.records);
-    AppendLengthPrefixed(&footer, block.first_key);
-    AppendLengthPrefixed(&footer, block.last_key);
+Result<SortedSetInfo> SortedSetWriter::Finish() {
+  if (!finished_) {
+    finished_ = true;
+    if (block_records_ > 0) SPIDER_RETURN_NOT_OK(SealBlock());
+    const uint64_t footer_offset = offset_;
+    std::string footer;
+    EncodeVarint(&footer, blocks_.size());
+    for (const BlockMeta& block : blocks_) {
+      EncodeVarint(&footer, block.offset);
+      EncodeVarint(&footer, block.records);
+      AppendLengthPrefixed(&footer, block.first_key);
+      AppendLengthPrefixed(&footer, block.last_key);
+    }
+    AppendFixed64(&footer, footer_offset);
+    footer.append(kSortedSetMagic);
+    out_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
+    out_.close();
+    complete_ = !out_.fail();
   }
-  AppendFixed64(&footer, footer_offset);
-  footer.append(kSortedSetMagic);
-  out_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
-  out_.flush();
-  out_.close();
-  if (out_.fail()) return Status::IOError("failed closing sorted set file");
-  std::error_code ec;
-  std::filesystem::rename(temp_path_, path_, ec);
-  if (ec) {
-    return Status::IOError("cannot publish sorted set file " +
-                           path_.string() + ": " + ec.message());
+  if (!complete_) {
+    return Status::IOError("failed writing sorted set file " + path_.string());
   }
-  temp_path_.clear();
-  return Status::OK();
+  SortedSetInfo info;
+  info.path = path_;
+  info.distinct_count = count_;
+  info.block_count = block_count();
+  if (count_ > 0) {
+    info.min_value = blocks_.front().first_key;
+    info.max_value = last_;
+  }
+  return info;
 }
 
 SortedSetReader::SortedSetReader(std::string path, int fd,

@@ -65,14 +65,27 @@ struct SortedSetWriterOptions {
   size_t target_block_bytes = 16 * 1024;
 };
 
+/// Metadata about a materialized sorted value set.
+struct SortedSetInfo {
+  std::filesystem::path path;
+  /// Number of distinct non-NULL values.
+  int64_t distinct_count = 0;
+  /// Blocks in the file's footer index.
+  int64_t block_count = 0;
+  /// Smallest / largest value (canonical form); empty optionals for an
+  /// empty set.
+  std::optional<std::string> min_value;
+  std::optional<std::string> max_value;
+};
+
 /// \brief Writes a sorted-distinct value file. Enforces strict ordering:
 /// every appended value must be greater than its predecessor.
 ///
-/// The records go to a unique temp sibling of `path` (UniqueTempPath);
-/// Finish() renames it over `path`. Until then readers of `path` — in this
-/// process or another sharing the directory — still see the earlier
-/// complete file, if any. A writer destroyed without a successful Finish()
-/// removes its temp file.
+/// The records go to `path` itself, which must be a name of the caller's
+/// own: publishing the file where other readers look for it is the
+/// caller's step (ValueSetExtractor stages each set and renames it into
+/// place once). A writer destroyed without a successful Finish() removes
+/// the file.
 class SortedSetWriter {
  public:
   [[nodiscard]]
@@ -85,10 +98,11 @@ class SortedSetWriter {
   [[nodiscard]]
   Status Append(std::string_view value);
 
-  /// Seals the last block, writes the footer index, closes the file and
-  /// publishes it at the final path. Must be called before reading.
+  /// Seals the last block, writes the footer index and closes the file;
+  /// returns what it wrote. Must be called before reading. A second call
+  /// returns the same info.
   [[nodiscard]]
-  Status Finish();
+  Result<SortedSetInfo> Finish();
 
   int64_t count() const { return count_; }
 
@@ -104,12 +118,8 @@ class SortedSetWriter {
   };
 
   SortedSetWriter(std::ofstream out, std::filesystem::path path,
-                  std::filesystem::path temp_path,
                   SortedSetWriterOptions options)
-      : out_(std::move(out)),
-        path_(std::move(path)),
-        temp_path_(std::move(temp_path)),
-        options_(options) {}
+      : out_(std::move(out)), path_(std::move(path)), options_(options) {}
 
   /// Writes the open block in one call and appends its footer entry.
   [[nodiscard]]
@@ -117,12 +127,11 @@ class SortedSetWriter {
 
   std::ofstream out_;
   std::filesystem::path path_;
-  /// Where the records are written; empty once Finish() renamed it.
-  std::filesystem::path temp_path_;
   SortedSetWriterOptions options_;
   int64_t count_ = 0;
   std::string last_;  // the last value appended, once count_ > 0
   bool finished_ = false;
+  bool complete_ = false;  // Finish() wrote the whole file
   uint64_t offset_ = 0;  // bytes written so far (header included)
   // Open-block state: its encoded records and its first value.
   std::string block_;
@@ -276,19 +285,6 @@ class SortedSetReader {
 
   std::vector<BlockEntry> index_;
   size_t cur_block_ = 0;  // the loaded block
-};
-
-/// Metadata about a materialized sorted value set.
-struct SortedSetInfo {
-  std::filesystem::path path;
-  /// Number of distinct non-NULL values.
-  int64_t distinct_count = 0;
-  /// Blocks in the file's footer index.
-  int64_t block_count = 0;
-  /// Smallest / largest value (canonical form); empty optionals for an
-  /// empty set.
-  std::optional<std::string> min_value;
-  std::optional<std::string> max_value;
 };
 
 }  // namespace spider

@@ -20,17 +20,9 @@ Result<SortedSetInfo> WriteDistinctSet(const ColumnStore& store,
                                        const fs::path& path) {
   SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<SortedSetWriter> writer,
                           SortedSetWriter::Create(path));
-  SortedSetInfo info;
-  info.path = path;
-  SPIDER_RETURN_NOT_OK(store.VisitDistinctSorted([&](std::string_view value) {
-    if (!info.min_value) info.min_value = value;
-    info.max_value = value;
-    return writer->Append(value);
-  }));
-  SPIDER_RETURN_NOT_OK(writer->Finish());
-  info.distinct_count = writer->count();
-  info.block_count = writer->block_count();
-  return info;
+  SPIDER_RETURN_NOT_OK(store.VisitDistinctSorted(
+      [&writer](std::string_view value) { return writer->Append(value); }));
+  return writer->Finish();
 }
 
 }  // namespace
@@ -163,12 +155,14 @@ Result<SortedSetInfo> ValueSetExtractor::PublishSet(
     const std::string& file_name, std::optional<uint64_t> source_fingerprint,
     WriteFn&& write) {
   SPIDER_ASSIGN_OR_RETURN(const fs::path scratch, ScratchDir());
-  // Staged under a name of this extractor's own, beside the final one: a
+  // Staged under a name of this extraction's own, beside the final one: a
   // rename within one directory is cheaper than one between two, and the
-  // name, `<scratch dir>.<file_name>`, tells the sweep of a killed run's
-  // scratch directory that the file is the dead run's too.
-  const fs::path staged =
-      output_dir_ / (scratch.filename().string() + "." + file_name);
+  // name, `<scratch dir>.<file_name>.tmp-*`, tells the sweep of a killed
+  // run's scratch directory that the file is the dead run's too. The
+  // writer writes it in place, so two extractions of one set (a failed
+  // run drops the cache while one is in flight) must not share it.
+  const fs::path staged = UniqueTempPath(
+      output_dir_ / (scratch.filename().string() + "." + file_name));
   SPIDER_ASSIGN_OR_RETURN(SortedSetInfo info, write(scratch, staged));
   // Fingerprinted where no other run can reach it, so the profile records
   // these bytes even if another run publishes its own under the same name

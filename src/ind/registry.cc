@@ -140,6 +140,15 @@ Status AlgorithmRegistry::ValidateConfig(const Entry& entry,
     return Status::InvalidArgument(
         entry.name + " does not support an error threshold (error > 0)");
   }
+  if (config.max_open_files < 0 || config.max_open_files == 1) {
+    return Status::InvalidArgument(
+        "max-open-files must be 0 (unlimited) or at least 2 (one dependent "
+        "and one referenced set)");
+  }
+  if (config.max_open_files > 0 && !capabilities.bounds_open_files) {
+    return Status::InvalidArgument(
+        entry.name + " does not bound its open files (max-open-files > 0)");
+  }
   return Status::OK();
 }
 

@@ -51,6 +51,11 @@ struct AlgorithmCapabilities {
   /// expansion and the AFD discoverer. Configs requesting either knob are
   /// rejected up front when this is false.
   bool supports_partial = false;
+  /// Bounds the set files it holds open at once by
+  /// AlgorithmConfig::max_open_files (the blockwise single pass, Sec. 4.2).
+  /// Configs with a nonzero budget are rejected up front when this is
+  /// false.
+  bool bounds_open_files = false;
   /// Runs inside the database engine (the paper's SQL statements) rather
   /// than over externally sorted value sets.
   bool database_internal = false;
@@ -71,7 +76,8 @@ struct AlgorithmConfig {
   /// Sorted-set materializer, required by external approaches. Not owned;
   /// must outlive the created algorithm.
   ValueSetExtractor* extractor = nullptr;
-  /// Open-file budget for blockwise single-pass; 0 = unlimited.
+  /// Open-file budget: 0 = unlimited, else at least 2 (one dependent and
+  /// one referenced set). Values > 0 require bounds_open_files.
   int max_open_files = 0;
   /// σ-partial coverage threshold in (0, 1]; 1 = exact INDs.
   double min_coverage = 1.0;
@@ -163,8 +169,9 @@ class AlgorithmRegistry {
     return (*factory)(config);
   }
 
-  /// Rejects `config` knobs the entry's capabilities rule out: σ < 1 or an
-  /// error threshold the approach cannot honor, and out-of-range values.
+  /// Rejects `config` knobs the entry's capabilities rule out: σ < 1, an
+  /// error threshold or an open-file budget the approach cannot honor, and
+  /// out-of-range values.
   /// Create runs it; ValidateRunOptions runs it before a session does any
   /// work.
   [[nodiscard]]

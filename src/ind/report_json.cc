@@ -159,6 +159,7 @@ std::string ApproachesToJson() {
     json.KV("database_internal", capabilities.database_internal);
     json.KV("needs_extractor", capabilities.needs_extractor);
     json.KV("supports_partial", capabilities.supports_partial);
+    json.KV("bounds_open_files", capabilities.bounds_open_files);
     json.EndObject();
   }
   json.EndArray();

@@ -122,6 +122,7 @@ Result<ResolvedRun> ResolveRun(const RunOptions& options) {
       return Status::InvalidArgument(
           approach.name + " does not support partial (sigma < 1) coverage");
     }
+    config.max_open_files = 0;
     SPIDER_RETURN_NOT_OK(AlgorithmRegistry::ValidateConfig(approach, config));
   } else if (options.error_threshold != 0) {
     // Unary IND verification knows σ-partial coverage, not the g3' error
@@ -132,9 +133,10 @@ Result<ResolvedRun> ResolveRun(const RunOptions& options) {
         "instead of an error threshold");
   }
   // The unary phase stays exact: the g3' threshold parameterizes only an
-  // expansion.
+  // expansion, and the open-file budget only the unary verifier.
   run.verify_config = config;
   run.verify_config.error_threshold = 0;
+  run.verify_config.max_open_files = options.max_open_files;
   SPIDER_RETURN_NOT_OK(
       AlgorithmRegistry::ValidateConfig(*run.verifier, run.verify_config));
   return run;

@@ -94,11 +94,13 @@ struct RunOptions {
   /// σ-partial coverage in (0, 1]; 1 = exact INDs. Requires an approach
   /// whose capabilities advertise supports_partial.
   double min_coverage = 1.0;
-  /// Open-file budget for blockwise single-pass; 0 = unlimited. Under
-  /// parallel dispatch the budget applies per partition. N-ary expansions
-  /// do not consult it: their merges hold exactly two sorted sets per
-  /// verification task, so concurrent open files are bounded by
-  /// 2 × threads rather than by this knob.
+  /// Open-file budget for blockwise single-pass: 0 = unlimited, else at
+  /// least 2. A nonzero budget requires a unary verifier (the approach, or
+  /// nary_base under an expansion) whose capabilities advertise
+  /// bounds_open_files. Under parallel dispatch the budget applies per
+  /// partition. N-ary expansions do not consult it: their merges hold
+  /// exactly two sorted sets per verification task, so concurrent open
+  /// files are bounded by 2 × threads rather than by this knob.
   int max_open_files = 0;
   /// Worker threads for extraction and verification: 1 = single-threaded
   /// (the paper's configuration), 0 = hardware concurrency, N = exactly N.

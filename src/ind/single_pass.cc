@@ -430,6 +430,7 @@ Result<RunResult<AttributePair>> SinglePassAlgorithm::Run(
 void RegisterSinglePassAlgorithm(AlgorithmRegistry& registry) {
   AlgorithmCapabilities capabilities;
   capabilities.needs_extractor = true;
+  capabilities.bounds_open_files = true;
   capabilities.summary =
       "all candidates in one pass, every value read once (Sec. 3.2); "
       "max_open_files enables the blockwise extension";

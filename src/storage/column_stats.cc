@@ -14,9 +14,6 @@ ColumnStats ComputeColumnStats(const Column& column) {
   stats.row_count = column.row_count();
 
   std::unordered_set<std::string> distinct;
-  int64_t with_letter = 0;
-  int64_t all_digits = 0;
-  bool first = true;
   // The scan path only runs for backends without cached stats — today the
   // in-memory store, whose cursor cannot fail (disk columns always carry
   // import-time stats and return above) — so cursor failure here is a
@@ -32,35 +29,14 @@ ColumnStats ComputeColumnStats(const Column& column) {
     }
     ++stats.non_null_count;
     std::string canon(view);
-    int64_t len = static_cast<int64_t>(canon.size());
-    if (first) {
-      stats.min_value = canon;
-      stats.max_value = canon;
-      stats.min_length = len;
-      stats.max_length = len;
-      first = false;
-    } else {
-      if (canon < *stats.min_value) stats.min_value = canon;
-      if (canon > *stats.max_value) stats.max_value = canon;
-      if (len < stats.min_length) stats.min_length = len;
-      if (len > stats.max_length) stats.max_length = len;
-    }
-    if (ContainsLetter(canon)) ++with_letter;
-    if (IsAllDigits(canon)) ++all_digits;
+    if (!stats.min_value || canon < *stats.min_value) stats.min_value = canon;
+    if (!stats.max_value || canon > *stats.max_value) stats.max_value = canon;
     distinct.insert(std::move(canon));
   }
   SPIDER_CHECK((*cursor)->status().ok()) << (*cursor)->status().ToString();
   stats.distinct_count = static_cast<int64_t>(distinct.size());
   stats.verified_unique =
       stats.non_null_count > 0 && stats.distinct_count == stats.non_null_count;
-  stats.letter_count = with_letter;
-  stats.digit_count = all_digits;
-  if (stats.non_null_count > 0) {
-    stats.letter_fraction =
-        static_cast<double>(with_letter) / static_cast<double>(stats.non_null_count);
-    stats.digit_fraction =
-        static_cast<double>(all_digits) / static_cast<double>(stats.non_null_count);
-  }
   return stats;
 }
 

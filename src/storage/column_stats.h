@@ -27,17 +27,6 @@ struct ColumnStats {
   /// column has no data.
   std::optional<std::string> min_value;
   std::optional<std::string> max_value;
-  /// Length extremes of the canonical strings.
-  int64_t min_length = 0;
-  int64_t max_length = 0;
-  /// Number of values containing at least one ASCII letter.
-  int64_t letter_count = 0;
-  /// Number of values that are all digits.
-  int64_t digit_count = 0;
-  /// Fraction of values containing at least one ASCII letter.
-  double letter_fraction = 0.0;
-  /// Fraction of values that are all digits.
-  double digit_fraction = 0.0;
 
   std::string ToString() const;
 };

@@ -342,11 +342,6 @@ class DiskValueCursor final : public ValueCursor {
   Status status_;
 };
 
-std::string FormatDouble(double v) {
-  char text[kDoubleTextBytes];
-  return std::string(text, AppendDouble(text, v));
-}
-
 // One block's distinct values in arrival order. Their bytes live once in
 // an append-only arena; an open-addressing table of 1-based arrival codes
 // (0 = empty slot, at most half full) finds them by HashString. Memory is
@@ -455,15 +450,6 @@ Result<ScopedFd> LockWorkspace(const fs::path& dir) {
   return fd;
 }
 
-Result<double> ParseManifestDouble(const std::string& field) {
-  char* end = nullptr;
-  const double v = std::strtod(field.c_str(), &end);
-  if (field.empty() || end != field.c_str() + field.size()) {
-    return Status::InvalidArgument("bad double in manifest: '" + field + "'");
-  }
-  return v;
-}
-
 }  // namespace
 
 std::string EscapeManifestField(std::string_view field) {
@@ -530,7 +516,9 @@ Result<std::string> UnescapeManifestField(std::string_view field) {
 //       committed bytes (arity 5); a column record lists its block offsets
 //       and its own block bytes instead of a file name, file bytes and
 //       block count (arity 19).
-// Only v3 is read: an older workspace fails to open ("missing or
+//   4 — drops the column record's length, letter and digit statistics,
+//       which nothing read (arity 13).
+// Only v4 is read: an older workspace fails to open ("missing or
 // unsupported version header") and must be reimported.
 // ---------------------------------------------------------------------------
 
@@ -575,7 +563,7 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
     return bad("missing or unsupported version header");
   }
   if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (line != "spider-store\t3") {
+  if (line != "spider-store\t4") {
     return bad("missing or unsupported version header");
   }
 
@@ -675,7 +663,7 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
       }
     } else if (kind == "column") {
       if (table == nullptr) return bad("column before table");
-      if (fields.size() != 19) return bad("column record arity");
+      if (fields.size() != 13) return bad("column record arity");
       ManifestColumn column;
       column.name = fields[1];
       SPIDER_ASSIGN_OR_RETURN(column.type, TypeIdFromString(fields[2]));
@@ -710,15 +698,6 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
                               ParseManifestInt(fields[8]));
       if (fields[9] == "1") stats.min_value = fields[10];
       if (fields[11] == "1") stats.max_value = fields[12];
-      SPIDER_ASSIGN_OR_RETURN(stats.min_length, ParseManifestInt(fields[13]));
-      SPIDER_ASSIGN_OR_RETURN(stats.max_length, ParseManifestInt(fields[14]));
-      SPIDER_ASSIGN_OR_RETURN(stats.letter_fraction,
-                              ParseManifestDouble(fields[15]));
-      SPIDER_ASSIGN_OR_RETURN(stats.digit_fraction,
-                              ParseManifestDouble(fields[16]));
-      SPIDER_ASSIGN_OR_RETURN(stats.letter_count,
-                              ParseManifestInt(fields[17]));
-      SPIDER_ASSIGN_OR_RETURN(stats.digit_count, ParseManifestInt(fields[18]));
       stats.verified_unique = stats.non_null_count > 0 &&
                               stats.distinct_count == stats.non_null_count;
       // Readers reserve by these counts, so each must fit the column's
@@ -727,12 +706,7 @@ Result<ManifestData> ParseManifest(const fs::path& dir) {
           0 <= column.bytes && 0 <= stats.distinct_count &&
           stats.distinct_count <= stats.non_null_count &&
           stats.non_null_count <= stats.row_count &&
-          stats.row_count <= column.bytes &&
-          0 <= stats.letter_count &&
-          stats.letter_count <= stats.non_null_count &&
-          0 <= stats.digit_count &&
-          stats.digit_count <= stats.non_null_count &&
-          0 <= stats.min_length && stats.min_length <= stats.max_length;
+          stats.row_count <= column.bytes;
       if (!counts_fit) {
         return bad("column '" + column.name +
                    "' has counts its file cannot hold");
@@ -786,7 +760,7 @@ Result<std::unique_ptr<Catalog>> CatalogFromManifest(const fs::path& dir,
 std::string EncodeManifest(const ManifestData& data) {
   std::ostringstream out;
   auto field = [](std::string_view s) { return EscapeManifestField(s); };
-  out << "spider-store\t3\n";
+  out << "spider-store\t4\n";
   out << "catalog\t" << field(data.catalog_name) << "\n";
   out << "blocksize\t" << data.block_bytes << "\n";
   for (const ManifestTable& table : data.tables) {
@@ -805,10 +779,7 @@ std::string EncodeManifest(const ManifestData& data) {
           << (stats.min_value ? "1\t" + field(*stats.min_value) : "0\t")
           << "\t"
           << (stats.max_value ? "1\t" + field(*stats.max_value) : "0\t")
-          << "\t" << stats.min_length << "\t" << stats.max_length << "\t"
-          << FormatDouble(stats.letter_fraction) << "\t"
-          << FormatDouble(stats.digit_fraction) << "\t" << stats.letter_count
-          << "\t" << stats.digit_count << "\n";
+          << "\n";
     }
   }
   for (const ForeignKey& fk : data.foreign_keys) {
@@ -946,9 +917,8 @@ class DiskCatalogWriter::ColumnWriter {
   /// Continues the sealed column `sealed` of the open table: reads the
   /// heads of its committed blocks (ParseManifest checked their offsets)
   /// to rebuild the dictionary-region index the seal-time statistics merge
-  /// needs. Running totals (row/null/length/letter/digit) continue from
-  /// its statistics; Seal() recomputes distinct/min/max over all blocks,
-  /// old and new.
+  /// needs. The row and null counts continue from its statistics; Seal()
+  /// recomputes distinct/min/max over all blocks, old and new.
   Status OpenForAppend(const ManifestColumn& sealed) {
     SPIDER_ASSIGN_OR_RETURN(
         dicts_, ReadDictRegions(table_.in.get(), table_.path,
@@ -956,8 +926,6 @@ class DiskCatalogWriter::ColumnWriter {
     block_offsets_ = sealed.block_offsets;
     bytes_ = sealed.bytes;
     stats_ = sealed.stats;
-    with_letter_ = stats_.letter_count;
-    all_digits_ = stats_.digit_count;
     return Status::OK();
   }
 
@@ -971,18 +939,8 @@ class DiskCatalogWriter::ColumnWriter {
       ++stats_.non_null_count;
       Value::CanonicalBuffer buffer;
       const std::string_view canon = v.CanonicalView(buffer);
-      const int64_t len = static_cast<int64_t>(canon.size());
-      if (stats_.non_null_count == 1) {
-        stats_.min_length = len;
-        stats_.max_length = len;
-      } else {
-        stats_.min_length = std::min(stats_.min_length, len);
-        stats_.max_length = std::max(stats_.max_length, len);
-      }
-      if (ContainsLetter(canon)) ++with_letter_;
-      if (IsAllDigits(canon)) ++all_digits_;
       const auto [code, inserted] = block_dict_.Insert(canon);
-      if (inserted) pending_bytes_ += len;
+      if (inserted) pending_bytes_ += static_cast<int64_t>(canon.size());
       block_codes_.push_back(code);
       pending_bytes_ += 4;
     }
@@ -1000,14 +958,6 @@ class DiskCatalogWriter::ColumnWriter {
         [](std::string_view) { return Status::OK(); }, &stats_));
     stats_.verified_unique = stats_.non_null_count > 0 &&
                              stats_.distinct_count == stats_.non_null_count;
-    stats_.letter_count = with_letter_;
-    stats_.digit_count = all_digits_;
-    if (stats_.non_null_count > 0) {
-      stats_.letter_fraction = static_cast<double>(with_letter_) /
-                               static_cast<double>(stats_.non_null_count);
-      stats_.digit_fraction = static_cast<double>(all_digits_) /
-                              static_cast<double>(stats_.non_null_count);
-    }
     return ManifestColumn{name_, type_, declared_unique_, bytes_,
                           std::move(block_offsets_), stats_};
   }
@@ -1085,8 +1035,6 @@ class DiskCatalogWriter::ColumnWriter {
   std::vector<DictRegion> dicts_;
   int64_t bytes_ = 0;
   ColumnStats stats_;
-  int64_t with_letter_ = 0;
-  int64_t all_digits_ = 0;
 };
 
 // ---------------------------------------------------------------------------

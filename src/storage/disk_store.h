@@ -15,7 +15,7 @@
 //
 // A workspace is self-describing: DiskCatalogWriter persists the schema,
 // row counts, per-column statistics and block offsets in
-// "spider_store.manifest" (version 3: a table record names its file and
+// "spider_store.manifest" (version 4: a table record names its file and
 // committed bytes, a column record its block offsets and own block bytes),
 // and OpenDiskCatalog() rebuilds the Catalog from it without touching the
 // data files — so a multi-GB import is paid once and profiled many times.

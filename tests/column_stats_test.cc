@@ -43,8 +43,6 @@ TEST(ColumnStatsTest, CountsAndExtremes) {
   EXPECT_FALSE(stats.verified_unique);
   EXPECT_EQ(*stats.min_value, "apple");
   EXPECT_EQ(*stats.max_value, "cherry");
-  EXPECT_EQ(stats.min_length, 5);
-  EXPECT_EQ(stats.max_length, 6);
 }
 
 TEST(ColumnStatsTest, VerifiedUnique) {
@@ -64,13 +62,6 @@ TEST(ColumnStatsTest, IntegerMinMaxIsLexicographic) {
   EXPECT_EQ(*stats.max_value, "9");
 }
 
-TEST(ColumnStatsTest, LetterAndDigitFractions) {
-  Column col = MakeStringColumn({"abc", "123", "a1", nullptr});
-  ColumnStats stats = ComputeColumnStats(col);
-  EXPECT_DOUBLE_EQ(stats.letter_fraction, 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(stats.digit_fraction, 1.0 / 3.0);
-}
-
 TEST(ColumnStatsTest, SingleValue) {
   Column col = MakeStringColumn({"only"});
   ColumnStats stats = ComputeColumnStats(col);
@@ -78,8 +69,6 @@ TEST(ColumnStatsTest, SingleValue) {
   EXPECT_TRUE(stats.verified_unique);
   EXPECT_EQ(*stats.min_value, "only");
   EXPECT_EQ(*stats.max_value, "only");
-  EXPECT_EQ(stats.min_length, 4);
-  EXPECT_EQ(stats.max_length, 4);
 }
 
 TEST(ColumnStatsTest, ToStringMentionsKeyFields) {

@@ -136,10 +136,7 @@ TEST(StringUtilTest, CasePrefixSuffix) {
   EXPECT_FALSE(EndsWith("ar", "bar"));
 }
 
-TEST(StringUtilTest, DigitAndLetterClassifiers) {
-  EXPECT_TRUE(IsAllDigits("0123"));
-  EXPECT_FALSE(IsAllDigits(""));
-  EXPECT_FALSE(IsAllDigits("12a"));
+TEST(StringUtilTest, LetterClassifier) {
   EXPECT_TRUE(ContainsLetter("1a2"));
   EXPECT_FALSE(ContainsLetter("123-"));
 }

@@ -1,6 +1,6 @@
 // Byte-damage sweep over the two sorted, read-only file formats and the
 // store manifest: every byte of a multi-block `.set` file, of a `.col`
-// table file whose two columns' blocks interleave and of a version-3
+// table file whose two columns' blocks interleave and of a version-4
 // `spider_store.manifest` is set to 0x00, to 0xFF and to itself with the
 // low bit flipped. Every reader of a damaged `.set` or `.col` copy — the
 // scan, the set extraction that merges a column's block dictionaries and
@@ -353,7 +353,7 @@ TEST_F(DamageSweepTest, EveryDamagedStoreManifestByteFailsCleanly) {
   }
   const fs::path path = workspace / kDiskStoreManifestName;
   const std::string original = ReadFile(path);
-  ASSERT_EQ(original.rfind("spider-store\t3\n", 0), 0u);
+  ASSERT_EQ(original.rfind("spider-store\t4\n", 0), 0u);
   const fs::path copy = dir_->path() / "append";
   int failed_opens = 0;
   int runs = 0;

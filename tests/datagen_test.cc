@@ -225,8 +225,9 @@ TEST(PdbLikeTest, EntryIdsOfStructAreUniqueAccessionCodes) {
   ASSERT_NE(entry_id, nullptr);
   ColumnStats stats = ComputeColumnStats(*entry_id);
   EXPECT_TRUE(stats.verified_unique);
-  EXPECT_EQ(stats.min_length, 4);
-  EXPECT_EQ(stats.max_length, 4);
+  for (const Value& value : entry_id->values()) {
+    EXPECT_EQ(value.ToCanonicalString().size(), 4u);
+  }
 }
 
 TEST(PdbLikeTest, StrictVsSoftenedAccessionCounts) {

@@ -215,6 +215,28 @@ TEST_F(RegistryTest, PartialCoverageRequiresCapability) {
                   .IsInvalidArgument());
 }
 
+TEST_F(RegistryTest, OpenFileBudgetRequiresCapability) {
+  // Every family is gated: only an approach that bounds its open files
+  // takes a budget, and no approach takes a budget of one file.
+  AlgorithmConfig bounded = config_;
+  bounded.max_open_files = 2;
+  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+    const Entry& entry = MustFind(name);
+    const Status status = CreateAs(entry.factory.index(), name, bounded);
+    EXPECT_EQ(status.ok(), entry.capabilities.bounds_open_files)
+        << name << ": " << status.ToString();
+  }
+  EXPECT_TRUE(MustFind("single-pass").capabilities.bounds_open_files);
+  for (const int budget : {1, -1}) {
+    bounded.max_open_files = budget;
+    EXPECT_TRUE(AlgorithmRegistry::Global()
+                    .Create("single-pass", bounded)
+                    .status()
+                    .IsInvalidArgument())
+        << budget;
+  }
+}
+
 TEST_F(RegistryTest, ErrorThresholdRequiresCapability) {
   // Approximate discovery is gated per approach: the levelwise expansion
   // and the AFD discoverer accept a g3' error threshold, the exact ones

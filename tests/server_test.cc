@@ -224,10 +224,19 @@ TEST(RunOptionsParseTest, SessionRulesFailInTheParserWithTheSessionText) {
   RunOptions kind_rule;
   kind_rule.approach = "spider-merge";
   kind_rule.kind = DependencyKind::kUcc;
+  RunOptions one_file_rule;
+  one_file_rule.approach = "single-pass";
+  one_file_rule.max_open_files = 1;
+  RunOptions open_files_rule;
+  open_files_rule.approach = "spider-merge";
+  open_files_rule.max_open_files = 2;
   const Case cases[] = {
       {{{"approach", "nary"}, {"nary-base", "ucc-levelwise"}}, base_rule},
       {{{"kind", "fd"}, {"sigma", "0.9"}}, sigma_rule},
       {{{"approach", "spider-merge"}, {"kind", "ucc"}}, kind_rule},
+      {{{"approach", "single-pass"}, {"max-open-files", "1"}}, one_file_rule},
+      {{{"approach", "spider-merge"}, {"max-open-files", "2"}},
+       open_files_rule},
   };
   Catalog catalog;
   testing::AddStringColumn(&catalog, "a", "c", {"1", "2"});
@@ -1028,6 +1037,20 @@ TEST_F(ServerE2eTest, InvalidOptionErrorsMatchTheCliParser) {
             404);
   ClientResponse early = Fetch(server_->port(), "GET", "/jobs/1/report");
   EXPECT_EQ(early.status, 404);
+}
+
+// A one-file budget cannot run (single-pass checks it as a programmer
+// error): it is a 400 before anything is queued, and the daemon keeps
+// answering.
+TEST_F(ServerE2eTest, OneFileBudgetIsRejectedBeforeItIsQueued) {
+  ClientResponse bad = Fetch(
+      server_->port(), "POST", "/jobs",
+      "{\"workspace\":\"smoke\",\"approach\":\"single-pass\","
+      "\"max-open-files\":1,\"no-profile-cache\":true}");
+  EXPECT_EQ(bad.status, 400) << bad.body;
+  EXPECT_NE(bad.body.find("max-open-files"), std::string::npos) << bad.body;
+  EXPECT_EQ(Fetch(server_->port(), "GET", "/jobs").body, "{\"jobs\":[]}");
+  EXPECT_EQ(Fetch(server_->port(), "GET", "/healthz").status, 200);
 }
 
 }  // namespace

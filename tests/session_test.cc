@@ -855,6 +855,38 @@ TEST(SessionTest, ValidationRejectsBeforeAnyWork) {
   EXPECT_EQ(rejected(exact_expansion).message(),
             "zigzag does not support an error threshold (error > 0)");
 
+  // An open-file budget holds at least one dependent and one referenced
+  // set, and only a verifier that bounds its open files may take one —
+  // the approach itself or the base an expansion runs.
+  RunOptions one_file;
+  one_file.approach = "single-pass";
+  one_file.max_open_files = 1;
+  EXPECT_EQ(rejected(one_file).message(),
+            "max-open-files must be 0 (unlimited) or at least 2 (one "
+            "dependent and one referenced set)");
+  one_file.approach = "nary";
+  one_file.nary_base = "single-pass";
+  EXPECT_TRUE(rejected(one_file).IsInvalidArgument());
+  RunOptions unbounded;
+  unbounded.approach = "spider-merge";
+  unbounded.max_open_files = 2;
+  EXPECT_EQ(rejected(unbounded).message(),
+            "spider-merge does not bound its open files (max-open-files > 0)");
+  unbounded.approach = "nary";
+  EXPECT_EQ(rejected(unbounded).message(),
+            "spider-merge does not bound its open files (max-open-files > 0)");
+  unbounded.approach = "ucc-levelwise";
+  EXPECT_EQ(rejected(unbounded).message(),
+            "ucc-levelwise does not bound its open files (max-open-files > "
+            "0)");
+  RunOptions bounded;
+  bounded.approach = "nary";
+  bounded.nary_base = "single-pass";
+  bounded.max_open_files = 2;
+  EXPECT_TRUE(ValidateRunOptions(bounded).ok());
+  bounded.approach = "single-pass";
+  EXPECT_TRUE(ValidateRunOptions(bounded).ok());
+
   // nary_base must be a unary verifier — neither an expansion nor another
   // kind's discoverer.
   RunOptions nary_base;

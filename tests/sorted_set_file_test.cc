@@ -139,28 +139,47 @@ std::vector<std::string> ReadAll(const std::filesystem::path& path) {
   return values;
 }
 
-TEST_F(SortedSetFileTest, FinishPublishesTheNewFileWhole) {
-  // A set file in a shared workspace is replaced while other readers may
-  // open it: until Finish() they must still see the earlier complete file.
-  const std::filesystem::path path = WriteSet({"old"}, "x.set");
-  auto writer = SortedSetWriter::Create(path);
+// The writer writes the path it is given; publishing the file is its
+// caller's step. Finish() reports the file as a reader sees it, and a
+// writer dropped before Finish() removes its file.
+TEST_F(SortedSetFileTest, FinishReportsTheFileADroppedWriterRemovesIt) {
+  SortedSetWriterOptions options;
+  options.target_block_bytes = 32;
+  const std::filesystem::path path = dir_->FilePath("x.set");
+  auto writer = SortedSetWriter::Create(path, options);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append("new-a").ok());
-  ASSERT_TRUE((*writer)->Append("new-b").ok());
-  EXPECT_EQ(ReadAll(path), (std::vector<std::string>{"old"}));
-  ASSERT_TRUE((*writer)->Finish().ok());
-  EXPECT_EQ(ReadAll(path), (std::vector<std::string>{"new-a", "new-b"}));
-  EXPECT_EQ(ListDir(dir_->path()), (std::vector<std::string>{"x.set"}));
-
-  // A writer dropped before Finish() leaves the published file alone and
-  // removes its temp file.
-  {
-    auto abandoned = SortedSetWriter::Create(path);
-    ASSERT_TRUE(abandoned.ok());
-    ASSERT_TRUE((*abandoned)->Append("never").ok());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE((*writer)->Append("value-" + std::to_string(100 + i)).ok());
   }
-  EXPECT_EQ(ReadAll(path), (std::vector<std::string>{"new-a", "new-b"}));
-  EXPECT_EQ(ListDir(dir_->path()), (std::vector<std::string>{"x.set"}));
+  auto info = (*writer)->Finish();
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  const std::vector<std::string> values = ReadAll(path);
+  auto reader = SortedSetReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(info->path, path);
+  EXPECT_EQ(info->distinct_count, static_cast<int64_t>(values.size()));
+  EXPECT_GT(info->block_count, 1);
+  EXPECT_EQ(info->block_count, (*reader)->block_count());
+  EXPECT_EQ(info->min_value, values.front());
+  EXPECT_EQ(info->max_value, values.back());
+
+  auto empty = SortedSetWriter::Create(dir_->FilePath("empty.set"));
+  ASSERT_TRUE(empty.ok());
+  auto empty_info = (*empty)->Finish();
+  ASSERT_TRUE(empty_info.ok()) << empty_info.status().ToString();
+  EXPECT_EQ(empty_info->distinct_count, 0);
+  EXPECT_EQ(empty_info->block_count, 0);
+  EXPECT_FALSE(empty_info->min_value.has_value());
+  EXPECT_FALSE(empty_info->max_value.has_value());
+  EXPECT_TRUE(ReadAll(empty_info->path).empty());
+
+  {
+    auto dropped = SortedSetWriter::Create(dir_->FilePath("dropped.set"));
+    ASSERT_TRUE(dropped.ok());
+    ASSERT_TRUE((*dropped)->Append("never").ok());
+  }
+  EXPECT_EQ(ListDir(dir_->path()),
+            (std::vector<std::string>{"empty.set", "x.set"}));
 }
 
 TEST_F(SortedSetFileTest, ValuesWithEmbeddedNewlines) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -331,6 +332,82 @@ TEST_F(ValueSetExtractorTest, ExtractAllOnPoolMatchesSerialOrder) {
   EXPECT_EQ((*infos)[0].distinct_count, 3);
   EXPECT_EQ((*infos)[1].distinct_count, 2);
   EXPECT_EQ((*infos)[2].distinct_count, 1);
+}
+
+// Names in `dir`, sorted.
+std::vector<std::string> ListDir(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// A set is staged under the extractor's own name and renamed into place
+// once it is whole. An extraction that fails on a damaged block, after its
+// writer took every value, leaves the published set as it was and no
+// staged file behind.
+TEST_F(ValueSetExtractorTest, FailedExtractionKeepsThePublishedSet) {
+  namespace fs = std::filesystem;
+  DiskStoreOptions store_options;
+  store_options.block_bytes = 1024;
+  auto writer =
+      DiskCatalogWriter::Create(dir_->path() / "ws", "db", store_options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE((*writer)->BeginTable("t").ok());
+  ASSERT_TRUE((*writer)->AddColumn("v", TypeId::kString).ok());
+  // The largest value shares no prefix with any other, so its dictionary
+  // entry holds it whole.
+  const std::string largest = "zz-the-largest-value";
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(
+        (*writer)->AppendRow({Value::String("v" + std::to_string(i))}).ok());
+  }
+  ASSERT_TRUE((*writer)->AppendRow({Value::String(largest)}).ok());
+  ASSERT_TRUE((*writer)->FinishTable().ok());
+  auto catalog = (*writer)->Finish();
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  const auto& store = dynamic_cast<const DiskColumnStore&>(
+      (*catalog)->FindTable("t")->column(0).store());
+  ASSERT_GT(store.block_count(), 1);
+
+  const fs::path sets = dir_->path() / "sets";
+  ASSERT_TRUE(fs::create_directory(sets));
+  fs::path published;
+  {
+    ValueSetExtractor extractor(sets);
+    auto info = extractor.Extract(**catalog, {"t", "v"});
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    published = info->path;
+  }
+  const std::string published_bytes = ReadFile(published);
+  const std::vector<std::string> listing = ListDir(sets);
+  ASSERT_EQ(listing,
+            std::vector<std::string>{published.filename().string()});
+
+  // Raise the largest value's last byte: its block's dictionary still
+  // ascends, but the merged maximum no longer matches the manifest's.
+  std::string column = ReadFile(store.path());
+  const size_t at = column.rfind(largest);
+  ASSERT_NE(at, std::string::npos);
+  ++column[at + largest.size() - 1];
+  std::ofstream(store.path(), std::ios::binary | std::ios::trunc) << column;
+  {
+    ValueSetExtractor extractor(sets);
+    const Status failed = extractor.Extract(**catalog, {"t", "v"}).status();
+    EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+    EXPECT_NE(failed.message().find(store.path().string()), std::string::npos)
+        << failed.ToString();
+    // Only the extractor's scratch directory is new while it lives.
+    for (const std::string& name : ListDir(sets)) {
+      EXPECT_TRUE(name == published.filename().string() ||
+                  fs::is_directory(sets / name))
+          << name;
+    }
+  }
+  EXPECT_EQ(ListDir(sets), listing);
+  EXPECT_EQ(ReadFile(published), published_bytes);
 }
 
 TEST_F(ValueSetExtractorTest, ConcurrentFailuresDoNotPoisonTheCache) {

@@ -49,17 +49,18 @@ lines = [
     " `spider approaches --json`. Do not edit by hand:"
     " the docs-drift CI job regenerates and diffs this block. -->",
     "",
-    "| approach | kind | style | approximate | needs extractor |",
-    "|---|---|---|---|---|",
+    "| approach | kind | style | approximate | needs extractor | open-file budget |",
+    "|---|---|---|---|---|---|",
 ]
 for a in report["approaches"]:
     style = "n-ary expansion" if a["nary"] else (
         "database-internal" if a["database_internal"] else "database-external")
     lines.append(
-        "| `%s` | %s | %s | %s | %s |" % (
+        "| `%s` | %s | %s | %s | %s | %s |" % (
             a["name"], a["kind"], style,
             cell(a["supports_partial"]),
-            cell(a["needs_extractor"])))
+            cell(a["needs_extractor"]),
+            cell(a["bounds_open_files"])))
 lines.append(END)
 block = "\n".join(lines)
 

@@ -7,6 +7,7 @@
 //                            [--sampling-pretest] [--sigma=S]
 //                            [--error=E] [--max-lhs=K]
 //                            [--time-budget=S] [--threads=N] [--progress]
+//                            [--max-open-files=N]
 //                            [--no-block-skip] [--no-profile-cache]
 //                            [--json]
 //   spider import <csv_dir> --workspace=DIR [--backend=memory|disk]
@@ -159,6 +160,7 @@ int Usage() {
          "                           [--sampling-pretest] [--sigma=S]\n"
          "                           [--error=E] [--max-lhs=K]\n"
          "                           [--time-budget=S] [--threads=N]\n"
+         "                           [--max-open-files=N]\n"
          "                           [--no-block-skip] [--no-profile-cache]\n"
          "                           [--progress] [--json]\n"
          "  spider import <csv_dir> --workspace=DIR "
@@ -173,6 +175,8 @@ int Usage() {
          "\nn-ary approaches take [--nary-base=NAME] [--max-arity=K]\n"
          "--sigma=S < 1 verifies sigma-partial INDs (default approach "
          "spider-merge)\n"
+         "--max-open-files=N (0 = unlimited, else >= 2) bounds the open "
+         "sets of\nsingle-pass, run directly or as --nary-base\n"
          "--kind=ucc|fd|afd runs dependency discovery (--error=E accepts "
          "g3'\nerror up to E; --max-lhs=K caps the FD determinant arity)\n"
          "\napproaches: "
@@ -531,6 +535,8 @@ int RunApproaches(const Flags& flags) {
                              ? ", sigma-partial"
                              : ", g3'-partial")
                       : "")
+              << (capabilities->bounds_open_files ? ", bounds open files"
+                                                  : "")
               << "\n";
   }
   return 0;
