@@ -7,8 +7,10 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -16,6 +18,9 @@
 #include "src/common/file_io.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
+#include "src/common/mutex.h"
+#include "src/common/thread_annotations.h"
+#include "src/common/thread_pool.h"
 #include "src/common/tournament_tree.h"
 #include "src/common/string_util.h"
 #include "src/common/value_codec.h"
@@ -370,17 +375,16 @@ class BlockDictionary {
 
   // Calls visit(value, arrival_code) for every entry in ascending byte
   // order: string_view compares as std::string does, as unsigned chars.
+  // The entries are sorted in place, each keeping its arrival code where
+  // its hash was, so Clear() must come before the next Insert().
   template <typename Visit>
   void VisitSorted(Visit&& visit) {
-    sorted_.clear();
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      sorted_.push_back(SortedEntry{View(entries_[i]), i + 1});
-    }
-    std::sort(sorted_.begin(), sorted_.end(),
-              [](const SortedEntry& a, const SortedEntry& b) {
-                return a.value < b.value;
+    for (size_t i = 0; i < entries_.size(); ++i) entries_[i].hash = i + 1;
+    std::sort(entries_.begin(), entries_.end(),
+              [this](const Entry& a, const Entry& b) {
+                return View(a) < View(b);
               });
-    for (const SortedEntry& entry : sorted_) visit(entry.value, entry.code);
+    for (const Entry& entry : entries_) visit(View(entry), entry.hash);
   }
 
   void Clear() {
@@ -391,17 +395,13 @@ class BlockDictionary {
 
  private:
   struct Entry {
-    uint64_t hash;
+    uint64_t hash;  // the arrival code once VisitSorted() has run
     size_t offset;  // into arena_; size_t because block_bytes is unbounded
     size_t length;
   };
-  struct SortedEntry {
-    std::string_view value;
-    uint64_t code;
-  };
 
   std::string_view View(const Entry& entry) const {
-    return std::string_view(arena_).substr(entry.offset, entry.length);
+    return std::string_view(arena_.data() + entry.offset, entry.length);
   }
 
   void Grow() {
@@ -417,7 +417,24 @@ class BlockDictionary {
   std::string arena_;
   std::vector<Entry> entries_;
   std::vector<uint64_t> slots_;
-  std::vector<SortedEntry> sorted_;  // FlushBlock scratch
+};
+
+// The bytes EncodeVarint appends for `v`.
+size_t VarintBytes(uint64_t v) {
+  size_t bytes = 1;
+  for (; v >= 0x80; v >>= 7) ++bytes;
+  return bytes;
+}
+
+// One block encoded in memory, waiting for its place in the table file.
+struct EncodedBlock {
+  // The table row whose value filled the block. A tail block carries the
+  // table's row count, so it follows every block that filled.
+  int64_t fill_row = 0;
+  // Exactly the bytes written: the payload size, then the payload.
+  std::string bytes;
+  // The dictionary's region, its offset relative to the block's start.
+  DictRegion dict;
 };
 
 Result<int64_t> ParseManifestInt(const std::string& field) {
@@ -897,8 +914,8 @@ struct DiskCatalogWriter::TableFile {
 };
 
 // ---------------------------------------------------------------------------
-// ColumnWriter: accumulates one block at a time and flushes it compressed
-// to the end of its table file.
+// ColumnWriter: accumulates one block at a time and encodes it in memory
+// when it fills; the Encoder writes it to the end of the table file.
 // ---------------------------------------------------------------------------
 
 class DiskCatalogWriter::ColumnWriter {
@@ -929,23 +946,35 @@ class DiskCatalogWriter::ColumnWriter {
     return Status::OK();
   }
 
-  Status Append(const Value& v) {
-    ++stats_.row_count;
-    if (v.is_null()) {
-      ++stats_.null_count;
-      block_codes_.push_back(0);
-      pending_bytes_ += 1;
-    } else {
-      ++stats_.non_null_count;
-      Value::CanonicalBuffer buffer;
-      const std::string_view canon = v.CanonicalView(buffer);
-      const auto [code, inserted] = block_dict_.Insert(canon);
-      if (inserted) pending_bytes_ += static_cast<int64_t>(canon.size());
-      block_codes_.push_back(code);
-      pending_bytes_ += 4;
+  /// Encodes `cells`, the column's values of the table rows from
+  /// `first_row` on, and frees them. Each block that fills is encoded into
+  /// `out`. With `last` the pending rows follow as the tail block, and the
+  /// block buffers go before the seal.
+  void Encode(std::vector<Value>& cells, int64_t first_row, bool last,
+              std::vector<EncodedBlock>* out) {
+    int64_t row = first_row;
+    for (const Value& v : cells) {
+      Append(v);
+      if (pending_bytes_ >= options_.block_bytes) {
+        out->push_back(EncodeBlock(row));
+      }
+      ++row;
     }
-    if (pending_bytes_ >= options_.block_bytes) return FlushBlock();
-    return Status::OK();
+    std::vector<Value>().swap(cells);
+    if (!last) return;
+    if (!block_codes_.empty()) out->push_back(EncodeBlock(row));
+    block_dict_ = BlockDictionary();
+    std::vector<uint64_t>().swap(block_codes_);
+  }
+
+  /// Records `block`, written at `offset` of the table file. Runs on the
+  /// writing thread while Encode() may run on a worker: the two touch
+  /// disjoint members.
+  void Place(uint64_t offset, const EncodedBlock& block) {
+    block_offsets_.push_back(offset);
+    dicts_.push_back(DictRegion{offset + block.dict.offset, block.dict.bytes,
+                                block.dict.count});
+    bytes_ += static_cast<int64_t>(block.bytes.size());
   }
 
   /// Computes the seal-time statistics (exact distinct count / min / max
@@ -962,10 +991,27 @@ class DiskCatalogWriter::ColumnWriter {
                           std::move(block_offsets_), stats_};
   }
 
-  /// Writes the pending rows, if any, as one block at the table file's end.
-  Status FlushBlock() {
-    if (block_codes_.empty()) return Status::OK();
+ private:
+  void Append(const Value& v) {
+    ++stats_.row_count;
+    if (v.is_null()) {
+      ++stats_.null_count;
+      block_codes_.push_back(0);
+      pending_bytes_ += 1;
+      return;
+    }
+    ++stats_.non_null_count;
+    Value::CanonicalBuffer buffer;
+    const std::string_view canon = v.CanonicalView(buffer);
+    const auto [code, inserted] = block_dict_.Insert(canon);
+    if (inserted) pending_bytes_ += static_cast<int64_t>(canon.size());
+    block_codes_.push_back(code);
+    pending_bytes_ += 4;
+  }
 
+  // Encodes the pending rows, the block that filled at `fill_row`, and
+  // starts the next block.
+  EncodedBlock EncodeBlock(int64_t fill_row) {
     // The per-block dictionary is sorted; remap arrival codes to sorted
     // codes (NULL keeps code 0).
     std::vector<uint64_t> arrival_to_sorted(block_dict_.size() + 1, 0);
@@ -986,37 +1032,32 @@ class DiskCatalogWriter::ColumnWriter {
       });
     }
 
-    std::string payload;
-    payload.reserve(dict.size() + block_codes_.size() * 2 + 32);
-    EncodeVarint(&payload, block_codes_.size());
-    EncodeVarint(&payload, block_dict_.size());
-    EncodeVarint(&payload, dict.size());
-    const size_t dict_offset_in_payload = payload.size();
-    payload += dict;
+    // The block is built in the buffer that is written, sized first:
+    // payload size, row count, dictionary count and bytes, dictionary,
+    // one code per row.
+    std::string counts;
+    EncodeVarint(&counts, block_codes_.size());
+    EncodeVarint(&counts, block_dict_.size());
+    EncodeVarint(&counts, dict.size());
+    uint64_t payload_bytes = counts.size() + dict.size();
     for (uint64_t arrival_code : block_codes_) {
-      EncodeVarint(&payload, arrival_to_sorted[arrival_code]);
+      payload_bytes += VarintBytes(arrival_to_sorted[arrival_code]);
     }
-
-    std::string header;
-    EncodeVarint(&header, payload.size());
-    std::ofstream& out = table_.out;
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    if (!out) {
-      return Status::IOError("failed writing block to " + table_.path.string());
+    EncodedBlock block;
+    block.fill_row = fill_row;
+    block.bytes.reserve(VarintBytes(payload_bytes) + payload_bytes);
+    EncodeVarint(&block.bytes, payload_bytes);
+    block.bytes += counts;
+    block.dict = DictRegion{block.bytes.size(), dict.size(), block_dict_.size()};
+    block.bytes += dict;
+    for (uint64_t arrival_code : block_codes_) {
+      EncodeVarint(&block.bytes, arrival_to_sorted[arrival_code]);
     }
-    block_offsets_.push_back(table_.bytes);
-    dicts_.push_back(DictRegion{table_.bytes + header.size() +
-                                    dict_offset_in_payload,
-                                dict.size(), block_dict_.size()});
-    const uint64_t block_bytes = header.size() + payload.size();
-    table_.bytes += block_bytes;
-    bytes_ += static_cast<int64_t>(block_bytes);
 
     block_dict_.Clear();
     block_codes_.clear();
     pending_bytes_ = 0;
-    return Status::OK();
+    return block;
   }
 
   std::string name_;
@@ -1025,16 +1066,294 @@ class DiskCatalogWriter::ColumnWriter {
   TableFile& table_;
   const DiskStoreOptions& options_;
 
-  // Current block: distinct values mapped to 1-based arrival codes, plus
-  // the per-row arrival codes (0 = NULL).
+  // Encode()'s: the current block — distinct values mapped to 1-based
+  // arrival codes, plus the per-row arrival codes (0 = NULL) — and the row
+  // and null counts.
   BlockDictionary block_dict_;
   std::vector<uint64_t> block_codes_;
   int64_t pending_bytes_ = 0;
+  ColumnStats stats_;
 
+  // Place()'s: where the column's blocks lie in the table file.
   std::vector<uint64_t> block_offsets_;
   std::vector<DictRegion> dicts_;
   int64_t bytes_ = 0;
-  ColumnStats stats_;
+};
+
+// ---------------------------------------------------------------------------
+// Encoder: the open table's cells, encoded into blocks column by column on
+// the writer's pool and written in the serial writer's order.
+//
+// Add() moves a row's cells into the filling batch, column-major. A full
+// batch (kDiskWriterBatchCells cells, so a wide table cannot multiply it) is
+// submitted: each column encodes its cells of it — canonical text,
+// dictionary insert, and the sort and encoding of every block that fills —
+// one batch after another, in one task at a time, then frees them. There
+// is no barrier per batch: the caller's thread writes a batch once every
+// column has encoded it, its blocks by (fill row, column), which is the
+// order the serial writer flushed them in, so every block lands at the
+// offset it always had. The last batch also carries each column's tail
+// block, in column order. At most kMaxBatchesInFlight batches are
+// submitted and unwritten, which bounds the extra memory. With one thread
+// there is no pool, and a table that fits in one batch does not use it:
+// Submit() runs the same column tasks inline.
+// ---------------------------------------------------------------------------
+
+class DiskCatalogWriter::Encoder {
+ public:
+  explicit Encoder(int threads) {
+    const int workers = ThreadPool::ResolveThreadCount(threads);
+    if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
+  }
+
+  // Lets every queued column task return at once and joins the workers:
+  // batches still in flight are dropped unwritten.
+  ~Encoder() {
+    {
+      MutexLock lock(&mutex_);
+      abandoned_ = true;
+    }
+    pool_.reset();
+  }
+
+  Encoder(const Encoder&) = delete;
+  Encoder& operator=(const Encoder&) = delete;
+
+  /// Starts a table whose blocks go to `file` through `columns`.
+  void Begin(std::vector<std::unique_ptr<ColumnWriter>>* columns,
+             TableFile* file) SPIDER_EXCLUDES(mutex_) {
+    MutexLock lock(&mutex_);
+    columns_ = columns;
+    file_ = file;
+    submitted_ = 0;
+    written_ = 0;
+    encoded_.clear();
+    running_.clear();
+    status_ = Status::OK();
+  }
+
+  /// Takes the cells of `row`, table row `index`, which fits the table's
+  /// columns. Returns the error of an earlier failed block write.
+  Status Add(std::vector<Value>& row, int64_t index) SPIDER_EXCLUDES(mutex_) {
+    if (!status_.ok()) return status_;
+    if (filling_ == nullptr) NewBatch(index);
+    for (size_t c = 0; c < row.size(); ++c) {
+      filling_->cells[c].push_back(std::move(row[c]));
+    }
+    if (++filling_->rows < batch_rows_) return Status::OK();
+    Submit(/*last=*/false);
+    return Drain(kMaxBatchesInFlight - 1);
+  }
+
+  /// Submits the last batch, with every column's tail block, and writes
+  /// every block. Waits for every batch in flight, even after a failed
+  /// write, whose error it returns.
+  Status Finish(int64_t rows) SPIDER_EXCLUDES(mutex_) {
+    if (status_.ok()) {
+      if (filling_ == nullptr) NewBatch(rows);
+      Submit(/*last=*/true);
+    }
+    filling_.reset();
+    return Drain(0);
+  }
+
+  /// Runs task(c) for every column c of the finished table, on the pool
+  /// where its batches ran, and returns the first error in column order
+  /// once all have returned.
+  Status ForEachColumn(const std::function<Status(size_t)>& task) {
+    const size_t columns = columns_->size();
+    if (!on_pool_) {
+      for (size_t c = 0; c < columns; ++c) SPIDER_RETURN_NOT_OK(task(c));
+      return Status::OK();
+    }
+    std::vector<std::future<Status>> results;
+    results.reserve(columns);
+    for (size_t c = 0; c < columns; ++c) {
+      results.push_back(pool_->Submit([&task, c] { return task(c); }));
+    }
+    Status first;
+    for (std::future<Status>& result : results) {
+      Status status = result.get();
+      if (first.ok()) first = std::move(status);
+    }
+    return first;
+  }
+
+ private:
+  // Batches submitted and not yet written: enough for the other columns
+  // to run ahead while one sorts a full block.
+  static constexpr size_t kMaxBatchesInFlight = 16;
+
+  struct Batch {
+    int64_t first_row = 0;
+    size_t rows = 0;
+    // FinishTable's batch: each column also encodes its tail block.
+    bool last = false;
+    // By column: its cells of the batch's rows, then the blocks they
+    // filled, in fill order. Column c's task alone touches index c until
+    // the batch is encoded.
+    std::vector<std::vector<Value>> cells;
+    std::vector<std::vector<EncodedBlock>> blocks;
+  };
+
+  void NewBatch(int64_t first_row) SPIDER_EXCLUDES(mutex_) {
+    const size_t columns = columns_->size();
+    batch_rows_ = std::max<size_t>(
+        1, kDiskWriterBatchCells / std::max<size_t>(1, columns));
+    filling_ = std::make_unique<Batch>();
+    filling_->first_row = first_row;
+    filling_->cells.resize(columns);
+    for (std::vector<Value>& cells : filling_->cells) cells.reserve(batch_rows_);
+    filling_->blocks.resize(columns);
+    MutexLock lock(&mutex_);
+    // The table's first batch: its columns are fixed from here on.
+    if (submitted_ == 0) {
+      encoded_.assign(columns, 0);
+      running_.assign(columns, false);
+    }
+  }
+
+  // Hands the filling batch to every column; starts the task of each
+  // column that has none running. A table that ends within its first
+  // batch is encoded and sealed inline: its work is too small to pay for
+  // waking the workers.
+  void Submit(bool last) SPIDER_EXCLUDES(mutex_) {
+    filling_->last = last;
+    std::vector<size_t> idle;
+    {
+      MutexLock lock(&mutex_);
+      on_pool_ = pool_ != nullptr && !(last && submitted_ == 0);
+      in_flight_.push_back(std::move(filling_));
+      ++submitted_;
+      for (size_t c = 0; c < running_.size(); ++c) {
+        if (!running_[c]) {
+          running_[c] = true;
+          idle.push_back(c);
+        }
+      }
+    }
+    for (const size_t c : idle) {
+      if (on_pool_) {
+        pool_->Schedule([this, c] { EncodeColumn(c); });
+      } else {
+        EncodeColumn(c);
+      }
+    }
+  }
+
+  // Column c's task: encodes its cells of each submitted batch in order
+  // until it has caught up.
+  void EncodeColumn(size_t c) SPIDER_EXCLUDES(mutex_) {
+    Batch* batch = nullptr;
+    {
+      MutexLock lock(&mutex_);
+      batch = NextBatch(c);
+    }
+    while (batch != nullptr) {
+      (*columns_)[c]->Encode(batch->cells[c], batch->first_row, batch->last,
+                             &batch->blocks[c]);
+      {
+        MutexLock lock(&mutex_);
+        ++encoded_[c];
+        batch = NextBatch(c);
+      }
+      cv_.NotifyAll();
+    }
+  }
+
+  // The next batch column c encodes. Null once it has caught up or the
+  // encoder is dropped: its task stops in the same critical section, so a
+  // table whose batches are all encoded has no task left.
+  Batch* NextBatch(size_t c) SPIDER_REQUIRES(mutex_) {
+    if (abandoned_ || encoded_[c] == submitted_) {
+      running_[c] = false;
+      return nullptr;
+    }
+    return in_flight_[static_cast<size_t>(encoded_[c] - written_)].get();
+  }
+
+  // True when every column has encoded the oldest batch in flight.
+  bool HeadEncoded() const SPIDER_REQUIRES(mutex_) {
+    const int64_t oldest = written_;
+    return std::all_of(encoded_.begin(), encoded_.end(),
+                       [oldest](int64_t encoded) { return encoded > oldest; });
+  }
+
+  // Writes each batch every column has encoded, oldest first; while more
+  // than `keep` batches are in flight it waits for the oldest. After a
+  // failed write it drops the batches unwritten.
+  Status Drain(size_t keep) SPIDER_EXCLUDES(mutex_) {
+    while (true) {
+      std::unique_ptr<Batch> batch;
+      {
+        MutexLock lock(&mutex_);
+        while (in_flight_.size() > keep && !HeadEncoded()) cv_.Wait();
+        if (in_flight_.empty() || !HeadEncoded()) return status_;
+        batch = std::move(in_flight_.front());
+        in_flight_.pop_front();
+        ++written_;
+      }
+      if (status_.ok()) status_ = Write(*batch);
+    }
+  }
+
+  // Appends the batch's blocks to the table file in (fill row, column)
+  // order and places each in its column.
+  Status Write(Batch& batch) {
+    struct Pending {
+      int64_t fill_row;
+      size_t column;
+      const EncodedBlock* block;
+    };
+    std::vector<Pending> order;
+    for (size_t c = 0; c < batch.blocks.size(); ++c) {
+      for (const EncodedBlock& block : batch.blocks[c]) {
+        order.push_back(Pending{block.fill_row, c, &block});
+      }
+    }
+    std::sort(order.begin(), order.end(),
+              [](const Pending& a, const Pending& b) {
+                return a.fill_row != b.fill_row ? a.fill_row < b.fill_row
+                                                : a.column < b.column;
+              });
+    for (const Pending& pending : order) {
+      const std::string& bytes = pending.block->bytes;
+      file_->out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      if (!file_->out) {
+        return Status::IOError("failed writing block to " +
+                               file_->path.string());
+      }
+      (*columns_)[pending.column]->Place(file_->bytes, *pending.block);
+      file_->bytes += bytes.size();
+    }
+    return Status::OK();
+  }
+
+  // Set by Begin() before any task of the table starts.
+  std::vector<std::unique_ptr<ColumnWriter>>* columns_ = nullptr;
+  TableFile* file_ = nullptr;
+
+  // The caller's thread's: the batch being filled, its row capacity, the
+  // first failed write, and whether the table's tasks run on the pool.
+  std::unique_ptr<Batch> filling_;
+  size_t batch_rows_ = 1;
+  Status status_;
+  bool on_pool_ = false;
+
+  Mutex mutex_;
+  // Signalled whenever a column finishes a batch.
+  CondVar cv_{&mutex_};
+  // Submitted batches not yet written, oldest first; the oldest is batch
+  // number written_ of the table, the newest submitted_ - 1.
+  std::deque<std::unique_ptr<Batch>> in_flight_ SPIDER_GUARDED_BY(mutex_);
+  int64_t submitted_ SPIDER_GUARDED_BY(mutex_) = 0;
+  int64_t written_ SPIDER_GUARDED_BY(mutex_) = 0;
+  // By column: the batches it has encoded, and whether its task runs.
+  std::vector<int64_t> encoded_ SPIDER_GUARDED_BY(mutex_);
+  std::vector<bool> running_ SPIDER_GUARDED_BY(mutex_);
+  bool abandoned_ SPIDER_GUARDED_BY(mutex_) = false;
+  // Declared last: the workers use everything above.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1061,7 +1380,8 @@ DiskCatalogWriter::DiskCatalogWriter(fs::path dir, DiskStoreOptions options,
     : dir_(std::move(dir)),
       options_(options),
       append_(std::move(append)),
-      lock_(std::move(lock)) {
+      lock_(std::move(lock)),
+      encoder_(std::make_unique<Encoder>(options.threads)) {
   // Keep the workspace's original block size so every block of a column
   // obeys the same bound.
   const int64_t block_bytes = append_->manifest.block_bytes;
@@ -1069,7 +1389,10 @@ DiskCatalogWriter::DiskCatalogWriter(fs::path dir, DiskStoreOptions options,
   append_->manifest.block_bytes = options_.block_bytes;
 }
 
-DiskCatalogWriter::~DiskCatalogWriter() = default;
+DiskCatalogWriter::~DiskCatalogWriter() {
+  // Stops the workers before the column writers they encode into go.
+  encoder_.reset();
+}
 
 Result<std::unique_ptr<DiskCatalogWriter>> DiskCatalogWriter::Create(
     fs::path dir, std::string catalog_name, DiskStoreOptions options) {
@@ -1127,6 +1450,7 @@ Status DiskCatalogWriter::BeginTable(const std::string& name) {
                       appending));
   append_->appending = appending;
   append_->next_column = 0;
+  encoder_->Begin(&column_writers_, table_file_.get());
   table_name_ = name;
   table_rows_ = 0;
   table_open_ = true;
@@ -1220,9 +1544,7 @@ Status DiskCatalogWriter::AppendRow(std::vector<Value> row) {
                                      "' of table '" + table_name_ + "'");
     }
   }
-  for (size_t i = 0; i < row.size(); ++i) {
-    SPIDER_RETURN_NOT_OK(column_writers_[i]->Append(row[i]));
-  }
+  SPIDER_RETURN_NOT_OK(encoder_->Add(row, table_rows_));
   ++table_rows_;
   return Status::OK();
 }
@@ -1237,9 +1559,7 @@ Status DiskCatalogWriter::FinishTable() {
         std::to_string(append_->next_column) + " of " +
         std::to_string(appending->columns.size()) + " sealed columns");
   }
-  for (auto& writer : column_writers_) {
-    SPIDER_RETURN_NOT_OK(writer->FlushBlock());
-  }
+  SPIDER_RETURN_NOT_OK(encoder_->Finish(table_rows_));
   table_file_->out.close();
   if (table_file_->out.fail()) {
     return Status::IOError("failed writing column file " +
@@ -1249,10 +1569,13 @@ Status DiskCatalogWriter::FinishTable() {
   table.name = table_name_;
   table.file_name = table_file_->path.filename().string();
   table.file_bytes = static_cast<int64_t>(table_file_->bytes);
-  for (auto& writer : column_writers_) {
-    SPIDER_ASSIGN_OR_RETURN(ManifestColumn column, writer->Seal());
-    table.columns.push_back(std::move(column));
-  }
+  // Every column seals on the pool through the table file's one read
+  // descriptor; the records keep column order.
+  table.columns.resize(column_writers_.size());
+  SPIDER_RETURN_NOT_OK(encoder_->ForEachColumn([&](size_t c) -> Status {
+    SPIDER_ASSIGN_OR_RETURN(table.columns[c], column_writers_[c]->Seal());
+    return Status::OK();
+  }));
   table.row_count =
       table.columns.empty() ? 0 : table.columns.front().stats.row_count;
   if (appending != nullptr) {

@@ -47,7 +47,17 @@ struct DiskStoreOptions {
   /// bound on import memory is block_bytes × columns of the widest table;
   /// the bound on scan memory is one block per open cursor.
   int64_t block_bytes = 256LL << 10;
+  /// Workers of the writer's own pool, which encodes and seals a table's
+  /// columns: 0 = hardware concurrency, 1 = everything inline on the
+  /// caller's thread. A table keeps at most one worker per column busy.
+  /// The workspace's bytes do not depend on it.
+  int threads = 0;
 };
+
+/// Cells (rows × columns) of one batch a DiskCatalogWriter encodes: a
+/// table of c columns submits a batch every max(1, kDiskWriterBatchCells / c)
+/// rows.
+inline constexpr size_t kDiskWriterBatchCells = 4096;
 
 /// Name of the manifest file inside a disk-store workspace.
 inline constexpr const char* kDiskStoreManifestName = "spider_store.manifest";
@@ -123,9 +133,21 @@ class DiskColumnStore final : public ColumnStore {
 /// \brief Streaming writer of one disk-store workspace; the CatalogSink the
 /// CSV importer and the data generators target with --backend=disk.
 ///
-/// Memory stays bounded by block_bytes × columns of the table being loaded
-/// (plus the per-block merge buffers of the seal-time statistics pass) no
-/// matter how many rows stream through.
+/// AppendRow checks and widens a row on the caller's thread and moves its
+/// cells into a batch; each column encodes its cells of a full batch on the
+/// writer's pool (DiskStoreOptions::threads), one batch after another, and
+/// the caller's thread writes the blocks that filled in the serial order:
+/// by the row at which each filled, then by column. FinishTable seals the
+/// columns on the same pool; a table that fits in one batch is encoded
+/// and sealed inline. Memory stays bounded by block_bytes × columns of the
+/// table being loaded, plus the batches in flight (at most 16 of
+/// kDiskWriterBatchCells cells each, and the blocks they filled), plus the
+/// per-block merge buffers of each column being sealed, no matter how many
+/// rows stream through.
+///
+/// A failed block write surfaces at the next AppendRow or at FinishTable.
+/// A writer destroyed with batches in flight stops its workers, waits for
+/// them and commits nothing.
 ///
 /// One writer per workspace: Create() and OpenForAppend() take an
 /// exclusive flock on kDiskStoreLockName and hold it until Finish()
@@ -182,6 +204,7 @@ class DiskCatalogWriter final : public CatalogSink {
 
  private:
   class ColumnWriter;
+  class Encoder;
   struct AppendState;
   struct TableFile;
 
@@ -203,6 +226,9 @@ class DiskCatalogWriter final : public CatalogSink {
   std::unique_ptr<AppendState> append_;
   // The flock'd kDiskStoreLockName, held until Finish() commits.
   ScopedFd lock_;
+  // Encodes and seals the open table's columns on the writer's pool;
+  // never null. The destructor stops it before the column writers go.
+  std::unique_ptr<Encoder> encoder_;
 };
 
 /// True when `dir` holds a disk-store workspace (its manifest exists).

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <sstream>
@@ -315,6 +316,233 @@ void ExpectBusy(const Status& status) {
   EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
   EXPECT_NE(status.message().find("workspace busy"), std::string::npos)
       << status.ToString();
+}
+
+// The thread counts every parity test compares: inline, two and four
+// workers, and the default (hardware concurrency).
+constexpr int kParityThreads[] = {1, 2, 4, 0};
+
+// Runs `write` into a fresh workspace at each thread count of
+// kParityThreads and expects every .col file and the manifest to hold the
+// inline writer's bytes.
+void ExpectSameBytesAtEveryThreadCount(
+    const std::filesystem::path& root, DiskStoreOptions options,
+    const std::function<void(const std::filesystem::path&,
+                             const DiskStoreOptions&)>& write) {
+  std::vector<std::pair<std::string, uint64_t>> inline_bytes;
+  for (const int threads : kParityThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    const auto workspace = root / ("ws-" + std::to_string(threads));
+    write(workspace, options);
+    const auto bytes = HashWorkspace(workspace);
+    ASSERT_FALSE(bytes.empty());
+    if (threads == 1) {
+      inline_bytes = bytes;
+    } else {
+      EXPECT_EQ(bytes, inline_bytes);
+    }
+  }
+}
+
+// Declares columns i, d and s of ColumnBytesArePinned's tables.
+void AddPinnedColumns(DiskCatalogWriter& writer) {
+  ASSERT_TRUE(writer.AddColumn("i", TypeId::kInteger).ok());
+  ASSERT_TRUE(writer.AddColumn("d", TypeId::kDouble).ok());
+  ASSERT_TRUE(writer.AddColumn("s", TypeId::kString).ok());
+}
+
+// A create, then an append that extends the sealed blocks of one table and
+// adds another in the same session: ColumnBytesArePinned at every thread
+// count.
+TEST_F(DiskStoreTest, CreateAndAppendBytesMatchAtEveryThreadCount) {
+  DiskStoreOptions options;
+  options.block_bytes = 1024;
+  ExpectSameBytesAtEveryThreadCount(
+      dir_->path(), options,
+      [](const std::filesystem::path& workspace,
+         const DiskStoreOptions& options) {
+        {
+          auto writer = DiskCatalogWriter::Create(workspace, "pinned", options);
+          ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+          ASSERT_TRUE((*writer)->BeginTable("t").ok());
+          AddPinnedColumns(**writer);
+          AppendPinnedRows(**writer, 1, 3001);
+          ASSERT_TRUE((*writer)->FinishTable().ok());
+          ASSERT_TRUE((*writer)->Finish().ok());
+        }
+        auto writer = DiskCatalogWriter::OpenForAppend(workspace, options);
+        ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+        ASSERT_TRUE((*writer)->BeginTable("t").ok());
+        AddPinnedColumns(**writer);
+        AppendPinnedRows(**writer, 3001, 4201);
+        ASSERT_TRUE((*writer)->FinishTable().ok());
+        ASSERT_TRUE((*writer)->BeginTable("u").ok());
+        AddPinnedColumns(**writer);
+        AppendPinnedRows(**writer, 5000, 7500);
+        ASSERT_TRUE((*writer)->FinishTable().ok());
+        ASSERT_TRUE((*writer)->Finish().ok());
+      });
+}
+
+// Columns that are mostly or entirely NULL: a NULL code is one byte, so
+// their blocks fill at other rows than their neighbours'.
+TEST_F(DiskStoreTest, NullHeavyColumnBytesMatchAtEveryThreadCount) {
+  DiskStoreOptions options;
+  options.block_bytes = 1024;
+  ExpectSameBytesAtEveryThreadCount(
+      dir_->path(), options,
+      [](const std::filesystem::path& workspace,
+         const DiskStoreOptions& options) {
+        auto writer = DiskCatalogWriter::Create(workspace, "nulls", options);
+        ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+        ASSERT_TRUE((*writer)->BeginTable("t").ok());
+        ASSERT_TRUE((*writer)->AddColumn("all_null", TypeId::kInteger).ok());
+        ASSERT_TRUE((*writer)->AddColumn("sparse", TypeId::kString).ok());
+        ASSERT_TRUE((*writer)->AddColumn("dense", TypeId::kInteger).ok());
+        for (int r = 0; r < 9000; ++r) {
+          std::vector<Value> row;
+          row.push_back(Value::Null());
+          row.push_back(r % 10 == 0 ? Value::String("v" + std::to_string(r))
+                                    : Value::Null());
+          row.push_back(r % 3 == 0 ? Value::Null() : Value::Integer(r % 500));
+          ASSERT_TRUE((*writer)->AppendRow(std::move(row)).ok());
+        }
+        ASSERT_TRUE((*writer)->FinishTable().ok());
+        ASSERT_TRUE((*writer)->Finish().ok());
+      });
+}
+
+// A long-string column fills several blocks within one batch while the
+// low-cardinality column beside it fills one every few batches: the
+// written order interleaves them by fill row.
+TEST_F(DiskStoreTest, LongStringBlocksInterleaveAtEveryThreadCount) {
+  DiskStoreOptions options;
+  options.block_bytes = 8192;
+  ExpectSameBytesAtEveryThreadCount(
+      dir_->path(), options,
+      [](const std::filesystem::path& workspace,
+         const DiskStoreOptions& options) {
+        auto writer = DiskCatalogWriter::Create(workspace, "long", options);
+        ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+        ASSERT_TRUE((*writer)->BeginTable("t").ok());
+        ASSERT_TRUE((*writer)->AddColumn("long", TypeId::kString).ok());
+        ASSERT_TRUE((*writer)->AddColumn("low", TypeId::kString).ok());
+        for (int r = 0; r < 6000; ++r) {
+          std::string value(static_cast<size_t>(900 + r % 200), 'a' + r % 26);
+          value += std::to_string(r);
+          ASSERT_TRUE((*writer)
+                          ->AppendRow({Value::String(std::move(value)),
+                                       Value::String(r % 7 == 0 ? "x" : "y")})
+                          .ok());
+        }
+        ASSERT_TRUE((*writer)->FinishTable().ok());
+        auto catalog = (*writer)->Finish();
+        ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+        const auto blocks = [&](int column) {
+          return dynamic_cast<const DiskColumnStore&>(
+                     (*catalog)->FindTable("t")->column(column).store())
+              .block_count();
+        };
+        EXPECT_GT(blocks(0), 500) << "the long column must fill many blocks";
+        EXPECT_LE(blocks(1), 4) << "the low column must fill few";
+      });
+}
+
+// Row counts at the edges of a batch: none, one, exactly one batch, and
+// one batch plus a row.
+TEST_F(DiskStoreTest, BatchEdgeRowCountsMatchAtEveryThreadCount) {
+  const int batch_rows = static_cast<int>(kDiskWriterBatchCells / 3);
+  for (const int rows : {0, 1, batch_rows, batch_rows + 1}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    DiskStoreOptions options;
+    options.block_bytes = 1024;
+    ExpectSameBytesAtEveryThreadCount(
+        dir_->path() / std::to_string(rows), options,
+        [rows](const std::filesystem::path& workspace,
+               const DiskStoreOptions& options) {
+          auto writer = DiskCatalogWriter::Create(workspace, "edge", options);
+          ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+          ASSERT_TRUE((*writer)->BeginTable("t").ok());
+          AddPinnedColumns(**writer);
+          AppendPinnedRows(**writer, 1, rows + 1);
+          ASSERT_TRUE((*writer)->FinishTable().ok());
+          auto catalog = (*writer)->Finish();
+          ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+          EXPECT_EQ((*catalog)->FindTable("t")->row_count(), rows);
+        });
+  }
+}
+
+// A writer dropped with batches in flight returns, and commits nothing: a
+// created workspace holds no manifest, an appended one its old manifest.
+TEST_F(DiskStoreTest, WriterDroppedWithBatchesInFlightCommitsNothing) {
+  for (const int threads : kParityThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DiskStoreOptions options;
+    options.block_bytes = 1024;
+    options.threads = threads;
+    const auto workspace = Workspace("ws-" + std::to_string(threads));
+    {
+      auto writer = DiskCatalogWriter::Create(workspace, "dropped", options);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      ASSERT_TRUE((*writer)->BeginTable("t").ok());
+      AddPinnedColumns(**writer);
+      AppendPinnedRows(**writer, 1, 20001);
+    }
+    EXPECT_FALSE(IsDiskCatalogDir(workspace));
+
+    {
+      auto writer = DiskCatalogWriter::Create(workspace, "dropped", options);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      WriteIntRows(**writer, 0, 300);
+    }
+    const std::string manifest =
+        ReadBytes(workspace / kDiskStoreManifestName);
+    {
+      auto writer = DiskCatalogWriter::OpenForAppend(workspace, options);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      ASSERT_TRUE((*writer)->BeginTable("t").ok());
+      ASSERT_TRUE((*writer)->AddColumn("v", TypeId::kInteger).ok());
+      for (int r = 0; r < 20000; ++r) {
+        ASSERT_TRUE((*writer)->AppendRow({Value::Integer(r)}).ok());
+      }
+    }
+    EXPECT_EQ(ReadBytes(workspace / kDiskStoreManifestName), manifest);
+    auto catalog = OpenDiskCatalog(workspace);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    EXPECT_EQ((*catalog)->FindTable("t")->row_count(), 300);
+  }
+}
+
+// A block write that fails surfaces as an IOError at a later AppendRow or
+// at FinishTable, and nothing commits: the table file is /dev/full.
+TEST_F(DiskStoreTest, FailedBlockWriteSurfacesAndCommitsNothing) {
+  for (const int threads : kParityThreads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DiskStoreOptions options;
+    options.block_bytes = 1024;
+    options.threads = threads;
+    const auto workspace = Workspace("ws-" + std::to_string(threads));
+    std::filesystem::create_directories(workspace);
+    std::filesystem::create_symlink("/dev/full",
+                                    workspace / (TableFileStem("t") + ".col"));
+    auto writer = DiskCatalogWriter::Create(workspace, "full", options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->BeginTable("t").ok());
+    AddPinnedColumns(**writer);
+    Status status;
+    for (int r = 1; r <= 20000 && status.ok(); ++r) {
+      status = (*writer)->AppendRow(
+          {Value::Integer(r), Value::Double(r * 0.5),
+           Value::String("value-" + std::to_string(r))});
+    }
+    if (status.ok()) status = (*writer)->FinishTable();
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_FALSE((*writer)->FinishTable().ok());
+    EXPECT_FALSE((*writer)->Finish().ok());
+    EXPECT_FALSE(IsDiskCatalogDir(workspace));
+  }
 }
 
 // Two writers on one workspace: flock locks belong to the open file

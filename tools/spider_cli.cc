@@ -11,7 +11,7 @@
 //                            [--no-block-skip] [--no-profile-cache]
 //                            [--json]
 //   spider import <csv_dir> --workspace=DIR [--backend=memory|disk]
-//                           [--block-bytes=N] [--append]
+//                           [--block-bytes=N] [--append] [--threads=N]
 //   spider discover <csv_dir|workspace> [--approach=NAME]
 //                   [--no-surrogate-filter]
 //   spider links <source_csv_dir> <target_csv_dir> [--strip-prefixes]
@@ -29,7 +29,10 @@
 // --error=E (--max-lhs caps the determinant arity). Omitting --approach
 // picks the kind's default discoverer;
 // `import` streams a CSV dump into an out-of-core disk-store workspace
-// (pay the parse once, profile many times with bounded memory); with
+// (pay the parse once, profile many times with bounded memory), encoding
+// and sealing each table's columns on --threads=N workers (default: the
+// hardware concurrency; the workspace's bytes do not depend on it) and
+// taking no other profile option; with
 // --append the dump's rows are appended to an existing workspace instead —
 // new tables are created, existing tables grow, and the persisted profile
 // (spider_profile.manifest) invalidates exactly the touched columns;
@@ -49,8 +52,10 @@
 // an already-imported workspace (auto-detected via its manifest). With
 // --backend=disk a CSV dump is streamed through the disk store first —
 // peak memory stays bounded by storage-block buffers regardless of dump
-// size — into a temp workspace for this run only. Only `import` creates a
-// workspace: `profile` and `discover` reject --workspace (exit 2).
+// size — into a temp workspace for this run only; --threads=N then sets
+// the workers of that import and of the profile alike. Only `import`
+// creates a workspace: `profile` and `discover` reject --workspace (exit
+// 2).
 //
 // Ctrl-C (SIGINT) cancels a running profile cooperatively: the run stops
 // at the next poll and the partial finished=false report is still printed.
@@ -68,6 +73,7 @@
 // --no-profile-cache reuses and records no verdict, so every candidate is
 // verified again; set files that verify are still reused (docs/CLI.md).
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
@@ -165,7 +171,8 @@ int Usage() {
          "                           [--progress] [--json]\n"
          "  spider import <csv_dir> --workspace=DIR "
          "[--backend=memory|disk]\n"
-         "                          [--block-bytes=N] [--append]\n"
+         "                          [--block-bytes=N] [--append] "
+         "[--threads=N]\n"
          "  spider discover <csv_dir|workspace> [--approach=NAME] "
          "[--no-surrogate-filter] [--dot=FILE]\n"
          "  spider links <source_dir> <target_dir> [--strip-prefixes]\n"
@@ -190,6 +197,8 @@ struct Flags {
   /// request body share. Built by ParseRunOptions, so the CLI and the
   /// daemon validate values with byte-identical messages.
   RunOptions run;
+  /// The run-option keys given, in order (`import` takes only "threads").
+  std::vector<std::string> run_keys;
   StorageBackend backend = StorageBackend::kMemory;
   bool backend_set = false;  // --backend was given explicitly
   std::string workspace;
@@ -280,6 +289,7 @@ Flags ParseFlags(int argc, char** argv, int first) {
     return flags;
   }
   flags.run = std::move(*run);
+  for (const RunOptionKv& pair : pairs) flags.run_keys.push_back(pair.key);
   return flags;
 }
 
@@ -317,9 +327,15 @@ SpiderSession OpenSession(const LoadedCatalog& loaded) {
   return SpiderSession(*loaded.catalog, options);
 }
 
+// The writer's options: --block-bytes, and --threads when given — the
+// same workers a `profile --backend=disk` session then runs on.
 DiskStoreOptions MakeDiskOptions(const Flags& flags) {
   DiskStoreOptions options;
   if (flags.block_bytes > 0) options.block_bytes = flags.block_bytes;
+  if (std::find(flags.run_keys.begin(), flags.run_keys.end(), "threads") !=
+      flags.run_keys.end()) {
+    options.threads = flags.run.threads;
+  }
   return options;
 }
 
@@ -353,6 +369,16 @@ Result<LoadedCatalog> LoadCatalog(const std::string& dir, const Flags& flags) {
 
 int RunImport(const Flags& flags) {
   if (flags.positional.size() != 1) return Usage();
+  // An import runs no profile: of the run options it takes only the
+  // writer's --threads.
+  for (const std::string& key : flags.run_keys) {
+    if (key != "threads") {
+      std::cerr << "import takes no --" << key
+                << " (a profile option; of those, import takes only "
+                   "--threads)\n";
+      return 2;
+    }
+  }
   const std::string& dir = flags.positional[0];
   Stopwatch watch;
   watch.Start();
