@@ -44,8 +44,9 @@ namespace spider {
 /// Knobs for the disk backend.
 struct DiskStoreOptions {
   /// Target raw bytes buffered per column before a block is flushed. The
-  /// bound on import memory is block_bytes × columns of the widest table;
-  /// the bound on scan memory is one block per open cursor.
+  /// bound on import memory is block_bytes × columns of the widest table,
+  /// plus the writer's batches in flight (see DiskCatalogWriter); the bound
+  /// on scan memory is one block per open cursor.
   int64_t block_bytes = 256LL << 10;
   /// Workers of the writer's own pool, which encodes and seals a table's
   /// columns: 0 = hardware concurrency, 1 = everything inline on the
