@@ -22,11 +22,6 @@ Result<int> ParseIntInRange(const std::string& key, const std::string& value,
   return static_cast<int>(parsed);
 }
 
-Result<int> ParseThreadCount(const std::string& value) {
-  return ParseIntInRange("threads", value, 0, 4096,
-                         " (0 = hardware concurrency)");
-}
-
 namespace {
 
 // Keep in sync with the Apply() dispatch below; RunOptionKeys() is the
@@ -136,7 +131,9 @@ Status Apply(const RunOptionKv& kv, RunOptions& options) {
     return Status::OK();
   }
   if (key == "threads") {
-    SPIDER_ASSIGN_OR_RETURN(options.threads, ParseThreadCount(value));
+    SPIDER_ASSIGN_OR_RETURN(
+        options.threads,
+        ParseIntInRange(key, value, 0, 4096, " (0 = hardware concurrency)"));
     return Status::OK();
   }
   if (key == "max-open-files") {

@@ -37,13 +37,6 @@ struct RunOptionKv {
 Result<int> ParseIntInRange(const std::string& key, const std::string& value,
                             long min, long max, const std::string& range_note);
 
-/// Parses `value`, the text of option "threads", as a worker count in
-/// [0, 4096] (0 = hardware concurrency): the one range of a profile's
-/// --threads, and of an import's, on the command line and in a spiderd
-/// body.
-[[nodiscard]]
-Result<int> ParseThreadCount(const std::string& value);
-
 /// The canonical option keys ParseRunOptions understands, in documentation
 /// order. The CLI prefixes them with "--"; the daemon uses them verbatim as
 /// JSON object keys.

@@ -223,14 +223,14 @@ HttpResponse RequestRouter::SubmitImport(const JsonValue& body) const {
   // An import takes these members and no other: a typo is a 400 that names
   // it, as it is in a profile body, never a member silently left at its
   // default.
-  static const char* const kMembers[] = {"op", "workspace", "source", "append",
-                                         "threads"};
+  static const char* const kMembers[] = {"op", "workspace", "source",
+                                         "append"};
   for (const auto& member : body.members) {
     if (std::find(std::begin(kMembers), std::end(kMembers), member.first) ==
         std::end(kMembers)) {
       return JsonError(400, "import takes no member '" + member.first +
-                                "' (expected op, workspace, source, append "
-                                "or threads)");
+                                "' (expected op, workspace, source or "
+                                "append)");
     }
   }
   const JsonValue* workspace = body.Find("workspace");
@@ -252,17 +252,6 @@ HttpResponse RequestRouter::SubmitImport(const JsonValue& body) const {
     }
     append = append_value->boolean;
   }
-  // The writer's workers, one by default: the daemon runs its jobs side by
-  // side on its own pool.
-  DiskStoreOptions options;
-  options.threads = 1;
-  if (const JsonValue* threads = body.Find("threads")) {
-    auto text = OptionValueText("threads", *threads);
-    if (!text.ok()) return FromStatus(text.status());
-    auto parsed = ParseThreadCount(*text);
-    if (!parsed.ok()) return FromStatus(parsed.status());
-    options.threads = *parsed;
-  }
   if (append) {
     if (!IsDiskCatalogDir(target)) {
       return FromStatus(Status::NotFound(
@@ -280,8 +269,12 @@ HttpResponse RequestRouter::SubmitImport(const JsonValue& body) const {
   // workspace sees a new manifest and reopens the grown catalog.
   auto id = jobs_->Submit(
       name, (append ? "append " : "import ") + csv_dir,
-      [name, target, csv_dir, append,
-       options](const JobControl&) -> Result<std::string> {
+      [name, target, csv_dir,
+       append](const JobControl&) -> Result<std::string> {
+        // The writer encodes on the job's own thread: the daemon runs its
+        // jobs side by side on its pool.
+        DiskStoreOptions options;
+        options.threads = 1;
         std::unique_ptr<DiskCatalogWriter> writer;
         if (append) {
           SPIDER_ASSIGN_OR_RETURN(

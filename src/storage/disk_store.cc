@@ -13,6 +13,7 @@
 #include <future>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "src/common/file_io.h"
@@ -947,20 +948,20 @@ class DiskCatalogWriter::ColumnWriter {
   }
 
   /// Encodes `cells`, the column's values of the table rows from
-  /// `first_row` on, and frees them. Each block that fills is encoded into
+  /// `first_row` on, and frees each. Each block that fills is encoded into
   /// `out`. With `last` the pending rows follow as the tail block, and the
   /// block buffers go before the seal.
-  void Encode(std::vector<Value>& cells, int64_t first_row, bool last,
+  void Encode(std::span<Value> cells, int64_t first_row, bool last,
               std::vector<EncodedBlock>* out) {
     int64_t row = first_row;
-    for (const Value& v : cells) {
+    for (Value& v : cells) {
       Append(v);
+      v = Value();
       if (pending_bytes_ >= options_.block_bytes) {
         out->push_back(EncodeBlock(row));
       }
       ++row;
     }
-    std::vector<Value>().swap(cells);
     if (!last) return;
     if (!block_codes_.empty()) out->push_back(EncodeBlock(row));
     block_dict_ = BlockDictionary();
@@ -1086,27 +1087,31 @@ class DiskCatalogWriter::ColumnWriter {
 //
 // Add() moves a row's cells into the filling batch, column-major. A full
 // batch (kDiskWriterBatchCells cells, so a wide table cannot multiply it) is
-// submitted: each column encodes its cells of it — canonical text,
-// dictionary insert, and the sort and encoding of every block that fills —
-// one batch after another, in one task at a time, then frees them. There
-// is no barrier per batch: the caller's thread writes a batch once every
-// column has encoded it, its blocks by (fill row, column), which is the
-// order the serial writer flushed them in, so every block lands at the
-// offset it always had. The last batch also carries each column's tail
-// block, in column order. At most kMaxBatchesInFlight batches are
-// submitted and unwritten, which bounds the extra memory. With one thread
-// there is no pool, and a table that fits in one batch does not use it:
-// Submit() runs the same column tasks inline.
+// submitted. The table's columns are cut into at most kRangesPerWorker
+// ranges per worker, and each range encodes its columns' cells of each
+// batch — canonical text, dictionary insert, and the sort and encoding of
+// every block that fills — one batch after another, in one task at a
+// time, then frees them. There is no barrier per batch: the caller's thread
+// writes a batch once every range has encoded it, its blocks by (fill row,
+// column), which is the order the serial writer flushed them in, so every
+// block lands at the offset it always had. The last batch also carries each
+// column's tail block, in column order. At most kMaxBatchesInFlight batches
+// are submitted and unwritten, which bounds the extra memory.
+//
+// The pool starts when a table first fills a batch, with a worker per range
+// up to the thread count and the hardware concurrency, and grows between
+// tables when a later table has more ranges. With one thread there is no
+// pool, and a table that fits in one batch does not use it: Submit() runs
+// the same range tasks inline.
 // ---------------------------------------------------------------------------
 
 class DiskCatalogWriter::Encoder {
  public:
-  explicit Encoder(int threads) {
-    const int workers = ThreadPool::ResolveThreadCount(threads);
-    if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
-  }
+  explicit Encoder(int threads)
+      : max_workers_(std::min(ThreadPool::ResolveThreadCount(threads),
+                              ThreadPool::ResolveThreadCount(0))) {}
 
-  // Lets every queued column task return at once and joins the workers:
+  // Lets every queued range task return at once and joins the workers:
   // batches still in flight are dropped unwritten.
   ~Encoder() {
     {
@@ -1137,10 +1142,11 @@ class DiskCatalogWriter::Encoder {
   Status Add(std::vector<Value>& row, int64_t index) SPIDER_EXCLUDES(mutex_) {
     if (!status_.ok()) return status_;
     if (filling_ == nullptr) NewBatch(index);
+    Batch& batch = *filling_;
     for (size_t c = 0; c < row.size(); ++c) {
-      filling_->cells[c].push_back(std::move(row[c]));
+      batch.cells[c * batch.capacity + batch.rows] = std::move(row[c]);
     }
-    if (++filling_->rows < batch_rows_) return Status::OK();
+    if (++batch.rows < batch.capacity) return Status::OK();
     Submit(/*last=*/false);
     return Drain(kMaxBatchesInFlight - 1);
   }
@@ -1180,106 +1186,137 @@ class DiskCatalogWriter::Encoder {
   }
 
  private:
-  // Batches submitted and not yet written: enough for the other columns
-  // to run ahead while one sorts a full block.
+  // Batches submitted and not yet written: enough for the other ranges to
+  // run ahead while one sorts a full block.
   static constexpr size_t kMaxBatchesInFlight = 16;
+  // Column ranges per worker: a wide table's columns share a task, so a
+  // batch costs the caller's thread a few task hand-offs per worker, not
+  // one per column.
+  static constexpr int kRangesPerWorker = 4;
 
   struct Batch {
     int64_t first_row = 0;
     size_t rows = 0;
+    size_t capacity = 0;
     // FinishTable's batch: each column also encodes its tail block.
     bool last = false;
-    // By column: its cells of the batch's rows, then the blocks they
-    // filled, in fill order. Column c's task alone touches index c until
-    // the batch is encoded.
-    std::vector<std::vector<Value>> cells;
+    // The ranges yet to encode the batch; guarded by the encoder's mutex_.
+    size_t unencoded = 0;
+    // Column c's cells are [c × capacity, c × capacity + rows), and
+    // blocks[c] the blocks they filled, in fill order. Column c's range
+    // task alone touches them until the batch is encoded.
+    std::vector<Value> cells;
     std::vector<std::vector<EncodedBlock>> blocks;
+
+    std::span<Value> Cells(size_t c) {
+      return {cells.data() + c * capacity, rows};
+    }
   };
 
   void NewBatch(int64_t first_row) SPIDER_EXCLUDES(mutex_) {
     const size_t columns = columns_->size();
-    batch_rows_ = std::max<size_t>(
-        1, kDiskWriterBatchCells / std::max<size_t>(1, columns));
     filling_ = std::make_unique<Batch>();
     filling_->first_row = first_row;
-    filling_->cells.resize(columns);
-    for (std::vector<Value>& cells : filling_->cells) cells.reserve(batch_rows_);
+    filling_->capacity = std::max<size_t>(
+        1, kDiskWriterBatchCells / std::max<size_t>(1, columns));
+    filling_->cells.resize(columns * filling_->capacity);
     filling_->blocks.resize(columns);
     MutexLock lock(&mutex_);
     // The table's first batch: its columns are fixed from here on.
     if (submitted_ == 0) {
-      encoded_.assign(columns, 0);
-      running_.assign(columns, false);
+      const size_t ranges = std::min(
+          columns, static_cast<size_t>(kRangesPerWorker * max_workers_));
+      range_begin_.assign(1, 0);
+      for (size_t r = 1; r <= ranges; ++r) {
+        range_begin_.push_back(r * columns / ranges);
+      }
+      encoded_.assign(ranges, 0);
+      running_.assign(ranges, false);
     }
   }
 
-  // Hands the filling batch to every column; starts the task of each
-  // column that has none running. A table that ends within its first
-  // batch is encoded and sealed inline: its work is too small to pay for
-  // waking the workers.
+  // Hands the filling batch to every range; starts the task of each range
+  // that has none running.
   void Submit(bool last) SPIDER_EXCLUDES(mutex_) {
     filling_->last = last;
     std::vector<size_t> idle;
+    bool first = false;
     {
       MutexLock lock(&mutex_);
-      on_pool_ = pool_ != nullptr && !(last && submitted_ == 0);
+      first = submitted_ == 0;
+      filling_->unencoded = running_.size();
       in_flight_.push_back(std::move(filling_));
       ++submitted_;
-      for (size_t c = 0; c < running_.size(); ++c) {
-        if (!running_[c]) {
-          running_[c] = true;
-          idle.push_back(c);
+      for (size_t r = 0; r < running_.size(); ++r) {
+        if (!running_[r]) {
+          running_[r] = true;
+          idle.push_back(r);
         }
       }
     }
-    for (const size_t c : idle) {
+    if (first) PlaceTasks(last);
+    for (const size_t r : idle) {
       if (on_pool_) {
-        pool_->Schedule([this, c] { EncodeColumn(c); });
+        pool_->Schedule([this, r] { EncodeRange(r); });
       } else {
-        EncodeColumn(c);
+        EncodeRange(r);
       }
     }
   }
 
-  // Column c's task: encodes its cells of each submitted batch in order
-  // until it has caught up.
-  void EncodeColumn(size_t c) SPIDER_EXCLUDES(mutex_) {
+  // Decides at the table's first batch where its tasks run. A table that
+  // ends within that batch, or has one range, runs inline: its work is too
+  // small to pay for waking the workers. Any other table runs on the pool,
+  // started or grown to a worker per range.
+  void PlaceTasks(bool last) {
+    const int workers = static_cast<int>(std::min(
+        range_begin_.size() - 1, static_cast<size_t>(max_workers_)));
+    on_pool_ = !last && workers > 1;
+    if (on_pool_ && (pool_ == nullptr || pool_->size() < workers)) {
+      // Joins the smaller pool; the previous table's tasks have returned.
+      pool_.reset();
+      pool_ = std::make_unique<ThreadPool>(workers);
+    }
+  }
+
+  // Range r's task: encodes its columns' cells of each submitted batch in
+  // order until it has caught up, and wakes the caller's thread when it
+  // finishes the oldest batch in flight.
+  void EncodeRange(size_t r) SPIDER_EXCLUDES(mutex_) {
     Batch* batch = nullptr;
     {
       MutexLock lock(&mutex_);
-      batch = NextBatch(c);
+      batch = NextBatch(r);
     }
     while (batch != nullptr) {
-      (*columns_)[c]->Encode(batch->cells[c], batch->first_row, batch->last,
-                             &batch->blocks[c]);
+      for (size_t c = range_begin_[r]; c < range_begin_[r + 1]; ++c) {
+        (*columns_)[c]->Encode(batch->Cells(c), batch->first_row, batch->last,
+                               &batch->blocks[c]);
+      }
+      bool head_encoded = false;
       {
         MutexLock lock(&mutex_);
-        ++encoded_[c];
-        batch = NextBatch(c);
+        ++encoded_[r];
+        head_encoded =
+            --batch->unencoded == 0 && batch == in_flight_.front().get();
+        batch = NextBatch(r);
       }
-      cv_.NotifyAll();
+      if (head_encoded) cv_.NotifyAll();
     }
   }
 
-  // The next batch column c encodes. Null once it has caught up or the
+  // The next batch range r encodes. Null once it has caught up or the
   // encoder is dropped: its task stops in the same critical section, so a
   // table whose batches are all encoded has no task left.
-  Batch* NextBatch(size_t c) SPIDER_REQUIRES(mutex_) {
-    if (abandoned_ || encoded_[c] == submitted_) {
-      running_[c] = false;
+  Batch* NextBatch(size_t r) SPIDER_REQUIRES(mutex_) {
+    if (abandoned_ || encoded_[r] == submitted_) {
+      running_[r] = false;
       return nullptr;
     }
-    return in_flight_[static_cast<size_t>(encoded_[c] - written_)].get();
+    return in_flight_[static_cast<size_t>(encoded_[r] - written_)].get();
   }
 
-  // True when every column has encoded the oldest batch in flight.
-  bool HeadEncoded() const SPIDER_REQUIRES(mutex_) {
-    const int64_t oldest = written_;
-    return std::all_of(encoded_.begin(), encoded_.end(),
-                       [oldest](int64_t encoded) { return encoded > oldest; });
-  }
-
-  // Writes each batch every column has encoded, oldest first; while more
+  // Writes each batch every range has encoded, oldest first; while more
   // than `keep` batches are in flight it waits for the oldest. After a
   // failed write it drops the batches unwritten.
   Status Drain(size_t keep) SPIDER_EXCLUDES(mutex_) {
@@ -1287,8 +1324,12 @@ class DiskCatalogWriter::Encoder {
       std::unique_ptr<Batch> batch;
       {
         MutexLock lock(&mutex_);
-        while (in_flight_.size() > keep && !HeadEncoded()) cv_.Wait();
-        if (in_flight_.empty() || !HeadEncoded()) return status_;
+        while (in_flight_.size() > keep && in_flight_.front()->unencoded > 0) {
+          cv_.Wait();
+        }
+        if (in_flight_.empty() || in_flight_.front()->unencoded > 0) {
+          return status_;
+        }
         batch = std::move(in_flight_.front());
         in_flight_.pop_front();
         ++written_;
@@ -1329,30 +1370,37 @@ class DiskCatalogWriter::Encoder {
     return Status::OK();
   }
 
+  // DiskStoreOptions::threads, resolved and clamped to the hardware
+  // concurrency: the most workers the pool grows to.
+  const int max_workers_;
+
   // Set by Begin() before any task of the table starts.
   std::vector<std::unique_ptr<ColumnWriter>>* columns_ = nullptr;
   TableFile* file_ = nullptr;
+  // The first column of each range, then the column count. Set at the
+  // table's first batch, before any of its tasks starts.
+  std::vector<size_t> range_begin_;
 
-  // The caller's thread's: the batch being filled, its row capacity, the
-  // first failed write, and whether the table's tasks run on the pool.
+  // The caller's thread's: the batch being filled, the first failed
+  // write, and whether the table's tasks run on the pool.
   std::unique_ptr<Batch> filling_;
-  size_t batch_rows_ = 1;
   Status status_;
   bool on_pool_ = false;
 
   Mutex mutex_;
-  // Signalled whenever a column finishes a batch.
+  // Signalled whenever the oldest batch in flight is encoded.
   CondVar cv_{&mutex_};
   // Submitted batches not yet written, oldest first; the oldest is batch
   // number written_ of the table, the newest submitted_ - 1.
   std::deque<std::unique_ptr<Batch>> in_flight_ SPIDER_GUARDED_BY(mutex_);
   int64_t submitted_ SPIDER_GUARDED_BY(mutex_) = 0;
   int64_t written_ SPIDER_GUARDED_BY(mutex_) = 0;
-  // By column: the batches it has encoded, and whether its task runs.
+  // By range: the batches it has encoded, and whether its task runs.
   std::vector<int64_t> encoded_ SPIDER_GUARDED_BY(mutex_);
   std::vector<bool> running_ SPIDER_GUARDED_BY(mutex_);
   bool abandoned_ SPIDER_GUARDED_BY(mutex_) = false;
-  // Declared last: the workers use everything above.
+  // Started by the first table that needs it; declared last: the workers
+  // use everything above.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -50,8 +50,10 @@ struct DiskStoreOptions {
   int64_t block_bytes = 256LL << 10;
   /// Workers of the writer's own pool, which encodes and seals a table's
   /// columns: 0 = hardware concurrency, 1 = everything inline on the
-  /// caller's thread. A table keeps at most one worker per column busy.
-  /// The workspace's bytes do not depend on it.
+  /// caller's thread. The pool starts with the first table that fills a
+  /// batch and never holds more workers than the hardware concurrency or
+  /// the widest such table has columns. The workspace's bytes do not
+  /// depend on it.
   int threads = 0;
 };
 
@@ -135,14 +137,15 @@ class DiskColumnStore final : public ColumnStore {
 /// CSV importer and the data generators target with --backend=disk.
 ///
 /// AppendRow checks and widens a row on the caller's thread and moves its
-/// cells into a batch; each column encodes its cells of a full batch on the
-/// writer's pool (DiskStoreOptions::threads), one batch after another, and
-/// the caller's thread writes the blocks that filled in the serial order:
-/// by the row at which each filled, then by column. FinishTable seals the
-/// columns on the same pool; a table that fits in one batch is encoded
-/// and sealed inline. Memory stays bounded by block_bytes × columns of the
-/// table being loaded, plus the batches in flight (at most 16 of
-/// kDiskWriterBatchCells cells each, and the blocks they filled), plus the
+/// cells into a batch; each range of columns encodes its cells of a full
+/// batch on the writer's pool (DiskStoreOptions::threads), one batch after
+/// another, and the caller's thread writes the blocks that filled in the
+/// serial order: by the row at which each filled, then by column.
+/// FinishTable seals the columns on the same pool; a table that fits in
+/// one batch is encoded and sealed inline. Memory stays bounded by
+/// block_bytes × columns of the table being loaded, plus the batches in
+/// flight (at most 16 of kDiskWriterBatchCells cells each, or of one row
+/// when a row has more cells, and the blocks they filled), plus the
 /// per-block merge buffers of each column being sealed, no matter how many
 /// rows stream through.
 ///

@@ -15,6 +15,7 @@
 #include "src/common/hash.h"
 #include "src/common/string_util.h"
 #include "src/common/temp_dir.h"
+#include "src/common/thread_pool.h"
 #include "src/common/value_codec.h"
 #include "src/storage/column_stats.h"
 #include "src/storage/disk_store.h"
@@ -471,6 +472,121 @@ TEST_F(DiskStoreTest, BatchEdgeRowCountsMatchAtEveryThreadCount) {
           ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
           EXPECT_EQ((*catalog)->FindTable("t")->row_count(), rows);
         });
+  }
+}
+
+// Tables of growing width in one writer: a narrow one starts the pool, a
+// wider one grows it and shares a task among several columns, and one wider
+// than a batch submits a batch per row.
+TEST_F(DiskStoreTest, WideTableBytesMatchAtEveryThreadCount) {
+  DiskStoreOptions options;
+  options.block_bytes = 1024;
+  ExpectSameBytesAtEveryThreadCount(
+      dir_->path(), options,
+      [](const std::filesystem::path& workspace,
+         const DiskStoreOptions& options) {
+        auto writer = DiskCatalogWriter::Create(workspace, "wide", options);
+        ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+        const struct {
+          const char* name;
+          int columns;
+          int rows;
+        } tables[] = {{"narrow", 2, 9000},
+                      {"wide", 40, 1000},
+                      {"widest", static_cast<int>(kDiskWriterBatchCells) + 5,
+                       7}};
+        for (const auto& table : tables) {
+          ASSERT_TRUE((*writer)->BeginTable(table.name).ok());
+          for (int c = 0; c < table.columns; ++c) {
+            ASSERT_TRUE((*writer)
+                            ->AddColumn("c" + std::to_string(c),
+                                        c % 2 == 0 ? TypeId::kString
+                                                   : TypeId::kInteger)
+                            .ok());
+          }
+          for (int r = 0; r < table.rows; ++r) {
+            std::vector<Value> row;
+            for (int c = 0; c < table.columns; ++c) {
+              if ((r + c) % 11 == 0) {
+                row.push_back(Value::Null());
+              } else if (c % 2 == 1) {
+                row.push_back(Value::Integer((r * 7 + c) % (c + 3)));
+              } else if (c == 0) {
+                // Long enough to fill a block every few rows.
+                row.push_back(Value::String(std::string(400, 'a' + r % 26) +
+                                            std::to_string(r)));
+              } else {
+                row.push_back(Value::String("v" + std::to_string(r % 97)));
+              }
+            }
+            ASSERT_TRUE((*writer)->AppendRow(std::move(row)).ok());
+          }
+          ASSERT_TRUE((*writer)->FinishTable().ok());
+        }
+        auto catalog = (*writer)->Finish();
+        ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+        // Every column holds its own cells: its NULLs are where (r + c) % 11
+        // put them.
+        for (const auto& table : tables) {
+          for (int c = 0; c < table.columns; ++c) {
+            int64_t non_null = 0;
+            for (int r = 0; r < table.rows; ++r) non_null += (r + c) % 11 != 0;
+            ASSERT_EQ((*catalog)
+                          ->FindTable(table.name)
+                          ->column(c)
+                          .store()
+                          .non_null_count(),
+                      non_null)
+                << table.name << " column " << c;
+          }
+        }
+      });
+}
+
+// The threads of this process.
+int ProcessThreads() {
+  const auto tasks = std::filesystem::directory_iterator("/proc/self/task");
+  return static_cast<int>(std::distance(begin(tasks), end(tasks)));
+}
+
+// However many threads a writer is given, it starts none for a table that
+// fits in one batch and no more than the hardware concurrency or a larger
+// table's columns, and they go with the writer.
+TEST_F(DiskStoreTest, WriterStartsOnlyTheWorkersItsTablesUse) {
+  if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "no /proc";
+  // A sanitizer runtime may start a thread of its own with the process's
+  // first one: let that happen before counting.
+  { ThreadPool warm_up(1); }
+  const int hardware = ThreadPool::ResolveThreadCount(0);
+  for (const int threads : {1, 4096}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const int before = ProcessThreads();
+    DiskStoreOptions options;
+    options.threads = threads;
+    {
+      auto writer = DiskCatalogWriter::Create(
+          Workspace("ws-" + std::to_string(threads)), "workers", options);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      ASSERT_TRUE((*writer)->BeginTable("small").ok());
+      AddPinnedColumns(**writer);
+      AppendPinnedRows(**writer, 1, 100);
+      ASSERT_TRUE((*writer)->FinishTable().ok());
+      EXPECT_EQ(ProcessThreads(), before);
+
+      ASSERT_TRUE((*writer)->BeginTable("large").ok());
+      AddPinnedColumns(**writer);
+      AppendPinnedRows(**writer, 1, 20001);
+      ASSERT_TRUE((*writer)->FinishTable().ok());
+      const int workers = ProcessThreads() - before;
+      if (threads == 1 || hardware == 1) {
+        EXPECT_EQ(workers, 0);
+      } else {
+        EXPECT_GT(workers, 0);
+        EXPECT_LE(workers, std::min(3, hardware));
+      }
+      ASSERT_TRUE((*writer)->Finish().ok());
+    }
+    EXPECT_EQ(ProcessThreads(), before);
   }
 }
 
