@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <fstream>
 #include <string>
 
 namespace spider {
@@ -48,6 +49,48 @@ std::filesystem::path UniqueTempPath(const std::filesystem::path& final_path) {
   std::filesystem::path temp = final_path;
   temp += ".tmp-" + std::to_string(::getpid()) + "-" + std::to_string(n);
   return temp;
+}
+
+Result<std::string> ReadFileBytes(const std::filesystem::path& path) {
+  // Only a regular file: the end offset of a directory standing in its
+  // place would size an allocation of up to 2^63 bytes.
+  std::error_code ec;
+  std::ifstream in;
+  if (std::filesystem::is_regular_file(path, ec)) {
+    in.open(path, std::ios::binary | std::ios::ate);
+  }
+  if (!in.is_open()) {
+    return Status::IOError("cannot open " + path.string());
+  }
+  const std::streamoff size = in.tellg();
+  std::string bytes;
+  if (size >= 0) bytes.resize(static_cast<size_t>(size));
+  if (size < 0 || !in.seekg(0) || !in.read(bytes.data(), size)) {
+    return Status::IOError("cannot read " + path.string());
+  }
+  return bytes;
+}
+
+Status WriteFileAtomically(const std::filesystem::path& path,
+                           std::string_view bytes) {
+  const std::filesystem::path tmp = UniqueTempPath(path);
+  Status status;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IOError("cannot create " + tmp.string());
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (out.fail()) status = Status::IOError("failed writing " + tmp.string());
+  }
+  std::error_code ec;
+  if (status.ok()) {
+    std::filesystem::rename(tmp, path, ec);
+    if (!ec) return Status::OK();
+    status = Status::IOError("cannot rename " + tmp.string() + " to " +
+                             path.string() + ": " + ec.message());
+  }
+  std::filesystem::remove(tmp, ec);  // best effort
+  return status;
 }
 
 std::optional<FileIdentity> StatFileIdentity(

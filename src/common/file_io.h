@@ -1,7 +1,8 @@
 // File-descriptor helpers for the sorted-set and column-store I/O paths:
 // descriptor ownership, positioned reads, best-effort page-cache hints,
-// the unique temp names that writers publish through a rename, and file
-// identities that tell a file from its replacement.
+// the unique temp names that writers publish through a rename, whole-file
+// reads and atomic commits of the workspace manifests, and file identities
+// that tell a file from its replacement.
 //
 // posix_fadvise is advisory: AdviseSequential degrades to a no-op on
 // platforms (or filesystems) that do not support the hint, so callers never
@@ -16,7 +17,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <utility>
+
+#include "src/common/result.h"
 
 namespace spider {
 
@@ -63,6 +68,20 @@ bool PreadExact(int fd, uint64_t offset, char* dst, size_t len);
 /// complete new one, never a half-written one. The name never ends in the
 /// final path's extension (a `.set` scan skips it).
 std::filesystem::path UniqueTempPath(const std::filesystem::path& final_path);
+
+/// The bytes of the regular file at `path`; IOError when it is missing, is
+/// not a regular file or cannot be read.
+[[nodiscard]]
+Result<std::string> ReadFileBytes(const std::filesystem::path& path);
+
+/// Replaces the file at `path` with `bytes`: writes them to a
+/// UniqueTempPath sibling and renames it over `path`, so a reader sees the
+/// old file or the complete new one, and concurrent writers each rename a
+/// whole file of their own. A failed write or rename removes the temp file
+/// and returns an IOError naming it.
+[[nodiscard]]
+Status WriteFileAtomically(const std::filesystem::path& path,
+                           std::string_view bytes);
 
 /// What tells a file apart from its replacement at the same path. A writer
 /// that publishes by rename always changes the inode; size and mtime tell

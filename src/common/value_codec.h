@@ -2,9 +2,10 @@
 //
 // Values are stored length-prefixed (LEB128 varint + raw bytes) so they may
 // contain any byte including newlines and NULs. Set files (spill runs
-// included), the disk column store's blocks and the profile manifest are
-// all written with the helpers below, and SpanReader is the one
-// bounds-checked reader of every span of them read back into memory.
+// included), the disk column store's blocks, the store manifest and the
+// profile manifest are all written with the helpers below, and SpanReader
+// is the one bounds-checked reader of every span of them read back into
+// memory.
 
 #pragma once
 
@@ -47,12 +48,12 @@ inline uint64_t DecodeFixed64(const char* p) {
   return v;
 }
 
-/// \brief The one bounds-checked reader over a byte span. The profile
-/// manifest, every `.set` record and footer and every `.col` block decode
-/// through it, so no count, length or offset read from a file is used
-/// before it is checked against the bytes that remain. Each call returns
-/// false when the span cannot hold what it asks for; the position is then
-/// unspecified and the caller treats the input as damaged.
+/// \brief The one bounds-checked reader over a byte span. The store and
+/// profile manifests, every `.set` record and footer and every `.col`
+/// block decode through it, so no count, length or offset read from a file
+/// is used before it is checked against the bytes that remain. Each call
+/// returns false when the span cannot hold what it asks for; the position
+/// is then unspecified and the caller treats the input as damaged.
 class SpanReader {
  public:
   SpanReader() = default;

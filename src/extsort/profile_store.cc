@@ -16,15 +16,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Profile manifest format (binary, version 2). Integers are LEB128 varints
+// Profile manifest format (binary, version 3). Integers are LEB128 varints
 // (EncodeVarint, and SpanReader to decode) unless marked fixed64 (8 bytes,
 // little-endian); a string is a varint length plus its raw bytes.
 //
-//   magic "SpPrfMan", version byte 2
+//   magic "SpPrfMan", version byte 3
 //   set count; per set file, ascending by name:
 //     name, file bytes, content fingerprint (fixed64), source fingerprint
-//     (fixed64), distinct count, block count, flags (bit 0: min present,
-//     bit 1: max present), [min], [max]
+//     (fixed64), distinct count
 //   attribute count; per attribute, ascending by (table, column):
 //     table, column, side count (>= 1), its source fingerprints (fixed64,
 //     strictly ascending)
@@ -44,17 +43,16 @@ namespace {
 // The manifest is untrusted input. The checksum catches torn writes and
 // bit flips; every count, length and id is checked against the bytes that
 // remain and the table sizes before it is used or sized into an
-// allocation. Any failure — another format's magic included, such as the
-// pre-v2 text manifest — loads an empty profile, which the next seal
-// rewrites as v2.
+// allocation. Any failure — another format's magic or version included,
+// such as the pre-v2 text manifest or a v2 manifest, whose set entries
+// also held a block count, min and max — loads an empty profile, which the
+// next seal rewrites as v3.
 
 constexpr std::string_view kMagic = "SpPrfMan";
-constexpr char kVersion = 2;
+constexpr char kVersion = 3;
 constexpr size_t kChecksumBytes = 8;
-constexpr uint8_t kHasMin = 1;
-constexpr uint8_t kHasMax = 2;
 // Fewest bytes one encoded element can take, for bounding counts.
-constexpr size_t kMinSetBytes = 21;
+constexpr size_t kMinSetBytes = 19;
 constexpr size_t kMinAttributeBytes = 11;
 constexpr size_t kFingerprintBytes = 8;
 // Side ids share a 32-bit word with the satisfied bit.
@@ -203,11 +201,6 @@ std::string ProfileStore::Encode(const Contents& contents) {
     AppendFixed64(&out, entry.content_fingerprint);
     AppendFixed64(&out, entry.source_fingerprint);
     EncodeVarint(&out, static_cast<uint64_t>(entry.distinct_count));
-    EncodeVarint(&out, static_cast<uint64_t>(entry.block_count));
-    out.push_back(static_cast<char>((entry.min_value ? kHasMin : 0) |
-                                    (entry.max_value ? kHasMax : 0)));
-    if (entry.min_value) AppendLengthPrefixed(&out, *entry.min_value);
-    if (entry.max_value) AppendLengthPrefixed(&out, *entry.max_value);
   }
 
   // Only sides some verdict refers to are written, renumbered in file
@@ -308,18 +301,10 @@ bool ProfileStore::Decode(std::string_view manifest, Contents* out) {
   if (!in.Count(kMinSetBytes, &count)) return false;
   for (uint64_t i = 0; i < count; ++i) {
     ProfileSetEntry entry;
-    uint8_t flags = 0;
     if (!in.String(&entry.file_name) || !in.Int64(&entry.file_bytes) ||
         !in.Fixed64(&entry.content_fingerprint) ||
         !in.Fixed64(&entry.source_fingerprint) ||
-        !in.Int64(&entry.distinct_count) || !in.Int64(&entry.block_count) ||
-        !in.Byte(&flags) || (flags & ~(kHasMin | kHasMax)) != 0) {
-      return false;
-    }
-    if ((flags & kHasMin) != 0 && !in.String(&entry.min_value.emplace())) {
-      return false;
-    }
-    if ((flags & kHasMax) != 0 && !in.String(&entry.max_value.emplace())) {
+        !in.Int64(&entry.distinct_count)) {
       return false;
     }
     std::string key = entry.file_name;
@@ -394,24 +379,12 @@ bool ProfileStore::Decode(std::string_view manifest, Contents* out) {
 }
 
 void ProfileStore::Load() {
-  // One read of the whole file; a missing or unreadable file is simply no
-  // profile yet, and anything Decode rejects is an empty profile too.
+  // A missing or unreadable file is simply no profile yet, and anything
+  // Decode rejects is an empty profile too.
   Contents loaded;
-  std::error_code ec;
-  // Only a regular file can be a manifest: the end offset of a directory
-  // standing in its place would size an allocation of up to 2^63 bytes.
-  std::ifstream in;
-  if (fs::is_regular_file(path_, ec)) {
-    in.open(path_, std::ios::binary | std::ios::ate);
-  }
-  if (in.is_open()) {
-    const std::streamoff size = in.tellg();
-    if (size > 0) {
-      std::string manifest(static_cast<size_t>(size), '\0');
-      if (in.seekg(0) && in.read(manifest.data(), size)) {
-        Decode(manifest, &loaded);  // on failure `loaded` stays empty
-      }
-    }
+  if (const Result<std::string> manifest = ReadFileBytes(path_);
+      manifest.ok()) {
+    Decode(*manifest, &loaded);  // on failure `loaded` stays empty
   }
   MutexLock lock(&mutex_);
   contents_ = std::move(loaded);
@@ -424,33 +397,7 @@ Status ProfileStore::Save() const {
     MutexLock lock(&mutex_);
     manifest = Encode(contents_);
   }
-
-  // A temp name of this save's own: another process sealing the same
-  // workspace writes its own file, and the renames replace each other
-  // whole.
-  const fs::path tmp = UniqueTempPath(path_);
-  std::error_code ec;
-  Status status;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot create profile manifest " + tmp.string());
-    }
-    out.write(manifest.data(), static_cast<std::streamsize>(manifest.size()));
-    out.close();
-    if (out.fail()) {
-      status = Status::IOError("failed writing profile manifest " +
-                               tmp.string());
-    }
-  }
-  if (status.ok()) {
-    fs::rename(tmp, path_, ec);
-    if (!ec) return Status::OK();
-    status = Status::IOError("cannot commit profile manifest " +
-                             path_.string() + ": " + ec.message());
-  }
-  fs::remove(tmp, ec);  // best effort
-  return status;
+  return WriteFileAtomically(path_, manifest);
 }
 
 std::optional<ProfileSetEntry> ProfileStore::FindSet(

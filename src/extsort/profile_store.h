@@ -19,8 +19,9 @@
 // table keyed by the packed (dependent, referenced) attribute ids — no
 // verdict owns a string. Hot callers resolve their attributes to sides once
 // (InternSides) and then look up and record whole batches by id under one
-// lock; the AttributeRef overloads are thin wrappers over the same table. The manifest (binary, format v2) writes each attribute name
-// once and each verdict as about one byte; see profile_store.cc.
+// lock; the AttributeRef overloads are thin wrappers over the same table.
+// The manifest (binary, format v3) writes each attribute name once and
+// each verdict as about one byte; see profile_store.cc.
 
 #pragma once
 
@@ -48,8 +49,8 @@ inline constexpr const char* kProfileManifestName = "spider_profile.manifest";
 
 /// One persisted set file: identity (file name), the data it was extracted
 /// from (source fingerprint over the column statistics), the exact bytes it
-/// was sealed as (content fingerprint), and the SortedSetInfo fields needed
-/// to reopen it without touching the data.
+/// was sealed as (content fingerprint), and the SortedSetInfo it reopens
+/// as without touching the data.
 struct ProfileSetEntry {
   std::string file_name;
   int64_t file_bytes = 0;
@@ -59,9 +60,6 @@ struct ProfileSetEntry {
   /// components for composite sets).
   uint64_t source_fingerprint = 0;
   int64_t distinct_count = 0;
-  int64_t block_count = 0;
-  std::optional<std::string> min_value;
-  std::optional<std::string> max_value;
 };
 
 /// A remembered exact-IND verdict for one (dependent, referenced) pair,
@@ -117,7 +115,7 @@ class ProfileStore {
   static Result<uint64_t> FileFingerprint(const std::filesystem::path& path);
 
   /// Replaces the in-memory profile with the manifest's contents. A
-  /// missing, torn, checksum-failing or pre-v2 manifest loads as empty —
+  /// missing, torn, checksum-failing or pre-v3 manifest loads as empty —
   /// reusing nothing is always safe.
   void Load() SPIDER_EXCLUDES(mutex_);
 

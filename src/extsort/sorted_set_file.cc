@@ -99,11 +99,6 @@ Result<SortedSetInfo> SortedSetWriter::Finish() {
   SortedSetInfo info;
   info.path = path_;
   info.distinct_count = count_;
-  info.block_count = block_count();
-  if (count_ > 0) {
-    info.min_value = blocks_.front().first_key;
-    info.max_value = last_;
-  }
   return info;
 }
 

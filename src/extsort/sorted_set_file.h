@@ -35,7 +35,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,17 +64,13 @@ struct SortedSetWriterOptions {
   size_t target_block_bytes = 16 * 1024;
 };
 
-/// Metadata about a materialized sorted value set.
+/// What a run reads of a materialized sorted value set: where it is and
+/// how many values it holds. Its block count, first and last value are in
+/// the file's footer (SortedSetReader).
 struct SortedSetInfo {
   std::filesystem::path path;
   /// Number of distinct non-NULL values.
   int64_t distinct_count = 0;
-  /// Blocks in the file's footer index.
-  int64_t block_count = 0;
-  /// Smallest / largest value (canonical form); empty optionals for an
-  /// empty set.
-  std::optional<std::string> min_value;
-  std::optional<std::string> max_value;
 };
 
 /// \brief Writes a sorted-distinct value file. Enforces strict ordering:

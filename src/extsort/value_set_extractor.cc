@@ -102,9 +102,6 @@ std::optional<SortedSetInfo> ValueSetExtractor::TryReuse(
   SortedSetInfo info;
   info.path = path;
   info.distinct_count = entry->distinct_count;
-  info.block_count = entry->block_count;
-  info.min_value = entry->min_value;
-  info.max_value = entry->max_value;
   return info;
 }
 
@@ -118,9 +115,6 @@ void ValueSetExtractor::RecordSet(const SortedSetInfo& info,
   entry.content_fingerprint = served.content_fingerprint;
   entry.source_fingerprint = source_fingerprint;
   entry.distinct_count = info.distinct_count;
-  entry.block_count = info.block_count;
-  entry.min_value = info.min_value;
-  entry.max_value = info.max_value;
   profile_->PutSet(std::move(entry));
   MutexLock lock(&mutex_);
   served_[file_name] = served;

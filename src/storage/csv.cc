@@ -330,6 +330,10 @@ Result<std::unique_ptr<Catalog>> ImportCsvDirectory(const fs::path& dir,
       files.push_back(entry.path());
     }
   }
+  // A directory without a CSV is a wrong path, not an empty database.
+  if (files.empty()) {
+    return Status::InvalidArgument("no .csv file in " + dir.string());
+  }
   std::sort(files.begin(), files.end());
   for (const auto& file : files) {
     SPIDER_RETURN_NOT_OK(ImportCsvTable(file, options, sink, ""));

@@ -80,7 +80,9 @@ class CsvRecordReader {
 /// \brief Streams every "*.csv" file in `dir` into `sink` (sorted by file
 /// name) and finishes the sink. This is the backend-agnostic quickstart
 /// entry point: point it at a dump of an undocumented database with a
-/// MemoryCatalogSink or a DiskCatalogWriter and run discovery.
+/// MemoryCatalogSink or a DiskCatalogWriter and run discovery. A directory
+/// that holds no "*.csv" file is an InvalidArgument naming it, returned
+/// before the sink sees a table.
 [[nodiscard]]
 Result<std::unique_ptr<Catalog>> ImportCsvDirectory(
     const std::filesystem::path& dir, const CsvOptions& options,

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -14,7 +13,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <sstream>
 
 #include "src/common/file_io.h"
 #include "src/common/hash.h"
@@ -23,8 +21,8 @@
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
 #include "src/common/tournament_tree.h"
-#include "src/common/string_util.h"
 #include "src/common/value_codec.h"
+#include "src/storage/store_manifest.h"
 
 namespace spider {
 
@@ -438,15 +436,6 @@ struct EncodedBlock {
   DictRegion dict;
 };
 
-Result<int64_t> ParseManifestInt(const std::string& field) {
-  char* end = nullptr;
-  const long long v = std::strtoll(field.c_str(), &end, 10);
-  if (field.empty() || end != field.c_str() + field.size()) {
-    return Status::InvalidArgument("bad integer in manifest: '" + field + "'");
-  }
-  return static_cast<int64_t>(v);
-}
-
 // Takes the writer lock of the workspace `dir`: an exclusive, non-blocking
 // flock on its kDiskStoreLockName, created if absent.
 Result<ScopedFd> LockWorkspace(const fs::path& dir) {
@@ -468,284 +457,33 @@ Result<ScopedFd> LockWorkspace(const fs::path& dir) {
   return fd;
 }
 
-}  // namespace
-
-std::string EscapeManifestField(std::string_view field) {
-  std::string out;
-  out.reserve(field.size());
-  for (char c : field) {
-    switch (c) {
-      case '%':
-        out += "%25";
-        break;
-      case '\t':
-        out += "%09";
-        break;
-      case '\n':
-        out += "%0A";
-        break;
-      case '\r':
-        out += "%0D";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-namespace {
-
-// Inverse of EscapeManifestField; InvalidArgument on a malformed escape.
-Result<std::string> UnescapeManifestField(std::string_view field) {
-  std::string out;
-  out.reserve(field.size());
-  for (size_t i = 0; i < field.size(); ++i) {
-    if (field[i] != '%') {
-      out += field[i];
-      continue;
-    }
-    if (i + 2 >= field.size()) {
-      return Status::InvalidArgument("truncated escape in manifest field");
-    }
-    auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      return -1;
-    };
-    const int hi = hex(field[i + 1]);
-    const int lo = hex(field[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("bad escape in manifest field");
-    }
-    out += static_cast<char>(hi * 16 + lo);
-    i += 2;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Manifest records, decoded. Version history:
-//   1 — one file per column; column record arity 18 (fractions only)
-//   2 — adds integer letter/digit counts (arity 20) so appends can continue
-//       the running totals exactly
-//   3 — one file per table: the table record names the table file and its
-//       committed bytes (arity 5); a column record lists its block offsets
-//       and its own block bytes instead of a file name, file bytes and
-//       block count (arity 19).
-//   4 — drops the column record's length, letter and digit statistics,
-//       which nothing read (arity 13).
-// Only v4 is read: an older workspace fails to open ("missing or
-// unsupported version header") and must be reimported.
-// ---------------------------------------------------------------------------
-
-struct ManifestColumn {
-  std::string name;
-  TypeId type = TypeId::kString;
-  bool declared_unique = false;
-  int64_t bytes = 0;  // the sum of the column's own block sizes
-  std::vector<uint64_t> block_offsets;  // strictly ascending
-  ColumnStats stats;
-};
-
-struct ManifestTable {
-  std::string name;
-  int64_t row_count = 0;
-  std::string file_name;
-  int64_t file_bytes = 0;  // committed
-  std::vector<ManifestColumn> columns;
-};
-
-struct ManifestData {
-  std::string catalog_name;
-  int64_t block_bytes = 0;
-  std::vector<ManifestTable> tables;
-  std::vector<ForeignKey> foreign_keys;
-};
-
+// The workspace `dir`'s manifest, decoded, once each table file it names
+// exists and holds the bytes the manifest committed: readers take those
+// bytes as the file's extent, so a file that holds fewer is damage here,
+// not an allocation sized by it.
 Result<ManifestData> ParseManifest(const fs::path& dir) {
   const fs::path path = dir / kDiskStoreManifestName;
-  std::ifstream in(path);
-  if (!in) {
+  Result<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) {
     return Status::IOError("cannot open manifest " + path.string() +
                            " (not a disk-store workspace?)");
   }
-
-  auto bad = [&path](const std::string& why) {
-    return Status::InvalidArgument("manifest " + path.string() + ": " + why);
-  };
-
-  std::string line;
-  if (!std::getline(in, line)) {
-    return bad("missing or unsupported version header");
+  Result<ManifestData> data = DecodeStoreManifest(*bytes);
+  if (!data.ok()) {
+    return Status::InvalidArgument("manifest " + path.string() + ": " +
+                                   data.status().message());
   }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (line != "spider-store\t4") {
-    return bad("missing or unsupported version header");
-  }
-
-  ManifestData data;
-  bool saw_catalog = false;
-  bool saw_end = false;
-  ManifestTable* table = nullptr;
-
-  auto flush_table = [&]() -> Status {
-    if (table == nullptr) return Status::OK();
-    const int64_t stored_rows =
-        table->columns.empty() ? 0 : table->columns.front().stats.row_count;
-    for (const ManifestColumn& column : table->columns) {
-      if (column.stats.row_count != stored_rows) {
-        return Status::InvalidArgument("table '" + table->name +
-                                       "' row count mismatch in manifest");
-      }
+  for (const ManifestTable& table : data->tables) {
+    const fs::path file = dir / table.file_name;
+    const std::optional<FileIdentity> on_disk = StatFileIdentity(file);
+    if (!on_disk) {
+      return Status::IOError("missing column file " + file.string());
     }
-    if (stored_rows != table->row_count) {
-      return Status::InvalidArgument("table '" + table->name +
-                                     "' row count mismatch in manifest");
-    }
-    // Every committed byte of the table file lies in one block of one
-    // column, so the columns' bytes add up to it and no two columns start
-    // a block at the same offset.
-    int64_t unclaimed = table->file_bytes;
-    std::vector<uint64_t> offsets;
-    for (const ManifestColumn& column : table->columns) {
-      if (column.bytes > unclaimed) {
-        return bad("table '" + table->name +
-                   "' records more column bytes than its file holds");
-      }
-      unclaimed -= column.bytes;
-      offsets.insert(offsets.end(), column.block_offsets.begin(),
-                     column.block_offsets.end());
-    }
-    if (unclaimed != 0) {
-      return bad("table '" + table->name +
-                 "' records fewer column bytes than its file holds");
-    }
-    std::sort(offsets.begin(), offsets.end());
-    if (std::adjacent_find(offsets.begin(), offsets.end()) != offsets.end()) {
-      return bad("table '" + table->name +
-                 "' has a block offset two columns share");
-    }
-    table = nullptr;
-    return Status::OK();
-  };
-
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    std::vector<std::string> raw = SplitString(line, '\t');
-    std::vector<std::string> fields;
-    fields.reserve(raw.size());
-    for (const std::string& f : raw) {
-      SPIDER_ASSIGN_OR_RETURN(std::string unescaped, UnescapeManifestField(f));
-      fields.push_back(std::move(unescaped));
-    }
-    const std::string& kind = fields[0];
-    if (kind == "catalog") {
-      if (fields.size() != 2) return bad("catalog record arity");
-      data.catalog_name = fields[1];
-      saw_catalog = true;
-    } else if (kind == "blocksize") {
-      if (fields.size() != 2) return bad("blocksize record arity");
-      SPIDER_ASSIGN_OR_RETURN(data.block_bytes, ParseManifestInt(fields[1]));
-    } else if (kind == "table") {
-      if (!saw_catalog) return bad("table before catalog");
-      if (fields.size() != 5) return bad("table record arity");
-      SPIDER_RETURN_NOT_OK(flush_table());
-      data.tables.emplace_back();
-      table = &data.tables.back();
-      table->name = fields[1];
-      SPIDER_ASSIGN_OR_RETURN(table->row_count, ParseManifestInt(fields[2]));
-      table->file_name = fields[3];
-      // A table file lives in the workspace itself: a separator, "." or
-      // ".." would make a reader open, and an append truncate, a file
-      // outside it.
-      if (table->file_name.empty() || table->file_name == "." ||
-          table->file_name == ".." ||
-          table->file_name.find('/') != std::string::npos) {
-        return bad("column file name '" + table->file_name +
-                   "' is not a plain file name");
-      }
-      SPIDER_ASSIGN_OR_RETURN(table->file_bytes, ParseManifestInt(fields[4]));
-      // Readers take the recorded bytes as the file's extent, so a file
-      // that holds fewer is damage here, not an allocation sized by it.
-      const fs::path file = dir / table->file_name;
-      const std::optional<FileIdentity> on_disk = StatFileIdentity(file);
-      if (!on_disk) {
-        return Status::IOError("missing column file " + file.string());
-      }
-      if (table->file_bytes < 0 || on_disk->size < table->file_bytes) {
-        return Status::IOError("column file " + file.string() +
-                               " is shorter than its manifest record");
-      }
-    } else if (kind == "column") {
-      if (table == nullptr) return bad("column before table");
-      if (fields.size() != 13) return bad("column record arity");
-      ManifestColumn column;
-      column.name = fields[1];
-      SPIDER_ASSIGN_OR_RETURN(column.type, TypeIdFromString(fields[2]));
-      SPIDER_ASSIGN_OR_RETURN(int64_t unique, ParseManifestInt(fields[3]));
-      column.declared_unique = unique != 0;
-      SPIDER_ASSIGN_OR_RETURN(column.bytes, ParseManifestInt(fields[4]));
-      if (!fields[5].empty()) {
-        for (const std::string& field : SplitString(fields[5], ',')) {
-          SPIDER_ASSIGN_OR_RETURN(int64_t offset, ParseManifestInt(field));
-          column.block_offsets.push_back(static_cast<uint64_t>(offset));
-        }
-      }
-      // Readers take each block to end by the next one, the last by the
-      // table file's committed end.
-      const std::vector<uint64_t>& offsets = column.block_offsets;
-      for (size_t b = 0; b < offsets.size(); ++b) {
-        if (offsets[b] >= static_cast<uint64_t>(table->file_bytes)) {
-          return bad("column '" + column.name +
-                     "' has a block offset past its table file's bytes");
-        }
-        if (b > 0 && offsets[b] <= offsets[b - 1]) {
-          return bad("column '" + column.name +
-                     "' has block offsets that do not ascend");
-        }
-      }
-      ColumnStats& stats = column.stats;
-      SPIDER_ASSIGN_OR_RETURN(stats.row_count, ParseManifestInt(fields[6]));
-      SPIDER_ASSIGN_OR_RETURN(stats.non_null_count,
-                              ParseManifestInt(fields[7]));
-      stats.null_count = stats.row_count - stats.non_null_count;
-      SPIDER_ASSIGN_OR_RETURN(stats.distinct_count,
-                              ParseManifestInt(fields[8]));
-      if (fields[9] == "1") stats.min_value = fields[10];
-      if (fields[11] == "1") stats.max_value = fields[12];
-      stats.verified_unique = stats.non_null_count > 0 &&
-                              stats.distinct_count == stats.non_null_count;
-      // Readers reserve by these counts, so each must fit the column's
-      // bytes: every row holds at least one code byte.
-      const bool counts_fit =
-          0 <= column.bytes && 0 <= stats.distinct_count &&
-          stats.distinct_count <= stats.non_null_count &&
-          stats.non_null_count <= stats.row_count &&
-          stats.row_count <= column.bytes;
-      if (!counts_fit) {
-        return bad("column '" + column.name +
-                   "' has counts its file cannot hold");
-      }
-      table->columns.push_back(std::move(column));
-    } else if (kind == "fk") {
-      if (!saw_catalog) return bad("fk before catalog");
-      if (fields.size() != 5) return bad("fk record arity");
-      SPIDER_RETURN_NOT_OK(flush_table());
-      data.foreign_keys.push_back(
-          ForeignKey{{fields[1], fields[2]}, {fields[3], fields[4]}});
-    } else if (kind == "end") {
-      saw_end = true;
-      break;
-    } else {
-      return bad("unknown record '" + kind + "'");
+    if (on_disk->size < table.file_bytes) {
+      return Status::IOError("column file " + file.string() +
+                             " is shorter than its manifest record");
     }
   }
-  if (!saw_catalog) return bad("no catalog record");
-  if (!saw_end) return bad("truncated (no end record)");
-  SPIDER_RETURN_NOT_OK(flush_table());
   return data;
 }
 
@@ -772,63 +510,6 @@ Result<std::unique_ptr<Catalog>> CatalogFromManifest(const fs::path& dir,
     catalog->DeclareForeignKey(std::move(fk));
   }
   return catalog;
-}
-
-// The text ParseManifest decodes `data` from.
-std::string EncodeManifest(const ManifestData& data) {
-  std::ostringstream out;
-  auto field = [](std::string_view s) { return EscapeManifestField(s); };
-  out << "spider-store\t4\n";
-  out << "catalog\t" << field(data.catalog_name) << "\n";
-  out << "blocksize\t" << data.block_bytes << "\n";
-  for (const ManifestTable& table : data.tables) {
-    out << "table\t" << field(table.name) << "\t" << table.row_count << "\t"
-        << field(table.file_name) << "\t" << table.file_bytes << "\n";
-    for (const ManifestColumn& column : table.columns) {
-      const ColumnStats& stats = column.stats;
-      out << "column\t" << field(column.name) << "\t"
-          << TypeIdToString(column.type) << "\t"
-          << (column.declared_unique ? 1 : 0) << "\t" << column.bytes << "\t";
-      for (size_t b = 0; b < column.block_offsets.size(); ++b) {
-        out << (b == 0 ? "" : ",") << column.block_offsets[b];
-      }
-      out << "\t" << stats.row_count << "\t"
-          << stats.non_null_count << "\t" << stats.distinct_count << "\t"
-          << (stats.min_value ? "1\t" + field(*stats.min_value) : "0\t")
-          << "\t"
-          << (stats.max_value ? "1\t" + field(*stats.max_value) : "0\t")
-          << "\n";
-    }
-  }
-  for (const ForeignKey& fk : data.foreign_keys) {
-    out << "fk\t" << field(fk.referencing.table) << "\t"
-        << field(fk.referencing.column) << "\t" << field(fk.referenced.table)
-        << "\t" << field(fk.referenced.column) << "\n";
-  }
-  out << "end\n";
-  return out.str();
-}
-
-// Write-then-rename: the rename is the commit point. Readers either see
-// the old manifest (with the old byte counts, so appended tail bytes are
-// invisible) or the complete new one — never a torn manifest.
-Status CommitManifest(const fs::path& dir, const std::string& manifest) {
-  const fs::path path = dir / kDiskStoreManifestName;
-  const fs::path tmp = dir / (std::string(kDiskStoreManifestName) + ".tmp");
-  std::ofstream out(tmp, std::ios::trunc);
-  if (!out) return Status::IOError("cannot create manifest " + tmp.string());
-  out << manifest;
-  out.close();
-  if (out.fail()) {
-    return Status::IOError("failed writing manifest " + tmp.string());
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IOError("cannot commit manifest " + path.string() + ": " +
-                           ec.message());
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -1647,11 +1328,14 @@ Result<std::unique_ptr<Catalog>> DiskCatalogWriter::Finish() {
   if (finished_) return Status::InvalidArgument("writer already finished");
   if (table_open_) return Status::InvalidArgument("table not finished");
   finished_ = true;
-  const std::string manifest = EncodeManifest(append_->manifest);
+  // The rename is the commit point: readers see the old manifest, whose
+  // byte counts hide the appended tail, or the complete new one.
+  const std::string manifest = EncodeStoreManifest(append_->manifest);
   SPIDER_ASSIGN_OR_RETURN(
       std::unique_ptr<Catalog> catalog,
       CatalogFromManifest(dir_, std::move(append_->manifest)));
-  SPIDER_RETURN_NOT_OK(CommitManifest(dir_, manifest));
+  SPIDER_RETURN_NOT_OK(
+      WriteFileAtomically(dir_ / kDiskStoreManifestName, manifest));
   lock_.Reset();
   return catalog;
 }

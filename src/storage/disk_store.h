@@ -15,10 +15,10 @@
 //
 // A workspace is self-describing: DiskCatalogWriter persists the schema,
 // row counts, per-column statistics and block offsets in
-// "spider_store.manifest" (version 4: a table record names its file and
-// committed bytes, a column record its block offsets and own block bytes),
-// and OpenDiskCatalog() rebuilds the Catalog from it without touching the
-// data files — so a multi-GB import is paid once and profiled many times.
+// "spider_store.manifest" (store_manifest.h: a table names its file and
+// committed bytes, a column its block offsets and own block bytes), and
+// OpenDiskCatalog() rebuilds the Catalog from it without touching the data
+// files — so a multi-GB import is paid once and profiled many times.
 // An append adds blocks past a table file's committed bytes; the manifest
 // rename that commits them is the only point readers can see them.
 
@@ -68,12 +68,6 @@ inline constexpr const char* kDiskStoreManifestName = "spider_store.manifest";
 /// Name of the writer lock file inside a disk-store workspace: a
 /// DiskCatalogWriter holds an exclusive flock on it (see Create()).
 inline constexpr const char* kDiskStoreLockName = "spider_store.lock";
-
-/// TSV field escaping for spider_store.manifest: fields are tab-separated
-/// with one record per line, so '%', tab, newline and carriage return are
-/// percent-encoded. (spider_profile.manifest is binary and escapes
-/// nothing; see profile_store.cc.)
-std::string EscapeManifestField(std::string_view field);
 
 /// \brief A sealed, read-only disk-backed column: its blocks in its
 /// table's ".col" file.

@@ -8,17 +8,17 @@
 #include <functional>
 #include <iterator>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/hash.h"
-#include "src/common/string_util.h"
 #include "src/common/temp_dir.h"
 #include "src/common/thread_pool.h"
 #include "src/common/value_codec.h"
 #include "src/storage/column_stats.h"
 #include "src/storage/disk_store.h"
+#include "src/storage/store_manifest.h"
+#include "tests/test_util.h"
 
 namespace spider {
 namespace {
@@ -294,7 +294,7 @@ TEST_F(DiskStoreTest, ColumnBytesArePinned) {
   };
   EXPECT_EQ(HashColumns(workspace), columns);
   const std::vector<std::pair<std::string, uint64_t>> files = {
-      {"spider_store.manifest", 2583715670711897490ULL},
+      {"spider_store.manifest", 6655222504482418438ULL},
       {"t-b6fcea7f248b153a.col", 14682618593437121046ULL},
       {"u-c43cd7728426a6c0.col", 2607077698417229147ULL},
   };
@@ -867,10 +867,9 @@ TEST_F(DiskStoreTest, CorruptBlockHeaderSurfacesStatusNotAbort) {
 }
 
 TEST_F(DiskStoreTest, OlderManifestVersionsAreACleanError) {
-  // Version-1 and version-2 manifests (one file per column) and version-3
-  // ones (with length, letter and digit statistics) are no longer read:
-  // reopening or appending to such a workspace reports the unsupported
-  // header (reimport it) instead of aborting.
+  // Versions 1 to 4 were tab-separated text, and version 5 is read only at
+  // its own version byte: reopening or appending to an older workspace
+  // reports the unsupported header (reimport it) instead of aborting.
   const auto workspace = Workspace("ws");
   {
     auto writer = DiskCatalogWriter::Create(workspace, "db");
@@ -882,20 +881,21 @@ TEST_F(DiskStoreTest, OlderManifestVersionsAreACleanError) {
     ASSERT_TRUE((*writer)->Finish().ok());
   }
   const auto manifest = workspace / kDiskStoreManifestName;
-  std::string text;
-  {
-    std::ifstream in(manifest);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
+  const std::string current = ReadBytes(manifest);
+  ASSERT_TRUE(DecodeStoreManifest(current).ok());
+  // Byte 8 follows the magic "SpStrMan": the version.
+  ASSERT_EQ(current[8], 5);
+  std::vector<std::string> older;
+  for (char version = 1; version <= 4; ++version) {
+    older.push_back(std::string("spider-store\t") +
+                    static_cast<char>('0' + version) +
+                    "\ncatalog\tdb\nblocksize\t262144\nend\n");
+    older.push_back(current);
+    older.back()[8] = version;
   }
-  const std::string v4_header = "spider-store\t4\n";
-  ASSERT_EQ(text.rfind(v4_header, 0), 0u);
-  for (const char* old_header :
-       {"spider-store\t1\n", "spider-store\t2\n", "spider-store\t3\n"}) {
-    SCOPED_TRACE(old_header);
-    std::string old = text;
-    old.replace(0, v4_header.size(), old_header);
-    std::ofstream(manifest, std::ios::trunc) << old;
+  for (const std::string& old : older) {
+    SCOPED_TRACE(old.substr(0, 14));
+    std::ofstream(manifest, std::ios::binary | std::ios::trunc) << old;
     for (const Status& status :
          {OpenDiskCatalog(workspace).status(),
           DiskCatalogWriter::OpenForAppend(workspace).status()}) {
@@ -922,12 +922,7 @@ TEST_F(DiskStoreTest, ColumnFileNameMustStayInsideTheWorkspace) {
     ASSERT_TRUE((*writer)->Finish().ok());
   }
   const auto manifest = workspace / kDiskStoreManifestName;
-  std::string original;
-  {
-    std::ifstream in(manifest);
-    original.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-  }
+  const std::string original = ReadBytes(manifest);
   const auto victim = dir_->path() / "victim.col";
   const std::string victim_bytes = "bytes outside the workspace";
   std::ofstream(victim, std::ios::binary) << victim_bytes;
@@ -935,18 +930,10 @@ TEST_F(DiskStoreTest, ColumnFileNameMustStayInsideTheWorkspace) {
   for (const std::string& hostile :
        {std::string("../victim.col"), victim.string()}) {
     SCOPED_TRACE(hostile);
-    // Field 3 of the table record is its file name.
-    const size_t record = original.find("\ntable\t");
-    ASSERT_NE(record, std::string::npos);
-    size_t start = record + 1;
-    for (int field = 0; field < 3; ++field) {
-      start = original.find('\t', start) + 1;
-    }
-    const size_t end = original.find('\t', start);
-    std::string text = original;
-    text.replace(start, end - start, hostile);
-    std::ofstream(manifest, std::ios::trunc) << text;
-
+    std::ofstream(manifest, std::ios::binary | std::ios::trunc)
+        << testing::ForgeStoreManifest(original, [&](ManifestData& data) {
+             data.tables.at(0).file_name = hostile;
+           });
     for (const Status& status :
          {OpenDiskCatalog(workspace).status(),
           DiskCatalogWriter::OpenForAppend(workspace).status()}) {
@@ -958,10 +945,7 @@ TEST_F(DiskStoreTest, ColumnFileNameMustStayInsideTheWorkspace) {
                 std::string::npos)
           << status.ToString();
     }
-    std::ifstream in(victim, std::ios::binary);
-    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()),
-              victim_bytes);
+    EXPECT_EQ(ReadBytes(victim), victim_bytes);
   }
 }
 
@@ -983,46 +967,31 @@ TEST_F(DiskStoreTest, ManifestCountsMustFitTheColumnFile) {
     ASSERT_TRUE((*writer)->Finish().ok());
   }
   const auto manifest = workspace / kDiskStoreManifestName;
-  std::string original;
-  {
-    std::ifstream in(manifest);
-    original.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-  }
-  // Sets field `field` of the first `kind` record, or of every one.
-  auto rewrite = [](const std::string& text, const std::string& kind,
-                    size_t field, const std::string& value, bool every) {
-    std::istringstream in(text);
-    std::string line;
-    std::string out;
-    bool done = false;
-    while (std::getline(in, line)) {
-      std::vector<std::string> fields = SplitString(line, '\t');
-      if (!done && fields[0] == kind) {
-        fields.at(field) = value;
-        line = JoinStrings(fields, "\t");
-        done = !every;
-      }
-      out += line + "\n";
-    }
-    return out;
-  };
-  const std::string huge = std::to_string(uint64_t{1} << 62);
-  // Column fields 6, 7 and 8 are its row, non-null and distinct counts;
-  // table field 2 is its row count.
-  const std::string non_null_and_distinct = rewrite(
-      rewrite(original, "column", 7, huge, false), "column", 8, huge, false);
-  const std::string rows = rewrite(rewrite(original, "table", 2, huge, false),
-                                   "column", 6, huge, true);
+  const std::string original = ReadBytes(manifest);
+  const int64_t huge = int64_t{1} << 62;
+  // The first column's non-null and distinct counts, and the table's row
+  // count, which every column shares.
+  const std::string non_null_and_distinct =
+      testing::ForgeStoreManifest(original, [&](ManifestData& data) {
+        ColumnStats& stats = data.tables.at(0).columns.at(0).stats;
+        stats.non_null_count = huge;
+        stats.distinct_count = huge;
+      });
+  const std::string rows =
+      testing::ForgeStoreManifest(original, [&](ManifestData& data) {
+        data.tables.at(0).row_count = huge;
+      });
   for (const std::string& hostile : {non_null_and_distinct, rows}) {
-    SCOPED_TRACE(hostile);
     ASSERT_NE(hostile, original);
-    std::ofstream(manifest, std::ios::trunc) << hostile;
+    std::ofstream(manifest, std::ios::binary | std::ios::trunc) << hostile;
     for (const Status& status :
          {OpenDiskCatalog(workspace).status(),
           DiskCatalogWriter::OpenForAppend(workspace).status()}) {
       EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
       EXPECT_NE(status.message().find(kDiskStoreManifestName),
+                std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find("has counts its file cannot hold"),
                 std::string::npos)
           << status.ToString();
     }

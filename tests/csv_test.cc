@@ -197,6 +197,40 @@ TEST_F(CsvTest, ReadDirectoryRejectsFile) {
   EXPECT_TRUE(ReadCsvDirectory(path).status().IsInvalidArgument());
 }
 
+// A directory that holds no CSV is a wrong path, not an empty database:
+// the import fails naming it before the sink sees a table, so a disk
+// workspace gets no table file and no manifest.
+TEST_F(CsvTest, DirectoryWithoutCsvFilesFails) {
+  const std::filesystem::path empty = dir_->path() / "empty";
+  const std::filesystem::path text_only = dir_->path() / "text-only";
+  ASSERT_TRUE(std::filesystem::create_directory(empty));
+  ASSERT_TRUE(std::filesystem::create_directory(text_only));
+  std::ofstream(text_only / "notes.txt") << "a,b\n1,2\n";
+  for (const std::filesystem::path& dir : {empty, text_only}) {
+    SCOPED_TRACE(dir.string());
+    const Status memory = ReadCsvDirectory(dir).status();
+    EXPECT_TRUE(memory.IsInvalidArgument()) << memory.ToString();
+    EXPECT_NE(memory.message().find(dir.string()), std::string::npos)
+        << memory.ToString();
+
+    const std::filesystem::path workspace =
+        dir_->path() / ("ws-" + dir.filename().string());
+    {
+      auto writer = DiskCatalogWriter::Create(workspace, "db");
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      const Status disk =
+          ImportCsvDirectory(dir, CsvOptions{}, **writer).status();
+      EXPECT_TRUE(disk.IsInvalidArgument()) << disk.ToString();
+      EXPECT_NE(disk.message().find(dir.string()), std::string::npos)
+          << disk.ToString();
+    }
+    EXPECT_FALSE(IsDiskCatalogDir(workspace));
+    for (const auto& entry : std::filesystem::directory_iterator(workspace)) {
+      EXPECT_NE(entry.path().extension(), ".col") << entry.path();
+    }
+  }
+}
+
 // ---- streaming-importer edge cases ----------------------------------------
 
 TEST_F(CsvTest, QuotedFieldWithEmbeddedDelimiterAndNewline) {
@@ -413,6 +447,40 @@ TEST_F(CsvTest, ImportsIntoDiskBackendIdenticalToMemory) {
   const Column& big_v = *(*disk)->FindTable("big")->FindColumn("v");
   EXPECT_GT(dynamic_cast<const DiskColumnStore&>(big_v.store()).block_count(),
             1);
+}
+
+// The 3,000-row pair of the CLI smoke run, with repeating values and
+// NULLs: at 1 KiB blocks every column of both tables spans several blocks,
+// so each disk set is merged from several block dictionaries.
+TEST_F(CsvTest, SmokePairGivesEveryColumnSeveralBlocks) {
+  std::string parent = "id,code,name\n";
+  for (int i = 0; i < 1000; ++i) {
+    const std::string name = i % 13 == 0 ? "" : "n" + std::to_string(i % 37);
+    parent += std::to_string(i) + ",p" + std::to_string(i) + "," + name + "\n";
+  }
+  std::string child = "parent_id,parent_code,note\n";
+  for (int i = 0; i < 2000; ++i) {
+    const int p = i * 7 % 1000;
+    const std::string id = i % 17 == 0 ? "" : std::to_string(p);
+    const std::string note = i % 5 == 0 ? "" : "x" + std::to_string(i % 11);
+    child += id + ",p" + std::to_string(p) + "," + note + "\n";
+  }
+  WriteFile("parent.csv", parent);
+  WriteFile("child.csv", child);
+
+  DiskStoreOptions options;
+  options.block_bytes = 1024;
+  auto writer = DiskCatalogWriter::Create(dir_->path() / "ws", "db", options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  auto disk = ImportCsvDirectory(dir_->path(), CsvOptions{}, **writer);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  const std::vector<AttributeRef> attributes = (*disk)->AllAttributes();
+  ASSERT_EQ(attributes.size(), 6u);
+  for (const AttributeRef& attribute : attributes) {
+    const auto& store = dynamic_cast<const DiskColumnStore&>(
+        (*(*disk)->ResolveAttribute(attribute))->store());
+    EXPECT_GT(store.block_count(), 1) << attribute.ToString();
+  }
 }
 
 }  // namespace

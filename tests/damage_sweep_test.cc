@@ -1,6 +1,6 @@
 // Byte-damage sweep over the two sorted, read-only file formats and the
 // store manifest: every byte of a multi-block `.set` file, of a `.col`
-// table file whose two columns' blocks interleave and of a version-4
+// table file whose two columns' blocks interleave and of a version-5
 // `spider_store.manifest` is set to 0x00, to 0xFF and to itself with the
 // low bit flipped. Every reader of a damaged `.set` or `.col` copy — the
 // scan, the set extraction that merges a column's block dictionaries and
@@ -18,19 +18,20 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/common/string_util.h"
 #include "src/common/temp_dir.h"
 #include "src/common/value_codec.h"
 #include "src/extsort/sorted_set_file.h"
 #include "src/extsort/value_set_extractor.h"
 #include "src/ind/session.h"
 #include "src/storage/disk_store.h"
+#include "src/storage/store_manifest.h"
+#include "tests/test_util.h"
 
 namespace spider {
 namespace {
@@ -99,25 +100,14 @@ void CopyWorkspace(const fs::path& from, const fs::path& to) {
   }
 }
 
-// Sets field `field` of the first column record named `column` in a store
-// manifest's text.
-std::string SetColumnField(const std::string& manifest,
-                           const std::string& column, size_t field,
-                           const std::string& value) {
-  std::istringstream in(manifest);
-  std::string out;
-  bool done = false;
-  for (std::string line; std::getline(in, line);) {
-    std::vector<std::string> fields = SplitString(line, '\t');
-    if (!done && fields[0] == "column" && fields[1] == column) {
-      fields.at(field) = value;
-      line = JoinStrings(fields, "\t");
-      done = true;
-    }
-    out += line + "\n";
-  }
-  EXPECT_TRUE(done) << column;
-  return out;
+// The manifest record of column `name` of table "t".
+ManifestColumn& ColumnOfT(ManifestData& data, const std::string& name) {
+  std::vector<ManifestColumn>& columns = data.tables.at(0).columns;
+  const auto it =
+      std::find_if(columns.begin(), columns.end(),
+                   [&name](const ManifestColumn& c) { return c.name == name; });
+  EXPECT_NE(it, columns.end()) << name;
+  return it == columns.end() ? columns.at(0) : *it;
 }
 
 class DamageSweepTest : public ::testing::Test {
@@ -353,7 +343,7 @@ TEST_F(DamageSweepTest, EveryDamagedStoreManifestByteFailsCleanly) {
   }
   const fs::path path = workspace / kDiskStoreManifestName;
   const std::string original = ReadFile(path);
-  ASSERT_EQ(original.rfind("spider-store\t4\n", 0), 0u);
+  ASSERT_TRUE(DecodeStoreManifest(original).ok());
   const fs::path copy = dir_->path() / "append";
   int failed_opens = 0;
   int runs = 0;
@@ -427,18 +417,17 @@ TEST_F(DamageSweepTest, ColumnByteCountsPastTheFileAreIOErrors) {
   EXPECT_NE(scanned.message().find(column_file.string()), std::string::npos)
       << scanned.ToString();
 
-  // Field 4 of the table record is its file's byte count.
+  // The table's file bytes, and the first column's so that the columns
+  // still add up to them: only the file on disk can tell.
   const fs::path manifest_path = workspace / kDiskStoreManifestName;
-  std::string manifest = ReadFile(manifest_path);
-  const size_t record = manifest.find("\ntable\t");
-  ASSERT_NE(record, std::string::npos);
-  size_t start = record + 1;
-  for (int field = 0; field < 4; ++field) {
-    start = manifest.find('\t', start) + 1;
-  }
-  const size_t end = manifest.find('\n', start);
-  ASSERT_EQ(manifest.substr(start, end - start), std::to_string(column.size()));
-  manifest.replace(start, end - start, std::to_string(uint64_t{1} << 62));
+  const int64_t huge = int64_t{1} << 62;
+  const std::string manifest = testing::ForgeStoreManifest(
+      ReadFile(manifest_path), [&](ManifestData& data) {
+        ManifestTable& table = data.tables.at(0);
+        ASSERT_EQ(table.file_bytes, static_cast<int64_t>(column.size()));
+        table.columns.at(0).bytes += huge - table.file_bytes;
+        table.file_bytes = huge;
+      });
   WriteFile(manifest_path, manifest);
   for (const Status& status :
        {OpenDiskCatalog(workspace).status(),
@@ -557,13 +546,18 @@ TEST_F(DamageSweepTest, SetThatDisagreesWithItsStatisticsIsAnIOError) {
   const std::string original = ReadFile(manifest_path);
   const fs::path sets = dir_->path() / "sets";
   ASSERT_TRUE(fs::create_directory(sets));
-  // Fields 8, 10 and 12 of a column record: distinct count, min and max.
-  // "v" holds "key-0" to "key-19".
-  const std::pair<size_t, const char*> fields[] = {
-      {8, "19"}, {10, "key-00"}, {12, "key-99"}};
-  for (const auto& [field, value] : fields) {
-    SCOPED_TRACE(value);
-    WriteFile(manifest_path, SetColumnField(original, "v", field, value));
+  // "v" holds "key-0" to "key-19": 20 distinct values.
+  const std::pair<const char*, std::function<void(ColumnStats&)>> edits[] = {
+      {"distinct count", [](ColumnStats& stats) { stats.distinct_count = 19; }},
+      {"min", [](ColumnStats& stats) { stats.min_value = "key-00"; }},
+      {"max", [](ColumnStats& stats) { stats.max_value = "key-99"; }},
+  };
+  for (const auto& [what, edit] : edits) {
+    SCOPED_TRACE(what);
+    WriteFile(manifest_path,
+              testing::ForgeStoreManifest(original, [&](ManifestData& data) {
+                edit(ColumnOfT(data, "v").stats);
+              }));
     auto catalog = OpenDiskCatalog(workspace);
     ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
     EXPECT_TRUE(ScanColumn((*catalog)->FindTable("t")->column(0)).ok());
@@ -599,14 +593,11 @@ TEST_F(DamageSweepTest, HostileBlockOffsetsFailToOpen) {
   ASSERT_GE(w.size(), 2u);
   const fs::path manifest_path = workspace / kDiskStoreManifestName;
   const std::string original = ReadFile(manifest_path);
-  // Field 5 of a column record lists its block offsets.
   auto with_offsets = [&original](const std::string& column,
-                                  std::vector<uint64_t> offsets) {
-    std::vector<std::string> text;
-    for (const uint64_t offset : offsets) {
-      text.push_back(std::to_string(offset));
-    }
-    return SetColumnField(original, column, 5, JoinStrings(text, ","));
+                                  const std::vector<uint64_t>& offsets) {
+    return testing::ForgeStoreManifest(original, [&](ManifestData& data) {
+      ColumnOfT(data, column).block_offsets = offsets;
+    });
   };
   std::vector<uint64_t> at_end = v;
   at_end.back() = table_bytes;

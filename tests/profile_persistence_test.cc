@@ -510,10 +510,9 @@ std::string TextManifest(const SessionReport& report) {
     const uint64_t referenced_fingerprint =
         ProfileStore::StatsFingerprint(graph.stats[candidate.referenced]);
     const bool holds = satisfied.contains(Ind{dependent, referenced});
-    text += "verdict\t" + EscapeManifestField(dependent.table) + "\t" +
-            EscapeManifestField(dependent.column) + "\t" +
-            EscapeManifestField(referenced.table) + "\t" +
-            EscapeManifestField(referenced.column) + "\t" +
+    // The dump's names hold no byte the old writer percent-escaped.
+    text += "verdict\t" + dependent.table + "\t" + dependent.column + "\t" +
+            referenced.table + "\t" + referenced.column + "\t" +
             (holds ? "1" : "0") + "\t" + hex(dependent_fingerprint) + "\t" +
             hex(referenced_fingerprint) + "\n";
   }

@@ -1,9 +1,9 @@
-// ProfileStore unit tests: the v2 manifest round-trips every field and
-// every byte a name or value can hold, any damage to a saved manifest (a
+// ProfileStore unit tests: the v3 manifest round-trips every field and
+// every byte a name can hold, any damage to a saved manifest (a
 // truncation, a bit flip, a hostile count or id under a valid checksum, a
-// pre-v2 text manifest) loads as an empty profile without crashing or
-// allocating by an unchecked count, and concurrent saves of one store all
-// commit.
+// pre-v2 text manifest, a v2 one) loads as an empty profile without
+// crashing or allocating by an unchecked count, and concurrent saves of
+// one store all commit.
 
 #include <gtest/gtest.h>
 
@@ -68,9 +68,6 @@ void ExpectSameSet(const std::optional<ProfileSetEntry>& actual,
   EXPECT_EQ(actual->content_fingerprint, expected.content_fingerprint);
   EXPECT_EQ(actual->source_fingerprint, expected.source_fingerprint);
   EXPECT_EQ(actual->distinct_count, expected.distinct_count);
-  EXPECT_EQ(actual->block_count, expected.block_count);
-  EXPECT_EQ(actual->min_value, expected.min_value);
-  EXPECT_EQ(actual->max_value, expected.max_value);
 }
 
 // Bytes a text manifest, a TSV field or a length prefix could trip over.
@@ -84,20 +81,15 @@ std::vector<ProfileSetEntry> SampleSets() {
   both.content_fingerprint = 0xFFFFFFFFFFFFFFFFULL;
   both.source_fingerprint = 0x0123456789ABCDEFULL;
   both.distinct_count = 42;
-  both.block_count = 3;
-  both.min_value = kAwkward;
-  both.max_value = std::string("\0", 1);
 
   ProfileSetEntry none;
   none.file_name = "empty.set";
 
-  ProfileSetEntry max_only;
-  max_only.file_name = "max-only.set";
-  max_only.file_bytes = 1;
-  max_only.distinct_count = 1;
-  max_only.block_count = 1;
-  max_only.max_value = "";
-  return {both, none, max_only};
+  ProfileSetEntry nul;
+  nul.file_name = std::string("nul\0.set", 8);
+  nul.file_bytes = 1;
+  nul.distinct_count = 1;
+  return {both, none, nul};
 }
 
 // A profile with awkward names, one attribute (`orders.customer`) whose
@@ -174,11 +166,11 @@ class ProfileStoreTest : public ::testing::Test {
     return store;
   }
 
-  // Writes `body` behind the v2 magic and version, with a valid checksum,
+  // Writes `body` behind the magic and `version`, with a valid checksum,
   // so only the parser's own checks stand between it and the process.
-  void WriteSealed(const std::string& body) const {
+  void WriteSealed(const std::string& body, char version = 3) const {
     std::string bytes = "SpPrfMan";
-    bytes.push_back(2);
+    bytes.push_back(version);
     bytes += body;
     AppendFixed64(&bytes, HashString(bytes));
     WriteBytes(manifest(), bytes);
@@ -377,9 +369,6 @@ TEST_F(ProfileStoreTest, HostileBodiesLoadEmpty) {
       {"fingerprints not ascending",
        Varint(0) + Varint(1) + String("a") + String("x") + Varint(2) +
            Fixed64(5) + Fixed64(5) + Varint(0)},
-      {"unknown set flag",
-       Varint(1) + String("x.set") + Varint(0) + Fixed64(0) + Fixed64(0) +
-           Varint(0) + Varint(0) + "\x04" + Varint(0) + Varint(0)},
       {"over-long varint", std::string(10, '\x80') + "\x01"},
       {"trailing bytes", TwoAttributes() + Varint(0) + "x"},
       {"empty body", ""},
@@ -389,6 +378,25 @@ TEST_F(ProfileStoreTest, HostileBodiesLoadEmpty) {
     WriteSealed(body);
     ExpectEmpty(*Reload());
   }
+}
+
+TEST_F(ProfileStoreTest, V2ManifestLoadsEmptyAndIsResealed) {
+  // Version 2 also held each set's block count, flags, min and max. Its
+  // profile is a cache miss: it loads empty, and the next seal writes v3.
+  const std::string v2_set = String("x.set") + Varint(7) + Fixed64(1) +
+                             Fixed64(2) + Varint(1) + Varint(1) + "\x03" +
+                             String("a") + String("a");
+  WriteSealed(Varint(1) + v2_set + Varint(0) + Varint(0), /*version=*/2);
+  const std::unique_ptr<ProfileStore> store = Reload();
+  ExpectEmpty(*store);
+  ProfileSetEntry entry;
+  entry.file_name = "x.set";
+  entry.file_bytes = 7;
+  entry.distinct_count = 1;
+  store->PutSet(entry);
+  ASSERT_TRUE(store->Save().ok());
+  EXPECT_EQ(ReadBytes(manifest())[8], 3);
+  ExpectSameSet(Reload()->FindSet("x.set"), entry);
 }
 
 TEST_F(ProfileStoreTest, TextManifestLoadsEmptyAndIsRewritten) {

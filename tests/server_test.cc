@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/common/json_writer.h"
 #include "src/common/string_util.h"
 #include "src/common/temp_dir.h"
@@ -1068,6 +1069,63 @@ TEST_F(ServerE2eTest, ImportBodyIsValidatedBeforeItIsQueued) {
   EXPECT_NE(done.body.find("\"state\":\"finished\""), std::string::npos)
       << done.body;
   EXPECT_TRUE(IsDiskCatalogDir(dir_->path() / "w1"));
+}
+
+// An import of a directory without a CSV fails as a job, names the
+// directory, and leaves no workspace to list.
+TEST_F(ServerE2eTest, ImportOfADirectoryWithoutCsvFilesFails) {
+  const std::filesystem::path source = dir_->path() / "no-csv";
+  ASSERT_TRUE(std::filesystem::create_directories(source));
+  WriteCsv(source / "notes.txt", "id,ref\n1,2\n");
+  ClientResponse submitted = Fetch(
+      server_->port(), "POST", "/jobs",
+      "{\"op\":\"import\",\"workspace\":\"w2\",\"source\":\"" +
+          JsonWriter::Escape(source.string()) + "\"}");
+  ASSERT_EQ(submitted.status, 202) << submitted.body;
+  ClientResponse done = AwaitJob(1);
+  EXPECT_NE(done.body.find("\"state\":\"failed\""), std::string::npos)
+      << done.body;
+  EXPECT_NE(done.body.find(JsonWriter::Escape(source.string())),
+            std::string::npos)
+      << done.body;
+  EXPECT_FALSE(IsDiskCatalogDir(dir_->path() / "w2"));
+  ClientResponse workspaces = Fetch(server_->port(), "GET", "/workspaces");
+  EXPECT_EQ(workspaces.status, 200);
+  EXPECT_EQ(workspaces.body.find("\"w2\""), std::string::npos)
+      << workspaces.body;
+  EXPECT_NE(workspaces.body.find("\"smoke\""), std::string::npos)
+      << workspaces.body;
+}
+
+// A store manifest whose counts no file can hold — 2^62 non-null and
+// distinct values, which would size a join's hash table — fails the
+// request that opens the workspace with a 400 naming the manifest, not
+// spiderd.
+TEST_F(ServerE2eTest, HostileStoreManifestCountIsA400) {
+  const std::filesystem::path smoke = dir_->path() / "smoke";
+  const std::filesystem::path hostile = dir_->path() / "hostile";
+  std::filesystem::copy(smoke, hostile);
+  const std::filesystem::path manifest = hostile / kDiskStoreManifestName;
+  const Result<std::string> bytes = ReadFileBytes(manifest);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  const int64_t huge = int64_t{1} << 62;
+  const std::string forged =
+      testing::ForgeStoreManifest(*bytes, [&](ManifestData& data) {
+        ColumnStats& stats = data.tables.at(0).columns.at(0).stats;
+        stats.non_null_count = huge;
+        stats.distinct_count = huge;
+      });
+  ASSERT_NE(forged, *bytes);
+  ASSERT_TRUE(WriteFileAtomically(manifest, forged).ok());
+
+  ClientResponse bad = Fetch(
+      server_->port(), "POST", "/jobs",
+      "{\"workspace\":\"hostile\",\"approach\":\"sql-join\"}");
+  EXPECT_EQ(bad.status, 400) << bad.body;
+  EXPECT_NE(bad.body.find(kDiskStoreManifestName), std::string::npos)
+      << bad.body;
+  EXPECT_EQ(Fetch(server_->port(), "GET", "/jobs").body, "{\"jobs\":[]}");
+  EXPECT_EQ(Fetch(server_->port(), "GET", "/healthz").status, 200);
 }
 
 // A one-file budget cannot run (single-pass checks it as a programmer

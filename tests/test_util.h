@@ -2,6 +2,9 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -11,10 +14,24 @@
 #include "src/discovery/accession.h"
 #include "src/discovery/primary_relation.h"
 #include "src/storage/catalog.h"
+#include "src/storage/store_manifest.h"
 #include "src/ind/candidate.h"
 #include "src/ind/registry.h"
 
 namespace spider::testing {
+
+/// Forges a store manifest through its codec: decodes `manifest`, lets
+/// `edit` change the struct and encodes the result. A manifest that does
+/// not decode fails the test and comes back unchanged.
+inline std::string ForgeStoreManifest(
+    const std::string& manifest,
+    const std::function<void(ManifestData&)>& edit) {
+  Result<ManifestData> data = DecodeStoreManifest(manifest);
+  EXPECT_TRUE(data.ok()) << data.status().ToString();
+  if (!data.ok()) return manifest;
+  edit(*data);
+  return EncodeStoreManifest(*data);
+}
 
 /// Builds a single-column table "t<index>" with column "c" holding the given
 /// string values ("" becomes NULL) and appends it to the catalog.
